@@ -20,7 +20,7 @@ TRACE_SMOKE_ARGS := -videos 60 -vhos 8 -passes 40 -seed 1 -no-incremental
 # audit-gated snapshot swap during the 2s run.
 SERVE_SMOKE_ARGS := -videos 60 -vhos 8 -passes 200 -eps 0.02 -seed 1
 
-.PHONY: build vet test race check bench bench-json bench-cores fuzz cover fmt trace-smoke trace-golden serve-smoke
+.PHONY: build vet test race check bench bench-check bench-json bench-cores fuzz cover fmt clean trace-smoke trace-golden serve-smoke
 
 build:
 	$(GO) build ./...
@@ -42,6 +42,15 @@ check: build vet race
 # alongside the benchmarks.
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# The repository benchmark (BENCHMARK.json, bench/) is a module of its own,
+# so `go build/vet/test ./...` at the root never see it: this target is what
+# builds and tests it. The selfcheck runs the harness end to end twice at the
+# serve-smoke shape and fails unless the exact-repeat counts, the objective
+# and every replay agree. bench/run.sh builds into .bench_build/.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test -race -shuffle=on ./...
+	bash bench/run.sh --selfcheck
 
 # Refresh the committed benchmark records. The old files' numbers roll over
 # into the new records' "baseline" sections, so after an optimization each
@@ -145,3 +154,12 @@ serve-smoke:
 
 fmt:
 	gofmt -l -w .
+
+# Remove what building, testing and the smoke and benchmark targets leave
+# behind (all of it gitignored); .bench_build/ is bench/run.sh's binary, Go
+# build cache and temp directory.
+clean:
+	rm -rf .bench_build coverage.out
+	rm -f trace-smoke.jsonl trace-smoke.out *.smoke
+	rm -f serve-smoke.addr serve-smoke.json serve-smoke.log serve-smoke.out \
+		serve-smoke.trace.jsonl serve-smoke.prom serve-smoke.telemetry.out

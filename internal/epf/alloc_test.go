@@ -5,6 +5,20 @@ import (
 	"testing"
 )
 
+// minAllocsPerRun is the minimum of three testing.AllocsPerRun(3, f) trials.
+// AllocsPerRun counts every malloc in the process, so a background GC or
+// scheduler allocation landing inside a trial reads as 1 alloc/run — seen
+// once in 8 runs with five packages testing in parallel on 2 vCPUs. A kernel
+// that really allocates does so in every trial, so the minimum keeps the
+// contract exact and takes the flake out of tier 1.
+func minAllocsPerRun(f func()) float64 {
+	best := testing.AllocsPerRun(3, f)
+	for trial := 1; trial < 3 && best != 0; trial++ {
+		best = min(best, testing.AllocsPerRun(3, f))
+	}
+	return best
+}
+
 // The performance architecture's allocation contract (DESIGN.md §8): once a
 // solve is warmed up — per-worker scratch live, merge-row and chunk-result
 // capacities grown to their steady state — a full gradient-descent pass
@@ -32,7 +46,7 @@ func TestDescentPassZeroAllocations(t *testing.T) {
 			t.Fatal("warm-up pass cancelled")
 		}
 	}
-	allocs := testing.AllocsPerRun(3, func() {
+	allocs := minAllocsPerRun(func() {
 		if !s.descentPass() {
 			t.Fatal("measured pass cancelled")
 		}
@@ -43,8 +57,8 @@ func TestDescentPassZeroAllocations(t *testing.T) {
 }
 
 // The same contract for the incremental-pricing fast path: the delta-update
-// machinery (qPrev snapshot, reverse-incidence scatter, Newton line search,
-// warm-start open sets) must also run allocation-free once warm.
+// machinery (qPrev snapshot, reverse-incidence scatter, warm-start open
+// sets) must also run allocation-free once warm.
 func TestDescentPassZeroAllocationsIncremental(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
@@ -62,7 +76,7 @@ func TestDescentPassZeroAllocationsIncremental(t *testing.T) {
 			t.Fatal("warm-up pass cancelled")
 		}
 	}
-	allocs := testing.AllocsPerRun(3, func() {
+	allocs := minAllocsPerRun(func() {
 		if !s.descentPass() {
 			t.Fatal("measured pass cancelled")
 		}

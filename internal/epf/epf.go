@@ -87,37 +87,40 @@ type Options struct {
 	// re-shuffling cuts pass counts by a large factor; never set it in
 	// production use.
 	NoShuffle bool
-	// IncrementalPricing enables the opt-in fast-pricing mode: path duals
-	// are delta-updated from the links whose prices actually moved (with a
-	// periodic full rebuild to bound drift), the line search switches to a
-	// safeguarded Newton iteration, and block facility-location solves warm
-	// start from the video's previous solution. These change floating-point
-	// trajectories, so the mode is off by default — the default solve is
-	// bit-identical across releases (CLI goldens pin it). Results remain
-	// deterministic at any worker count either way; only the default mode's
-	// exact output bytes are pinned.
+	// IncrementalPricing enables the fast-pricing mode: path duals are
+	// delta-updated from the links whose prices actually moved (with a
+	// periodic full rebuild to bound drift), and block facility-location
+	// solves warm start from the video's previous solution. (The line search
+	// is the same fixed bisection in every mode; see lineSearch.) These
+	// change floating-point trajectories, so the zero value leaves the mode
+	// off — that solve is bit-identical across releases (the legacy CLI
+	// goldens pin it) — while every CLI turns it on by default. Results are
+	// deterministic at any worker count either way.
 	IncrementalPricing bool
 	// ParallelRound dispatches the §V-D rounding and polish block solves
 	// through the worker pool: each rounding chunk freezes the full dual
 	// vector (disk rows included, where the sequential mode re-prices disk
-	// per video), fans the chunk's facility-location solves out to the
-	// workers, and commits the results sequentially in chunk order. Chunk
-	// boundaries are fixed, so the output is deterministic and bit-identical
-	// at any worker or shard count — but the chunk-frozen disk duals change
+	// per video), fans out the facility-location solves of the videos whose
+	// own removal will not move a disk price past the drift tolerance, and
+	// commits sequentially in chunk order, solving at live prices any video
+	// whose disk prices did drift (see parRoundSolve). Chunk boundaries are
+	// fixed, so the output is deterministic and bit-identical at any worker
+	// or shard count — but frozen-price answers for undrifted videos change
 	// the rounding trajectory relative to the sequential mode, so like
 	// IncrementalPricing this is a mode bit rather than a transparent
 	// optimization, and the pinned legacy goldens keep it off.
 	ParallelRound bool
-	// Warm, when non-nil, seeds the solve from a previous period's final
-	// state (see WarmState): initial placement from the per-video open sets
-	// (unknown video IDs fall back to the cold init), initial lower bound
-	// and smoothed duals from the previous row duals when the coupling-row
-	// dimensions match, penalty scale and line-search step from the previous
-	// descent, and facility-location warm starts in both the descent and the
-	// rounding phase. Like IncrementalPricing this changes floating-point
-	// trajectories (not correctness — every bound is re-derived on the new
-	// instance and the usual certificates hold), so it is opt-in and the
-	// cold path stays bit-identical.
+	// Warm, when non-nil, resumes the solve from a previous period's final
+	// state (see WarmState): initial point from the carried LP point, per
+	// video, where the video's demand offices are unchanged, else from its
+	// open set, else the cold init; initial lower bound and smoothed duals
+	// from the previous row duals when the coupling-row dimensions match;
+	// penalty scale from the previous descent; and facility-location warm
+	// starts in both the descent and the rounding phase. The state is
+	// read-only to the solve. Like IncrementalPricing this changes
+	// floating-point trajectories (not correctness — every bound is
+	// re-derived on the new instance and the usual certificates hold), so it
+	// is opt-in and the cold path stays bit-identical.
 	Warm *WarmState
 	// OnPass, when non-nil, is invoked after every pass with progress
 	// information (used by the CLI tools for -v output).
@@ -136,7 +139,10 @@ type Options struct {
 	// demand changed since the instance was last solved. Telemetry only: the
 	// solver records the count and the per-shard dirty fractions in Stats so
 	// warm re-solves expose how localized the change was, but the solve
-	// itself never reads it — numerics are identical with or without it.
+	// itself never reads it — numerics are identical with or without it, so
+	// a served placement can be reproduced from (instance, Warm) alone. A
+	// warm solve finds out what changed by comparing the instance with the
+	// carried state (WarmState).
 	DirtyVideos []int
 }
 
@@ -399,8 +405,16 @@ type solver struct {
 	// chunk's per-video integer solutions, index-addressed by chunk position
 	// and committed sequentially in chunk order.
 	roundSols   []intSol
+	roundSpec   []bool    // chunk positions dispatched to the fan-out
 	roundQ0     []float64 // chunk-frozen disk duals, drift baseline
 	roundTaskFn func(w, tag, lo, hi int)
+
+	// integerStepImproves scratch (round.go): per-row usage of the current
+	// and the candidate block, which side touched each row, and the touched
+	// rows.
+	stepUse  [2][]float64
+	stepMark []uint8
+	stepRows []int32
 
 	// Cross-period warm-start state (Options.Warm / Result.Warm).
 	warmRound bool    // rounding-phase facloc solves seed from warmOpen
@@ -439,6 +453,7 @@ func SolveContext(ctx context.Context, inst *mip.Instance, opts Options) (*Resul
 	}
 	defer s.close()
 	res := s.run(ctx)
+	res.Warm.LP = packLP(inst, res.Sol)
 	s.finishTrace(res)
 	return res, ctx.Err()
 }
@@ -459,7 +474,9 @@ func SolveIntegerContext(ctx context.Context, inst *mip.Instance, opts Options) 
 	}
 	defer s.close()
 	res := s.run(ctx)
+	lpSol := res.Sol // round overwrites *res once it is done with the LP point
 	s.round(res)
+	res.Warm.LP = packLP(inst, lpSol)
 	s.finishTrace(res)
 	return res, ctx.Err()
 }
@@ -491,6 +508,9 @@ func newSolver(inst *mip.Instance, opts Options) (*solver, error) {
 	s.act = make([]float64, s.rows)
 	s.acc = make([]float64, s.rows)
 	s.touched = make([]int32, 0, s.rows)
+	s.stepUse = [2][]float64{make([]float64, s.rows), make([]float64, s.rows)}
+	s.stepMark = make([]uint8, s.rows)
+	s.stepRows = make([]int32, 0, s.rows)
 	s.yBuf = make([]float64, s.n)
 	s.lsDelta = make([]float64, s.rows)
 	s.lsAct = make([]float64, s.rows)
@@ -693,12 +713,17 @@ func (s *solver) mergeStats() {
 
 // initSolution places one copy of each video at its highest-demand office
 // and serves everything from there, then computes activities from scratch.
-// Under Options.Warm, videos whose ID appears in the warm state start from
-// their previous open set instead; the rest keep the cold init (the
-// per-video catalog-churn fallback).
+// Under Options.Warm each video instead starts as far down the warm ladder
+// as the instance allows: its block of the carried LP point, else its
+// previous open set, else the cold init (see WarmState).
 func (s *solver) initSolution() {
 	s.sol = make([]blockSol, len(s.inst.Demands))
 	for vi := range s.inst.Demands {
+		if s.resumeBlock(vi) {
+			s.stats.ResumedVideos++
+			s.stats.WarmVideos++
+			continue
+		}
 		if open := s.warmVideoOpen(vi); open != nil {
 			s.seedWarmBlock(vi, open)
 			s.stats.WarmVideos++
@@ -1098,31 +1123,39 @@ func (s *solver) initRun() {
 
 // buildChunkTasks groups the current chunk's positions by shard (a stable
 // counting sort into s.chunkPos) and splits each shard group into pieces of
-// at most ceil(|chunk|/W), so a W-worker fan-out stays balanced while each
-// piece touches a single shard's videos. Per-shard block counts are tallied
-// here, on the driver goroutine, so the telemetry is deterministic. No
-// allocations: every buffer was sized in initShards/initRun.
-func (s *solver) buildChunkTasks() {
+// at most ceil(dispatched/W), so a W-worker fan-out stays balanced while each
+// piece touches a single shard's videos. A non-nil only restricts the
+// dispatch to the chunk positions it marks (the rounding fan-out's
+// speculated subset). Per-shard block counts are tallied here for the whole
+// chunk — every block is solved once, in the fan-out or on the driver — on
+// the driver goroutine, so the telemetry is deterministic. No allocations:
+// every buffer was sized in initShards/initRun.
+func (s *solver) buildChunkTasks(only []bool) {
 	S := len(s.shards)
 	cnt, head := s.shardCnt, s.shardHead
 	for si := 0; si < S; si++ {
 		cnt[si] = 0
 	}
-	for _, vi := range s.chunk {
-		cnt[s.shardOf[vi]]++
+	for c, vi := range s.chunk {
+		si := s.shardOf[vi]
+		s.shardBlocks[si]++
+		if only == nil || only[c] {
+			cnt[si]++
+		}
 	}
 	var sum int32
 	for si := 0; si < S; si++ {
 		head[si] = sum
 		sum += cnt[si]
-		s.shardBlocks[si] += int64(cnt[si])
 	}
 	for c, vi := range s.chunk {
-		si := s.shardOf[vi]
-		s.chunkPos[head[si]] = int32(c)
-		head[si]++
+		if only == nil || only[c] {
+			si := s.shardOf[vi]
+			s.chunkPos[head[si]] = int32(c)
+			head[si]++
+		}
 	}
-	per := (len(s.chunk) + s.opts.Workers - 1) / s.opts.Workers
+	per := (int(sum) + s.opts.Workers - 1) / s.opts.Workers
 	if per < 1 {
 		per = 1
 	}
@@ -1164,7 +1197,7 @@ func (s *solver) descentPass() bool {
 		// Parallel block optimization on the shared pool, dispatched as
 		// shard-affine position ranges.
 		s.chunk = s.perm[lo:hi]
-		s.buildChunkTasks()
+		s.buildChunkTasks(nil)
 		if err := s.pool.RunTasks(s.ctx, s.tasks, s.chunkTaskFn); err != nil {
 			return false // cancelled before dispatch; chunkSols is stale
 		}

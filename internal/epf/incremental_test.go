@@ -6,7 +6,7 @@ import (
 )
 
 // IncrementalPricing changes floating-point trajectories (delta-updated
-// path duals, Newton line search, warm-started block solves) but must stay
+// path duals, warm-started block solves) but must stay
 // a correct solver: same feasibility and optimality guarantees, just a
 // different path to them.
 func TestIncrementalPricingSolves(t *testing.T) {

@@ -265,8 +265,30 @@ func TestParallelRoundZeroAllocations(t *testing.T) {
 	// state on the first cycles.
 	cycle()
 	cycle()
-	allocs := testing.AllocsPerRun(3, func() { cycle() })
+	allocs := minAllocsPerRun(cycle)
 	if allocs != 0 {
 		t.Errorf("steady-state parallel rounding cycle allocates %g times, want 0", allocs)
+	}
+	// The polish acceptance test rides the same contract: both criteria over
+	// sparse row accumulators, no maps.
+	s.computeDuals(s.q)
+	vi := chunk[0]
+	bs := &s.sol[vi]
+	ns := intSol{assign: make([]int32, len(bs.assign))}
+	for _, f := range bs.open {
+		ns.open = append(ns.open, f.I)
+	}
+	for k := range ns.assign {
+		ns.assign[k] = ns.open[len(ns.open)-1]
+	}
+	s.addBlockRows(vi, bs, -1)
+	cost := s.blockCost(vi, bs)
+	allocs = minAllocsPerRun(func() {
+		s.integerStepImproves(vi, bs, &ns, cost, true, 1)
+		s.integerStepImproves(vi, bs, &ns, cost, false, 1)
+	})
+	s.addBlockRows(vi, bs, +1)
+	if allocs != 0 {
+		t.Errorf("integerStepImproves allocates %g times per pair of calls, want 0", allocs)
 	}
 }

@@ -2,6 +2,7 @@ package epf
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -26,63 +27,104 @@ const roundChunk = 64
 // initRound prepares the parallel rounding state (Options.ParallelRound):
 // chunk-position solution slots sized for the rounding chunk, a chunkPos
 // buffer wide enough for it (the adaptive descent ChunkSize may be
-// smaller), and the fan-out body. The body mirrors chunkTaskFn but solves
-// with the full local-search facility location (SolveWarmInto, matching the
-// sequential rounding solves) under the chunk-frozen duals, and does not
-// count toward BlocksOptimized — that counter means descent-loop solves.
+// smaller), and the fan-out body, which does not count toward
+// BlocksOptimized — that counter means descent-loop solves.
 func (s *solver) initRound() {
 	s.roundSols = make([]intSol, roundChunk)
 	for c := range s.roundSols {
 		s.roundSols[c].open = make([]int32, 0, s.n)
 		s.roundSols[c].assign = make([]int32, 0, s.n)
 	}
+	s.roundSpec = make([]bool, roundChunk)
 	s.roundQ0 = make([]float64, s.n)
 	if len(s.chunkPos) < roundChunk {
 		s.chunkPos = make([]int32, roundChunk)
 	}
 	s.roundTaskFn = func(w, _, lo, hi int) {
 		ws := s.scratch.Get(w)
-		if ws.used == nil {
-			ws.used = make([]bool, s.n)
-		}
 		for idx := lo; idx < hi; idx++ {
 			c := int(s.chunkPos[idx])
-			vi := s.chunk[c]
-			s.buildBlockProblem(vi, s.q, &ws.prob)
-			ws.fs.SolveWarmInto(&ws.prob, &ws.fsol, s.roundWarm(vi))
-			toIntSolInto(&ws.fsol, &s.inst.Demands[vi], ws.used, &s.roundSols[c])
+			s.roundSolveInto(ws, c, s.chunk[c], s.roundQ0)
 		}
 	}
 }
 
-// parRoundSolve fans the rounding chunk's facility-location solves out to
-// the pool under the chunk-frozen dual vector s.q — a speculative solve:
-// the sequential rounding loop re-prices disk per video so each sees its
-// predecessors' in-chunk pile-up, which the frozen prices cannot. The
-// commit loop repairs that through validateRoundSol: commits run
-// sequentially in chunk order with the sequential mode's per-video disk
-// repricing, and any video whose live disk duals have drifted from the
-// frozen snapshot (s.roundQ0, taken here) is re-solved on the driver at
-// live prices. Uncongested or very large catalogs see ~no drift and keep
-// the full fan-out win; heavy in-chunk pile-up degenerates to the
-// sequential trajectory instead of herding every video onto the same
-// cheap office. All validation state is committed solver state read in
-// chunk order, so the trajectory stays independent of worker and shard
-// counts. Returns false when the fan-out could not run (cancelled
-// context); no solver state was modified.
+// roundSolveInto solves video vi's block with the full local-search facility
+// location (SolveWarmInto, matching the sequential rounding solves) at disk
+// prices diskQ and the chunk's path-aggregated link prices, into chunk slot
+// c. The one block solve of the parallel rounding mode: the fan-out and the
+// driver both call it, so where a block is solved never changes its answer.
+func (s *solver) roundSolveInto(ws *workerScratch, c, vi int, diskQ []float64) {
+	if ws.used == nil {
+		ws.used = make([]bool, s.n)
+	}
+	s.buildBlockProblem(vi, diskQ, &ws.prob)
+	ws.fs.SolveWarmInto(&ws.prob, &ws.fsol, s.roundWarm(vi))
+	toIntSolInto(&ws.fsol, &s.inst.Demands[vi], ws.used, &s.roundSols[c])
+}
+
+// parRoundSolve freezes the rounding chunk's disk prices (s.roundQ0; the link
+// prices are frozen in pathDualT by the caller's dual refresh) and fans out
+// the block solves worth speculating on.
+//
+// The sequential rounding loop re-prices disk per video so each sees its
+// predecessors' in-chunk pile-up, which frozen prices cannot; the commit
+// loop therefore validates every video through validateRoundSol and solves
+// at live prices any whose disk duals drifted from the freeze. A video whose
+// own removal alone drifts a dual (ownRemovalDrifts) is all but certain to be
+// one of those, so it is left out of the fan-out: predict, solve once,
+// validate.
+// The prediction only schedules work — validateRoundSol decides drift on
+// committed solver state read in chunk order and every block is solved by
+// roundSolveInto — so the trajectory is independent of the prediction and
+// of worker and shard counts. Uncongested or very large catalogs (own
+// removal under the tolerance) keep the full fan-out; heavy in-chunk
+// pile-up degenerates to the sequential trajectory instead of herding every
+// video onto the same cheap office. Returns false when the context was
+// cancelled; nothing was committed.
 func (s *solver) parRoundSolve(chunk []int) bool {
 	s.chunk = chunk
-	s.buildChunkTasks()
 	copy(s.roundQ0, s.q[:s.n])
+	for c, vi := range chunk {
+		s.roundSpec[c] = !s.ownRemovalDrifts(vi)
+		if s.roundSpec[c] {
+			s.stats.RoundSpeculated++
+		}
+	}
+	s.buildChunkTasks(s.roundSpec)
 	return s.pool.RunTasks(s.ctx, s.tasks, s.roundTaskFn) == nil
 }
 
-// roundDualTol is the relative disk-dual drift beyond which a speculative
-// rounding solve is discarded and re-solved at live prices. Dual prices are
+// roundDualTol is the relative disk-dual drift beyond which a rounding block
+// is solved at live prices instead of the chunk-frozen ones. Dual prices are
 // exponentials of row load, so a relative change of this size reflects a
 // load shift big enough to redirect a facility choice; drift below it means
-// the frozen-price solve saw effectively current prices.
+// a frozen-price solve sees effectively current prices.
 const roundDualTol = 0.02
+
+// roundOwnDriftExp is the exponent at which removing a video's own copy from
+// an office moves that office's disk dual past roundDualTol: the dual is
+// ∝ exp(α·act_i/b_i), so taking s·y_i off act_i divides it by
+// exp(α·s·y_i/b_i), and exp(x) − 1 > roundDualTol ⇔ x > ln(1 + roundDualTol).
+var roundOwnDriftExp = math.Log1p(roundDualTol)
+
+// ownRemovalDrifts predicts, from committed state at the chunk freeze, that
+// video vi will be found drifted at commit: its rows are removed before its
+// disk duals are validated, and that removal alone moves one of its open
+// offices' duals past roundDualTol. (Only a predecessor restoring that very
+// dual, or a clamped or underflowed dual, makes the prediction miss; the
+// block is then solved on the driver at the frozen prices.) With
+// α = ln(rows+1)/δ in the hundreds, that is every video holding more than
+// ~10⁻⁴ of a disk.
+func (s *solver) ownRemovalDrifts(vi int) bool {
+	as := s.alpha * s.inst.Demands[vi].SizeGB
+	for _, f := range s.sol[vi].open {
+		if as*f.V/s.b[f.I] > roundOwnDriftExp {
+			return true
+		}
+	}
+	return false
+}
 
 // roundDualsDrifted reports whether any disk dual moved more than
 // roundDualTol (relatively, with an absolute floor for underflowed rows)
@@ -100,23 +142,24 @@ func (s *solver) roundDualsDrifted() bool {
 	return false
 }
 
-// validateRoundSol finalizes chunk position c's speculative solution for
-// video vi: with vi's rows already removed from act (caller), it re-prices
-// disk exactly as the sequential loop would, and if the live prices have
-// drifted from the chunk freeze it re-solves the block on the driver,
-// overwriting the speculative slot. Returns the solution to commit.
+// validateRoundSol returns the solution to commit for chunk position c's
+// video vi. With vi's rows already removed from act (caller), it re-prices
+// disk exactly as the sequential loop would. Drifted from the chunk freeze:
+// the block is solved at the live prices. Not drifted: the frozen-price
+// solution stands — the fan-out's if vi was speculated, otherwise solved
+// here at the saved frozen prices, which is what the fan-out would have
+// computed.
 func (s *solver) validateRoundSol(c, vi int) *intSol {
 	s.refreshDiskDuals(s.q)
-	if s.roundDualsDrifted() {
+	diskQ := s.roundQ0
+	switch {
+	case s.roundDualsDrifted():
 		s.stats.RoundResolves++
-		ws := s.scratch.Get(0)
-		if ws.used == nil {
-			ws.used = make([]bool, s.n)
-		}
-		s.buildBlockProblem(vi, s.q, &ws.prob)
-		ws.fs.SolveWarmInto(&ws.prob, &ws.fsol, s.roundWarm(vi))
-		toIntSolInto(&ws.fsol, &s.inst.Demands[vi], ws.used, &s.roundSols[c])
+		diskQ = s.q
+	case s.roundSpec[c]:
+		return &s.roundSols[c]
 	}
+	s.roundSolveInto(s.scratch.Get(0), c, vi, diskQ)
 	return &s.roundSols[c]
 }
 
@@ -466,6 +509,24 @@ func (s *solver) considerIntegerIncumbent(bestScore *float64, haveBest *bool) {
 	}
 }
 
+// Sides of the integerStepImproves row accumulators (stepUse index + 1, and
+// the stepMark bit recording that the side touched the row).
+const (
+	stepCur uint8 = 1
+	stepNew uint8 = 2
+)
+
+// stepAdd accumulates v onto coupling row r of one side's block usage, in
+// the descent's sparse acc/touched idiom: dense per-row scratch plus the
+// list of rows to visit and clear.
+func (s *solver) stepAdd(side uint8, r int, v float64) {
+	if s.stepMark[r] == 0 {
+		s.stepRows = append(s.stepRows, int32(r))
+	}
+	s.stepMark[r] |= side
+	s.stepUse[side-1][r] += v
+}
+
 // integerStepImproves decides whether replacing block vi's current solution
 // cur with ns improves the chosen criterion. The block's own rows are
 // already removed from act by the caller.
@@ -476,17 +537,18 @@ func (s *solver) considerIntegerIncumbent(bestScore *float64, haveBest *bool) {
 // at priced violations. Without it, the criterion is the restricted
 // potential over the touched rows plus the objective row — conservative
 // about any move that pushes a busy row further.
+//
+// Both sides' row usage goes into sparse accumulators and every sum below
+// visits the touched rows in ascending index, so the two floats compared are
+// the same bits on every run; nothing is allocated per call.
 func (s *solver) integerStepImproves(vi int, cur *blockSol, ns *intSol, curCost float64, useMerit bool, dcCap float64) bool {
 	d := &s.inst.Demands[vi]
-	// Blocks touch few rows; sparse maps keep this O(block footprint).
-	curRows := make(map[int]float64, 16)
-	newRows := make(map[int]float64, 16)
 	for _, f := range cur.open {
-		curRows[s.rowDisk(int(f.I))] += d.SizeGB * f.V
+		s.stepAdd(stepCur, s.rowDisk(int(f.I)), d.SizeGB*f.V)
 	}
 	var newCost float64
 	for _, i := range ns.open {
-		newRows[s.rowDisk(int(i))] += d.SizeGB
+		s.stepAdd(stepNew, s.rowDisk(int(i)), d.SizeGB)
 	}
 	for k, fr := range cur.assign {
 		j := int(d.Js[k])
@@ -495,8 +557,6 @@ func (s *solver) integerStepImproves(vi int, cur *blockSol, ns *intSol, curCost 
 				continue
 			}
 			path := s.inst.G.Path(int(f.I), j)
-			// CSR nonzeros in ascending t: identical visit order to the dense
-			// scan, so the map accumulation is bit-identical.
 			ts, fv := d.ConcNZ(k)
 			for ti, tt := range ts {
 				flow := d.RateMbps * fv[ti] * f.V
@@ -504,7 +564,7 @@ func (s *solver) integerStepImproves(vi int, cur *blockSol, ns *intSol, curCost 
 					continue
 				}
 				for _, l := range path {
-					curRows[s.rowLink(int(l), int(tt))] += flow
+					s.stepAdd(stepCur, s.rowLink(int(l), int(tt)), flow)
 				}
 			}
 		}
@@ -523,7 +583,7 @@ func (s *solver) integerStepImproves(vi int, cur *blockSol, ns *intSol, curCost 
 				continue
 			}
 			for _, l := range path {
-				newRows[s.rowLink(int(l), int(tt))] += flow
+				s.stepAdd(stepNew, s.rowLink(int(l), int(tt)), flow)
 			}
 		}
 	}
@@ -532,40 +592,46 @@ func (s *solver) integerStepImproves(vi int, cur *blockSol, ns *intSol, curCost 
 			newCost += s.inst.PlacementCost(vi, int(i))
 		}
 	}
+	slices.Sort(s.stepRows)
+	ok := s.stepAccepts(curCost, newCost, useMerit, dcCap)
+	for _, r := range s.stepRows {
+		s.stepMark[r], s.stepUse[0][r], s.stepUse[1][r] = 0, 0, 0
+	}
+	s.stepRows = s.stepRows[:0]
+	return ok
+}
+
+// stepAccepts evaluates integerStepImproves' criterion over the accumulated
+// rows (s.stepRows ascending, usage in s.stepUse).
+func (s *solver) stepAccepts(curCost, newCost float64, useMerit bool, dcCap float64) bool {
+	curUse, newUse := s.stepUse[0], s.stepUse[1]
 	// Trust region: reject replacements that push any row past dcCap.
-	for r, v := range newRows {
-		if (s.act[r]+v)/s.b[r]-1 > dcCap+1e-12 {
+	for _, r := range s.stepRows {
+		if s.stepMark[r]&stepNew != 0 && (s.act[r]+newUse[r])/s.b[r]-1 > dcCap+1e-12 {
 			return false
 		}
 	}
 	if useMerit {
 		// Lagrangian merit under the live duals:
-		// cost + Σ_r q_r·(block rows)_r.
-		merit := func(rows map[int]float64, cost float64) float64 {
-			m := cost
-			for r, v := range rows {
-				m += s.q[r] * v
-			}
-			return m
+		// cost + Σ_r q_r·(block rows)_r. A row only one side touched adds
+		// q_r·0 to the other's sum, which leaves it bit for bit unchanged
+		// (duals are finite, clampDual).
+		mCur, mNew := curCost, newCost
+		for _, r := range s.stepRows {
+			mCur += s.q[r] * curUse[r]
+			mNew += s.q[r] * newUse[r]
 		}
-		return merit(newRows, newCost) < merit(curRows, curCost)*(1-1e-12)
+		return mNew < mCur*(1-1e-12)
 	}
 	// Restricted potential over the union of touched rows + objective row.
-	phi := func(rows map[int]float64, cost float64) float64 {
-		var p float64
-		for r := range curRows {
-			p += expClamp(s.alpha * ((s.act[r]+rows[r])/s.b[r] - 1))
-		}
-		for r := range newRows {
-			if _, seen := curRows[r]; seen {
-				continue
-			}
-			p += expClamp(s.alpha * ((s.act[r]+rows[r])/s.b[r] - 1))
-		}
-		p += expClamp(s.alpha * ((s.obj-curCost+cost)/s.bObj - 1))
-		return p
+	var pCur, pNew float64
+	for _, r := range s.stepRows {
+		pCur += expClamp(s.alpha * ((s.act[r]+curUse[r])/s.b[r] - 1))
+		pNew += expClamp(s.alpha * ((s.act[r]+newUse[r])/s.b[r] - 1))
 	}
-	return phi(newRows, newCost) < phi(curRows, curCost)*(1-1e-12)
+	pCur += expClamp(s.alpha * ((s.obj-curCost+curCost)/s.bObj - 1))
+	pNew += expClamp(s.alpha * ((s.obj-curCost+newCost)/s.bObj - 1))
+	return pNew < pCur*(1-1e-12)
 }
 
 // retuneScale re-derives the integer-phase potential from the current

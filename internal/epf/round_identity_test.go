@@ -1,0 +1,221 @@
+package epf
+
+import (
+	"context"
+	"hash/fnv"
+	"math"
+	"slices"
+	"testing"
+
+	"vodplace/internal/mip"
+	"vodplace/internal/topology"
+)
+
+// openSetHash folds every (video, open office) pair of an integer placement
+// into one FNV-1a word: equal hashes at equal objectives pin the open sets.
+func openSetHash(sol *mip.Solution) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for vi := range sol.Videos {
+		for _, f := range sol.Videos[vi].Open {
+			b[0], b[1], b[2], b[3] = byte(vi), byte(vi>>8), byte(vi>>16), byte(vi>>24)
+			b[4], b[5], b[6], b[7] = byte(f.I), byte(f.I>>8), byte(f.I>>16), byte(f.I>>24)
+			h.Write(b[:])
+		}
+	}
+	return h.Sum64()
+}
+
+// mixedSizeInstance holds the three video populations the rounding predictor
+// separates. Offices 0-4 have small, contended disks; office 5 has a disk so
+// large its dual underflows the drift test's absolute floor.
+//   - tiny videos: own removal stays under roundDualTol anywhere, so they are
+//     speculated and the speculation survives in quiet chunks;
+//   - large videos on the contended disks: own removal alone drifts the dual,
+//     so they are left out of the fan-out and solved once at live prices;
+//   - giant videos that only fit office 5: predicted to drift by the
+//     relative test, found undrifted at commit (underflowed dual), so they
+//     are solved on the driver at the saved frozen prices.
+func mixedSizeInstance(t *testing.T) *mip.Instance {
+	t.Helper()
+	const nodes = 6
+	g := topology.Random(nodes, 1.0, 77)
+	var demands []mip.VideoDemand
+	for v := 0; v < 300; v++ {
+		size := 0.001
+		switch {
+		case v%50 == 3:
+			size = 500
+		case v%6 == 0:
+			size = 2
+		}
+		d := mip.VideoDemand{Video: v, SizeGB: size, RateMbps: 2}
+		for j := 0; j < nodes; j++ {
+			if (v+j)%3 == 0 {
+				continue
+			}
+			a := 10 * math.Pow(float64(v+1), -0.6) * float64(1+(v*7+j*3)%5)
+			d.Js = append(d.Js, int32(j))
+			d.Agg = append(d.Agg, a)
+		}
+		conc := make([]float64, len(d.Js))
+		for k := range conc {
+			conc[k] = math.Ceil(d.Agg[k] / 3)
+		}
+		d.Conc = [][]float64{conc}
+		demands = append(demands, d)
+	}
+	disk := []float64{30, 30, 30, 30, 30, 1e5}
+	inst, err := mip.NewInstance(g, disk, uniformCaps(g, 60), 1, demands)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inst
+}
+
+// roundIdentityCases are cold SolveInteger runs with ParallelRound whose
+// objective, open sets and RoundResolves were recorded at the commit before
+// the rounding phase learned to decide drift before solving (e0b5da7). The
+// rewrite only schedules work, so every number must reproduce exactly, at
+// any worker count.
+var roundIdentityCases = []struct {
+	name     string
+	inst     func(t *testing.T) *mip.Instance
+	opts     Options
+	obj      float64
+	open     uint64
+	resolves int64
+	// speculates: some blocks' own removal stays under roundDualTol.
+	speculates bool
+}{
+	{name: "seed9-fast", inst: func(t *testing.T) *mip.Instance { return randomInstance(t, 9, 8, 60, 2.0, 100) },
+		opts: Options{Seed: 5, MaxPasses: 30, IncrementalPricing: true, ParallelRound: true},
+		obj:  19.376048295216155, open: 0x55ed33afca3ee33b, resolves: 752},
+	{name: "seed9-fast-sharded", inst: func(t *testing.T) *mip.Instance { return randomInstance(t, 9, 8, 60, 2.0, 100) },
+		opts: Options{Seed: 5, MaxPasses: 30, Shards: 4, IncrementalPricing: true, ParallelRound: true},
+		obj:  19.376048295216155, open: 0x55ed33afca3ee33b, resolves: 752},
+	{name: "seed11-fast", inst: func(t *testing.T) *mip.Instance { return randomInstance(t, 11, 10, 90, 2.0, 150) },
+		opts: Options{Seed: 3, MaxPasses: 120, IncrementalPricing: true, ParallelRound: true},
+		obj:  48.23913946246022, open: 0x5b90555cc31a49d3, resolves: 1113},
+	{name: "seed17-fast-eps5", inst: func(t *testing.T) *mip.Instance { return randomInstance(t, 17, 10, 80, 2.0, 200) },
+		opts: Options{Seed: 5, MaxPasses: 250, Epsilon: 0.05, IncrementalPricing: true, ParallelRound: true},
+		obj:  34.74355162277668, open: 0x1704509c8be5aae6, resolves: 987},
+	{name: "seed23-parround-only", inst: func(t *testing.T) *mip.Instance { return randomInstance(t, 23, 8, 60, 2.0, 200) },
+		opts: Options{Seed: 9, MaxPasses: 200, ParallelRound: true},
+		obj:  38.31076049754912, open: 0xd27a1bbe9187c9bf, resolves: 738},
+	{name: "seed31-fast-tight", inst: func(t *testing.T) *mip.Instance { return randomInstance(t, 31, 12, 150, 1.5, 120) },
+		opts: Options{Seed: 2, MaxPasses: 60, Epsilon: 0.05, IncrementalPricing: true, ParallelRound: true},
+		obj:  70.64685417006403, open: 0x73bb271cb07c65c6, resolves: 1884},
+	{name: "seed43-fast-sharded", inst: func(t *testing.T) *mip.Instance { return randomInstance(t, 43, 9, 200, 1.6, 150) },
+		opts: Options{Seed: 7, MaxPasses: 60, Epsilon: 0.05, Shards: 3, IncrementalPricing: true, ParallelRound: true},
+		obj:  52.39064052280345, open: 0x77f2ae4077b6b8db, resolves: 2510},
+	{name: "mixed-size", inst: mixedSizeInstance,
+		opts: Options{Seed: 4, MaxPasses: 80, Epsilon: 0.05, IncrementalPricing: true, ParallelRound: true},
+		obj:  56120.674011730705, open: 0x6c347468b3f6c7c5, resolves: 3232, speculates: true},
+}
+
+func TestParallelRoundMatchesRecordedParent(t *testing.T) {
+	for _, tc := range roundIdentityCases {
+		for _, workers := range []int{1, 2, 4} {
+			opts := tc.opts
+			opts.Workers = workers
+			res, err := SolveInteger(tc.inst(t), opts)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if (res.Stats.RoundSpeculated > 0) != tc.speculates {
+				t.Errorf("%s workers=%d: %d blocks speculated, want speculation = %v",
+					tc.name, workers, res.Stats.RoundSpeculated, tc.speculates)
+			}
+			if res.Objective != tc.obj || openSetHash(res.Sol) != tc.open || res.Stats.RoundResolves != tc.resolves {
+				t.Errorf("%s workers=%d: objective %#v open %#x resolves %d, parent recorded %#v %#x %d",
+					tc.name, workers, res.Objective, openSetHash(res.Sol), res.Stats.RoundResolves,
+					tc.obj, tc.open, tc.resolves)
+			}
+		}
+	}
+}
+
+// The rounding prediction only schedules work. Two solvers walk the same
+// chunks in lockstep: one speculates as predicted, the other has every
+// speculation withdrawn after the fan-out, so each block is solved on the
+// driver — at the saved frozen prices when its duals did not drift, at live
+// prices when they did. Every committed solution must be identical, and the
+// walk must have taken all three branches.
+func TestRoundCommitIndependentOfSpeculation(t *testing.T) {
+	prepare := func() *solver {
+		s, err := newSolver(mixedSizeInstance(t), Options{Seed: 4, Epsilon: 0.05, Workers: 2,
+			IncrementalPricing: true, ParallelRound: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.close)
+		s.ctx = context.Background()
+		s.initDescent()
+		for i := 0; i < 6; i++ {
+			if !s.descentPass() {
+				t.Fatal("descent pass cancelled")
+			}
+		}
+		s.retuneScale()
+		return s
+	}
+	spec, driver := prepare(), prepare()
+	// commit runs one step of the forced-rounding commit loop and reports
+	// whether the block's duals had drifted.
+	commit := func(s *solver, c, vi int) (ns *intSol, drifted bool) {
+		bs := &s.sol[vi]
+		s.addBlockRows(vi, bs, -1)
+		oldCost := s.blockCost(vi, bs)
+		before := s.stats.RoundResolves
+		ns = s.validateRoundSol(c, vi)
+		s.replaceBlock(vi, ns)
+		s.addBlockRows(vi, bs, +1)
+		s.obj += s.blockCost(vi, bs) - oldCost
+		return ns, s.stats.RoundResolves > before
+	}
+	var survived, frozenOnDriver, live int
+	order := make([]int, len(spec.sol))
+	for i := range order {
+		order[i] = i
+	}
+	for pass := 0; pass < 2; pass++ {
+		for lo := 0; lo < len(order); lo += roundChunk {
+			chunk := order[lo:min(lo+roundChunk, len(order))]
+			for _, s := range []*solver{spec, driver} {
+				s.computeDuals(s.q)
+				s.computePathDuals(s.q)
+				if !s.parRoundSolve(chunk) {
+					t.Fatal("rounding fan-out cancelled")
+				}
+			}
+			clear(driver.roundSpec)
+			for c, vi := range chunk {
+				wasSpec := spec.roundSpec[c]
+				a, driftedA := commit(spec, c, vi)
+				b, driftedB := commit(driver, c, vi)
+				if driftedA != driftedB || !slices.Equal(a.open, b.open) || !slices.Equal(a.assign, b.assign) {
+					t.Fatalf("pass %d video %d: speculating solver commits %v/%v (drifted %v), driver-only solver %v/%v (drifted %v)",
+						pass, vi, a.open, a.assign, driftedA, b.open, b.assign, driftedB)
+				}
+				switch {
+				case driftedB:
+					live++
+				case wasSpec:
+					survived++ // spec kept the fan-out's answer; driver re-derived it
+					frozenOnDriver++
+				default:
+					frozenOnDriver++
+				}
+			}
+		}
+	}
+	if survived == 0 || frozenOnDriver == 0 || live == 0 {
+		t.Errorf("branches taken: %d fan-out solutions kept, %d blocks solved on the driver at frozen prices, %d at live prices; want all three",
+			survived, frozenOnDriver, live)
+	}
+	if spec.stats.RoundSpeculated == 0 || driver.stats.RoundResolves != spec.stats.RoundResolves {
+		t.Errorf("speculated %d, live solves %d vs %d", spec.stats.RoundSpeculated,
+			spec.stats.RoundResolves, driver.stats.RoundResolves)
+	}
+}

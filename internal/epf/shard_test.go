@@ -1,6 +1,7 @@
 package epf
 
 import (
+	"reflect"
 	"testing"
 
 	"vodplace/internal/mip"
@@ -143,5 +144,61 @@ func TestWarmStartShardInvariance(t *testing.T) {
 	}
 	if len(shardedCold.Warm.Shards) != 4 {
 		t.Errorf("sharded warm state carries %d shard spans, want 4", len(shardedCold.Warm.Shards))
+	}
+}
+
+// A resumed re-solve keeps the determinism contract end to end: after a
+// demand patch, the warm integer solve — descent from the carried LP point,
+// predicted-drift rounding, and the LP point it exports in turn — is
+// bit-identical at any shard × worker count.
+func TestResumeShardWorkerInvariance(t *testing.T) {
+	opts := func(shards, workers int) Options {
+		return Options{Seed: 5, MaxPasses: 60, Epsilon: 0.05, Shards: shards, Workers: workers,
+			IncrementalPricing: true, ParallelRound: true}
+	}
+	patched := func() *mip.Instance {
+		inst := randomInstance(t, 43, 9, 200, 1.6, 150)
+		for _, vi := range []int{0, 7, 19, 120} {
+			patchDemand(t, inst, vi, 2.5, false)
+		}
+		patchDemand(t, inst, 33, 2, true)
+		return inst
+	}
+	cold, err := SolveInteger(randomInstance(t, 43, 9, 200, 1.6, 150), opts(0, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var base *Result
+	for _, cfg := range [][2]int{{1, 1}, {4, 3}, {7, 2}} {
+		o := opts(cfg[0], cfg[1])
+		o.Warm = cold.Warm
+		res, err := SolveInteger(patched(), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.ResumedVideos != 199 {
+			t.Errorf("shards=%d workers=%d: resumed %d videos, want 199 (one changed its offices)",
+				cfg[0], cfg[1], res.Stats.ResumedVideos)
+		}
+		if base == nil {
+			base = res
+			continue
+		}
+		if res.Objective != base.Objective || res.LowerBound != base.LowerBound || res.Passes != base.Passes {
+			t.Errorf("shards=%d workers=%d: (%.17g, %.17g, %d passes) vs 1×1 (%.17g, %.17g, %d passes)",
+				cfg[0], cfg[1], res.Objective, res.LowerBound, res.Passes,
+				base.Objective, base.LowerBound, base.Passes)
+		}
+		if !identicalDuals(base.RowDuals, res.RowDuals) || !identicalSolutions(base.Sol, res.Sol) {
+			t.Errorf("shards=%d workers=%d: duals or rounded solution differ from 1×1", cfg[0], cfg[1])
+		}
+		if !reflect.DeepEqual(base.Warm.LP, res.Warm.LP) {
+			t.Errorf("shards=%d workers=%d: exported LP point differs from 1×1", cfg[0], cfg[1])
+		}
+		if res.Stats.RoundResolves != base.Stats.RoundResolves || res.Stats.RoundSpeculated != base.Stats.RoundSpeculated {
+			t.Errorf("shards=%d workers=%d: rounding schedule (%d live, %d speculated) differs from 1×1 (%d, %d)",
+				cfg[0], cfg[1], res.Stats.RoundResolves, res.Stats.RoundSpeculated,
+				base.Stats.RoundResolves, base.Stats.RoundSpeculated)
+		}
 	}
 }

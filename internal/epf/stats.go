@@ -49,6 +49,12 @@ type Stats struct {
 	// cold init. WarmVideos / NumVideos is the warm reuse fraction the
 	// pipeline telemetry reports. Zero on cold solves.
 	WarmVideos int
+	// ResumedVideos counts the subset of WarmVideos whose block was loaded
+	// from the carried LP point (WarmState.LP) rather than re-seeded from
+	// its open set: the videos whose demand offices did not change.
+	// ResumedVideos / NumVideos near 1 is a re-solve that resumed the
+	// previous descent; near 0, one that restarted it.
+	ResumedVideos int
 	// DirtyVideos echoes len(Options.DirtyVideos): how many videos' demand
 	// changed since the previous solve on this instance. Zero on cold solves
 	// and full rebuilds that pass no dirty list.
@@ -69,12 +75,18 @@ type Stats struct {
 	InitTime  time.Duration
 	LPTime    time.Duration
 	RoundTime time.Duration
-	// RoundResolves counts speculative parallel-rounding solves that were
-	// discarded and re-solved at live duals because the disk prices drifted
-	// during the chunk's sequential commits (Options.ParallelRound only).
+	// RoundResolves counts parallel-rounding blocks solved at live duals on
+	// the driver because the disk prices had drifted from the chunk freeze
+	// when the block's turn to commit came (Options.ParallelRound only).
 	// High counts mean heavy in-chunk disk contention: the parallel rounding
 	// degenerated toward the sequential trajectory to protect quality.
 	RoundResolves int64
+	// RoundSpeculated counts parallel-rounding blocks dispatched to the
+	// fan-out at chunk-frozen duals: those whose own removal alone was
+	// predicted not to drift a disk dual. Speculated blocks that drifted
+	// anyway are also in RoundResolves — the wasted solves. Zero when every
+	// video is a sizeable fraction of a disk.
+	RoundSpeculated int64
 	// ReduceTime is wall time spent in driver-side reductions of per-block
 	// results: activity/objective rebuilds, Lagrangian term sums, and
 	// subgradient accumulation. A subset of LPTime (and of RoundTime for the
@@ -99,6 +111,9 @@ func (st Stats) String() string {
 	if st.WarmVideos > 0 {
 		fmt.Fprintf(&b, "warm-seeded videos: %d\n", st.WarmVideos)
 	}
+	if st.ResumedVideos > 0 {
+		fmt.Fprintf(&b, "resumed videos: %d\n", st.ResumedVideos)
+	}
 	if st.DirtyVideos > 0 {
 		fmt.Fprintf(&b, "dirty videos: %d", st.DirtyVideos)
 		if len(st.ShardDirtyFrac) > 1 {
@@ -112,6 +127,9 @@ func (st Stats) String() string {
 	}
 	if st.RoundResolves > 0 {
 		fmt.Fprintf(&b, "rounding re-solves: %d\n", st.RoundResolves)
+	}
+	if st.RoundSpeculated > 0 {
+		fmt.Fprintf(&b, "rounding speculated solves: %d\n", st.RoundSpeculated)
 	}
 	fmt.Fprintf(&b, "scratch: %d allocs, %d reuses\n", st.ScratchAllocs, st.ScratchReuses)
 	fmt.Fprintf(&b, "time: init %.2fs, lp %.2fs, rounding %.2fs (reduce %.2fs)",

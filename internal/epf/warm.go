@@ -2,31 +2,69 @@ package epf
 
 import (
 	"math"
+	"slices"
 
 	"vodplace/internal/mip"
 )
 
 // WarmVideo is the per-video slice of a WarmState: the offices holding the
-// video in the previous period's final placement.
+// video in the previous period's final placement, and where its block sits
+// in the carried LP point.
 type WarmVideo struct {
 	// Open is the previous solve's open office set for this video, ascending.
 	Open []int32
+	// Pos is the video's position in WarmState.LP (its index in the
+	// producing solve's instance). Meaningless when LP is nil.
+	Pos int32
+}
+
+// WarmLP is the fractional point an LP descent ended on — the ε-feasible
+// incumbent when it converged — stored flat: one CSR over all videos' rows
+// instead of a slice per row (16 B per nonzero + 8 B per row: 508 B per
+// video on the benchmark's 2000-video, 55-office catalog). Video p
+// (WarmVideo.Pos) owns rows Row[p]..Row[p+1]-1: first its open row y, then
+// one assignment row per demand office, in the order of the Js the point was
+// built for.
+type WarmLP struct {
+	// Offices is the office count of the producing instance; a consuming
+	// instance with a different count ignores the point.
+	Offices int
+	// Row indexes each video's first row; len = videos + 1.
+	Row []int32
+	// J is the demand office a row assigns, -1 for a video's open row. A
+	// video is resumed only when these equal the consuming instance's Js.
+	J []int32
+	// Off indexes each row's entries in Frac; len = rows + 1.
+	Off []int32
+	// Frac is the arena of sparse (office, value) entries, ascending office
+	// within a row.
+	Frac []mip.Frac
 }
 
 // WarmState is the cross-period carryover exported on every Result: the
 // final Lagrangian row duals, the descent's final penalty scale, a
-// line-search step hint, and each video's final open office set keyed by the
-// catalog's stable video ID. A later solve over a shifted instance accepts
-// it via Options.Warm to seed its initial point, its initial lower bound and
-// its facility-location local searches.
+// line-search step hint, the fractional point the LP descent ended on, and
+// each video's final open office set keyed by the catalog's stable video ID.
+// A later solve over a shifted instance accepts it via Options.Warm and
+// resumes from it: its initial point, its initial lower bound and its
+// facility-location local searches all start where the previous solve
+// stopped.
 //
 // Staleness rules: the dual vector is used only when its dimension matches
 // the new instance's coupling rows exactly (same office count, link count
-// and slice count); open sets are matched per video ID, so catalog churn
-// (new releases, evictions) degrades gracefully — unknown videos fall back
-// to the cold single-copy init, known ones keep their sets. A warm solve is
-// therefore always well-formed; warmth only changes the starting point, and
-// every bound it reports is re-derived on the new instance.
+// and slice count). The initial point is chosen per video ID, down a ladder:
+// the carried LP block when the instance still lists the same demand offices
+// for the video, else the open set (every listed office holds a copy, each
+// demand office served from its cheapest), else — unknown ID, office out of
+// range — the cold single-copy init. The solver derives what changed from
+// the instance itself, so catalog churn (new releases, evictions) and demand
+// edits degrade gracefully, one video at a time. A warm solve is therefore
+// always well-formed; warmth only changes the starting point, and every
+// bound it reports is re-derived on the new instance.
+//
+// A WarmState is read-only to the solve consuming it: the solver copies out
+// of it and never writes, so one state can seed a retry after a rejected
+// attempt, or several solves at once.
 type WarmState struct {
 	// RowDuals is the coupling-row dual vector that certified the previous
 	// solve's lower bound (layout as Result.RowDuals). It aliases the
@@ -43,8 +81,12 @@ type WarmState struct {
 	// it stays in the state so pipelines can track step-regime shifts across
 	// periods.
 	TauHint float64
-	// Videos maps catalog video ID → final open set.
+	// Videos maps catalog video ID → final open set and LP position.
 	Videos map[int]WarmVideo
+	// LP is the fractional point the producing solve's LP phase ended on
+	// (for SolveInteger, the point rounding started from). Nil on states
+	// assembled by hand; every block then starts from its open set.
+	LP *WarmLP
 	// Shards records the producing solve's shard layout (video-index ranges,
 	// in order). Purely informational carryover for telemetry and debugging:
 	// consuming solves resolve their own layout from their instance and
@@ -62,7 +104,8 @@ type WarmShard struct {
 // exportWarm captures the solver's final state as a WarmState. Called from
 // buildResult on every solve (cold or warm) so any Result can seed the next
 // period; the export reads only driver-goroutine state and never feeds back
-// into the producing solve.
+// into the producing solve. The LP point is attached by the entry points
+// (packLP), once the phase that owns it is over.
 func (s *solver) exportWarm(res *Result) *WarmState {
 	w := &WarmState{
 		RowDuals: res.RowDuals,
@@ -81,9 +124,78 @@ func (s *solver) exportWarm(res *Result) *WarmState {
 		if len(open) == 0 {
 			continue
 		}
-		w.Videos[s.inst.Demands[vi].Video] = WarmVideo{Open: open}
+		w.Videos[s.inst.Demands[vi].Video] = WarmVideo{Open: open, Pos: int32(vi)}
 	}
 	return w
+}
+
+// packLP flattens the LP-phase solution sol into a WarmLP. The entry points
+// hand it the Result.Sol the descent already built — after rounding is done
+// with it, in SolveInteger — so carrying the point costs one flat copy and
+// no second snapshot of the solver state.
+func packLP(inst *mip.Instance, sol *mip.Solution) *WarmLP {
+	rows, fracs := 0, 0
+	for vi := range sol.Videos {
+		p := &sol.Videos[vi]
+		rows += 1 + len(p.Assign)
+		fracs += len(p.Open)
+		for _, fr := range p.Assign {
+			fracs += len(fr)
+		}
+	}
+	lp := &WarmLP{
+		Offices: inst.NumVHOs(),
+		Row:     make([]int32, 0, len(sol.Videos)+1),
+		J:       make([]int32, 0, rows),
+		Off:     make([]int32, 0, rows+1),
+		Frac:    make([]mip.Frac, 0, fracs),
+	}
+	for vi := range sol.Videos {
+		p := &sol.Videos[vi]
+		lp.Row = append(lp.Row, int32(len(lp.J)))
+		lp.J = append(lp.J, -1)
+		lp.Off = append(lp.Off, int32(len(lp.Frac)))
+		lp.Frac = append(lp.Frac, p.Open...)
+		for k, fr := range p.Assign {
+			lp.J = append(lp.J, inst.Demands[vi].Js[k])
+			lp.Off = append(lp.Off, int32(len(lp.Frac)))
+			lp.Frac = append(lp.Frac, fr...)
+		}
+	}
+	lp.Row = append(lp.Row, int32(len(lp.J)))
+	lp.Off = append(lp.Off, int32(len(lp.Frac)))
+	return lp
+}
+
+// resumeBlock loads block vi from the carried LP point, copying out of the
+// warm state. It reports false — block untouched — when there is no point
+// for this video: no LP carried, a different office count, an unknown video
+// ID, or demand offices that are no longer the ones the point was built for.
+func (s *solver) resumeBlock(vi int) bool {
+	w := s.opts.Warm
+	if w == nil || w.LP == nil || w.LP.Offices != s.n {
+		return false
+	}
+	lp := w.LP
+	d := &s.inst.Demands[vi]
+	wv, ok := w.Videos[d.Video]
+	if !ok || wv.Pos < 0 || int(wv.Pos)+1 >= len(lp.Row) {
+		return false
+	}
+	lo, hi := int(lp.Row[wv.Pos]), int(lp.Row[wv.Pos+1])
+	if hi-lo != 1+len(d.Js) || !slices.Equal(lp.J[lo+1:hi], d.Js) {
+		return false
+	}
+	row := func(r int) []mip.Frac {
+		return append([]mip.Frac(nil), lp.Frac[lp.Off[r]:lp.Off[r+1]]...)
+	}
+	bs := &s.sol[vi]
+	bs.open = row(lo)
+	bs.assign = make([][]mip.Frac, len(d.Js))
+	for k := range bs.assign {
+		bs.assign[k] = row(lo + 1 + k)
+	}
+	return true
 }
 
 // warmOpenSet extracts the integral open set of a block: offices with

@@ -2,6 +2,9 @@ package epf
 
 import (
 	"math"
+	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"vodplace/internal/mip"
@@ -213,7 +216,240 @@ func TestColdPathUnchangedByWarmPlumbing(t *testing.T) {
 		t.Errorf("cold solve not reproducible: (%v,%v,%d) vs (%v,%v,%d)",
 			a.Objective, a.LowerBound, a.Passes, b.Objective, b.LowerBound, b.Passes)
 	}
-	if a.Stats.WarmVideos != 0 {
-		t.Errorf("cold solve reports WarmVideos = %d", a.Stats.WarmVideos)
+	if a.Stats.WarmVideos != 0 || a.Stats.ResumedVideos != 0 {
+		t.Errorf("cold solve reports WarmVideos = %d, ResumedVideos = %d", a.Stats.WarmVideos, a.Stats.ResumedVideos)
+	}
+	// Carrying the LP point out is inert too: both exports describe the same
+	// point, and it is a copy — the result's own solution does not alias it.
+	if !reflect.DeepEqual(a.Warm.LP, b.Warm.LP) {
+		t.Error("cold solves of one instance exported different LP points")
+	}
+	for i := range a.Warm.LP.Frac {
+		a.Warm.LP.Frac[i].V = -1
+	}
+	if !identicalSolutions(a.Sol, b.Sol) {
+		t.Error("scribbling over the exported LP point changed the result's solution")
+	}
+}
+
+// lpRows returns video p's rows of a carried LP point: the open row, then
+// one assignment row per demand office.
+func lpRows(lp *WarmLP, p int) (js []int32, rows [][]mip.Frac) {
+	lo, hi := int(lp.Row[p]), int(lp.Row[p+1])
+	for r := lo; r < hi; r++ {
+		rows = append(rows, lp.Frac[lp.Off[r]:lp.Off[r+1]])
+	}
+	return lp.J[lo+1 : hi], rows
+}
+
+// blockEqualsLP reports whether a solver block is exactly video p's block
+// of the carried point.
+func blockEqualsLP(bs *blockSol, lp *WarmLP, p int) bool {
+	_, rows := lpRows(lp, p)
+	if len(rows) != 1+len(bs.assign) || !slices.Equal(bs.open, rows[0]) {
+		return false
+	}
+	for k := range bs.assign {
+		if !slices.Equal(bs.assign[k], rows[1+k]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestWarmExportCarriesLPPoint: the LP point on a Result is the fractional
+// solution the descent ended on, row for row, with the Js it was built for —
+// Result.Sol itself after Solve, the point rounding started from after
+// SolveInteger (not the integer placement).
+func TestWarmExportCarriesLPPoint(t *testing.T) {
+	inst := randomInstance(t, 17, 10, 80, 2.0, 200)
+	opts := Options{Seed: 5, MaxPasses: 250}
+	lpRes := mustSolve(t, inst, opts)
+	intRes, err := SolveInteger(inst, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, res := range map[string]*Result{"Solve": lpRes, "SolveInteger": intRes} {
+		lp := res.Warm.LP
+		if lp == nil {
+			t.Fatalf("%s exported no LP point", name)
+		}
+		if lp.Offices != inst.NumVHOs() || len(lp.Row) != len(inst.Demands)+1 {
+			t.Fatalf("%s: LP point for %d offices, %d videos; instance has %d, %d",
+				name, lp.Offices, len(lp.Row)-1, inst.NumVHOs(), len(inst.Demands))
+		}
+		fractional := false
+		for vi := range inst.Demands {
+			if got := res.Warm.Videos[inst.Demands[vi].Video].Pos; int(got) != vi {
+				t.Fatalf("%s: video %d carried at position %d", name, vi, got)
+			}
+			js, rows := lpRows(lp, vi)
+			want := &lpRes.Sol.Videos[vi]
+			if !slices.Equal(js, inst.Demands[vi].Js) || !slices.Equal(rows[0], want.Open) {
+				t.Fatalf("%s: video %d carried Js/open row differ from the LP solution", name, vi)
+			}
+			for k := range want.Assign {
+				if !slices.Equal(rows[1+k], want.Assign[k]) {
+					t.Fatalf("%s: video %d assignment row %d differs from the LP solution", name, vi, k)
+				}
+			}
+			for _, f := range rows[0] {
+				fractional = fractional || (f.V > integralTol && f.V < 1-integralTol)
+			}
+		}
+		if !fractional {
+			t.Errorf("%s: carried point is integral; the instance is too loose to tell LP from rounded", name)
+		}
+	}
+}
+
+// patchDemand scales video vi's demand by f in place, keeping its demand
+// offices; addOffice additionally lists one more demand office, which
+// changes the video's Js.
+func patchDemand(t *testing.T, inst *mip.Instance, vi int, f float64, addOffice bool) {
+	t.Helper()
+	d := &inst.Demands[vi]
+	js := append([]int32(nil), d.Js...)
+	agg := make([]float64, len(js))
+	for k := range agg {
+		agg[k] = d.Agg[k] * f
+	}
+	if addOffice {
+		for j := int32(0); int(j) < inst.NumVHOs(); j++ {
+			if k, found := slices.BinarySearch(js, j); !found {
+				js = slices.Insert(js, k, j)
+				agg = slices.Insert(agg, k, 1.0)
+				break
+			}
+		}
+		if len(js) == len(d.Js) {
+			t.Fatalf("video %d already has demand at every office", vi)
+		}
+	}
+	conc := make([][]float64, inst.Slices)
+	for ts := range conc {
+		conc[ts] = make([]float64, len(js))
+		for k := range js {
+			conc[ts][k] = math.Ceil(agg[k] / 4)
+		}
+	}
+	if err := inst.ApplyDemandDelta(vi, js, agg, conc); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestResumeFallsBackPerVideo walks the warm ladder: a video whose demand
+// offices changed, a video the carried state does not know, and a carried
+// point for another office count each drop to the open-set (or cold) seed
+// for that video only; every other block is loaded from the LP point
+// untouched.
+func TestResumeFallsBackPerVideo(t *testing.T) {
+	inst, cold := warmBase(t)
+	const changed, unknown = 3, 11
+	patchDemand(t, inst, changed, 2, true)
+	patchDemand(t, inst, 20, 3, false) // demand moved, offices did not: still resumed
+
+	w := *cold.Warm
+	w.Videos = make(map[int]WarmVideo, len(cold.Warm.Videos))
+	for id, wv := range cold.Warm.Videos {
+		if id != inst.Demands[unknown].Video {
+			w.Videos[id] = wv
+		}
+	}
+	s, err := newSolver(inst, Options{Seed: 5, Warm: &w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.close()
+	if want := len(inst.Demands) - 2; s.stats.ResumedVideos != want || s.stats.WarmVideos != want+1 {
+		t.Errorf("resumed %d warm %d, want %d resumed and the changed video open-set seeded (%d warm)",
+			s.stats.ResumedVideos, s.stats.WarmVideos, want, want+1)
+	}
+	for vi := range s.sol {
+		resumed := blockEqualsLP(&s.sol[vi], w.LP, vi)
+		if want := vi != changed && vi != unknown; resumed != want {
+			t.Errorf("video %d: loaded from the LP point = %v, want %v", vi, resumed, want)
+		}
+	}
+	// The changed video holds exactly its carried open set, at full copies.
+	var open []int32
+	for _, f := range s.sol[changed].open {
+		if f.V != 1 {
+			t.Errorf("changed video seeded fractionally: %+v", s.sol[changed].open)
+		}
+		open = append(open, f.I)
+	}
+	if !slices.Equal(open, cold.Warm.Videos[inst.Demands[changed].Video].Open) {
+		t.Errorf("changed video seeded at %v, carried open set %v", open, cold.Warm.Videos[inst.Demands[changed].Video].Open)
+	}
+	// The unknown video got the cold single-copy init.
+	if len(s.sol[unknown].open) != 1 {
+		t.Errorf("unknown video seeded at %+v, want the cold single copy", s.sol[unknown].open)
+	}
+
+	// A point built for another office count is ignored wholesale; the open
+	// sets (validated per office) still seed.
+	lp := *cold.Warm.LP
+	lp.Offices++
+	w2 := *cold.Warm
+	w2.LP = &lp
+	s2, err := newSolver(inst, Options{Seed: 5, Warm: &w2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.close()
+	if s2.stats.ResumedVideos != 0 || s2.stats.WarmVideos != len(inst.Demands) {
+		t.Errorf("office-count mismatch: resumed %d warm %d, want 0 and %d",
+			s2.stats.ResumedVideos, s2.stats.WarmVideos, len(inst.Demands))
+	}
+	res, err := SolveInteger(inst, Options{Seed: 5, MaxPasses: 250, Warm: &w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := res.Sol.Check(); v.Unserved > mip.FeasTol || v.XExceedsY > mip.FeasTol {
+		t.Errorf("mixed-ladder warm solve violates block constraints: %+v", v)
+	}
+}
+
+// cloneWarm deep-copies a WarmState.
+func cloneWarm(w *WarmState) *WarmState {
+	c := *w
+	c.RowDuals = slices.Clone(w.RowDuals)
+	c.Shards = slices.Clone(w.Shards)
+	c.Videos = make(map[int]WarmVideo, len(w.Videos))
+	for id, wv := range w.Videos {
+		c.Videos[id] = WarmVideo{Open: slices.Clone(wv.Open), Pos: wv.Pos}
+	}
+	lp := *w.LP
+	lp.Row, lp.J, lp.Off, lp.Frac = slices.Clone(lp.Row), slices.Clone(lp.J), slices.Clone(lp.Off), slices.Clone(lp.Frac)
+	c.LP = &lp
+	return &c
+}
+
+// TestWarmStateReadOnlyToConsumer: the server reuses its warm state after a
+// rejected attempt and pipelines keep old ones around, so a consuming solve
+// copies out of the state and never writes. Two solves share one state
+// concurrently (the race detector watches), and the state is byte-identical
+// to a deep copy taken before.
+func TestWarmStateReadOnlyToConsumer(t *testing.T) {
+	inst, cold := warmBase(t)
+	before := cloneWarm(cold.Warm)
+	insts := []*mip.Instance{inst, randomInstance(t, 17, 10, 80, 2.0, 200)}
+	patchDemand(t, insts[1], 5, 2.5, false)
+	var wg sync.WaitGroup
+	for i := range insts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, err := SolveInteger(insts[i], Options{Seed: 5, MaxPasses: 250, Workers: 2,
+				IncrementalPricing: true, ParallelRound: true, Warm: cold.Warm})
+			if err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if !reflect.DeepEqual(before, cold.Warm) {
+		t.Error("consuming solves modified the shared WarmState")
 	}
 }

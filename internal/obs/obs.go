@@ -151,6 +151,7 @@ type Event struct {
 	Verdict      string  `json:"verdict"`
 	Reason       string  `json:"reason"`
 	WarmFrac     float64 `json:"warmfrac"`
+	ResumedFrac  float64 `json:"resumedfrac"`
 	SolveMS      float64 `json:"solvems"`
 	AuditMS      float64 `json:"auditms"`
 	BuildMS      float64 `json:"buildms"`

@@ -23,13 +23,17 @@ type ServeResolve struct {
 	Verdict  string  `json:"verdict"`  // done: "swapped", "audit_rejected", "unconverged", "cancelled", "failed"
 	Reason   string  `json:"reason"`   // done, non-swapped: human-readable reject detail
 	WarmFrac float64 `json:"warmfrac"` // done: fraction of videos warm-started from the previous solve
-	Passes   int     `json:"passes"`   // done: descent passes the solve took
-	SolveMS  float64 `json:"solvems"`  // done: integer-solve wall time
-	AuditMS  float64 `json:"auditms"`  // done: certification wall time
-	BuildMS  float64 `json:"buildms"`  // done, swapped: snapshot build+publish wall time
-	Dirty    int     `json:"dirty"`    // done: demand-dirty videos this attempt resolved
-	Rebuilt  int64   `json:"rebuilt"`  // done, swapped: route rows recomputed (vs copied) by the snapshot build
-	TMS      float64 `json:"tms"`      // ms since recorder start (stamped by the recorder)
+	// ResumedFrac is the part of WarmFrac that was loaded from the previous
+	// solve's LP point rather than re-seeded from its open sets: near 1 the
+	// solve resumed the previous descent, near 0 it restarted it.
+	ResumedFrac float64 `json:"resumedfrac"`
+	Passes      int     `json:"passes"`  // done: descent passes the solve took
+	SolveMS     float64 `json:"solvems"` // done: integer-solve wall time
+	AuditMS     float64 `json:"auditms"` // done: certification wall time
+	BuildMS     float64 `json:"buildms"` // done, swapped: snapshot build+publish wall time
+	Dirty       int     `json:"dirty"`   // done: demand-dirty videos this attempt resolved
+	Rebuilt     int64   `json:"rebuilt"` // done, swapped: route rows recomputed (vs copied) by the snapshot build
+	TMS         float64 `json:"tms"`     // ms since recorder start (stamped by the recorder)
 }
 
 // ServeSwap is one published snapshot: the moment the serving plane's
@@ -82,6 +86,7 @@ func (r *Recorder) RecordServeResolve(e ServeResolve) {
 				b = appendJSONString(b, e.Reason)
 			}
 			b = appendFloat(b, ",\"warmfrac\":", e.WarmFrac)
+			b = appendFloat(b, ",\"resumedfrac\":", e.ResumedFrac)
 			b = appendInt(b, ",\"passes\":", int64(e.Passes))
 			b = appendFloat(b, ",\"solvems\":", e.SolveMS)
 			b = appendFloat(b, ",\"auditms\":", e.AuditMS)
@@ -100,6 +105,7 @@ func (r *Recorder) RecordServeResolve(e ServeResolve) {
 			m.Counter("serve_resolves_rejected_total").Add(1)
 		}
 		m.Gauge("serve_warm_frac").Set(e.WarmFrac)
+		m.Gauge("serve_resumed_frac").Set(e.ResumedFrac)
 		m.Histogram("serve_resolve_solve_ms").Observe(e.SolveMS)
 		m.Histogram("serve_resolve_audit_ms").Observe(e.AuditMS)
 		r.PublishKV("serve_resolve", e)

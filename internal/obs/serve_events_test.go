@@ -15,7 +15,7 @@ func TestServeEventsRoundTrip(t *testing.T) {
 	r.RecordServeResolve(ServeResolve{Phase: "start", Version: 2, Trigger: "demand"})
 	r.RecordServeResolve(ServeResolve{
 		Phase: "done", Version: 2, Trigger: "demand", Verdict: "swapped",
-		WarmFrac: 0.75, Passes: 12, SolveMS: 34.5, AuditMS: 1.25, BuildMS: 0.5,
+		WarmFrac: 0.75, ResumedFrac: 0.5, Passes: 12, SolveMS: 34.5, AuditMS: 1.25, BuildMS: 0.5,
 	})
 	r.RecordServeResolve(ServeResolve{
 		Phase: "done", Version: 3, Trigger: "demand", Verdict: "audit_rejected",
@@ -42,7 +42,7 @@ func TestServeEventsRoundTrip(t *testing.T) {
 		t.Errorf("start event carries a verdict: %+v", start)
 	}
 	done := events[1]
-	if done.Phase != "done" || done.Verdict != "swapped" || done.WarmFrac != 0.75 ||
+	if done.Phase != "done" || done.Verdict != "swapped" || done.WarmFrac != 0.75 || done.ResumedFrac != 0.5 ||
 		done.Passes != 12 || done.SolveMS != 34.5 || done.AuditMS != 1.25 || done.BuildMS != 0.5 {
 		t.Errorf("done event %+v", done)
 	}

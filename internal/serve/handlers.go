@@ -208,7 +208,10 @@ type statusJSON struct {
 	Slices     int     `json:"slices"`
 	LastPasses int     `json:"last_passes"`
 	LastGapPct float64 `json:"last_gap_pct"`
-	LastReject string  `json:"last_reject"`
+	// ResumedFrac is the fraction of the last swapped-in solve's videos that
+	// started from the previous solve's LP point (0 for the initial solve).
+	ResumedFrac float64 `json:"resumed_frac"`
+	LastReject  string  `json:"last_reject"`
 
 	RouteRequests int64 `json:"route_requests"`
 	RouteErrors   int64 `json:"route_errors"`
@@ -232,7 +235,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	}
 	snap := s.store.Load()
 	s.mu.Lock()
-	lastPasses, lastGap, lastReject := s.lastPasses, s.lastGap, s.lastReject
+	lastPasses, lastGap, lastReject, lastResumed := s.lastPasses, s.lastGap, s.lastReject, s.lastResumed
 	s.mu.Unlock()
 	out := statusJSON{
 		Version:       snap.Version,
@@ -245,6 +248,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		Slices:        snap.Inst.Slices,
 		LastPasses:    lastPasses,
 		LastGapPct:    100 * lastGap,
+		ResumedFrac:   lastResumed,
 		LastReject:    lastReject,
 		RouteRequests: s.routeRequests.Value(),
 		RouteErrors:   s.routeErrors.Value(),

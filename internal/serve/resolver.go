@@ -157,6 +157,7 @@ func (s *Server) resolveOnce(ctx context.Context) (*Snapshot, error) {
 		done.Passes = res.Passes
 		if nv := len(inst.Demands); nv > 0 {
 			done.WarmFrac = float64(res.Stats.WarmVideos) / float64(nv)
+			done.ResumedFrac = float64(res.Stats.ResumedVideos) / float64(nv)
 		}
 	}
 	if err != nil {
@@ -215,6 +216,7 @@ func (s *Server) resolveOnce(ctx context.Context) (*Snapshot, error) {
 	s.mu.Lock()
 	s.warm = res.Warm
 	s.lastPasses = res.Passes
+	s.lastResumed = done.ResumedFrac
 	s.lastGap = res.Gap
 	// The published snapshot now reflects every row dirtied so far.
 	clear(s.snapDirty)

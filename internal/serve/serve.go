@@ -92,13 +92,14 @@ type Server struct {
 	// stick to live without publishing — and is cleared on a swap. It is
 	// the invalidation list handed to the incremental snapshot build.
 	snapDirty map[int]struct{}
-	// lastPasses/lastGap describe the most recent swapped-in solve;
+	// lastPasses/lastGap/lastResumed describe the most recent swapped-in solve;
 	// lastReject the most recent rejected one ("" until a re-solve is
 	// rejected). Both survive across swaps so /status always explains the
 	// last anomaly.
-	lastPasses int
-	lastGap    float64
-	lastReject string
+	lastPasses  int
+	lastGap     float64
+	lastResumed float64
+	lastReject  string
 
 	resolveCh   chan struct{}
 	cancel      context.CancelFunc

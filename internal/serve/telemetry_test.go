@@ -53,6 +53,15 @@ func TestServeLifecycleTrace(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	// 22 of the 30 videos were not touched, so the re-solve resumed them
+	// from the carried LP point, and /status says so.
+	var st statusJSON
+	if code := getJSON(t, ts, "/status", &st); code != 200 {
+		t.Fatalf("status %d, want 200", code)
+	}
+	if st.ResumedFrac <= 0 || st.ResumedFrac > 1 {
+		t.Errorf("/status resumed_frac %v after a warm re-solve, want in (0, 1]", st.ResumedFrac)
+	}
 	s.Close() // quiesce the resolver before reading the trace
 	if err := rec.Flush(); err != nil {
 		t.Fatal(err)
@@ -80,7 +89,8 @@ func TestServeLifecycleTrace(t *testing.T) {
 				}
 			} else if e.Verdict == "swapped" {
 				swapped++
-				if e.SolveMS <= 0 || e.Passes <= 0 || e.Reason != "" {
+				if e.SolveMS <= 0 || e.Passes <= 0 || e.Reason != "" ||
+					e.ResumedFrac <= 0 || e.ResumedFrac > e.WarmFrac {
 					t.Errorf("swapped done %+v", e)
 				}
 			}

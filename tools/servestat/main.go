@@ -158,9 +158,13 @@ func (s *summary) writeTable(w io.Writer) {
 		counts := map[string]int{}
 		for _, e := range s.resolves {
 			counts[e.Verdict]++
-			fmt.Fprintf(w, "v%d  %s  %s  passes %d  warm %.0f%%  solve %s ms  audit %s ms  build %s ms",
-				e.Version, e.Trigger, e.Verdict, e.Passes, 100*e.WarmFrac,
-				g(e.SolveMS), g(e.AuditMS), g(e.BuildMS))
+			fmt.Fprintf(w, "v%d  %s  %s  passes %d  warm %.0f%%", e.Version, e.Trigger, e.Verdict, e.Passes, 100*e.WarmFrac)
+			// Resumed column only when the solve resumed anything — traces
+			// from before the LP point was carried render exactly as before.
+			if e.ResumedFrac > 0 {
+				fmt.Fprintf(w, "  resumed %.0f%%", 100*e.ResumedFrac)
+			}
+			fmt.Fprintf(w, "  solve %s ms  audit %s ms  build %s ms", g(e.SolveMS), g(e.AuditMS), g(e.BuildMS))
 			// Delta columns only when the attempt carried them — pre-delta
 			// traces render exactly as before.
 			if e.Dirty > 0 || e.Rebuilt > 0 {
