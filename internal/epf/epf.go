@@ -97,18 +97,19 @@ type Options struct {
 	// goldens pin it) — while every CLI turns it on by default. Results are
 	// deterministic at any worker count either way.
 	IncrementalPricing bool
-	// ParallelRound dispatches the §V-D rounding and polish block solves
-	// through the worker pool: each rounding chunk freezes the full dual
-	// vector (disk rows included, where the sequential mode re-prices disk
-	// per video), fans out the facility-location solves of the videos whose
-	// own removal will not move a disk price past the drift tolerance, and
-	// commits sequentially in chunk order, solving at live prices any video
-	// whose disk prices did drift (see parRoundSolve). Chunk boundaries are
-	// fixed, so the output is deterministic and bit-identical at any worker
-	// or shard count — but frozen-price answers for undrifted videos change
-	// the rounding trajectory relative to the sequential mode, so like
-	// IncrementalPricing this is a mode bit rather than a transparent
-	// optimization, and the pinned legacy goldens keep it off.
+	// ParallelRound selects the fast modes' rounding trajectory: each
+	// rounding and polish chunk freezes the disk duals along with the link
+	// duals, and a block is priced at the frozen duals unless a disk dual
+	// has drifted past roundDualTol by its turn, in which case it is priced
+	// live like the sequential mode (see roundSolve). Nothing runs in
+	// parallel: a video's own removal drifts its office's dual at every
+	// catalog size measured, so no block is worth solving ahead of its
+	// turn; the name predates that measurement and is kept for its callers.
+	// Output is bit-identical at any worker or shard count. The frozen-price
+	// answers for undrifted videos change the trajectory relative to the
+	// sequential mode, so like IncrementalPricing this is a mode bit rather
+	// than a transparent optimization, and the pinned legacy goldens keep it
+	// off.
 	ParallelRound bool
 	// Warm, when non-nil, resumes the solve from a previous period's final
 	// state (see WarmState): initial point from the carried LP point, per
@@ -401,13 +402,11 @@ type solver struct {
 	pdRowFn    func(w, lo, hi int)
 	pdParallel bool // resolved once: pool > 1 worker and table big enough
 
-	// Parallel rounding state (round.go, Options.ParallelRound): the current
-	// chunk's per-video integer solutions, index-addressed by chunk position
-	// and committed sequentially in chunk order.
-	roundSols   []intSol
-	roundSpec   []bool    // chunk positions dispatched to the fan-out
-	roundQ0     []float64 // chunk-frozen disk duals, drift baseline
-	roundTaskFn func(w, tag, lo, hi int)
+	// Rounding state (round.go): the candidate block solution, and under
+	// Options.ParallelRound the chunk-frozen disk duals that serve as the
+	// drift baseline.
+	roundSol intSol
+	roundQ0  []float64
 
 	// integerStepImproves scratch (round.go): per-row usage of the current
 	// and the candidate block, which side touched each row, and the touched
@@ -549,7 +548,7 @@ func newSolver(inst *mip.Instance, opts Options) (*solver, error) {
 	s.initShards()
 	s.initReduce()
 	if s.opts.ParallelRound {
-		s.initRound()
+		s.roundQ0 = make([]float64, s.n)
 	}
 	s.warmRound = s.opts.Warm != nil
 	s.initSolution()
@@ -1123,39 +1122,31 @@ func (s *solver) initRun() {
 
 // buildChunkTasks groups the current chunk's positions by shard (a stable
 // counting sort into s.chunkPos) and splits each shard group into pieces of
-// at most ceil(dispatched/W), so a W-worker fan-out stays balanced while each
-// piece touches a single shard's videos. A non-nil only restricts the
-// dispatch to the chunk positions it marks (the rounding fan-out's
-// speculated subset). Per-shard block counts are tallied here for the whole
-// chunk — every block is solved once, in the fan-out or on the driver — on
-// the driver goroutine, so the telemetry is deterministic. No allocations:
-// every buffer was sized in initShards/initRun.
-func (s *solver) buildChunkTasks(only []bool) {
+// at most ceil(|chunk|/W), so a W-worker fan-out stays balanced while each
+// piece touches a single shard's videos. Per-shard block counts are tallied
+// here, on the driver goroutine, so the telemetry is deterministic. No
+// allocations: every buffer was sized in initShards/initRun.
+func (s *solver) buildChunkTasks() {
 	S := len(s.shards)
 	cnt, head := s.shardCnt, s.shardHead
 	for si := 0; si < S; si++ {
 		cnt[si] = 0
 	}
-	for c, vi := range s.chunk {
-		si := s.shardOf[vi]
-		s.shardBlocks[si]++
-		if only == nil || only[c] {
-			cnt[si]++
-		}
+	for _, vi := range s.chunk {
+		cnt[s.shardOf[vi]]++
 	}
 	var sum int32
 	for si := 0; si < S; si++ {
 		head[si] = sum
 		sum += cnt[si]
+		s.shardBlocks[si] += int64(cnt[si])
 	}
 	for c, vi := range s.chunk {
-		if only == nil || only[c] {
-			si := s.shardOf[vi]
-			s.chunkPos[head[si]] = int32(c)
-			head[si]++
-		}
+		si := s.shardOf[vi]
+		s.chunkPos[head[si]] = int32(c)
+		head[si]++
 	}
-	per := (int(sum) + s.opts.Workers - 1) / s.opts.Workers
+	per := (len(s.chunk) + s.opts.Workers - 1) / s.opts.Workers
 	if per < 1 {
 		per = 1
 	}
@@ -1197,7 +1188,7 @@ func (s *solver) descentPass() bool {
 		// Parallel block optimization on the shared pool, dispatched as
 		// shard-affine position ranges.
 		s.chunk = s.perm[lo:hi]
-		s.buildChunkTasks(nil)
+		s.buildChunkTasks()
 		if err := s.pool.RunTasks(s.ctx, s.tasks, s.chunkTaskFn); err != nil {
 			return false // cancelled before dispatch; chunkSols is stale
 		}
@@ -1583,27 +1574,9 @@ func (s *solver) restoreBest() {
 	}
 }
 
-// toIntSol converts a facility-location solution to an intSol, dropping
-// opened facilities that serve no demand (they only consume disk). Used by
-// the (allocation-tolerant) rounding phase; the descent hot path uses
-// toIntSolInto.
-func toIntSol(fsol *facloc.Solution, d *mip.VideoDemand) intSol {
-	var out intSol
-	var used []bool
-	if len(d.Js) > 0 {
-		max := 0
-		for _, i := range fsol.Open {
-			if i >= max {
-				max = i + 1
-			}
-		}
-		used = make([]bool, max)
-	}
-	toIntSolInto(fsol, d, used, &out)
-	return out
-}
-
-// toIntSolInto is toIntSol writing into out, reusing its backing arrays.
+// toIntSolInto converts a facility-location solution to an intSol in out,
+// reusing its backing arrays and dropping opened facilities that serve no
+// demand (they only consume disk).
 // used is caller scratch (len ≥ every facility index in fsol.Open); it is
 // left all-false on return. fsol.Open is ascending, and the filter below
 // preserves order, so out.open is ascending without sorting.

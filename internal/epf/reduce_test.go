@@ -208,11 +208,9 @@ func TestWarmParallelRoundInvariance(t *testing.T) {
 	}
 }
 
-// The allocation contract extends to the parallel rounding path: once the
-// chunk slots and block-row buffers are warm, a full fan-out + commit cycle
-// (the forced-rounding inner loop) allocates nothing. The sequential
-// rounding loop allocates per video (toIntSol); the parallel mode's Into
-// variants are what make rounding allocation-free.
+// The allocation contract extends to the rounding phase: once the candidate
+// slot and block-row buffers are warm, a chunk's refresh + solve + commit
+// cycle (the forced-rounding inner loop) allocates nothing.
 func TestParallelRoundZeroAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
@@ -244,30 +242,27 @@ func TestParallelRoundZeroAllocations(t *testing.T) {
 	if len(chunk) > roundChunk {
 		chunk = chunk[:roundChunk]
 	}
+	ws := s.scratch.Get(0)
 	cycle := func() {
-		s.computeDuals(s.q)
-		s.computePathDuals(s.q)
-		if !s.parRoundSolve(chunk) {
-			t.Fatal("rounding fan-out cancelled")
-		}
-		for c, vi := range chunk {
+		s.refreshRoundDuals()
+		for _, vi := range chunk {
 			bs := &s.sol[vi]
 			s.addBlockRows(vi, bs, -1)
 			oldCost := s.blockCost(vi, bs)
-			ns := s.validateRoundSol(c, vi)
+			ns := s.roundSolve(ws, vi)
 			s.replaceBlock(vi, ns)
 			s.noteRoundSol(vi, ns)
 			s.addBlockRows(vi, bs, +1)
 			s.obj += s.blockCost(vi, bs) - oldCost
 		}
 	}
-	// Warm-up: roundSols capacities and per-block sparse rows grow to steady
+	// Warm-up: roundSol capacity and per-block sparse rows grow to steady
 	// state on the first cycles.
 	cycle()
 	cycle()
 	allocs := minAllocsPerRun(cycle)
 	if allocs != 0 {
-		t.Errorf("steady-state parallel rounding cycle allocates %g times, want 0", allocs)
+		t.Errorf("steady-state rounding cycle allocates %g times, want 0", allocs)
 	}
 	// The polish acceptance test rides the same contract: both criteria over
 	// sparse row accumulators, no maps.

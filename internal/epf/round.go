@@ -18,82 +18,9 @@ const integralTol = mip.IntegralTol
 var debugRound func(stage string, s *solver)
 
 // roundChunk is the dual-refresh cadence of the rounding and polish loops:
-// link duals are recomputed once per chunk of this many videos. Also the
-// fan-out granularity of the parallel rounding mode, which freezes the full
-// dual vector per chunk — the constant is mode-independent so sequential
-// and parallel rounding see the same refresh schedule.
+// link duals are recomputed once per chunk of this many videos, and under
+// Options.ParallelRound the disk duals are frozen at the same point.
 const roundChunk = 64
-
-// initRound prepares the parallel rounding state (Options.ParallelRound):
-// chunk-position solution slots sized for the rounding chunk, a chunkPos
-// buffer wide enough for it (the adaptive descent ChunkSize may be
-// smaller), and the fan-out body, which does not count toward
-// BlocksOptimized — that counter means descent-loop solves.
-func (s *solver) initRound() {
-	s.roundSols = make([]intSol, roundChunk)
-	for c := range s.roundSols {
-		s.roundSols[c].open = make([]int32, 0, s.n)
-		s.roundSols[c].assign = make([]int32, 0, s.n)
-	}
-	s.roundSpec = make([]bool, roundChunk)
-	s.roundQ0 = make([]float64, s.n)
-	if len(s.chunkPos) < roundChunk {
-		s.chunkPos = make([]int32, roundChunk)
-	}
-	s.roundTaskFn = func(w, _, lo, hi int) {
-		ws := s.scratch.Get(w)
-		for idx := lo; idx < hi; idx++ {
-			c := int(s.chunkPos[idx])
-			s.roundSolveInto(ws, c, s.chunk[c], s.roundQ0)
-		}
-	}
-}
-
-// roundSolveInto solves video vi's block with the full local-search facility
-// location (SolveWarmInto, matching the sequential rounding solves) at disk
-// prices diskQ and the chunk's path-aggregated link prices, into chunk slot
-// c. The one block solve of the parallel rounding mode: the fan-out and the
-// driver both call it, so where a block is solved never changes its answer.
-func (s *solver) roundSolveInto(ws *workerScratch, c, vi int, diskQ []float64) {
-	if ws.used == nil {
-		ws.used = make([]bool, s.n)
-	}
-	s.buildBlockProblem(vi, diskQ, &ws.prob)
-	ws.fs.SolveWarmInto(&ws.prob, &ws.fsol, s.roundWarm(vi))
-	toIntSolInto(&ws.fsol, &s.inst.Demands[vi], ws.used, &s.roundSols[c])
-}
-
-// parRoundSolve freezes the rounding chunk's disk prices (s.roundQ0; the link
-// prices are frozen in pathDualT by the caller's dual refresh) and fans out
-// the block solves worth speculating on.
-//
-// The sequential rounding loop re-prices disk per video so each sees its
-// predecessors' in-chunk pile-up, which frozen prices cannot; the commit
-// loop therefore validates every video through validateRoundSol and solves
-// at live prices any whose disk duals drifted from the freeze. A video whose
-// own removal alone drifts a dual (ownRemovalDrifts) is all but certain to be
-// one of those, so it is left out of the fan-out: predict, solve once,
-// validate.
-// The prediction only schedules work — validateRoundSol decides drift on
-// committed solver state read in chunk order and every block is solved by
-// roundSolveInto — so the trajectory is independent of the prediction and
-// of worker and shard counts. Uncongested or very large catalogs (own
-// removal under the tolerance) keep the full fan-out; heavy in-chunk
-// pile-up degenerates to the sequential trajectory instead of herding every
-// video onto the same cheap office. Returns false when the context was
-// cancelled; nothing was committed.
-func (s *solver) parRoundSolve(chunk []int) bool {
-	s.chunk = chunk
-	copy(s.roundQ0, s.q[:s.n])
-	for c, vi := range chunk {
-		s.roundSpec[c] = !s.ownRemovalDrifts(vi)
-		if s.roundSpec[c] {
-			s.stats.RoundSpeculated++
-		}
-	}
-	s.buildChunkTasks(s.roundSpec)
-	return s.pool.RunTasks(s.ctx, s.tasks, s.roundTaskFn) == nil
-}
 
 // roundDualTol is the relative disk-dual drift beyond which a rounding block
 // is solved at live prices instead of the chunk-frozen ones. Dual prices are
@@ -101,30 +28,6 @@ func (s *solver) parRoundSolve(chunk []int) bool {
 // load shift big enough to redirect a facility choice; drift below it means
 // a frozen-price solve sees effectively current prices.
 const roundDualTol = 0.02
-
-// roundOwnDriftExp is the exponent at which removing a video's own copy from
-// an office moves that office's disk dual past roundDualTol: the dual is
-// ∝ exp(α·act_i/b_i), so taking s·y_i off act_i divides it by
-// exp(α·s·y_i/b_i), and exp(x) − 1 > roundDualTol ⇔ x > ln(1 + roundDualTol).
-var roundOwnDriftExp = math.Log1p(roundDualTol)
-
-// ownRemovalDrifts predicts, from committed state at the chunk freeze, that
-// video vi will be found drifted at commit: its rows are removed before its
-// disk duals are validated, and that removal alone moves one of its open
-// offices' duals past roundDualTol. (Only a predecessor restoring that very
-// dual, or a clamped or underflowed dual, makes the prediction miss; the
-// block is then solved on the driver at the frozen prices.) With
-// α = ln(rows+1)/δ in the hundreds, that is every video holding more than
-// ~10⁻⁴ of a disk.
-func (s *solver) ownRemovalDrifts(vi int) bool {
-	as := s.alpha * s.inst.Demands[vi].SizeGB
-	for _, f := range s.sol[vi].open {
-		if as*f.V/s.b[f.I] > roundOwnDriftExp {
-			return true
-		}
-	}
-	return false
-}
 
 // roundDualsDrifted reports whether any disk dual moved more than
 // roundDualTol (relatively, with an absolute floor for underflowed rows)
@@ -142,25 +45,46 @@ func (s *solver) roundDualsDrifted() bool {
 	return false
 }
 
-// validateRoundSol returns the solution to commit for chunk position c's
-// video vi. With vi's rows already removed from act (caller), it re-prices
-// disk exactly as the sequential loop would. Drifted from the chunk freeze:
-// the block is solved at the live prices. Not drifted: the frozen-price
-// solution stands — the fan-out's if vi was speculated, otherwise solved
-// here at the saved frozen prices, which is what the fan-out would have
-// computed.
-func (s *solver) validateRoundSol(c, vi int) *intSol {
-	s.refreshDiskDuals(s.q)
-	diskQ := s.roundQ0
-	switch {
-	case s.roundDualsDrifted():
-		s.stats.RoundResolves++
-		diskQ = s.q
-	case s.roundSpec[c]:
-		return &s.roundSols[c]
+// refreshRoundDuals refreshes the full dual vector and its path aggregation
+// at a rounding chunk boundary and, under Options.ParallelRound, freezes the
+// disk duals as the chunk's drift baseline.
+func (s *solver) refreshRoundDuals() {
+	s.computeDuals(s.q)
+	s.computePathDuals(s.q)
+	if s.opts.ParallelRound {
+		copy(s.roundQ0, s.q[:s.n])
 	}
-	s.roundSolveInto(s.scratch.Get(0), c, vi, diskQ)
-	return &s.roundSols[c]
+}
+
+// roundSolve solves video vi's block as an integer facility-location problem
+// (full local search) and returns the candidate, valid until the next call.
+// The caller has removed vi's rows from act. Link prices are the chunk's;
+// disk is re-priced here, per video, because sequential disk pile-up is
+// exactly what rounding must react to — with stale disk prices every video
+// in a chunk would favor the same cheap office.
+//
+// Under Options.ParallelRound the block is priced at the chunk-frozen disk
+// duals unless one has drifted past roundDualTol since the freeze. Removing
+// a video's own copy alone moves its office's dual by exp(α·s/b) — tens of
+// percent at every catalog size measured (DESIGN.md, rounding) — so nearly
+// every block is priced live, and none is worth solving ahead of its turn.
+func (s *solver) roundSolve(ws *workerScratch, vi int) *intSol {
+	s.refreshDiskDuals(s.q)
+	diskQ := s.q
+	if s.opts.ParallelRound {
+		if s.roundDualsDrifted() {
+			s.stats.RoundResolves++
+		} else {
+			diskQ = s.roundQ0
+		}
+	}
+	if ws.used == nil {
+		ws.used = make([]bool, s.n)
+	}
+	s.buildBlockProblem(vi, diskQ, &ws.prob)
+	ws.fs.SolveWarmInto(&ws.prob, &ws.fsol, s.roundWarm(vi))
+	toIntSolInto(&ws.fsol, &s.inst.Demands[vi], ws.used, &s.roundSol)
+	return &s.roundSol
 }
 
 func integralBlock(bs *blockSol) bool {
@@ -219,53 +143,20 @@ func (s *solver) round(res *Result) {
 	})
 
 	// Link duals (whose path aggregation is the expensive part) refresh per
-	// chunk; disk duals refresh per video, because sequential disk pile-up
-	// is exactly what rounding must react to — with frozen disk prices,
-	// every video in a chunk would favor the same cheap office.
-	//
-	// The sequential mode commits one video at a time (each sees its
-	// predecessors' congestion and per-video disk re-pricing), borrowing
-	// worker 0's scratch from the pool: the same facloc buffers the LP
-	// fan-outs warmed up, reused between fan-outs. The parallel mode
-	// (Options.ParallelRound) solves each chunk's blocks concurrently under
-	// the chunk-frozen duals and commits in chunk order.
+	// chunk; disk duals per video (roundSolve). One video commits at a time,
+	// so each sees its predecessors' congestion, on worker 0's scratch: the
+	// same facloc buffers the LP fan-outs warmed up, reused between fan-outs.
 	ws := s.scratch.Get(0)
-	for lo := 0; lo < len(frac); lo += roundChunk {
-		hi := lo + roundChunk
-		if hi > len(frac) {
-			hi = len(frac)
-		}
-		if s.ctx.Err() != nil {
-			break
-		}
-		s.computeDuals(s.q)
-		s.computePathDuals(s.q)
-		if s.opts.ParallelRound {
-			if !s.parRoundSolve(frac[lo:hi]) {
-				break
-			}
-			for c, vi := range frac[lo:hi] {
-				bs := &s.sol[vi]
-				s.addBlockRows(vi, bs, -1)
-				oldCost := s.blockCost(vi, bs)
-				ns := s.validateRoundSol(c, vi)
-				s.replaceBlock(vi, ns)
-				s.noteRoundSol(vi, ns)
-				s.addBlockRows(vi, bs, +1)
-				s.obj += s.blockCost(vi, bs) - oldCost
-			}
-			continue
-		}
+	for lo := 0; lo < len(frac) && s.ctx.Err() == nil; lo += roundChunk {
+		hi := min(lo+roundChunk, len(frac))
+		s.refreshRoundDuals()
 		for _, vi := range frac[lo:hi] {
 			bs := &s.sol[vi]
 			s.addBlockRows(vi, bs, -1)
 			oldCost := s.blockCost(vi, bs)
-			s.refreshDiskDuals(s.q)
-			s.buildBlockProblem(vi, s.q, &ws.prob)
-			fsol := ws.fs.SolveWarm(&ws.prob, s.roundWarm(vi))
-			ns := toIntSol(&fsol, &s.inst.Demands[vi])
-			s.replaceBlock(vi, &ns)
-			s.noteRoundSol(vi, &ns)
+			ns := s.roundSolve(ws, vi)
+			s.replaceBlock(vi, ns)
+			s.noteRoundSol(vi, ns)
 			s.addBlockRows(vi, bs, +1)
 			s.obj += s.blockCost(vi, bs) - oldCost
 		}
@@ -338,12 +229,11 @@ func (s *solver) polishInteger(bestScore *float64, haveBest *bool) {
 		s.rng.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
 		changed := 0
 		for lo := 0; lo < len(order); lo += roundChunk {
-			hi := lo + roundChunk
-			if hi > len(order) {
-				hi = len(order)
+			if s.ctx.Err() != nil {
+				return
 			}
-			s.computeDuals(s.q)
-			s.computePathDuals(s.q)
+			hi := min(lo+roundChunk, len(order))
+			s.refreshRoundDuals()
 			// Moves may not push any row above the chunk-start violation
 			// level (or ε, whichever is larger): full-replacement steps
 			// have no line-search damping, and without this trust region
@@ -361,37 +251,14 @@ func (s *solver) polishInteger(bestScore *float64, haveBest *bool) {
 			if dcCap < floor {
 				dcCap = floor
 			}
-			if s.opts.ParallelRound {
-				if !s.parRoundSolve(order[lo:hi]) {
-					return
-				}
-				for c, vi := range order[lo:hi] {
-					bs := &s.sol[vi]
-					s.addBlockRows(vi, bs, -1)
-					oldCost := s.blockCost(vi, bs)
-					ns := s.validateRoundSol(c, vi)
-					if s.integerStepImproves(vi, bs, ns, oldCost, useMerit, dcCap) {
-						s.replaceBlock(vi, ns)
-						s.noteRoundSol(vi, ns)
-						changed++
-					}
-					s.addBlockRows(vi, bs, +1)
-					s.obj += s.blockCost(vi, bs) - oldCost
-				}
-				s.considerIntegerIncumbent(bestScore, haveBest)
-				continue
-			}
 			for _, vi := range order[lo:hi] {
 				bs := &s.sol[vi]
 				s.addBlockRows(vi, bs, -1)
-				s.refreshDiskDuals(s.q)
 				oldCost := s.blockCost(vi, bs)
-				s.buildBlockProblem(vi, s.q, &ws.prob)
-				fsol := ws.fs.SolveWarm(&ws.prob, s.roundWarm(vi))
-				ns := toIntSol(&fsol, &s.inst.Demands[vi])
-				if s.integerStepImproves(vi, bs, &ns, oldCost, useMerit, dcCap) {
-					s.replaceBlock(vi, &ns)
-					s.noteRoundSol(vi, &ns)
+				ns := s.roundSolve(ws, vi)
+				if s.integerStepImproves(vi, bs, ns, oldCost, useMerit, dcCap) {
+					s.replaceBlock(vi, ns)
+					s.noteRoundSol(vi, ns)
 					changed++
 				}
 				s.addBlockRows(vi, bs, +1)

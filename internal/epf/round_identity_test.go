@@ -1,10 +1,8 @@
 package epf
 
 import (
-	"context"
 	"hash/fnv"
 	"math"
-	"slices"
 	"testing"
 
 	"vodplace/internal/mip"
@@ -26,16 +24,13 @@ func openSetHash(sol *mip.Solution) uint64 {
 	return h.Sum64()
 }
 
-// mixedSizeInstance holds the three video populations the rounding predictor
-// separates. Offices 0-4 have small, contended disks; office 5 has a disk so
-// large its dual underflows the drift test's absolute floor.
-//   - tiny videos: own removal stays under roundDualTol anywhere, so they are
-//     speculated and the speculation survives in quiet chunks;
-//   - large videos on the contended disks: own removal alone drifts the dual,
-//     so they are left out of the fan-out and solved once at live prices;
-//   - giant videos that only fit office 5: predicted to drift by the
-//     relative test, found undrifted at commit (underflowed dual), so they
-//     are solved on the driver at the saved frozen prices.
+// mixedSizeInstance has videos on both sides of the rounding drift test.
+// Offices 0-4 have small, contended disks; office 5 has a disk so large its
+// dual underflows the test's absolute floor. Removing one of the large
+// videos from a contended disk drifts that disk's dual, so the block is
+// priced live; the tiny videos (in quiet chunks) and the giant ones that
+// only fit office 5 leave every dual within roundDualTol and are priced at
+// the chunk-frozen duals — the branch the random instances almost never take.
 func mixedSizeInstance(t *testing.T) *mip.Instance {
 	t.Helper()
 	const nodes = 6
@@ -74,10 +69,11 @@ func mixedSizeInstance(t *testing.T) *mip.Instance {
 }
 
 // roundIdentityCases are cold SolveInteger runs with ParallelRound whose
-// objective, open sets and RoundResolves were recorded at the commit before
-// the rounding phase learned to decide drift before solving (e0b5da7). The
-// rewrite only schedules work, so every number must reproduce exactly, at
-// any worker count.
+// objective, open sets and RoundResolves were recorded at e0b5da7, when the
+// mode still solved every chunk on the worker pool at the frozen prices and
+// re-solved the drifted blocks. Solving each block once, in commit order, at
+// whichever prices the drift test picks must reproduce every number exactly,
+// at any worker count.
 var roundIdentityCases = []struct {
 	name     string
 	inst     func(t *testing.T) *mip.Instance
@@ -85,8 +81,6 @@ var roundIdentityCases = []struct {
 	obj      float64
 	open     uint64
 	resolves int64
-	// speculates: some blocks' own removal stays under roundDualTol.
-	speculates bool
 }{
 	{name: "seed9-fast", inst: func(t *testing.T) *mip.Instance { return randomInstance(t, 9, 8, 60, 2.0, 100) },
 		opts: Options{Seed: 5, MaxPasses: 30, IncrementalPricing: true, ParallelRound: true},
@@ -111,7 +105,7 @@ var roundIdentityCases = []struct {
 		obj:  52.39064052280345, open: 0x77f2ae4077b6b8db, resolves: 2510},
 	{name: "mixed-size", inst: mixedSizeInstance,
 		opts: Options{Seed: 4, MaxPasses: 80, Epsilon: 0.05, IncrementalPricing: true, ParallelRound: true},
-		obj:  56120.674011730705, open: 0x6c347468b3f6c7c5, resolves: 3232, speculates: true},
+		obj:  56120.674011730705, open: 0x6c347468b3f6c7c5, resolves: 3232},
 }
 
 func TestParallelRoundMatchesRecordedParent(t *testing.T) {
@@ -123,99 +117,11 @@ func TestParallelRoundMatchesRecordedParent(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
-			if (res.Stats.RoundSpeculated > 0) != tc.speculates {
-				t.Errorf("%s workers=%d: %d blocks speculated, want speculation = %v",
-					tc.name, workers, res.Stats.RoundSpeculated, tc.speculates)
-			}
 			if res.Objective != tc.obj || openSetHash(res.Sol) != tc.open || res.Stats.RoundResolves != tc.resolves {
 				t.Errorf("%s workers=%d: objective %#v open %#x resolves %d, parent recorded %#v %#x %d",
 					tc.name, workers, res.Objective, openSetHash(res.Sol), res.Stats.RoundResolves,
 					tc.obj, tc.open, tc.resolves)
 			}
 		}
-	}
-}
-
-// The rounding prediction only schedules work. Two solvers walk the same
-// chunks in lockstep: one speculates as predicted, the other has every
-// speculation withdrawn after the fan-out, so each block is solved on the
-// driver — at the saved frozen prices when its duals did not drift, at live
-// prices when they did. Every committed solution must be identical, and the
-// walk must have taken all three branches.
-func TestRoundCommitIndependentOfSpeculation(t *testing.T) {
-	prepare := func() *solver {
-		s, err := newSolver(mixedSizeInstance(t), Options{Seed: 4, Epsilon: 0.05, Workers: 2,
-			IncrementalPricing: true, ParallelRound: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(s.close)
-		s.ctx = context.Background()
-		s.initDescent()
-		for i := 0; i < 6; i++ {
-			if !s.descentPass() {
-				t.Fatal("descent pass cancelled")
-			}
-		}
-		s.retuneScale()
-		return s
-	}
-	spec, driver := prepare(), prepare()
-	// commit runs one step of the forced-rounding commit loop and reports
-	// whether the block's duals had drifted.
-	commit := func(s *solver, c, vi int) (ns *intSol, drifted bool) {
-		bs := &s.sol[vi]
-		s.addBlockRows(vi, bs, -1)
-		oldCost := s.blockCost(vi, bs)
-		before := s.stats.RoundResolves
-		ns = s.validateRoundSol(c, vi)
-		s.replaceBlock(vi, ns)
-		s.addBlockRows(vi, bs, +1)
-		s.obj += s.blockCost(vi, bs) - oldCost
-		return ns, s.stats.RoundResolves > before
-	}
-	var survived, frozenOnDriver, live int
-	order := make([]int, len(spec.sol))
-	for i := range order {
-		order[i] = i
-	}
-	for pass := 0; pass < 2; pass++ {
-		for lo := 0; lo < len(order); lo += roundChunk {
-			chunk := order[lo:min(lo+roundChunk, len(order))]
-			for _, s := range []*solver{spec, driver} {
-				s.computeDuals(s.q)
-				s.computePathDuals(s.q)
-				if !s.parRoundSolve(chunk) {
-					t.Fatal("rounding fan-out cancelled")
-				}
-			}
-			clear(driver.roundSpec)
-			for c, vi := range chunk {
-				wasSpec := spec.roundSpec[c]
-				a, driftedA := commit(spec, c, vi)
-				b, driftedB := commit(driver, c, vi)
-				if driftedA != driftedB || !slices.Equal(a.open, b.open) || !slices.Equal(a.assign, b.assign) {
-					t.Fatalf("pass %d video %d: speculating solver commits %v/%v (drifted %v), driver-only solver %v/%v (drifted %v)",
-						pass, vi, a.open, a.assign, driftedA, b.open, b.assign, driftedB)
-				}
-				switch {
-				case driftedB:
-					live++
-				case wasSpec:
-					survived++ // spec kept the fan-out's answer; driver re-derived it
-					frozenOnDriver++
-				default:
-					frozenOnDriver++
-				}
-			}
-		}
-	}
-	if survived == 0 || frozenOnDriver == 0 || live == 0 {
-		t.Errorf("branches taken: %d fan-out solutions kept, %d blocks solved on the driver at frozen prices, %d at live prices; want all three",
-			survived, frozenOnDriver, live)
-	}
-	if spec.stats.RoundSpeculated == 0 || driver.stats.RoundResolves != spec.stats.RoundResolves {
-		t.Errorf("speculated %d, live solves %d vs %d", spec.stats.RoundSpeculated,
-			spec.stats.RoundResolves, driver.stats.RoundResolves)
 	}
 }

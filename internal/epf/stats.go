@@ -75,18 +75,11 @@ type Stats struct {
 	InitTime  time.Duration
 	LPTime    time.Duration
 	RoundTime time.Duration
-	// RoundResolves counts parallel-rounding blocks solved at live duals on
-	// the driver because the disk prices had drifted from the chunk freeze
-	// when the block's turn to commit came (Options.ParallelRound only).
-	// High counts mean heavy in-chunk disk contention: the parallel rounding
-	// degenerated toward the sequential trajectory to protect quality.
+	// RoundResolves counts rounding and polish blocks priced at live disk
+	// duals because a disk dual had drifted from the chunk freeze when the
+	// block's turn came (Options.ParallelRound only). A video's own removal
+	// usually drifts its office's dual, so this is close to every block.
 	RoundResolves int64
-	// RoundSpeculated counts parallel-rounding blocks dispatched to the
-	// fan-out at chunk-frozen duals: those whose own removal alone was
-	// predicted not to drift a disk dual. Speculated blocks that drifted
-	// anyway are also in RoundResolves — the wasted solves. Zero when every
-	// video is a sizeable fraction of a disk.
-	RoundSpeculated int64
 	// ReduceTime is wall time spent in driver-side reductions of per-block
 	// results: activity/objective rebuilds, Lagrangian term sums, and
 	// subgradient accumulation. A subset of LPTime (and of RoundTime for the
@@ -127,9 +120,6 @@ func (st Stats) String() string {
 	}
 	if st.RoundResolves > 0 {
 		fmt.Fprintf(&b, "rounding re-solves: %d\n", st.RoundResolves)
-	}
-	if st.RoundSpeculated > 0 {
-		fmt.Fprintf(&b, "rounding speculated solves: %d\n", st.RoundSpeculated)
 	}
 	fmt.Fprintf(&b, "scratch: %d allocs, %d reuses\n", st.ScratchAllocs, st.ScratchReuses)
 	fmt.Fprintf(&b, "time: init %.2fs, lp %.2fs, rounding %.2fs (reduce %.2fs)",

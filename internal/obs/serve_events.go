@@ -105,7 +105,6 @@ func (r *Recorder) RecordServeResolve(e ServeResolve) {
 			m.Counter("serve_resolves_rejected_total").Add(1)
 		}
 		m.Gauge("serve_warm_frac").Set(e.WarmFrac)
-		m.Gauge("serve_resumed_frac").Set(e.ResumedFrac)
 		m.Histogram("serve_resolve_solve_ms").Observe(e.SolveMS)
 		m.Histogram("serve_resolve_audit_ms").Observe(e.AuditMS)
 		r.PublishKV("serve_resolve", e)
