@@ -8,6 +8,7 @@ FUZZ_TARGETS := \
 	./internal/verify:FuzzInstanceBuilder \
 	./internal/verify:FuzzEPFSolve \
 	./internal/verify:FuzzFacloc \
+	./internal/facloc:FuzzFaclocKernels \
 	./internal/serve:FuzzRouteTable
 
 # Fixed-seed instance for the telemetry smoke test; small enough to solve in
@@ -56,13 +57,14 @@ bench-check:
 # into the new records' "baseline" sections, so after an optimization each
 # BENCH_*.json answers "what did this change buy" per benchmark. -count 3
 # with best-of selection suppresses scheduler noise. BENCH_epf.json covers
-# the solver hot paths; BENCH_pipeline.json covers the week-long multi-period
-# pipeline (BenchmarkRunMIPWeekCold vs ...Warm — the cross-period warm-start
+# the solver hot paths (internal/epf and the facloc kernels under it);
+# BENCH_pipeline.json covers the week-long multi-period pipeline
+# (BenchmarkRunMIPWeekCold vs ...Warm — the cross-period warm-start
 # headline is their ns/op ratio); BENCH_scale.json covers the 1k/10k/100k
 # catalog sweep through the sharded streaming pipeline (-count 1 — the long
 # points dominate and best-of-3 would triple a multi-minute run).
 bench-json:
-	$(GO) test -run '^$$' -bench . -benchmem -count 3 ./internal/epf/ \
+	$(GO) test -run '^$$' -bench . -benchmem -count 3 ./internal/epf/ ./internal/facloc/ \
 		| $(GO) run ./tools/benchjson -baseline BENCH_epf.json > BENCH_epf.json.tmp
 	mv BENCH_epf.json.tmp BENCH_epf.json
 	$(GO) test -run '^$$' -bench RunMIPWeek -benchmem -count 3 ./internal/core/ \

@@ -402,11 +402,12 @@ type solver struct {
 	pdRowFn    func(w, lo, hi int)
 	pdParallel bool // resolved once: pool > 1 worker and table big enough
 
-	// Rounding state (round.go): the candidate block solution, and under
+	// Rounding state (round.go): the candidate block solution, under
 	// Options.ParallelRound the chunk-frozen disk duals that serve as the
-	// drift baseline.
-	roundSol intSol
-	roundQ0  []float64
+	// drift baseline, and the polish passes' visiting order.
+	roundSol    intSol
+	roundQ0     []float64
+	polishOrder []int
 
 	// integerStepImproves scratch (round.go): per-row usage of the current
 	// and the candidate block, which side touched each row, and the touched

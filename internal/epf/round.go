@@ -178,8 +178,7 @@ func (s *solver) round(res *Result) {
 	// optimum that this start escapes. Skipped entirely on cancellation —
 	// the first candidate's incumbent is the prompt answer.
 	if s.ctx.Err() == nil {
-		if thr := thresholdRound(s.inst, res.Sol); thr != nil {
-			s.loadSolution(thr)
+		if s.loadThresholdRound(res.Sol) {
 			s.recomputeState()
 			s.retuneScale()
 			s.considerIntegerIncumbent(&bestScore, &haveBest)
@@ -212,10 +211,11 @@ func (s *solver) round(res *Result) {
 func (s *solver) polishInteger(bestScore *float64, haveBest *bool) {
 	const polishPasses = 6
 	ws := s.scratch.Get(0)
-	order := make([]int, len(s.sol))
-	for i := range order {
-		order[i] = i
+	order := s.polishOrder[:0]
+	for vi := range s.sol {
+		order = append(order, vi)
 	}
+	s.polishOrder = order
 	for pass := 0; pass < polishPasses; pass++ {
 		if s.ctx.Err() != nil {
 			return
@@ -297,58 +297,44 @@ func (s *solver) noteRoundSol(vi int, ns *intSol) {
 	s.warmOpen[vi] = append(s.warmOpen[vi][:0], ns.open...)
 }
 
-// loadSolution overwrites the solver's per-video state with sol.
-func (s *solver) loadSolution(sol *mip.Solution) {
+// loadThresholdRound overwrites the solver's per-video state with the
+// threshold rounding of the fractional solution frac: every office with
+// y ≥ ½ opens (always at least the largest-y office) and each demand office
+// is served from its cheapest open copy. It reports false, with the state
+// untouched, when frac misses a video entirely.
+func (s *solver) loadThresholdRound(frac *mip.Solution) bool {
+	for vi := range frac.Videos {
+		if !slices.ContainsFunc(frac.Videos[vi].Open, func(f mip.Frac) bool { return f.V > 0 }) {
+			return false
+		}
+	}
 	for vi := range s.sol {
 		bs := &s.sol[vi]
-		bs.open = append(bs.open[:0], sol.Videos[vi].Open...)
-		for k := range bs.assign {
-			bs.assign[k] = append(bs.assign[k][:0], sol.Videos[vi].Assign[k]...)
-		}
-	}
-}
-
-// thresholdRound rounds a fractional solution by opening every office with
-// y ≥ ½ (always at least the largest-y office) and assigning each demand
-// office to its cheapest open copy.
-func thresholdRound(inst *mip.Instance, frac *mip.Solution) *mip.Solution {
-	sol := mip.NewSolution(inst)
-	for vi := range frac.Videos {
-		fp := &frac.Videos[vi]
-		var best int32 = -1
-		var bestV float64
-		var open []int32
-		for _, f := range fp.Open {
-			if f.V > bestV {
-				bestV, best = f.V, f.I
+		bs.open = bs.open[:0]
+		var best mip.Frac
+		for _, f := range frac.Videos[vi].Open {
+			if f.V > best.V {
+				best = f
 			}
 			if f.V >= 0.5 {
-				open = append(open, f.I)
+				bs.open = append(bs.open, mip.Frac{I: f.I, V: 1})
 			}
 		}
-		if len(open) == 0 {
-			if best < 0 {
-				return nil // fractional solution misses a video entirely
-			}
-			open = append(open, best)
+		if len(bs.open) == 0 {
+			bs.open = append(bs.open, mip.Frac{I: best.I, V: 1})
 		}
-		for _, i := range open {
-			sol.Videos[vi].Open = append(sol.Videos[vi].Open, mip.Frac{I: i, V: 1})
-		}
-		d := &inst.Demands[vi]
-		for k := range d.Js {
-			j := int(d.Js[k])
-			bi := open[0]
-			bc := inst.Cost(int(open[0]), j)
-			for _, i := range open[1:] {
-				if c := inst.Cost(int(i), j); c < bc {
-					bc, bi = c, i
+		for k, j := range s.inst.Demands[vi].Js {
+			bi := bs.open[0].I
+			bc := s.inst.Cost(int(bi), int(j))
+			for _, f := range bs.open[1:] {
+				if c := s.inst.Cost(int(f.I), int(j)); c < bc {
+					bc, bi = c, f.I
 				}
 			}
-			sol.Videos[vi].Assign[k] = []mip.Frac{{I: bi, V: 1}}
+			bs.assign[k] = append(bs.assign[k][:0], mip.Frac{I: bi, V: 1})
 		}
 	}
-	return sol
+	return true
 }
 
 // considerIntegerIncumbent scores the current integer point — objective with

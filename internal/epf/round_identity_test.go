@@ -3,6 +3,7 @@ package epf
 import (
 	"hash/fnv"
 	"math"
+	"slices"
 	"testing"
 
 	"vodplace/internal/mip"
@@ -123,5 +124,105 @@ func TestParallelRoundMatchesRecordedParent(t *testing.T) {
 					tc.obj, tc.open, tc.resolves)
 			}
 		}
+	}
+}
+
+// refThresholdRound is the parent's thresholdRound, which built the
+// candidate as a fresh mip.Solution for loadSolution to copy in; it is the
+// oracle for loadThresholdRound, which writes the same candidate in place.
+func refThresholdRound(inst *mip.Instance, frac *mip.Solution) *mip.Solution {
+	sol := mip.NewSolution(inst)
+	for vi := range frac.Videos {
+		fp := &frac.Videos[vi]
+		var best int32 = -1
+		var bestV float64
+		var open []int32
+		for _, f := range fp.Open {
+			if f.V > bestV {
+				bestV, best = f.V, f.I
+			}
+			if f.V >= 0.5 {
+				open = append(open, f.I)
+			}
+		}
+		if len(open) == 0 {
+			if best < 0 {
+				return nil // fractional solution misses a video entirely
+			}
+			open = append(open, best)
+		}
+		for _, i := range open {
+			sol.Videos[vi].Open = append(sol.Videos[vi].Open, mip.Frac{I: i, V: 1})
+		}
+		d := &inst.Demands[vi]
+		for k := range d.Js {
+			j := int(d.Js[k])
+			bi := open[0]
+			bc := inst.Cost(int(open[0]), j)
+			for _, i := range open[1:] {
+				if c := inst.Cost(int(i), j); c < bc {
+					bc, bi = c, i
+				}
+			}
+			sol.Videos[vi].Assign[k] = []mip.Frac{{I: bi, V: 1}}
+		}
+	}
+	return sol
+}
+
+func sameBlocks(sol []blockSol, want *mip.Solution) bool {
+	for vi := range sol {
+		if !slices.Equal(sol[vi].open, want.Videos[vi].Open) {
+			return false
+		}
+		for k := range sol[vi].assign {
+			if !slices.Equal(sol[vi].assign[k], want.Videos[vi].Assign[k]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// loadThresholdRound must load exactly the parent's threshold candidate, and
+// a fractional solution that misses a video must leave the state untouched.
+func TestLoadThresholdRoundMatchesReference(t *testing.T) {
+	inst := randomInstance(t, 11, 10, 90, 2.0, 150)
+	s, err := newSolver(inst, Options{Seed: 3, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.close()
+	s.initDescent()
+	for i := 0; i < 4; i++ {
+		if !s.descentPass() {
+			t.Fatal("descent pass cancelled")
+		}
+	}
+	frac := s.buildResult(4, false).Sol
+	nFrac := 0
+	for vi := range s.sol {
+		if !integralBlock(&s.sol[vi]) {
+			nFrac++
+		}
+	}
+	if nFrac == 0 {
+		t.Fatal("no fractional videos after 4 passes")
+	}
+
+	broken := s.buildResult(4, false).Sol
+	broken.Videos[len(broken.Videos)-1].Open = nil
+	if s.loadThresholdRound(broken) {
+		t.Fatal("a fractional solution missing a video was accepted")
+	}
+	if !sameBlocks(s.sol, frac) {
+		t.Fatal("the rejected candidate modified the solver state")
+	}
+
+	if !s.loadThresholdRound(frac) {
+		t.Fatal("threshold rounding rejected a complete fractional solution")
+	}
+	if !sameBlocks(s.sol, refThresholdRound(inst, frac)) {
+		t.Fatal("threshold candidate differs from the reference")
 	}
 }

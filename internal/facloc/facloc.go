@@ -18,9 +18,11 @@
 //     placement in the rounding phase (§V-D).
 //
 // Problems here are small (facilities = offices, |V| ≈ 23..55 in the paper's
-// networks) but solved millions of times, so the code favors O(n·K) passes
-// over a flat row-major cost matrix and reuses scratch space via a Solver
-// value.
+// networks) but solved millions of times, so every scan is an O(K) or O(n)
+// pass over contiguous memory: per-demand scans (DualAscent, best/second-best
+// rescans) read rows of the Problem's flat row-major cost matrix, per-facility
+// scans (the local search's add and swap gains) read columns of a
+// facility-major copy the Solver keeps in its reusable scratch space.
 package facloc
 
 import (
@@ -70,7 +72,8 @@ func (p *Problem) Reshape(k int) {
 	p.Assign = p.Assign[:sz]
 }
 
-// Validate checks structural consistency; solver entry points call it only
+// Validate checks structural consistency and the cost contract (finite,
+// non-negative entries — see Solver); solver entry points call it only
 // in debug paths, so malformed problems surface in tests rather than deep in
 // solver loops.
 func (p *Problem) Validate() error {
@@ -79,7 +82,7 @@ func (p *Problem) Validate() error {
 		return fmt.Errorf("facloc: no facilities")
 	}
 	for i, f := range p.Open {
-		if f < 0 || math.IsNaN(f) {
+		if f < 0 || math.IsNaN(f) || math.IsInf(f, 1) {
 			return fmt.Errorf("facloc: open cost %d is %g", i, f)
 		}
 	}
@@ -87,7 +90,7 @@ func (p *Problem) Validate() error {
 		return fmt.Errorf("facloc: assign matrix has %d entries, not a multiple of %d facilities", len(p.Assign), n)
 	}
 	for idx, g := range p.Assign {
-		if g < 0 || math.IsNaN(g) {
+		if g < 0 || math.IsNaN(g) || math.IsInf(g, 1) {
 			return fmt.Errorf("facloc: assign cost (%d,%d) is %g", idx/n, idx%n, g)
 		}
 	}
@@ -107,6 +110,11 @@ type Solution struct {
 
 // Solver carries reusable scratch space. A zero Solver is ready to use; it
 // is not safe for concurrent use — use one Solver per goroutine.
+//
+// Cost contract: every entry of Problem.Open and Problem.Assign is finite and
+// non-negative — what Validate checks, and what epf's clampDual guarantees of
+// the duals the costs are built from. The local-search gains (moveGain) rely
+// on it: x − x is +0 and min is a plain two-way select only on finite values.
 type Solver struct {
 	// WarmTries / WarmHits count SolveQuickInto / SolveWarmInto calls that
 	// received a warm open set, and the subset where the search improved on
@@ -118,6 +126,13 @@ type Solver struct {
 	WarmTries int64
 	WarmHits  int64
 
+	// colT is the facility-major copy of the current problem's assignment
+	// matrix, colT[i*K+k] = p.Assign[k*n+i], refilled by reserve on every
+	// solve: the local search's gains and openFacility walk one facility's
+	// costs over all demands, which is a stride-n column of the row-major
+	// Problem but a contiguous run here, beside the equally contiguous best1.
+	colT         []float64
+	alt0         []float64 // swap sweep: cheapest open facility other than the one closing, per k
 	best1, best2 []float64 // cheapest and second-cheapest open assignment per k
 	bestI        []int     // facility achieving best1
 	bestI2       []int     // facility achieving best2
@@ -137,13 +152,26 @@ type Solver struct {
 	contrib []int
 }
 
-func (s *Solver) reserve(n, k int) {
+// reserve sizes the scratch for p (n facilities, k demands), clears the open
+// set and loads p's columns into colT.
+func (s *Solver) reserve(p *Problem, n, k int) {
 	if cap(s.best1) < k {
+		s.alt0 = make([]float64, k)
 		s.best1 = make([]float64, k)
 		s.best2 = make([]float64, k)
 		s.bestI = make([]int, k)
 		s.bestI2 = make([]int, k)
 	}
+	if cap(s.colT) < n*k {
+		s.colT = make([]float64, n*k)
+	}
+	s.colT = s.colT[:n*k]
+	for kd := 0; kd < k; kd++ {
+		for i, g := range p.Row(kd) {
+			s.colT[i*k+kd] = g
+		}
+	}
+	s.alt0 = s.alt0[:k]
 	s.best1 = s.best1[:k]
 	s.best2 = s.best2[:k]
 	s.bestI = s.bestI[:k]
@@ -201,7 +229,9 @@ func (s *Solver) rescanDemand(p *Problem, k int) {
 }
 
 // openFacility opens i and updates the best trackers incrementally (O(K)).
-func (s *Solver) openFacility(p *Problem, i int) {
+// On a tie (g == best1[k]) the incumbent keeps bestI[k]: the tracked pair is
+// path-dependent on ties, and the search trajectory depends on it.
+func (s *Solver) openFacility(i int) {
 	s.open[i] = true
 	s.nOpen++
 	lst := append(s.openList, i)
@@ -209,9 +239,8 @@ func (s *Solver) openFacility(p *Problem, i int) {
 		lst[a], lst[a-1] = lst[a-1], i
 	}
 	s.openList = lst
-	n := len(p.Open)
-	for k := range s.best1 {
-		g := p.Assign[k*n+i]
+	kk := len(s.best1)
+	for k, g := range s.colT[i*kk : i*kk+kk] {
 		if g < s.best1[k] {
 			s.best2[k], s.bestI2[k] = s.best1[k], s.bestI[k]
 			s.best1[k], s.bestI[k] = g, i
@@ -293,7 +322,7 @@ func (s *Solver) SolveInto(p *Problem, out *Solution) {
 	if n == 0 {
 		panic("facloc: Solve with no facilities")
 	}
-	s.reserve(n, kk)
+	s.reserve(p, n, kk)
 
 	// Start 1: the single facility with the cheapest total cost.
 	s.open[s.cheapestSingle(p, kk)] = true
@@ -349,7 +378,7 @@ func (s *Solver) SolveWarmInto(p *Problem, out *Solution, warm []int32) {
 	if n == 0 {
 		panic("facloc: SolveWarm with no facilities")
 	}
-	s.reserve(n, kk)
+	s.reserve(p, n, kk)
 
 	// Single start: the warm open set. The full add/drop/swap search runs
 	// from it, so any configuration reachable from the cheapest-single or
@@ -400,7 +429,7 @@ func (s *Solver) SolveQuickInto(p *Problem, out *Solution, warm []int32) {
 	if n == 0 {
 		panic("facloc: SolveQuick with no facilities")
 	}
-	s.reserve(n, kk)
+	s.reserve(p, n, kk)
 	s.open[s.cheapestSingle(p, kk)] = true
 	s.nOpen = 1
 	s.rebuildOpenList()
@@ -469,26 +498,35 @@ func (s *Solver) extractInto(p *Problem, kk int, out *Solution) {
 // localSearch runs add/drop (and, when swaps is set, swap) moves on the
 // current open set to a local optimum or a pass cap. Best trackers are
 // maintained incrementally: opening costs O(K), closing O(K + affected·n).
+//
+// The add and swap gains are the hot loops of the whole solver (DESIGN.md
+// §8); both are moveGain down a contiguous column of colT. The kernels may
+// be rewritten only under the summation-order rule: each gain stays one
+// left-to-right sum over k ascending from the same first operand (−F_i,
+// F_i − F_i'); an operand may be read from elsewhere, a two-way select may
+// become min/max or be hoisted out of a loop it does not depend on, and an
+// exact +0 may be added where a term used to be skipped. Under that rule
+// every gain, every first-improving move and so the whole trajectory are
+// bit for bit those of the branchy row-major loops this replaced, which are
+// kept in ref_test.go as the oracle (TestKernelsMatchReference).
 func (s *Solver) localSearch(p *Problem, swaps bool) {
 	n := p.NumFacilities()
 	kk := len(s.best1)
+	best1, alt0 := s.best1, s.alt0
 	const maxPasses = 60
 	for pass := 0; pass < maxPasses; pass++ {
 		improved := false
 
 		// Add moves: gain of opening i = Σ_k max(0, best1_k − g_ki) − F_i.
+		// A demand's other option is its current best, so the term is
+		// best1_k − min(best1_k, g_ki): the same subtraction when i is
+		// cheaper, best1_k − best1_k = +0 where the sum used to skip.
 		for i := 0; i < n; i++ {
 			if s.open[i] {
 				continue
 			}
-			gain := -p.Open[i]
-			for k := 0; k < kk; k++ {
-				if d := s.best1[k] - p.Assign[k*n+i]; d > 0 {
-					gain += d
-				}
-			}
-			if gain > 1e-12 {
-				s.openFacility(p, i)
+			if moveGain(-p.Open[i], best1, best1, s.colT[i*kk:]) > 1e-12 {
+				s.openFacility(i)
 				improved = true
 			}
 		}
@@ -523,28 +561,22 @@ func (s *Solver) localSearch(p *Problem, swaps bool) {
 				if !s.open[i] {
 					continue
 				}
+				// Serving options after a swap: the newly opened ip, or the
+				// cheapest open facility other than i — which does not depend
+				// on ip, so it is selected once per i.
+				for k := range alt0 {
+					alt0[k] = best1[k]
+					if s.bestI[k] == i {
+						alt0[k] = s.best2[k]
+					}
+				}
 				for ip := 0; ip < n && !improved; ip++ {
-					if s.open[ip] || ip == i {
+					if s.open[ip] {
 						continue
 					}
-					gain := p.Open[i] - p.Open[ip]
-					for k := 0; k < kk; k++ {
-						cur := s.best1[k]
-						// Serving options after the swap: cheapest open
-						// facility other than i, or the newly opened ip.
-						alt := p.Assign[k*n+ip]
-						if s.bestI[k] != i {
-							if cur < alt {
-								alt = cur
-							}
-						} else if s.best2[k] < alt {
-							alt = s.best2[k]
-						}
-						gain += cur - alt
-					}
-					if gain > 1e-12 {
+					if moveGain(p.Open[i]-p.Open[ip], best1, alt0, s.colT[ip*kk:]) > 1e-12 {
 						s.closeFacility(p, i)
-						s.openFacility(p, ip)
+						s.openFacility(ip)
 						improved = true
 					}
 				}
@@ -556,6 +588,18 @@ func (s *Solver) localSearch(p *Problem, swaps bool) {
 	}
 }
 
+// moveGain returns gain + Σ_k (best1[k] − min(alt[k], col[k])), summed left to
+// right over k ascending: what the demands save when the facility whose costs
+// are col opens and each demand's other option costs alt[k]. Branch-free: the
+// selects are data-dependent and unpredictable, and most terms are +0.
+func moveGain(gain float64, best1, alt, col []float64) float64 {
+	alt, col = alt[:len(best1)], col[:len(best1)]
+	for k, b := range best1 {
+		gain += b - min(alt[k], col[k])
+	}
+	return gain
+}
+
 // DualAscent computes a feasible solution (v, implicit w) of the UFL LP dual
 //
 //	max Σ_k v_k  s.t.  Σ_k max(0, v_k − g_ki) ≤ F_i  ∀i
@@ -564,6 +608,10 @@ func (s *Solver) localSearch(p *Problem, swaps bool) {
 // hence on the integer optimum). The second return is the dual vector for
 // diagnostics. With zero demand points the bound is min_i F_i, since every
 // video must still be stored once.
+//
+// The ascent starts from v_k = min_i g_ki, where no facility contributes yet
+// (max(0, v_k − g_ki) = 0 for every i, v_k being the row minimum), so every
+// slack starts at its full opening cost F_i ≥ 0.
 func (s *Solver) DualAscent(p *Problem) (float64, []float64) {
 	n, kk := p.NumFacilities(), p.NumDemands()
 	if kk == 0 {
@@ -588,33 +636,15 @@ func (s *Solver) DualAscent(p *Problem) (float64, []float64) {
 	}
 	s.order = s.order[:kk]
 
-	// Initialize v_k to the cheapest assignment cost; facility slacks absorb
-	// the implied contributions. Both sweeps of a row run back to back while
-	// it is cache-hot; the slack decrements still happen in (k, i) order, so
-	// the accumulation sequence is unchanged.
-	for i := range s.slack {
-		s.slack[i] = p.Open[i]
-	}
+	copy(s.slack, p.Open)
 	for k := 0; k < kk; k++ {
-		row := p.Row(k)
 		m := math.Inf(1)
-		for _, g := range row {
+		for _, g := range p.Row(k) {
 			if g < m {
 				m = g
 			}
 		}
 		s.v[k] = m
-		for i, g := range row {
-			if m > g {
-				s.slack[i] -= m - g
-			}
-		}
-	}
-	// Slacks can go negative only through floating error; clamp.
-	for i := range s.slack {
-		if s.slack[i] < 0 {
-			s.slack[i] = 0
-		}
 	}
 
 	// Ascend demand duals in waves: raise each v_k to its next assignment

@@ -153,6 +153,8 @@ type Event struct {
 	WarmFrac     float64 `json:"warmfrac"`
 	ResumedFrac  float64 `json:"resumedfrac"`
 	SolveMS      float64 `json:"solvems"`
+	LPMS         float64 `json:"lpms"`
+	RoundMS      float64 `json:"roundms"`
 	AuditMS      float64 `json:"auditms"`
 	BuildMS      float64 `json:"buildms"`
 	RDelta       int64   `json:"rdelta"`

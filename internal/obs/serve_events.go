@@ -29,11 +29,15 @@ type ServeResolve struct {
 	ResumedFrac float64 `json:"resumedfrac"`
 	Passes      int     `json:"passes"`  // done: descent passes the solve took
 	SolveMS     float64 `json:"solvems"` // done: integer-solve wall time
-	AuditMS     float64 `json:"auditms"` // done: certification wall time
-	BuildMS     float64 `json:"buildms"` // done, swapped: snapshot build+publish wall time
-	Dirty       int     `json:"dirty"`   // done: demand-dirty videos this attempt resolved
-	Rebuilt     int64   `json:"rebuilt"` // done, swapped: route rows recomputed (vs copied) by the snapshot build
-	TMS         float64 `json:"tms"`     // ms since recorder start (stamped by the recorder)
+	// LPMS and RoundMS split SolveMS into the solver's two phases (the LP
+	// descent and the integer rounding + polish); the remainder is set-up.
+	LPMS    float64 `json:"lpms"`
+	RoundMS float64 `json:"roundms"`
+	AuditMS float64 `json:"auditms"` // done: certification wall time
+	BuildMS float64 `json:"buildms"` // done, swapped: snapshot build+publish wall time
+	Dirty   int     `json:"dirty"`   // done: demand-dirty videos this attempt resolved
+	Rebuilt int64   `json:"rebuilt"` // done, swapped: route rows recomputed (vs copied) by the snapshot build
+	TMS     float64 `json:"tms"`     // ms since recorder start (stamped by the recorder)
 }
 
 // ServeSwap is one published snapshot: the moment the serving plane's
@@ -89,6 +93,8 @@ func (r *Recorder) RecordServeResolve(e ServeResolve) {
 			b = appendFloat(b, ",\"resumedfrac\":", e.ResumedFrac)
 			b = appendInt(b, ",\"passes\":", int64(e.Passes))
 			b = appendFloat(b, ",\"solvems\":", e.SolveMS)
+			b = appendFloat(b, ",\"lpms\":", e.LPMS)
+			b = appendFloat(b, ",\"roundms\":", e.RoundMS)
 			b = appendFloat(b, ",\"auditms\":", e.AuditMS)
 			b = appendFloat(b, ",\"buildms\":", e.BuildMS)
 			b = appendInt(b, ",\"dirty\":", int64(e.Dirty))

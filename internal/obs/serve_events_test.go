@@ -16,6 +16,7 @@ func TestServeEventsRoundTrip(t *testing.T) {
 	r.RecordServeResolve(ServeResolve{
 		Phase: "done", Version: 2, Trigger: "demand", Verdict: "swapped",
 		WarmFrac: 0.75, ResumedFrac: 0.5, Passes: 12, SolveMS: 34.5, AuditMS: 1.25, BuildMS: 0.5,
+		LPMS: 4.5, RoundMS: 29,
 	})
 	r.RecordServeResolve(ServeResolve{
 		Phase: "done", Version: 3, Trigger: "demand", Verdict: "audit_rejected",
@@ -43,7 +44,8 @@ func TestServeEventsRoundTrip(t *testing.T) {
 	}
 	done := events[1]
 	if done.Phase != "done" || done.Verdict != "swapped" || done.WarmFrac != 0.75 || done.ResumedFrac != 0.5 ||
-		done.Passes != 12 || done.SolveMS != 34.5 || done.AuditMS != 1.25 || done.BuildMS != 0.5 {
+		done.Passes != 12 || done.SolveMS != 34.5 || done.AuditMS != 1.25 || done.BuildMS != 0.5 ||
+		done.LPMS != 4.5 || done.RoundMS != 29 {
 		t.Errorf("done event %+v", done)
 	}
 	rej := events[2]

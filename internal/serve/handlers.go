@@ -208,6 +208,10 @@ type statusJSON struct {
 	Slices     int     `json:"slices"`
 	LastPasses int     `json:"last_passes"`
 	LastGapPct float64 `json:"last_gap_pct"`
+	// LastLPMS and LastRoundMS say where the last swapped-in solve spent its
+	// time: the LP descent and the integer rounding + polish.
+	LastLPMS    float64 `json:"last_lp_ms"`
+	LastRoundMS float64 `json:"last_round_ms"`
 	// ResumedFrac is the fraction of the last swapped-in solve's videos that
 	// started from the previous solve's LP point (0 for the initial solve).
 	ResumedFrac float64 `json:"resumed_frac"`
@@ -236,6 +240,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	snap := s.store.Load()
 	s.mu.Lock()
 	lastPasses, lastGap, lastReject, lastResumed := s.lastPasses, s.lastGap, s.lastReject, s.lastResumed
+	lastLPMS, lastRoundMS := s.lastLPMS, s.lastRoundMS
 	s.mu.Unlock()
 	out := statusJSON{
 		Version:       snap.Version,
@@ -248,6 +253,8 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		Slices:        snap.Inst.Slices,
 		LastPasses:    lastPasses,
 		LastGapPct:    100 * lastGap,
+		LastLPMS:      lastLPMS,
+		LastRoundMS:   lastRoundMS,
 		ResumedFrac:   lastResumed,
 		LastReject:    lastReject,
 		RouteRequests: s.routeRequests.Value(),

@@ -43,6 +43,10 @@ func (s *Server) kickResolve() {
 	}
 }
 
+// durMS renders a duration as the float milliseconds the trace events and
+// /status carry.
+func durMS(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
+
 // resolveOnce brings the live instance up to date with the demand state,
 // solves it (warm-started from the last swapped-in solve unless disabled),
 // audits the result, and — only if the audit passes and the solve converged
@@ -152,9 +156,10 @@ func (s *Server) resolveOnce(ctx context.Context) (*Snapshot, error) {
 	}
 	tSolve := time.Now()
 	res, err := epf.SolveIntegerContext(ctx, inst, opts)
-	done.SolveMS = float64(time.Since(tSolve).Nanoseconds()) / 1e6
+	done.SolveMS = durMS(time.Since(tSolve))
 	if res != nil {
 		done.Passes = res.Passes
+		done.LPMS, done.RoundMS = durMS(res.Stats.LPTime), durMS(res.Stats.RoundTime)
 		if nv := len(inst.Demands); nv > 0 {
 			done.WarmFrac = float64(res.Stats.WarmVideos) / float64(nv)
 			done.ResumedFrac = float64(res.Stats.ResumedVideos) / float64(nv)
@@ -180,7 +185,7 @@ func (s *Server) resolveOnce(ctx context.Context) (*Snapshot, error) {
 	// snapshot and record the rejection.
 	tAudit := time.Now()
 	rep := verify.Audit(inst, res)
-	done.AuditMS = float64(time.Since(tAudit).Nanoseconds()) / 1e6
+	done.AuditMS = durMS(time.Since(tAudit))
 	if !rep.Ok() {
 		s.auditRejected.Add(1)
 		reason := "audit: " + rep.Err().Error()
@@ -211,12 +216,13 @@ func (s *Server) resolveOnce(ctx context.Context) (*Snapshot, error) {
 	}
 	rdelta := routeDelta(cur, snap)
 	s.store.Store(snap)
-	done.BuildMS = float64(time.Since(tBuild).Nanoseconds()) / 1e6
+	done.BuildMS = durMS(time.Since(tBuild))
 	done.Rebuilt = rebuilt
 	s.mu.Lock()
 	s.warm = res.Warm
 	s.lastPasses = res.Passes
 	s.lastResumed = done.ResumedFrac
+	s.lastLPMS, s.lastRoundMS = done.LPMS, done.RoundMS
 	s.lastGap = res.Gap
 	// The published snapshot now reflects every row dirtied so far.
 	clear(s.snapDirty)

@@ -92,13 +92,15 @@ type Server struct {
 	// stick to live without publishing — and is cleared on a swap. It is
 	// the invalidation list handed to the incremental snapshot build.
 	snapDirty map[int]struct{}
-	// lastPasses/lastGap/lastResumed describe the most recent swapped-in solve;
-	// lastReject the most recent rejected one ("" until a re-solve is
-	// rejected). Both survive across swaps so /status always explains the
-	// last anomaly.
+	// lastPasses/lastGap/lastResumed/lastLPMS/lastRoundMS describe the most
+	// recent swapped-in solve; lastReject the most recent rejected one (""
+	// until a re-solve is rejected). Both survive across swaps so /status
+	// always explains the last anomaly.
 	lastPasses  int
 	lastGap     float64
 	lastResumed float64
+	lastLPMS    float64
+	lastRoundMS float64
 	lastReject  string
 
 	resolveCh   chan struct{}
@@ -184,18 +186,20 @@ func NewWithResult(inst *mip.Instance, res *epf.Result, cfg Config) (*Server, er
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:        cfg,
-		base:       inst,
-		state:      stateFromInstance(inst),
-		warm:       res.Warm,
-		live:       inst,
-		snapDirty:  make(map[int]struct{}),
-		lastPasses: res.Passes,
-		lastGap:    res.Gap,
-		resolveCh:  make(chan struct{}, 1),
-		cancel:     cancel,
-		done:       make(chan struct{}),
-		metrics:    m,
+		cfg:         cfg,
+		base:        inst,
+		state:       stateFromInstance(inst),
+		warm:        res.Warm,
+		live:        inst,
+		snapDirty:   make(map[int]struct{}),
+		lastPasses:  res.Passes,
+		lastGap:     res.Gap,
+		lastLPMS:    durMS(res.Stats.LPTime),
+		lastRoundMS: durMS(res.Stats.RoundTime),
+		resolveCh:   make(chan struct{}, 1),
+		cancel:      cancel,
+		done:        make(chan struct{}),
+		metrics:     m,
 
 		routeRequests:   m.Counter("serve.route_requests"),
 		routeErrors:     m.Counter("serve.route_errors"),

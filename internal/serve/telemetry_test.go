@@ -59,6 +59,9 @@ func TestServeLifecycleTrace(t *testing.T) {
 	if code := getJSON(t, ts, "/status", &st); code != 200 {
 		t.Fatalf("status %d, want 200", code)
 	}
+	if st.LastLPMS <= 0 || st.LastRoundMS <= 0 {
+		t.Errorf("/status last_lp_ms %v last_round_ms %v after a re-solve, want both > 0", st.LastLPMS, st.LastRoundMS)
+	}
 	if st.ResumedFrac <= 0 || st.ResumedFrac > 1 {
 		t.Errorf("/status resumed_frac %v after a warm re-solve, want in (0, 1]", st.ResumedFrac)
 	}
@@ -90,6 +93,7 @@ func TestServeLifecycleTrace(t *testing.T) {
 			} else if e.Verdict == "swapped" {
 				swapped++
 				if e.SolveMS <= 0 || e.Passes <= 0 || e.Reason != "" ||
+					e.LPMS <= 0 || e.RoundMS <= 0 || e.LPMS+e.RoundMS > e.SolveMS ||
 					e.ResumedFrac <= 0 || e.ResumedFrac > e.WarmFrac {
 					t.Errorf("swapped done %+v", e)
 				}

@@ -244,9 +244,10 @@ func FuzzEPFSolve(f *testing.F) {
 	})
 }
 
-// FuzzFacloc cross-checks the facility-location heuristics, dual ascent and
-// brute force on arbitrary problems: dual bound ≤ optimum ≤ heuristic costs,
-// and every reported cost must re-evaluate from its reported open set.
+// FuzzFacloc cross-checks the facility-location heuristics (cold, quick and
+// warm-started), dual ascent and brute force on arbitrary problems: dual
+// bound ≤ optimum ≤ heuristic costs, and every reported cost must re-evaluate
+// from its reported open set.
 func FuzzFacloc(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint8(6))
 	f.Add(int64(5), uint8(8), uint8(12))
@@ -265,7 +266,12 @@ func FuzzFacloc(f *testing.F) {
 		for _, h := range []struct {
 			name string
 			sol  facloc.Solution
-		}{{"Solve", fs.Solve(p)}, {"SolveQuick", fs.SolveQuick(p)}, {"BruteForce", exact}} {
+		}{
+			{"Solve", fs.Solve(p)}, {"SolveQuick", fs.SolveQuick(p)},
+			// The rounding phase's entry point, seeded off the optimum.
+			{"SolveWarm", fs.SolveWarm(p, []int32{int32(uint64(seed) % uint64(p.NumFacilities()))})},
+			{"BruteForce", exact},
+		} {
 			if re := uflCost(p, h.sol); relDiff(re, h.sol.Cost) > CertTol {
 				t.Fatalf("%s claims %g, open set evaluates to %g", h.name, h.sol.Cost, re)
 			}

@@ -77,7 +77,9 @@ func main() {
 		case strings.HasPrefix(line, "goarch:"):
 			rec.Goarch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
 		case strings.HasPrefix(line, "pkg:"):
-			rec.Pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
+			// One record may cover several packages (BENCH_epf.json: the
+			// solver and the facloc kernels under it); name them all.
+			rec.Pkg = strings.TrimSpace(rec.Pkg + " " + strings.TrimSpace(strings.TrimPrefix(line, "pkg:")))
 		case strings.HasPrefix(line, "cpu:"):
 			rec.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
 		case strings.HasPrefix(line, "Benchmark"):

@@ -164,7 +164,13 @@ func (s *summary) writeTable(w io.Writer) {
 			if e.ResumedFrac > 0 {
 				fmt.Fprintf(w, "  resumed %.0f%%", 100*e.ResumedFrac)
 			}
-			fmt.Fprintf(w, "  solve %s ms  audit %s ms  build %s ms", g(e.SolveMS), g(e.AuditMS), g(e.BuildMS))
+			fmt.Fprintf(w, "  solve %s ms", g(e.SolveMS))
+			// Phase split only when the attempt carried it — traces from
+			// before the solve reported its phases render exactly as before.
+			if e.LPMS > 0 || e.RoundMS > 0 {
+				fmt.Fprintf(w, " (lp %s  round %s)", g(e.LPMS), g(e.RoundMS))
+			}
+			fmt.Fprintf(w, "  audit %s ms  build %s ms", g(e.AuditMS), g(e.BuildMS))
 			// Delta columns only when the attempt carried them — pre-delta
 			// traces render exactly as before.
 			if e.Dirty > 0 || e.Rebuilt > 0 {
