@@ -8,6 +8,7 @@ FUZZ_TARGETS := \
 	./internal/verify:FuzzInstanceBuilder \
 	./internal/verify:FuzzEPFSolve \
 	./internal/verify:FuzzFacloc \
+	./internal/verify:FuzzWarmResume \
 	./internal/facloc:FuzzFaclocKernels \
 	./internal/serve:FuzzRouteTable
 
@@ -21,7 +22,7 @@ TRACE_SMOKE_ARGS := -videos 60 -vhos 8 -passes 40 -seed 1 -no-incremental
 # audit-gated snapshot swap during the 2s run.
 SERVE_SMOKE_ARGS := -videos 60 -vhos 8 -passes 200 -eps 0.02 -seed 1
 
-.PHONY: build vet test race check bench bench-check bench-json bench-cores fuzz cover fmt clean trace-smoke trace-golden serve-smoke
+.PHONY: build vet test race check bench bench-check bench-pairs bench-json bench-cores fuzz cover fmt clean trace-smoke trace-golden serve-smoke
 
 build:
 	$(GO) build ./...
@@ -52,6 +53,27 @@ bench:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test -race -shuffle=on ./...
 	bash bench/run.sh --selfcheck
+
+# The alternating-pair protocol of EXPERIMENTS.md ("Demand-to-swap and the
+# repository benchmark") as a target: N pairs of `bash bench/run.sh` in this
+# checkout and in PARENT (a `git clone` of the parent commit), odd pairs
+# parent first, appended to parent.out / change.out here, then the verdict
+# table. Pair i orders the /route stream with --seed i; UPDATE_SEED picks
+# another demand-update stream.
+#   make bench-pairs PARENT=/root/scratch/parent N=10 WORKLOAD=steady-hot [UPDATE_SEED=2]
+N ?= 10
+WORKLOAD ?= steady-hot
+bench-pairs:
+	@[ -f "$(PARENT)/bench/run.sh" ] || { echo "bench-pairs: PARENT=<checkout of the parent commit>"; exit 2; }
+	@change=$$PWD; args="--workload $(WORKLOAD) --seconds 25 --trace 0 $(if $(UPDATE_SEED),--update-seed $(UPDATE_SEED))"; \
+	for i in $$(seq 1 $(N)); do \
+		first=$(PARENT) fo=parent.out second=$$change so=change.out; \
+		[ $$((i % 2)) = 0 ] && first=$$change fo=change.out second=$(PARENT) so=parent.out; \
+		(cd $$first && bash bench/run.sh $$args --seed $$i) >> $$change/$$fo || exit 1; \
+		(cd $$second && bash bench/run.sh $$args --seed $$i) >> $$change/$$so || exit 1; \
+		echo "pair $$i of $(N) done"; \
+	done; \
+	bash bench/run.sh --compare parent.out change.out
 
 # Refresh the committed benchmark records. The old files' numbers roll over
 # into the new records' "baseline" sections, so after an optimization each
@@ -163,5 +185,6 @@ fmt:
 clean:
 	rm -rf .bench_build coverage.out
 	rm -f trace-smoke.jsonl trace-smoke.out *.smoke
+	rm -f parent.out change.out
 	rm -f serve-smoke.addr serve-smoke.json serve-smoke.log serve-smoke.out \
 		serve-smoke.trace.jsonl serve-smoke.prom serve-smoke.telemetry.out

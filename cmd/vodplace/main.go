@@ -203,6 +203,9 @@ func main() {
 			wres.Stats.WarmVideos, inst.NumVideos())
 		fmt.Printf("warm objective: %.1f GB  lb %.1f GB  gap %.2f%%\n",
 			wres.Objective, wres.LowerBound, 100*wres.Gap)
+		if *verbose {
+			fmt.Printf("\nwarm solver stats:\n%s\n", wres.Stats)
+		}
 		if *doAudit {
 			rep := verify.Audit(inst, wres)
 			fmt.Printf("verify (warm): %s\n", rep)

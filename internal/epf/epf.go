@@ -218,7 +218,8 @@ type Result struct {
 	// Rounded reports whether the integer rounding pass ran.
 	Rounded bool
 	// Warm is the cross-period carryover: the state a subsequent solve over
-	// a shifted instance passes as Options.Warm. Populated on every solve.
+	// a shifted instance passes as Options.Warm. Populated on every solve, by
+	// the entry points, once the last phase is over.
 	Warm *WarmState
 	// Stats reports the solve's runtime behavior (work counts, phase wall
 	// times, scratch economy).
@@ -404,10 +405,21 @@ type solver struct {
 
 	// Rounding state (round.go): the candidate block solution, under
 	// Options.ParallelRound the chunk-frozen disk duals that serve as the
-	// drift baseline, and the polish passes' visiting order.
+	// drift baseline, and the polish passes' visiting order. The candidates
+	// share one incumbent (roundBest, its point in best); scratchBest is the
+	// best score a from-scratch candidate reached, which over the bound is
+	// the reference the next solve's resume is measured against (roundRef).
+	// While resuming is set the polish loop is working on the carried
+	// placement: it seeds each local search from the block itself (seedBuf)
+	// and leaves warmOpen alone.
 	roundSol    intSol
 	roundQ0     []float64
 	polishOrder []int
+	roundBest   float64
+	scratchBest float64
+	roundRef    float64
+	resuming    bool
+	seedBuf     []int32
 
 	// integerStepImproves scratch (round.go): per-row usage of the current
 	// and the candidate block, which side touched each row, and the touched
@@ -453,7 +465,7 @@ func SolveContext(ctx context.Context, inst *mip.Instance, opts Options) (*Resul
 	}
 	defer s.close()
 	res := s.run(ctx)
-	res.Warm.LP = packLP(inst, res.Sol)
+	res.Warm = s.exportWarm(res, res.Sol)
 	s.finishTrace(res)
 	return res, ctx.Err()
 }
@@ -476,7 +488,7 @@ func SolveIntegerContext(ctx context.Context, inst *mip.Instance, opts Options) 
 	res := s.run(ctx)
 	lpSol := res.Sol // round overwrites *res once it is done with the LP point
 	s.round(res)
-	res.Warm.LP = packLP(inst, lpSol)
+	res.Warm = s.exportWarm(res, lpSol)
 	s.finishTrace(res)
 	return res, ctx.Err()
 }
@@ -715,36 +727,18 @@ func (s *solver) mergeStats() {
 // and serves everything from there, then computes activities from scratch.
 // Under Options.Warm each video instead starts as far down the warm ladder
 // as the instance allows: its block of the carried LP point, else its
-// previous open set, else the cold init (see WarmState).
+// previous open set, else the cold init (see WarmState). The resumed rows of
+// one solve are carved from a single arena.
 func (s *solver) initSolution() {
 	s.sol = make([]blockSol, len(s.inst.Demands))
-	for vi := range s.inst.Demands {
-		if s.resumeBlock(vi) {
-			s.stats.ResumedVideos++
-			s.stats.WarmVideos++
-			continue
-		}
-		if open := s.warmVideoOpen(vi); open != nil {
-			s.seedWarmBlock(vi, open)
-			s.stats.WarmVideos++
-			continue
-		}
-		d := &s.inst.Demands[vi]
-		home := int32(vi % s.n)
-		var bestA float64 = -1
-		for k, a := range d.Agg {
-			if a > bestA {
-				bestA = a
-				home = d.Js[k]
-			}
-		}
-		bs := &s.sol[vi]
-		bs.open = []mip.Frac{{I: home, V: 1}}
-		bs.assign = make([][]mip.Frac, len(d.Js))
-		for k := range bs.assign {
-			bs.assign[k] = []mip.Frac{{I: home, V: 1}}
-		}
+	var arena []mip.Frac
+	if w := s.opts.Warm; w != nil && w.LP != nil {
+		arena = make([]mip.Frac, 0, len(w.LP.Frac))
 	}
+	s.stats.ResumedVideos, s.stats.WarmVideos = s.seedBlocks(func(vi int) (ok bool) {
+		arena, ok = s.resumeBlock(vi, arena)
+		return ok
+	})
 	s.recomputeState()
 }
 
@@ -1543,7 +1537,6 @@ func (s *solver) buildResult(passes int, converged bool) *Result {
 		Converged:  converged,
 		Stats:      s.stats,
 	}
-	res.Warm = s.exportWarm(res)
 	return res
 }
 

@@ -2,6 +2,7 @@ package epf
 
 import (
 	"math"
+	"math/rand"
 	"slices"
 	"sort"
 	"time"
@@ -13,9 +14,14 @@ import (
 // (the shared stack-wide value; see the tolerance block in internal/mip).
 const integralTol = mip.IntegralTol
 
-// debugRound, when non-nil, receives solver snapshots at rounding phase
-// boundaries (test instrumentation only).
-var debugRound func(stage string, s *solver)
+// Polish passes per candidate, alternating merit and potential: the two
+// from-scratch candidates have a whole rounding's worth of one-at-a-time
+// decisions to revisit; the carried placement was polished by the solve that
+// certified it and needs one pass of each to absorb a delta.
+const (
+	polishPasses = 6
+	resumePasses = 2
+)
 
 // roundChunk is the dual-refresh cadence of the rounding and polish loops:
 // link duals are recomputed once per chunk of this many videos, and under
@@ -99,6 +105,115 @@ func integralBlock(bs *blockSol) bool {
 // round performs the §V-D rounding pass on the solver's current point and
 // rewrites res with the integral placement.
 //
+// Up to three candidates are polished under one shared incumbent (the best
+// score any of them visited, considerIntegerIncumbent's yardstick):
+//
+//   - R, warm solves only: the integer placement the warm state carries —
+//     the one being served — loaded as is, scored, and given resumePasses
+//     polish passes to absorb whatever changed (resumePlacement).
+//   - A: forced rounding of the LP point, one video at a time against the
+//     live potential, then polishPasses passes.
+//   - B: threshold rounding of the LP point, polished the same way.
+//
+// R is accepted — A and B are skipped — when the incumbent's score over this
+// solve's lower bound is no worse than the carried reference: the same ratio
+// for the best of A and B the last time rounding ran from scratch
+// (WarmState.RoundRef). Both sides of the rule are numbers the solver already
+// computes, so there is no constant in it: a resumed placement has to be as
+// good, by the solver's own yardstick on its own bound, as a from-scratch
+// rounding was when one was last paid for. Otherwise the solver is put back
+// exactly where the LP phase left it and A and B run as they would have
+// without R, whose point stays a contender in the incumbent; the result is
+// never worse than theirs.
+func (s *solver) round(res *Result) {
+	roundStart := time.Now()
+	lpSol := res.Sol
+	s.roundBest, s.scratchBest = math.Inf(1), math.Inf(1)
+	if s.resumePlacement(lpSol) {
+		s.stats.RoundResumed = 1
+		s.roundRef = s.opts.Warm.RoundRef
+	} else {
+		s.roundFromScratch(lpSol)
+		s.roundRef = finiteOrZero(s.scratchBest / s.lb)
+		if s.stats.RoundCarried == 0 {
+			s.stats.RoundRatio = s.roundRef
+		}
+	}
+
+	if !math.IsInf(s.roundBest, 1) {
+		s.restoreBest()
+		s.recomputeState()
+	}
+
+	s.stats.RoundTime = time.Since(roundStart)
+	s.opts.Recorder.RecordSpan(s.opts.TraceStream, "rounding", s.stats.RoundTime)
+	rounded := s.buildResult(res.Passes, res.Converged)
+	rounded.Rounded = true
+	*res = *rounded
+}
+
+// finiteOrZero maps the ratios of a solve whose bound is 0 to "none".
+func finiteOrZero(x float64) float64 {
+	if math.IsNaN(x) || math.IsInf(x, 0) {
+		return 0
+	}
+	return x
+}
+
+// resumePlacement is candidate R: it loads the integer placement carried by
+// the warm state (per video, down the warm ladder: carried block, open-set
+// seed, cold copy), scores it before any visit, polishes it for resumePasses
+// and reports whether the incumbent meets the carried reference.
+//
+// A rejected R must cost its own visits and nothing else, so it works on
+// borrowed state: the visiting order comes from its own stream, the local
+// searches are seeded from the blocks themselves rather than warmOpen
+// (roundWarm, noteRoundSol), and the LP point, its activities and the
+// incremental path-dual baseline are put back before A and B start. Only the
+// incumbent keeps what R found.
+func (s *solver) resumePlacement(lpSol *mip.Solution) bool {
+	w := s.opts.Warm
+	if w == nil || w.Assign == nil || s.ctx.Err() != nil {
+		return false
+	}
+	act, obj := slices.Clone(s.act), s.obj
+	pathDualT, qPrev, pdInit, pdSince := slices.Clone(s.pathDualT), slices.Clone(s.qPrev), s.pdInit, s.pdSince
+
+	s.resuming = true
+	s.stats.RoundCarried, _ = s.seedBlocks(s.placeBlock)
+	accepted := false
+	if s.stats.RoundCarried > 0 {
+		s.stats.RoundRef = finiteOrZero(w.RoundRef)
+		s.recomputeState()
+		s.retuneScale()
+		s.considerIntegerIncumbent()
+		s.polishInteger(rand.New(rand.NewSource(^s.opts.Seed)), resumePasses)
+		ratio := s.roundBest / s.lb
+		s.stats.RoundRatio = finiteOrZero(ratio)
+		accepted = ratio <= w.RoundRef
+	}
+	s.resuming = false
+	if accepted {
+		return true
+	}
+
+	for vi := range s.sol {
+		bs, p := &s.sol[vi], &lpSol.Videos[vi]
+		bs.open = append(bs.open[:0], p.Open...)
+		for k := range bs.assign {
+			bs.assign[k] = append(bs.assign[k][:0], p.Assign[k]...)
+		}
+	}
+	copy(s.act, act)
+	s.obj = obj
+	copy(s.pathDualT, pathDualT)
+	copy(s.qPrev, qPrev)
+	s.pdInit, s.pdSince = pdInit, pdSince
+	return false
+}
+
+// roundFromScratch runs candidates A and B from the LP point.
+//
 // Videos whose y values are already integral are left untouched. The
 // remaining videos are processed in decreasing order of impact
 // (s^m·(1+Σ_j a_j^m)): each is re-solved as an *integer* facility-location
@@ -106,8 +221,7 @@ func integralBlock(bs *blockSol) bool {
 // in internal/facloc), then committed at full step so later videos see the
 // updated congestion. Duals are refreshed every rounding chunk; the paper
 // notes the whole pass costs about as much as one gradient-descent pass.
-func (s *solver) round(res *Result) {
-	roundStart := time.Now()
+func (s *solver) roundFromScratch(lpSol *mip.Solution) {
 	// Retarget the potential for the integer phase. The LP phase left
 	// B = LB and α tuned so the objective row competes with the capacity
 	// rows; integer granularity cannot hold the objective that close to the
@@ -163,13 +277,8 @@ func (s *solver) round(res *Result) {
 	}
 
 	s.retuneScale()
-	bestScore := math.Inf(1)
-	haveBest := false
-	s.considerIntegerIncumbent(&bestScore, &haveBest)
-	if debugRound != nil {
-		debugRound("after-forced-rounding", s)
-	}
-	s.polishInteger(&bestScore, &haveBest)
+	s.considerIntegerIncumbent()
+	s.polishInteger(s.rng, polishPasses)
 
 	// Second candidate: threshold rounding of the fractional point (open
 	// y ≥ ½ plus the argmax office, serve each office from its cheapest
@@ -177,28 +286,12 @@ func (s *solver) round(res *Result) {
 	// instances the potential-guided rounding can settle in a poor local
 	// optimum that this start escapes. Skipped entirely on cancellation —
 	// the first candidate's incumbent is the prompt answer.
-	if s.ctx.Err() == nil {
-		if s.loadThresholdRound(res.Sol) {
-			s.recomputeState()
-			s.retuneScale()
-			s.considerIntegerIncumbent(&bestScore, &haveBest)
-			if debugRound != nil {
-				debugRound("after-threshold-rounding", s)
-			}
-			s.polishInteger(&bestScore, &haveBest)
-		}
-	}
-
-	if haveBest {
-		s.restoreBest()
+	if s.ctx.Err() == nil && s.loadThresholdRound(lpSol) {
 		s.recomputeState()
+		s.retuneScale()
+		s.considerIntegerIncumbent()
+		s.polishInteger(s.rng, polishPasses)
 	}
-
-	s.stats.RoundTime = time.Since(roundStart)
-	s.opts.Recorder.RecordSpan(s.opts.TraceStream, "rounding", s.stats.RoundTime)
-	rounded := s.buildResult(res.Passes, res.Converged)
-	rounded.Rounded = true
-	*res = *rounded
 }
 
 // polishInteger runs integer polish passes on the current integral point:
@@ -207,16 +300,16 @@ func (s *solver) round(res *Result) {
 // Rounding decisions were made one video at a time, so early videos may sit
 // badly once later videos have landed (e.g. stacked on an office the duals
 // later discover is overfull); this is the integer analogue of a gradient
-// pass and costs about the same per pass.
-func (s *solver) polishInteger(bestScore *float64, haveBest *bool) {
-	const polishPasses = 6
+// pass and costs about the same per pass. The visiting order of each pass
+// is drawn from rng.
+func (s *solver) polishInteger(rng *rand.Rand, passes int) {
 	ws := s.scratch.Get(0)
 	order := s.polishOrder[:0]
 	for vi := range s.sol {
 		order = append(order, vi)
 	}
 	s.polishOrder = order
-	for pass := 0; pass < polishPasses; pass++ {
+	for pass := 0; pass < passes; pass++ {
 		if s.ctx.Err() != nil {
 			return
 		}
@@ -226,7 +319,7 @@ func (s *solver) polishInteger(bestScore *float64, haveBest *bool) {
 		// Alternating explores both sides of the trade; the incumbent keeps
 		// whichever visited point scores best.
 		useMerit := pass%2 == 0
-		s.rng.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
+		rng.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
 		changed := 0
 		for lo := 0; lo < len(order); lo += roundChunk {
 			if s.ctx.Err() != nil {
@@ -264,12 +357,9 @@ func (s *solver) polishInteger(bestScore *float64, haveBest *bool) {
 				s.addBlockRows(vi, bs, +1)
 				s.obj += s.blockCost(vi, bs) - oldCost
 			}
-			s.considerIntegerIncumbent(bestScore, haveBest)
+			s.considerIntegerIncumbent()
 		}
 		s.retuneScale()
-		if debugRound != nil {
-			debugRound("after-polish-pass", s)
-		}
 		if changed == 0 && !useMerit {
 			break
 		}
@@ -281,7 +371,16 @@ func (s *solver) polishInteger(bestScore *float64, haveBest *bool) {
 // and updated as rounding commits replacements. nil (cold two-start solve,
 // the pinned default behavior) outside cross-period warm mode — the
 // IncrementalPricing-only mode keeps its historical rounding trajectory.
+// While the carried placement is being resumed the start is the block's own
+// open set: the local search repairs the copies the video holds.
 func (s *solver) roundWarm(vi int) []int32 {
+	if s.resuming {
+		s.seedBuf = s.seedBuf[:0]
+		for _, f := range s.sol[vi].open {
+			s.seedBuf = append(s.seedBuf, f.I)
+		}
+		return s.seedBuf
+	}
 	if !s.warmRound || s.warmOpen == nil {
 		return nil
 	}
@@ -289,9 +388,11 @@ func (s *solver) roundWarm(vi int) []int32 {
 }
 
 // noteRoundSol records a committed rounding replacement as video vi's new
-// warm set, so later polish passes seed from the freshest placement.
+// warm set, so later polish passes seed from the freshest placement. A
+// resume reads its seeds off the blocks and writes nothing here, so the
+// from-scratch candidates find warmOpen as the descent left it.
 func (s *solver) noteRoundSol(vi int, ns *intSol) {
-	if !s.warmRound || s.warmOpen == nil {
+	if s.resuming || !s.warmRound || s.warmOpen == nil {
 		return
 	}
 	s.warmOpen[vi] = append(s.warmOpen[vi][:0], ns.open...)
@@ -340,8 +441,10 @@ func (s *solver) loadThresholdRound(frac *mip.Solution) bool {
 // considerIntegerIncumbent scores the current integer point — objective with
 // a steep penalty for coupling violations beyond ε — and snapshots it if it
 // beats the incumbent. The polish loop can wander (duals refresh between
-// chunks), so the best visited point, not the last, is returned.
-func (s *solver) considerIntegerIncumbent(bestScore *float64, haveBest *bool) {
+// chunks), so the best visited point, not the last, is returned. Scores
+// reached from scratch are also folded into scratchBest, the numerator of the
+// reference the next solve's resume has to meet.
+func (s *solver) considerIntegerIncumbent() {
 	dc, _ := s.maxCouplingViol()
 	over := dc - s.opts.Epsilon
 	if over < 0 {
@@ -355,10 +458,12 @@ func (s *solver) considerIntegerIncumbent(bestScore *float64, haveBest *bool) {
 	if s.obj <= 0 {
 		score = over // all-local placements compete on violation alone
 	}
-	if score < *bestScore {
-		*bestScore = score
+	if !s.resuming && score < s.scratchBest {
+		s.scratchBest = score
+	}
+	if score < s.roundBest {
+		s.roundBest = score
 		s.snapshotBest()
-		*haveBest = true
 	}
 }
 

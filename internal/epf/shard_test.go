@@ -149,8 +149,10 @@ func TestWarmStartShardInvariance(t *testing.T) {
 
 // A resumed re-solve keeps the determinism contract end to end: after a
 // demand patch, the warm integer solve — descent from the carried LP point,
-// predicted-drift rounding, and the LP point it exports in turn — is
-// bit-identical at any shard × worker count.
+// rounding resumed from the carried placement, and the state it exports in
+// turn — is bit-identical at any shard × worker count, whether the resume is
+// accepted or refused (pinned references force each: 2 is met by any sane
+// placement, 0 by none, so the from-scratch candidates run behind it).
 func TestResumeShardWorkerInvariance(t *testing.T) {
 	opts := func(shards, workers int) Options {
 		return Options{Seed: 5, MaxPasses: 60, Epsilon: 0.05, Shards: shards, Workers: workers,
@@ -168,20 +170,31 @@ func TestResumeShardWorkerInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	accepted, refused := *cold.Warm, *cold.Warm
+	accepted.RoundRef, refused.RoundRef = 2, 0
+	resumeInvariance(t, &accepted, "resumed", patched, opts)
+	resumeInvariance(t, &refused, "rejected", patched, opts)
+}
+
+func resumeInvariance(t *testing.T, w *WarmState, mode string, patched func() *mip.Instance, opts func(shards, workers int) Options) {
 	var base *Result
 	for _, cfg := range [][2]int{{1, 1}, {4, 3}, {7, 2}} {
 		o := opts(cfg[0], cfg[1])
-		o.Warm = cold.Warm
+		o.Warm = w
 		res, err := SolveInteger(patched(), o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Stats.ResumedVideos != 199 {
-			t.Errorf("shards=%d workers=%d: resumed %d videos, want 199 (one changed its offices)",
-				cfg[0], cfg[1], res.Stats.ResumedVideos)
+		if res.Stats.ResumedVideos != 199 || res.Stats.RoundCarried != 199 {
+			t.Errorf("shards=%d workers=%d: resumed %d videos, carried %d into rounding, want 199 (one changed its offices)",
+				cfg[0], cfg[1], res.Stats.ResumedVideos, res.Stats.RoundCarried)
 		}
 		if base == nil {
 			base = res
+			if res.Stats.RoundMode() != mode {
+				t.Errorf("reference %v: rounding %s (ratio %v), want %s",
+					w.RoundRef, res.Stats.RoundMode(), res.Stats.RoundRatio, mode)
+			}
 			continue
 		}
 		if res.Objective != base.Objective || res.LowerBound != base.LowerBound || res.Passes != base.Passes {
@@ -192,8 +205,13 @@ func TestResumeShardWorkerInvariance(t *testing.T) {
 		if !identicalDuals(base.RowDuals, res.RowDuals) || !identicalSolutions(base.Sol, res.Sol) {
 			t.Errorf("shards=%d workers=%d: duals or rounded solution differ from 1×1", cfg[0], cfg[1])
 		}
-		if !reflect.DeepEqual(base.Warm.LP, res.Warm.LP) {
-			t.Errorf("shards=%d workers=%d: exported LP point differs from 1×1", cfg[0], cfg[1])
+		if !reflect.DeepEqual(base.Warm.LP, res.Warm.LP) || !reflect.DeepEqual(base.Warm.Assign, res.Warm.Assign) ||
+			base.Warm.RoundRef != res.Warm.RoundRef {
+			t.Errorf("shards=%d workers=%d: exported LP point, placement or reference differs from 1×1", cfg[0], cfg[1])
+		}
+		if res.Stats.RoundResumed != base.Stats.RoundResumed || res.Stats.RoundRatio != base.Stats.RoundRatio {
+			t.Errorf("shards=%d workers=%d: rounding %s at ratio %v, 1×1 %s at %v", cfg[0], cfg[1],
+				res.Stats.RoundMode(), res.Stats.RoundRatio, base.Stats.RoundMode(), base.Stats.RoundRatio)
 		}
 		if res.Stats.RoundResolves != base.Stats.RoundResolves {
 			t.Errorf("shards=%d workers=%d: %d blocks priced live in rounding, 1×1 priced %d",

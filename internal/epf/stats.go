@@ -80,12 +80,44 @@ type Stats struct {
 	// block's turn came (Options.ParallelRound only). A video's own removal
 	// usually drifts its office's dual, so this is close to every block.
 	RoundResolves int64
+	// RoundCarried counts the videos whose block the rounding phase loaded
+	// from the integer placement carried by the warm state (WarmState.Assign)
+	// before polishing it; the rest of the catalog was re-seeded from its open
+	// set. Zero when the state carried no placement and rounding started from
+	// scratch without trying.
+	RoundCarried int
+	// RoundResumed is 1 when the polished carried placement met the carried
+	// reference and the from-scratch candidates were skipped, 0 when rounding
+	// ran in full — RoundCarried > 0 then says a resume was tried and refused.
+	RoundResumed int
+	// RoundRef is the reference the resume was measured against
+	// (WarmState.RoundRef; 0 when none was tried) and RoundRatio the
+	// incumbent's score over the solve's lower bound when the rounding was
+	// decided: at the end of the resume's polish when one was tried —
+	// accepted when RoundRatio ≤ RoundRef, refused by the margin between them
+	// — and at the end of a full rounding, where it is the reference the
+	// next solve inherits.
+	RoundRef   float64
+	RoundRatio float64
 	// ReduceTime is wall time spent in driver-side reductions of per-block
 	// results: activity/objective rebuilds, Lagrangian term sums, and
 	// subgradient accumulation. A subset of LPTime (and of RoundTime for the
 	// rebuilds rounding triggers); it is the serial-residue figure the
 	// multi-core audit tracks.
 	ReduceTime time.Duration
+}
+
+// RoundMode names which rounding ran: "resumed" (the carried placement met
+// its reference), "rejected" (it was tried and refused; the from-scratch
+// candidates ran too) or "full" (nothing was carried to try).
+func (st Stats) RoundMode() string {
+	switch {
+	case st.RoundResumed == 1:
+		return "resumed"
+	case st.RoundCarried > 0:
+		return "rejected"
+	}
+	return "full"
 }
 
 // String renders a compact multi-line report, the -v output of the CLIs.
@@ -120,6 +152,10 @@ func (st Stats) String() string {
 	}
 	if st.RoundResolves > 0 {
 		fmt.Fprintf(&b, "rounding re-solves: %d\n", st.RoundResolves)
+	}
+	if st.RoundCarried > 0 {
+		fmt.Fprintf(&b, "rounding %s: %d videos carried, ratio %.4f, reference %.4f\n",
+			st.RoundMode(), st.RoundCarried, st.RoundRatio, st.RoundRef)
 	}
 	fmt.Fprintf(&b, "scratch: %d allocs, %d reuses\n", st.ScratchAllocs, st.ScratchReuses)
 	fmt.Fprintf(&b, "time: init %.2fs, lp %.2fs, rounding %.2fs (reduce %.2fs)",

@@ -43,12 +43,13 @@ type WarmLP struct {
 
 // WarmState is the cross-period carryover exported on every Result: the
 // final Lagrangian row duals, the descent's final penalty scale, a
-// line-search step hint, the fractional point the LP descent ended on, and
-// each video's final open office set keyed by the catalog's stable video ID.
-// A later solve over a shifted instance accepts it via Options.Warm and
-// resumes from it: its initial point, its initial lower bound and its
-// facility-location local searches all start where the previous solve
-// stopped.
+// line-search step hint, the fractional point the LP descent ended on, each
+// video's final open office set keyed by the catalog's stable video ID and,
+// after SolveInteger, the integer placement itself with the yardstick it was
+// accepted by. A later solve over a shifted instance accepts it via
+// Options.Warm and resumes from it: its initial point, its initial lower
+// bound, its facility-location local searches and its rounding all start
+// where the previous solve stopped.
 //
 // Staleness rules: the dual vector is used only when its dimension matches
 // the new instance's coupling rows exactly (same office count, link count
@@ -61,6 +62,13 @@ type WarmLP struct {
 // edits degrade gracefully, one video at a time. A warm solve is therefore
 // always well-formed; warmth only changes the starting point, and every
 // bound it reports is re-derived on the new instance.
+//
+// Rounding resumes the same way (round.go, candidate R): each video's carried
+// integer block — Open plus its Assign rows — is loaded when the video would
+// also resume its LP block and every assignment is to one of its open
+// offices, else the video drops down the same ladder. Every carried array is
+// bounds-checked per video, so a truncated or foreign state costs the videos
+// it garbles their resume and nothing else.
 //
 // A WarmState is read-only to the solve consuming it: the solver copies out
 // of it and never writes, so one state can seed a retry after a rejected
@@ -87,6 +95,19 @@ type WarmState struct {
 	// (for SolveInteger, the point rounding started from). Nil on states
 	// assembled by hand; every block then starts from its open set.
 	LP *WarmLP
+	// Assign is the integer placement's assignment, flat on LP's row index:
+	// Assign[r] is the office serving the demand office LP.J[r], -1 on a
+	// video's open row (its copies are WarmVideo.Open). 4 B per row, ≈ 75 KB
+	// at 2000 videos. Nil unless SolveInteger produced the state; rounding
+	// then starts from scratch.
+	Assign []int32
+	// RoundRef is the rounding reference: incumbent score ÷ lower bound of
+	// the best from-scratch candidate, from the most recent rounding that ran
+	// from scratch. A resumed rounding is accepted when its own ratio is no
+	// worse, and hands the reference on unchanged, so a chain of resumed
+	// rounds is always measured against a full one and cannot ratchet. 0 when
+	// there is none (no rounding ran, or the bound was 0): never accepted.
+	RoundRef float64
 	// Shards records the producing solve's shard layout (video-index ranges,
 	// in order). Purely informational carryover for telemetry and debugging:
 	// consuming solves resolve their own layout from their instance and
@@ -101,16 +122,18 @@ type WarmShard struct {
 	Lo, Hi int
 }
 
-// exportWarm captures the solver's final state as a WarmState. Called from
-// buildResult on every solve (cold or warm) so any Result can seed the next
-// period; the export reads only driver-goroutine state and never feeds back
-// into the producing solve. The LP point is attached by the entry points
-// (packLP), once the phase that owns it is over.
-func (s *solver) exportWarm(res *Result) *WarmState {
+// exportWarm captures the solver's final state as a WarmState, once per
+// solve, from the entry points: any Result can seed the next period. lpSol is
+// the LP-phase solution the descent already built (Result.Sol itself after
+// Solve; the point rounding started from after SolveInteger), flattened here
+// rather than snapshotted again. The export reads only driver-goroutine state
+// and never feeds back into the producing solve.
+func (s *solver) exportWarm(res *Result, lpSol *mip.Solution) *WarmState {
 	w := &WarmState{
 		RowDuals: res.RowDuals,
 		Delta:    s.lpDelta,
 		Videos:   make(map[int]WarmVideo, len(s.sol)),
+		LP:       packLP(s.inst, lpSol),
 		Shards:   make([]WarmShard, len(s.shards)),
 	}
 	for si, sp := range s.shards {
@@ -126,13 +149,36 @@ func (s *solver) exportWarm(res *Result) *WarmState {
 		}
 		w.Videos[s.inst.Demands[vi].Video] = WarmVideo{Open: open, Pos: int32(vi)}
 	}
+	if res.Rounded {
+		w.Assign = s.packAssign(w.LP)
+		w.RoundRef = s.roundRef
+	}
 	return w
 }
 
-// packLP flattens the LP-phase solution sol into a WarmLP. The entry points
-// hand it the Result.Sol the descent already built — after rounding is done
-// with it, in SolveInteger — so carrying the point costs one flat copy and
-// no second snapshot of the solver state.
+// packAssign flattens the final integer assignment onto lp's row index (see
+// WarmState.Assign). A row a cancelled rounding left fractional carries its
+// largest share; the loader falls back if that office is not open.
+func (s *solver) packAssign(lp *WarmLP) []int32 {
+	out := make([]int32, len(lp.J))
+	for vi := range s.sol {
+		r := int(lp.Row[vi])
+		out[r] = -1
+		for k, fr := range s.sol[vi].assign {
+			var best mip.Frac
+			for _, f := range fr {
+				if f.V > best.V {
+					best = f
+				}
+			}
+			out[r+1+k] = best.I
+		}
+	}
+	return out
+}
+
+// packLP flattens the LP-phase solution sol into a WarmLP: one flat copy of
+// the Result.Sol the descent already built.
 func packLP(inst *mip.Instance, sol *mip.Solution) *WarmLP {
 	rows, fracs := 0, 0
 	for vi := range sol.Videos {
@@ -167,33 +213,94 @@ func packLP(inst *mip.Instance, sol *mip.Solution) *WarmLP {
 	return lp
 }
 
-// resumeBlock loads block vi from the carried LP point, copying out of the
-// warm state. It reports false — block untouched — when there is no point
-// for this video: no LP carried, a different office count, an unknown video
-// ID, or demand offices that are no longer the ones the point was built for.
-func (s *solver) resumeBlock(vi int) bool {
+// carriedRows locates video vi's rows [lo, hi) of the carried LP point — the
+// open row, then one row per demand office. It reports false when the state
+// has no rows this instance can use for the video: no LP carried, a different
+// office count, an unknown video ID, a position or row range outside the
+// carried arrays, or demand offices that are no longer the ones the point was
+// built for.
+func (s *solver) carriedRows(vi int) (lo, hi int, ok bool) {
 	w := s.opts.Warm
 	if w == nil || w.LP == nil || w.LP.Offices != s.n {
-		return false
+		return 0, 0, false
 	}
 	lp := w.LP
 	d := &s.inst.Demands[vi]
-	wv, ok := w.Videos[d.Video]
-	if !ok || wv.Pos < 0 || int(wv.Pos)+1 >= len(lp.Row) {
-		return false
+	wv, found := w.Videos[d.Video]
+	if !found || wv.Pos < 0 || int(wv.Pos)+1 >= len(lp.Row) {
+		return 0, 0, false
 	}
-	lo, hi := int(lp.Row[wv.Pos]), int(lp.Row[wv.Pos+1])
-	if hi-lo != 1+len(d.Js) || !slices.Equal(lp.J[lo+1:hi], d.Js) {
-		return false
+	lo, hi = int(lp.Row[wv.Pos]), int(lp.Row[wv.Pos+1])
+	if lo < 0 || hi > len(lp.J) || hi-lo != 1+len(d.Js) || !slices.Equal(lp.J[lo+1:hi], d.Js) {
+		return 0, 0, false
+	}
+	return lo, hi, true
+}
+
+// resumeBlock loads block vi from the carried LP point, copying out of the
+// warm state into arena (returned, grown). It reports false — block untouched
+// — when there is no point for this video (carriedRows) or its entries fall
+// outside the carried arena or the office range. Every row is carved at full
+// capacity, so a later append in mixBlock reallocates that row instead of
+// spilling into its neighbour.
+func (s *solver) resumeBlock(vi int, arena []mip.Frac) ([]mip.Frac, bool) {
+	lo, hi, ok := s.carriedRows(vi)
+	if !ok {
+		return arena, false
+	}
+	lp := s.opts.Warm.LP
+	if hi >= len(lp.Off) || lp.Off[lo] < 0 || int(lp.Off[hi]) > len(lp.Frac) ||
+		!slices.IsSorted(lp.Off[lo:hi+1]) {
+		return arena, false
+	}
+	for _, f := range lp.Frac[lp.Off[lo]:lp.Off[hi]] {
+		if f.I < 0 || int(f.I) >= s.n {
+			return arena, false
+		}
 	}
 	row := func(r int) []mip.Frac {
-		return append([]mip.Frac(nil), lp.Frac[lp.Off[r]:lp.Off[r+1]]...)
+		at := len(arena)
+		arena = append(arena, lp.Frac[lp.Off[r]:lp.Off[r+1]]...)
+		return arena[at:len(arena):len(arena)]
 	}
 	bs := &s.sol[vi]
 	bs.open = row(lo)
-	bs.assign = make([][]mip.Frac, len(d.Js))
+	bs.assign = make([][]mip.Frac, hi-lo-1)
 	for k := range bs.assign {
 		bs.assign[k] = row(lo + 1 + k)
+	}
+	return arena, true
+}
+
+// placeBlock loads block vi from the carried integer placement: the video's
+// open set at full copies and each demand office served from its carried
+// assignment. It reports false — block untouched — when the video would not
+// resume its LP block either (carriedRows), the assignment array is shorter
+// than the rows, the open set is unusable, or a row is assigned to an office
+// that holds no copy.
+func (s *solver) placeBlock(vi int) bool {
+	lo, hi, ok := s.carriedRows(vi)
+	w := s.opts.Warm
+	if !ok || hi > len(w.Assign) {
+		return false
+	}
+	open := s.warmVideoOpen(vi)
+	if open == nil {
+		return false
+	}
+	assign := w.Assign[lo+1 : hi]
+	for _, i := range assign {
+		if !slices.Contains(open, i) {
+			return false
+		}
+	}
+	bs := &s.sol[vi]
+	bs.open = bs.open[:0]
+	for _, i := range open {
+		bs.open = append(bs.open, mip.Frac{I: i, V: 1})
+	}
+	for k, i := range assign {
+		bs.assign[k] = append(bs.assign[k][:0], mip.Frac{I: i, V: 1})
 	}
 	return true
 }
@@ -220,8 +327,9 @@ func warmOpenSet(open []mip.Frac) []int32 {
 }
 
 // warmVideoOpen returns the valid warm open set for video index vi, or nil
-// when the warm state has none (unknown ID, or offices outside [0, n) from a
-// topology change) — the per-video cold fallback.
+// when the warm state has none (unknown ID, offices outside [0, n) from a
+// topology change, or a list that is not strictly ascending) — the per-video
+// cold fallback.
 func (s *solver) warmVideoOpen(vi int) []int32 {
 	w := s.opts.Warm
 	if w == nil {
@@ -231,8 +339,8 @@ func (s *solver) warmVideoOpen(vi int) []int32 {
 	if !ok || len(wv.Open) == 0 {
 		return nil
 	}
-	for _, i := range wv.Open {
-		if i < 0 || int(i) >= s.n {
+	for x, i := range wv.Open {
+		if i < 0 || int(i) >= s.n || (x > 0 && i <= wv.Open[x-1]) {
 			return nil
 		}
 	}
@@ -242,7 +350,8 @@ func (s *solver) warmVideoOpen(vi int) []int32 {
 // seedWarmBlock initializes block vi from the warm open set: every listed
 // office holds a full copy and each demand office is served from its
 // cheapest open copy (lowest index on ties, matching the deterministic scan
-// order used everywhere else).
+// order used everywhere else). Rows are written in place, so the rounding
+// phase can re-seed a block the descent has used.
 func (s *solver) seedWarmBlock(vi int, open []int32) {
 	d := &s.inst.Demands[vi]
 	bs := &s.sol[vi]
@@ -250,7 +359,9 @@ func (s *solver) seedWarmBlock(vi int, open []int32) {
 	for _, i := range open {
 		bs.open = append(bs.open, mip.Frac{I: i, V: 1})
 	}
-	bs.assign = make([][]mip.Frac, len(d.Js))
+	if bs.assign == nil {
+		bs.assign = make([][]mip.Frac, len(d.Js))
+	}
 	n := s.n
 	for k := range bs.assign {
 		col := s.costT[int(d.Js[k])*n : (int(d.Js[k])+1)*n]
@@ -261,8 +372,43 @@ func (s *solver) seedWarmBlock(vi int, open []int32) {
 				bc, bi = col[i], i
 			}
 		}
-		bs.assign[k] = []mip.Frac{{I: bi, V: 1}}
+		bs.assign[k] = append(bs.assign[k][:0], mip.Frac{I: bi, V: 1})
 	}
+}
+
+// seedColdBlock is the bottom of the ladder, and every block's start on a
+// cold solve: one copy at the video's highest-demand office, serving
+// everything.
+func (s *solver) seedColdBlock(vi int) {
+	d := &s.inst.Demands[vi]
+	home := int32(vi % s.n)
+	var bestA float64 = -1
+	for k, a := range d.Agg {
+		if a > bestA {
+			bestA = a
+			home = d.Js[k]
+		}
+	}
+	s.seedWarmBlock(vi, []int32{home})
+}
+
+// seedBlocks initializes every block down the warm ladder — load (the
+// carried LP block for the descent, the carried integer block for rounding),
+// else the carried open set, else the cold single copy — and reports how many
+// took the first rung and how many either warm one.
+func (s *solver) seedBlocks(load func(vi int) bool) (loaded, warm int) {
+	for vi := range s.sol {
+		if load(vi) {
+			loaded++
+			warm++
+		} else if open := s.warmVideoOpen(vi); open != nil {
+			s.seedWarmBlock(vi, open)
+			warm++
+		} else {
+			s.seedColdBlock(vi)
+		}
+	}
+	return loaded, warm
 }
 
 // seedWarmDescent folds the warm state into the freshly initialized descent:

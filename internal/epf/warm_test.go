@@ -219,6 +219,10 @@ func TestColdPathUnchangedByWarmPlumbing(t *testing.T) {
 	if a.Stats.WarmVideos != 0 || a.Stats.ResumedVideos != 0 {
 		t.Errorf("cold solve reports WarmVideos = %d, ResumedVideos = %d", a.Stats.WarmVideos, a.Stats.ResumedVideos)
 	}
+	if st := a.Stats; st.RoundCarried != 0 || st.RoundResumed != 0 || st.RoundRef != 0 || st.RoundMode() != "full" {
+		t.Errorf("cold solve reports a %s rounding: %d carried, resumed %d, reference %v",
+			st.RoundMode(), st.RoundCarried, st.RoundResumed, st.RoundRef)
+	}
 	// Carrying the LP point out is inert too: both exports describe the same
 	// point, and it is a copy — the result's own solution does not alias it.
 	if !reflect.DeepEqual(a.Warm.LP, b.Warm.LP) {
@@ -227,8 +231,37 @@ func TestColdPathUnchangedByWarmPlumbing(t *testing.T) {
 	for i := range a.Warm.LP.Frac {
 		a.Warm.LP.Frac[i].V = -1
 	}
+	// So is carrying the integer placement: one office per LP row, each row
+	// on an office the video holds, under the ratio the rounding reported.
+	if !slices.Equal(a.Warm.Assign, b.Warm.Assign) || a.Warm.RoundRef != b.Warm.RoundRef {
+		t.Error("cold solves of one instance exported different placements or references")
+	}
+	if a.Warm.RoundRef != a.Stats.RoundRatio || a.Warm.RoundRef < 1 {
+		t.Errorf("cold solve hands on reference %v at ratio %v", a.Warm.RoundRef, a.Stats.RoundRatio)
+	}
+	if len(a.Warm.Assign) != len(a.Warm.LP.J) {
+		t.Fatalf("placement covers %d rows, the LP point has %d", len(a.Warm.Assign), len(a.Warm.LP.J))
+	}
+	for vi := range inst.Demands {
+		r := int(a.Warm.LP.Row[vi])
+		if a.Warm.Assign[r] != -1 {
+			t.Fatalf("video %d: open row carries office %d", vi, a.Warm.Assign[r])
+		}
+		for k, fr := range a.Sol.Videos[vi].Assign {
+			if len(fr) != 1 || fr[0].I != a.Warm.Assign[r+1+k] {
+				t.Fatalf("video %d row %d: solution serves from %+v, placement carries %d", vi, k, fr, a.Warm.Assign[r+1+k])
+			}
+		}
+	}
+	for i := range a.Warm.Assign {
+		a.Warm.Assign[i] = -7
+	}
 	if !identicalSolutions(a.Sol, b.Sol) {
-		t.Error("scribbling over the exported LP point changed the result's solution")
+		t.Error("scribbling over the exported state changed the result's solution")
+	}
+	// An LP solve has no placement to hand on.
+	if lp := mustSolve(t, inst, Options{Seed: 9, MaxPasses: 200}); lp.Warm.Assign != nil || lp.Warm.RoundRef != 0 {
+		t.Errorf("Solve exported a placement (%d rows) or a reference (%v)", len(lp.Warm.Assign), lp.Warm.RoundRef)
 	}
 }
 
@@ -415,6 +448,7 @@ func TestResumeFallsBackPerVideo(t *testing.T) {
 func cloneWarm(w *WarmState) *WarmState {
 	c := *w
 	c.RowDuals = slices.Clone(w.RowDuals)
+	c.Assign = slices.Clone(w.Assign)
 	c.Shards = slices.Clone(w.Shards)
 	c.Videos = make(map[int]WarmVideo, len(w.Videos))
 	for id, wv := range w.Videos {

@@ -155,6 +155,9 @@ type Event struct {
 	SolveMS      float64 `json:"solvems"`
 	LPMS         float64 `json:"lpms"`
 	RoundMS      float64 `json:"roundms"`
+	Round        string  `json:"round"`
+	RoundRatio   float64 `json:"roundratio"`
+	RoundRef     float64 `json:"roundref"`
 	AuditMS      float64 `json:"auditms"`
 	BuildMS      float64 `json:"buildms"`
 	RDelta       int64   `json:"rdelta"`

@@ -33,11 +33,21 @@ type ServeResolve struct {
 	// descent and the integer rounding + polish); the remainder is set-up.
 	LPMS    float64 `json:"lpms"`
 	RoundMS float64 `json:"roundms"`
-	AuditMS float64 `json:"auditms"` // done: certification wall time
-	BuildMS float64 `json:"buildms"` // done, swapped: snapshot build+publish wall time
-	Dirty   int     `json:"dirty"`   // done: demand-dirty videos this attempt resolved
-	Rebuilt int64   `json:"rebuilt"` // done, swapped: route rows recomputed (vs copied) by the snapshot build
-	TMS     float64 `json:"tms"`     // ms since recorder start (stamped by the recorder)
+	// Round says which rounding ran: "resumed" (the served placement,
+	// polished, met its reference and nothing was rounded from scratch),
+	// "rejected" (it was tried and refused, so the from-scratch candidates
+	// ran too) or "full" (there was nothing to resume). RoundRatio is the
+	// incumbent's score over the solve's lower bound when that was decided
+	// and RoundRef the reference a resume had to meet (0 when none was
+	// tried): a resume is refused because RoundRatio came out above RoundRef.
+	Round      string  `json:"round"`
+	RoundRatio float64 `json:"roundratio"`
+	RoundRef   float64 `json:"roundref"`
+	AuditMS    float64 `json:"auditms"` // done: certification wall time
+	BuildMS    float64 `json:"buildms"` // done, swapped: snapshot build+publish wall time
+	Dirty      int     `json:"dirty"`   // done: demand-dirty videos this attempt resolved
+	Rebuilt    int64   `json:"rebuilt"` // done, swapped: route rows recomputed (vs copied) by the snapshot build
+	TMS        float64 `json:"tms"`     // ms since recorder start (stamped by the recorder)
 }
 
 // ServeSwap is one published snapshot: the moment the serving plane's
@@ -95,6 +105,12 @@ func (r *Recorder) RecordServeResolve(e ServeResolve) {
 			b = appendFloat(b, ",\"solvems\":", e.SolveMS)
 			b = appendFloat(b, ",\"lpms\":", e.LPMS)
 			b = appendFloat(b, ",\"roundms\":", e.RoundMS)
+			if e.Round != "" {
+				b = append(b, ",\"round\":"...)
+				b = appendJSONString(b, e.Round)
+				b = appendFloat(b, ",\"roundratio\":", e.RoundRatio)
+				b = appendFloat(b, ",\"roundref\":", e.RoundRef)
+			}
 			b = appendFloat(b, ",\"auditms\":", e.AuditMS)
 			b = appendFloat(b, ",\"buildms\":", e.BuildMS)
 			b = appendInt(b, ",\"dirty\":", int64(e.Dirty))

@@ -16,7 +16,7 @@ func TestServeEventsRoundTrip(t *testing.T) {
 	r.RecordServeResolve(ServeResolve{
 		Phase: "done", Version: 2, Trigger: "demand", Verdict: "swapped",
 		WarmFrac: 0.75, ResumedFrac: 0.5, Passes: 12, SolveMS: 34.5, AuditMS: 1.25, BuildMS: 0.5,
-		LPMS: 4.5, RoundMS: 29,
+		LPMS: 4.5, RoundMS: 29, Round: "rejected", RoundRatio: 1.24, RoundRef: 1.117,
 	})
 	r.RecordServeResolve(ServeResolve{
 		Phase: "done", Version: 3, Trigger: "demand", Verdict: "audit_rejected",
@@ -45,11 +45,12 @@ func TestServeEventsRoundTrip(t *testing.T) {
 	done := events[1]
 	if done.Phase != "done" || done.Verdict != "swapped" || done.WarmFrac != 0.75 || done.ResumedFrac != 0.5 ||
 		done.Passes != 12 || done.SolveMS != 34.5 || done.AuditMS != 1.25 || done.BuildMS != 0.5 ||
-		done.LPMS != 4.5 || done.RoundMS != 29 {
+		done.LPMS != 4.5 || done.RoundMS != 29 ||
+		done.Round != "rejected" || done.RoundRatio != 1.24 || done.RoundRef != 1.117 {
 		t.Errorf("done event %+v", done)
 	}
 	rej := events[2]
-	if rej.Verdict != "audit_rejected" || rej.Reason != "audit: coupling row violated" {
+	if rej.Verdict != "audit_rejected" || rej.Reason != "audit: coupling row violated" || rej.Round != "" {
 		t.Errorf("reject event %+v", rej)
 	}
 	swap := events[3]

@@ -215,7 +215,14 @@ type statusJSON struct {
 	// ResumedFrac is the fraction of the last swapped-in solve's videos that
 	// started from the previous solve's LP point (0 for the initial solve).
 	ResumedFrac float64 `json:"resumed_frac"`
-	LastReject  string  `json:"last_reject"`
+	// LastRound says which rounding the last swapped-in solve ran —
+	// "resumed", "rejected" or "full" (obs.ServeResolve.Round) — the
+	// incumbent-over-bound ratio it was decided at and the reference a
+	// resume had to meet (0: none tried).
+	LastRound      string  `json:"last_round"`
+	LastRoundRatio float64 `json:"last_round_ratio"`
+	LastRoundRef   float64 `json:"last_round_ref"`
+	LastReject     string  `json:"last_reject"`
 
 	RouteRequests int64 `json:"route_requests"`
 	RouteErrors   int64 `json:"route_errors"`
@@ -241,25 +248,29 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	lastPasses, lastGap, lastReject, lastResumed := s.lastPasses, s.lastGap, s.lastReject, s.lastResumed
 	lastLPMS, lastRoundMS := s.lastLPMS, s.lastRoundMS
+	lastRound, lastRoundRatio, lastRoundRef := s.lastRound, s.lastRoundRatio, s.lastRoundRef
 	s.mu.Unlock()
 	out := statusJSON{
-		Version:       snap.Version,
-		Certified:     snap.Certified,
-		BuiltUnix:     snap.BuiltAt.Unix(),
-		AgeSeconds:    time.Since(snap.BuiltAt).Seconds(),
-		Videos:        snap.NumVideos(),
-		VHOs:          snap.NumVHOs(),
-		Links:         snap.Inst.G.NumLinks(),
-		Slices:        snap.Inst.Slices,
-		LastPasses:    lastPasses,
-		LastGapPct:    100 * lastGap,
-		LastLPMS:      lastLPMS,
-		LastRoundMS:   lastRoundMS,
-		ResumedFrac:   lastResumed,
-		LastReject:    lastReject,
-		RouteRequests: s.routeRequests.Value(),
-		RouteErrors:   s.routeErrors.Value(),
-		DemandUpdates: s.demandUpdates.Value(),
+		Version:        snap.Version,
+		Certified:      snap.Certified,
+		BuiltUnix:      snap.BuiltAt.Unix(),
+		AgeSeconds:     time.Since(snap.BuiltAt).Seconds(),
+		Videos:         snap.NumVideos(),
+		VHOs:           snap.NumVHOs(),
+		Links:          snap.Inst.G.NumLinks(),
+		Slices:         snap.Inst.Slices,
+		LastPasses:     lastPasses,
+		LastGapPct:     100 * lastGap,
+		LastLPMS:       lastLPMS,
+		LastRoundMS:    lastRoundMS,
+		ResumedFrac:    lastResumed,
+		LastRound:      lastRound,
+		LastRoundRatio: lastRoundRatio,
+		LastRoundRef:   lastRoundRef,
+		LastReject:     lastReject,
+		RouteRequests:  s.routeRequests.Value(),
+		RouteErrors:    s.routeErrors.Value(),
+		DemandUpdates:  s.demandUpdates.Value(),
 	}
 	out.Resolves.Started = s.resolvesStarted.Value()
 	out.Resolves.Swapped = s.resolvesSwapped.Value()

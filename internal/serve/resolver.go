@@ -160,6 +160,7 @@ func (s *Server) resolveOnce(ctx context.Context) (*Snapshot, error) {
 	if res != nil {
 		done.Passes = res.Passes
 		done.LPMS, done.RoundMS = durMS(res.Stats.LPTime), durMS(res.Stats.RoundTime)
+		done.Round, done.RoundRatio, done.RoundRef = res.Stats.RoundMode(), res.Stats.RoundRatio, res.Stats.RoundRef
 		if nv := len(inst.Demands); nv > 0 {
 			done.WarmFrac = float64(res.Stats.WarmVideos) / float64(nv)
 			done.ResumedFrac = float64(res.Stats.ResumedVideos) / float64(nv)
@@ -223,6 +224,7 @@ func (s *Server) resolveOnce(ctx context.Context) (*Snapshot, error) {
 	s.lastPasses = res.Passes
 	s.lastResumed = done.ResumedFrac
 	s.lastLPMS, s.lastRoundMS = done.LPMS, done.RoundMS
+	s.lastRound, s.lastRoundRatio, s.lastRoundRef = done.Round, done.RoundRatio, done.RoundRef
 	s.lastGap = res.Gap
 	// The published snapshot now reflects every row dirtied so far.
 	clear(s.snapDirty)

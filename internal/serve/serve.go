@@ -92,8 +92,8 @@ type Server struct {
 	// stick to live without publishing — and is cleared on a swap. It is
 	// the invalidation list handed to the incremental snapshot build.
 	snapDirty map[int]struct{}
-	// lastPasses/lastGap/lastResumed/lastLPMS/lastRoundMS describe the most
-	// recent swapped-in solve; lastReject the most recent rejected one (""
+	// lastPasses/lastGap/lastResumed/lastLPMS/lastRoundMS/lastRound* describe
+	// the most recent swapped-in solve; lastReject the most recent rejected one (""
 	// until a re-solve is rejected). Both survive across swaps so /status
 	// always explains the last anomaly.
 	lastPasses  int
@@ -102,6 +102,10 @@ type Server struct {
 	lastLPMS    float64
 	lastRoundMS float64
 	lastReject  string
+	// lastRound is which rounding that solve ran ("full" for the initial
+	// one), with the ratio it reached and the reference a resume had to meet.
+	lastRound                    string
+	lastRoundRatio, lastRoundRef float64
 
 	resolveCh   chan struct{}
 	cancel      context.CancelFunc
@@ -196,10 +200,11 @@ func NewWithResult(inst *mip.Instance, res *epf.Result, cfg Config) (*Server, er
 		lastGap:     res.Gap,
 		lastLPMS:    durMS(res.Stats.LPTime),
 		lastRoundMS: durMS(res.Stats.RoundTime),
-		resolveCh:   make(chan struct{}, 1),
-		cancel:      cancel,
-		done:        make(chan struct{}),
-		metrics:     m,
+		lastRound:   res.Stats.RoundMode(), lastRoundRatio: res.Stats.RoundRatio, lastRoundRef: res.Stats.RoundRef,
+		resolveCh: make(chan struct{}, 1),
+		cancel:    cancel,
+		done:      make(chan struct{}),
+		metrics:   m,
 
 		routeRequests:   m.Counter("serve.route_requests"),
 		routeErrors:     m.Counter("serve.route_errors"),

@@ -65,6 +65,12 @@ func TestServeLifecycleTrace(t *testing.T) {
 	if st.ResumedFrac <= 0 || st.ResumedFrac > 1 {
 		t.Errorf("/status resumed_frac %v after a warm re-solve, want in (0, 1]", st.ResumedFrac)
 	}
+	// The re-solve tried to resume the served placement, and /status says
+	// how that went: the mode, the ratio it reached, the reference it faced.
+	if (st.LastRound != "resumed" && st.LastRound != "rejected") || st.LastRoundRatio < 1 || st.LastRoundRef < 1 ||
+		(st.LastRound == "resumed") != (st.LastRoundRatio <= st.LastRoundRef) {
+		t.Errorf("/status last_round %q ratio %v ref %v after a warm re-solve", st.LastRound, st.LastRoundRatio, st.LastRoundRef)
+	}
 	s.Close() // quiesce the resolver before reading the trace
 	if err := rec.Flush(); err != nil {
 		t.Fatal(err)
@@ -94,7 +100,8 @@ func TestServeLifecycleTrace(t *testing.T) {
 				swapped++
 				if e.SolveMS <= 0 || e.Passes <= 0 || e.Reason != "" ||
 					e.LPMS <= 0 || e.RoundMS <= 0 || e.LPMS+e.RoundMS > e.SolveMS ||
-					e.ResumedFrac <= 0 || e.ResumedFrac > e.WarmFrac {
+					e.ResumedFrac <= 0 || e.ResumedFrac > e.WarmFrac ||
+					(e.Round != "resumed" && e.Round != "rejected") || e.RoundRatio < 1 || e.RoundRef < 1 {
 					t.Errorf("swapped done %+v", e)
 				}
 			}

@@ -281,3 +281,141 @@ func FuzzFacloc(f *testing.F) {
 		}
 	})
 }
+
+// mutateWarm applies one fuzz-chosen corruption to a deep copy's worth of
+// warm state: the shapes a truncated file, a state from another catalog or
+// topology, or a bit flip would produce.
+func mutateWarm(w *epf.WarmState, ids []int, kind, at, val uint8) {
+	pick := func(n int) int { return int(at) % max(n, 1) }
+	office := int32(int8(val)) // −128..127: in range, out of range, negative
+	switch kind % 9 {
+	case 0:
+		w.Assign = w.Assign[:pick(len(w.Assign)+1)]
+	case 1:
+		for x := 0; x < int(val)%5+1; x++ {
+			w.Assign = append(w.Assign, office)
+		}
+	case 2:
+		if len(w.Assign) > 0 {
+			w.Assign[pick(len(w.Assign))] = office
+		}
+	case 3:
+		a, b := ids[pick(len(ids))], ids[int(val)%len(ids)]
+		va, vb := w.Videos[a], w.Videos[b]
+		va.Pos, vb.Pos = vb.Pos, va.Pos
+		w.Videos[a], w.Videos[b] = va, vb
+	case 4:
+		wv := w.Videos[ids[pick(len(ids))]]
+		if len(wv.Open) > 0 {
+			wv.Open[int(val)%len(wv.Open)] = office
+		}
+	case 5:
+		w.RoundRef = []float64{math.NaN(), -1, 0, math.Inf(1), math.Inf(-1), 1e300, float64(val) / 100}[pick(7)]
+	case 6:
+		switch lp := w.LP; val % 4 {
+		case 0:
+			lp.Row = lp.Row[:pick(len(lp.Row)+1)]
+		case 1:
+			lp.J = lp.J[:pick(len(lp.J)+1)]
+		case 2:
+			lp.Off = lp.Off[:pick(len(lp.Off)+1)]
+		case 3:
+			lp.Frac = lp.Frac[:pick(len(lp.Frac)+1)]
+		}
+	case 7:
+		if lp := w.LP; len(lp.Frac) > 0 {
+			lp.Frac[pick(len(lp.Frac))].I = office
+		}
+	case 8:
+		if lp := w.LP; val%2 == 0 && len(lp.Row) > 0 {
+			lp.Row[pick(len(lp.Row))] = office
+		} else if len(lp.Off) > 0 {
+			lp.Off[pick(len(lp.Off))] = office
+		}
+	}
+}
+
+// FuzzWarmResume hands the solver warm states it did not write: a valid
+// exported state with its flat arrays truncated, extended or overwritten,
+// positions permuted, offices out of range, rows assigned to offices that
+// hold no copy, and a reference that is NaN, negative or infinite. Whatever
+// it is handed, a warm integer solve of a (patched) instance must not panic
+// and must return an integral placement whose claims survive the audit —
+// a garbled state costs the videos it garbles their resume, nothing else.
+func FuzzWarmResume(f *testing.F) {
+	f.Add(int64(1), uint8(4), uint8(6), []byte{})
+	f.Add(int64(3), uint8(5), uint8(9), []byte{0, 3, 0, 2, 5, 200, 5, 0, 0})
+	f.Add(int64(7), uint8(3), uint8(12), []byte{3, 1, 2, 4, 0, 99, 6, 2, 0, 6, 7, 3, 8, 1, 250})
+	f.Add(int64(-2), uint8(6), uint8(4), []byte{1, 0, 130, 7, 2, 77, 8, 3, 1, 5, 3, 0})
+	f.Fuzz(func(t *testing.T, seed int64, nodesB, videosB uint8, muts []byte) {
+		shape := InstanceOpts{Nodes: clamp(nodesB, 2, 6), Videos: clamp(videosB, 2, 12), Slices: 1 + int(uint64(seed)%2)}
+		inst, err := RandomInstance(seed, shape)
+		if err != nil {
+			t.Skip()
+		}
+		opts := epf.Options{Seed: seed, MaxPasses: 40, Epsilon: 0.05,
+			IncrementalPricing: seed%2 == 0, ParallelRound: seed%2 == 0}
+		cold, err := epf.SolveInteger(inst, opts)
+		if err != nil {
+			t.Fatalf("cold SolveInteger: %v", err)
+		}
+		// The state is the solver's to keep read-only, ours to garble: rebuild
+		// every array the mutations write through.
+		w := *cold.Warm
+		w.Assign = append([]int32(nil), w.Assign...)
+		lp := *w.LP
+		lp.Row, lp.J = append([]int32(nil), lp.Row...), append([]int32(nil), lp.J...)
+		lp.Off, lp.Frac = append([]int32(nil), lp.Off...), append([]mip.Frac(nil), lp.Frac...)
+		w.LP = &lp
+		w.Videos = make(map[int]epf.WarmVideo, len(cold.Warm.Videos))
+		var ids []int
+		for vi := range inst.Demands {
+			id := inst.Demands[vi].Video
+			wv := cold.Warm.Videos[id]
+			wv.Open = append([]int32(nil), wv.Open...)
+			w.Videos[id] = wv
+			ids = append(ids, id)
+		}
+		if len(muts) > 60 {
+			muts = muts[:60]
+		}
+		for ; len(muts) >= 3; muts = muts[3:] {
+			mutateWarm(&w, ids, muts[0], muts[1], muts[2])
+		}
+
+		// Solve a shifted instance: the first video's demand doubles.
+		d := &inst.Demands[0]
+		agg := make([]float64, len(d.Js))
+		for k := range agg {
+			agg[k] = 2 * d.Agg[k]
+		}
+		conc := make([][]float64, inst.Slices)
+		for s := range conc {
+			conc[s] = make([]float64, len(d.Js))
+		}
+		for k := range d.Js {
+			ts, vs := d.ConcNZ(k)
+			for x, s := range ts {
+				conc[s][k] = 2 * vs[x]
+			}
+		}
+		if err := inst.ApplyDemandDelta(0, d.Js, agg, conc); err != nil {
+			t.Fatalf("ApplyDemandDelta: %v", err)
+		}
+
+		opts.Warm = &w
+		res, err := epf.SolveInteger(inst, opts)
+		if err != nil {
+			t.Fatalf("warm SolveInteger: %v", err)
+		}
+		if !res.Sol.IsIntegral(1e-4) {
+			t.Fatal("resumed solution not integral")
+		}
+		if r := Audit(inst, res); !r.Ok() {
+			t.Fatalf("audit of a %s rounding: %v", res.Stats.RoundMode(), r.Err())
+		}
+		if st := res.Stats; st.RoundResumed == 1 && !(st.RoundRatio <= w.RoundRef) {
+			t.Fatalf("resumed at ratio %v against reference %v", st.RoundRatio, w.RoundRef)
+		}
+	})
+}

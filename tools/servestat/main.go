@@ -170,6 +170,15 @@ func (s *summary) writeTable(w io.Writer) {
 			if e.LPMS > 0 || e.RoundMS > 0 {
 				fmt.Fprintf(w, " (lp %s  round %s)", g(e.LPMS), g(e.RoundMS))
 			}
+			// Which rounding ran, at which incumbent/bound ratio and — when a
+			// resume was tried — against which reference; only on attempts
+			// that say, so older traces render exactly as before.
+			if e.Round != "" {
+				fmt.Fprintf(w, "  rounding %s %.4f", e.Round, e.RoundRatio)
+				if e.RoundRef > 0 {
+					fmt.Fprintf(w, "/%.4f", e.RoundRef)
+				}
+			}
 			fmt.Fprintf(w, "  audit %s ms  build %s ms", g(e.AuditMS), g(e.BuildMS))
 			// Delta columns only when the attempt carried them — pre-delta
 			// traces render exactly as before.
