@@ -14,15 +14,14 @@ FUZZ_TARGETS := \
 
 # Fixed-seed instance for the telemetry smoke test; small enough to solve in
 # seconds, large enough for a nontrivial convergence trajectory.
-# -no-incremental pins the legacy trajectory the committed golden predates.
-TRACE_SMOKE_ARGS := -videos 60 -vhos 8 -passes 40 -seed 1 -no-incremental
+TRACE_SMOKE_ARGS := -videos 60 -vhos 8 -passes 40 -seed 1
 
 # Fixed-seed daemon for the serve smoke: settings under which background
 # re-solves converge, so the demand bursts vodload posts produce an
 # audit-gated snapshot swap during the 2s run.
 SERVE_SMOKE_ARGS := -videos 60 -vhos 8 -passes 200 -eps 0.02 -seed 1
 
-.PHONY: build vet test race check bench bench-check bench-pairs bench-json bench-cores fuzz cover fmt clean trace-smoke trace-golden serve-smoke
+.PHONY: build vet test race check bench bench-check bench-pairs bench-json bench-cores fuzz cover fmt clean trace-smoke goldens serve-smoke
 
 build:
 	$(GO) build ./...
@@ -133,11 +132,13 @@ trace-smoke:
 	$(GO) run ./tools/tracesum -check trace-smoke.jsonl > trace-smoke.out
 	diff -u testdata/trace_smoke.golden trace-smoke.out
 
-# Regenerate the committed smoke golden after an intentional solver or
-# trace-format change.
-trace-golden:
+# Regenerate every committed golden after an intentional solver or
+# output-format change: the trace-smoke summary, then the CLI and tool
+# goldens (the packages whose tests take -update).
+goldens:
 	$(GO) run ./cmd/vodplace $(TRACE_SMOKE_ARGS) -trace-out trace-smoke.jsonl > /dev/null
 	$(GO) run ./tools/tracesum -check trace-smoke.jsonl > testdata/trace_smoke.golden
+	$(GO) test ./cmd/... ./tools/servestat ./tools/tracesum -run Golden -update
 
 # End-to-end service gate: a seeded vodserved on an ephemeral port, 2s of
 # vodload with demand bursts, then SIGTERM. vodload's -golden-out is a

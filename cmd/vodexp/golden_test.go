@@ -37,12 +37,11 @@ func TestGolden(t *testing.T) {
 		name string
 		args []string
 	}{
-		// fig2/fig4 goldens predate the incremental + warm defaults and pin
-		// the legacy trajectory through the escape hatches; fig2_fast pins
-		// the same experiment under the new defaults.
+		// fig2_quick/fig4_quick solve every period cold; fig2_fast runs the
+		// same experiment with the default cross-period warm starts.
 		{"list", []string{"-list"}},
-		{"fig2_quick", []string{"-exp", "fig2", "-quick", "-verify", "-cold", "-no-incremental"}},
-		{"fig4_quick", []string{"-exp", "fig4", "-quick", "-cold", "-no-incremental"}},
+		{"fig2_quick", []string{"-exp", "fig2", "-quick", "-verify", "-cold"}},
+		{"fig4_quick", []string{"-exp", "fig4", "-quick", "-cold"}},
 		{"fig2_fast", []string{"-exp", "fig2", "-quick", "-verify"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

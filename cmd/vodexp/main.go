@@ -39,9 +39,7 @@ func main() {
 		shards = flag.Int("shards", 0, "catalog shards for block scheduling (0/1 = unsharded; any value yields bit-identical results)")
 		quick  = flag.Bool("quick", false, "reduced scale for smoke runs")
 		doAud  = flag.Bool("verify", false, "re-check every solver result with the independent certificate auditor")
-		warm   = flag.Bool("warm", true, "seed each placement period's solve from the previous period's final state (cross-period warm starts)")
-		cold   = flag.Bool("cold", false, "force cold per-period solves (overrides -warm)")
-		noIncr = flag.Bool("no-incremental", false, "run the legacy sequential solver mode (no incremental pricing, sequential rounding)")
+		cold   = flag.Bool("cold", false, "solve every placement period cold instead of seeding it from the previous period's final state")
 	)
 	profFlags := prof.Register(flag.CommandLine)
 	obsFlags := obs.Register(flag.CommandLine)
@@ -98,8 +96,7 @@ func main() {
 		Shards:                 *shards,
 		Quick:                  *quick,
 		Verify:                 *doAud,
-		Warm:                   *warm && !*cold,
-		NoIncremental:          *noIncr,
+		Warm:                   !*cold,
 		Recorder:               rec,
 	}
 	// Ctrl-C / SIGTERM cancels the running experiment cooperatively.

@@ -38,11 +38,7 @@ func TestGolden(t *testing.T) {
 		name string
 		args []string
 	}{
-		// The historical cases pin the legacy trajectory via -no-incremental
-		// (their goldens predate the fast default); small_fast pins the
-		// incremental + parallel-rounding default on the same instance.
-		{"small_verify", []string{"-videos", "60", "-vhos", "8", "-passes", "40", "-seed", "1", "-verify", "-no-incremental"}},
-		{"tiny_seed7", []string{"-videos", "30", "-vhos", "6", "-passes", "30", "-seed", "7", "-no-incremental"}},
+		{"tiny_seed7", []string{"-videos", "30", "-vhos", "6", "-passes", "30", "-seed", "7"}},
 		{"small_fast", []string{"-videos", "60", "-vhos", "8", "-passes", "40", "-seed", "1", "-verify"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -46,7 +46,6 @@ func main() {
 		verbose = flag.Bool("v", false, "per-pass solver progress")
 		doAudit = flag.Bool("verify", false, "re-check the solution with the independent certificate auditor")
 		doWarm  = flag.Bool("warm", false, "after the cold solve, re-solve seeded from its final state and report the convergence saving")
-		noIncr  = flag.Bool("no-incremental", false, "run the legacy sequential solver mode (no incremental pricing, sequential rounding); pins the historical trajectory")
 	)
 	profFlags := prof.Register(flag.CommandLine)
 	obsFlags := obs.Register(flag.CommandLine)
@@ -106,11 +105,7 @@ func main() {
 	fmt.Printf("instance: %d offices, %d links, %d videos, %d time slices\n",
 		inst.NumVHOs(), g.NumLinks(), inst.NumVideos(), inst.Slices)
 
-	opts := epf.Options{
-		Seed: *seed, MaxPasses: *passes, Recorder: rec,
-		IncrementalPricing: !*noIncr,
-		ParallelRound:      !*noIncr,
-	}
+	opts := epf.Options{Seed: *seed, MaxPasses: *passes, Recorder: rec}
 	if *verbose {
 		opts.OnPass = func(pi epf.PassInfo) {
 			fmt.Println(obs.PassRow(pi.Pass, pi.Objective, pi.LowerBound, pi.MaxViol))

@@ -78,14 +78,7 @@ func run() int {
 		videos: *videos, vhos: *vhos, rpd: *rpd, disk: *disk, link: *link,
 		slices: *slices, window: *window, seed: *seed,
 	}, serve.Config{
-		Solver: epf.Options{
-			Seed: *seed, MaxPasses: *passes, Epsilon: *eps,
-			// Fast solver defaults, unconditional: the serving loop's whole
-			// point is re-solve latency, and the -h surface is pinned by
-			// help.golden, so there is no legacy escape flag here.
-			IncrementalPricing: true,
-			ParallelRound:      true,
-		},
+		Solver:       epf.Options{Seed: *seed, MaxPasses: *passes, Epsilon: *eps},
 		WarmOff:      *warmOff,
 		UpdateWeight: *updateW,
 		Recorder:     rec,

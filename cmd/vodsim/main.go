@@ -37,7 +37,6 @@ func main() {
 		passes = flag.Int("passes", 80, "solver pass cap")
 		topK   = flag.Int("topk", 100, "K for the Top-K+LRU baseline")
 		origin = flag.Bool("origin", false, "also run LRU with 4 regional origin servers")
-		noIncr = flag.Bool("no-incremental", false, "run the legacy sequential solver mode (no incremental pricing, sequential rounding)")
 	)
 	profFlags := prof.Register(flag.CommandLine)
 	obsFlags := obs.Register(flag.CommandLine)
@@ -90,11 +89,7 @@ func main() {
 	}
 
 	mipRun, err := sc.Sys.RunMIPContext(ctx, sc.Trace, core.MIPOptions{
-		Solver: epf.Options{
-			Seed: *seed, MaxPasses: *passes, Recorder: rec,
-			IncrementalPricing: !*noIncr,
-			ParallelRound:      !*noIncr,
-		},
+		Solver:   epf.Options{Seed: *seed, MaxPasses: *passes, Recorder: rec},
 		Recorder: rec,
 	})
 	if err != nil {

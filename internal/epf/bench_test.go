@@ -94,8 +94,9 @@ func BenchmarkAddBlockRows(b *testing.B) {
 	}
 }
 
-// BenchmarkComputePathDuals measures one full path-dual aggregation (the
-// per-chunk dual refresh kernel).
+// BenchmarkComputePathDuals measures the per-chunk path-dual refresh against
+// unchanged duals: the moved-row scan every call, the exact rebuild every
+// pdRebuildEvery-th.
 func BenchmarkComputePathDuals(b *testing.B) {
 	s := benchSolver(b)
 	s.computeDuals(s.q)

@@ -30,8 +30,10 @@
 // The hot kernels run on flat structures: the topology's CSR path table,
 // the instance's dense j-major cost matrix and per-demand sparse slice
 // lists, and a (t,j)-major path-dual transpose, so block pricing walks
-// contiguous memory. See DESIGN.md §8 for the layout and the determinism
-// constraints the kernels honor.
+// contiguous memory. The transpose is delta-updated from the links whose
+// price moved, with a periodic exact rebuild, and every block's local search
+// starts from the video's previous open set. See DESIGN.md §8 for the layout
+// and the determinism constraints the kernels honor.
 package epf
 
 import (
@@ -87,29 +89,9 @@ type Options struct {
 	// re-shuffling cuts pass counts by a large factor; never set it in
 	// production use.
 	NoShuffle bool
-	// IncrementalPricing enables the fast-pricing mode: path duals are
-	// delta-updated from the links whose prices actually moved (with a
-	// periodic full rebuild to bound drift), and block facility-location
-	// solves warm start from the video's previous solution. (The line search
-	// is the same fixed bisection in every mode; see lineSearch.) These
-	// change floating-point trajectories, so the zero value leaves the mode
-	// off — that solve is bit-identical across releases (the legacy CLI
-	// goldens pin it) — while every CLI turns it on by default. Results are
-	// deterministic at any worker count either way.
+	// Deprecated: ignored — the only mode; kept until bench/system.go stops setting it (a benchmark PR).
 	IncrementalPricing bool
-	// ParallelRound selects the fast modes' rounding trajectory: each
-	// rounding and polish chunk freezes the disk duals along with the link
-	// duals, and a block is priced at the frozen duals unless a disk dual
-	// has drifted past roundDualTol by its turn, in which case it is priced
-	// live like the sequential mode (see roundSolve). Nothing runs in
-	// parallel: a video's own removal drifts its office's dual at every
-	// catalog size measured, so no block is worth solving ahead of its
-	// turn; the name predates that measurement and is kept for its callers.
-	// Output is bit-identical at any worker or shard count. The frozen-price
-	// answers for undrifted videos change the trajectory relative to the
-	// sequential mode, so like IncrementalPricing this is a mode bit rather
-	// than a transparent optimization, and the pinned legacy goldens keep it
-	// off.
+	// Deprecated: ignored — the only mode; kept until bench/system.go stops setting it (a benchmark PR).
 	ParallelRound bool
 	// Warm, when non-nil, resumes the solve from a previous period's final
 	// state (see WarmState): initial point from the carried LP point, per
@@ -118,10 +100,9 @@ type Options struct {
 	// from the previous row duals when the coupling-row dimensions match;
 	// penalty scale from the previous descent; and facility-location warm
 	// starts in both the descent and the rounding phase. The state is
-	// read-only to the solve. Like IncrementalPricing this changes
-	// floating-point trajectories (not correctness — every bound is
-	// re-derived on the new instance and the usual certificates hold), so it
-	// is opt-in and the cold path stays bit-identical.
+	// read-only to the solve. A warm start moves the floating-point
+	// trajectory, not correctness: every bound is re-derived on the new
+	// instance and the usual certificates hold.
 	Warm *WarmState
 	// OnPass, when non-nil, is invoked after every pass with progress
 	// information (used by the CLI tools for -v output).
@@ -136,15 +117,6 @@ type Options struct {
 	// placement period — give each a distinct stream so their pass series
 	// don't interleave.
 	TraceStream string
-	// DirtyVideos, when non-empty, lists the video indices (ascending) whose
-	// demand changed since the instance was last solved. Telemetry only: the
-	// solver records the count and the per-shard dirty fractions in Stats so
-	// warm re-solves expose how localized the change was, but the solve
-	// itself never reads it — numerics are identical with or without it, so
-	// a served placement can be reproduced from (instance, Warm) alone. A
-	// warm solve finds out what changed by comparing the instance with the
-	// carried state (WarmState).
-	DirtyVideos []int
 }
 
 // PassInfo reports solver progress after a pass.
@@ -345,7 +317,7 @@ type solver struct {
 	pathDualT []float64
 	costT     []float64 // dense j-major cost table from the instance
 
-	// Incremental pricing state (IncrementalPricing mode only).
+	// Incremental pricing state (computePathDuals).
 	qPrev   []float64 // link-row duals the current pathDualT was built from
 	pdInit  bool
 	pdSince int // delta refreshes since the last full rebuild
@@ -403,9 +375,9 @@ type solver struct {
 	pdRowFn    func(w, lo, hi int)
 	pdParallel bool // resolved once: pool > 1 worker and table big enough
 
-	// Rounding state (round.go): the candidate block solution, under
-	// Options.ParallelRound the chunk-frozen disk duals that serve as the
-	// drift baseline, and the polish passes' visiting order. The candidates
+	// Rounding state (round.go): the candidate block solution, the
+	// chunk-frozen disk duals that serve as the drift baseline, and the
+	// polish passes' visiting order. The candidates
 	// share one incumbent (roundBest, its point in best); scratchBest is the
 	// best score a from-scratch candidate reached, which over the bound is
 	// the reference the next solve's resume is measured against (roundRef).
@@ -430,8 +402,6 @@ type solver struct {
 
 	// Cross-period warm-start state (Options.Warm / Result.Warm).
 	warmRound bool    // rounding-phase facloc solves seed from warmOpen
-	tauSum    float64 // accepted line-search steps, for the TauHint export
-	tauN      int64
 	lpDelta   float64 // δ at the end of the LP descent (exported hint)
 }
 
@@ -551,18 +521,14 @@ func newSolver(inst *mip.Instance, opts Options) (*solver, error) {
 	// The dense cost table is (re)validated against (Alpha, Beta) here, on
 	// the driver goroutine, before any fan-out reads it.
 	s.costT = inst.CostColumns()
-	if s.opts.IncrementalPricing {
-		s.qPrev = make([]float64, s.rows)
-	}
+	s.qPrev = make([]float64, s.rows)
 	s.ctx = context.Background()
 	s.pool = par.New(o.Workers)
 	s.scratch = par.NewSlots[workerScratch](s.pool)
 	s.lbBuf = make([]float64, len(inst.Demands))
 	s.initShards()
 	s.initReduce()
-	if s.opts.ParallelRound {
-		s.roundQ0 = make([]float64, s.n)
-	}
+	s.roundQ0 = make([]float64, s.n)
 	s.warmRound = s.opts.Warm != nil
 	s.initSolution()
 	s.stats.InitTime = time.Since(initStart)
@@ -675,33 +641,6 @@ func resolveShards(inst *mip.Instance, want int) []shardSpan {
 	}
 	if len(out) == 0 {
 		out = append(out, shardSpan{lo: 0, hi: numBlocks})
-	}
-	return out
-}
-
-// shardDirtyFractions maps an ascending dirty-video list onto the shard
-// layout: out[si] is the fraction of shard si's videos appearing in dirty,
-// computed with one merge pass since both sides are sorted. Nil when no
-// dirty list was passed (cold solves, full rebuilds) so Stats stays compact
-// in the common case.
-func shardDirtyFractions(shards []shardSpan, dirty []int) []float64 {
-	if len(dirty) == 0 || len(shards) == 0 {
-		return nil
-	}
-	out := make([]float64, len(shards))
-	di := 0
-	for si, sp := range shards {
-		for di < len(dirty) && dirty[di] < sp.lo {
-			di++
-		}
-		n := 0
-		for di < len(dirty) && dirty[di] < sp.hi {
-			n++
-			di++
-		}
-		if sp.hi > sp.lo {
-			out[si] = float64(n) / float64(sp.hi-sp.lo)
-		}
 	}
 	return out
 }
@@ -897,17 +836,12 @@ func (s *solver) refreshDiskDuals(q []float64) {
 // computePathDuals brings pathDualT in sync with q:
 // pathDualT[(t*n+j)*n+i] = Σ_{l ∈ P_ij} q[link(l,t)].
 //
-// In the default mode every refresh is a full rebuild, byte-identical to
-// summing along each path. In IncrementalPricing mode only the link rows
-// whose dual moved beyond pdRelTol push their delta into the affected
-// (i,j) pairs via the topology's reverse incidence lists, with a periodic
-// full rebuild bounding the drift.
+// Only the link rows whose dual moved beyond pdRelTol push their delta into
+// the affected (i,j) pairs via the topology's reverse incidence lists; a
+// periodic full rebuild (syncPathDuals), byte-identical to summing along
+// each path, bounds the drift.
 func (s *solver) computePathDuals(q []float64) {
 	if s.T == 0 {
-		return
-	}
-	if !s.opts.IncrementalPricing {
-		s.rebuildPathDuals(q)
 		return
 	}
 	if !s.pdInit || s.pdSince >= pdRebuildEvery {
@@ -977,9 +911,7 @@ func (s *solver) syncPathDuals(q []float64) {
 // Every entry is an independent sum over its own path's links, so the table
 // partitions freely: the rebuild fans (t,i) rows out to the pool when the
 // table is large enough to amortize the dispatch, and the result is
-// bitwise-identical to the sequential sweep at any worker count. This was
-// the top sequential-residue item of the multi-core audit — it runs inside
-// every chunk's dual freeze in default mode.
+// bitwise-identical to the sequential sweep at any worker count.
 func (s *solver) rebuildPathDuals(q []float64) {
 	if s.pdParallel {
 		s.pdRebuildQ = q
@@ -1073,9 +1005,7 @@ func (s *solver) initRun() {
 		s.chunkSols[c].assign = make([]int32, 0, s.n)
 	}
 	s.dcHist = make([]float64, 0, o.MaxPasses+1)
-	if o.IncrementalPricing || o.Warm != nil {
-		s.warmOpen = make([][]int32, numBlocks)
-	}
+	s.warmOpen = make([][]int32, numBlocks)
 	if o.Warm != nil {
 		// Seed the facility-location warm starts from the previous period's
 		// open sets, so even the first chunk's local searches start near the
@@ -1101,15 +1031,9 @@ func (s *solver) initRun() {
 			c := int(s.chunkPos[idx])
 			vi := s.chunk[c]
 			s.buildBlockProblem(vi, s.q, &ws.prob)
-			var warm []int32
-			if s.warmOpen != nil {
-				warm = s.warmOpen[vi]
-			}
-			ws.fs.SolveQuickInto(&ws.prob, &ws.fsol, warm)
+			ws.fs.SolveQuickInto(&ws.prob, &ws.fsol, s.warmOpen[vi])
 			toIntSolInto(&ws.fsol, &s.inst.Demands[vi], ws.used, &s.chunkSols[c])
-			if s.warmOpen != nil {
-				s.warmOpen[vi] = append(s.warmOpen[vi][:0], s.chunkSols[c].open...)
-			}
+			s.warmOpen[vi] = append(s.warmOpen[vi][:0], s.chunkSols[c].open...)
 		}
 		ws.blocks += int64(hi - lo)
 	}
@@ -1523,8 +1447,6 @@ func (s *solver) buildResult(passes int, converged bool) *Result {
 		gap = (obj - s.lb) / s.lb
 	}
 	s.stats.Passes = passes
-	s.stats.DirtyVideos = len(s.opts.DirtyVideos)
-	s.stats.ShardDirtyFrac = shardDirtyFractions(s.shards, s.opts.DirtyVideos)
 	s.mergeStats()
 	res := &Result{
 		Sol:        out,
@@ -1671,10 +1593,6 @@ func (s *solver) applyBlock(vi int, ns *intSol) {
 
 	tau := s.lineSearch(dObj)
 	if tau > 0 {
-		// Sequential-apply path (driver goroutine): safe to accumulate the
-		// step statistics the warm-state export reports as TauHint.
-		s.tauSum += tau
-		s.tauN++
 		// Remove the old block's rows and cost, replace the block, add the
 		// new (mixed and y-tightened) contribution back.
 		s.addBlockRows(vi, old, -1)
@@ -1695,20 +1613,16 @@ func (s *solver) applyBlock(vi int, ns *intSol) {
 //
 // The touched rows are first gathered into contiguous scratch arrays with
 // the per-row delta/b coefficient divided out once, so each derivative
-// evaluation is a single fused multiply-exp sweep. All modes then run the
-// same fixed 30-step bisection, bit-identical to the historical trajectory.
+// evaluation is a single fused multiply-exp sweep, followed by a fixed
+// 30-step bisection.
 //
-// Every mode bisects on purpose. A safeguarded Newton iteration on Φ' was
-// trialled for the fast modes (~5 sweeps instead of 30) and rejected by the
-// differential sweep: Φ' routinely has wide numerically-flat plateaus — the
-// clamped exponentials underflow when every touched row is far from its
-// smoothed capacity — and inside a plateau any τ is a "root" to float
-// precision. Newton parks at whatever plateau point its last step reached,
-// while bisection's sign test walks to the plateau's left edge and takes
-// the conservative step; the difference compounds over thousands of steps
-// into a 5–18% objective regression on hard corpus seeds. The line search
-// is driver-side serial residue either way; the fused gather above, not the
-// probe count, is what keeps it cheap.
+// Bisection is deliberate: Φ' routinely has wide numerically-flat plateaus
+// — the clamped exponentials underflow when every touched row is far from
+// its smoothed capacity — and inside a plateau any τ is a "root" to float
+// precision. Bisection's sign test walks to the plateau's left edge and
+// takes the conservative step, where a derivative-based iteration parks
+// wherever its last step landed, which compounds over thousands of steps
+// into a 5–18% objective regression on hard corpus seeds.
 func (s *solver) lineSearch(dObj float64) float64 {
 	s.stats.LineSearches++
 	m := 0

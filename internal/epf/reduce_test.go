@@ -91,13 +91,11 @@ func TestMultiLeafReductionSanity(t *testing.T) {
 	}
 }
 
-// The fast mode (IncrementalPricing + ParallelRound, the new defaults at
-// the CLI surfaces) carries the same invariance contract as the legacy
-// mode: bit-identical integer output at any worker and shard count.
+// Integer output is bit-identical across the whole worker × shard grid, not
+// just along each axis.
 func TestFastModeWorkerShardInvariance(t *testing.T) {
 	opts := func(workers, shards int) Options {
-		return Options{Seed: 5, MaxPasses: 30, Workers: workers, Shards: shards,
-			IncrementalPricing: true, ParallelRound: true}
+		return Options{Seed: 5, MaxPasses: 30, Workers: workers, Shards: shards}
 	}
 	base, err := SolveInteger(randomInstance(t, 9, 8, 60, 2.0, 100), opts(1, 0))
 	if err != nil {
@@ -129,15 +127,15 @@ func TestFastModeWorkerShardInvariance(t *testing.T) {
 	}
 }
 
-// The fast mode's whole traced convergence trajectory is also
-// worker-invariant, not just the final point.
+// A sharded solve's whole trace is worker-invariant, not just its final
+// point: every pass event, and the per-shard block tallies the driver keeps
+// while the shard-affine tasks move between workers.
 func TestFastModeTracedSeriesInvariance(t *testing.T) {
 	trace := func(workers int) (*Result, []obs.Event) {
 		var buf bytes.Buffer
 		rec := obs.New(&buf)
 		res := mustSolve(t, randomInstance(t, 9, 8, 60, 2.0, 100),
-			Options{Seed: 5, MaxPasses: 30, Workers: workers, Recorder: rec,
-				IncrementalPricing: true, ParallelRound: true})
+			Options{Seed: 5, MaxPasses: 30, Workers: workers, Shards: 4, Recorder: rec})
 		if err := rec.Close(); err != nil {
 			t.Fatalf("recorder close: %v", err)
 		}
@@ -164,6 +162,9 @@ func TestFastModeTracedSeriesInvariance(t *testing.T) {
 				t.Errorf("Workers=1 vs %d: event %d is %s/%d vs %s/%d", workers, i, ea.K, ea.Pass, eb.K, eb.Pass)
 				continue
 			}
+			if ea.K == "epf_shard" && (ea.Shard != eb.Shard || ea.Videos != eb.Videos || ea.Blocks != eb.Blocks) {
+				t.Errorf("Workers=1 vs %d: shard summaries diverge:\n  1: %+v\n  %d: %+v", workers, ea, workers, eb)
+			}
 			if ea.K != "epf_pass" {
 				continue
 			}
@@ -178,14 +179,13 @@ func TestFastModeTracedSeriesInvariance(t *testing.T) {
 	}
 }
 
-// Cross-period warm starts compose with parallel rounding: a warm-seeded
-// fast-mode solve is worker- and shard-invariant.
-func TestWarmParallelRoundInvariance(t *testing.T) {
+// Cross-period warm starts compose with rounding: a warm-seeded integer
+// solve is worker- and shard-invariant.
+func TestWarmRoundInvariance(t *testing.T) {
 	cold := mustSolve(t, randomInstance(t, 9, 8, 60, 2.0, 100),
 		Options{Seed: 5, MaxPasses: 20, Workers: 1})
 	opts := func(workers, shards int) Options {
-		return Options{Seed: 5, MaxPasses: 20, Workers: workers, Shards: shards,
-			IncrementalPricing: true, ParallelRound: true, Warm: cold.Warm}
+		return Options{Seed: 5, MaxPasses: 20, Workers: workers, Shards: shards, Warm: cold.Warm}
 	}
 	base, err := SolveInteger(randomInstance(t, 9, 8, 60, 2.0, 100), opts(1, 0))
 	if err != nil {
@@ -211,12 +211,12 @@ func TestWarmParallelRoundInvariance(t *testing.T) {
 // The allocation contract extends to the rounding phase: once the candidate
 // slot and block-row buffers are warm, a chunk's refresh + solve + commit
 // cycle (the forced-rounding inner loop) allocates nothing.
-func TestParallelRoundZeroAllocations(t *testing.T) {
+func TestRoundZeroAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
 	}
 	inst := randomInstance(t, 11, 10, 90, 2.0, 150)
-	s, err := newSolver(inst, Options{Seed: 3, Workers: 1, IncrementalPricing: true, ParallelRound: true})
+	s, err := newSolver(inst, Options{Seed: 3, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,8 +53,7 @@ func TestResumeEconomy(t *testing.T) {
 	shape := verify.InstanceOpts{Nodes: 8, Videos: videos, Slices: 2}
 	var resumedPasses, openSetPasses int
 	for seed := int64(1); seed <= 8; seed++ {
-		opts := epf.Options{Seed: seed, MaxPasses: 300, Epsilon: 0.05,
-			IncrementalPricing: true, ParallelRound: true}
+		opts := epf.Options{Seed: seed, MaxPasses: 300, Epsilon: 0.05}
 		base, err := verify.RandomInstance(seed, shape)
 		if err != nil {
 			t.Fatal(err)
@@ -157,8 +156,7 @@ func TestRoundResume(t *testing.T) {
 	shape := verify.InstanceOpts{Nodes: 10, Videos: videos, Slices: 2, DiskFactor: 3, LinkCapMbps: 400}
 	var small, smallResumed, wide, wideResumed int
 	for seed := int64(1); seed <= 8; seed++ {
-		opts := epf.Options{Seed: seed, MaxPasses: 300, Epsilon: 0.05,
-			IncrementalPricing: true, ParallelRound: true}
+		opts := epf.Options{Seed: seed, MaxPasses: 300, Epsilon: 0.05}
 		base, err := verify.RandomInstance(seed, shape)
 		if err != nil {
 			t.Fatal(err)
@@ -255,7 +253,7 @@ func TestRoundResume(t *testing.T) {
 func TestRoundReferenceChain(t *testing.T) {
 	const videos, seed = 120, 4
 	shape := verify.InstanceOpts{Nodes: 8, Videos: videos, Slices: 2}
-	opts := epf.Options{Seed: seed, MaxPasses: 300, Epsilon: 0.05, IncrementalPricing: true, ParallelRound: true}
+	opts := epf.Options{Seed: seed, MaxPasses: 300, Epsilon: 0.05}
 	solve := func(patched int, w *epf.WarmState) *epf.Result {
 		t.Helper()
 		inst, err := verify.RandomInstance(seed, shape)

@@ -24,8 +24,8 @@ const (
 )
 
 // roundChunk is the dual-refresh cadence of the rounding and polish loops:
-// link duals are recomputed once per chunk of this many videos, and under
-// Options.ParallelRound the disk duals are frozen at the same point.
+// link duals are recomputed once per chunk of this many videos, and the
+// disk duals are frozen at the same point.
 const roundChunk = 64
 
 // roundDualTol is the relative disk-dual drift beyond which a rounding block
@@ -52,14 +52,12 @@ func (s *solver) roundDualsDrifted() bool {
 }
 
 // refreshRoundDuals refreshes the full dual vector and its path aggregation
-// at a rounding chunk boundary and, under Options.ParallelRound, freezes the
-// disk duals as the chunk's drift baseline.
+// at a rounding chunk boundary and freezes the disk duals as the chunk's
+// drift baseline.
 func (s *solver) refreshRoundDuals() {
 	s.computeDuals(s.q)
 	s.computePathDuals(s.q)
-	if s.opts.ParallelRound {
-		copy(s.roundQ0, s.q[:s.n])
-	}
+	copy(s.roundQ0, s.q[:s.n])
 }
 
 // roundSolve solves video vi's block as an integer facility-location problem
@@ -69,20 +67,18 @@ func (s *solver) refreshRoundDuals() {
 // exactly what rounding must react to — with stale disk prices every video
 // in a chunk would favor the same cheap office.
 //
-// Under Options.ParallelRound the block is priced at the chunk-frozen disk
-// duals unless one has drifted past roundDualTol since the freeze. Removing
+// The block is priced at the chunk-frozen disk duals unless one has drifted
+// past roundDualTol since the freeze. Removing
 // a video's own copy alone moves its office's dual by exp(α·s/b) — tens of
 // percent at every catalog size measured (DESIGN.md, rounding) — so nearly
 // every block is priced live, and none is worth solving ahead of its turn.
 func (s *solver) roundSolve(ws *workerScratch, vi int) *intSol {
 	s.refreshDiskDuals(s.q)
 	diskQ := s.q
-	if s.opts.ParallelRound {
-		if s.roundDualsDrifted() {
-			s.stats.RoundResolves++
-		} else {
-			diskQ = s.roundQ0
-		}
+	if s.roundDualsDrifted() {
+		s.stats.RoundResolves++
+	} else {
+		diskQ = s.roundQ0
 	}
 	if ws.used == nil {
 		ws.used = make([]bool, s.n)
@@ -368,11 +364,10 @@ func (s *solver) polishInteger(rng *rand.Rand, passes int) {
 
 // roundWarm returns the facility-location warm start for video vi in the
 // rounding phase: its latest block open set, maintained across the descent
-// and updated as rounding commits replacements. nil (cold two-start solve,
-// the pinned default behavior) outside cross-period warm mode — the
-// IncrementalPricing-only mode keeps its historical rounding trajectory.
-// While the carried placement is being resumed the start is the block's own
-// open set: the local search repairs the copies the video holds.
+// and updated as rounding commits replacements. nil (cold two-start solve)
+// unless the solve is cross-period warm. While the carried placement is
+// being resumed the start is the block's own open set: the local search
+// repairs the copies the video holds.
 func (s *solver) roundWarm(vi int) []int32 {
 	if s.resuming {
 		s.seedBuf = s.seedBuf[:0]
@@ -381,7 +376,7 @@ func (s *solver) roundWarm(vi int) []int32 {
 		}
 		return s.seedBuf
 	}
-	if !s.warmRound || s.warmOpen == nil {
+	if !s.warmRound {
 		return nil
 	}
 	return s.warmOpen[vi]
@@ -392,7 +387,7 @@ func (s *solver) roundWarm(vi int) []int32 {
 // resume reads its seeds off the blocks and writes nothing here, so the
 // from-scratch candidates find warmOpen as the descent left it.
 func (s *solver) noteRoundSol(vi int, ns *intSol) {
-	if s.resuming || !s.warmRound || s.warmOpen == nil {
+	if s.resuming || !s.warmRound {
 		return
 	}
 	s.warmOpen[vi] = append(s.warmOpen[vi][:0], ns.open...)

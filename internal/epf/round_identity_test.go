@@ -69,10 +69,10 @@ func mixedSizeInstance(t *testing.T) *mip.Instance {
 	return inst
 }
 
-// roundIdentityCases are cold SolveInteger runs with ParallelRound whose
-// objective, open sets and RoundResolves were recorded at e0b5da7, when the
-// mode still solved every chunk on the worker pool at the frozen prices and
-// re-solved the drifted blocks. Solving each block once, in commit order, at
+// roundIdentityCases are cold SolveInteger runs whose objective, open sets
+// and RoundResolves were recorded at e0b5da7, when rounding still solved
+// every chunk on the worker pool at the frozen prices and re-solved the
+// drifted blocks. Solving each block once, in commit order, at
 // whichever prices the drift test picks must reproduce every number exactly,
 // at any worker count.
 var roundIdentityCases = []struct {
@@ -84,32 +84,29 @@ var roundIdentityCases = []struct {
 	resolves int64
 }{
 	{name: "seed9-fast", inst: func(t *testing.T) *mip.Instance { return randomInstance(t, 9, 8, 60, 2.0, 100) },
-		opts: Options{Seed: 5, MaxPasses: 30, IncrementalPricing: true, ParallelRound: true},
+		opts: Options{Seed: 5, MaxPasses: 30},
 		obj:  19.376048295216155, open: 0x55ed33afca3ee33b, resolves: 752},
 	{name: "seed9-fast-sharded", inst: func(t *testing.T) *mip.Instance { return randomInstance(t, 9, 8, 60, 2.0, 100) },
-		opts: Options{Seed: 5, MaxPasses: 30, Shards: 4, IncrementalPricing: true, ParallelRound: true},
+		opts: Options{Seed: 5, MaxPasses: 30, Shards: 4},
 		obj:  19.376048295216155, open: 0x55ed33afca3ee33b, resolves: 752},
 	{name: "seed11-fast", inst: func(t *testing.T) *mip.Instance { return randomInstance(t, 11, 10, 90, 2.0, 150) },
-		opts: Options{Seed: 3, MaxPasses: 120, IncrementalPricing: true, ParallelRound: true},
+		opts: Options{Seed: 3, MaxPasses: 120},
 		obj:  48.23913946246022, open: 0x5b90555cc31a49d3, resolves: 1113},
 	{name: "seed17-fast-eps5", inst: func(t *testing.T) *mip.Instance { return randomInstance(t, 17, 10, 80, 2.0, 200) },
-		opts: Options{Seed: 5, MaxPasses: 250, Epsilon: 0.05, IncrementalPricing: true, ParallelRound: true},
+		opts: Options{Seed: 5, MaxPasses: 250, Epsilon: 0.05},
 		obj:  34.74355162277668, open: 0x1704509c8be5aae6, resolves: 987},
-	{name: "seed23-parround-only", inst: func(t *testing.T) *mip.Instance { return randomInstance(t, 23, 8, 60, 2.0, 200) },
-		opts: Options{Seed: 9, MaxPasses: 200, ParallelRound: true},
-		obj:  38.31076049754912, open: 0xd27a1bbe9187c9bf, resolves: 738},
 	{name: "seed31-fast-tight", inst: func(t *testing.T) *mip.Instance { return randomInstance(t, 31, 12, 150, 1.5, 120) },
-		opts: Options{Seed: 2, MaxPasses: 60, Epsilon: 0.05, IncrementalPricing: true, ParallelRound: true},
+		opts: Options{Seed: 2, MaxPasses: 60, Epsilon: 0.05},
 		obj:  70.64685417006403, open: 0x73bb271cb07c65c6, resolves: 1884},
 	{name: "seed43-fast-sharded", inst: func(t *testing.T) *mip.Instance { return randomInstance(t, 43, 9, 200, 1.6, 150) },
-		opts: Options{Seed: 7, MaxPasses: 60, Epsilon: 0.05, Shards: 3, IncrementalPricing: true, ParallelRound: true},
+		opts: Options{Seed: 7, MaxPasses: 60, Epsilon: 0.05, Shards: 3},
 		obj:  52.39064052280345, open: 0x77f2ae4077b6b8db, resolves: 2510},
 	{name: "mixed-size", inst: mixedSizeInstance,
-		opts: Options{Seed: 4, MaxPasses: 80, Epsilon: 0.05, IncrementalPricing: true, ParallelRound: true},
+		opts: Options{Seed: 4, MaxPasses: 80, Epsilon: 0.05},
 		obj:  56120.674011730705, open: 0x6c347468b3f6c7c5, resolves: 3232},
 }
 
-func TestParallelRoundMatchesRecordedParent(t *testing.T) {
+func TestRoundMatchesRecordedParent(t *testing.T) {
 	for _, tc := range roundIdentityCases {
 		for _, workers := range []int{1, 2, 4} {
 			opts := tc.opts

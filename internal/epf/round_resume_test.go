@@ -52,14 +52,11 @@ func (c *warmCase) patched(t *testing.T) *mip.Instance {
 var (
 	smallDelta = warmCase{name: "seed43-fast",
 		inst:  func(t *testing.T) *mip.Instance { return randomInstance(t, 43, 9, 200, 1.6, 150) },
-		opts:  Options{Seed: 5, MaxPasses: 60, Epsilon: 0.05, IncrementalPricing: true, ParallelRound: true},
+		opts:  Options{Seed: 5, MaxPasses: 60, Epsilon: 0.05},
 		patch: []int{0, 7, 19, 120}, addOffice: 33}
-	legacyDelta = warmCase{name: "seed17-legacy",
-		inst: func(t *testing.T) *mip.Instance { return randomInstance(t, 17, 10, 80, 2.0, 200) },
-		opts: Options{Seed: 5, MaxPasses: 250}, patch: []int{5}, addOffice: -1}
 	wideDelta = warmCase{name: "seed31-fast-wide",
 		inst: func(t *testing.T) *mip.Instance { return randomInstance(t, 31, 12, 150, 1.5, 120) },
-		opts: Options{Seed: 2, MaxPasses: 60, Epsilon: 0.05, IncrementalPricing: true, ParallelRound: true},
+		opts: Options{Seed: 2, MaxPasses: 60, Epsilon: 0.05},
 		patch: []int{1, 4, 9, 16, 25, 36, 49, 64, 81, 100, 121, 144, 3, 6, 12, 24, 48, 96, 50, 60, 70, 80, 90,
 			110, 130, 140, 2, 8, 18, 32, 72, 98, 128, 11, 22, 33, 44}, addOffice: 55}
 )
@@ -77,7 +74,6 @@ func TestWarmWithoutPlacementMatchesRecordedParent(t *testing.T) {
 		passes   int
 	}{
 		{&smallDelta, 54.881300790002214, 0x68d4654864ba1c95, 2496, 2},
-		{&legacyDelta, 35.451610224891944, 0x2609fd575f11e4dc, 0, 72},
 		{&wideDelta, 96.36030290264426, 0xd60a1f6a81493da6, 1878, 11},
 	} {
 		o := tc.c.opts
@@ -117,9 +113,9 @@ func lpPhase(t *testing.T, inst *mip.Instance, o Options) (*solver, *mip.Solutio
 // (0) hands the from-scratch candidates the solver exactly as the LP phase
 // left it — point, activities, path-dual baseline, local-search seeds, the
 // shuffle stream — so A and B visit what they would have visited without it
-// and reach the same best score, in both pricing modes.
+// and reach the same best score.
 func TestRejectedResumeLeavesNoTrace(t *testing.T) {
-	for _, c := range []*warmCase{&smallDelta, &legacyDelta, &wideDelta} {
+	for _, c := range []*warmCase{&smallDelta, &wideDelta} {
 		cold := c.solveCold(t)
 		impossible := *cold.Warm
 		impossible.RoundRef = 0
@@ -178,7 +174,7 @@ func TestRejectedResumeLeavesNoTrace(t *testing.T) {
 // returns that solve's result bit for bit — unless the refused point itself
 // won the shared incumbent, which only a strictly better ratio can show.
 func TestImpossibleReferenceRejects(t *testing.T) {
-	for _, c := range []*warmCase{&smallDelta, &legacyDelta, &wideDelta} {
+	for _, c := range []*warmCase{&smallDelta, &wideDelta} {
 		cold := c.solveCold(t)
 		impossible := *cold.Warm
 		impossible.RoundRef = 0

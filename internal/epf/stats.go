@@ -38,10 +38,9 @@ type Stats struct {
 	LBEvals int64
 	// Polishes counts subgradient dual-polish rounds.
 	Polishes int
-	// WarmStartTries / WarmStartHits report the warm-start economy of the
-	// IncrementalPricing mode: block solves seeded from the video's previous
-	// open set, and the subset where that seed's local optimum beat the cold
-	// start. Both zero when the mode is off.
+	// WarmStartTries / WarmStartHits report the facility-location warm-start
+	// economy: block solves seeded from the video's previous open set, and
+	// the subset where that seed's local optimum beat the cold start.
 	WarmStartTries int64
 	WarmStartHits  int64
 	// WarmVideos counts videos whose initial point was seeded from a
@@ -55,16 +54,6 @@ type Stats struct {
 	// ResumedVideos / NumVideos near 1 is a re-solve that resumed the
 	// previous descent; near 0, one that restarted it.
 	ResumedVideos int
-	// DirtyVideos echoes len(Options.DirtyVideos): how many videos' demand
-	// changed since the previous solve on this instance. Zero on cold solves
-	// and full rebuilds that pass no dirty list.
-	DirtyVideos int
-	// ShardDirtyFrac is the fraction of each shard's videos that appear in
-	// Options.DirtyVideos, indexed like the shard schedule. Nil when no
-	// dirty list was passed; the delta-resolve telemetry uses it to show
-	// whether a demand change was localized to a few shards or smeared
-	// across the catalog.
-	ShardDirtyFrac []float64
 	// ScratchAllocs / ScratchReuses report the per-worker scratch economy:
 	// allocs should stay ≤ Workers, everything else lands in reuses.
 	ScratchAllocs int64
@@ -77,7 +66,7 @@ type Stats struct {
 	RoundTime time.Duration
 	// RoundResolves counts rounding and polish blocks priced at live disk
 	// duals because a disk dual had drifted from the chunk freeze when the
-	// block's turn came (Options.ParallelRound only). A video's own removal
+	// block's turn came. A video's own removal
 	// usually drifts its office's dual, so this is close to every block.
 	RoundResolves int64
 	// RoundCarried counts the videos whose block the rounding phase loaded
@@ -138,17 +127,6 @@ func (st Stats) String() string {
 	}
 	if st.ResumedVideos > 0 {
 		fmt.Fprintf(&b, "resumed videos: %d\n", st.ResumedVideos)
-	}
-	if st.DirtyVideos > 0 {
-		fmt.Fprintf(&b, "dirty videos: %d", st.DirtyVideos)
-		if len(st.ShardDirtyFrac) > 1 {
-			b.WriteString(" (per-shard frac:")
-			for _, f := range st.ShardDirtyFrac {
-				fmt.Fprintf(&b, " %.2f", f)
-			}
-			b.WriteString(")")
-		}
-		b.WriteString("\n")
 	}
 	if st.RoundResolves > 0 {
 		fmt.Fprintf(&b, "rounding re-solves: %d\n", st.RoundResolves)

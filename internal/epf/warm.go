@@ -42,8 +42,8 @@ type WarmLP struct {
 }
 
 // WarmState is the cross-period carryover exported on every Result: the
-// final Lagrangian row duals, the descent's final penalty scale, a
-// line-search step hint, the fractional point the LP descent ended on, each
+// final Lagrangian row duals, the descent's final penalty scale, the
+// fractional point the LP descent ended on, each
 // video's final open office set keyed by the catalog's stable video ID and,
 // after SolveInteger, the integer placement itself with the yardstick it was
 // accepted by. A later solve over a shifted instance accepts it via
@@ -83,12 +83,6 @@ type WarmState struct {
 	RowDuals []float64
 	// Delta is the penalty scale δ the previous LP descent ended at.
 	Delta float64
-	// TauHint is the mean accepted line-search step of the previous descent.
-	// Advisory telemetry: the fixed-bisection line search no longer consumes
-	// it (the Newton variant that did was rejected for plateau drift), but
-	// it stays in the state so pipelines can track step-regime shifts across
-	// periods.
-	TauHint float64
 	// Videos maps catalog video ID → final open set and LP position.
 	Videos map[int]WarmVideo
 	// LP is the fractional point the producing solve's LP phase ended on
@@ -108,18 +102,6 @@ type WarmState struct {
 	// rounds is always measured against a full one and cannot ratchet. 0 when
 	// there is none (no rounding ran, or the bound was 0): never accepted.
 	RoundRef float64
-	// Shards records the producing solve's shard layout (video-index ranges,
-	// in order). Purely informational carryover for telemetry and debugging:
-	// consuming solves resolve their own layout from their instance and
-	// options and never read this field, so a stale layout can't skew a
-	// warm solve.
-	Shards []WarmShard
-}
-
-// WarmShard is one catalog shard [Lo, Hi) of the solve that produced a
-// WarmState, in that solve's video-index space.
-type WarmShard struct {
-	Lo, Hi int
 }
 
 // exportWarm captures the solver's final state as a WarmState, once per
@@ -134,13 +116,6 @@ func (s *solver) exportWarm(res *Result, lpSol *mip.Solution) *WarmState {
 		Delta:    s.lpDelta,
 		Videos:   make(map[int]WarmVideo, len(s.sol)),
 		LP:       packLP(s.inst, lpSol),
-		Shards:   make([]WarmShard, len(s.shards)),
-	}
-	for si, sp := range s.shards {
-		w.Shards[si] = WarmShard{Lo: sp.lo, Hi: sp.hi}
-	}
-	if s.tauN > 0 {
-		w.TauHint = s.tauSum / float64(s.tauN)
 	}
 	for vi := range s.sol {
 		open := warmOpenSet(s.sol[vi].open)
@@ -434,10 +409,10 @@ func (s *solver) seedWarmDescent() {
 		s.lbScale = 1
 		s.retargetB()
 	}
-	// δ and τ hints describe where the previous descent's *guided* trajectory
+	// The δ hint describes where the previous descent's *guided* trajectory
 	// ended; without the dual guidance (stale vector rejected above) a small
 	// δ over the concentrated warm point sends the exponential penalties into
-	// overdrive and the descent thrashes — so they ride only with the duals.
+	// overdrive and the descent thrashes — so it rides only with the duals.
 	if !dualsOK {
 		return
 	}

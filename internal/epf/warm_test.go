@@ -34,9 +34,6 @@ func TestWarmExport(t *testing.T) {
 	if w.Delta <= 0 {
 		t.Errorf("exported Delta = %g, want > 0", w.Delta)
 	}
-	if w.TauHint < 0 || w.TauHint > 1 {
-		t.Errorf("exported TauHint = %g outside [0,1]", w.TauHint)
-	}
 	if len(w.Videos) != len(inst.Demands) {
 		t.Fatalf("warm state covers %d videos, instance has %d", len(w.Videos), len(inst.Demands))
 	}
@@ -163,7 +160,6 @@ func TestWarmCatalogChurn(t *testing.T) {
 	w := &WarmState{
 		RowDuals: cold.Warm.RowDuals,
 		Delta:    cold.Warm.Delta,
-		TauHint:  cold.Warm.TauHint,
 		Videos:   make(map[int]WarmVideo, len(cold.Warm.Videos)),
 	}
 	dropped := 0
@@ -200,8 +196,8 @@ func TestWarmCatalogChurn(t *testing.T) {
 }
 
 // TestColdPathUnchangedByWarmPlumbing: Options without Warm must produce the
-// exact bytes the pre-warm solver produced — the export of warm state and the
-// tau bookkeeping must be numerically inert.
+// exact bytes the pre-warm solver produced — the export of warm state must
+// be numerically inert.
 func TestColdPathUnchangedByWarmPlumbing(t *testing.T) {
 	inst := randomInstance(t, 23, 8, 60, 2.0, 200)
 	a, err := SolveInteger(inst, Options{Seed: 9, MaxPasses: 200})
@@ -449,7 +445,6 @@ func cloneWarm(w *WarmState) *WarmState {
 	c := *w
 	c.RowDuals = slices.Clone(w.RowDuals)
 	c.Assign = slices.Clone(w.Assign)
-	c.Shards = slices.Clone(w.Shards)
 	c.Videos = make(map[int]WarmVideo, len(w.Videos))
 	for id, wv := range w.Videos {
 		c.Videos[id] = WarmVideo{Open: slices.Clone(wv.Open), Pos: wv.Pos}
@@ -475,8 +470,7 @@ func TestWarmStateReadOnlyToConsumer(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := SolveInteger(insts[i], Options{Seed: 5, MaxPasses: 250, Workers: 2,
-				IncrementalPricing: true, ParallelRound: true, Warm: cold.Warm})
+			_, err := SolveInteger(insts[i], Options{Seed: 5, MaxPasses: 250, Workers: 2, Warm: cold.Warm})
 			if err != nil {
 				t.Error(err)
 			}

@@ -59,13 +59,11 @@ type Config struct {
 	Verify bool
 	// Warm enables cross-period warm starts in every multi-period MIP
 	// pipeline an experiment runs (core.MIPOptions.Warm): each day's solve is
-	// seeded from the previous day's final solver state. Off by default —
-	// warm solves change floating-point trajectories, so figure outputs
-	// differ slightly (never beyond the certified tolerance).
+	// seeded from the previous day's final solver state. vodexp sets it
+	// unless -cold is given. Warm solves move floating-point trajectories, so
+	// figure outputs differ slightly from cold ones (never beyond the
+	// certified tolerance).
 	Warm bool
-	// NoIncremental disables the fast solver defaults (incremental pricing
-	// and parallel rounding), pinning the legacy sequential trajectory.
-	NoIncremental bool
 	// Recorder threads the telemetry layer (internal/obs) through every
 	// solver and simulator run an experiment performs. nil disables it.
 	Recorder *obs.Recorder
@@ -124,8 +122,6 @@ func (c Config) solver() epf.Options {
 	return epf.Options{
 		Seed: c.Seed, MaxPasses: c.MaxPasses, Epsilon: c.Epsilon,
 		Shards: c.Shards, Recorder: c.Recorder,
-		IncrementalPricing: !c.NoIncremental,
-		ParallelRound:      !c.NoIncremental,
 	}
 }
 

@@ -419,11 +419,10 @@ func (s *Solver) SolveQuick(p *Problem) Solution {
 
 // SolveQuickInto is SolveQuick writing the result into out, reusing its
 // backing arrays. When warm is non-empty it replaces the all-open second
-// start with the given open set (ascending facility indices) — used by the
-// epf solver's opt-in warm-start mode, where the previous pass's block
-// solution is usually near the new optimum and seeds the local search much
-// closer than the all-open drop start. An empty warm set keeps the default
-// bit-exact two-start schedule.
+// start with the given open set (ascending facility indices) — the epf
+// descent passes the video's previous block solution, which is usually near
+// the new optimum and seeds the local search much closer than the all-open
+// drop start. An empty warm set keeps the two-start schedule.
 func (s *Solver) SolveQuickInto(p *Problem, out *Solution, warm []int32) {
 	n, kk := p.NumFacilities(), p.NumDemands()
 	if n == 0 {

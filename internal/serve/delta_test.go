@@ -428,52 +428,49 @@ func TestDeltaSnapshotEquivalence(t *testing.T) {
 	}
 }
 
-// TestDeltaMatchesFullResolve runs the whole resolver both ways: two
-// servers over identical instances, one with the delta path and one with
-// DeltaOff, fed the same update batches and driven through resolveOnce
-// directly. The solver is deterministic and patched instances are
-// bit-identical to rebuilt ones, so both servers must publish identical
-// snapshots at every version.
+// TestDeltaMatchesFullResolve drives the whole resolver through resolveOnce
+// and checks every round against a from-scratch rebuild: the patched live
+// instance must carry exactly the rows state.instance(base) re-streams, and
+// the published snapshot must equal buildSnapshot of the served placement on
+// that rebuilt instance.
 func TestDeltaMatchesFullResolve(t *testing.T) {
-	mk := func(deltaOff bool) *Server {
-		inst := testInstance(t, 30, 6, 21)
-		s, err := New(inst, Config{
-			Solver:   epf.Options{Seed: 21, MaxPasses: 600, Epsilon: 0.05},
-			DeltaOff: deltaOff,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(s.Close)
-		return s
+	s, err := New(testInstance(t, 30, 6, 21), Config{
+		Solver: epf.Options{Seed: 21, MaxPasses: 600, Epsilon: 0.05},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	sA, sB := mk(false), mk(true)
+	t.Cleanup(s.Close)
 	ids := make([]int, 0, 8)
-	for vi := 0; vi < len(sA.base.Demands) && vi < 8; vi++ {
-		ids = append(ids, sA.base.Demands[vi].Video)
+	for vi := 0; vi < len(s.base.Demands) && vi < 8; vi++ {
+		ids = append(ids, s.base.Demands[vi].Video)
 	}
 	for round := 1; round <= 3; round++ {
 		us := make([]DemandUpdate, 0, len(ids))
 		for x, id := range ids {
 			us = append(us, DemandUpdate{Video: id, VHO: (x + round) % 6, Add: 40})
 		}
-		for _, s := range []*Server{sA, sB} {
-			s.mu.Lock()
-			s.state.apply(us)
-			s.dirty = true
-			s.mu.Unlock()
-			if _, err := s.resolveOnce(context.Background()); err != nil {
-				t.Fatalf("round %d: resolveOnce: %v", round, err)
-			}
+		s.mu.Lock()
+		s.state.apply(us)
+		s.dirty = true
+		s.mu.Unlock()
+		if _, err := s.resolveOnce(context.Background()); err != nil {
+			t.Fatalf("round %d: resolveOnce: %v", round, err)
 		}
-		snapA, snapB := sA.Snapshot(), sB.Snapshot()
-		if snapA.Version != snapB.Version {
-			t.Fatalf("round %d: versions diverged: delta v%d, full v%d", round, snapA.Version, snapB.Version)
+		snap := s.Snapshot()
+		if snap.Version != uint64(round+1) {
+			t.Fatalf("round %d: snapshot v%d did not swap (stats %+v)", round, snap.Version, s.Stats())
 		}
-		if snapA.Version != uint64(round+1) {
-			t.Fatalf("round %d: snapshot v%d did not swap (stats %+v)", round, snapA.Version, sA.Stats())
+		rebuilt, err := s.state.instance(s.base)
+		if err != nil {
+			t.Fatalf("round %d: rebuild: %v", round, err)
 		}
-		equalSnapshots(t, round, snapA, snapB)
+		equalInstanceDemands(t, s.live, rebuilt)
+		want, err := buildSnapshot(rebuilt, &mip.Solution{Inst: rebuilt, Videos: snap.Sol.Videos}, snap.Version, true)
+		if err != nil {
+			t.Fatalf("round %d: full build: %v", round, err)
+		}
+		equalSnapshots(t, round, snap, want)
 	}
 }
 

@@ -50,13 +50,12 @@ func durMS(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 // resolveOnce brings the live instance up to date with the demand state,
 // solves it (warm-started from the last swapped-in solve unless disabled),
 // audits the result, and — only if the audit passes and the solve converged
-// — swaps a new snapshot in. The default delta path patches just the
-// demand-dirty videos of the live instance in place (state.patchInstance)
-// and hands the incremental snapshot build the set of videos dirtied since
-// the published snapshot, so both the instance refresh and the route-table
-// build cost O(changed) instead of O(catalog); DeltaOff (or a patch
-// failure) falls back to the full re-stream, which is bit-identical
-// (DESIGN.md §15). On any rejection the old snapshot keeps serving, the
+// — swaps a new snapshot in. It patches just the demand-dirty videos of the
+// live instance in place (state.patchInstance) and hands the incremental
+// snapshot build the set of videos dirtied since the published snapshot, so
+// both the instance refresh and the route-table build cost O(changed)
+// instead of O(catalog); a patch failure falls back to the full re-stream,
+// which is bit-identical (DESIGN.md §15). On any rejection the old snapshot keeps serving, the
 // matching counter is incremented, and the reject reason is kept for
 // /status; a cancellation (shutdown) discards the partial solve. The whole
 // attempt is bracketed by serve_resolve start/done trace events (done
@@ -74,7 +73,7 @@ func (s *Server) resolveOnce(ctx context.Context) (*Snapshot, error) {
 	catalog := len(s.state.rows)
 	var inst *mip.Instance
 	var err error
-	delta := !s.cfg.DeltaOff && s.live != nil
+	delta := s.live != nil
 	if delta {
 		inst = s.live
 		if perr := s.state.patchInstance(inst, dirty); perr != nil {
@@ -147,12 +146,6 @@ func (s *Server) resolveOnce(ctx context.Context) (*Snapshot, error) {
 	opts.TraceStream = fmt.Sprintf("serve.v%d", cur.Version+1)
 	if !s.cfg.WarmOff {
 		opts.Warm = warm
-	}
-	if delta {
-		// Full rebuilds re-stream the whole catalog, so per the
-		// epf.Options/Stats contract they pass no dirty list — every video
-		// is suspect, and Stats.DirtyVideos/ShardDirtyFrac stay zero.
-		opts.DirtyVideos = dirty
 	}
 	tSolve := time.Now()
 	res, err := epf.SolveIntegerContext(ctx, inst, opts)

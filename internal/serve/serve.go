@@ -41,14 +41,6 @@ type Config struct {
 	// away from the currently-served placement (objective (11) with origins
 	// taken from the live snapshot), damping churn between snapshots.
 	UpdateWeight float64
-	// DeltaOff disables the delta resolve path: every re-solve re-streams
-	// the whole catalog into a fresh instance and rebuilds the full route
-	// table, as pre-delta releases did. Default off — the resolver patches
-	// the dirty videos of its live instance in place and the snapshot build
-	// recomputes only rows whose open set or demand changed. Both paths
-	// produce bit-identical snapshots (DESIGN.md §15); this switch exists
-	// for differential tests and as an operational escape hatch.
-	DeltaOff bool
 	// Metrics receives the server's counters; a fresh private registry is
 	// created when nil. The same instruments back the /status endpoint.
 	Metrics *obs.Metrics
@@ -82,8 +74,8 @@ type Server struct {
 	dirty bool
 	// live is the instance re-solves run on. The delta path patches its
 	// dirty demand rows in place (mip.ApplyDemandDelta) instead of
-	// re-streaming the catalog; a full rebuild (DeltaOff, or a patch
-	// failure) replaces it wholesale. Only the resolver goroutine mutates
+	// re-streaming the catalog; a full rebuild (after a patch failure)
+	// replaces it wholesale. Only the resolver goroutine mutates
 	// it, and only demand-side fields — the identity fields snapshot
 	// readers touch are immutable under a patch.
 	live *mip.Instance

@@ -20,7 +20,7 @@ func TestServeLifecycleTrace(t *testing.T) {
 	var buf bytes.Buffer
 	rec := obs.New(&buf)
 	s, err := New(inst, Config{
-		Solver:   epf.Options{Seed: 17, MaxPasses: 200, Epsilon: 0.02},
+		Solver:   epf.Options{Seed: 17, MaxPasses: 600, Epsilon: 0.02},
 		Recorder: rec,
 		Metrics:  rec.Metrics(),
 	})

@@ -168,163 +168,108 @@ func diffInstance(rep *DiffReport, seed int64, o Options) error {
 	if err != nil {
 		return fmt.Errorf("epf: %w", err)
 	}
-	if ar := Audit(inst, res); !ar.Ok() {
-		rep.failf("seed %d: LP audit: %v", seed, ar.Err())
+	diffLP(rep, seed, "", o, opt, inst, res)
+	diffSharded(rep, inst, seed, "", o, epfOpts, res)
+
+	// Warm re-solve of the same instance from the cold solve's carryover: the
+	// resumed trajectory must hold the same certificates on the same corpus —
+	// a bound that overshoots the exact optimum, or an objective outside the
+	// LP band, fails here — and must be as shard-invariant as the cold one.
+	warmOpts := epfOpts
+	warmOpts.Warm = res.Warm
+	warmRes, err := epf.Solve(inst, warmOpts)
+	if err != nil {
+		return fmt.Errorf("epf warm: %w", err)
 	}
-	// Soundness: the Lagrangian bound must never exceed the true LP optimum.
+	diffLP(rep, seed, "warm ", o, opt, inst, warmRes)
+	diffSharded(rep, inst, seed, "warm ", o, warmOpts, warmRes)
+
+	diffInteger(rep, inst, seed, opt, epfOpts)
+	return nil
+}
+
+// diffLP audits one LP solve against the exact optimum: certificates, bound
+// soundness, and the objective band. label prefixes failure messages.
+func diffLP(rep *DiffReport, seed int64, label string, o Options, opt float64, inst *mip.Instance, res *epf.Result) {
+	ar := Audit(inst, res)
+	if !ar.Ok() {
+		rep.failf("seed %d: %sLP audit: %v", seed, label, ar.Err())
+	}
+	// Soundness: neither the claimed Lagrangian bound nor the one the
+	// independent certifier re-derives from the exported duals may exceed the
+	// true LP optimum.
+	if ar.CertifiedLB > opt+CertTol*(1+opt) {
+		rep.failf("seed %d: %scertified bound %g exceeds exact LP optimum %g", seed, label, ar.CertifiedLB, opt)
+	}
 	if ex := (res.LowerBound - opt) / math.Max(1, opt); ex > rep.WorstLBExcess {
 		rep.WorstLBExcess = ex
 	}
 	if res.LowerBound > opt+CertTol*(1+opt) {
-		rep.failf("seed %d: EPF lower bound %g exceeds exact LP optimum %g", seed, res.LowerBound, opt)
+		rep.failf("seed %d: %sEPF lower bound %g exceeds exact LP optimum %g", seed, label, res.LowerBound, opt)
 	}
 	// Accuracy: the ε-feasible objective must track the LP optimum.
 	if dev := math.Abs(res.Objective-opt) / math.Max(1, opt); dev > rep.WorstLPDev {
 		rep.WorstLPDev = dev
 	}
 	if res.Objective > opt*(1+o.LPBand)+CertTol || res.Objective < opt*(1-o.LPBand)-CertTol {
-		rep.failf("seed %d: EPF objective %g outside ±%.0f%% band around LP optimum %g (violation %+v)",
-			seed, res.Objective, 100*o.LPBand, opt, res.Violation)
+		rep.failf("seed %d: %sEPF objective %g outside ±%.0f%% band around LP optimum %g (violation %+v)",
+			seed, label, res.Objective, 100*o.LPBand, opt, res.Violation)
 	}
+}
 
-	// Sharded re-solve: the shard decomposition must not change a single bit
-	// of the result, and the sharded duals must certify the same bound the
-	// unsharded audit certified. This is the sharding determinism contract
-	// checked end-to-end, not just within the solver's own tests.
-	if o.Shards > 0 {
-		shOpts := epfOpts
-		shOpts.Shards = o.Shards
-		shRes, err := epf.Solve(inst, shOpts)
-		if err != nil {
-			return fmt.Errorf("epf sharded: %w", err)
-		}
-		if shRes.Objective != res.Objective || shRes.LowerBound != res.LowerBound {
-			rep.failf("seed %d: sharded solve (%d shards) diverged: obj %g vs %g, lb %g vs %g",
-				seed, o.Shards, shRes.Objective, res.Objective, shRes.LowerBound, res.LowerBound)
-		}
-		for r := range res.RowDuals {
-			if shRes.RowDuals[r] != res.RowDuals[r] {
-				rep.failf("seed %d: sharded solve row dual %d differs: %g vs %g", seed, r, shRes.RowDuals[r], res.RowDuals[r])
-				break
-			}
-		}
-		certU, errU := CertifyLowerBound(inst, res.RowDuals)
-		certS, errS := CertifyLowerBound(inst, shRes.RowDuals)
-		switch {
-		case errU != nil:
-			rep.failf("seed %d: unsharded certificate: %v", seed, errU)
-		case errS != nil:
-			rep.failf("seed %d: sharded certificate: %v", seed, errS)
-		case certU != certS:
-			rep.failf("seed %d: certified bounds diverge across sharding: %g vs %g", seed, certU, certS)
+// diffSharded re-solves with o.Shards catalog shards: the shard decomposition
+// must not change a single bit of the result, and the sharded duals must
+// certify the same bound the unsharded ones do. This is the sharding
+// determinism contract checked end-to-end, not just within the solver's own
+// tests.
+func diffSharded(rep *DiffReport, inst *mip.Instance, seed int64, label string, o Options, epfOpts epf.Options, res *epf.Result) {
+	if o.Shards <= 0 {
+		return
+	}
+	epfOpts.Shards = o.Shards
+	shRes, err := epf.Solve(inst, epfOpts)
+	if err != nil {
+		rep.failf("seed %d: %sepf sharded: %v", seed, label, err)
+		return
+	}
+	if shRes.Objective != res.Objective || shRes.LowerBound != res.LowerBound {
+		rep.failf("seed %d: %ssharded solve (%d shards) diverged: obj %g vs %g, lb %g vs %g",
+			seed, label, o.Shards, shRes.Objective, res.Objective, shRes.LowerBound, res.LowerBound)
+	}
+	for r := range res.RowDuals {
+		if shRes.RowDuals[r] != res.RowDuals[r] {
+			rep.failf("seed %d: %ssharded solve row dual %d differs: %g vs %g", seed, label, r, shRes.RowDuals[r], res.RowDuals[r])
+			break
 		}
 	}
-
-	diffInteger(rep, inst, seed, opt, "", epfOpts)
-
-	// Mode matrix: every IncrementalPricing/Warm/ParallelRound combination
-	// the CLIs can select must hold the legacy mode's certificates on the
-	// same corpus. This sweep is what gated graduating incremental pricing
-	// (with parallel rounding) and warm starts from opt-in to default: a mode
-	// whose bound ever overshot the exact optimum, or whose objective left
-	// the LP band, would fail here before it could ship as a default.
-	modes := []struct {
-		name string
-		mut  func(*epf.Options)
-	}{
-		{"incremental", func(mo *epf.Options) {
-			mo.IncrementalPricing = true
-			mo.ParallelRound = true
-		}},
-		{"warm", func(mo *epf.Options) {
-			mo.Warm = res.Warm
-			mo.ParallelRound = true
-		}},
-		{"incremental+warm", func(mo *epf.Options) {
-			mo.IncrementalPricing = true
-			mo.Warm = res.Warm
-			mo.ParallelRound = true
-		}},
+	certU, errU := CertifyLowerBound(inst, res.RowDuals)
+	certS, errS := CertifyLowerBound(inst, shRes.RowDuals)
+	switch {
+	case errU != nil:
+		rep.failf("seed %d: %sunsharded certificate: %v", seed, label, errU)
+	case errS != nil:
+		rep.failf("seed %d: %ssharded certificate: %v", seed, label, errS)
+	case certU != certS:
+		rep.failf("seed %d: %scertified bounds diverge across sharding: %g vs %g", seed, label, certU, certS)
 	}
-	for _, m := range modes {
-		mOpts := epfOpts
-		m.mut(&mOpts)
-		mRes, err := epf.Solve(inst, mOpts)
-		if err != nil {
-			return fmt.Errorf("epf %s: %w", m.name, err)
-		}
-		if ar := Audit(inst, mRes); !ar.Ok() {
-			rep.failf("seed %d: %s audit: %v", seed, m.name, ar.Err())
-		}
-		if mRes.LowerBound > opt+CertTol*(1+opt) {
-			rep.failf("seed %d: %s lower bound %g exceeds exact LP optimum %g", seed, m.name, mRes.LowerBound, opt)
-		}
-		if dev := math.Abs(mRes.Objective-opt) / math.Max(1, opt); dev > rep.WorstLPDev {
-			rep.WorstLPDev = dev
-		}
-		if mRes.Objective > opt*(1+o.LPBand)+CertTol || mRes.Objective < opt*(1-o.LPBand)-CertTol {
-			rep.failf("seed %d: %s objective %g outside ±%.0f%% band around LP optimum %g (violation %+v)",
-				seed, m.name, mRes.Objective, 100*o.LPBand, opt, mRes.Violation)
-		}
-		// Certified-bound parity: the mode's exported duals must stand on
-		// their own through the independent certifier, exactly like the
-		// legacy mode's — valid, and never above the exact optimum.
-		cert, certErr := CertifyLowerBound(inst, mRes.RowDuals)
-		switch {
-		case certErr != nil:
-			rep.failf("seed %d: %s certificate: %v", seed, m.name, certErr)
-		case cert > opt+CertTol*(1+opt):
-			rep.failf("seed %d: %s certified bound %g exceeds LP optimum %g", seed, m.name, cert, opt)
-		}
-		// End-to-end determinism of the fully-loaded default mode: a sharded
-		// re-solve must reproduce it bit for bit, certificates included.
-		if m.name == "incremental+warm" && o.Shards > 0 {
-			shOpts := mOpts
-			shOpts.Shards = o.Shards
-			shRes, err := epf.Solve(inst, shOpts)
-			if err != nil {
-				return fmt.Errorf("epf %s sharded: %w", m.name, err)
-			}
-			if shRes.Objective != mRes.Objective || shRes.LowerBound != mRes.LowerBound {
-				rep.failf("seed %d: %s sharded solve (%d shards) diverged: obj %g vs %g, lb %g vs %g",
-					seed, m.name, o.Shards, shRes.Objective, mRes.Objective, shRes.LowerBound, mRes.LowerBound)
-			}
-			for r := range mRes.RowDuals {
-				if shRes.RowDuals[r] != mRes.RowDuals[r] {
-					rep.failf("seed %d: %s sharded row dual %d differs: %g vs %g",
-						seed, m.name, r, shRes.RowDuals[r], mRes.RowDuals[r])
-					break
-				}
-			}
-		}
-	}
-
-	// The integer pipeline in the new default mode (incremental pricing with
-	// parallel rounding; cold, matching a first-period CLI solve).
-	fastOpts := epfOpts
-	fastOpts.IncrementalPricing = true
-	fastOpts.ParallelRound = true
-	diffInteger(rep, inst, seed, opt, "fast ", fastOpts)
-	return nil
 }
 
 // diffInteger runs the integer rounding pipeline under the given solver
 // options and audits the result: integrality, certificate, the
 // feasible-solutions-only bound, and a wide sanity band around the LP
-// optimum. label prefixes failure messages so legacy- and fast-mode runs
-// stay distinguishable in the report.
-func diffInteger(rep *DiffReport, inst *mip.Instance, seed int64, opt float64, label string, epfOpts epf.Options) {
+// optimum.
+func diffInteger(rep *DiffReport, inst *mip.Instance, seed int64, opt float64, epfOpts epf.Options) {
 	intRes, err := epf.SolveInteger(inst, epfOpts)
 	if err != nil {
-		rep.failf("seed %d: %sepf integer: %v", seed, label, err)
+		rep.failf("seed %d: epf integer: %v", seed, err)
 		return
 	}
 	ar := Audit(inst, intRes)
 	if !ar.Ok() {
-		rep.failf("seed %d: %sinteger audit: %v", seed, label, ar.Err())
+		rep.failf("seed %d: integer audit: %v", seed, ar.Err())
 	}
 	if !intRes.Sol.IsIntegral(1e-4) {
-		rep.failf("seed %d: %srounded solution not integral", seed, label)
+		rep.failf("seed %d: rounded solution not integral", seed)
 	}
 	// The certified bound applies to feasible solutions only: a rounded
 	// solution that overruns capacities by ε effectively buys extra capacity
@@ -333,7 +278,7 @@ func diffInteger(rep *DiffReport, inst *mip.Instance, seed int64, opt float64, l
 	feasible := intRes.Violation.Disk <= CertTol && intRes.Violation.Link <= CertTol
 	if feasible && ar.CertifiedLB > 0 &&
 		intRes.Objective < ar.CertifiedLB-CertTol*(1+ar.CertifiedLB) {
-		rep.failf("seed %d: %sfeasible integer objective %g below certified LP bound %g", seed, label, intRes.Objective, ar.CertifiedLB)
+		rep.failf("seed %d: feasible integer objective %g below certified LP bound %g", seed, intRes.Objective, ar.CertifiedLB)
 	}
 	if ar.CertifiedLB > 0 {
 		if gap := (intRes.Objective - ar.CertifiedLB) / ar.CertifiedLB; gap > rep.WorstIntGap {
@@ -343,8 +288,8 @@ func diffInteger(rep *DiffReport, inst *mip.Instance, seed int64, opt float64, l
 	// Rounding granularity on small instances is coarse; keep a wide sanity
 	// band around the LP optimum (the tight band is the LP comparison above).
 	if intRes.Objective > opt*1.60+CertTol || intRes.Objective < opt*0.60-CertTol {
-		rep.failf("seed %d: %sinteger objective %g implausibly far from LP optimum %g (violation %+v)",
-			seed, label, intRes.Objective, opt, intRes.Violation)
+		rep.failf("seed %d: integer objective %g implausibly far from LP optimum %g (violation %+v)",
+			seed, intRes.Objective, opt, intRes.Violation)
 	}
 }
 

@@ -353,8 +353,7 @@ func FuzzWarmResume(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		opts := epf.Options{Seed: seed, MaxPasses: 40, Epsilon: 0.05,
-			IncrementalPricing: seed%2 == 0, ParallelRound: seed%2 == 0}
+		opts := epf.Options{Seed: seed, MaxPasses: 40, Epsilon: 0.05}
 		cold, err := epf.SolveInteger(inst, opts)
 		if err != nil {
 			t.Fatalf("cold SolveInteger: %v", err)

@@ -10,7 +10,10 @@
 // With -baseline, the named file's "current" section is carried over as the
 // new record's "baseline", so re-running `make bench-json` after an
 // optimization automatically turns the previous numbers into the comparison
-// point and reports the speedup per benchmark.
+// point and reports the speedup per benchmark — but only when the baseline
+// was recorded on the same host shape (cpu, numcpu, gomaxprocs). Otherwise a
+// ratio would compare machines, not code: the record carries no "speedup"
+// map, "speedup_skipped" says which field differed, and so does stderr.
 //
 // With -cores, the per-line "-N" GOMAXPROCS suffixes are kept as distinct
 // keys (a `go test -cpu 1,2,4` sweep; the suffixless key is the 1-CPU run)
@@ -28,6 +31,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strconv"
@@ -55,20 +59,31 @@ type Record struct {
 	// Gomaxprocs is the uniform GOMAXPROCS of the run, inferred from the
 	// benchmark-name suffixes; omitted for -cores sweeps, where the
 	// per-key suffix carries it.
-	Gomaxprocs   int                `json:"gomaxprocs,omitempty"`
-	Current      map[string]Result  `json:"current"`
-	Baseline     map[string]Result  `json:"baseline,omitempty"`
-	Speedup      map[string]float64 `json:"speedup,omitempty"`
-	SpeedupCores map[string]float64 `json:"speedup_vs_1cpu,omitempty"`
+	Gomaxprocs int                `json:"gomaxprocs,omitempty"`
+	Current    map[string]Result  `json:"current"`
+	Baseline   map[string]Result  `json:"baseline,omitempty"`
+	Speedup    map[string]float64 `json:"speedup,omitempty"`
+	// SpeedupSkipped, when set, is why Speedup is absent although a baseline
+	// was carried over: the two records come from different hosts.
+	SpeedupSkipped string             `json:"speedup_skipped,omitempty"`
+	SpeedupCores   map[string]float64 `json:"speedup_vs_1cpu,omitempty"`
 }
 
 func main() {
 	baselinePath := flag.String("baseline", "", "JSON record whose 'current' section becomes this record's baseline")
 	cores := flag.Bool("cores", false, "treat input as a -cpu sweep: keep -N name suffixes and derive speedup_vs_1cpu")
 	flag.Parse()
+	if err := run(os.Stdin, os.Stdout, os.Stderr, *baselinePath, *cores); err != nil {
+		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
+		os.Exit(1)
+	}
+}
 
+// run converts the `go test -bench` text on in into one JSON record on out;
+// notes that are not errors go to errw.
+func run(in io.Reader, out, errw io.Writer, baselinePath string, cores bool) error {
 	rec := Record{Current: map[string]Result{}, NumCPU: runtime.NumCPU()}
-	sc := bufio.NewScanner(os.Stdin)
+	sc := bufio.NewScanner(in)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		switch {
@@ -83,11 +98,11 @@ func main() {
 		case strings.HasPrefix(line, "cpu:"):
 			rec.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
 		case strings.HasPrefix(line, "Benchmark"):
-			name, procs, res, ok := parseLine(line, *cores)
+			name, procs, res, ok := parseLine(line, cores)
 			if !ok {
 				continue
 			}
-			if !*cores && procs > rec.Gomaxprocs {
+			if !cores && procs > rec.Gomaxprocs {
 				rec.Gomaxprocs = procs
 			}
 			// -count N repeats a benchmark; keep the fastest run, the
@@ -98,29 +113,30 @@ func main() {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		fatal(err)
+		return err
 	}
 	if len(rec.Current) == 0 {
-		fatal(fmt.Errorf("no benchmark lines found on stdin"))
+		return fmt.Errorf("no benchmark lines found on stdin")
 	}
 
-	if *baselinePath != "" {
-		data, err := os.ReadFile(*baselinePath)
+	if baselinePath != "" {
+		data, err := os.ReadFile(baselinePath)
 		switch {
 		case errors.Is(err, os.ErrNotExist):
 			// First run for a new record file: nothing to carry over yet.
-			fmt.Fprintf(os.Stderr, "benchjson: %s does not exist yet; emitting a record without a baseline\n", *baselinePath)
+			fmt.Fprintf(errw, "benchjson: %s does not exist yet; emitting a record without a baseline\n", baselinePath)
 		case err != nil:
-			fatal(err)
+			return err
 		default:
 			var prev Record
 			if err := json.Unmarshal(data, &prev); err != nil {
-				fatal(fmt.Errorf("%s: %w", *baselinePath, err))
+				return fmt.Errorf("%s: %w", baselinePath, err)
 			}
 			rec.Baseline = prev.Current
+			rec.SpeedupSkipped = hostMismatch(&prev, &rec)
 		}
 	}
-	if *cores {
+	if cores {
 		rec.SpeedupCores = map[string]float64{}
 		for name, cur := range rec.Current {
 			i := strings.LastIndex(name, "-")
@@ -138,7 +154,9 @@ func main() {
 			rec.SpeedupCores = nil
 		}
 	}
-	if len(rec.Baseline) > 0 {
+	if rec.SpeedupSkipped != "" {
+		fmt.Fprintf(errw, "benchjson: no speedups against %s: %s\n", baselinePath, rec.SpeedupSkipped)
+	} else if len(rec.Baseline) > 0 {
 		rec.Speedup = map[string]float64{}
 		for name, cur := range rec.Current {
 			if base, ok := rec.Baseline[name]; ok && cur.NsPerOp > 0 {
@@ -147,11 +165,23 @@ func main() {
 		}
 	}
 
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(rec); err != nil {
-		fatal(err)
+	return enc.Encode(rec)
+}
+
+// hostMismatch names the host field on which the baseline record and this
+// run differ, or "" when both were taken on the same host shape.
+func hostMismatch(prev, cur *Record) string {
+	switch {
+	case prev.CPU != cur.CPU:
+		return fmt.Sprintf("baseline cpu %q, this run %q", prev.CPU, cur.CPU)
+	case prev.NumCPU != cur.NumCPU:
+		return fmt.Sprintf("baseline numcpu %d, this run %d", prev.NumCPU, cur.NumCPU)
+	case prev.Gomaxprocs != cur.Gomaxprocs:
+		return fmt.Sprintf("baseline gomaxprocs %d, this run %d", prev.Gomaxprocs, cur.Gomaxprocs)
 	}
+	return ""
 }
 
 // round2 keeps committed ratios at two decimals; full float64 ratios churn
@@ -197,9 +227,4 @@ func parseLine(line string, cores bool) (string, int, Result, bool) {
 		}
 	}
 	return name, procs, res, true
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-	os.Exit(1)
 }
