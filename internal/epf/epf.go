@@ -408,17 +408,6 @@ type solver struct {
 func (s *solver) rowDisk(i int) int    { return i }
 func (s *solver) rowLink(l, t int) int { return s.n + t*s.L + l }
 
-// Incremental-pricing tuning. A link row participates in a delta update
-// only when its dual moved by more than pdRelTol relatively; unchanged rows
-// keep their (within-tolerance) stale contribution. pdRebuildEvery bounds
-// the accumulated drift with a periodic exact rebuild, and a refresh where
-// more than a quarter of the link rows moved falls back to a full rebuild —
-// at that density the scattered delta writes cost more than the rebuild.
-const (
-	pdRelTol       = 1e-9
-	pdRebuildEvery = 16
-)
-
 // Solve runs the EPF LP solver on inst and returns the fractional result.
 func Solve(inst *mip.Instance, opts Options) (*Result, error) {
 	return SolveContext(context.Background(), inst, opts)
@@ -699,68 +688,6 @@ func (s *solver) recomputeState() {
 	s.stats.ReduceTime += time.Since(start)
 }
 
-// addBlockRows adds (sign=+1) or removes (sign=-1) block vi's contribution
-// to the coupling-row activities.
-func (s *solver) addBlockRows(vi int, bs *blockSol, sign float64) {
-	s.addBlockRowsTo(s.act, vi, bs, sign)
-}
-
-// addBlockRowsTo adds (sign=+1) or removes (sign=-1) block vi's contribution
-// to the coupling-row activities in act. Only the nonzero time slices of each
-// demand (the instance's sparse concurrency lists) are visited, and link
-// rows are addressed through the CSR path table. act is either the live
-// activity vector or one leaf's partial (parallel reductions): the per-entry
-// accumulation order is identical either way.
-func (s *solver) addBlockRowsTo(act []float64, vi int, bs *blockSol, sign float64) {
-	d := &s.inst.Demands[vi]
-	for _, f := range bs.open {
-		act[int(f.I)] += sign * d.SizeGB * f.V
-	}
-	if s.T == 0 {
-		return
-	}
-	for k, fr := range bs.assign {
-		j := int(d.Js[k])
-		ts, fv := d.ConcNZ(k)
-		if len(ts) == 0 {
-			continue
-		}
-		for _, f := range fr {
-			if int(f.I) == j || f.V == 0 {
-				continue
-			}
-			path := s.inst.G.Path(int(f.I), j)
-			for x, t := range ts {
-				flow := sign * d.RateMbps * fv[x] * f.V
-				base := s.n + int(t)*s.L
-				for _, l := range path {
-					act[base+int(l)] += flow
-				}
-			}
-		}
-	}
-}
-
-// blockCost returns block vi's objective contribution.
-func (s *solver) blockCost(vi int, bs *blockSol) float64 {
-	d := &s.inst.Demands[vi]
-	n := s.n
-	var c float64
-	for k, fr := range bs.assign {
-		col := s.costT[int(d.Js[k])*n : (int(d.Js[k])+1)*n]
-		coef := d.SizeGB * d.Agg[k]
-		for _, f := range fr {
-			c += coef * col[f.I] * f.V
-		}
-	}
-	if s.inst.UpdateWeight != 0 {
-		for _, f := range bs.open {
-			c += s.inst.PlacementCost(vi, int(f.I)) * f.V
-		}
-	}
-	return c
-}
-
 // maxCouplingViol returns δ_c(z) = max_r (act_r/b_r − 1), and the value of
 // r_0(z) = obj/B − 1.
 func (s *solver) maxCouplingViol() (float64, float64) {
@@ -781,713 +708,6 @@ func expClamp(x float64) float64 {
 		return 0
 	}
 	return math.Exp(x)
-}
-
-// computeDuals fills s.q with the normalized dual weights
-// q_r = (B/b_r)·exp(α(r_r − r_0)) used as block prices: the block objective
-// is c^k·z + Σ_r q_r·(A^k z)_r, a positive rescaling of the potential
-// gradient direction c(π^δ(z)).
-func (s *solver) computeDuals(q []float64) {
-	s.stats.DualRefreshes++
-	r0 := s.obj/s.bObj - 1
-	for r := 0; r < s.rows; r++ {
-		rr := s.act[r]/s.b[r] - 1
-		e := s.alpha * (rr - r0)
-		if e > dualExpCap {
-			// A row this much hotter than the objective row is effectively
-			// infinitely priced; cap to keep block costs finite. Any finite
-			// non-negative dual vector still yields a valid Lagrangian bound.
-			e = dualExpCap
-		}
-		q[r] = clampDual(s.bObj / s.b[r] * math.Exp(e))
-	}
-}
-
-// maxDual caps dual prices. On infeasible FEAS(B) instances the Lagrangian
-// bound legitimately diverges (that divergence is the infeasibility
-// certificate) and the B ← LB feedback would push prices to +Inf and then
-// NaN within a few passes; clamping keeps the arithmetic finite, and a
-// clamped lower bound is still a valid lower bound.
-const maxDual = 1e120
-
-func clampDual(v float64) float64 {
-	if math.IsNaN(v) || v > maxDual {
-		return maxDual
-	}
-	return v
-}
-
-// refreshDiskDuals recomputes only the disk rows of q from the live
-// activities (used by the rounding pass between videos; link rows keep their
-// chunk-frozen values).
-func (s *solver) refreshDiskDuals(q []float64) {
-	r0 := s.obj/s.bObj - 1
-	for i := 0; i < s.n; i++ {
-		r := s.rowDisk(i)
-		rr := s.act[r]/s.b[r] - 1
-		e := s.alpha * (rr - r0)
-		if e > dualExpCap {
-			e = dualExpCap
-		}
-		q[r] = clampDual(s.bObj / s.b[r] * math.Exp(e))
-	}
-}
-
-// computePathDuals brings pathDualT in sync with q:
-// pathDualT[(t*n+j)*n+i] = Σ_{l ∈ P_ij} q[link(l,t)].
-//
-// Only the link rows whose dual moved beyond pdRelTol push their delta into
-// the affected (i,j) pairs via the topology's reverse incidence lists; a
-// periodic full rebuild (syncPathDuals), byte-identical to summing along
-// each path, bounds the drift.
-func (s *solver) computePathDuals(q []float64) {
-	if s.T == 0 {
-		return
-	}
-	if !s.pdInit || s.pdSince >= pdRebuildEvery {
-		s.syncPathDuals(q)
-		return
-	}
-	// First sweep: count moved link rows; a dense refresh rebuilds instead.
-	moved := 0
-	for t := 0; t < s.T; t++ {
-		base := s.n + t*s.L
-		for l := 0; l < s.L; l++ {
-			r := base + l
-			if dualMoved(q[r], s.qPrev[r]) {
-				moved++
-			}
-		}
-	}
-	if moved*4 > s.L*s.T {
-		s.syncPathDuals(q)
-		return
-	}
-	n := s.n
-	for t := 0; t < s.T; t++ {
-		base := s.n + t*s.L
-		tn := t * n
-		for l := 0; l < s.L; l++ {
-			r := base + l
-			if !dualMoved(q[r], s.qPrev[r]) {
-				continue
-			}
-			dq := q[r] - s.qPrev[r]
-			for _, p := range s.inst.G.LinkPairs(l) {
-				i, j := int(p)/n, int(p)%n
-				s.pathDualT[(tn+j)*n+i] += dq
-			}
-			s.qPrev[r] = q[r]
-		}
-	}
-	s.pdSince++
-}
-
-// dualMoved reports whether a link dual changed beyond the relative
-// incremental-pricing tolerance.
-func dualMoved(now, prev float64) bool {
-	d := now - prev
-	if d < 0 {
-		d = -d
-	}
-	ref := prev
-	if ref < 0 {
-		ref = -ref
-	}
-	return d > pdRelTol*ref
-}
-
-// syncPathDuals performs a full rebuild and records q as the new baseline.
-func (s *solver) syncPathDuals(q []float64) {
-	s.rebuildPathDuals(q)
-	copy(s.qPrev, q)
-	s.pdInit = true
-	s.pdSince = 0
-}
-
-// rebuildPathDuals recomputes every pathDualT entry from scratch, summing
-// q along each CSR path in link order.
-//
-// Every entry is an independent sum over its own path's links, so the table
-// partitions freely: the rebuild fans (t,i) rows out to the pool when the
-// table is large enough to amortize the dispatch, and the result is
-// bitwise-identical to the sequential sweep at any worker count.
-func (s *solver) rebuildPathDuals(q []float64) {
-	if s.pdParallel {
-		s.pdRebuildQ = q
-		if err := s.pool.Run(s.ctx, s.T*s.n, s.pdRowFn); err == nil {
-			s.pdRebuildQ = nil
-			return
-		}
-		// Pre-cancelled dispatch: fall through to the sequential rebuild so
-		// the table is never left stale for the caller's final report.
-		s.pdRebuildQ = nil
-	}
-	s.rebuildPathDualRows(q, 0, s.T*s.n)
-}
-
-// rebuildPathDualRows rebuilds the (t,i) rows in [lo, hi) of the flattened
-// t·n row space. Both the sequential rebuild and each parallel range call
-// this body, so the per-entry arithmetic is shared by construction.
-func (s *solver) rebuildPathDualRows(q []float64, lo, hi int) {
-	n := s.n
-	links, off := s.inst.G.PathCSR()
-	for row := lo; row < hi; row++ {
-		t, i := row/n, row%n
-		base := s.n + t*s.L
-		tn := t * n
-		in := i * n
-		for j := 0; j < n; j++ {
-			if i == j {
-				s.pathDualT[(tn+j)*n+i] = 0
-				continue
-			}
-			var sum float64
-			for _, l := range links[off[in+j]:off[in+j+1]] {
-				sum += q[base+int(l)]
-			}
-			s.pathDualT[(tn+j)*n+i] = sum
-		}
-	}
-}
-
-// buildBlockProblem fills prob with video vi's facility-location block under
-// the frozen duals (q via pathDualT). Open cost: disk dual price plus any
-// placement-transfer cost; assignment cost: transfer objective plus link
-// dual prices along the path. All scans are over flat arrays: the j-th cost
-// column, the demand's nonzero slices, and the (t,j) path-dual column.
-func (s *solver) buildBlockProblem(vi int, q []float64, prob *facloc.Problem) {
-	d := &s.inst.Demands[vi]
-	n := s.n
-	if cap(prob.Open) < n {
-		prob.Open = make([]float64, n)
-	}
-	prob.Open = prob.Open[:n]
-	for i := 0; i < n; i++ {
-		prob.Open[i] = q[i]*d.SizeGB + s.inst.PlacementCost(vi, i)
-	}
-	K := len(d.Js)
-	prob.Reshape(K)
-	for k := 0; k < K; k++ {
-		j := int(d.Js[k])
-		coef := d.SizeGB * d.Agg[k]
-		row := prob.Assign[k*n : k*n+n]
-		col := s.costT[j*n : j*n+n]
-		for i := 0; i < n; i++ {
-			row[i] = coef * col[i]
-		}
-		ts, fv := d.ConcNZ(k)
-		for x, t := range ts {
-			w := d.RateMbps * fv[x]
-			pd := s.pathDualT[(int(t)*n+j)*n : (int(t)*n+j)*n+n]
-			for i := 0; i < n; i++ {
-				row[i] += w * pd[i]
-			}
-		}
-	}
-}
-
-// initRun prepares the per-run state (pass permutation, chunk buffers, the
-// chunk fan-out closure) so that a steady-state descent pass performs no
-// allocations: every buffer it touches is created or capacity-bounded here.
-func (s *solver) initRun() {
-	o := &s.opts
-	numBlocks := len(s.sol)
-	s.gammaLnM1 = o.Gamma * math.Log(float64(s.rows)+1)
-	s.perm = make([]int, numBlocks)
-	for i := range s.perm {
-		s.perm[i] = i
-	}
-	s.swapFn = func(a, b int) { s.perm[a], s.perm[b] = s.perm[b], s.perm[a] }
-	s.chunkSols = make([]intSol, o.ChunkSize)
-	for c := range s.chunkSols {
-		s.chunkSols[c].open = make([]int32, 0, s.n)
-		s.chunkSols[c].assign = make([]int32, 0, s.n)
-	}
-	s.dcHist = make([]float64, 0, o.MaxPasses+1)
-	s.warmOpen = make([][]int32, numBlocks)
-	if o.Warm != nil {
-		// Seed the facility-location warm starts from the previous period's
-		// open sets, so even the first chunk's local searches start near the
-		// old optimum. Videos without a valid warm set stay nil (cold).
-		for vi := range s.warmOpen {
-			if open := s.warmVideoOpen(vi); open != nil {
-				s.warmOpen[vi] = append([]int32(nil), open...)
-			}
-		}
-	}
-	// The fan-out body is created once; per-chunk state flows through
-	// solver fields (s.chunk, s.chunkPos, s.chunkSols) so no closure is
-	// allocated on the hot path. Tasks are shard-affine position ranges
-	// built by buildChunkTasks; chunkSols is index-addressed by chunk
-	// position and applied sequentially in chunk order by the caller, so
-	// neither the worker partition nor the shard grouping affects numerics.
-	s.chunkTaskFn = func(w, _, lo, hi int) {
-		ws := s.scratch.Get(w)
-		if ws.used == nil {
-			ws.used = make([]bool, s.n)
-		}
-		for idx := lo; idx < hi; idx++ {
-			c := int(s.chunkPos[idx])
-			vi := s.chunk[c]
-			s.buildBlockProblem(vi, s.q, &ws.prob)
-			ws.fs.SolveQuickInto(&ws.prob, &ws.fsol, s.warmOpen[vi])
-			toIntSolInto(&ws.fsol, &s.inst.Demands[vi], ws.used, &s.chunkSols[c])
-			s.warmOpen[vi] = append(s.warmOpen[vi][:0], s.chunkSols[c].open...)
-		}
-		ws.blocks += int64(hi - lo)
-	}
-}
-
-// buildChunkTasks groups the current chunk's positions by shard (a stable
-// counting sort into s.chunkPos) and splits each shard group into pieces of
-// at most ceil(|chunk|/W), so a W-worker fan-out stays balanced while each
-// piece touches a single shard's videos. Per-shard block counts are tallied
-// here, on the driver goroutine, so the telemetry is deterministic. No
-// allocations: every buffer was sized in initShards/initRun.
-func (s *solver) buildChunkTasks() {
-	S := len(s.shards)
-	cnt, head := s.shardCnt, s.shardHead
-	for si := 0; si < S; si++ {
-		cnt[si] = 0
-	}
-	for _, vi := range s.chunk {
-		cnt[s.shardOf[vi]]++
-	}
-	var sum int32
-	for si := 0; si < S; si++ {
-		head[si] = sum
-		sum += cnt[si]
-		s.shardBlocks[si] += int64(cnt[si])
-	}
-	for c, vi := range s.chunk {
-		si := s.shardOf[vi]
-		s.chunkPos[head[si]] = int32(c)
-		head[si]++
-	}
-	per := (len(s.chunk) + s.opts.Workers - 1) / s.opts.Workers
-	if per < 1 {
-		per = 1
-	}
-	s.tasks = s.tasks[:0]
-	pos := 0
-	for si := 0; si < S; si++ {
-		g := int(cnt[si])
-		for g > 0 {
-			sz := per
-			if sz > g {
-				sz = g
-			}
-			s.tasks = append(s.tasks, par.Task{Tag: si, Lo: pos, Hi: pos + sz})
-			pos += sz
-			g -= sz
-		}
-	}
-}
-
-// descentPass runs one full gradient-descent pass (shuffle, chunked block
-// optimization, sequential application with line search, scale shrink).
-// Returns false when the context was cancelled mid-pass. Steady-state
-// passes allocate nothing; see initRun.
-func (s *solver) descentPass() bool {
-	o := &s.opts
-	numBlocks := len(s.sol)
-	if !o.NoShuffle {
-		s.rng.Shuffle(numBlocks, s.swapFn)
-	}
-	for lo := 0; lo < numBlocks; lo += o.ChunkSize {
-		hi := lo + o.ChunkSize
-		if hi > numBlocks {
-			hi = numBlocks
-		}
-		// Freeze duals for the chunk.
-		s.computeDuals(s.q)
-		s.computePathDuals(s.q)
-
-		// Parallel block optimization on the shared pool, dispatched as
-		// shard-affine position ranges.
-		s.chunk = s.perm[lo:hi]
-		s.buildChunkTasks()
-		if err := s.pool.RunTasks(s.ctx, s.tasks, s.chunkTaskFn); err != nil {
-			return false // cancelled before dispatch; chunkSols is stale
-		}
-
-		// Sequential application with line search.
-		for c, vi := range s.chunk {
-			s.applyBlock(vi, &s.chunkSols[c])
-		}
-		if s.ctx.Err() != nil {
-			return false
-		}
-
-		// Step 11: shrink the scale when the point got less infeasible.
-		dc, r0 := s.maxCouplingViol()
-		dz := math.Max(math.Max(dc, r0), o.Epsilon/2)
-		if dz < s.delta {
-			s.delta = dz
-			s.alpha = s.gammaLnM1 / s.delta
-		}
-	}
-	return true
-}
-
-// initDescent sets the initial bound, objective target, per-run buffers and
-// penalty scale. Split from run so the allocation-regression test can
-// prepare a solver and then measure descentPass in isolation.
-func (s *solver) initDescent() {
-	// Initial lower bound: the no-capacity-pressure bound (every request
-	// served at cost β). With β = 0 this is 0, so floor the objective
-	// target to keep r_0 well defined.
-	s.lb = s.inst.LowerBoundNoNetwork()
-	s.ub = math.Inf(1)
-	s.bPremium = 1
-	s.bFloor = math.Max(1e-9, 1e-3*s.obj)
-	s.retargetB()
-
-	s.initRun()
-	dc, r0 := s.maxCouplingViol()
-	s.delta = math.Max(math.Max(dc, r0), s.opts.Epsilon/2)
-	s.alpha = s.gammaLnM1 / s.delta
-	s.seedWarmDescent()
-}
-
-// run executes Algorithm 1's main loop and returns the fractional result.
-// ctx is observed at chunk boundaries: on cancellation the loop stops
-// before the next fan-out and the current point is returned as-is.
-func (s *solver) run(ctx context.Context) *Result {
-	s.ctx = ctx
-	lpStart := time.Now()
-	s.runStart = lpStart
-	o := s.opts
-	s.initDescent()
-
-	var res *Result
-	pass := 0
-passes:
-	for pass = 1; pass <= o.MaxPasses; pass++ {
-		if !s.descentPass() {
-			break passes
-		}
-
-		// Periodic exact refresh: incremental activity updates accumulate
-		// floating-point drift over thousands of block steps.
-		if pass%8 == 0 {
-			s.recomputeState()
-		}
-
-		// Incumbent update (step 12).
-		dc, _ := s.maxCouplingViol()
-		if dc <= o.Epsilon && s.obj < s.ub {
-			s.ub = s.obj
-			s.snapshotBest()
-			s.haveUB = true
-		}
-		if s.done(o.Epsilon) {
-			s.recordPass(pass)
-			break
-		}
-
-		// FEAS(B) rescue: if no ε-feasible point has appeared by late in
-		// the pass budget, the guess B is likely below the LP optimum (the
-		// Lagrangian bound has not caught up) and the violation plateaus —
-		// the potential is balancing a target that cannot be met. Raising
-		// the guess is the move the FEAS(B) framework prescribes; it runs
-		// only as a late rescue because it sacrifices objective pressure.
-		// The first incumbent resets the premium so the normal dynamics
-		// resume, and the incumbent snapshot protects what was found.
-		s.dcHist = append(s.dcHist, dc)
-		switch {
-		case s.haveUB && s.bPremium > 1:
-			s.bPremium = 1
-			s.retargetB()
-		case !s.haveUB && pass > o.MaxPasses*3/4 && dc > 1.8*o.Epsilon && len(s.dcHist) >= 8:
-			ref := s.dcHist[len(s.dcHist)-8]
-			if ref-dc < 0.05*(dc-o.Epsilon) {
-				s.bPremium = math.Min(1.5, s.bPremium*1.03)
-				s.retargetB()
-				s.dcHist = s.dcHist[:0] // give the new target time to act
-			}
-		}
-
-		// Lower-bound pass (steps 14-15) with smoothed duals. LR(λ) is not
-		// scale-invariant in λ even though the block *directions* are, so a
-		// short adaptive search over multiplicative scalings of the dual
-		// vector is run each time; the best scale is carried to the next
-		// pass. This is one of the update-mechanism tweaks the paper alludes
-		// to in the Appendix.
-		if pass%o.LBEvery == 0 {
-			s.computeDuals(s.q)
-			if !s.qBarSet {
-				copy(s.qBar, s.q)
-				s.qBarSet = true
-			} else {
-				for r := range s.qBar {
-					s.qBar[r] = o.Rho*s.qBar[r] + (1-o.Rho)*s.q[r]
-				}
-			}
-			bestScale := s.lbScale
-			bestLR := math.Inf(-1)
-			// The three-point scale search costs two extra full block
-			// passes; run it while the duals are still moving (early
-			// passes) and periodically afterwards, with a single
-			// evaluation at the carried scale in between.
-			mults := lbMultsWide[:]
-			if pass > 8 && pass%3 != 0 {
-				mults = lbMultsNarrow[:]
-			}
-			for _, mult := range mults {
-				scale := s.lbScale * mult
-				for r := range s.qTmp {
-					s.qTmp[r] = scale * s.qBar[r]
-				}
-				if lr := s.lagrangianBound(s.qTmp); lr > bestLR {
-					bestLR, bestScale = lr, scale
-				}
-			}
-			s.lbScale = bestScale
-			if bestLR > s.lb+1e-12*math.Abs(s.lb) {
-				s.lb = bestLR
-				s.lbStall = 0
-				for r := range s.lbDuals {
-					s.lbDuals[r] = bestScale * s.qBar[r]
-				}
-			} else {
-				s.lbStall++
-			}
-			// When the potential-derived duals stop improving the bound,
-			// polish the dual vector directly with subgradient ascent.
-			if s.lbStall >= 3 {
-				s.polishLB()
-				s.lbStall = 0
-			}
-			s.retargetB()
-			if s.done(o.Epsilon) {
-				s.recordPass(pass)
-				break
-			}
-		}
-
-		if o.OnPass != nil {
-			dc, _ := s.maxCouplingViol()
-			o.OnPass(PassInfo{
-				Pass: pass, Objective: s.obj, LowerBound: s.lb,
-				MaxViol: dc, Delta: s.delta, UpperBound: s.ub,
-			})
-		}
-		s.recordPass(pass)
-	}
-	if pass > o.MaxPasses {
-		pass = o.MaxPasses
-	}
-
-	converged := s.done(o.Epsilon)
-	s.lpDelta = s.delta // the δ the descent ended at, before rounding retunes
-	// Prefer the incumbent; fall back to the current point.
-	if s.haveUB {
-		s.restoreBest()
-		s.recomputeState()
-	}
-	s.stats.LPTime = time.Since(lpStart)
-	s.opts.Recorder.RecordSpan(s.opts.TraceStream, "descent", s.stats.LPTime)
-	res = s.buildResult(pass, converged)
-	return res
-}
-
-// recordPass emits one per-pass telemetry event: the convergence state the
-// paper's figures plot (Φ, bounds, duality gap, link utilization) plus the
-// incrementally merged work counters, so a mid-run /progress snapshot shows
-// live totals rather than the zeros the pre-telemetry solver reported until
-// solve end. A nil recorder makes this a single pointer test; every field
-// except the elapsed-ms stamp is bit-identical across worker counts.
-func (s *solver) recordPass(pass int) {
-	rec := s.opts.Recorder
-	if !rec.Enabled() {
-		return
-	}
-	dc, r0 := s.maxCouplingViol()
-	lmax, lmean := s.linkUtil()
-	gap := 0.0
-	if s.lb > 1e-12 {
-		gap = (s.obj - s.lb) / s.lb
-	}
-	// JSON cannot carry +Inf: until an ε-feasible incumbent exists the upper
-	// bound is reported as 0 and the duality gap as −1 ("undefined").
-	ub, ubGap := 0.0, -1.0
-	if s.haveUB {
-		ub = s.ub
-		if s.lb > 1e-12 {
-			ubGap = (s.ub - s.lb) / s.lb
-		}
-	}
-	s.stats.Passes = pass
-	s.mergeStats()
-	rec.RecordEPFPass(obs.EPFPass{
-		Stream:       s.opts.TraceStream,
-		Pass:         pass,
-		Phi:          s.potential(r0),
-		Objective:    s.obj,
-		LowerBound:   s.lb,
-		UpperBound:   ub,
-		Gap:          gap,
-		UBGap:        ubGap,
-		MaxViol:      dc,
-		MaxLinkUtil:  lmax,
-		MeanLinkUtil: lmean,
-		Delta:        s.delta,
-		Blocks:       s.stats.BlocksOptimized,
-		WarmHits:     s.stats.WarmStartHits,
-		ElapsedMS:    float64(time.Since(s.runStart).Nanoseconds()) / 1e6,
-	})
-	rec.PublishKV("epf_stats."+s.opts.TraceStream, s.stats)
-}
-
-// potential evaluates the potential Φ(z) at the live α: the capacity rows'
-// exp(α(act_r/b_r − 1)) plus the objective row's exp(α·r_0) with
-// r_0 = obj/B − 1. Telemetry only — the descent itself never calls it.
-func (s *solver) potential(r0 float64) float64 {
-	phi := expClamp(s.alpha * r0)
-	for r := 0; r < s.rows; r++ {
-		phi += expClamp(s.alpha * (s.act[r]/s.b[r] - 1))
-	}
-	return phi
-}
-
-// linkUtil returns the max and mean utilization act_r/b_r over the link
-// rows (rows n .. rows−1). Zero when the instance has no time slices.
-func (s *solver) linkUtil() (lmax, lmean float64) {
-	nLinks := s.rows - s.n
-	if nLinks <= 0 {
-		return 0, 0
-	}
-	var sum float64
-	for r := s.n; r < s.rows; r++ {
-		u := s.act[r] / s.b[r]
-		if u > lmax {
-			lmax = u
-		}
-		sum += u
-	}
-	return lmax, sum / float64(nLinks)
-}
-
-// finishTrace emits the solve's summary event and forces the sink to disk.
-// It runs on every exit from the public entry points — converged, pass
-// budget exhausted, or cancelled — so a SIGINT'd run still keeps every
-// buffered pass event (flushing here is what makes partial traces
-// debuggable).
-func (s *solver) finishTrace(res *Result) {
-	rec := s.opts.Recorder
-	if !rec.Enabled() || res == nil {
-		return
-	}
-	rec.RecordEPFDone(obs.EPFDone{
-		Stream:     s.opts.TraceStream,
-		Passes:     res.Passes,
-		Objective:  res.Objective,
-		LowerBound: res.LowerBound,
-		Gap:        res.Gap,
-		Converged:  res.Converged,
-		Rounded:    res.Rounded,
-	})
-	// Per-shard summaries ride only on sharded solves, so an unsharded
-	// solve's trace stays byte-identical to pre-shard releases.
-	if len(s.shards) > 1 {
-		for si, sp := range s.shards {
-			var nnz int64
-			for vi := sp.lo; vi < sp.hi; vi++ {
-				nnz += int64(s.inst.Demands[vi].NNZ())
-			}
-			rec.RecordEPFShard(obs.EPFShard{
-				Stream: s.opts.TraceStream,
-				Shard:  si,
-				Videos: sp.hi - sp.lo,
-				NNZ:    nnz,
-				Blocks: s.shardBlocks[si],
-			})
-		}
-	}
-	rec.RecordSpan(s.opts.TraceStream, "reduce", res.Stats.ReduceTime)
-	rec.PublishKV("epf_stats."+s.opts.TraceStream, res.Stats)
-	rec.Flush() //nolint:errcheck // sink errors surface from the caller's Close
-}
-
-// Lower-bound scale-search multipliers (package-level so the pass loop
-// doesn't materialize a slice literal per pass).
-var (
-	lbMultsWide   = [3]float64{0.5, 1, 2}
-	lbMultsNarrow = [1]float64{1}
-)
-
-// retargetB recomputes the objective-row target from the proven bound and
-// the current premium.
-func (s *solver) retargetB() {
-	s.bObj = math.Max(s.lb*s.bPremium, s.bFloor)
-}
-
-// done reports the Algorithm 1 termination criterion. A tiny absolute slack
-// keeps instances with OPT = 0 (no capacity pressure, β = 0) terminating.
-func (s *solver) done(eps float64) bool {
-	if !s.haveUB {
-		return false
-	}
-	return s.ub <= (1+eps)*s.lb+1e-9
-}
-
-func (s *solver) buildResult(passes int, converged bool) *Result {
-	out := mip.NewSolution(s.inst)
-	for vi := range s.sol {
-		out.Videos[vi].Open = append([]mip.Frac(nil), s.sol[vi].open...)
-		for k := range s.sol[vi].assign {
-			out.Videos[vi].Assign[k] = append([]mip.Frac(nil), s.sol[vi].assign[k]...)
-		}
-	}
-	obj := out.Objective()
-	gap := 0.0
-	if s.lb > 1e-12 {
-		gap = (obj - s.lb) / s.lb
-	}
-	s.stats.Passes = passes
-	s.mergeStats()
-	res := &Result{
-		Sol:        out,
-		LowerBound: s.lb,
-		Objective:  obj,
-		Gap:        gap,
-		RowDuals:   append([]float64(nil), s.lbDuals...),
-		Violation:  out.Check(),
-		Passes:     passes,
-		Converged:  converged,
-		Stats:      s.stats,
-	}
-	return res
-}
-
-func (s *solver) snapshotBest() {
-	if s.best == nil {
-		s.best = make([]blockSol, len(s.sol))
-	}
-	for vi := range s.sol {
-		src := &s.sol[vi]
-		dst := &s.best[vi]
-		dst.open = append(dst.open[:0], src.open...)
-		if dst.assign == nil {
-			dst.assign = make([][]mip.Frac, len(src.assign))
-		}
-		for k := range src.assign {
-			dst.assign[k] = append(dst.assign[k][:0], src.assign[k]...)
-		}
-	}
-}
-
-func (s *solver) restoreBest() {
-	for vi := range s.best {
-		src := &s.best[vi]
-		dst := &s.sol[vi]
-		dst.open = append(dst.open[:0], src.open...)
-		for k := range src.assign {
-			dst.assign[k] = append(dst.assign[k][:0], src.assign[k]...)
-		}
-	}
 }
 
 // toIntSolInto converts a facility-location solution to an intSol in out,
@@ -1521,377 +741,4 @@ func toIntSolInto(fsol *facloc.Solution, d *mip.VideoDemand, used []bool, out *i
 	for _, i := range fsol.Assign {
 		used[i] = false
 	}
-}
-
-// addDelta accumulates a sparse row delta into s.acc/s.touched.
-func (s *solver) addDelta(r int, v float64) {
-	if s.acc[r] == 0 && v != 0 {
-		s.touched = append(s.touched, int32(r))
-	}
-	s.acc[r] += v
-}
-
-// applyBlock replaces block vi by a convex combination of its current
-// solution and the integer solution ns, with the mixing weight chosen by an
-// exact line search on the potential. Activities and objective are updated
-// incrementally.
-func (s *solver) applyBlock(vi int, ns *intSol) {
-	d := &s.inst.Demands[vi]
-	old := &s.sol[vi]
-	n := s.n
-
-	// Deltas: new block rows minus old block rows, into s.acc/s.touched.
-	s.touched = s.touched[:0]
-	// Old contribution, negated.
-	for _, f := range old.open {
-		s.addDelta(int(f.I), -d.SizeGB*f.V)
-	}
-	for k, fr := range old.assign {
-		j := int(d.Js[k])
-		ts, fv := d.ConcNZ(k)
-		for _, f := range fr {
-			if int(f.I) == j || f.V == 0 {
-				continue
-			}
-			path := s.inst.G.Path(int(f.I), j)
-			for x, t := range ts {
-				flow := d.RateMbps * fv[x] * f.V
-				base := s.n + int(t)*s.L
-				for _, l := range path {
-					s.addDelta(base+int(l), -flow)
-				}
-			}
-		}
-	}
-	// New contribution.
-	for _, i := range ns.open {
-		s.addDelta(int(i), d.SizeGB)
-	}
-	var dObj float64
-	dObj -= s.blockCost(vi, old)
-	for k, i := range ns.assign {
-		j := int(d.Js[k])
-		dObj += d.SizeGB * d.Agg[k] * s.costT[j*n+int(i)]
-		if int(i) == j {
-			continue
-		}
-		path := s.inst.G.Path(int(i), j)
-		ts, fv := d.ConcNZ(k)
-		for x, t := range ts {
-			flow := d.RateMbps * fv[x]
-			base := s.n + int(t)*s.L
-			for _, l := range path {
-				s.addDelta(base+int(l), flow)
-			}
-		}
-	}
-	if s.inst.UpdateWeight != 0 {
-		for _, i := range ns.open {
-			dObj += s.inst.PlacementCost(vi, int(i))
-		}
-	}
-
-	tau := s.lineSearch(dObj)
-	if tau > 0 {
-		// Remove the old block's rows and cost, replace the block, add the
-		// new (mixed and y-tightened) contribution back.
-		s.addBlockRows(vi, old, -1)
-		oldCost := s.blockCost(vi, old)
-		s.mixBlock(vi, ns, tau)
-		s.addBlockRows(vi, &s.sol[vi], +1)
-		s.obj += s.blockCost(vi, &s.sol[vi]) - oldCost
-	}
-	// Clear scratch.
-	for _, r := range s.touched {
-		s.acc[r] = 0
-	}
-	s.touched = s.touched[:0]
-}
-
-// lineSearch minimizes Φ(z + τ·Δ) over τ ∈ [0, 1] given the sparse row
-// deltas in s.acc/s.touched and the objective delta. Φ is convex in τ.
-//
-// The touched rows are first gathered into contiguous scratch arrays with
-// the per-row delta/b coefficient divided out once, so each derivative
-// evaluation is a single fused multiply-exp sweep, followed by a fixed
-// 30-step bisection.
-//
-// Bisection is deliberate: Φ' routinely has wide numerically-flat plateaus
-// — the clamped exponentials underflow when every touched row is far from
-// its smoothed capacity — and inside a plateau any τ is a "root" to float
-// precision. Bisection's sign test walks to the plateau's left edge and
-// takes the conservative step, where a derivative-based iteration parks
-// wherever its last step landed, which compounds over thousands of steps
-// into a 5–18% objective regression on hard corpus seeds.
-func (s *solver) lineSearch(dObj float64) float64 {
-	s.stats.LineSearches++
-	m := 0
-	for _, r := range s.touched {
-		delta := s.acc[r]
-		if delta == 0 {
-			continue
-		}
-		s.lsDelta[m] = delta
-		s.lsAct[m] = s.act[r]
-		s.lsB[m] = s.b[r]
-		s.lsDB[m] = delta / s.b[r]
-		m++
-	}
-	deriv := func(tau float64) float64 {
-		var dsum float64
-		for x := 0; x < m; x++ {
-			rr := (s.lsAct[x]+tau*s.lsDelta[x])/s.lsB[x] - 1
-			dsum += s.lsDB[x] * expClamp(s.alpha*rr)
-		}
-		if dObj != 0 {
-			rr0 := (s.obj+tau*dObj)/s.bObj - 1
-			dsum += dObj / s.bObj * expClamp(s.alpha*rr0)
-		}
-		return dsum
-	}
-	if deriv(0) >= 0 {
-		return 0
-	}
-	if deriv(1) <= 0 {
-		return 1
-	}
-	lo, hi := 0.0, 1.0
-	for iter := 0; iter < 30; iter++ {
-		mid := (lo + hi) / 2
-		if deriv(mid) < 0 {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
-}
-
-// mixBlock sets s.sol[vi] ← (1−τ)·old + τ·ns, then tightens y to the
-// pointwise maximum of the assignments (feasible and never worse for the
-// potential) and prunes negligible entries.
-func (s *solver) mixBlock(vi int, ns *intSol, tau float64) {
-	d := &s.inst.Demands[vi]
-	old := &s.sol[vi]
-	const prune = 1e-12
-
-	if tau >= 1 {
-		// Full replacement.
-		old.open = old.open[:0]
-		for _, i := range ns.open {
-			old.open = append(old.open, mip.Frac{I: i, V: 1})
-		}
-		for k := range old.assign {
-			old.assign[k] = append(old.assign[k][:0], mip.Frac{I: ns.assign[k], V: 1})
-		}
-		return
-	}
-
-	// Mix assignments per demand point; track per-office max for y.
-	y := s.yBuf
-	for i := range y {
-		y[i] = 0
-	}
-	for k := range old.assign {
-		s.mergeFracs(old.assign[k], ns.assign[k], tau, prune)
-		// Copy the staged merge back through the row's own backing array;
-		// append only allocates while a row's capacity is still growing.
-		merged := append(old.assign[k][:0], s.mergeBuf...)
-		old.assign[k] = merged
-		// Renormalize to sum exactly 1 (pruning can nudge it off).
-		var sum float64
-		for _, f := range merged {
-			sum += f.V
-		}
-		if sum > 0 && math.Abs(sum-1) > 1e-15 {
-			inv := 1 / sum
-			for idx := range merged {
-				merged[idx].V *= inv
-			}
-		}
-		for _, f := range merged {
-			if f.V > y[f.I] {
-				y[f.I] = f.V
-			}
-		}
-	}
-	if len(d.Js) > 0 {
-		old.open = old.open[:0]
-		for i := 0; i < s.n; i++ {
-			if y[i] > prune {
-				old.open = append(old.open, mip.Frac{I: int32(i), V: y[i]})
-			}
-		}
-		return
-	}
-	// Zero-demand video: mix the open vectors directly (Σy stays 1).
-	for i := range y {
-		y[i] = 0
-	}
-	for _, f := range old.open {
-		y[f.I] += (1 - tau) * f.V
-	}
-	for _, i := range ns.open {
-		y[i] += tau
-	}
-	old.open = old.open[:0]
-	for i := 0; i < s.n; i++ {
-		if y[i] > prune {
-			old.open = append(old.open, mip.Frac{I: int32(i), V: y[i]})
-		}
-	}
-}
-
-// mergeFracs stages (1−τ)·a + τ·unit(i_b) into s.mergeBuf; a is sorted by
-// office, the staged result is sorted, entries below prune are dropped. The
-// caller copies the buffer back through the destination row's backing, so
-// steady-state merges allocate nothing once row capacities stabilize.
-func (s *solver) mergeFracs(a []mip.Frac, ib int32, tau, prune float64) {
-	out := s.mergeBuf[:0]
-	inserted := false
-	for _, f := range a {
-		v := (1 - tau) * f.V
-		if f.I == ib {
-			v += tau
-			inserted = true
-		} else if !inserted && f.I > ib {
-			if tau > prune {
-				out = append(out, mip.Frac{I: ib, V: tau})
-			}
-			inserted = true
-		}
-		if v > prune {
-			out = append(out, mip.Frac{I: f.I, V: v})
-		}
-	}
-	if !inserted && tau > prune {
-		out = append(out, mip.Frac{I: ib, V: tau})
-	}
-	s.mergeBuf = out
-}
-
-// lagrangianBound computes LR(λ) = Σ_k LB_k(λ) − Σ_r λ_r·b_r with the given
-// normalized duals, using per-block dual-ascent lower bounds so the result
-// is a valid bound on OPT.
-func (s *solver) lagrangianBound(q []float64) float64 {
-	lr, _ := s.lagrangianEval(q, false)
-	return lr
-}
-
-// lagrangianEval computes LR(q) and, when wantGrad is set, the activities
-// A·z_q of an (approximate) block-minimizing point z_q — the subgradient of
-// LR at q is A·z_q − b. The bound uses per-block dual ascent (valid lower
-// bounds); the subgradient uses the facility-location primal heuristic.
-//
-// Workers write per-block results into s.lbBuf/s.lbSols and every reduction
-// runs in block order on this goroutine, so the bound and subgradient are
-// bit-identical at any worker count. On cancellation it returns (−Inf, nil):
-// callers only ever take the max of the bound, so a cancelled evaluation
-// can never corrupt the solve. The returned gradient is solver-owned
-// scratch, valid until the next call.
-func (s *solver) lagrangianEval(q []float64, wantGrad bool) (float64, []float64) {
-	s.computePathDuals(q)
-	s.stats.LBEvals++
-	numBlocks := len(s.sol)
-	if wantGrad && s.lbSols == nil {
-		s.lbSols = make([]intSol, numBlocks)
-	}
-	s.lbQ, s.lbWantGrad = q, wantGrad
-	err := s.pool.RunTasks(s.ctx, s.lbTasks, s.lbTaskFn)
-	if err != nil || s.ctx.Err() != nil {
-		return math.Inf(-1), nil
-	}
-	lr := s.reduceLBSum(numBlocks)
-	for r := 0; r < s.rows; r++ {
-		lr -= q[r] * s.b[r]
-	}
-	// A diverging bound certifies infeasibility of FEAS(B); clamp so the
-	// B ← LB feedback stays finite (a clamped bound remains valid).
-	if math.IsNaN(lr) {
-		lr = math.Inf(-1)
-	} else if lr > 1e100 {
-		lr = 1e100
-	}
-	if !wantGrad {
-		return lr, nil
-	}
-	if s.gradBuf == nil {
-		s.gradBuf = make([]float64, s.rows)
-	}
-	grad := s.gradBuf
-	s.reduceGrad(grad, numBlocks)
-	return lr, grad
-}
-
-// accumulateIntRows adds the coupling-row activities of the integer block
-// solution ns for video vi into act.
-func (s *solver) accumulateIntRows(vi int, ns *intSol, act []float64) {
-	d := &s.inst.Demands[vi]
-	for _, i := range ns.open {
-		act[int(i)] += d.SizeGB
-	}
-	if s.T == 0 {
-		return
-	}
-	for k, i := range ns.assign {
-		j := int(d.Js[k])
-		if int(i) == j {
-			continue
-		}
-		path := s.inst.G.Path(int(i), j)
-		ts, fv := d.ConcNZ(k)
-		for x, t := range ts {
-			flow := d.RateMbps * fv[x]
-			base := s.n + int(t)*s.L
-			for _, l := range path {
-				act[base+int(l)] += flow
-			}
-		}
-	}
-}
-
-// polishLB runs a few exponentiated-gradient ascent steps on the Lagrangian
-// dual vector: rows that the current dual's block minimizer overloads get
-// their price multiplied up, slack rows decay. This closes the last
-// percents of the lower bound when the potential-derived duals stall — the
-// Appendix notes the production implementation replaces the textbook
-// update mechanisms for exactly this reason.
-func (s *solver) polishLB() {
-	if s.qLB == nil {
-		s.qLB = make([]float64, s.rows)
-		for r := range s.qLB {
-			v := s.lbScale * s.qBar[r]
-			if v < 1e-12 {
-				v = 1e-12
-			}
-			s.qLB[r] = v
-		}
-	}
-	const iters = 6
-	for it := 0; it < iters; it++ {
-		lr, grad := s.lagrangianEval(s.qLB, true)
-		if grad == nil {
-			break // cancelled mid-evaluation
-		}
-		if lr > s.lb {
-			s.lb = lr
-			s.lbStall = 0
-			copy(s.lbDuals, s.qLB) // before the ascent step mutates qLB
-		}
-		eta := 0.5 / (1 + float64(s.polishes) + float64(it))
-		for r := range s.qLB {
-			rel := grad[r]/s.b[r] - 1 // relative violation of the minimizer
-			if rel > 3 {
-				rel = 3
-			}
-			if rel < -3 {
-				rel = -3
-			}
-			s.qLB[r] = clampDual(s.qLB[r] * math.Exp(eta*rel))
-			if s.qLB[r] < 1e-15 {
-				s.qLB[r] = 1e-15
-			}
-		}
-	}
-	s.polishes++
 }
