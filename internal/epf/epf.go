@@ -24,8 +24,11 @@
 // 1+ε of capacity) and its objective is within 1+ε of the lower bound —
 // the "within 1–2% of optimal" guarantee the paper reports.
 //
-// Integer rounding (§V-D) is implemented in round.go in this package, since
-// it reuses the live potential state.
+// Files: epf.go holds the options, the entry points and solver set-up;
+// descent.go the pass loop; pricing.go the duals and block pricing;
+// linesearch.go the block step; bound.go the Lagrangian bound. Integer
+// rounding (§V-D) is round.go, in this package because it reuses the live
+// potential state; warm.go is the cross-solve carryover.
 //
 // The hot kernels run on flat structures: the topology's CSR path table,
 // the instance's dense j-major cost matrix and per-demand sparse slice

@@ -15,24 +15,21 @@ import (
 // orders of magnitude between refreshes, and a rounding error made while the
 // entry was large does not shrink with it):
 //
-//   - Staleness. A link pushes its delta only when dualMoved says it left
-//     qPrev by more than pdRelTol·qPrev, and the test is always against the
-//     last value pushed, so it never accumulates: every link of the path sits
-//     within pdRelTol·qPrev of q, and the table is within
-//     pdRelTol·Σ_P qPrev ≤ pdRelTol·(1+2·pdRelTol)·H of exact.
-//   - Rounding. An entry takes at most |P| additions per refresh and
-//     pdRebuildEvery refreshes between syncs. Mid-refresh it is a sum of old
-//     and new link values, so at most 2H; each addition rounds the delta
-//     (≤ u·H) and the sum (≤ u·2H), 3u·H in all. The sync's own summation and
-//     the scratch rebuild's each add at most |P|·u·H, and dualMoved's float
-//     evaluation at most 2u per link. Total
-//     (3·pdRebuildEvery + 4)·maxPathLen·u·H, with u = 2⁻⁵³.
+//   - Staleness. A link pushes its delta only when it has left qPrev, the
+//     last value it pushed, by more than pdRelTol·qPrev, so staleness never
+//     accumulates: the table is within pdRelTol·Σ_P qPrev
+//     ≤ pdRelTol·(1+2·pdRelTol)·H of exact.
+//   - Rounding. At most |P| additions per refresh, pdRebuildEvery refreshes
+//     between syncs. Mid-refresh the entry is a sum of old and new link
+//     values, at most 2H; an addition rounds the delta (≤ u·H) and the sum
+//     (≤ u·2H). The sync's and the scratch rebuild's own summations add at
+//     most |P|·u·H each, dualMoved's float evaluation 2u per link:
+//     (3·pdRebuildEvery + 4)·maxPathLen·u·H in all, u = 2⁻⁵³.
 //
-// pdRebuildEvery is what keeps the second term under the first: a rebuild
-// period long enough for rounding alone to outgrow the per-link tolerance the
-// delta path already spends would make the period, not pdRelTol, the accuracy
-// of the table. The test refuses such a period before running anything, so it
-// fails — immediately — when pdRebuildEvery is set absurdly high.
+// pdRebuildEvery is what keeps the second term under the first. A period long
+// enough for rounding alone to outgrow the per-link tolerance would make the
+// period, not pdRelTol, the table's accuracy; the test refuses one before
+// running anything, so it fails at once when pdRebuildEvery is absurdly high.
 func TestPathDualsTrackRebuild(t *testing.T) {
 	const u = 1.0 / (1 << 53)
 	var deltas, periodic int

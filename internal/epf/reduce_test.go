@@ -1,11 +1,9 @@
 package epf
 
 import (
-	"bytes"
 	"context"
+	"fmt"
 	"testing"
-
-	"vodplace/internal/obs"
 )
 
 // forceMultiLeaf shrinks the reduction-tree leaf width so small test
@@ -131,51 +129,14 @@ func TestFastModeWorkerShardInvariance(t *testing.T) {
 // point: every pass event, and the per-shard block tallies the driver keeps
 // while the shard-affine tasks move between workers.
 func TestFastModeTracedSeriesInvariance(t *testing.T) {
-	trace := func(workers int) (*Result, []obs.Event) {
-		var buf bytes.Buffer
-		rec := obs.New(&buf)
-		res := mustSolve(t, randomInstance(t, 9, 8, 60, 2.0, 100),
-			Options{Seed: 5, MaxPasses: 30, Workers: workers, Shards: 4, Recorder: rec})
-		if err := rec.Close(); err != nil {
-			t.Fatalf("recorder close: %v", err)
-		}
-		events, err := obs.ParseTrace(&buf)
-		if err != nil {
-			t.Fatalf("parse trace: %v", err)
-		}
-		return res, events
-	}
-	a, eventsA := trace(1)
+	a, eventsA := tracedSolve(t, Options{Seed: 5, MaxPasses: 30, Workers: 1, Shards: 4})
 	for _, workers := range []int{3, 8} {
-		b, eventsB := trace(workers)
+		b, eventsB := tracedSolve(t, Options{Seed: 5, MaxPasses: 30, Workers: workers, Shards: 4})
+		label := fmt.Sprintf("4 shards, Workers=1 vs %d", workers)
 		if a.Objective != b.Objective || a.LowerBound != b.LowerBound {
-			t.Errorf("Workers=1 vs %d: (%.17g, %.17g) vs (%.17g, %.17g)",
-				workers, a.Objective, a.LowerBound, b.Objective, b.LowerBound)
+			t.Errorf("%s: (%.17g, %.17g) vs (%.17g, %.17g)", label, a.Objective, a.LowerBound, b.Objective, b.LowerBound)
 		}
-		if len(eventsA) != len(eventsB) {
-			t.Errorf("Workers=1 vs %d: %d trace events vs %d", workers, len(eventsA), len(eventsB))
-			continue
-		}
-		for i := range eventsA {
-			ea, eb := eventsA[i], eventsB[i]
-			if ea.K != eb.K || ea.Pass != eb.Pass {
-				t.Errorf("Workers=1 vs %d: event %d is %s/%d vs %s/%d", workers, i, ea.K, ea.Pass, eb.K, eb.Pass)
-				continue
-			}
-			if ea.K == "epf_shard" && (ea.Shard != eb.Shard || ea.Videos != eb.Videos || ea.Blocks != eb.Blocks) {
-				t.Errorf("Workers=1 vs %d: shard summaries diverge:\n  1: %+v\n  %d: %+v", workers, ea, workers, eb)
-			}
-			if ea.K != "epf_pass" {
-				continue
-			}
-			if ea.Phi != eb.Phi || ea.Objective != eb.Objective || ea.LowerBound != eb.LowerBound ||
-				ea.UpperBound != eb.UpperBound || ea.Gap != eb.Gap || ea.UBGap != eb.UBGap ||
-				ea.MaxViol != eb.MaxViol || ea.MaxLinkUtil != eb.MaxLinkUtil ||
-				ea.MeanLinkUtil != eb.MeanLinkUtil || ea.Delta != eb.Delta || ea.Blocks != eb.Blocks {
-				t.Errorf("Workers=1 vs %d: pass %d traced series diverges:\n  1: %+v\n  %d: %+v",
-					workers, ea.Pass, ea, workers, eb)
-			}
-		}
+		sameTrace(t, label, eventsA, eventsB)
 	}
 }
 

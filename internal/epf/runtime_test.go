@@ -3,6 +3,7 @@ package epf
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"testing"
 
 	"vodplace/internal/mip"
@@ -42,59 +43,64 @@ func identicalSolutions(a, b *mip.Solution) bool {
 	return true
 }
 
+// tracedSolve runs Solve on the shared invariance instance with a recorder
+// attached and returns the result with its parsed trace.
+func tracedSolve(t *testing.T, o Options) (*Result, []obs.Event) {
+	t.Helper()
+	var buf bytes.Buffer
+	rec := obs.New(&buf)
+	o.Recorder = rec
+	res := mustSolve(t, randomInstance(t, 9, 8, 60, 2.0, 100), o)
+	if err := rec.Close(); err != nil {
+		t.Fatalf("recorder close: %v", err)
+	}
+	events, err := obs.ParseTrace(&buf)
+	if err != nil {
+		t.Fatalf("parse trace: %v", err)
+	}
+	return res, events
+}
+
+// sameTrace fails unless both traces carry the same events with every
+// deterministic field of every pass and shard event bit-identical.
+func sameTrace(t *testing.T, label string, a, b []obs.Event) {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Errorf("%s: %d trace events vs %d", label, len(a), len(b))
+		return
+	}
+	for i := range a {
+		ea, eb := a[i], b[i]
+		switch {
+		case ea.K != eb.K || ea.Pass != eb.Pass:
+			t.Errorf("%s: event %d is %s/%d vs %s/%d", label, i, ea.K, ea.Pass, eb.K, eb.Pass)
+		case ea.K == "epf_shard" && (ea.Shard != eb.Shard || ea.Videos != eb.Videos || ea.Blocks != eb.Blocks):
+			t.Errorf("%s: shard summaries diverge:\n  %+v\n  %+v", label, ea, eb)
+		case ea.K == "epf_pass" && (ea.Phi != eb.Phi || ea.Objective != eb.Objective || ea.LowerBound != eb.LowerBound ||
+			ea.UpperBound != eb.UpperBound || ea.Gap != eb.Gap || ea.UBGap != eb.UBGap ||
+			ea.MaxViol != eb.MaxViol || ea.MaxLinkUtil != eb.MaxLinkUtil ||
+			ea.MeanLinkUtil != eb.MeanLinkUtil || ea.Delta != eb.Delta || ea.Blocks != eb.Blocks):
+			t.Errorf("%s: pass %d traced series diverges:\n  %+v\n  %+v", label, ea.Pass, ea, eb)
+		}
+	}
+}
+
 // The determinism invariant: the worker count partitions work but never
 // changes the floating-point summation order, so the same seed must produce
-// bit-identical output at any parallelism.
+// bit-identical output at any parallelism — the final point and the whole
+// traced convergence trajectory.
 func TestSolveWorkerCountInvariance(t *testing.T) {
-	trace := func(workers int) (*Result, []obs.Event) {
-		var buf bytes.Buffer
-		rec := obs.New(&buf)
-		res := mustSolve(t, randomInstance(t, 9, 8, 60, 2.0, 100),
-			Options{Seed: 5, MaxPasses: 30, Workers: workers, Recorder: rec})
-		if err := rec.Close(); err != nil {
-			t.Fatalf("recorder close: %v", err)
-		}
-		events, err := obs.ParseTrace(&buf)
-		if err != nil {
-			t.Fatalf("parse trace: %v", err)
-		}
-		return res, events
-	}
-	a, eventsA := trace(1)
+	a, eventsA := tracedSolve(t, Options{Seed: 5, MaxPasses: 30, Workers: 1})
 	for _, workers := range []int{2, 3, 8} {
-		b, eventsB := trace(workers)
-		if a.LowerBound != b.LowerBound {
-			t.Errorf("Workers=1 vs %d: lower bound %.17g vs %.17g", workers, a.LowerBound, b.LowerBound)
-		}
-		if a.Objective != b.Objective {
-			t.Errorf("Workers=1 vs %d: objective %.17g vs %.17g", workers, a.Objective, b.Objective)
+		b, eventsB := tracedSolve(t, Options{Seed: 5, MaxPasses: 30, Workers: workers})
+		label := fmt.Sprintf("Workers=1 vs %d", workers)
+		if a.LowerBound != b.LowerBound || a.Objective != b.Objective {
+			t.Errorf("%s: (%.17g, %.17g) vs (%.17g, %.17g)", label, a.Objective, a.LowerBound, b.Objective, b.LowerBound)
 		}
 		if !identicalSolutions(a.Sol, b.Sol) {
-			t.Errorf("Workers=1 vs %d: solutions differ", workers)
+			t.Errorf("%s: solutions differ", label)
 		}
-		// The invariance extends to the whole traced convergence trajectory:
-		// every deterministic field of every pass event must match bit-exactly.
-		if len(eventsA) != len(eventsB) {
-			t.Errorf("Workers=1 vs %d: %d trace events vs %d", workers, len(eventsA), len(eventsB))
-			continue
-		}
-		for i := range eventsA {
-			ea, eb := eventsA[i], eventsB[i]
-			if ea.K != eb.K || ea.Pass != eb.Pass {
-				t.Errorf("Workers=1 vs %d: event %d is %s/%d vs %s/%d", workers, i, ea.K, ea.Pass, eb.K, eb.Pass)
-				continue
-			}
-			if ea.K != "epf_pass" {
-				continue
-			}
-			if ea.Phi != eb.Phi || ea.Objective != eb.Objective || ea.LowerBound != eb.LowerBound ||
-				ea.UpperBound != eb.UpperBound || ea.Gap != eb.Gap || ea.UBGap != eb.UBGap ||
-				ea.MaxViol != eb.MaxViol || ea.MaxLinkUtil != eb.MaxLinkUtil ||
-				ea.MeanLinkUtil != eb.MeanLinkUtil || ea.Delta != eb.Delta || ea.Blocks != eb.Blocks {
-				t.Errorf("Workers=1 vs %d: pass %d traced series diverges:\n  1: %+v\n  %d: %+v",
-					workers, ea.Pass, ea, workers, eb)
-			}
-		}
+		sameTrace(t, label, eventsA, eventsB)
 	}
 }
 

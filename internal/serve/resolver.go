@@ -55,12 +55,12 @@ func durMS(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 // snapshot build the set of videos dirtied since the published snapshot, so
 // both the instance refresh and the route-table build cost O(changed)
 // instead of O(catalog); a patch failure falls back to the full re-stream,
-// which is bit-identical (DESIGN.md §15). On any rejection the old snapshot keeps serving, the
-// matching counter is incremented, and the reject reason is kept for
-// /status; a cancellation (shutdown) discards the partial solve. The whole
-// attempt is bracketed by serve_resolve start/done trace events (done
-// carries the dirty count and rows rebuilt), and a swap additionally emits
-// serve_swap with the route-table churn and delta economy. Returns the
+// which is bit-identical (DESIGN.md §15). On any rejection the old snapshot
+// keeps serving, the matching counter is incremented, and the reject reason
+// is kept for /status; a cancellation (shutdown) discards the partial solve.
+// The whole attempt is bracketed by serve_resolve start/done trace events
+// (done carries the dirty count and rows rebuilt), and a swap additionally
+// emits serve_swap with the route-table churn and delta economy. Returns the
 // swapped-in snapshot, or nil when nothing was swapped.
 func (s *Server) resolveOnce(ctx context.Context) (*Snapshot, error) {
 	s.mu.Lock()

@@ -164,33 +164,30 @@ func diffInstance(rep *DiffReport, seed int64, o Options) error {
 
 	epfOpts := o.EPF
 	epfOpts.Seed = seed
-	res, err := epf.Solve(inst, epfOpts)
+	res, err := diffLP(rep, inst, seed, "", o, opt, epfOpts)
 	if err != nil {
-		return fmt.Errorf("epf: %w", err)
+		return err
 	}
-	diffLP(rep, seed, "", o, opt, inst, res)
-	diffSharded(rep, inst, seed, "", o, epfOpts, res)
-
 	// Warm re-solve of the same instance from the cold solve's carryover: the
-	// resumed trajectory must hold the same certificates on the same corpus —
-	// a bound that overshoots the exact optimum, or an objective outside the
-	// LP band, fails here — and must be as shard-invariant as the cold one.
+	// resumed trajectory must hold the same certificates on the same corpus
+	// and be as shard-invariant as the cold one.
 	warmOpts := epfOpts
 	warmOpts.Warm = res.Warm
-	warmRes, err := epf.Solve(inst, warmOpts)
-	if err != nil {
-		return fmt.Errorf("epf warm: %w", err)
+	if _, err := diffLP(rep, inst, seed, "warm ", o, opt, warmOpts); err != nil {
+		return err
 	}
-	diffLP(rep, seed, "warm ", o, opt, inst, warmRes)
-	diffSharded(rep, inst, seed, "warm ", o, warmOpts, warmRes)
-
 	diffInteger(rep, inst, seed, opt, epfOpts)
 	return nil
 }
 
-// diffLP audits one LP solve against the exact optimum: certificates, bound
-// soundness, and the objective band. label prefixes failure messages.
-func diffLP(rep *DiffReport, seed int64, label string, o Options, opt float64, inst *mip.Instance, res *epf.Result) {
+// diffLP runs one LP solve and audits it against the exact optimum opt —
+// certificates, bound soundness, the objective band — then re-solves it with
+// o.Shards catalog shards. label prefixes failure messages.
+func diffLP(rep *DiffReport, inst *mip.Instance, seed int64, label string, o Options, opt float64, epfOpts epf.Options) (*epf.Result, error) {
+	res, err := epf.Solve(inst, epfOpts)
+	if err != nil {
+		return nil, fmt.Errorf("%sepf: %w", label, err)
+	}
 	ar := Audit(inst, res)
 	if !ar.Ok() {
 		rep.failf("seed %d: %sLP audit: %v", seed, label, ar.Err())
@@ -215,22 +212,18 @@ func diffLP(rep *DiffReport, seed int64, label string, o Options, opt float64, i
 		rep.failf("seed %d: %sEPF objective %g outside ±%.0f%% band around LP optimum %g (violation %+v)",
 			seed, label, res.Objective, 100*o.LPBand, opt, res.Violation)
 	}
-}
-
-// diffSharded re-solves with o.Shards catalog shards: the shard decomposition
-// must not change a single bit of the result, and the sharded duals must
-// certify the same bound the unsharded ones do. This is the sharding
-// determinism contract checked end-to-end, not just within the solver's own
-// tests.
-func diffSharded(rep *DiffReport, inst *mip.Instance, seed int64, label string, o Options, epfOpts epf.Options, res *epf.Result) {
 	if o.Shards <= 0 {
-		return
+		return res, nil
 	}
+
+	// Sharded re-solve: the shard decomposition must not change a single bit
+	// of the result, and the sharded duals must certify the same bound the
+	// unsharded ones do. This is the sharding determinism contract checked
+	// end-to-end, not just within the solver's own tests.
 	epfOpts.Shards = o.Shards
 	shRes, err := epf.Solve(inst, epfOpts)
 	if err != nil {
-		rep.failf("seed %d: %sepf sharded: %v", seed, label, err)
-		return
+		return nil, fmt.Errorf("%sepf sharded: %w", label, err)
 	}
 	if shRes.Objective != res.Objective || shRes.LowerBound != res.LowerBound {
 		rep.failf("seed %d: %ssharded solve (%d shards) diverged: obj %g vs %g, lb %g vs %g",
@@ -252,6 +245,7 @@ func diffSharded(rep *DiffReport, inst *mip.Instance, seed int64, label string, 
 	case certU != certS:
 		rep.failf("seed %d: %scertified bounds diverge across sharding: %g vs %g", seed, label, certU, certS)
 	}
+	return res, nil
 }
 
 // diffInteger runs the integer rounding pipeline under the given solver
