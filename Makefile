@@ -21,7 +21,7 @@ TRACE_SMOKE_ARGS := -videos 60 -vhos 8 -passes 40 -seed 1
 # audit-gated snapshot swap during the 2s run.
 SERVE_SMOKE_ARGS := -videos 60 -vhos 8 -passes 200 -eps 0.02 -seed 1
 
-.PHONY: build vet test race check bench bench-check bench-pairs bench-json bench-cores fuzz cover fmt clean trace-smoke goldens serve-smoke
+.PHONY: build vet test race check bench bench-check bench-pairs bench-json bench-cores fuzz cover fmt fmt-check clean trace-smoke goldens serve-smoke
 
 build:
 	$(GO) build ./...
@@ -37,7 +37,7 @@ test:
 race:
 	$(GO) test -race -shuffle=on -timeout 30m ./...
 
-check: build vet race
+check: build vet fmt-check race
 
 # -run '^$' keeps the benchmark run from re-executing the whole test suite
 # alongside the benchmarks.
@@ -179,6 +179,11 @@ serve-smoke:
 
 fmt:
 	gofmt -l -w .
+
+# The gate `make check` and CI run: fails listing the files gofmt would
+# rewrite.
+fmt-check:
+	@out="$$(gofmt -l .)"; [ -z "$$out" ] || { echo "gofmt -l:"; echo "$$out"; exit 1; }
 
 # Remove what building, testing and the smoke and benchmark targets leave
 # behind (all of it gitignored); .bench_build/ is bench/run.sh's binary, Go

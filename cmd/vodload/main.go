@@ -151,8 +151,8 @@ func run() int {
 	fmt.Printf("vodload: %s serving v%d, %d videos, %d offices\n", *addr, st.Version, len(ids), st.VHOs)
 
 	// First /metrics scrape: the baseline the post-run scrape is diffed
-	// against. nil (server without /metrics) disables the server-side report.
-	histStart := scrapeRouteHist(client, base)
+	// against (empty when the server has no /metrics).
+	histStart, _ := scrapeRouteHist(client, base)
 
 	// Per-sender request streams.
 	streams, err := buildStreams(*mode, ids, st.VHOs, *concurrency, *zipfS, *seed, *traceVideos, *traceRPD)
@@ -166,10 +166,7 @@ func run() int {
 		httpErrors  atomic.Int64
 		routeErrors atomic.Int64
 	)
-	hists := make([]*obs.Histogram, *concurrency)
-	for i := range hists {
-		hists[i] = new(obs.Histogram)
-	}
+	hists := make([]obs.Hist, *concurrency) // ns, one owner each until wg.Wait
 	deadline := time.Now().Add(*duration)
 	var wg sync.WaitGroup
 	start := time.Now()
@@ -178,7 +175,7 @@ func run() int {
 		go func(w int) {
 			defer wg.Done()
 			next := streams[w]
-			h := hists[w]
+			h := &hists[w]
 			for time.Now().Before(deadline) {
 				video, vho := next()
 				url := fmt.Sprintf("%s/route?video=%d&vho=%d", base, video, vho)
@@ -190,7 +187,7 @@ func run() int {
 				}
 				io.Copy(io.Discard, resp.Body) //nolint:errcheck
 				resp.Body.Close()
-				h.Observe(float64(time.Since(t0).Microseconds()) / 1000)
+				h.Observe(int64(time.Since(t0)))
 				requests.Add(1)
 				if resp.StatusCode != http.StatusOK {
 					routeErrors.Add(1)
@@ -266,13 +263,16 @@ func run() int {
 	}
 	swaps := int64(end.Version - st.Version)
 
-	merged := new(obs.Histogram)
+	var merged obs.Hist
 	for _, h := range hists {
 		merged.Merge(h)
 	}
 	var serverMs *obs.Summary
-	if histEnd := scrapeRouteHist(client, base); histEnd != nil {
-		serverMs = promSummaryMs(histEnd.Sub(histStart))
+	if histEnd, ok := scrapeRouteHist(client, base); ok {
+		if d := histEnd.Sub(histStart); d.Count > 0 {
+			ms := d.Summary(1e6)
+			serverMs = &ms
+		}
 	}
 	sum := summary{
 		Addr:        *addr,
@@ -284,7 +284,7 @@ func run() int {
 		RPS:         float64(requests.Load()) / elapsed.Seconds(),
 		HTTPErrors:  httpErrors.Load(),
 		RouteErrors: routeErrors.Load(),
-		LatencyMs:   merged.Summary(),
+		LatencyMs:   merged.Summary(1e6),
 
 		ServerLatencyMs: serverMs,
 
@@ -393,42 +393,24 @@ func buildStreams(mode string, ids []int, vhos, concurrency int, zipfS float64, 
 }
 
 // scrapeRouteHist fetches /metrics and extracts the route-endpoint latency
-// histogram. Any failure (no /metrics on the server, parse error, family
-// absent) returns nil — the server-side report is best-effort.
-func scrapeRouteHist(client *http.Client, base string) *obs.PromHist {
+// histogram (nanoseconds). Any failure (no /metrics on the server, parse
+// error) returns false — the server-side report is best-effort.
+func scrapeRouteHist(client *http.Client, base string) (obs.Hist, bool) {
 	resp, err := client.Get(base + "/metrics")
 	if err != nil {
-		return nil
+		return obs.Hist{}, false
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		io.Copy(io.Discard, resp.Body) //nolint:errcheck
-		return nil
+		return obs.Hist{}, false
 	}
 	samples, err := obs.ParseProm(resp.Body)
 	if err != nil {
-		return nil
+		return obs.Hist{}, false
 	}
-	return obs.ExtractPromHist(samples, obs.PromReqDurName, map[string]string{"endpoint": "route"})
-}
-
-// promSummaryMs renders an interval histogram (seconds) as the millisecond
-// Summary the report uses. nil when the interval holds no samples.
-func promSummaryMs(h *obs.PromHist) *obs.Summary {
-	if h == nil || h.Count <= 0 {
-		return nil
-	}
-	s := &obs.Summary{
-		Count: int64(h.Count),
-		Sum:   h.Sum * 1e3,
-		P50:   h.Quantile(0.50) * 1e3,
-		P90:   h.Quantile(0.90) * 1e3,
-		P95:   h.Quantile(0.95) * 1e3,
-		P99:   h.Quantile(0.99) * 1e3,
-		Max:   h.Quantile(1) * 1e3,
-	}
-	s.Mean = s.Sum / float64(s.Count)
-	return s
+	h, err := obs.HistFromProm(samples, obs.PromReqDurName, map[string]string{"endpoint": "route"}, 1e9)
+	return h, err == nil
 }
 
 func waitHealthy(client *http.Client, base string, wait time.Duration) error {

@@ -56,7 +56,6 @@ func run() int {
 		seed     = flag.Int64("seed", 1, "random seed")
 		passes   = flag.Int("passes", 120, "solver pass cap (initial solve and re-solves)")
 		eps      = flag.Float64("eps", 0, "solver epsilon (0 = solver default)")
-		warmOff  = flag.Bool("warm-off", false, "disable warm-starting re-solves from the last swapped solve")
 		updateW  = flag.Float64("update-weight", 0, "migration-cost weight charged against moving copies between snapshots (0 = off)")
 	)
 	profFlags := prof.Register(flag.CommandLine)
@@ -79,7 +78,6 @@ func run() int {
 		slices: *slices, window: *window, seed: *seed,
 	}, serve.Config{
 		Solver:       epf.Options{Seed: *seed, MaxPasses: *passes, Epsilon: *eps},
-		WarmOff:      *warmOff,
 		UpdateWeight: *updateW,
 		Recorder:     rec,
 		// Share the recorder's registry (nil without -trace-out, which makes

@@ -1,59 +1,41 @@
 package obs
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 func TestHistogramMerge(t *testing.T) {
-	var a, b, whole Histogram
-	for i := 1; i <= 100; i++ {
-		v := float64(i)
+	var a, b, whole Hist
+	for v := int64(1); v <= 100; v++ {
 		whole.Observe(v)
-		if i%2 == 0 {
+		if v%2 == 0 {
 			a.Observe(v)
 		} else {
 			b.Observe(v)
 		}
 	}
-	a.Merge(&b)
-	if a.Count() != whole.Count() || a.Sum() != whole.Sum() {
-		t.Fatalf("merged count/sum %d/%g, want %d/%g", a.Count(), a.Sum(), whole.Count(), whole.Sum())
-	}
-	if a.Min() != whole.Min() || a.Max() != whole.Max() {
-		t.Fatalf("merged min/max %g/%g, want %g/%g", a.Min(), a.Max(), whole.Min(), whole.Max())
-	}
-	for _, q := range []float64{0.5, 0.9, 0.95, 0.99} {
-		if a.Quantile(q) != whole.Quantile(q) {
-			t.Fatalf("q%.2f: merged %g, want %g", q, a.Quantile(q), whole.Quantile(q))
-		}
+	a.Merge(b)
+	if a != whole {
+		t.Fatalf("merged halves %+v, want the whole %+v", a, whole)
 	}
 
-	// Merging an empty histogram, nil-ish cases, and self-merge are no-ops.
-	before := a.Summary()
-	var empty Histogram
-	a.Merge(&empty)
-	a.Merge(&a)
-	if a.Summary() != before {
-		t.Fatal("no-op merges changed the histogram")
+	// Merging an empty histogram is a no-op; merging into an empty one
+	// adopts the other side's extremes.
+	a.Merge(Hist{})
+	if a != whole {
+		t.Fatal("merging an empty histogram changed the target")
 	}
-	// Merging into an empty histogram adopts min/max.
-	var c Histogram
-	c.Merge(&a)
-	if c.Min() != a.Min() || c.Max() != a.Max() || c.Count() != a.Count() {
+	var c Hist
+	c.Merge(a)
+	if c != a {
 		t.Fatal("merge into empty lost state")
 	}
 }
 
 func TestHistogramSummary(t *testing.T) {
-	var h Histogram
-	if s := h.Summary(); s != (Summary{}) {
-		t.Fatalf("empty summary %+v, want zero", s)
+	var h Hist
+	for v := int64(1); v <= 1000; v++ {
+		h.Observe(v)
 	}
-	for i := 1; i <= 1000; i++ {
-		h.Observe(float64(i))
-	}
-	s := h.Summary()
+	s := h.Summary(1)
 	if s.Count != 1000 || s.Min != 1 || s.Max != 1000 {
 		t.Fatalf("summary %+v", s)
 	}
@@ -69,31 +51,5 @@ func TestHistogramSummary(t *testing.T) {
 	}
 	if s.P95 < 950 {
 		t.Fatalf("p95 %g below the true quantile", s.P95)
-	}
-}
-
-func TestHistogramMergeConcurrent(t *testing.T) {
-	// Merge while both sides are being observed: no race, no lost counts
-	// (checked loosely — the merge snapshot is a prefix of the stream).
-	var dst, src Histogram
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 1000; i++ {
-			src.Observe(1)
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 1000; i++ {
-			dst.Observe(2)
-		}
-	}()
-	dst.Merge(&src)
-	wg.Wait()
-	dst.Merge(&src) // final merge double-counts src; only racing safety matters here
-	if dst.Count() < 2000 {
-		t.Fatalf("count %d, want >= 2000", dst.Count())
 	}
 }

@@ -2,154 +2,9 @@ package obs
 
 import (
 	"math"
-	"math/bits"
 	"sync/atomic"
 	"time"
 )
-
-// AtomicHist is the concurrent-writer sibling of Histogram: a fixed
-// log2-bucketed histogram of nonnegative int64 observations (nanosecond
-// durations in practice) whose hot path is two uncontended atomic adds —
-// no mutex, no allocation, no branching beyond the bucket computation.
-// It exists for the serving data plane, where every request records a
-// latency sample from whichever handler goroutine it landed on and the
-// /route contract is zero allocations per lookup; the solver-side
-// Histogram keeps its mutex because its sites observe at most once per
-// descent pass.
-//
-// Bucket b holds values in (2^(b-1), 2^b] (b = 0 holds 0 and 1), so a
-// reported quantile is a bucket upper bound — accurate to a factor of two,
-// the same contract Histogram documents. The zero value is ready to use.
-type AtomicHist struct {
-	sum     atomic.Int64
-	buckets [histBuckets]atomic.Int64
-}
-
-// atomicBucketOf maps v to its bucket: the smallest b with v ≤ 2^b.
-func atomicBucketOf(v int64) int {
-	if v <= 1 {
-		return 0
-	}
-	b := bits.Len64(uint64(v - 1))
-	if b >= histBuckets {
-		return histBuckets - 1
-	}
-	return b
-}
-
-// Observe records one sample. Negative samples are dropped (a clock step
-// mid-request); the call never blocks and never allocates.
-func (h *AtomicHist) Observe(v int64) {
-	if v < 0 {
-		return
-	}
-	h.sum.Add(v)
-	h.buckets[atomicBucketOf(v)].Add(1)
-}
-
-// ObserveSince records the elapsed time since t0 in nanoseconds.
-func (h *AtomicHist) ObserveSince(t0 time.Time) {
-	h.Observe(int64(time.Since(t0)))
-}
-
-// Snapshot returns a point-in-time copy of the histogram. Buckets are read
-// with individual atomic loads, so a snapshot taken while writers are live
-// may be off by the handful of samples in flight — the standard scrape
-// semantics of every production metrics system, and the reason no lock is
-// needed.
-func (h *AtomicHist) Snapshot() HistSnap {
-	var s HistSnap
-	s.Sum = h.sum.Load()
-	for b := range h.buckets {
-		c := h.buckets[b].Load()
-		s.Buckets[b] = c
-		s.Count += c
-	}
-	return s
-}
-
-// HistSnap is an immutable AtomicHist snapshot: per-bucket counts plus the
-// running sum, in the observed unit (nanoseconds for latency instruments).
-type HistSnap struct {
-	Count   int64
-	Sum     int64
-	Buckets [histBuckets]int64
-}
-
-// Sub returns the per-bucket difference s − o: the samples recorded between
-// the two snapshots. Used to turn two /metrics scrapes into an interval
-// histogram. Negative buckets (snapshots from different instruments, or
-// taken out of order) are clamped to zero.
-func (s HistSnap) Sub(o HistSnap) HistSnap {
-	var d HistSnap
-	for b := range s.Buckets {
-		c := s.Buckets[b] - o.Buckets[b]
-		if c < 0 {
-			c = 0
-		}
-		d.Buckets[b] = c
-		d.Count += c
-	}
-	if d.Sum = s.Sum - o.Sum; d.Sum < 0 {
-		d.Sum = 0
-	}
-	return d
-}
-
-// UpperBound returns bucket b's inclusive upper edge (2^b) in the observed
-// unit.
-func (HistSnap) UpperBound(b int) int64 {
-	if b <= 0 {
-		return 1
-	}
-	if b >= 63 {
-		return math.MaxInt64
-	}
-	return 1 << b
-}
-
-// Quantile returns an upper bound for the q-quantile (q in [0,1]): the
-// upper edge of the bucket holding the q-th sample, 0 when empty.
-func (s HistSnap) Quantile(q float64) int64 {
-	if s.Count == 0 {
-		return 0
-	}
-	rank := int64(math.Ceil(q * float64(s.Count)))
-	if rank < 1 {
-		rank = 1
-	}
-	var seen int64
-	for b := range s.Buckets {
-		seen += s.Buckets[b]
-		if seen >= rank {
-			return s.UpperBound(b)
-		}
-	}
-	return s.UpperBound(histBuckets - 1)
-}
-
-// SummaryMs renders a nanosecond-unit snapshot as the millisecond Summary
-// the load harness and /status report. Min is unknown (the instrument keeps
-// no extremes to stay wait-free) and reported as 0; Max is the top nonzero
-// bucket's upper bound.
-func (s HistSnap) SummaryMs() Summary {
-	out := Summary{Count: s.Count, Sum: float64(s.Sum) / 1e6}
-	if s.Count == 0 {
-		return out
-	}
-	out.Mean = out.Sum / float64(s.Count)
-	out.P50 = float64(s.Quantile(0.50)) / 1e6
-	out.P90 = float64(s.Quantile(0.90)) / 1e6
-	out.P95 = float64(s.Quantile(0.95)) / 1e6
-	out.P99 = float64(s.Quantile(0.99)) / 1e6
-	for b := histBuckets - 1; b >= 0; b-- {
-		if s.Buckets[b] > 0 {
-			out.Max = float64(s.UpperBound(b)) / 1e6
-			break
-		}
-	}
-	return out
-}
 
 // Status classes a ReqStat distinguishes: 1xx..5xx. Anything outside
 // [100,600) lands in the 5xx class (a handler that never writes a header
@@ -203,26 +58,7 @@ func (e *ReqStat) Record(status int, d time.Duration) {
 	if v < 0 {
 		v = 0
 	}
-	e.cells[statusClass(status)*histBuckets+atomicBucketOf(v)].Add(1)
-}
-
-// Class returns the cumulative request count of one status class
-// ("1xx".."5xx" order, see statusClassNames).
-func (e *ReqStat) Class(i int) int64 {
-	var n int64
-	for b := 0; b < histBuckets; b++ {
-		n += e.cells[i*histBuckets+b].Load()
-	}
-	return n
-}
-
-// Requests returns the total recorded request count across classes.
-func (e *ReqStat) Requests() int64 {
-	var n int64
-	for i := range e.cells {
-		n += e.cells[i].Load()
-	}
-	return n
+	e.cells[statusClass(status)*histBuckets+bucketOf(v)].Add(1)
 }
 
 // midpointNS is the representative value of bucket b used for the derived
@@ -239,21 +75,32 @@ func midpointNS(b int) int64 {
 	return 3 << (b - 2)
 }
 
-// Latency returns a snapshot of the endpoint's latency histogram across all
-// status classes (nanoseconds). Snap.Sum is the midpoint-derived
-// approximation described on ReqStat.
-func (e *ReqStat) Latency() HistSnap {
-	var s HistSnap
+// snapshot reads every cell once and derives both views of the grid from
+// that single pass — the per-class request counts and the latency histogram
+// across classes (nanoseconds, midpoint-derived Sum, bucket-edge extremes) —
+// so the two always describe the same set of requests. Cells are read with
+// individual atomic loads: a snapshot taken under load may miss the handful
+// of requests in flight, the standard scrape semantics.
+func (e *ReqStat) snapshot() (classes [numStatusClasses]int64, lat Hist) {
+	var buckets [histBuckets]int64
+	var sum int64
 	for c := 0; c < numStatusClasses; c++ {
 		for b := 0; b < histBuckets; b++ {
 			n := e.cells[c*histBuckets+b].Load()
-			if n == 0 {
-				continue
-			}
-			s.Buckets[b] += n
-			s.Count += n
-			s.Sum += n * midpointNS(b)
+			classes[c] += n
+			buckets[b] += n
+			sum += n * midpointNS(b)
 		}
 	}
-	return s
+	return classes, histOf(&buckets, sum)
 }
+
+// Latency returns a snapshot of the endpoint's latency histogram across all
+// status classes.
+func (e *ReqStat) Latency() Hist {
+	_, lat := e.snapshot()
+	return lat
+}
+
+// Requests returns the total recorded request count across classes.
+func (e *ReqStat) Requests() int64 { return e.Latency().Count }

@@ -7,94 +7,101 @@ import (
 	"time"
 )
 
-func TestAtomicBucketOf(t *testing.T) {
+// TestBucketOf pins the one bucket rule — the smallest b with v ≤ 2^b — at
+// every kind of boundary: a sample equal to an edge belongs under that edge
+// (Prometheus le is ≤), one above it in the next bucket.
+func TestBucketOf(t *testing.T) {
 	for _, tc := range []struct {
 		v int64
 		b int
 	}{
-		{0, 0}, {1, 0}, {2, 1}, {3, 2}, {4, 2}, {5, 3}, {8, 3}, {9, 4},
-		{1 << 20, 20}, {1<<20 + 1, 21}, {math.MaxInt64, histBuckets - 1},
+		{0, 0}, {1, 0}, {2, 1}, {3, 2}, {4, 2}, {5, 3}, {7, 3}, {8, 3}, {9, 4},
+		{1<<20 - 1, 20}, {1 << 20, 20}, {1<<20 + 1, 21},
+		{1<<62 - 1, 62}, {1 << 62, 62}, {1<<62 + 1, 63}, {math.MaxInt64, histBuckets - 1},
 	} {
-		if got := atomicBucketOf(tc.v); got != tc.b {
-			t.Errorf("atomicBucketOf(%d) = %d, want %d", tc.v, got, tc.b)
+		b := bucketOf(tc.v)
+		if b != tc.b {
+			t.Errorf("bucketOf(%d) = %d, want %d", tc.v, b, tc.b)
 		}
-	}
-	// The bucket invariant: v must lie within (2^(b-1), 2^b] for every v.
-	var s HistSnap
-	for _, v := range []int64{1, 2, 3, 7, 100, 1023, 1024, 1025, 1 << 40} {
-		b := atomicBucketOf(v)
-		if v > s.UpperBound(b) {
-			t.Errorf("v=%d above bucket %d upper bound %d", v, b, s.UpperBound(b))
+		// The bucket invariant: v lies within (2^(b-1), 2^b].
+		if tc.v > upperBound(b) {
+			t.Errorf("v=%d above bucket %d upper bound %d", tc.v, b, upperBound(b))
 		}
-		if b > 0 && v <= s.UpperBound(b-1) {
-			t.Errorf("v=%d should fit bucket %d already", v, b-1)
+		if b > 0 && tc.v <= upperBound(b-1) {
+			t.Errorf("v=%d should fit bucket %d already", tc.v, b-1)
 		}
 	}
 }
 
-func TestAtomicHistQuantiles(t *testing.T) {
-	var h AtomicHist
+func TestHistQuantiles(t *testing.T) {
+	var h Hist
 	// 1000 samples 1..1000 ns: p50 upper bound is the bucket holding 500
 	// (2^9 = 512), p99 the bucket holding 990 (2^10 = 1024).
 	for v := int64(1); v <= 1000; v++ {
 		h.Observe(v)
 	}
-	s := h.Snapshot()
-	if s.Count != 1000 {
-		t.Fatalf("count %d, want 1000", s.Count)
+	if h.Count != 1000 {
+		t.Fatalf("count %d, want 1000", h.Count)
 	}
-	if want := int64(1000 * 1001 / 2); s.Sum != want {
-		t.Fatalf("sum %d, want %d", s.Sum, want)
+	if want := int64(1000 * 1001 / 2); h.Sum != want {
+		t.Fatalf("sum %d, want %d", h.Sum, want)
 	}
-	if q := s.Quantile(0.50); q != 512 {
+	if q := h.Quantile(0.50); q != 512 {
 		t.Errorf("p50 %d, want 512", q)
 	}
-	if q := s.Quantile(0.99); q != 1024 {
+	if q := h.Quantile(0.99); q != 1024 {
 		t.Errorf("p99 %d, want 1024", q)
 	}
-	if q := s.Quantile(0); q != 1 {
+	if q := h.Quantile(0); q != 1 {
 		t.Errorf("q0 %d, want 1 (first bucket upper bound)", q)
 	}
 	h.Observe(-5) // dropped
-	if got := h.Snapshot().Count; got != 1000 {
-		t.Errorf("negative sample counted: %d", got)
+	if h.Count != 1000 {
+		t.Errorf("negative sample counted: %d", h.Count)
 	}
 
-	sum := s.SummaryMs()
-	if sum.Count != 1000 || sum.P50 != 512/1e6 || sum.Max != 1024/1e6 {
-		t.Errorf("SummaryMs = %+v", sum)
+	// Exact extremes from Observe; every other figure a bucket edge, in ms.
+	sum := h.Summary(1e6)
+	if sum.Count != 1000 || sum.P50 != 512/1e6 || sum.Min != 1/1e6 || sum.Max != 1000/1e6 || sum.Mean != 500.5/1e6 {
+		t.Errorf("Summary(1e6) = %+v", sum)
+	}
+	if s := (Hist{}).Summary(1e6); s != (Summary{}) {
+		t.Errorf("empty summary %+v, want zero", s)
 	}
 }
 
-func TestHistSnapSub(t *testing.T) {
-	var h AtomicHist
+func TestHistSub(t *testing.T) {
+	var h Hist
 	h.Observe(10)
 	h.Observe(1000)
-	before := h.Snapshot()
+	before := h
 	h.Observe(10)
 	h.Observe(20)
 	h.Observe(3000)
-	d := h.Snapshot().Sub(before)
+	d := h.Sub(before)
 	if d.Count != 3 {
 		t.Fatalf("interval count %d, want 3", d.Count)
 	}
 	if d.Sum != 3030 {
 		t.Errorf("interval sum %d, want 3030", d.Sum)
 	}
+	// An interval knows its extremes only to the bucket: 10 → (8,16],
+	// 3000 → (2048,4096].
+	if d.Min != 16 || d.Max != 4096 {
+		t.Errorf("interval min/max %d/%d, want 16/4096", d.Min, d.Max)
+	}
 	// Subtracting the later snapshot from the earlier clamps at zero.
-	z := before.Sub(h.Snapshot())
-	if z.Count != 0 || z.Sum != 0 {
+	if z := before.Sub(h); z != (Hist{}) {
 		t.Errorf("reverse Sub not clamped: %+v", z)
 	}
 }
 
-// TestAtomicHistConcurrent hammers one histogram and one ReqStat from many
-// goroutines; under -race this is the data-race gate for the lock-free
-// design, and the final tallies must be exact (atomic adds lose nothing).
-func TestAtomicHistConcurrent(t *testing.T) {
+// TestReqStatConcurrent hammers one ReqStat from many goroutines; under
+// -race this is the data-race gate for the lock-free design, and the final
+// tallies must be exact (atomic adds lose nothing).
+func TestReqStatConcurrent(t *testing.T) {
 	const writers = 8
 	const perWriter = 5000
-	var h AtomicHist
 	e := NewReqStat("route")
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -102,13 +109,11 @@ func TestAtomicHistConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				v := int64(w*perWriter + i)
-				h.Observe(v)
 				status := 200
 				if i%10 == 0 {
 					status = 404
 				}
-				e.Record(status, time.Duration(v))
+				e.Record(status, time.Duration(w*perWriter+i))
 			}
 		}(w)
 	}
@@ -122,25 +127,21 @@ func TestAtomicHistConcurrent(t *testing.T) {
 				t.Error("negative snapshot")
 				return
 			}
-			e.Requests()
 		}
 	}()
 	wg.Wait()
 	<-done
 
-	s := h.Snapshot()
-	if s.Count != writers*perWriter {
-		t.Errorf("count %d, want %d", s.Count, writers*perWriter)
-	}
 	if got := e.Requests(); got != writers*perWriter {
 		t.Errorf("requests %d, want %d", got, writers*perWriter)
 	}
+	classes, _ := e.snapshot()
 	want4xx := int64(writers * perWriter / 10)
-	if got := e.Class(3); got != want4xx {
-		t.Errorf("4xx class %d, want %d", got, want4xx)
+	if classes[3] != want4xx {
+		t.Errorf("4xx class %d, want %d", classes[3], want4xx)
 	}
-	if got := e.Class(1); got != int64(writers*perWriter)-want4xx {
-		t.Errorf("2xx class %d, want %d", got, int64(writers*perWriter)-want4xx)
+	if classes[1] != int64(writers*perWriter)-want4xx {
+		t.Errorf("2xx class %d, want %d", classes[1], int64(writers*perWriter)-want4xx)
 	}
 }
 
@@ -195,14 +196,6 @@ func TestReqStatZeroAllocations(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("ReqStat.Record allocates %.1f per call, want 0", avg)
-	}
-	var h AtomicHist
-	avg = testing.AllocsPerRun(1000, func() {
-		i++
-		h.Observe(i)
-	})
-	if avg != 0 {
-		t.Errorf("AtomicHist.Observe allocates %.1f per call, want 0", avg)
 	}
 }
 

@@ -1,9 +1,9 @@
 package obs
 
 import (
+	"encoding/json"
 	"expvar"
 	"math"
-	"strconv"
 	"sync"
 )
 
@@ -13,14 +13,13 @@ import (
 // namespace — so tests and libraries can use registries freely without
 // colliding on expvar's global, panic-on-duplicate Publish.
 type Metrics struct {
-	mu    sync.Mutex
-	vars  *expvar.Map
-	hists map[string]*Histogram
+	mu   sync.Mutex
+	vars *expvar.Map
 }
 
 // NewMetrics returns an empty, unpublished registry.
 func NewMetrics() *Metrics {
-	return &Metrics{vars: new(expvar.Map).Init(), hists: make(map[string]*Histogram)}
+	return &Metrics{vars: new(expvar.Map).Init()}
 }
 
 var publishMu sync.Mutex
@@ -71,18 +70,29 @@ func (m *Metrics) Gauge(name string) *expvar.Float {
 	return v
 }
 
-// Histogram returns the named histogram, creating it on first use.
-func (m *Metrics) Histogram(name string) *Histogram {
+// GaugeFunc registers a gauge whose value is computed when it is read, so
+// expvar readers and /metrics scrapes both see the exact current value.
+// Registering a name again replaces the function.
+func (m *Metrics) GaugeFunc(name string, f func() float64) {
 	if m == nil {
-		return new(Histogram)
+		return
+	}
+	m.vars.Set(name, expvar.Func(func() any { return f() }))
+}
+
+// Histogram returns the named histogram, creating it on first use with per
+// small units to one exposed unit (1e6 for a nanosecond-recorded "_ms"
+// family, 1 for a family exposed as recorded).
+func (m *Metrics) Histogram(name string, per float64) *Histogram {
+	if m == nil {
+		return &Histogram{per: per}
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if h, ok := m.hists[name]; ok {
+	if h, ok := m.vars.Get(name).(*Histogram); ok {
 		return h
 	}
-	h := new(Histogram)
-	m.hists[name] = h
+	h := &Histogram{per: per}
 	m.vars.Set(name, h)
 	return h
 }
@@ -96,193 +106,48 @@ func (m *Metrics) String() string {
 	return m.vars.String()
 }
 
-// histBuckets is the fixed bucket count of Histogram: power-of-two buckets
-// spanning ~2^-32 .. 2^31, which covers sub-microsecond spans through
-// multi-week millisecond counts without configuration.
-const histBuckets = 64
+// nsPerMS is the per of the duration families: recorded in nanoseconds,
+// exposed in the milliseconds their names end in.
+const nsPerMS = 1e6
 
-// Histogram is a log2-bucketed histogram of nonnegative float64
-// observations (negative and non-finite samples are dropped). Bucket b
-// holds values in (2^(b-33), 2^(b-32)], so quantiles reported by String are
-// bucket upper bounds — accurate to a factor of 2, plenty for spotting a
-// pass that takes 8× the median, which is what it exists for. Observations
-// are mutex-guarded; instrumented sites observe at most once per descent
-// pass or simulator bin, far off any hot path. The zero value is ready to
-// use.
+// Histogram is the registry's histogram instrument: a mutex around a Hist.
+// Sites observe floats in the exposed unit (the unit the family name ends
+// in); the instrument records them as whole small units — per of them to one
+// exposed unit, fixed where the family is created — so every duration
+// family holds nanoseconds like the request instruments do. Observations
+// are mutex-guarded: instrumented sites observe at most once per descent
+// pass, simulator bin or re-solve, far off any hot path.
 type Histogram struct {
-	mu      sync.Mutex
-	count   int64
-	sum     float64
-	min     float64
-	max     float64
-	buckets [histBuckets]int64
+	mu  sync.Mutex
+	per float64
+	h   Hist
 }
 
-// bucketOf maps v to its bucket index via the binary exponent.
-func bucketOf(v float64) int {
-	if v <= 0 {
-		return 0
-	}
-	_, exp := math.Frexp(v) // v = frac × 2^exp, frac ∈ [0.5, 1)
-	b := exp + 32
-	if b < 0 {
-		return 0
-	}
-	if b >= histBuckets {
-		return histBuckets - 1
-	}
-	return b
-}
-
-// Observe records one sample.
+// Observe records one sample given in the exposed unit. Negative and
+// non-finite samples are dropped; one too large for an int64 of small
+// units lands in the top bucket.
 func (h *Histogram) Observe(v float64) {
 	if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
 		return
 	}
+	n := int64(math.MaxInt64)
+	if x := math.Round(v * h.per); x < math.MaxInt64 {
+		n = int64(x)
+	}
 	h.mu.Lock()
-	if h.count == 0 || v < h.min {
-		h.min = v
-	}
-	if h.count == 0 || v > h.max {
-		h.max = v
-	}
-	h.count++
-	h.sum += v
-	h.buckets[bucketOf(v)]++
+	h.h.Observe(n)
 	h.mu.Unlock()
 }
 
-// Count returns the number of samples recorded.
-func (h *Histogram) Count() int64 {
+// Snapshot returns a copy of the recorded histogram, in small units.
+func (h *Histogram) Snapshot() Hist {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.count
+	return h.h
 }
 
-// Sum returns the total of all samples.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
-// Min returns the smallest sample recorded (0 when empty).
-func (h *Histogram) Min() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.min
-}
-
-// Max returns the largest sample recorded (0 when empty).
-func (h *Histogram) Max() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.max
-}
-
-// Quantile returns an upper bound for the q-quantile (q in [0,1]):
-// the upper edge of the bucket holding the q-th sample.
-func (h *Histogram) Quantile(q float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.quantileLocked(q)
-}
-
-func (h *Histogram) quantileLocked(q float64) float64 {
-	if h.count == 0 {
-		return 0
-	}
-	rank := int64(math.Ceil(q * float64(h.count)))
-	if rank < 1 {
-		rank = 1
-	}
-	var seen int64
-	for b := 0; b < histBuckets; b++ {
-		seen += h.buckets[b]
-		if seen >= rank {
-			return math.Ldexp(1, b-32) // upper edge 2^(b-32)
-		}
-	}
-	return h.max
-}
-
-// Merge folds o's samples into h. Each histogram is locked on its own, so
-// concurrent observers of either side stay consistent; merging h into
-// itself is a no-op. The load harness uses this to combine per-sender
-// latency histograms into one report without sharing a hot mutex.
-func (h *Histogram) Merge(o *Histogram) {
-	if o == nil || o == h {
-		return
-	}
-	o.mu.Lock()
-	count, sum, mn, mx := o.count, o.sum, o.min, o.max
-	buckets := o.buckets
-	o.mu.Unlock()
-	if count == 0 {
-		return
-	}
-	h.mu.Lock()
-	if h.count == 0 || mn < h.min {
-		h.min = mn
-	}
-	if h.count == 0 || mx > h.max {
-		h.max = mx
-	}
-	h.count += count
-	h.sum += sum
-	for b := range buckets {
-		h.buckets[b] += buckets[b]
-	}
-	h.mu.Unlock()
-}
-
-// Summary is a point-in-time digest of a histogram: counts, extremes, and
-// the bucket-upper-bound quantiles the harnesses report.
-type Summary struct {
-	Count int64   `json:"count"`
-	Sum   float64 `json:"sum"`
-	Mean  float64 `json:"mean"`
-	Min   float64 `json:"min"`
-	Max   float64 `json:"max"`
-	P50   float64 `json:"p50"`
-	P90   float64 `json:"p90"`
-	P95   float64 `json:"p95"`
-	P99   float64 `json:"p99"`
-}
-
-// Summary returns a consistent snapshot of the histogram's digest (every
-// field computed under one lock acquisition).
-func (h *Histogram) Summary() Summary {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	s := Summary{Count: h.count, Sum: h.sum, Min: h.min, Max: h.max}
-	if h.count > 0 {
-		s.Mean = h.sum / float64(h.count)
-		s.P50 = h.quantileLocked(0.50)
-		s.P90 = h.quantileLocked(0.90)
-		s.P95 = h.quantileLocked(0.95)
-		s.P99 = h.quantileLocked(0.99)
-	}
-	return s
-}
-
-// String implements expvar.Var: a JSON summary with approximate quantiles.
+// String implements expvar.Var: the Summary in the exposed unit, as JSON.
 func (h *Histogram) String() string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return `{"count":0}`
-	}
-	b := make([]byte, 0, 160)
-	b = append(b, `{"count":`...)
-	b = strconv.AppendInt(b, h.count, 10)
-	b = appendFloat(b, `,"sum":`, h.sum)
-	b = appendFloat(b, `,"mean":`, h.sum/float64(h.count))
-	b = appendFloat(b, `,"min":`, h.min)
-	b = appendFloat(b, `,"max":`, h.max)
-	b = appendFloat(b, `,"p50":`, h.quantileLocked(0.50))
-	b = appendFloat(b, `,"p90":`, h.quantileLocked(0.90))
-	b = appendFloat(b, `,"p99":`, h.quantileLocked(0.99))
-	b = append(b, '}')
+	b, _ := json.Marshal(h.Snapshot().Summary(h.per)) //nolint:errcheck // plain struct of finite numbers
 	return string(b)
 }

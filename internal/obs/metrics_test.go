@@ -39,65 +39,78 @@ func TestInstrumentIdentity(t *testing.T) {
 	if m.Gauge("g") != m.Gauge("g") {
 		t.Error("Gauge returned distinct instruments for one name")
 	}
-	if m.Histogram("h") != m.Histogram("h") {
+	if m.Histogram("h", 1) != m.Histogram("h", 1) {
 		t.Error("Histogram returned distinct instruments for one name")
 	}
 	// Nil registry: throwaway instruments, never nil, never shared state.
 	var nilM *Metrics
 	nilM.Counter("c").Add(1)
 	nilM.Gauge("g").Set(1)
-	nilM.Histogram("h").Observe(1)
+	nilM.Histogram("h", 1).Observe(1)
+	nilM.GaugeFunc("f", func() float64 { return 1 })
 	if nilM.String() != "{}" {
 		t.Errorf("nil registry String = %q", nilM.String())
 	}
 }
 
-// TestHistogram pins the log2-bucket semantics: quantiles are bucket upper
-// edges (power of two at or above the sample), non-finite and negative
-// samples are dropped, and the summary JSON is well-formed.
+// TestHistogram pins the registry instrument: samples observed in the
+// exposed unit are recorded as whole small units, quantiles are bucket upper
+// edges, a sample equal to an edge counts under that edge, non-finite and
+// negative samples are dropped, and the expvar JSON is the Summary.
 func TestHistogram(t *testing.T) {
-	var h Histogram
+	h := NewMetrics().Histogram("x_ms", nsPerMS)
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
 		h.Observe(v)
 	}
-	if h.Count() != 0 {
-		t.Fatalf("invalid samples were counted: %d", h.Count())
+	if n := h.Snapshot().Count; n != 0 {
+		t.Fatalf("invalid samples were counted: %d", n)
 	}
-	// 100 samples at 3.0 → every quantile lands in bucket (2,4], upper edge 4.
+	// 100 samples at 3 ms = 3e6 ns → every quantile lands in bucket
+	// (2^21, 2^22] ns, upper edge 4.194304 ms.
 	for i := 0; i < 100; i++ {
 		h.Observe(3)
 	}
-	h.Observe(1000) // one outlier → p99 still 4, max exact
-	if got := h.Quantile(0.5); got != 4 {
-		t.Errorf("p50 = %v, want 4 (upper edge of (2,4])", got)
+	h.Observe(1000) // one outlier → p99 unmoved, max exact
+	snap := h.Snapshot()
+	if got := snap.Quantile(0.5); got != 1<<22 {
+		t.Errorf("p50 = %v ns, want 2^22", got)
 	}
-	if got := h.Quantile(0.99); got != 4 {
-		t.Errorf("p99 = %v, want 4", got)
+	if got := snap.Quantile(0.99); got != 1<<22 {
+		t.Errorf("p99 = %v ns, want 2^22", got)
 	}
-	if got := h.Quantile(1); got != 1024 {
-		t.Errorf("p100 = %v, want 1024 (upper edge of (512,1024])", got)
+	if got := snap.Quantile(1); got != 1<<30 {
+		t.Errorf("p100 = %v ns, want 2^30 (upper edge holding 1e9)", got)
 	}
-	if h.Count() != 101 || h.Sum() != 1300 {
-		t.Errorf("count %d sum %v, want 101 / 1300", h.Count(), h.Sum())
+	if snap.Count != 101 || snap.Sum != 1300e6 {
+		t.Errorf("count %d sum %v ns, want 101 / 1.3e9", snap.Count, snap.Sum)
 	}
-	var summary struct {
-		Count int64   `json:"count"`
-		Min   float64 `json:"min"`
-		Max   float64 `json:"max"`
-		P50   float64 `json:"p50"`
-	}
+	var summary Summary
 	if err := json.Unmarshal([]byte(h.String()), &summary); err != nil {
 		t.Fatalf("String() is not valid JSON: %v\n%s", err, h.String())
 	}
-	if summary.Count != 101 || summary.Min != 3 || summary.Max != 1000 || summary.P50 != 4 {
+	if summary != snap.Summary(nsPerMS) || summary.Min != 3 || summary.Max != 1000 || summary.P50 != 4.194304 {
 		t.Errorf("summary = %+v", summary)
+	}
+
+	// The edge-equal sample: exactly 2^20 ns observed as 1.048576 ms belongs
+	// to the bucket whose le is 1.048576, one ns more to the next.
+	e := NewMetrics().Histogram("edge_ms", nsPerMS)
+	e.Observe(1.048576)
+	e.Observe(1.048577)
+	if snap := e.Snapshot(); snap.Buckets[20] != 1 || snap.Buckets[21] != 1 {
+		t.Errorf("edge sample mis-binned: bucket 20 holds %d, bucket 21 holds %d, want 1 and 1", snap.Buckets[20], snap.Buckets[21])
+	}
+	// A sample too large for an int64 of small units saturates.
+	e.Observe(1e300)
+	if snap := e.Snapshot(); snap.Buckets[histBuckets-1] != 1 || snap.Max != math.MaxInt64 {
+		t.Errorf("oversized sample: top bucket %d, max %d", snap.Buckets[histBuckets-1], snap.Max)
 	}
 }
 
 // TestHistogramConcurrent hammers one histogram from several goroutines; the
 // race detector vets the locking and the final count must be exact.
 func TestHistogramConcurrent(t *testing.T) {
-	var h Histogram
+	h := NewMetrics().Histogram("x", 1)
 	const workers, per = 8, 1000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -111,10 +124,11 @@ func TestHistogramConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if h.Count() != workers*per {
-		t.Fatalf("count = %d, want %d", h.Count(), workers*per)
+	snap := h.Snapshot()
+	if snap.Count != workers*per {
+		t.Fatalf("count = %d, want %d", snap.Count, workers*per)
 	}
-	if h.Min() != 1 || h.Max() != workers*per {
-		t.Fatalf("min/max = %v/%v, want 1/%d", h.Min(), h.Max(), workers*per)
+	if snap.Min != 1 || snap.Max != workers*per {
+		t.Fatalf("min/max = %v/%v, want 1/%d", snap.Min, snap.Max, workers*per)
 	}
 }

@@ -1,9 +1,11 @@
-// Package obs is the solver and simulator telemetry layer: a typed event
-// tracer writing JSONL through a buffered sink, a metrics registry
+// Package obs is the solver, simulator and serving telemetry layer: a typed
+// event tracer writing JSONL through a buffered sink, a metrics registry
 // (counters, gauges, histograms) publishable via expvar, phase span timing,
 // and a live progress snapshot served by the opt-in debug HTTP endpoint
 // (ServeDebug, wired to the CLIs through the -trace-out / -metrics /
-// -debug-addr flags in Register/Start).
+// -debug-addr flags in Register/Start). Every latency or size distribution
+// in the repository is one value type, Hist, behind two recorders: ReqStat
+// (one atomic add per request) and the registry's mutex-guarded Histogram.
 //
 // The layer is zero-dependency (stdlib only), allocation-conscious and
 // nil-safe: every method on a nil *Recorder is a no-op, so instrumented
@@ -314,9 +316,9 @@ func (r *Recorder) RecordEPFPass(e EPFPass) {
 	m.Gauge("epf_max_link_util").Set(e.MaxLinkUtil)
 	m.Counter("epf_passes_total").Add(1)
 	if hadPrev && e.ElapsedMS >= prev.ElapsedMS {
-		m.Histogram("epf_pass_ms").Observe(e.ElapsedMS - prev.ElapsedMS)
+		m.Histogram("epf_pass_ms", nsPerMS).Observe(e.ElapsedMS - prev.ElapsedMS)
 	} else {
-		m.Histogram("epf_pass_ms").Observe(e.ElapsedMS)
+		m.Histogram("epf_pass_ms", nsPerMS).Observe(e.ElapsedMS)
 	}
 }
 
@@ -397,7 +399,7 @@ func (r *Recorder) RecordSimSlice(e SimSlice) {
 	m.Counter("sim_evictions_total").Add(int64(e.Evictions))
 	m.Gauge("sim_peak_mbps").Set(e.PeakMbps)
 	m.Gauge("sim_hit_rate").Set(e.HitRate)
-	m.Histogram("sim_bin_peak_mbps").Observe(e.PeakMbps)
+	m.Histogram("sim_bin_peak_mbps", 1).Observe(e.PeakMbps)
 }
 
 // RecordSpan records a completed phase timing.
@@ -420,7 +422,7 @@ func (r *Recorder) RecordSpan(stream, phase string, d time.Duration) {
 		r.buf = r.writeLine(b)
 	}
 	r.mu.Unlock()
-	r.metrics.Histogram("span_ms").Observe(ms)
+	r.metrics.Histogram("span_ms", nsPerMS).Observe(ms)
 	r.metrics.Gauge("span_" + phase + "_ms").Set(ms)
 }
 

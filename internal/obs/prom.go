@@ -57,99 +57,63 @@ func promFloat(v float64) string {
 }
 
 // WritePrometheus renders every instrument of the registry in text format:
-// counters (expvar.Int), gauges (expvar.Float) and histograms (cumulative
-// _bucket/_sum/_count series with power-of-two le edges). Families are
-// emitted in sorted sanitized-name order, so a fixed registry renders
-// byte-identically — the property the exposition golden test pins.
+// counters (expvar.Int), gauges (expvar.Float and the read-time GaugeFunc)
+// and histograms (cumulative _bucket/_sum/_count series with power-of-two le
+// edges). Families are emitted in sorted sanitized-name order, so a fixed
+// registry renders byte-identically — the property the exposition golden
+// test pins.
 func (m *Metrics) WritePrometheus(w io.Writer) {
 	if m == nil {
 		return
 	}
 	type family struct {
 		name string
-		kind string // "counter", "gauge", "histogram"
-		i    *expvar.Int
-		f    *expvar.Float
-		h    *Histogram
+		v    expvar.Var
 	}
 	var fams []family
 	m.vars.Do(func(kv expvar.KeyValue) {
-		fam := family{name: PromName(kv.Key)}
-		switch v := kv.Value.(type) {
-		case *expvar.Int:
-			fam.kind, fam.i = "counter", v
-		case *expvar.Float:
-			fam.kind, fam.f = "gauge", v
-		case *Histogram:
-			fam.kind, fam.h = "histogram", v
-		default:
-			return
-		}
-		fams = append(fams, fam)
+		fams = append(fams, family{PromName(kv.Key), kv.Value})
 	})
 	sort.Slice(fams, func(a, b int) bool { return fams[a].name < fams[b].name })
 	bw := bufio.NewWriter(w)
 	defer bw.Flush() //nolint:errcheck // exposition best-effort, like expvar
 	for _, fam := range fams {
-		fmt.Fprintf(bw, "# TYPE %s %s\n", fam.name, fam.kind)
-		switch fam.kind {
-		case "counter":
-			fmt.Fprintf(bw, "%s %d\n", fam.name, fam.i.Value())
-		case "gauge":
-			fmt.Fprintf(bw, "%s %s\n", fam.name, promFloat(fam.f.Value()))
-		case "histogram":
-			writeHistProm(bw, fam.name, "", fam.h.promSnapshot())
+		switch v := fam.v.(type) {
+		case *expvar.Int:
+			fmt.Fprintf(bw, "# TYPE %s counter\n%s %d\n", fam.name, fam.name, v.Value())
+		case *expvar.Float:
+			fmt.Fprintf(bw, "# TYPE %s gauge\n%s %s\n", fam.name, fam.name, promFloat(v.Value()))
+		case expvar.Func:
+			if f, ok := v.Value().(float64); ok {
+				fmt.Fprintf(bw, "# TYPE %s gauge\n%s %s\n", fam.name, fam.name, promFloat(f))
+			}
+		case *Histogram:
+			fmt.Fprintf(bw, "# TYPE %s histogram\n", fam.name)
+			v.Snapshot().writeProm(bw, fam.name, "", v.per)
 		}
 	}
 }
 
-// promHistSnap is the unit-agnostic cumulative view both histogram kinds
-// render through: ascending upper edges with per-bucket own counts.
-type promHistSnap struct {
-	edges  []float64 // upper bucket edges, ascending, no +Inf
-	counts []int64   // own (non-cumulative) count per edge
-	count  int64
-	sum    float64
-}
-
-// promSnapshot extracts the mutex histogram's nonzero buckets under one
-// lock hold. Edges are the documented Histogram upper bounds 2^(b-32).
-func (h *Histogram) promSnapshot() promHistSnap {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	s := promHistSnap{count: h.count, sum: h.sum}
-	for b := 0; b < histBuckets; b++ {
-		if h.buckets[b] == 0 {
-			continue
-		}
-		s.edges = append(s.edges, math.Ldexp(1, b-32))
-		s.counts = append(s.counts, h.buckets[b])
-	}
-	return s
-}
-
-// writeHistProm emits one histogram family body: cumulative _bucket series
-// over the nonzero edges plus the mandatory le="+Inf", then _sum and
-// _count. labels, when non-empty, is the rendered shared label set without
-// braces (e.g. `endpoint="route"`).
-func writeHistProm(w io.Writer, name, labels string, s promHistSnap) {
-	sep := ""
+// writeProm emits one histogram family body in the exposed unit (see Hist
+// for per): cumulative _bucket series over the non-empty buckets plus the
+// mandatory le="+Inf", then _sum and _count. labels, when non-empty, is the
+// rendered shared label set without braces (e.g. `endpoint="route"`).
+func (h Hist) writeProm(w io.Writer, name, labels string, per float64) {
+	sep, braced := "", ""
 	if labels != "" {
-		sep = ","
+		sep, braced = ",", "{"+labels+"}"
 	}
 	var cum int64
-	for i, edge := range s.edges {
-		cum += s.counts[i]
-		fmt.Fprintf(w, "%s_bucket{%s%sle=\"%s\"} %d\n", name, labels, sep, promFloat(edge), cum)
+	for b, c := range h.Buckets {
+		if c == 0 {
+			continue
+		}
+		cum += c
+		fmt.Fprintf(w, "%s_bucket{%s%sle=\"%s\"} %d\n", name, labels, sep, promFloat(float64(upperBound(b))/per), cum)
 	}
-	fmt.Fprintf(w, "%s_bucket{%s%sle=\"+Inf\"} %d\n", name, labels, sep, s.count)
-	if labels == "" {
-		fmt.Fprintf(w, "%s_sum %s\n", name, promFloat(s.sum))
-		fmt.Fprintf(w, "%s_count %d\n", name, s.count)
-	} else {
-		fmt.Fprintf(w, "%s_sum{%s} %s\n", name, labels, promFloat(s.sum))
-		fmt.Fprintf(w, "%s_count{%s} %d\n", name, labels, s.count)
-	}
+	fmt.Fprintf(w, "%s_bucket{%s%sle=\"+Inf\"} %d\n", name, labels, sep, h.Count)
+	fmt.Fprintf(w, "%s_sum%s %s\n", name, braced, promFloat(float64(h.Sum)/per))
+	fmt.Fprintf(w, "%s_count%s %d\n", name, braced, h.Count)
 }
 
 // Request-instrument family names. The duration histogram observes
@@ -162,39 +126,32 @@ const (
 
 // WriteReqProm renders the request instruments: one counter series per
 // endpoint × status class (all five classes, a fixed shape) and one
-// latency histogram per endpoint. Endpoints render in the order given, so
-// callers pass a fixed slice and the output is deterministic for fixed
-// counts.
+// latency histogram per endpoint, both derived from one read of the
+// endpoint's grid so the class counts and the histogram count of one
+// exposition always agree. Endpoints render in the order given, so callers
+// pass a fixed slice and the output is deterministic for fixed counts.
 func WriteReqProm(w io.Writer, stats []*ReqStat) {
 	bw := bufio.NewWriter(w)
 	defer bw.Flush() //nolint:errcheck // exposition best-effort
+	lats := make([]Hist, len(stats))
 	fmt.Fprintf(bw, "# TYPE %s counter\n", PromReqTotalName)
-	for _, e := range stats {
+	for i, e := range stats {
 		if e == nil {
 			continue
 		}
-		for c := range statusClassNames {
+		var classes [numStatusClasses]int64
+		classes, lats[i] = e.snapshot()
+		for c, n := range classes {
 			fmt.Fprintf(bw, "%s{endpoint=%q,code=%q} %d\n",
-				PromReqTotalName, e.Name, statusClassNames[c], e.Class(c))
+				PromReqTotalName, e.Name, statusClassNames[c], n)
 		}
 	}
 	fmt.Fprintf(bw, "# TYPE %s histogram\n", PromReqDurName)
-	for _, e := range stats {
+	for i, e := range stats {
 		if e == nil {
 			continue
 		}
-		lat := e.Latency()
-		var s promHistSnap
-		s.count = lat.Count
-		s.sum = float64(lat.Sum) / 1e9
-		for b := range lat.Buckets {
-			if lat.Buckets[b] == 0 {
-				continue
-			}
-			s.edges = append(s.edges, float64(lat.UpperBound(b))/1e9)
-			s.counts = append(s.counts, lat.Buckets[b])
-		}
-		writeHistProm(bw, PromReqDurName, fmt.Sprintf("endpoint=%q", e.Name), s)
+		lats[i].writeProm(bw, PromReqDurName, fmt.Sprintf("endpoint=%q", e.Name), 1e9)
 	}
 }
 
@@ -331,16 +288,6 @@ func parsePromLabels(body string) (map[string]string, error) {
 	return labels, nil
 }
 
-// PromHist is a cumulative histogram reconstructed from parsed samples:
-// ascending le edges (always ending in +Inf) with cumulative counts, plus
-// the _sum/_count series.
-type PromHist struct {
-	Le    []float64 // ascending, last is +Inf
-	Cum   []float64 // cumulative count at each Le
-	Count float64
-	Sum   float64
-}
-
 // labelsMatchSansLe reports whether got equals want after dropping got's
 // "le" key: the bucket-series selector.
 func labelsMatchSansLe(got, want map[string]string) bool {
@@ -357,136 +304,57 @@ func labelsMatchSansLe(got, want map[string]string) bool {
 	return n == len(want)
 }
 
-// ExtractPromHist assembles the named histogram family with the given
-// label selector from parsed samples. Returns nil when the family is
-// absent (no buckets).
-func ExtractPromHist(samples []PromSample, name string, labels map[string]string) *PromHist {
-	if labels == nil {
-		labels = map[string]string{}
-	}
-	h := &PromHist{}
+// HistFromProm is writeProm's inverse: it assembles the histogram family
+// name with the given label selector from parsed samples, in small units
+// (per of them to the exposed unit, see Hist). Every le must be one of the
+// 64 edges 2^b/per exactly as the writer renders them — anything else is an
+// error naming the series rather than a mis-binned sample: reading foreign
+// bucket layouts is a capability no caller uses. Because the mapping is
+// exact, the interval between two scrapes is plain Sub. Samples counted
+// only under le="+Inf" join the highest bucket present, so they answer
+// quantiles with the largest finite edge. An absent family is the empty
+// Hist.
+func HistFromProm(samples []PromSample, name string, labels map[string]string, per float64) (Hist, error) {
+	var cum [histBuckets]int64
+	var seen [histBuckets]bool
+	var total, sum int64
 	for _, s := range samples {
-		switch s.Name {
-		case name + "_bucket":
-			if !labelsMatchSansLe(s.Labels, labels) {
-				continue
-			}
-			leStr, ok := s.Labels["le"]
-			if !ok {
-				continue
-			}
-			le, err := strconv.ParseFloat(leStr, 64)
-			if err != nil {
-				continue
-			}
-			h.Le = append(h.Le, le)
-			h.Cum = append(h.Cum, s.Value)
-		case name + "_sum":
-			if labelsMatchSansLe(s.Labels, labels) {
-				h.Sum = s.Value
-			}
-		case name + "_count":
-			if labelsMatchSansLe(s.Labels, labels) {
-				h.Count = s.Value
-			}
-		}
-	}
-	if len(h.Le) == 0 {
-		return nil
-	}
-	sort.Sort(promHistSorter{h})
-	if !math.IsInf(h.Le[len(h.Le)-1], 1) {
-		h.Le = append(h.Le, math.Inf(1))
-		h.Cum = append(h.Cum, h.Count)
-	}
-	return h
-}
-
-type promHistSorter struct{ h *PromHist }
-
-func (s promHistSorter) Len() int           { return len(s.h.Le) }
-func (s promHistSorter) Less(a, b int) bool { return s.h.Le[a] < s.h.Le[b] }
-func (s promHistSorter) Swap(a, b int) {
-	s.h.Le[a], s.h.Le[b] = s.h.Le[b], s.h.Le[a]
-	s.h.Cum[a], s.h.Cum[b] = s.h.Cum[b], s.h.Cum[a]
-}
-
-// cumAt returns the cumulative count at upper edge le: the count of the
-// largest bucket with Le ≤ le (0 below the first).
-func (h *PromHist) cumAt(le float64) float64 {
-	i := sort.SearchFloat64s(h.Le, le)
-	// SearchFloat64s returns the first index with Le >= le; an exact hit is
-	// the bucket itself, otherwise step back.
-	if i < len(h.Le) && h.Le[i] == le {
-		return h.Cum[i]
-	}
-	if i == 0 {
-		return 0
-	}
-	return h.Cum[i-1]
-}
-
-// Sub returns the interval histogram h − o (the samples recorded between
-// scrape o and scrape h). Bucket sets may differ between scrapes — the
-// writer omits empty buckets — so the delta is taken over the union of
-// edges with cumulative-count interpolation. Negative deltas (counter
-// reset) clamp to zero.
-func (h *PromHist) Sub(o *PromHist) *PromHist {
-	if o == nil {
-		cp := &PromHist{Count: h.Count, Sum: h.Sum}
-		cp.Le = append(cp.Le, h.Le...)
-		cp.Cum = append(cp.Cum, h.Cum...)
-		return cp
-	}
-	edges := append(append([]float64{}, h.Le...), o.Le...)
-	sort.Float64s(edges)
-	d := &PromHist{}
-	for i, le := range edges {
-		if i > 0 && le == edges[i-1] {
+		if !labelsMatchSansLe(s.Labels, labels) {
 			continue
 		}
-		c := h.cumAt(le) - o.cumAt(le)
-		if c < 0 {
-			c = 0
-		}
-		d.Le = append(d.Le, le)
-		d.Cum = append(d.Cum, c)
-	}
-	if d.Count = h.Count - o.Count; d.Count < 0 {
-		d.Count = 0
-	}
-	if d.Sum = h.Sum - o.Sum; d.Sum < 0 {
-		d.Sum = 0
-	}
-	return d
-}
-
-// Quantile returns the upper edge of the bucket holding the q-th sample
-// (the standard conservative histogram quantile), 0 when empty. The +Inf
-// bucket answers with the largest finite edge.
-func (h *PromHist) Quantile(q float64) float64 {
-	total := h.Count
-	if n := len(h.Cum); total == 0 && n > 0 {
-		total = h.Cum[n-1]
-	}
-	if total <= 0 {
-		return 0
-	}
-	rank := math.Ceil(q * total)
-	if rank < 1 {
-		rank = 1
-	}
-	lastFinite := 0.0
-	for i, le := range h.Le {
-		if !math.IsInf(le, 1) {
-			lastFinite = le
-		}
-		if h.Cum[i] >= rank {
-			if math.IsInf(le, 1) {
-				return lastFinite
+		switch s.Name {
+		case name + "_bucket":
+			le, err := strconv.ParseFloat(s.Labels["le"], 64)
+			if err != nil {
+				return Hist{}, fmt.Errorf("obs: %s{%v}: bad le: %w", s.Name, s.Labels, err)
 			}
-			return le
+			if math.IsInf(le, 1) {
+				total = int64(s.Value)
+				continue
+			}
+			b := int(math.Round(math.Log2(le * per)))
+			if b < 0 || b >= histBuckets || float64(upperBound(b))/per != le {
+				return Hist{}, fmt.Errorf("obs: %s{%v}: le is not a bucket edge 2^b/%g", s.Name, s.Labels, per)
+			}
+			cum[b], seen[b] = int64(s.Value), true
+		case name + "_sum":
+			sum = int64(math.Round(s.Value * per))
 		}
 	}
-	return lastFinite
+	var buckets [histBuckets]int64
+	var prev int64
+	top := histBuckets - 1
+	for b := range cum {
+		if !seen[b] {
+			continue
+		}
+		if cum[b] < prev {
+			return Hist{}, fmt.Errorf("obs: %s_bucket{%v}: cumulative count decreases at bucket %d", name, labels, b)
+		}
+		buckets[b], prev, top = cum[b]-prev, cum[b], b
+	}
+	if total > prev {
+		buckets[top] += total - prev
+	}
+	return histOf(&buckets, sum), nil
 }

@@ -127,8 +127,8 @@ func (r *Recorder) RecordServeResolve(e ServeResolve) {
 			m.Counter("serve_resolves_rejected_total").Add(1)
 		}
 		m.Gauge("serve_warm_frac").Set(e.WarmFrac)
-		m.Histogram("serve_resolve_solve_ms").Observe(e.SolveMS)
-		m.Histogram("serve_resolve_audit_ms").Observe(e.AuditMS)
+		m.Histogram("serve_resolve_solve_ms", nsPerMS).Observe(e.SolveMS)
+		m.Histogram("serve_resolve_audit_ms", nsPerMS).Observe(e.AuditMS)
 		r.PublishKV("serve_resolve", e)
 	}
 }
@@ -156,7 +156,7 @@ func (r *Recorder) RecordServeSwap(e ServeSwap) {
 	m.Gauge("serve_snapshot_version").Set(float64(e.Version))
 	m.Gauge("serve_route_delta").Set(float64(e.RDelta))
 	m.Gauge("serve_rows_rebuilt").Set(float64(e.Rebuilt))
-	m.Histogram("serve_swap_build_ms").Observe(e.BuildMS)
+	m.Histogram("serve_swap_build_ms", nsPerMS).Observe(e.BuildMS)
 	r.PublishKV("serve_swap", e)
 }
 
@@ -178,7 +178,7 @@ func (r *Recorder) RecordServeDemand(e ServeDemand) {
 	m := r.metrics
 	m.Counter("serve_demand_batches_total").Add(1)
 	m.Counter("serve_demand_entries_total").Add(int64(e.Batch))
-	// No drift gauge here: the serving daemon samples its own
-	// serve.demand_drift gauge into the shared registry, and that name
+	// No drift gauge here: the serving daemon registers its own
+	// serve.demand_drift gauge in the shared registry, and that name
 	// sanitizes to the same Prometheus family.
 }

@@ -110,10 +110,8 @@ func instrumented(st *obs.ReqStat, h http.HandlerFunc) http.HandlerFunc {
 // writeMetrics renders the /metrics body: the registry families first (the
 // counters the daemon always had, plus gauges and any recorder-side
 // histograms when the registry is shared), then the per-endpoint request
-// families. Gauges are refreshed first so every scrape sees current
-// snapshot age and drift.
+// families.
 func (s *Server) writeMetrics(w io.Writer) {
-	s.sampleGauges()
 	s.metrics.WritePrometheus(w)
 	obs.WriteReqProm(w, s.reqStats)
 }
@@ -246,9 +244,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	}
 	snap := s.store.Load()
 	s.mu.Lock()
-	lastPasses, lastGap, lastReject, lastResumed := s.lastPasses, s.lastGap, s.lastReject, s.lastResumed
-	lastLPMS, lastRoundMS := s.lastLPMS, s.lastRoundMS
-	lastRound, lastRoundRatio, lastRoundRef := s.lastRound, s.lastRoundRatio, s.lastRoundRef
+	last, lastGap, lastReject := s.lastSwapped, s.lastGap, s.lastReject
 	s.mu.Unlock()
 	out := statusJSON{
 		Version:        snap.Version,
@@ -259,14 +255,14 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		VHOs:           snap.NumVHOs(),
 		Links:          snap.Inst.G.NumLinks(),
 		Slices:         snap.Inst.Slices,
-		LastPasses:     lastPasses,
+		LastPasses:     last.Passes,
 		LastGapPct:     100 * lastGap,
-		LastLPMS:       lastLPMS,
-		LastRoundMS:    lastRoundMS,
-		ResumedFrac:    lastResumed,
-		LastRound:      lastRound,
-		LastRoundRatio: lastRoundRatio,
-		LastRoundRef:   lastRoundRef,
+		LastLPMS:       last.LPMS,
+		LastRoundMS:    last.RoundMS,
+		ResumedFrac:    last.ResumedFrac,
+		LastRound:      last.Round,
+		LastRoundRatio: last.RoundRatio,
+		LastRoundRef:   last.RoundRef,
 		LastReject:     lastReject,
 		RouteRequests:  s.routeRequests.Value(),
 		RouteErrors:    s.routeErrors.Value(),

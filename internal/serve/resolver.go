@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"expvar"
 	"fmt"
 	"sort"
 	"time"
@@ -47,8 +48,21 @@ func (s *Server) kickResolve() {
 // /status carry.
 func durMS(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 
+// solveOutcome copies what a solve says about itself into its done event:
+// the one place /status's last_* fields and the trace's solver fields come
+// from, for the initial solve and every re-solve alike.
+func solveOutcome(done *obs.ServeResolve, res *epf.Result, videos int) {
+	done.Passes = res.Passes
+	done.LPMS, done.RoundMS = durMS(res.Stats.LPTime), durMS(res.Stats.RoundTime)
+	done.Round, done.RoundRatio, done.RoundRef = res.Stats.RoundMode(), res.Stats.RoundRatio, res.Stats.RoundRef
+	if videos > 0 {
+		done.WarmFrac = float64(res.Stats.WarmVideos) / float64(videos)
+		done.ResumedFrac = float64(res.Stats.ResumedVideos) / float64(videos)
+	}
+}
+
 // resolveOnce brings the live instance up to date with the demand state,
-// solves it (warm-started from the last swapped-in solve unless disabled),
+// solves it (warm-started from the last swapped-in solve),
 // audits the result, and — only if the audit passes and the solve converged
 // — swaps a new snapshot in. It patches just the demand-dirty videos of the
 // live instance in place (state.patchInstance) and hands the incremental
@@ -123,16 +137,23 @@ func (s *Server) resolveOnce(ctx context.Context) (*Snapshot, error) {
 		Phase: "start", Version: int64(cur.Version + 1), Trigger: "demand",
 	})
 	// done accumulates the attempt's outcome; every return path below emits
-	// it exactly once.
+	// it exactly once — reject for the non-swap exits, the swap itself last.
 	done := obs.ServeResolve{
 		Phase: "done", Version: int64(cur.Version + 1), Trigger: "demand",
 		Dirty: len(dirty),
 	}
-	if err != nil {
-		s.resolvesFailed.Add(1)
-		done.Verdict, done.Reason = "failed", err.Error()
+	reject := func(counter *expvar.Int, verdict, reason string) {
+		counter.Add(1)
+		done.Verdict, done.Reason = verdict, reason
 		rec.RecordServeResolve(done)
-		s.setLastReject("rebuild failed: " + err.Error())
+		if reason != "" { // a shutdown discard is not a rejection
+			s.mu.Lock()
+			s.lastReject = reason
+			s.mu.Unlock()
+		}
+	}
+	if err != nil {
+		reject(s.resolvesFailed, "failed", "rebuild failed: "+err.Error())
 		return nil, fmt.Errorf("serve: rebuilding instance: %w", err)
 	}
 
@@ -144,33 +165,20 @@ func (s *Server) resolveOnce(ctx context.Context) (*Snapshot, error) {
 	opts := s.cfg.Solver
 	opts.Recorder = s.cfg.Recorder
 	opts.TraceStream = fmt.Sprintf("serve.v%d", cur.Version+1)
-	if !s.cfg.WarmOff {
-		opts.Warm = warm
-	}
+	opts.Warm = warm
 	tSolve := time.Now()
 	res, err := epf.SolveIntegerContext(ctx, inst, opts)
 	done.SolveMS = durMS(time.Since(tSolve))
 	if res != nil {
-		done.Passes = res.Passes
-		done.LPMS, done.RoundMS = durMS(res.Stats.LPTime), durMS(res.Stats.RoundTime)
-		done.Round, done.RoundRatio, done.RoundRef = res.Stats.RoundMode(), res.Stats.RoundRatio, res.Stats.RoundRef
-		if nv := len(inst.Demands); nv > 0 {
-			done.WarmFrac = float64(res.Stats.WarmVideos) / float64(nv)
-			done.ResumedFrac = float64(res.Stats.ResumedVideos) / float64(nv)
-		}
+		solveOutcome(&done, res, len(inst.Demands))
 	}
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
-			s.resolvesCancel.Add(1)
-			done.Verdict = "cancelled"
-			rec.RecordServeResolve(done)
+			reject(s.resolvesCancel, "cancelled", "")
 			s.logf("serve: resolve discarded (shutdown) after %d passes", res.Passes)
 			return nil, err
 		}
-		s.resolvesFailed.Add(1)
-		done.Verdict, done.Reason = "failed", err.Error()
-		rec.RecordServeResolve(done)
-		s.setLastReject("solve failed: " + err.Error())
+		reject(s.resolvesFailed, "failed", "solve failed: "+err.Error())
 		return nil, fmt.Errorf("serve: re-solve: %w", err)
 	}
 
@@ -181,20 +189,12 @@ func (s *Server) resolveOnce(ctx context.Context) (*Snapshot, error) {
 	rep := verify.Audit(inst, res)
 	done.AuditMS = durMS(time.Since(tAudit))
 	if !rep.Ok() {
-		s.auditRejected.Add(1)
-		reason := "audit: " + rep.Err().Error()
-		done.Verdict, done.Reason = "audit_rejected", reason
-		rec.RecordServeResolve(done)
-		s.setLastReject(reason)
+		reject(s.auditRejected, "audit_rejected", "audit: "+rep.Err().Error())
 		s.logf("serve: resolve rejected by audit, keeping v%d: %v", cur.Version, rep.Err())
 		return nil, nil
 	}
 	if !res.Converged {
-		s.unconverged.Add(1)
-		reason := fmt.Sprintf("unconverged after %d passes", res.Passes)
-		done.Verdict, done.Reason = "unconverged", reason
-		rec.RecordServeResolve(done)
-		s.setLastReject(reason)
+		reject(s.unconverged, "unconverged", fmt.Sprintf("unconverged after %d passes", res.Passes))
 		s.logf("serve: resolve did not converge (%d passes), keeping v%d", res.Passes, cur.Version)
 		return nil, nil
 	}
@@ -202,23 +202,17 @@ func (s *Server) resolveOnce(ctx context.Context) (*Snapshot, error) {
 	tBuild := time.Now()
 	snap, rebuilt, err := buildSnapshotFrom(cur, snapDirty, inst, res.Sol, cur.Version+1, true)
 	if err != nil {
-		s.resolvesFailed.Add(1)
-		done.Verdict, done.Reason = "failed", err.Error()
-		rec.RecordServeResolve(done)
-		s.setLastReject("snapshot build failed: " + err.Error())
+		reject(s.resolvesFailed, "failed", "snapshot build failed: "+err.Error())
 		return nil, fmt.Errorf("serve: building snapshot: %w", err)
 	}
 	rdelta := routeDelta(cur, snap)
 	s.store.Store(snap)
 	done.BuildMS = durMS(time.Since(tBuild))
 	done.Rebuilt = rebuilt
+	done.Verdict = "swapped"
 	s.mu.Lock()
 	s.warm = res.Warm
-	s.lastPasses = res.Passes
-	s.lastResumed = done.ResumedFrac
-	s.lastLPMS, s.lastRoundMS = done.LPMS, done.RoundMS
-	s.lastRound, s.lastRoundRatio, s.lastRoundRef = done.Round, done.RoundRatio, done.RoundRef
-	s.lastGap = res.Gap
+	s.lastSwapped, s.lastGap = done, res.Gap
 	// The published snapshot now reflects every row dirtied so far.
 	clear(s.snapDirty)
 	// The swap covered the demand mass captured at solve start; whatever
@@ -233,7 +227,6 @@ func (s *Server) resolveOnce(ctx context.Context) (*Snapshot, error) {
 		Version: int64(snap.Version), RDelta: rdelta, BuildMS: done.BuildMS,
 		Rebuilt: rebuilt, Rows: int64(len(inst.Demands)),
 	})
-	done.Verdict = "swapped"
 	rec.RecordServeResolve(done)
 	s.logf("serve: placement v%d swapped in (%d passes, gap %.2f%%, objective %.1f GB)",
 		snap.Version, res.Passes, 100*res.Gap, res.Objective)

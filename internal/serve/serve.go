@@ -33,10 +33,6 @@ type Config struct {
 	// Solver configures every solve (the initial one and background
 	// re-solves). MaxPasses, Shards etc. apply to both.
 	Solver epf.Options
-	// Warm threads each swapped-in solve's final state (epf.WarmState) into
-	// the next background re-solve. Default true — the whole point of the
-	// control plane is cheap incremental re-solves; set WarmOff to disable.
-	WarmOff bool
 	// UpdateWeight, when positive, charges re-solves for migrating copies
 	// away from the currently-served placement (objective (11) with origins
 	// taken from the live snapshot), damping churn between snapshots.
@@ -48,11 +44,6 @@ type Config struct {
 	// solve and every re-solve (streams "serve.vNN") plus the serving-plane
 	// lifecycle events (serve_resolve / serve_swap / serve_demand).
 	Recorder *obs.Recorder
-	// SampleInterval is the period of the gauge sampler that refreshes
-	// snapshot-age and demand-drift between scrapes. Zero means the default
-	// (10s); the /metrics handler also refreshes on every scrape, so the
-	// sampler only matters for expvar readers.
-	SampleInterval time.Duration
 	// Logf, when non-nil, receives one-line lifecycle messages (swap,
 	// rejection, shutdown discard). The daemon points it at stdout; tests
 	// capture it. May be called from the resolver goroutine.
@@ -84,26 +75,18 @@ type Server struct {
 	// stick to live without publishing — and is cleared on a swap. It is
 	// the invalidation list handed to the incremental snapshot build.
 	snapDirty map[int]struct{}
-	// lastPasses/lastGap/lastResumed/lastLPMS/lastRoundMS/lastRound* describe
-	// the most recent swapped-in solve; lastReject the most recent rejected one (""
-	// until a re-solve is rejected). Both survive across swaps so /status
-	// always explains the last anomaly.
-	lastPasses  int
+	// lastSwapped is the done event of the most recent swapped-in solve (the
+	// initial one included) and lastGap its duality gap; lastReject explains
+	// the most recent rejected one ("" until a re-solve is rejected). Both
+	// survive across swaps so /status always explains the last anomaly.
+	lastSwapped obs.ServeResolve
 	lastGap     float64
-	lastResumed float64
-	lastLPMS    float64
-	lastRoundMS float64
 	lastReject  string
-	// lastRound is which rounding that solve ran ("full" for the initial
-	// one), with the ratio it reached and the reference a resume had to meet.
-	lastRound                    string
-	lastRoundRatio, lastRoundRef float64
 
-	resolveCh   chan struct{}
-	cancel      context.CancelFunc
-	done        chan struct{}
-	samplerDone chan struct{}
-	closeOnce   sync.Once
+	resolveCh chan struct{}
+	cancel    context.CancelFunc
+	done      chan struct{}
+	closeOnce sync.Once
 
 	bufPool sync.Pool
 	// demandPool recycles POST /demand decode scratch (see demandScratch).
@@ -120,9 +103,6 @@ type Server struct {
 	unconverged     *expvar.Int
 	resolvesCancel  *expvar.Int
 	resolvesFailed  *expvar.Int
-	// Sampled gauges (see sampleGauges).
-	ageGauge   *expvar.Float
-	driftGauge *expvar.Float
 	// deltaGauge is serve.delta_fraction: the dirty-video fraction of the
 	// most recent resolve attempt (1 when the attempt fell back to a full
 	// rebuild), the signal EXPERIMENTS.md correlates with resolve latency.
@@ -182,17 +162,13 @@ func NewWithResult(inst *mip.Instance, res *epf.Result, cfg Config) (*Server, er
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:         cfg,
-		base:        inst,
-		state:       stateFromInstance(inst),
-		warm:        res.Warm,
-		live:        inst,
-		snapDirty:   make(map[int]struct{}),
-		lastPasses:  res.Passes,
-		lastGap:     res.Gap,
-		lastLPMS:    durMS(res.Stats.LPTime),
-		lastRoundMS: durMS(res.Stats.RoundTime),
-		lastRound:   res.Stats.RoundMode(), lastRoundRatio: res.Stats.RoundRatio, lastRoundRef: res.Stats.RoundRef,
+		cfg:       cfg,
+		base:      inst,
+		state:     stateFromInstance(inst),
+		warm:      res.Warm,
+		live:      inst,
+		snapDirty: make(map[int]struct{}),
+		lastGap:   res.Gap,
 		resolveCh: make(chan struct{}, 1),
 		cancel:    cancel,
 		done:      make(chan struct{}),
@@ -207,8 +183,6 @@ func NewWithResult(inst *mip.Instance, res *epf.Result, cfg Config) (*Server, er
 		unconverged:     m.Counter("serve.unconverged_rejected"),
 		resolvesCancel:  m.Counter("serve.resolves_cancelled"),
 		resolvesFailed:  m.Counter("serve.resolves_failed"),
-		ageGauge:        m.Gauge("serve.snapshot_age_seconds"),
-		driftGauge:      m.Gauge("serve.demand_drift"),
 		deltaGauge:      m.Gauge("serve.delta_fraction"),
 
 		reqRoute:     obs.NewReqStat("route"),
@@ -218,7 +192,7 @@ func NewWithResult(inst *mip.Instance, res *epf.Result, cfg Config) (*Server, er
 		reqDemand:    obs.NewReqStat("demand"),
 	}
 	s.reqStats = []*obs.ReqStat{s.reqRoute, s.reqPlacement, s.reqHealthz, s.reqStatus, s.reqDemand}
-	s.samplerDone = make(chan struct{})
+	solveOutcome(&s.lastSwapped, res, len(inst.Demands))
 	s.bufPool.New = func() any {
 		b := make([]byte, 0, 256)
 		return &b
@@ -228,40 +202,18 @@ func NewWithResult(inst *mip.Instance, res *epf.Result, cfg Config) (*Server, er
 	}
 	s.store.Store(snap)
 	go s.resolveLoop(ctx)
-	interval := cfg.SampleInterval
-	if interval <= 0 {
-		interval = 10 * time.Second
-	}
-	go s.sampleLoop(ctx, interval)
+	// The two time-derived gauges are computed when read: how stale the
+	// served snapshot is, and how much demand (L1, aggregate request units)
+	// has been accepted since the last solved state.
+	m.GaugeFunc("serve.snapshot_age_seconds", func() float64 {
+		return time.Since(s.store.Load().BuiltAt).Seconds()
+	})
+	m.GaugeFunc("serve.demand_drift", func() float64 {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.state.drift
+	})
 	return s, nil
-}
-
-// sampleLoop refreshes the sampled gauges on a ticker so expvar readers see
-// fresh snapshot-age/drift numbers even between /metrics scrapes.
-func (s *Server) sampleLoop(ctx context.Context, interval time.Duration) {
-	defer close(s.samplerDone)
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			s.sampleGauges()
-		}
-	}
-}
-
-// sampleGauges publishes the two time-derived gauges: how stale the served
-// snapshot is and how much demand (L1, aggregate request units) has been
-// accepted since the last solved state.
-func (s *Server) sampleGauges() {
-	snap := s.store.Load()
-	s.ageGauge.Set(time.Since(snap.BuiltAt).Seconds())
-	s.mu.Lock()
-	drift := s.state.drift
-	s.mu.Unlock()
-	s.driftGauge.Set(drift)
 }
 
 // Snapshot returns the currently-served snapshot.
@@ -278,7 +230,6 @@ func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		s.cancel()
 		<-s.done
-		<-s.samplerDone
 	})
 }
 
@@ -304,13 +255,6 @@ type Stats struct {
 	// LastReject explains the most recent rejected re-solve ("" when every
 	// re-solve so far swapped in).
 	LastReject string
-}
-
-// setLastReject records why the most recent re-solve was rejected.
-func (s *Server) setLastReject(reason string) {
-	s.mu.Lock()
-	s.lastReject = reason
-	s.mu.Unlock()
 }
 
 // Stats returns the current counter values.

@@ -81,7 +81,7 @@ func TestServeLifecycleTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	var demand, start, swapped int
-	var swap *obs.Event
+	var swap, lastDone *obs.Event
 	for i := range events {
 		e := &events[i]
 		switch e.K {
@@ -98,6 +98,7 @@ func TestServeLifecycleTrace(t *testing.T) {
 				}
 			} else if e.Verdict == "swapped" {
 				swapped++
+				lastDone = e
 				if e.SolveMS <= 0 || e.Passes <= 0 || e.Reason != "" ||
 					e.LPMS <= 0 || e.RoundMS <= 0 || e.LPMS+e.RoundMS > e.SolveMS ||
 					e.ResumedFrac <= 0 || e.ResumedFrac > e.WarmFrac ||
@@ -115,6 +116,14 @@ func TestServeLifecycleTrace(t *testing.T) {
 	if swap == nil || swap.Version != 2 || swap.RDelta < 0 {
 		t.Fatalf("serve_swap %+v", swap)
 	}
+	// /status is rendered from the last swapped done event: field for field
+	// the same numbers the trace carries (one burst, so v2 is the last swap).
+	if uint64(lastDone.Version) != st.Version || lastDone.Passes != st.LastPasses ||
+		lastDone.LPMS != st.LastLPMS || lastDone.RoundMS != st.LastRoundMS ||
+		lastDone.ResumedFrac != st.ResumedFrac || lastDone.Round != st.LastRound ||
+		lastDone.RoundRatio != st.LastRoundRatio || lastDone.RoundRef != st.LastRoundRef {
+		t.Errorf("/status %+v does not match the swapped done event %+v", st, lastDone)
+	}
 
 	// The shared registry carries both the server's counters and the
 	// recorder's event-derived families.
@@ -128,7 +137,7 @@ func TestServeLifecycleTrace(t *testing.T) {
 }
 
 // TestMetricsEndpoint scrapes /metrics and checks the exposition parses and
-// carries the request instruments and the sampled gauges.
+// carries the request instruments and the read-time gauges.
 func TestMetricsEndpoint(t *testing.T) {
 	s := testServer(t, 30, 6, 18)
 	ts := httptest.NewServer(s.Handler())
@@ -188,12 +197,12 @@ func TestMetricsEndpoint(t *testing.T) {
 	if !ok2xx || !ok4xx {
 		t.Errorf("route status classes wrong (2xx ok=%v, 4xx ok=%v)", ok2xx, ok4xx)
 	}
-	h := obs.ExtractPromHist(samples, obs.PromReqDurName, map[string]string{"endpoint": "route"})
-	if h == nil || h.Count != float64(snap.NumVHOs())+1 {
-		t.Fatalf("route latency histogram %+v", h)
+	h, err := obs.HistFromProm(samples, obs.PromReqDurName, map[string]string{"endpoint": "route"}, 1e9)
+	if err != nil || h.Count != int64(snap.NumVHOs())+1 {
+		t.Fatalf("route latency histogram %+v, error %v", h, err)
 	}
-	if q := h.Quantile(0.99); q <= 0 || q > 10 {
-		t.Errorf("p99 %v seconds implausible", q)
+	if q := h.Quantile(0.99); q <= 0 || q > 10e9 {
+		t.Errorf("p99 %v ns implausible", q)
 	}
 }
 

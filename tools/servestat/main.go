@@ -82,7 +82,10 @@ func main() {
 
 	sum := summarize(events)
 	sum.writeTable(os.Stdout)
-	writeLatency(os.Stdout, samples)
+	if err := writeLatency(os.Stdout, samples); err != nil {
+		fmt.Fprintf(os.Stderr, "servestat: %v\n", err)
+		os.Exit(1)
+	}
 	if *check {
 		bad := violations(events)
 		if *expectDelta && !hasIncrementalSwap(events) {
@@ -125,10 +128,9 @@ func summarize(events []obs.Event) *summary {
 
 func g(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
-// ms renders a duration in seconds as milliseconds with 6 significant
-// digits — enough for any bucket edge, without the float artifacts an
-// exact ×1000 rendering would show.
-func ms(sec float64) string { return strconv.FormatFloat(sec*1e3, 'g', 6, 64) }
+// ms renders a duration in nanoseconds as milliseconds with 6 significant
+// digits — enough for any bucket edge.
+func ms(ns int64) string { return strconv.FormatFloat(float64(ns)/1e6, 'g', 6, 64) }
 
 // g6 renders a computed float (a TMS difference) with 6 significant
 // digits, hiding subtraction artifacts the exact rendering would show.
@@ -233,9 +235,9 @@ func (s *summary) writeTable(w io.Writer) {
 // writeLatency reports the server-side request instruments from a scraped
 // /metrics snapshot: per-endpoint status-class counts and latency
 // quantiles, endpoints in sorted order.
-func writeLatency(w io.Writer, samples []obs.PromSample) {
+func writeLatency(w io.Writer, samples []obs.PromSample) error {
 	if len(samples) == 0 {
-		return
+		return nil
 	}
 	type endpoint struct {
 		classes map[string]float64
@@ -256,7 +258,7 @@ func writeLatency(w io.Writer, samples []obs.PromSample) {
 		ep.classes[sm.Labels["code"]] += sm.Value
 	}
 	if len(names) == 0 {
-		return
+		return nil
 	}
 	sort.Strings(names)
 	fmt.Fprintln(w, "== latency (server) ==")
@@ -268,13 +270,18 @@ func writeLatency(w io.Writer, samples []obs.PromSample) {
 		}
 		fmt.Fprintf(w, "%-10s requests %.0f  2xx %.0f  4xx %.0f  5xx %.0f",
 			name, total, ep.classes["2xx"], ep.classes["4xx"], ep.classes["5xx"])
-		if h := obs.ExtractPromHist(samples, obs.PromReqDurName, map[string]string{"endpoint": name}); h != nil && h.Count > 0 {
+		h, err := obs.HistFromProm(samples, obs.PromReqDurName, map[string]string{"endpoint": name}, 1e9)
+		if err != nil {
+			return err
+		}
+		if h.Count > 0 {
 			fmt.Fprintf(w, "  p50 %s ms  p90 %s ms  p99 %s ms",
 				ms(h.Quantile(0.50)), ms(h.Quantile(0.90)), ms(h.Quantile(0.99)))
 		}
 		fmt.Fprintln(w)
 	}
 	fmt.Fprintln(w)
+	return nil
 }
 
 // violations audits the lifecycle invariants of a serving trace:

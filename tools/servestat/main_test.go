@@ -68,7 +68,9 @@ func TestLatencyGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	var b bytes.Buffer
-	writeLatency(&b, samples)
+	if err := writeLatency(&b, samples); err != nil {
+		t.Fatal(err)
+	}
 	checkGolden(t, "metrics.golden", b.Bytes())
 }
 
