@@ -54,25 +54,30 @@ bench-check:
 	bash bench/run.sh --selfcheck
 
 # The alternating-pair protocol of EXPERIMENTS.md ("Demand-to-swap and the
-# repository benchmark") as a target: N pairs of `bash bench/run.sh` in this
-# checkout and in PARENT (a `git clone` of the parent commit), odd pairs
-# parent first, appended to parent.out / change.out here, then the verdict
-# table. Pair i orders the /route stream with --seed i; UPDATE_SEED picks
-# another demand-update stream.
-#   make bench-pairs PARENT=/root/scratch/parent N=10 WORKLOAD=steady-hot [UPDATE_SEED=2]
+# repository benchmark") as a target: for every workload, N pairs of
+# `bash bench/run.sh` in this checkout and in PARENT (a `git clone` of the
+# parent commit), odd pairs parent first, appended to parent.<workload>.out /
+# change.<workload>.out here; then one verdict table per workload. Pair i
+# orders the /route stream with --seed i; UPDATE_SEED picks another
+# demand-update stream; WORKLOAD=x runs that workload alone.
+#   make bench-pairs PARENT=/root/scratch/parent N=10 [WORKLOAD=steady-hot] [UPDATE_SEED=2]
 N ?= 10
-WORKLOAD ?= steady-hot
+WORKLOADS ?= steady-hot mixed-wide cold-scale
 bench-pairs:
 	@[ -f "$(PARENT)/bench/run.sh" ] || { echo "bench-pairs: PARENT=<checkout of the parent commit>"; exit 2; }
-	@change=$$PWD; args="--workload $(WORKLOAD) --seconds 25 --trace 0 $(if $(UPDATE_SEED),--update-seed $(UPDATE_SEED))"; \
-	for i in $$(seq 1 $(N)); do \
-		first=$(PARENT) fo=parent.out second=$$change so=change.out; \
-		[ $$((i % 2)) = 0 ] && first=$$change fo=change.out second=$(PARENT) so=parent.out; \
-		(cd $$first && bash bench/run.sh $$args --seed $$i) >> $$change/$$fo || exit 1; \
-		(cd $$second && bash bench/run.sh $$args --seed $$i) >> $$change/$$so || exit 1; \
-		echo "pair $$i of $(N) done"; \
+	@change=$$PWD; for w in $(or $(WORKLOAD),$(WORKLOADS)); do \
+		args="--workload $$w --seconds 25 --trace 0 $(if $(UPDATE_SEED),--update-seed $(UPDATE_SEED))"; \
+		for i in $$(seq 1 $(N)); do \
+			first=$(PARENT) fo=parent.$$w.out second=$$change so=change.$$w.out; \
+			[ $$((i % 2)) = 0 ] && first=$$change fo=change.$$w.out second=$(PARENT) so=parent.$$w.out; \
+			(cd $$first && bash bench/run.sh $$args --seed $$i) >> $$change/$$fo || exit 1; \
+			(cd $$second && bash bench/run.sh $$args --seed $$i) >> $$change/$$so || exit 1; \
+			echo "$$w: pair $$i of $(N) done"; \
+		done; \
 	done; \
-	bash bench/run.sh --compare parent.out change.out
+	for w in $(or $(WORKLOAD),$(WORKLOADS)); do \
+		bash bench/run.sh --compare parent.$$w.out change.$$w.out || exit 1; \
+	done
 
 # Refresh the committed benchmark records. The old files' numbers roll over
 # into the new records' "baseline" sections, so after an optimization each
@@ -191,6 +196,6 @@ fmt-check:
 clean:
 	rm -rf .bench_build coverage.out
 	rm -f trace-smoke.jsonl trace-smoke.out *.smoke
-	rm -f parent.out change.out
+	rm -f parent.*out change.*out
 	rm -f serve-smoke.addr serve-smoke.json serve-smoke.log serve-smoke.out \
 		serve-smoke.trace.jsonl serve-smoke.prom serve-smoke.telemetry.out

@@ -92,7 +92,7 @@ func (s *solver) polishLB() {
 	if s.qLB == nil {
 		s.qLB = make([]float64, s.rows)
 		for r := range s.qLB {
-			v := s.lbScale * s.qBar[r]
+			v := s.lbScale * s.q[r]
 			if v < 1e-12 {
 				v = 1e-12
 			}

@@ -16,7 +16,7 @@ import (
 func (s *solver) initRun() {
 	o := &s.opts
 	numBlocks := len(s.sol)
-	s.gammaLnM1 = o.Gamma * math.Log(float64(s.rows)+1)
+	s.gammaLnM1 = gamma * math.Log(float64(s.rows)+1)
 	s.perm = make([]int, numBlocks)
 	for i := range s.perm {
 		s.perm[i] = i
@@ -232,7 +232,7 @@ passes:
 			}
 		}
 
-		// Lower-bound pass (steps 14-15) with smoothed duals. LR(λ) is not
+		// Lower-bound pass (steps 14-15) at this pass's duals. LR(λ) is not
 		// scale-invariant in λ even though the block *directions* are, so a
 		// short adaptive search over multiplicative scalings of the dual
 		// vector is run each time; the best scale is carried to the next
@@ -240,14 +240,6 @@ passes:
 		// to in the Appendix.
 		if pass%o.LBEvery == 0 {
 			s.computeDuals(s.q)
-			if !s.qBarSet {
-				copy(s.qBar, s.q)
-				s.qBarSet = true
-			} else {
-				for r := range s.qBar {
-					s.qBar[r] = o.Rho*s.qBar[r] + (1-o.Rho)*s.q[r]
-				}
-			}
 			bestScale := s.lbScale
 			bestLR := math.Inf(-1)
 			// The three-point scale search costs two extra full block
@@ -261,7 +253,7 @@ passes:
 			for _, mult := range mults {
 				scale := s.lbScale * mult
 				for r := range s.qTmp {
-					s.qTmp[r] = scale * s.qBar[r]
+					s.qTmp[r] = scale * s.q[r]
 				}
 				if lr := s.lagrangianBound(s.qTmp); lr > bestLR {
 					bestLR, bestScale = lr, scale
@@ -272,7 +264,7 @@ passes:
 				s.lb = bestLR
 				s.lbStall = 0
 				for r := range s.lbDuals {
-					s.lbDuals[r] = bestScale * s.qBar[r]
+					s.lbDuals[r] = bestScale * s.q[r]
 				}
 			} else {
 				s.lbStall++

@@ -16,7 +16,7 @@
 //     sequentially, each with an exact 1-D line search on the potential;
 //  3. shrinks the scale δ when the maximum relative infeasibility drops,
 //     which sharpens the penalty exponent α(δ) = γ·ln(m+1)/δ;
-//  4. computes a Lagrangian lower bound LR(λ̄) from smoothed duals λ̄ using
+//  4. computes a Lagrangian lower bound LR(λ̄) from the pass's duals λ̄ using
 //     per-block *dual ascent* bounds (a primal heuristic value would not be
 //     a valid bound), and retargets the objective row at the new bound.
 //
@@ -58,10 +58,6 @@ import (
 type Options struct {
 	// Epsilon is the feasibility/optimality tolerance ε. Default 0.01.
 	Epsilon float64
-	// Gamma is the exponent factor γ ≈ 1 in α(δ) = γ·ln(m+1)/δ. Default 1.
-	Gamma float64
-	// Rho is the dual smoothing parameter ρ ∈ [0,1). Default 0.5.
-	Rho float64
 	// ChunkSize is the number of blocks optimized against one frozen dual
 	// vector. Default 128.
 	ChunkSize int
@@ -99,8 +95,8 @@ type Options struct {
 	// Warm, when non-nil, resumes the solve from a previous period's final
 	// state (see WarmState): initial point from the carried LP point, per
 	// video, where the video's demand offices are unchanged, else from its
-	// open set, else the cold init; initial lower bound and smoothed duals
-	// from the previous row duals when the coupling-row dimensions match;
+	// open set, else the cold init; initial lower bound from the previous
+	// row duals when the coupling-row dimensions match;
 	// penalty scale from the previous descent; and facility-location warm
 	// starts in both the descent and the rounding phase. The state is
 	// read-only to the solve. A warm start moves the floating-point
@@ -136,12 +132,6 @@ func (o *Options) withDefaults() Options {
 	out := *o
 	if out.Epsilon <= 0 {
 		out.Epsilon = 0.01
-	}
-	if out.Gamma <= 0 {
-		out.Gamma = 1
-	}
-	if out.Rho < 0 || out.Rho >= 1 {
-		out.Rho = 0.5
 	}
 	// ChunkSize 0 means adaptive: chosen per instance so that a pass spans
 	// many dual refreshes (small instances) without sacrificing batching on
@@ -255,6 +245,11 @@ const (
 	lineExpCap = 500
 )
 
+// gamma is the exponent factor γ in α(δ) = γ·ln(m+1)/δ. (Algorithm 1's
+// other parameter, the dual smoothing weight ρ in λ̄ ← ρ·λ̄ + (1−ρ)·λ, is 0:
+// the bound pass evaluates the duals of the pass it follows, unsmoothed.)
+const gamma = 1.0
+
 type solver struct {
 	inst *mip.Instance
 	opts Options
@@ -273,8 +268,6 @@ type solver struct {
 	sol      []blockSol
 	best     []blockSol // snapshot of the incumbent ε-feasible point
 	haveUB   bool
-	qBar     []float64 // smoothed normalized duals (resource rows)
-	qBarSet  bool
 	lbScale  float64   // adaptive multiplier for the Lagrangian dual vector
 	bPremium float64   // FEAS(B) target premium over the proven bound
 	bFloor   float64   // absolute floor for the objective target
@@ -378,17 +371,14 @@ type solver struct {
 	pdRowFn    func(w, lo, hi int)
 	pdParallel bool // resolved once: pool > 1 worker and table big enough
 
-	// Rounding state (round.go): the candidate block solution, the
-	// chunk-frozen disk duals that serve as the drift baseline, and the
-	// polish passes' visiting order. The candidates
-	// share one incumbent (roundBest, its point in best); scratchBest is the
-	// best score a from-scratch candidate reached, which over the bound is
-	// the reference the next solve's resume is measured against (roundRef).
-	// While resuming is set the polish loop is working on the carried
-	// placement: it seeds each local search from the block itself (seedBuf)
-	// and leaves warmOpen alone.
+	// Rounding state (round.go): the candidate block solution and the polish
+	// passes' visiting order. The two seeds share one incumbent (roundBest,
+	// its point in best); scratchBest is the best score the from-scratch
+	// attempt reached, which over the bound is the reference the next solve's
+	// resume is measured against (roundRef). While resuming is set the polish
+	// loop is working on the carried placement: it seeds each local search
+	// from the block itself (seedBuf) and leaves warmOpen alone.
 	roundSol    intSol
-	roundQ0     []float64
 	polishOrder []int
 	roundBest   float64
 	scratchBest float64
@@ -492,7 +482,6 @@ func newSolver(inst *mip.Instance, opts Options) (*solver, error) {
 	s.lsDB = make([]float64, s.rows)
 	s.q = make([]float64, s.rows)
 	s.mergeBuf = make([]mip.Frac, 0, s.n+1)
-	s.qBar = make([]float64, s.rows)
 	s.qTmp = make([]float64, s.rows)
 	// The initial bound (LowerBoundNoNetwork) is the Lagrangian value at
 	// λ = 0, so the zero vector is its certificate.
@@ -520,7 +509,6 @@ func newSolver(inst *mip.Instance, opts Options) (*solver, error) {
 	s.lbBuf = make([]float64, len(inst.Demands))
 	s.initShards()
 	s.initReduce()
-	s.roundQ0 = make([]float64, s.n)
 	s.warmRound = s.opts.Warm != nil
 	s.initSolution()
 	s.stats.InitTime = time.Since(initStart)

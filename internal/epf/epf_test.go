@@ -417,15 +417,11 @@ func TestExpCapOrdering(t *testing.T) {
 func TestOptionsDefaults(t *testing.T) {
 	var o Options
 	d := o.withDefaults()
-	if d.Epsilon != 0.01 || d.Gamma != 1 || d.MaxPasses <= 0 || d.Workers <= 0 || d.LBEvery != 1 {
+	if d.Epsilon != 0.01 || d.MaxPasses <= 0 || d.Workers <= 0 || d.LBEvery != 1 {
 		t.Errorf("bad defaults: %+v", d)
 	}
 	if d.ChunkSize != 0 {
 		t.Errorf("ChunkSize should stay 0 (adaptive) until instance size is known, got %d", d.ChunkSize)
-	}
-	o = Options{Rho: -1}
-	if d := o.withDefaults(); d.Rho != 0.5 {
-		t.Errorf("negative rho not defaulted: %g", d.Rho)
 	}
 }
 

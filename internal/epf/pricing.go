@@ -114,8 +114,8 @@ func clampDual(v float64) float64 {
 }
 
 // refreshDiskDuals recomputes only the disk rows of q from the live
-// activities (used by the rounding pass between videos; link rows keep their
-// chunk-frozen values).
+// activities (used by the rounding pass between videos; link rows keep the
+// values of the chunk's refresh).
 func (s *solver) refreshDiskDuals(q []float64) {
 	r0 := s.obj/s.bObj - 1
 	for i := 0; i < s.n; i++ {

@@ -171,7 +171,7 @@ func TestWarmRoundInvariance(t *testing.T) {
 
 // The allocation contract extends to the rounding phase: once the candidate
 // slot and block-row buffers are warm, a chunk's refresh + solve + commit
-// cycle (the forced-rounding inner loop) allocates nothing.
+// cycle (the polish loop's visit, committed unconditionally) allocates nothing.
 func TestRoundZeroAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
@@ -192,7 +192,7 @@ func TestRoundZeroAllocations(t *testing.T) {
 	s.retuneScale()
 	var frac []int
 	for vi := range s.sol {
-		if !integralBlock(&s.sol[vi]) {
+		if fractionalBlock(&s.sol[vi]) {
 			frac = append(frac, vi)
 		}
 	}

@@ -249,9 +249,10 @@ func TestRoundResume(t *testing.T) {
 // scratch and only by them. full → resumed → resumed hands the first value
 // down unchanged; a refused resume replaces it with that round's best
 // from-scratch ratio — not the final incumbent's, which on this instance is
-// the refused point's own and better than either from-scratch candidate.
+// the refused point's own and better than anything the from-scratch attempt
+// visited.
 func TestRoundReferenceChain(t *testing.T) {
-	const videos, seed = 120, 4
+	const videos, seed = 120, 3
 	shape := verify.InstanceOpts{Nodes: 8, Videos: videos, Slices: 2}
 	opts := epf.Options{Seed: seed, MaxPasses: 300, Epsilon: 0.05}
 	solve := func(patched int, w *epf.WarmState) *epf.Result {
@@ -289,7 +290,7 @@ func TestRoundReferenceChain(t *testing.T) {
 			refused.Stats.RoundMode(), refused.Stats.RoundRef, full.Warm.RoundRef)
 	}
 	if refused.Warm.RoundRef != scratch.Warm.RoundRef || scratch.Warm.RoundRef != scratch.Stats.RoundRatio {
-		t.Errorf("refused resume hands on reference %v; the from-scratch candidates alone reach %v (handing on %v)",
+		t.Errorf("refused resume hands on reference %v; the from-scratch attempt alone reaches %v (handing on %v)",
 			refused.Warm.RoundRef, scratch.Stats.RoundRatio, scratch.Warm.RoundRef)
 	}
 	if refused.Stats.RoundRatio >= refused.Warm.RoundRef {

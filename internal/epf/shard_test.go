@@ -149,7 +149,7 @@ func TestWarmStartShardInvariance(t *testing.T) {
 // rounding resumed from the carried placement, and the state it exports in
 // turn — is bit-identical at any shard × worker count, whether the resume is
 // accepted or refused (pinned references force each: 2 is met by any sane
-// placement, 0 by none, so the from-scratch candidates run behind it).
+// placement, 0 by none, so the from-scratch attempt runs behind it).
 func TestResumeShardWorkerInvariance(t *testing.T) {
 	opts := func(shards, workers int) Options {
 		return Options{Seed: 5, MaxPasses: 60, Epsilon: 0.05, Shards: shards, Workers: workers}

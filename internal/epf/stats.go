@@ -64,10 +64,9 @@ type Stats struct {
 	InitTime  time.Duration
 	LPTime    time.Duration
 	RoundTime time.Duration
-	// RoundResolves counts rounding and polish blocks priced at live disk
-	// duals because a disk dual had drifted from the chunk freeze when the
-	// block's turn came. A video's own removal
-	// usually drifts its office's dual, so this is close to every block.
+	// RoundResolves counts the rounding phase's block solves: every visit of
+	// a polish pass re-prices disk and solves the video's block at the live
+	// duals.
 	RoundResolves int64
 	// RoundCarried counts the videos whose block the rounding phase loaded
 	// from the integer placement carried by the warm state (WarmState.Assign)
@@ -76,7 +75,7 @@ type Stats struct {
 	// scratch without trying.
 	RoundCarried int
 	// RoundResumed is 1 when the polished carried placement met the carried
-	// reference and the from-scratch candidates were skipped, 0 when rounding
+	// reference and the from-scratch attempt was skipped, 0 when rounding
 	// ran in full — RoundCarried > 0 then says a resume was tried and refused.
 	RoundResumed int
 	// RoundRef is the reference the resume was measured against
@@ -98,7 +97,7 @@ type Stats struct {
 
 // RoundMode names which rounding ran: "resumed" (the carried placement met
 // its reference), "rejected" (it was tried and refused; the from-scratch
-// candidates ran too) or "full" (nothing was carried to try).
+// attempt ran too) or "full" (nothing was carried to try).
 func (st Stats) RoundMode() string {
 	switch {
 	case st.RoundResumed == 1:
@@ -129,7 +128,7 @@ func (st Stats) String() string {
 		fmt.Fprintf(&b, "resumed videos: %d\n", st.ResumedVideos)
 	}
 	if st.RoundResolves > 0 {
-		fmt.Fprintf(&b, "rounding re-solves: %d\n", st.RoundResolves)
+		fmt.Fprintf(&b, "rounding block solves: %d\n", st.RoundResolves)
 	}
 	if st.RoundCarried > 0 {
 		fmt.Fprintf(&b, "rounding %s: %d videos carried, ratio %.4f, reference %.4f\n",

@@ -63,7 +63,7 @@ type WarmLP struct {
 // always well-formed; warmth only changes the starting point, and every
 // bound it reports is re-derived on the new instance.
 //
-// Rounding resumes the same way (round.go, candidate R): each video's carried
+// Rounding resumes the same way (round.go, seed R): each video's carried
 // integer block — Open plus its Assign rows — is loaded when the video would
 // also resume its LP block and every assignment is to one of its open
 // offices, else the video drops down the same ladder. Every carried array is
@@ -95,12 +95,12 @@ type WarmState struct {
 	// at 2000 videos. Nil unless SolveInteger produced the state; rounding
 	// then starts from scratch.
 	Assign []int32
-	// RoundRef is the rounding reference: incumbent score ÷ lower bound of
-	// the best from-scratch candidate, from the most recent rounding that ran
-	// from scratch. A resumed rounding is accepted when its own ratio is no
-	// worse, and hands the reference on unchanged, so a chain of resumed
-	// rounds is always measured against a full one and cannot ratchet. 0 when
-	// there is none (no rounding ran, or the bound was 0): never accepted.
+	// RoundRef is the rounding reference: best score ÷ lower bound of the
+	// from-scratch attempt, from the most recent rounding that ran one. A
+	// resumed rounding is accepted when its own ratio is no worse, and hands
+	// the reference on unchanged, so a chain of resumed rounds is always
+	// measured against a full one and cannot ratchet. 0 when there is none
+	// (no rounding ran, or the bound was 0): never accepted.
 	RoundRef float64
 }
 
@@ -389,10 +389,10 @@ func (s *solver) seedBlocks(load func(vi int) bool) (loaded, warm int) {
 // seedWarmDescent folds the warm state into the freshly initialized descent:
 // the previous duals are re-evaluated on this instance (a valid Lagrangian
 // bound wherever they came from, so the certificate invariant holds — if the
-// warm bound wins, lbDuals is exactly the vector that achieves it) and seed
-// the smoothed-dual series; the previous δ may sharpen the initial penalty
-// scale but never below the seeded point's actual violation. Called from
-// initDescent, after the cold defaults are in place.
+// warm bound wins, lbDuals is exactly the vector that achieves it); the
+// previous δ may sharpen the initial penalty scale but never below the seeded
+// point's actual violation. Called from initDescent, after the cold defaults
+// are in place.
 func (s *solver) seedWarmDescent() {
 	w := s.opts.Warm
 	if w == nil {
@@ -404,8 +404,6 @@ func (s *solver) seedWarmDescent() {
 			s.lb = lr
 			copy(s.lbDuals, w.RowDuals)
 		}
-		copy(s.qBar, w.RowDuals)
-		s.qBarSet = true
 		s.lbScale = 1
 		s.retargetB()
 	}

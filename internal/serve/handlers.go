@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"time"
@@ -26,7 +28,10 @@ type demandScratch struct {
 
 // readDemandBatch reads a request body into sc.body (capped at
 // maxDemandBody via MaxBytesReader, which also closes the connection on
-// abuse) and decodes it into sc.updates, reusing both buffers' capacity.
+// abuse) and decodes it into sc.updates, reusing both buffers' capacity. The
+// body is one JSON array and nothing else: anything but whitespace after it
+// is an error, so a client that concatenates batches hears about the second
+// one instead of losing it.
 func readDemandBatch(w http.ResponseWriter, body io.ReadCloser, sc *demandScratch) error {
 	lim := http.MaxBytesReader(w, body, maxDemandBody)
 	sc.body = sc.body[:0]
@@ -51,7 +56,14 @@ func readDemandBatch(w http.ResponseWriter, body io.ReadCloser, sc *demandScratc
 	// inherit the value a previous request decoded into the same slot.
 	clear(sc.updates[:cap(sc.updates)])
 	sc.updates = sc.updates[:0]
-	return dec.Decode(&sc.updates)
+	if err := dec.Decode(&sc.updates); err != nil {
+		return err
+	}
+	end := int(dec.InputOffset())
+	if rest := bytes.TrimLeft(sc.body[end:], " \t\r\n"); len(rest) > 0 {
+		return fmt.Errorf("unexpected data after the batch at offset %d", len(sc.body)-len(rest))
+	}
+	return nil
 }
 
 // Handler returns the service's HTTP surface:
@@ -66,7 +78,8 @@ func readDemandBatch(w http.ResponseWriter, body io.ReadCloser, sc *demandScratc
 // Contracts: malformed /route parameters are 400; a numeric but unknown
 // video or vho, and (video, vho) pairs with no open copy, are 404 with an
 // "error" field; wrong methods are 405; a /demand batch is validated as a
-// whole and rejected atomically with 400.
+// whole and rejected atomically with 400 (413 when the body is over
+// maxDemandBody).
 //
 // Every endpoint records its latency and status class into a per-endpoint
 // obs.ReqStat served back through /metrics. /route records inline (its
@@ -292,6 +305,11 @@ func (s *Server) handleDemand(w http.ResponseWriter, r *http.Request) {
 	sc := s.demandPool.Get().(*demandScratch)
 	defer s.demandPool.Put(sc)
 	if err := readDemandBatch(w, r.Body, sc); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeJSON(w, http.StatusRequestEntityTooLarge, map[string]string{"error": err.Error()})
+			return
+		}
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "malformed demand body: " + err.Error()})
 		return
 	}

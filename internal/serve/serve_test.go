@@ -361,14 +361,17 @@ func TestDemandEndpoint(t *testing.T) {
 	}{
 		{"not json", 400},
 		{"[]", 400},
-		{`[{"video":999999,"vho":0,"add":1}]`, 400},                                               // unknown video
-		{fmt.Sprintf(`[{"video":%d,"vho":999,"add":1}]`, id), 400},                                // vho out of range
-		{fmt.Sprintf(`[{"video":%d,"vho":0,"bogus":1}]`, id), 400},                                // unknown field
-		{fmt.Sprintf(`[{"video":%d,"vho":0,"add":1e999}]`, id), 400},                              // non-finite
-		{fmt.Sprintf(`[{"video":%d,"vho":0,"add":1},{"video":999999,"vho":0,"add":1}]`, id), 400}, // bad entry rejects whole batch
+		{`[{"video":999999,"vho":0,"add":1}]`, 400},                                                  // unknown video
+		{fmt.Sprintf(`[{"video":%d,"vho":999,"add":1}]`, id), 400},                                   // vho out of range
+		{fmt.Sprintf(`[{"video":%d,"vho":0,"bogus":1}]`, id), 400},                                   // unknown field
+		{fmt.Sprintf(`[{"video":%d,"vho":0,"add":1e999}]`, id), 400},                                 // non-finite
+		{fmt.Sprintf(`[{"video":%d,"vho":0,"add":1},{"video":999999,"vho":0,"add":1}]`, id), 400},    // bad entry rejects whole batch
+		{fmt.Sprintf(`[{"video":%d,"vho":0,"add":1}] trailing garbage`, id), 400},                    // bytes after the batch
+		{fmt.Sprintf(`[{"video":%[1]d,"vho":0,"add":1}][{"video":%[1]d,"vho":1,"add":1}]`, id), 400}, // two batches in one body
+		{"[" + strings.Repeat(" ", maxDemandBody) + "]", 413},                                        // over the body limit
 	} {
 		if code, body := post(tc.body); code != tc.code {
-			t.Errorf("POST %q: status %d (%s), want %d", tc.body, code, strings.TrimSpace(body), tc.code)
+			t.Errorf("POST %.80q: status %d (%s), want %d", tc.body, code, strings.TrimSpace(body), tc.code)
 		}
 	}
 	if got := s.Stats().DemandUpdates; got != 0 {
