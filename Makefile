@@ -10,7 +10,8 @@ FUZZ_TARGETS := \
 	./internal/verify:FuzzFacloc \
 	./internal/verify:FuzzWarmResume \
 	./internal/facloc:FuzzFaclocKernels \
-	./internal/serve:FuzzRouteTable
+	./internal/serve:FuzzRouteTable \
+	./internal/serve:FuzzDemandBatch
 
 # Fixed-seed instance for the telemetry smoke test; small enough to solve in
 # seconds, large enough for a nontrivial convergence trajectory.

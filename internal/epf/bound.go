@@ -33,7 +33,7 @@ func (s *solver) lagrangianEval(q []float64, wantGrad bool) (float64, []float64)
 	if err != nil || s.ctx.Err() != nil {
 		return math.Inf(-1), nil
 	}
-	lr := s.reduceLBSum(numBlocks)
+	lr := s.reduceLBSum()
 	for r := 0; r < s.rows; r++ {
 		lr -= q[r] * s.b[r]
 	}
@@ -51,7 +51,7 @@ func (s *solver) lagrangianEval(q []float64, wantGrad bool) (float64, []float64)
 		s.gradBuf = make([]float64, s.rows)
 	}
 	grad := s.gradBuf
-	s.reduceGrad(grad, numBlocks)
+	s.reduceGrad(grad)
 	return lr, grad
 }
 

@@ -174,17 +174,19 @@ func (s *solver) initDescent() {
 	s.seedWarmDescent()
 }
 
-// run executes Algorithm 1's main loop and returns the fractional result.
-// ctx is observed at chunk boundaries: on cancellation the loop stops
-// before the next fan-out and the current point is returned as-is.
-func (s *solver) run(ctx context.Context) *Result {
+// run executes Algorithm 1's main loop and leaves the solver on the
+// fractional point it ends with — the ε-feasible incumbent when there is one,
+// else the current point — reporting the passes performed and whether the
+// termination criterion was met. ctx is observed at chunk boundaries: on
+// cancellation the loop stops before the next fan-out and the current point
+// is kept as-is.
+func (s *solver) run(ctx context.Context) (passes int, converged bool) {
 	s.ctx = ctx
 	lpStart := time.Now()
 	s.runStart = lpStart
 	o := s.opts
 	s.initDescent()
 
-	var res *Result
 	pass := 0
 passes:
 	for pass = 1; pass <= o.MaxPasses; pass++ {
@@ -295,7 +297,7 @@ passes:
 		pass = o.MaxPasses
 	}
 
-	converged := s.done(o.Epsilon)
+	converged = s.done(o.Epsilon)
 	s.lpDelta = s.delta // the δ the descent ended at, before rounding retunes
 	// Prefer the incumbent; fall back to the current point.
 	if s.haveUB {
@@ -304,8 +306,7 @@ passes:
 	}
 	s.stats.LPTime = time.Since(lpStart)
 	s.opts.Recorder.RecordSpan(s.opts.TraceStream, "descent", s.stats.LPTime)
-	res = s.buildResult(pass, converged)
-	return res
+	return pass, converged
 }
 
 // recordPass emits one per-pass telemetry event: the convergence state the
@@ -448,14 +449,11 @@ func (s *solver) done(eps float64) bool {
 	return s.ub <= (1+eps)*s.lb+1e-9
 }
 
+// buildResult reports the solver's final state, once per solve, from the
+// entry points. Result.Sol takes the live point's rows as they are, not a
+// copy: the solver is closed right after and nothing else holds them.
 func (s *solver) buildResult(passes int, converged bool) *Result {
-	out := mip.NewSolution(s.inst)
-	for vi := range s.sol {
-		out.Videos[vi].Open = append([]mip.Frac(nil), s.sol[vi].open...)
-		for k := range s.sol[vi].assign {
-			out.Videos[vi].Assign[k] = append([]mip.Frac(nil), s.sol[vi].assign[k]...)
-		}
-	}
+	out := &mip.Solution{Inst: s.inst, Videos: s.sol}
 	obj := out.Objective()
 	gap := 0.0
 	if s.lb > 1e-12 {
@@ -477,30 +475,14 @@ func (s *solver) buildResult(passes int, converged bool) *Result {
 	return res
 }
 
-func (s *solver) snapshotBest() {
-	if s.best == nil {
-		s.best = make([]blockSol, len(s.sol))
-	}
-	for vi := range s.sol {
-		src := &s.sol[vi]
-		dst := &s.best[vi]
-		dst.open = append(dst.open[:0], src.open...)
-		if dst.assign == nil {
-			dst.assign = make([][]mip.Frac, len(src.assign))
-		}
-		for k := range src.assign {
-			dst.assign[k] = append(dst.assign[k][:0], src.assign[k]...)
-		}
-	}
-}
+// snapshotBest records the live point as the incumbent.
+func (s *solver) snapshotBest() { s.packPoint(&s.best) }
 
+// restoreBest puts the solver back on the incumbent, every row carved from
+// one fresh arena.
 func (s *solver) restoreBest() {
-	for vi := range s.best {
-		src := &s.best[vi]
-		dst := &s.sol[vi]
-		dst.open = append(dst.open[:0], src.open...)
-		for k := range src.assign {
-			dst.assign[k] = append(dst.assign[k][:0], src.assign[k]...)
-		}
+	arena := make([]mip.Frac, 0, len(s.best.Frac))
+	for vi := range s.sol {
+		arena, _ = s.loadBlock(vi, &s.best, int(s.best.Row[vi]), int(s.best.Row[vi+1]), arena)
 	}
 }

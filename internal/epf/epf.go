@@ -25,10 +25,15 @@
 // the "within 1–2% of optimal" guarantee the paper reports.
 //
 // Files: epf.go holds the options, the entry points and solver set-up;
-// descent.go the pass loop; pricing.go the duals and block pricing;
-// linesearch.go the block step; bound.go the Lagrangian bound. Integer
+// descent.go the pass loop and the one Result a solve builds; pricing.go the
+// duals and block pricing; linesearch.go the block step; bound.go the
+// Lagrangian bound; reduce.go the fixed-tree reductions over blocks. Integer
 // rounding (§V-D) is round.go, in this package because it reuses the live
-// potential state; warm.go is the cross-solve carryover.
+// potential state; warm.go is the cross-solve carryover and the packed form
+// of the point (WarmLP). The solver keeps one live copy of its point, which
+// Result.Sol takes over at the end; every snapshot of it — the incumbent, the
+// LP point rounding starts from and the next solve resumes — is made by
+// packPoint and read back by loadBlock.
 //
 // The hot kernels run on flat structures: the topology's CSR path table,
 // the instance's dense j-major cost matrix and per-demand sparse slice
@@ -158,6 +163,9 @@ func (o *Options) withDefaults() Options {
 type Result struct {
 	// Sol is the best solution found. After Solve it is the final fractional
 	// point (ε-feasible when Converged); after SolveInteger every y is 0/1.
+	// Its rows are the solver's own, handed over when the solve ends: the
+	// caller owns them, and nothing else on the Result (Warm included) shares
+	// their memory.
 	Sol *mip.Solution
 	// LowerBound is the best Lagrangian bound on the LP optimum; it is also
 	// a bound on the MIP optimum.
@@ -189,12 +197,6 @@ type Result struct {
 	// Stats reports the solve's runtime behavior (work counts, phase wall
 	// times, scratch economy).
 	Stats Stats
-}
-
-// blockSol is the solver-internal per-video fractional solution.
-type blockSol struct {
-	open   []mip.Frac   // sparse y, ascending office
-	assign [][]mip.Frac // per demand index, sparse x
 }
 
 // intSol is an integer block solution produced by facility location.
@@ -265,8 +267,11 @@ type solver struct {
 	delta  float64
 	alpha  float64
 
-	sol      []blockSol
-	best     []blockSol // snapshot of the incumbent ε-feasible point
+	// The point z, one block per video: the only live copy. Every snapshot of
+	// it — the incumbent here, the LP point a Result carries out — is the flat
+	// WarmLP form (packPoint/loadBlock, warm.go).
+	sol      []mip.VideoPlacement
+	best     WarmLP // the incumbent: ε-feasible point (descent), best-scored (rounding)
 	haveUB   bool
 	lbScale  float64   // adaptive multiplier for the Lagrangian dual vector
 	bPremium float64   // FEAS(B) target premium over the proven bound
@@ -319,14 +324,15 @@ type solver struct {
 	pdSince int // delta refreshes since the last full rebuild
 
 	// run-loop state, fields so a steady-state pass allocates nothing
-	gammaLnM1 float64
-	perm      []int
-	chunk     []int
-	chunkSols []intSol
-	swapFn    func(a, b int)
-	dcHist    []float64
-	mergeBuf  []mip.Frac // mergeFracs staging buffer
-	warmOpen  [][]int32  // per-video previous block open set (warm starts)
+	gammaLnM1  float64
+	perm       []int
+	chunk      []int
+	chunkSols  []intSol
+	swapFn     func(a, b int)
+	dcHist     []float64
+	mergeBuf   []mip.Frac // mergeFracs staging buffer
+	seedAssign []int32    // seedWarmBlock staging buffer: one office per demand office
+	warmOpen   [][]int32  // per-video previous block open set (warm starts)
 
 	// Shard scheduling state. Shards are contiguous catalog ranges resolved
 	// in newSolver (from the instance layout or Options.Shards); every
@@ -351,14 +357,12 @@ type solver struct {
 	// Deterministic parallel-reduction state (reduce.go). Leaves are fixed
 	// spans of video-index space whose boundaries depend only on the catalog
 	// size, so the reduction tree is identical at any worker or shard count;
-	// a single-leaf catalog degenerates to the historical flat sequential
-	// sum. All buffers nil on single-leaf solves.
-	leaves      []shardSpan
-	leafTasks   []par.Task
-	leafAct     []float64 // per-leaf partial activities, numLeaves×rows flat
-	leafObj     []float64 // per-leaf partial objective sums
-	leafSum     []float64 // per-leaf partial Lagrangian-term sums
-	leafGrad    []float64 // per-leaf partial subgradients (lazy, polish only)
+	// a single-leaf catalog's tree is the flat sequential sum.
+	leafTasks   []par.Task // one per leaf, Tag = leaf index
+	leafAct     []float64  // per-leaf partial activities, numLeaves×rows flat
+	leafObj     []float64  // per-leaf partial objective sums
+	leafSum     []float64  // per-leaf partial Lagrangian-term sums
+	leafGrad    []float64  // per-leaf partial subgradients (lazy, polish only)
 	stateLeafFn func(w, tag, lo, hi int)
 	lbSumLeafFn func(w, tag, lo, hi int)
 	gradLeafFn  func(w, tag, lo, hi int)
@@ -416,8 +420,9 @@ func SolveContext(ctx context.Context, inst *mip.Instance, opts Options) (*Resul
 		return nil, err
 	}
 	defer s.close()
-	res := s.run(ctx)
-	res.Warm = s.exportWarm(res, res.Sol)
+	passes, converged := s.run(ctx)
+	res := s.buildResult(passes, converged)
+	res.Warm = s.exportWarm(res, s.packPoint(&WarmLP{}))
 	s.finishTrace(res)
 	return res, ctx.Err()
 }
@@ -437,10 +442,12 @@ func SolveIntegerContext(ctx context.Context, inst *mip.Instance, opts Options) 
 		return nil, err
 	}
 	defer s.close()
-	res := s.run(ctx)
-	lpSol := res.Sol // round overwrites *res once it is done with the LP point
-	s.round(res)
-	res.Warm = s.exportWarm(res, lpSol)
+	passes, converged := s.run(ctx)
+	lp := s.packPoint(&WarmLP{}) // rounding overwrites the live point
+	s.round(lp)
+	res := s.buildResult(passes, converged)
+	res.Rounded = true
+	res.Warm = s.exportWarm(res, lp)
 	s.finishTrace(res)
 	return res, ctx.Err()
 }
@@ -482,6 +489,7 @@ func newSolver(inst *mip.Instance, opts Options) (*solver, error) {
 	s.lsDB = make([]float64, s.rows)
 	s.q = make([]float64, s.rows)
 	s.mergeBuf = make([]mip.Frac, 0, s.n+1)
+	s.seedAssign = make([]int32, 0, s.n)
 	s.qTmp = make([]float64, s.rows)
 	// The initial bound (LowerBoundNoNetwork) is the Lagrangian value at
 	// λ = 0, so the zero vector is its certificate.
@@ -649,7 +657,7 @@ func (s *solver) mergeStats() {
 // previous open set, else the cold init (see WarmState). The resumed rows of
 // one solve are carved from a single arena.
 func (s *solver) initSolution() {
-	s.sol = make([]blockSol, len(s.inst.Demands))
+	s.sol = make([]mip.VideoPlacement, len(s.inst.Demands))
 	var arena []mip.Frac
 	if w := s.opts.Warm; w != nil && w.LP != nil {
 		arena = make([]mip.Frac, 0, len(w.LP.Frac))
@@ -659,24 +667,6 @@ func (s *solver) initSolution() {
 		return ok
 	})
 	s.recomputeState()
-}
-
-// recomputeState rebuilds act and obj from the current solution. Multi-leaf
-// catalogs reduce in parallel through the fixed-leaf tree (reduce.go);
-// single-leaf catalogs run the historical flat sequential sum.
-func (s *solver) recomputeState() {
-	start := time.Now()
-	if !s.parRecomputeState() {
-		for r := range s.act {
-			s.act[r] = 0
-		}
-		s.obj = 0
-		for vi := range s.sol {
-			s.addBlockRows(vi, &s.sol[vi], +1)
-			s.obj += s.blockCost(vi, &s.sol[vi])
-		}
-	}
-	s.stats.ReduceTime += time.Since(start)
 }
 
 // maxCouplingViol returns δ_c(z) = max_r (act_r/b_r − 1), and the value of

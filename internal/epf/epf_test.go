@@ -176,6 +176,11 @@ func TestZeroDemandVideosPlaced(t *testing.T) {
 		if ysum < 1-1e-9 {
 			t.Errorf("zero-demand video %d not stored (Σy = %g)", vi, ysum)
 		}
+		// Empty and non-nil, as mip.NewSolution makes it: deep-equality
+		// checks and JSON output tell a nil Assign from an empty one.
+		if a := res.Sol.Videos[vi].Assign; a == nil || len(a) != 0 {
+			t.Errorf("zero-demand video %d: Assign = %#v, want empty and non-nil", vi, a)
+		}
 	}
 	if v := res.Sol.Check(); v.Max() > 1e-9 {
 		t.Errorf("violations: %+v", v)
@@ -328,7 +333,7 @@ func TestActivityConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.close()
-	_ = s.run(context.Background())
+	s.run(context.Background())
 	saved := append([]float64(nil), s.act...)
 	savedObj := s.obj
 	s.recomputeState()

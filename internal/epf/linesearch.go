@@ -26,10 +26,10 @@ func (s *solver) applyBlock(vi int, ns *intSol) {
 	// Deltas: new block rows minus old block rows, into s.acc/s.touched.
 	s.touched = s.touched[:0]
 	// Old contribution, negated.
-	for _, f := range old.open {
+	for _, f := range old.Open {
 		s.addDelta(int(f.I), -d.SizeGB*f.V)
 	}
-	for k, fr := range old.assign {
+	for k, fr := range old.Assign {
 		j := int(d.Js[k])
 		ts, fv := d.ConcNZ(k)
 		for _, f := range fr {
@@ -159,14 +159,7 @@ func (s *solver) mixBlock(vi int, ns *intSol, tau float64) {
 	const prune = 1e-12
 
 	if tau >= 1 {
-		// Full replacement.
-		old.open = old.open[:0]
-		for _, i := range ns.open {
-			old.open = append(old.open, mip.Frac{I: i, V: 1})
-		}
-		for k := range old.assign {
-			old.assign[k] = append(old.assign[k][:0], mip.Frac{I: ns.assign[k], V: 1})
-		}
+		s.setIntBlock(vi, ns.open, ns.assign) // full replacement
 		return
 	}
 
@@ -175,12 +168,12 @@ func (s *solver) mixBlock(vi int, ns *intSol, tau float64) {
 	for i := range y {
 		y[i] = 0
 	}
-	for k := range old.assign {
-		s.mergeFracs(old.assign[k], ns.assign[k], tau, prune)
+	for k := range old.Assign {
+		s.mergeFracs(old.Assign[k], ns.assign[k], tau, prune)
 		// Copy the staged merge back through the row's own backing array;
 		// append only allocates while a row's capacity is still growing.
-		merged := append(old.assign[k][:0], s.mergeBuf...)
-		old.assign[k] = merged
+		merged := append(old.Assign[k][:0], s.mergeBuf...)
+		old.Assign[k] = merged
 		// Renormalize to sum exactly 1 (pruning can nudge it off).
 		var sum float64
 		for _, f := range merged {
@@ -199,10 +192,10 @@ func (s *solver) mixBlock(vi int, ns *intSol, tau float64) {
 		}
 	}
 	if len(d.Js) > 0 {
-		old.open = old.open[:0]
+		old.Open = old.Open[:0]
 		for i := 0; i < s.n; i++ {
 			if y[i] > prune {
-				old.open = append(old.open, mip.Frac{I: int32(i), V: y[i]})
+				old.Open = append(old.Open, mip.Frac{I: int32(i), V: y[i]})
 			}
 		}
 		return
@@ -211,16 +204,16 @@ func (s *solver) mixBlock(vi int, ns *intSol, tau float64) {
 	for i := range y {
 		y[i] = 0
 	}
-	for _, f := range old.open {
+	for _, f := range old.Open {
 		y[f.I] += (1 - tau) * f.V
 	}
 	for _, i := range ns.open {
 		y[i] += tau
 	}
-	old.open = old.open[:0]
+	old.Open = old.Open[:0]
 	for i := 0; i < s.n; i++ {
 		if y[i] > prune {
-			old.open = append(old.open, mip.Frac{I: int32(i), V: y[i]})
+			old.Open = append(old.Open, mip.Frac{I: int32(i), V: y[i]})
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"vodplace/internal/facloc"
+	"vodplace/internal/mip"
 )
 
 // Incremental-pricing tuning. A link row participates in a delta update
@@ -19,7 +20,7 @@ const (
 
 // addBlockRows adds (sign=+1) or removes (sign=-1) block vi's contribution
 // to the coupling-row activities.
-func (s *solver) addBlockRows(vi int, bs *blockSol, sign float64) {
+func (s *solver) addBlockRows(vi int, bs *mip.VideoPlacement, sign float64) {
 	s.addBlockRowsTo(s.act, vi, bs, sign)
 }
 
@@ -29,15 +30,15 @@ func (s *solver) addBlockRows(vi int, bs *blockSol, sign float64) {
 // rows are addressed through the CSR path table. act is either the live
 // activity vector or one leaf's partial (parallel reductions): the per-entry
 // accumulation order is identical either way.
-func (s *solver) addBlockRowsTo(act []float64, vi int, bs *blockSol, sign float64) {
+func (s *solver) addBlockRowsTo(act []float64, vi int, bs *mip.VideoPlacement, sign float64) {
 	d := &s.inst.Demands[vi]
-	for _, f := range bs.open {
+	for _, f := range bs.Open {
 		act[int(f.I)] += sign * d.SizeGB * f.V
 	}
 	if s.T == 0 {
 		return
 	}
-	for k, fr := range bs.assign {
+	for k, fr := range bs.Assign {
 		j := int(d.Js[k])
 		ts, fv := d.ConcNZ(k)
 		if len(ts) == 0 {
@@ -60,11 +61,11 @@ func (s *solver) addBlockRowsTo(act []float64, vi int, bs *blockSol, sign float6
 }
 
 // blockCost returns block vi's objective contribution.
-func (s *solver) blockCost(vi int, bs *blockSol) float64 {
+func (s *solver) blockCost(vi int, bs *mip.VideoPlacement) float64 {
 	d := &s.inst.Demands[vi]
 	n := s.n
 	var c float64
-	for k, fr := range bs.assign {
+	for k, fr := range bs.Assign {
 		col := s.costT[int(d.Js[k])*n : (int(d.Js[k])+1)*n]
 		coef := d.SizeGB * d.Agg[k]
 		for _, f := range fr {
@@ -72,7 +73,7 @@ func (s *solver) blockCost(vi int, bs *blockSol) float64 {
 		}
 	}
 	if s.inst.UpdateWeight != 0 {
-		for _, f := range bs.open {
+		for _, f := range bs.Open {
 			c += s.inst.PlacementCost(vi, int(f.I)) * f.V
 		}
 	}

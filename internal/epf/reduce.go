@@ -10,22 +10,18 @@ import (
 //
 // The driver-side reductions over per-block results — activity/objective
 // rebuilds in recomputeState, the Lagrangian term sum and subgradient in
-// lagrangianEval — historically ran as flat sequential sums in video order,
-// which kept them bit-identical at any worker count but made them O(blocks)
-// serial residue on large catalogs. The parallel scheme replaces the flat
-// sum with a fixed two-level tree: the catalog is cut into leaves of
-// reduceLeafBlocks consecutive videos, each leaf reduces its own videos in
-// video order (fanned out across the pool into index-addressed leaf slots),
-// and the driver merges the leaf partials in leaf order.
+// lagrangianEval — run through a fixed two-level tree: the catalog is cut into
+// leaves of reduceLeafBlocks consecutive videos, each leaf reduces its own
+// videos in video order (fanned out across the pool into index-addressed leaf
+// slots), and the driver merges the leaf partials in leaf order.
 //
 // The leaf boundaries are a function of the catalog size alone — never of
 // the worker count, the shard layout, or the chunk schedule — so the
 // floating-point summation tree is the same for every worker×shard
-// combination, and a catalog that fits in one leaf reduces by exactly the
-// historical flat sum. That is what lets the parallel reduction coexist
-// with the bitwise invariance contract and the pinned goldens: small
-// instances are byte-identical to every previous release, large ones are
-// deterministic under a (fixed, documented) new tree.
+// combination. A catalog that fits in one leaf is the flat sequential sum in
+// video order, bit for bit: its one partial starts from +0 as the flat sum
+// did, and merging it adds it to +0. That is what lets the tree coexist with
+// the bitwise invariance contract and the pinned goldens.
 
 // reduceLeafBlocks is the fixed leaf width of the deterministic reduction
 // tree. It is a variable only so tests can force the multi-leaf machinery
@@ -38,53 +34,45 @@ var reduceLeafBlocks = 2048
 // never depends on the environment.
 const pdParallelMinEntries = 1 << 14
 
-// initReduce resolves the solve's reduction layout: the fixed leaf spans and
-// their per-leaf partial buffers (multi-leaf catalogs only), and the
-// parallel path-dual rebuild gate. Runs once in newSolver, before the
-// initial recomputeState.
+// initReduce resolves the solve's reduction layout: the fixed leaf spans,
+// their per-leaf partial buffers and leaf bodies, and the parallel path-dual
+// rebuild gate. Runs once in newSolver, before the initial recomputeState.
 func (s *solver) initReduce() {
 	numBlocks := len(s.inst.Demands)
-	if numBlocks > reduceLeafBlocks {
-		leaf := reduceLeafBlocks
-		for lo := 0; lo < numBlocks; lo += leaf {
-			hi := lo + leaf
-			if hi > numBlocks {
-				hi = numBlocks
-			}
-			s.leaves = append(s.leaves, shardSpan{lo: lo, hi: hi})
-			s.leafTasks = append(s.leafTasks, par.Task{Tag: len(s.leaves) - 1, Lo: lo, Hi: hi})
+	for lo := 0; lo < numBlocks; lo += reduceLeafBlocks {
+		hi := min(lo+reduceLeafBlocks, numBlocks)
+		s.leafTasks = append(s.leafTasks, par.Task{Tag: len(s.leafTasks), Lo: lo, Hi: hi})
+	}
+	nl := len(s.leafTasks)
+	s.leafAct = make([]float64, nl*s.rows)
+	s.leafObj = make([]float64, nl)
+	s.leafSum = make([]float64, nl)
+	s.stateLeafFn = func(_, li, lo, hi int) {
+		dst := s.leafAct[li*s.rows : (li+1)*s.rows]
+		for r := range dst {
+			dst[r] = 0
 		}
-		nl := len(s.leaves)
-		s.leafAct = make([]float64, nl*s.rows)
-		s.leafObj = make([]float64, nl)
-		s.leafSum = make([]float64, nl)
-		s.stateLeafFn = func(_, li, lo, hi int) {
-			dst := s.leafAct[li*s.rows : (li+1)*s.rows]
-			for r := range dst {
-				dst[r] = 0
-			}
-			var obj float64
-			for vi := lo; vi < hi; vi++ {
-				s.addBlockRowsTo(dst, vi, &s.sol[vi], +1)
-				obj += s.blockCost(vi, &s.sol[vi])
-			}
-			s.leafObj[li] = obj
+		var obj float64
+		for vi := lo; vi < hi; vi++ {
+			s.addBlockRowsTo(dst, vi, &s.sol[vi], +1)
+			obj += s.blockCost(vi, &s.sol[vi])
 		}
-		s.lbSumLeafFn = func(_, li, lo, hi int) {
-			var sum float64
-			for vi := lo; vi < hi; vi++ {
-				sum += s.lbBuf[vi]
-			}
-			s.leafSum[li] = sum
+		s.leafObj[li] = obj
+	}
+	s.lbSumLeafFn = func(_, li, lo, hi int) {
+		var sum float64
+		for vi := lo; vi < hi; vi++ {
+			sum += s.lbBuf[vi]
 		}
-		s.gradLeafFn = func(_, li, lo, hi int) {
-			dst := s.leafGrad[li*s.rows : (li+1)*s.rows]
-			for r := range dst {
-				dst[r] = 0
-			}
-			for vi := lo; vi < hi; vi++ {
-				s.accumulateIntRows(vi, &s.lbSols[vi], dst)
-			}
+		s.leafSum[li] = sum
+	}
+	s.gradLeafFn = func(_, li, lo, hi int) {
+		dst := s.leafGrad[li*s.rows : (li+1)*s.rows]
+		for r := range dst {
+			dst[r] = 0
+		}
+		for vi := lo; vi < hi; vi++ {
+			s.accumulateIntRows(vi, &s.lbSols[vi], dst)
 		}
 	}
 	// Parallel path-dual rebuild: every entry is an independent sum, so this
@@ -98,83 +86,65 @@ func (s *solver) initReduce() {
 	}
 }
 
-// parRecomputeState performs the multi-leaf parallel activity/objective
-// rebuild. Returns false when the solve has a single leaf (caller runs the
-// historical flat sum) or the fan-out could not be dispatched (cancelled
-// context; the sequential fallback still leaves consistent state).
-func (s *solver) parRecomputeState() bool {
-	if s.leafAct == nil {
-		return false
+// runLeaves runs fn over every leaf: fanned out on the pool, or on the driver
+// when the dispatch is refused (context already cancelled), so the partials
+// the caller merges are never stale.
+func (s *solver) runLeaves(fn func(w, tag, lo, hi int)) {
+	if err := s.pool.RunTasks(s.ctx, s.leafTasks, fn); err != nil {
+		for _, t := range s.leafTasks {
+			fn(0, t.Tag, t.Lo, t.Hi)
+		}
 	}
-	if err := s.pool.RunTasks(s.ctx, s.leafTasks, s.stateLeafFn); err != nil {
-		return false
-	}
-	nl, rows := len(s.leaves), s.rows
+}
+
+// mergeLeafRows sums the per-leaf row partials in leaf (numLeaves×rows flat)
+// into dst, in leaf order.
+func (s *solver) mergeLeafRows(dst, leaf []float64) {
+	nl, rows := len(s.leafTasks), s.rows
 	for r := 0; r < rows; r++ {
 		var a float64
 		for li := 0; li < nl; li++ {
-			a += s.leafAct[li*rows+r]
+			a += leaf[li*rows+r]
 		}
-		s.act[r] = a
+		dst[r] = a
 	}
+}
+
+// recomputeState rebuilds act and obj from the current solution.
+func (s *solver) recomputeState() {
+	start := time.Now()
+	s.runLeaves(s.stateLeafFn)
+	s.mergeLeafRows(s.act, s.leafAct)
 	var obj float64
-	for li := 0; li < nl; li++ {
-		obj += s.leafObj[li]
+	for _, o := range s.leafObj {
+		obj += o
 	}
 	s.obj = obj
-	return true
+	s.stats.ReduceTime += time.Since(start)
 }
 
 // reduceLBSum reduces the per-block dual-ascent bounds in s.lbBuf to their
-// total: the flat sequential sum on single-leaf solves, the fixed-leaf tree
-// on multi-leaf ones.
-func (s *solver) reduceLBSum(numBlocks int) float64 {
+// total.
+func (s *solver) reduceLBSum() float64 {
 	start := time.Now()
-	defer func() { s.stats.ReduceTime += time.Since(start) }()
-	if s.leafSum != nil {
-		if err := s.pool.RunTasks(s.ctx, s.leafTasks, s.lbSumLeafFn); err == nil {
-			var lr float64
-			for li := range s.leafSum {
-				lr += s.leafSum[li]
-			}
-			return lr
-		}
-	}
+	s.runLeaves(s.lbSumLeafFn)
 	var lr float64
-	for vi := 0; vi < numBlocks; vi++ {
-		lr += s.lbBuf[vi]
+	for _, sum := range s.leafSum {
+		lr += sum
 	}
+	s.stats.ReduceTime += time.Since(start)
 	return lr
 }
 
 // reduceGrad accumulates the subgradient A·z_q of the current per-block
-// minimizers (s.lbSols) into grad, zeroing it first. Single-leaf solves run
-// the flat sequential accumulation; multi-leaf solves reduce per leaf and
-// merge in leaf order. The per-leaf gradient buffer is lazy — subgradients
-// are only requested during dual polish.
-func (s *solver) reduceGrad(grad []float64, numBlocks int) {
+// minimizers (s.lbSols) into grad, overwriting it. The per-leaf gradient
+// buffer is lazy — subgradients are only requested during dual polish.
+func (s *solver) reduceGrad(grad []float64) {
 	start := time.Now()
-	defer func() { s.stats.ReduceTime += time.Since(start) }()
-	if s.leafSum != nil {
-		if s.leafGrad == nil {
-			s.leafGrad = make([]float64, len(s.leaves)*s.rows)
-		}
-		if err := s.pool.RunTasks(s.ctx, s.leafTasks, s.gradLeafFn); err == nil {
-			nl, rows := len(s.leaves), s.rows
-			for r := 0; r < rows; r++ {
-				var a float64
-				for li := 0; li < nl; li++ {
-					a += s.leafGrad[li*rows+r]
-				}
-				grad[r] = a
-			}
-			return
-		}
+	if s.leafGrad == nil {
+		s.leafGrad = make([]float64, len(s.leafAct))
 	}
-	for r := range grad {
-		grad[r] = 0
-	}
-	for vi := 0; vi < numBlocks; vi++ {
-		s.accumulateIntRows(vi, &s.lbSols[vi], grad)
-	}
+	s.runLeaves(s.gradLeafFn)
+	s.mergeLeafRows(grad, s.leafGrad)
+	s.stats.ReduceTime += time.Since(start)
 }

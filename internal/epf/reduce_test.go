@@ -211,7 +211,7 @@ func TestRoundZeroAllocations(t *testing.T) {
 			s.addBlockRows(vi, bs, -1)
 			oldCost := s.blockCost(vi, bs)
 			ns := s.roundSolve(ws, vi)
-			s.replaceBlock(vi, ns)
+			s.setIntBlock(vi, ns.open, ns.assign)
 			s.noteRoundSol(vi, ns)
 			s.addBlockRows(vi, bs, +1)
 			s.obj += s.blockCost(vi, bs) - oldCost
@@ -230,8 +230,8 @@ func TestRoundZeroAllocations(t *testing.T) {
 	s.computeDuals(s.q)
 	vi := chunk[0]
 	bs := &s.sol[vi]
-	ns := intSol{assign: make([]int32, len(bs.assign))}
-	for _, f := range bs.open {
+	ns := intSol{assign: make([]int32, len(bs.Assign))}
+	for _, f := range bs.Open {
 		ns.open = append(ns.open, f.I)
 	}
 	for k := range ns.assign {

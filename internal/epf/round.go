@@ -50,9 +50,10 @@ func (s *solver) roundSolve(ws *workerScratch, vi int) *intSol {
 	return &s.roundSol
 }
 
-// round performs the §V-D rounding pass on the solver's current point and
-// rewrites res with the integral placement: seed an integer point, polish it
-// with the one loop (polishFrom), keep the best point visited. There are two
+// round performs the §V-D rounding pass, leaving the solver on the integral
+// placement: seed an integer point, polish it with the one loop (polishFrom),
+// keep the best point visited. lp is the packed point the LP phase ended on,
+// which outlives the seeds overwriting the live one. There are two
 // seeds, polished under one shared incumbent (the best score either visited,
 // considerIntegerIncumbent's yardstick):
 //
@@ -72,15 +73,14 @@ func (s *solver) roundSolve(ws *workerScratch, vi int) *intSol {
 // rounding was when one was last paid for. Otherwise the threshold seed runs
 // as it would have without R, whose point stays a contender in the
 // incumbent; the result is never worse than the from-scratch one.
-func (s *solver) round(res *Result) {
+func (s *solver) round(lp *WarmLP) {
 	roundStart := time.Now()
-	lpSol := res.Sol
 	s.roundBest, s.scratchBest = math.Inf(1), math.Inf(1)
 	if s.resumePlacement() {
 		s.stats.RoundResumed = 1
 		s.roundRef = s.opts.Warm.RoundRef
 	} else {
-		s.polishFrom(s.thresholdBlock(lpSol), s.rng, polishPasses)
+		s.polishFrom(s.thresholdBlock(lp), s.rng, polishPasses)
 		s.roundRef = finiteOrZero(s.scratchBest / s.lb)
 		if s.stats.RoundCarried == 0 {
 			s.stats.RoundRatio = s.roundRef
@@ -94,9 +94,6 @@ func (s *solver) round(res *Result) {
 
 	s.stats.RoundTime = time.Since(roundStart)
 	s.opts.Recorder.RecordSpan(s.opts.TraceStream, "rounding", s.stats.RoundTime)
-	rounded := s.buildResult(res.Passes, res.Converged)
-	rounded.Rounded = true
-	*res = *rounded
 }
 
 // finiteOrZero maps the ratios of a solve whose bound is 0 to "none".
@@ -140,13 +137,15 @@ func (s *solver) polishFrom(load func(vi int) bool, rng *rand.Rand, passes int) 
 }
 
 // thresholdBlock is the from-scratch seed's loader: block vi becomes the
-// threshold rounding of its row of the fractional point frac — every office
-// with y ≥ ½ opens, else the largest-y one, and each demand office is served
-// from its cheapest open copy. A video of which frac holds no copy is
-// declined and drops down the warm ladder.
-func (s *solver) thresholdBlock(frac *mip.Solution) func(vi int) bool {
+// threshold rounding of its open row of the packed fractional point lp (the
+// solver's own, video vi at position vi) — every office with y ≥ ½ opens,
+// else the largest-y one, and each demand office is served from its cheapest
+// open copy. A video of which lp holds no copy is declined and drops down the
+// warm ladder.
+func (s *solver) thresholdBlock(lp *WarmLP) func(vi int) bool {
 	return func(vi int) bool {
-		open := warmOpenSet(frac.Videos[vi].Open)
+		r := lp.Row[vi]
+		open := warmOpenSet(lp.Frac[lp.Off[r]:lp.Off[r+1]])
 		if len(open) == 0 {
 			return false
 		}
@@ -246,7 +245,7 @@ func (s *solver) polishInteger(rng *rand.Rand, passes int) {
 				oldCost := s.blockCost(vi, bs)
 				ns := s.roundSolve(ws, vi)
 				if s.integerStepImproves(vi, bs, ns, oldCost, useMerit, dcCap) {
-					s.replaceBlock(vi, ns)
+					s.setIntBlock(vi, ns.open, ns.assign)
 					s.noteRoundSol(vi, ns)
 					changed++
 				}
@@ -271,7 +270,7 @@ func (s *solver) polishInteger(rng *rand.Rand, passes int) {
 func (s *solver) roundWarm(vi int) []int32 {
 	if s.resuming {
 		s.seedBuf = s.seedBuf[:0]
-		for _, f := range s.sol[vi].open {
+		for _, f := range s.sol[vi].Open {
 			s.seedBuf = append(s.seedBuf, f.I)
 		}
 		return s.seedBuf
@@ -354,16 +353,16 @@ func (s *solver) stepAdd(side uint8, r int, v float64) {
 // Both sides' row usage goes into sparse accumulators and every sum below
 // visits the touched rows in ascending index, so the two floats compared are
 // the same bits on every run; nothing is allocated per call.
-func (s *solver) integerStepImproves(vi int, cur *blockSol, ns *intSol, curCost float64, useMerit bool, dcCap float64) bool {
+func (s *solver) integerStepImproves(vi int, cur *mip.VideoPlacement, ns *intSol, curCost float64, useMerit bool, dcCap float64) bool {
 	d := &s.inst.Demands[vi]
-	for _, f := range cur.open {
+	for _, f := range cur.Open {
 		s.stepAdd(stepCur, s.rowDisk(int(f.I)), d.SizeGB*f.V)
 	}
 	var newCost float64
 	for _, i := range ns.open {
 		s.stepAdd(stepNew, s.rowDisk(int(i)), d.SizeGB)
 	}
-	for k, fr := range cur.assign {
+	for k, fr := range cur.Assign {
 		j := int(d.Js[k])
 		for _, f := range fr {
 			if int(f.I) == j || f.V == 0 {
@@ -462,16 +461,4 @@ func (s *solver) retuneScale() {
 	d := math.Max(dc, s.opts.Epsilon/2)
 	s.delta = d
 	s.alpha = s.gammaLnM1 / d
-}
-
-// replaceBlock overwrites block vi with the integer solution ns.
-func (s *solver) replaceBlock(vi int, ns *intSol) {
-	bs := &s.sol[vi]
-	bs.open = bs.open[:0]
-	for _, i := range ns.open {
-		bs.open = append(bs.open, mip.Frac{I: i, V: 1})
-	}
-	for k := range bs.assign {
-		bs.assign[k] = append(bs.assign[k][:0], mip.Frac{I: ns.assign[k], V: 1})
-	}
 }

@@ -28,8 +28,8 @@ func openSetHash(sol *mip.Solution) uint64 {
 const integralTol = mip.IntegralTol
 
 // fractionalBlock reports whether the block holds a partial copy anywhere.
-func fractionalBlock(bs *blockSol) bool {
-	return slices.ContainsFunc(bs.open, func(f mip.Frac) bool {
+func fractionalBlock(bs *mip.VideoPlacement) bool {
+	return slices.ContainsFunc(bs.Open, func(f mip.Frac) bool {
 		return f.V > integralTol && f.V < 1-integralTol
 	})
 }
@@ -145,18 +145,31 @@ func refThresholdRound(inst *mip.Instance, frac *mip.Solution) *mip.Solution {
 	return sol
 }
 
-func sameBlocks(sol []blockSol, want *mip.Solution) bool {
+func sameBlocks(sol []mip.VideoPlacement, want *mip.Solution) bool {
 	for vi := range sol {
-		if !slices.Equal(sol[vi].open, want.Videos[vi].Open) {
+		if !slices.Equal(sol[vi].Open, want.Videos[vi].Open) {
 			return false
 		}
-		for k := range sol[vi].assign {
-			if !slices.Equal(sol[vi].assign[k], want.Videos[vi].Assign[k]) {
+		for k := range sol[vi].Assign {
+			if !slices.Equal(sol[vi].Assign[k], want.Videos[vi].Assign[k]) {
 				return false
 			}
 		}
 	}
 	return true
+}
+
+// copyPoint deep-copies the solver's live point. Result.Sol takes the live
+// rows themselves, so a test that goes on using the solver copies first.
+func copyPoint(s *solver) *mip.Solution {
+	out := mip.NewSolution(s.inst)
+	for vi := range s.sol {
+		out.Videos[vi].Open = slices.Clone(s.sol[vi].Open)
+		for k, fr := range s.sol[vi].Assign {
+			out.Videos[vi].Assign[k] = slices.Clone(fr)
+		}
+	}
+	return out
 }
 
 // The threshold seed must load exactly the reference's candidate, and a video
@@ -175,12 +188,12 @@ func TestLoadThresholdRoundMatchesReference(t *testing.T) {
 			t.Fatal("descent pass cancelled")
 		}
 	}
-	frac := s.buildResult(4, false).Sol
-	if !slices.ContainsFunc(s.sol, func(bs blockSol) bool { return fractionalBlock(&bs) }) {
+	frac, lp := copyPoint(s), s.packPoint(&WarmLP{})
+	if !slices.ContainsFunc(s.sol, func(bs mip.VideoPlacement) bool { return fractionalBlock(&bs) }) {
 		t.Fatal("no fractional videos after 4 passes")
 	}
 
-	if loaded, _ := s.seedBlocks(s.thresholdBlock(frac)); loaded != len(s.sol) {
+	if loaded, _ := s.seedBlocks(s.thresholdBlock(lp)); loaded != len(s.sol) {
 		t.Fatalf("threshold seed took %d of %d blocks of a complete fractional solution", loaded, len(s.sol))
 	}
 	want := refThresholdRound(inst, frac)
@@ -188,21 +201,28 @@ func TestLoadThresholdRoundMatchesReference(t *testing.T) {
 		t.Fatal("threshold seed differs from the reference")
 	}
 
+	// Cut the last video's open row out of the packed point, which then holds
+	// no copy of it.
 	last := len(frac.Videos) - 1
-	frac.Videos[last].Open = nil
-	if loaded, _ := s.seedBlocks(s.thresholdBlock(frac)); loaded != last {
+	r := lp.Row[last]
+	cut := lp.Off[r+1] - lp.Off[r]
+	lp.Frac = slices.Delete(lp.Frac, int(lp.Off[r]), int(lp.Off[r+1]))
+	for x := int(r) + 1; x < len(lp.Off); x++ {
+		lp.Off[x] -= cut
+	}
+	if loaded, _ := s.seedBlocks(s.thresholdBlock(lp)); loaded != last {
 		t.Fatalf("threshold seed took %d blocks, want all but the one missing from the LP point (%d)", loaded, last)
 	}
 	ladder := s.sol[last]
-	if len(ladder.open) != 1 || ladder.open[0].V != 1 {
-		t.Errorf("video missing from the LP point seeded at %+v, want the cold single copy", ladder.open)
+	if len(ladder.Open) != 1 || ladder.Open[0].V != 1 {
+		t.Errorf("video missing from the LP point seeded at %+v, want the cold single copy", ladder.Open)
 	}
-	for k, fr := range ladder.assign {
-		if len(fr) != 1 || fr[0] != ladder.open[0] {
+	for k, fr := range ladder.Assign {
+		if len(fr) != 1 || fr[0] != ladder.Open[0] {
 			t.Errorf("video missing from the LP point serves office %d from %+v, want its one copy", k, fr)
 		}
 	}
-	s.sol[last] = blockSol{open: want.Videos[last].Open, assign: want.Videos[last].Assign}
+	s.sol[last] = want.Videos[last]
 	if !sameBlocks(s.sol, want) {
 		t.Fatal("a video missing from the LP point disturbed its neighbours' seeds")
 	}

@@ -96,17 +96,17 @@ func TestWarmWithoutPlacementMatchesRecordedParent(t *testing.T) {
 }
 
 // lpPhase builds a solver and runs its LP phase, leaving it where round()
-// finds it.
-func lpPhase(t *testing.T, inst *mip.Instance, o Options) (*solver, *mip.Solution) {
+// finds it, with the packed LP point round() is given.
+func lpPhase(t *testing.T, inst *mip.Instance, o Options) (*solver, *WarmLP) {
 	t.Helper()
 	s, err := newSolver(inst, o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.close)
-	res := s.run(context.Background())
+	s.run(context.Background())
 	s.roundBest, s.scratchBest = math.Inf(1), math.Inf(1)
-	return s, res.Sol
+	return s, s.packPoint(&WarmLP{})
 }
 
 // The no-leak rule, white box: a resume refused by an impossible reference
@@ -164,7 +164,7 @@ func TestRejectedResumeLeavesNoTrace(t *testing.T) {
 		// What polishFrom does before its first visit, so the comparison
 		// starts where the seed has loaded; the attempt below reloads the
 		// same seed.
-		for s, sol := range map[*solver]*mip.Solution{tried: lpSol, clean: cleanSol} {
+		for s, sol := range map[*solver]*WarmLP{tried: lpSol, clean: cleanSol} {
 			s.seedBlocks(s.thresholdBlock(sol))
 			s.recomputeState()
 			s.retuneScale()
@@ -240,16 +240,16 @@ func TestImpossibleReferenceRejects(t *testing.T) {
 func placedBlock(s *solver, vi int, w *WarmState) bool {
 	wv := w.Videos[s.inst.Demands[vi].Video]
 	bs := &s.sol[vi]
-	if len(bs.open) != len(wv.Open) {
+	if len(bs.Open) != len(wv.Open) {
 		return false
 	}
-	for x, f := range bs.open {
+	for x, f := range bs.Open {
 		if f.I != wv.Open[x] || f.V != 1 {
 			return false
 		}
 	}
 	r := int(w.LP.Row[wv.Pos]) + 1
-	for k, fr := range bs.assign {
+	for k, fr := range bs.Assign {
 		if r+k >= len(w.Assign) || len(fr) != 1 || fr[0].I != w.Assign[r+k] || fr[0].V != 1 {
 			return false
 		}
@@ -308,12 +308,12 @@ func TestPlacementFallsBackPerVideo(t *testing.T) {
 			t.Errorf("video %d: block is not the carried one", vi)
 		}
 		if fractionalBlock(&s.sol[vi]) {
-			t.Errorf("video %d seeded fractionally: %+v", vi, s.sol[vi].open)
+			t.Errorf("video %d seeded fractionally: %+v", vi, s.sol[vi].Open)
 		}
 	}
 	for _, vi := range seeded {
 		var open []int32
-		for _, f := range s.sol[vi].open {
+		for _, f := range s.sol[vi].Open {
 			open = append(open, f.I)
 		}
 		if want := cold.Warm.Videos[inst.Demands[vi].Video].Open; !slices.Equal(open, want) {
@@ -321,8 +321,8 @@ func TestPlacementFallsBackPerVideo(t *testing.T) {
 		}
 	}
 	for _, vi := range coldSeeded {
-		if len(s.sol[vi].open) != 1 {
-			t.Errorf("video %d seeded at %+v, want the cold single copy", vi, s.sol[vi].open)
+		if len(s.sol[vi].Open) != 1 {
+			t.Errorf("video %d seeded at %+v, want the cold single copy", vi, s.sol[vi].Open)
 		}
 	}
 

@@ -25,6 +25,10 @@ type WarmVideo struct {
 // (WarmVideo.Pos) owns rows Row[p]..Row[p+1]-1: first its open row y, then
 // one assignment row per demand office, in the order of the Js the point was
 // built for.
+//
+// It is the one form every snapshot of a solver's point takes: the solver
+// keeps its incumbent in it, rounding reads its threshold seed off it, and
+// the copy on a WarmState is the producing solve's own, shared with nothing.
 type WarmLP struct {
 	// Offices is the office count of the producing instance; a consuming
 	// instance with a different count ignores the point.
@@ -105,20 +109,21 @@ type WarmState struct {
 }
 
 // exportWarm captures the solver's final state as a WarmState, once per
-// solve, from the entry points: any Result can seed the next period. lpSol is
-// the LP-phase solution the descent already built (Result.Sol itself after
-// Solve; the point rounding started from after SolveInteger), flattened here
-// rather than snapshotted again. The export reads only driver-goroutine state
-// and never feeds back into the producing solve.
-func (s *solver) exportWarm(res *Result, lpSol *mip.Solution) *WarmState {
+// solve, from the entry points: any Result can seed the next period. lp is
+// the packed point the LP phase ended on (the final point after Solve; the
+// one rounding started from after SolveInteger). Everything else is copied
+// out of the live point, so the state shares no memory with Result.Sol. The
+// export reads only driver-goroutine state and never feeds back into the
+// producing solve.
+func (s *solver) exportWarm(res *Result, lp *WarmLP) *WarmState {
 	w := &WarmState{
 		RowDuals: res.RowDuals,
 		Delta:    s.lpDelta,
 		Videos:   make(map[int]WarmVideo, len(s.sol)),
-		LP:       packLP(s.inst, lpSol),
+		LP:       lp,
 	}
 	for vi := range s.sol {
-		open := warmOpenSet(s.sol[vi].open)
+		open := warmOpenSet(s.sol[vi].Open)
 		if len(open) == 0 {
 			continue
 		}
@@ -139,7 +144,7 @@ func (s *solver) packAssign(lp *WarmLP) []int32 {
 	for vi := range s.sol {
 		r := int(lp.Row[vi])
 		out[r] = -1
-		for k, fr := range s.sol[vi].assign {
+		for k, fr := range s.sol[vi].Assign {
 			var best mip.Frac
 			for _, f := range fr {
 				if f.V > best.V {
@@ -152,33 +157,31 @@ func (s *solver) packAssign(lp *WarmLP) []int32 {
 	return out
 }
 
-// packLP flattens the LP-phase solution sol into a WarmLP: one flat copy of
-// the Result.Sol the descent already built.
-func packLP(inst *mip.Instance, sol *mip.Solution) *WarmLP {
+// packPoint flattens the live point into lp, reusing its arrays (sized once,
+// before the copy) — the one way a point is snapshotted.
+func (s *solver) packPoint(lp *WarmLP) *WarmLP {
 	rows, fracs := 0, 0
-	for vi := range sol.Videos {
-		p := &sol.Videos[vi]
+	for vi := range s.sol {
+		p := &s.sol[vi]
 		rows += 1 + len(p.Assign)
 		fracs += len(p.Open)
 		for _, fr := range p.Assign {
 			fracs += len(fr)
 		}
 	}
-	lp := &WarmLP{
-		Offices: inst.NumVHOs(),
-		Row:     make([]int32, 0, len(sol.Videos)+1),
-		J:       make([]int32, 0, rows),
-		Off:     make([]int32, 0, rows+1),
-		Frac:    make([]mip.Frac, 0, fracs),
-	}
-	for vi := range sol.Videos {
-		p := &sol.Videos[vi]
+	lp.Offices = s.n
+	lp.Row = slices.Grow(lp.Row[:0], len(s.sol)+1)
+	lp.J = slices.Grow(lp.J[:0], rows)
+	lp.Off = slices.Grow(lp.Off[:0], rows+1)
+	lp.Frac = slices.Grow(lp.Frac[:0], fracs)
+	for vi := range s.sol {
+		p := &s.sol[vi]
 		lp.Row = append(lp.Row, int32(len(lp.J)))
 		lp.J = append(lp.J, -1)
 		lp.Off = append(lp.Off, int32(len(lp.Frac)))
 		lp.Frac = append(lp.Frac, p.Open...)
 		for k, fr := range p.Assign {
-			lp.J = append(lp.J, inst.Demands[vi].Js[k])
+			lp.J = append(lp.J, s.inst.Demands[vi].Js[k])
 			lp.Off = append(lp.Off, int32(len(lp.Frac)))
 			lp.Frac = append(lp.Frac, fr...)
 		}
@@ -212,18 +215,25 @@ func (s *solver) carriedRows(vi int) (lo, hi int, ok bool) {
 	return lo, hi, true
 }
 
-// resumeBlock loads block vi from the carried LP point, copying out of the
-// warm state into arena (returned, grown). It reports false — block untouched
-// — when there is no point for this video (carriedRows) or its entries fall
-// outside the carried arena or the office range. Every row is carved at full
-// capacity, so a later append in mixBlock reallocates that row instead of
-// spilling into its neighbour.
+// resumeBlock loads block vi from the carried LP point into arena (returned,
+// grown). It reports false — block untouched — when there is no point for
+// this video (carriedRows) or the point's entries are unusable (loadBlock).
 func (s *solver) resumeBlock(vi int, arena []mip.Frac) ([]mip.Frac, bool) {
 	lo, hi, ok := s.carriedRows(vi)
 	if !ok {
 		return arena, false
 	}
-	lp := s.opts.Warm.LP
+	return s.loadBlock(vi, s.opts.Warm.LP, lo, hi, arena)
+}
+
+// loadBlock overwrites block vi with rows [lo, hi) of the packed point lp —
+// the open row, then one row per demand office — copying them into arena
+// (returned, grown): the one way a packed point comes back. lp may be a
+// foreign state's: it reports false — block untouched — when the rows' entries
+// fall outside the carried arena or the office range. Every row is carved at
+// full capacity, so a later append in mixBlock reallocates that row instead of
+// spilling into its neighbour.
+func (s *solver) loadBlock(vi int, lp *WarmLP, lo, hi int, arena []mip.Frac) ([]mip.Frac, bool) {
 	if hi >= len(lp.Off) || lp.Off[lo] < 0 || int(lp.Off[hi]) > len(lp.Frac) ||
 		!slices.IsSorted(lp.Off[lo:hi+1]) {
 		return arena, false
@@ -239,10 +249,12 @@ func (s *solver) resumeBlock(vi int, arena []mip.Frac) ([]mip.Frac, bool) {
 		return arena[at:len(arena):len(arena)]
 	}
 	bs := &s.sol[vi]
-	bs.open = row(lo)
-	bs.assign = make([][]mip.Frac, hi-lo-1)
-	for k := range bs.assign {
-		bs.assign[k] = row(lo + 1 + k)
+	bs.Open = row(lo)
+	if bs.Assign == nil || len(bs.Assign) != hi-lo-1 {
+		bs.Assign = make([][]mip.Frac, hi-lo-1)
+	}
+	for k := range bs.Assign {
+		bs.Assign[k] = row(lo + 1 + k)
 	}
 	return arena, true
 }
@@ -269,14 +281,7 @@ func (s *solver) placeBlock(vi int) bool {
 			return false
 		}
 	}
-	bs := &s.sol[vi]
-	bs.open = bs.open[:0]
-	for _, i := range open {
-		bs.open = append(bs.open, mip.Frac{I: i, V: 1})
-	}
-	for k, i := range assign {
-		bs.assign[k] = append(bs.assign[k][:0], mip.Frac{I: i, V: 1})
-	}
+	s.setIntBlock(vi, open, assign)
 	return true
 }
 
@@ -322,24 +327,34 @@ func (s *solver) warmVideoOpen(vi int) []int32 {
 	return wv.Open
 }
 
+// setIntBlock overwrites block vi with an integer block: a full copy at each
+// office of open (ascending), demand office k served from assign[k]. Rows are
+// written in place, reusing their backing arrays, so a block the descent has
+// used can be re-seeded or replaced without allocating.
+func (s *solver) setIntBlock(vi int, open, assign []int32) {
+	bs := &s.sol[vi]
+	bs.Open = bs.Open[:0]
+	for _, i := range open {
+		bs.Open = append(bs.Open, mip.Frac{I: i, V: 1})
+	}
+	if bs.Assign == nil {
+		bs.Assign = make([][]mip.Frac, len(assign))
+	}
+	for k, i := range assign {
+		bs.Assign[k] = append(bs.Assign[k][:0], mip.Frac{I: i, V: 1})
+	}
+}
+
 // seedWarmBlock initializes block vi from the warm open set: every listed
 // office holds a full copy and each demand office is served from its
 // cheapest open copy (lowest index on ties, matching the deterministic scan
-// order used everywhere else). Rows are written in place, so the rounding
-// phase can re-seed a block the descent has used.
+// order used everywhere else).
 func (s *solver) seedWarmBlock(vi int, open []int32) {
 	d := &s.inst.Demands[vi]
-	bs := &s.sol[vi]
-	bs.open = bs.open[:0]
-	for _, i := range open {
-		bs.open = append(bs.open, mip.Frac{I: i, V: 1})
-	}
-	if bs.assign == nil {
-		bs.assign = make([][]mip.Frac, len(d.Js))
-	}
 	n := s.n
-	for k := range bs.assign {
-		col := s.costT[int(d.Js[k])*n : (int(d.Js[k])+1)*n]
+	assign := s.seedAssign[:0]
+	for _, j := range d.Js {
+		col := s.costT[int(j)*n : (int(j)+1)*n]
 		bi := open[0]
 		bc := col[open[0]]
 		for _, i := range open[1:] {
@@ -347,8 +362,10 @@ func (s *solver) seedWarmBlock(vi int, open []int32) {
 				bc, bi = col[i], i
 			}
 		}
-		bs.assign[k] = append(bs.assign[k][:0], mip.Frac{I: bi, V: 1})
+		assign = append(assign, bi)
 	}
+	s.seedAssign = assign
+	s.setIntBlock(vi, open, assign)
 }
 
 // seedColdBlock is the bottom of the ladder, and every block's start on a

@@ -273,13 +273,13 @@ func lpRows(lp *WarmLP, p int) (js []int32, rows [][]mip.Frac) {
 
 // blockEqualsLP reports whether a solver block is exactly video p's block
 // of the carried point.
-func blockEqualsLP(bs *blockSol, lp *WarmLP, p int) bool {
+func blockEqualsLP(bs *mip.VideoPlacement, lp *WarmLP, p int) bool {
 	_, rows := lpRows(lp, p)
-	if len(rows) != 1+len(bs.assign) || !slices.Equal(bs.open, rows[0]) {
+	if len(rows) != 1+len(bs.Assign) || !slices.Equal(bs.Open, rows[0]) {
 		return false
 	}
-	for k := range bs.assign {
-		if !slices.Equal(bs.assign[k], rows[1+k]) {
+	for k := range bs.Assign {
+		if !slices.Equal(bs.Assign[k], rows[1+k]) {
 			return false
 		}
 	}
@@ -402,9 +402,9 @@ func TestResumeFallsBackPerVideo(t *testing.T) {
 	}
 	// The changed video holds exactly its carried open set, at full copies.
 	var open []int32
-	for _, f := range s.sol[changed].open {
+	for _, f := range s.sol[changed].Open {
 		if f.V != 1 {
-			t.Errorf("changed video seeded fractionally: %+v", s.sol[changed].open)
+			t.Errorf("changed video seeded fractionally: %+v", s.sol[changed].Open)
 		}
 		open = append(open, f.I)
 	}
@@ -412,8 +412,8 @@ func TestResumeFallsBackPerVideo(t *testing.T) {
 		t.Errorf("changed video seeded at %v, carried open set %v", open, cold.Warm.Videos[inst.Demands[changed].Video].Open)
 	}
 	// The unknown video got the cold single-copy init.
-	if len(s.sol[unknown].open) != 1 {
-		t.Errorf("unknown video seeded at %+v, want the cold single copy", s.sol[unknown].open)
+	if len(s.sol[unknown].Open) != 1 {
+		t.Errorf("unknown video seeded at %+v, want the cold single copy", s.sol[unknown].Open)
 	}
 
 	// A point built for another office count is ignored wholesale; the open
@@ -479,5 +479,50 @@ func TestWarmStateReadOnlyToConsumer(t *testing.T) {
 	wg.Wait()
 	if !reflect.DeepEqual(before, cold.Warm) {
 		t.Error("consuming solves modified the shared WarmState")
+	}
+}
+
+// TestWarmStateDetachedFromResultSol is the producing side of the same rule.
+// Result.Sol's rows are the solver's own, handed over when the solve ends,
+// and serve.Snapshot keeps them alive while the next solve consumes
+// Result.Warm — so the state must share no memory with them. Every row of a
+// SolveInteger result's Sol is scribbled over, to its full capacity; the warm
+// state stays byte-equal to a clone taken first, and a re-solve from it is
+// bit-identical to one from the clone. Both a cold producer (rows grown one
+// by one) and a resumed one (rows carved from one arena) are held to it.
+func TestWarmStateDetachedFromResultSol(t *testing.T) {
+	inst, cold := warmBase(t)
+	resolve := func(w *WarmState) *Result {
+		t.Helper()
+		res, err := SolveInteger(inst, Options{Seed: 5, MaxPasses: 250, Warm: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	for name, res := range map[string]*Result{"cold": cold, "resumed": resolve(cold.Warm)} {
+		before := cloneWarm(res.Warm)
+		scribble := func(fr []mip.Frac) {
+			fr = fr[:cap(fr)]
+			for i := range fr {
+				fr[i] = mip.Frac{I: -7, V: -7}
+			}
+		}
+		for vi := range res.Sol.Videos {
+			p := &res.Sol.Videos[vi]
+			scribble(p.Open)
+			for _, fr := range p.Assign {
+				scribble(fr)
+			}
+		}
+		if !reflect.DeepEqual(before, res.Warm) {
+			t.Fatalf("%s: scribbling over Result.Sol changed Result.Warm", name)
+		}
+		got, want := resolve(res.Warm), resolve(before)
+		if got.Objective != want.Objective || got.LowerBound != want.LowerBound || got.Passes != want.Passes ||
+			!identicalDuals(got.RowDuals, want.RowDuals) || !identicalSolutions(got.Sol, want.Sol) {
+			t.Errorf("%s: re-solve from the state differs from one from its clone: (%v, %v, %d) vs (%v, %v, %d)",
+				name, got.Objective, got.LowerBound, got.Passes, want.Objective, want.LowerBound, want.Passes)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package mip
 
 import (
 	"fmt"
+	"math"
 
 	"vodplace/internal/topology"
 )
@@ -114,8 +115,10 @@ func (b *InstanceBuilder) NumAdded() int { return len(b.demands) }
 
 // validateDemand checks one staged demand against the instance dimensions
 // (n offices, slices enforced time slices): positive size and rate, matching
-// Js/Agg/Conc shapes, strictly ascending in-range offices, non-negative
-// aggregates. Every construction route — InstanceBuilder.Add, NewInstance
+// Js/Agg/Conc shapes, strictly ascending in-range offices, finite
+// non-negative aggregates and concurrencies (a NaN or +Inf cell compares
+// false to everything and would reach the solver's pricing as it is). Every
+// construction route — InstanceBuilder.Add, NewInstance
 // through it, and the in-place patch Instance.ApplyDemandDelta — runs this
 // one helper, so the checks, messages and their order cannot drift between
 // the streaming, batch and patch paths.
@@ -136,6 +139,11 @@ func validateDemand(d *VideoDemand, n, slices int) error {
 		if len(d.Conc[t]) != len(d.Js) {
 			return fmt.Errorf("mip: video %d slice %d has %d entries for %d offices", d.Video, t, len(d.Conc[t]), len(d.Js))
 		}
+		for k, c := range d.Conc[t] {
+			if !finiteNonNegative(c) {
+				return fmt.Errorf("mip: video %d slice %d has negative or non-finite concurrency at office %d", d.Video, t, d.Js[k])
+			}
+		}
 	}
 	for k, j := range d.Js {
 		if j < 0 || int(j) >= n {
@@ -147,8 +155,17 @@ func validateDemand(d *VideoDemand, n, slices int) error {
 		if d.Agg[k] < 0 {
 			return fmt.Errorf("mip: video %d has negative demand at office %d", d.Video, j)
 		}
+		if !finiteNonNegative(d.Agg[k]) {
+			return fmt.Errorf("mip: video %d has non-finite demand at office %d", d.Video, j)
+		}
 	}
 	return nil
+}
+
+// finiteNonNegative reports whether x is a usable demand cell: NaN fails the
+// comparison, +Inf the test.
+func finiteNonNegative(x float64) bool {
+	return x >= 0 && !math.IsInf(x, 1)
 }
 
 // Add validates one video demand and appends it to the instance under

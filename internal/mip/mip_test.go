@@ -82,6 +82,14 @@ func TestNewInstanceValidation(t *testing.T) {
 			[]VideoDemand{{Video: 0, SizeGB: 1, RateMbps: 2, Js: []int32{1, 0}, Agg: []float64{1, 1}, Conc: [][]float64{{1, 1}}}}, "ascending"},
 		{"negative demand", []float64{4, 4, 4}, caps(g, 1), 1,
 			[]VideoDemand{{Video: 0, SizeGB: 1, RateMbps: 2, Js: []int32{0}, Agg: []float64{-1}, Conc: [][]float64{{1}}}}, "negative demand"},
+		{"infinite demand", []float64{4, 4, 4}, caps(g, 1), 1,
+			[]VideoDemand{{Video: 0, SizeGB: 1, RateMbps: 2, Js: []int32{0}, Agg: []float64{math.Inf(1)}, Conc: [][]float64{{1}}}}, "non-finite demand"},
+		{"NaN demand", []float64{4, 4, 4}, caps(g, 1), 1,
+			[]VideoDemand{{Video: 0, SizeGB: 1, RateMbps: 2, Js: []int32{0}, Agg: []float64{math.NaN()}, Conc: [][]float64{{1}}}}, "non-finite demand"},
+		{"negative concurrency", []float64{4, 4, 4}, caps(g, 1), 1,
+			[]VideoDemand{{Video: 0, SizeGB: 1, RateMbps: 2, Js: []int32{0}, Agg: []float64{1}, Conc: [][]float64{{-1}}}}, "non-finite concurrency"},
+		{"NaN concurrency", []float64{4, 4, 4}, caps(g, 1), 1,
+			[]VideoDemand{{Video: 0, SizeGB: 1, RateMbps: 2, Js: []int32{0}, Agg: []float64{1}, Conc: [][]float64{{math.NaN()}}}}, "non-finite concurrency"},
 		{"library too big", []float64{0.1, 0.1, 0.1}, caps(g, 1), 1, okDemand, "aggregate disk"},
 	}
 	for _, c := range cases {

@@ -1,6 +1,7 @@
 package mip
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -120,6 +121,7 @@ func TestApplyDemandDeltaRejects(t *testing.T) {
 		{"office out of range", 3, []int32{0, 5}, []float64{1, 1}, conc2(2), "out of range"},
 		{"offices not ascending", 3, []int32{2, 1}, []float64{1, 1}, conc2(2), "not strictly ascending"},
 		{"negative aggregate", 3, []int32{0, 1}, []float64{1, -1}, conc2(2), "negative demand"},
+		{"infinite concurrency", 3, []int32{0, 1}, []float64{1, 1}, [][]float64{{0, 0}, {0, math.Inf(1)}}, "non-finite concurrency"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,8 +1,12 @@
 package serve
 
 import (
+	"context"
+	"net/http"
+	"reflect"
 	"testing"
 
+	"vodplace/internal/epf"
 	"vodplace/internal/mip"
 	"vodplace/internal/topology"
 )
@@ -142,6 +146,44 @@ func FuzzRouteTable(f *testing.F) {
 					t.Fatalf("Route ok but AppendRoute returned %d: %s", status, buf)
 				}
 			}
+		}
+	})
+}
+
+// FuzzDemandBatch posts arbitrary bodies to POST /demand on a small seeded
+// server whose background resolver is stopped, then runs the re-solve the
+// batch would have kicked on this goroutine. The contract: the handler
+// answers 202, 400 or 413 and nothing else; a refused batch leaves the demand
+// state and the update counter untouched; after an accepted one — whatever
+// its adds sum to — the re-solve neither panics nor fails (the first seed is
+// two finite adds whose sum is +Inf, which used to panic a pool worker).
+func FuzzDemandBatch(f *testing.F) {
+	f.Add([]byte(`[{"video":0,"vho":0,"add":1e308},{"video":0,"vho":0,"add":1e308}]`))
+	f.Add([]byte(`[{"video":0,"vho":0,"add":1e12},{"video":0,"vho":0,"add":1e12},{"video":3,"vho":1,"add":-1e12}]`))
+	f.Add([]byte(`[{"video":1,"vho":2,"add":40},{"video":5,"vho":0,"add":-3}]`))
+	f.Add([]byte(`[{"video":99,"vho":0,"add":1}]`))
+	f.Add([]byte(`[{"video":0,"vho":0,"add":1}] x`))
+	f.Add([]byte(`not json`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		s, err := New(syntheticInstance(t, 12, 4, 2, 1), Config{
+			Solver: epf.Options{Seed: 1, MaxPasses: 40, Epsilon: 0.05, Workers: 2},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Close() // stops the resolver loop; the handlers keep answering
+
+		switch rec := postDemand(s.Handler(), body); rec.Code {
+		case http.StatusAccepted:
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+			if !reflect.DeepEqual(s.state, stateFromInstance(s.base)) || s.dirty || s.Stats().DemandUpdates != 0 {
+				t.Fatalf("batch refused with %d changed the demand state", rec.Code)
+			}
+		default:
+			t.Fatalf("POST /demand answered %d: %s", rec.Code, rec.Body)
+		}
+		if _, err := s.resolveOnce(context.Background()); err != nil {
+			t.Fatalf("re-solve after the batch: %v", err)
 		}
 	})
 }

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -428,6 +430,71 @@ func TestDemandEndpoint(t *testing.T) {
 		if codeJ != 200 || rr.Serve != want {
 			t.Errorf("post-swap route video %d vho %d: code %d serve %d, want 200 serve %d", id, j, codeJ, rr.Serve, want)
 		}
+	}
+}
+
+// postDemand runs one POST /demand through the handler, no listener.
+func postDemand(h http.Handler, body []byte) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/demand", bytes.NewReader(body)))
+	return rec
+}
+
+// TestDemandOverflowRejected: two adds that are each finite but sum past
+// MaxFloat64 used to be accepted, turn the cell into +Inf and panic the next
+// re-solve in a pool worker. The batch is refused whole, the server keeps
+// routing, and the next legitimate batch still swaps; adds at the bound are
+// accepted and the cell saturates there.
+func TestDemandOverflowRejected(t *testing.T) {
+	s := testServer(t, 30, 6, 6)
+	h := s.Handler()
+	snap := s.Snapshot()
+	id := snap.Inst.Demands[0].Video
+
+	batch := func(add float64) []byte {
+		return fmt.Appendf(nil, `[{"video":%[1]d,"vho":0,"add":%[2]g},{"video":%[1]d,"vho":0,"add":%[2]g}]`, id, add)
+	}
+	if rec := postDemand(h, batch(1e308)); rec.Code != http.StatusBadRequest {
+		t.Fatalf("overflowing batch: status %d (%s), want 400", rec.Code, strings.TrimSpace(rec.Body.String()))
+	}
+	if got := s.Stats().DemandUpdates; got != 0 {
+		t.Errorf("refused batch counted as %d accepted updates", got)
+	}
+	s.mu.Lock()
+	untouched := reflect.DeepEqual(s.state, stateFromInstance(s.base)) && !s.dirty
+	s.mu.Unlock()
+	if !untouched {
+		t.Error("refused batch changed the demand state")
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, fmt.Sprintf("/route?video=%d&vho=0", id), nil))
+	if rec.Code != http.StatusOK {
+		t.Errorf("/route after the refused batch: status %d (%s)", rec.Code, strings.TrimSpace(rec.Body.String()))
+	}
+
+	var entries []string
+	for vi := 0; vi < len(snap.Inst.Demands) && vi < 8; vi++ {
+		entries = append(entries, fmt.Sprintf(`{"video":%d,"vho":%d,"add":40}`,
+			snap.Inst.Demands[vi].Video, vi%snap.NumVHOs()))
+	}
+	if rec := postDemand(h, []byte("["+strings.Join(entries, ",")+"]")); rec.Code != http.StatusAccepted {
+		t.Fatalf("legitimate batch: status %d (%s), want 202", rec.Code, strings.TrimSpace(rec.Body.String()))
+	}
+	for deadline := time.Now().Add(30 * time.Second); s.Snapshot().Version < 2; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("no snapshot swap within deadline; stats %+v", s.Stats())
+		}
+	}
+
+	if rec := postDemand(h, batch(maxDemandCell)); rec.Code != http.StatusAccepted {
+		t.Fatalf("batch at the bound: status %d (%s), want 202", rec.Code, strings.TrimSpace(rec.Body.String()))
+	}
+	s.mu.Lock()
+	row := s.state.rows[s.state.byID[id]]
+	agg, drift := row.agg[0], s.state.drift
+	s.mu.Unlock()
+	if agg != maxDemandCell || math.IsInf(drift, 0) {
+		t.Errorf("two adds at the bound left the cell at %g (drift %g), want it saturated at %g", agg, drift, maxDemandCell)
 	}
 }
 

@@ -10,7 +10,8 @@ import (
 
 // DemandUpdate is one streamed demand delta (POST /demand): Add requests
 // for Video at office VHO over the placement horizon. Negative adds decay
-// demand; the state clamps at zero. Concurrency rows scale with the
+// demand; the state clamps at zero (and saturates at maxDemandCell, which
+// also bounds |Add|). Concurrency rows scale with the
 // aggregate through the state's per-slice peak fractions, so an update
 // shifts both the storage objective and the link constraints.
 type DemandUpdate struct {
@@ -54,6 +55,15 @@ type demandState struct {
 	// path and tests driving apply directly alike, feeds it.
 	dirty map[int]struct{}
 }
+
+// maxDemandCell bounds what one demand cell — the aggregate requests, or one
+// slice's peak concurrency, of a (video, office) pair — can hold, and so what
+// one update can add. It sits far above any real demand and far enough below
+// MaxFloat64 that every sum and product the solver forms over cells stays
+// finite: without it two accepted adds of 1e308 sum a cell to +Inf, which the
+// next re-solve prices as NaN. validate rejects a larger |add|; apply
+// saturates the accumulated cells here.
+const maxDemandCell = 1e12
 
 // defaultConcFrac is the per-slice concurrency/aggregate ratio used when
 // the seed instance carries no demand mass to derive one from.
@@ -118,8 +128,8 @@ func (st *demandState) validate(us []DemandUpdate) error {
 		if u.VHO < 0 || u.VHO >= st.n {
 			return fmt.Errorf("entry %d: vho %d out of range [0,%d)", i, u.VHO, st.n)
 		}
-		if math.IsNaN(u.Add) || math.IsInf(u.Add, 0) {
-			return fmt.Errorf("entry %d: non-finite add", i)
+		if math.IsNaN(u.Add) || math.Abs(u.Add) > maxDemandCell {
+			return fmt.Errorf("entry %d: add is not a number within ±%g", i, maxDemandCell)
 		}
 	}
 	return nil
@@ -133,18 +143,17 @@ func (st *demandState) apply(us []DemandUpdate) {
 		st.dirty[ri] = struct{}{}
 		row := &st.rows[ri]
 		prev := row.agg[u.VHO]
-		row.agg[u.VHO] += u.Add
-		if row.agg[u.VHO] < 0 {
-			row.agg[u.VHO] = 0
-		}
+		row.agg[u.VHO] = clampCell(prev + u.Add)
 		st.drift += math.Abs(row.agg[u.VHO] - prev)
 		for t := range row.conc {
-			row.conc[t][u.VHO] += u.Add * st.concFrac[t]
-			if row.conc[t][u.VHO] < 0 {
-				row.conc[t][u.VHO] = 0
-			}
+			row.conc[t][u.VHO] = clampCell(row.conc[t][u.VHO] + u.Add*st.concFrac[t])
 		}
 	}
+}
+
+// clampCell keeps an accumulated demand cell in [0, maxDemandCell].
+func clampCell(v float64) float64 {
+	return max(0, min(v, maxDemandCell))
 }
 
 // newStaging returns a reusable staging demand sized for this state's
