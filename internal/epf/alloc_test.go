@@ -26,8 +26,8 @@ func minAllocsPerRun(f func()) float64 {
 // capacity-bounded in newSolver/initRun, so a regression here means a hot
 // kernel started allocating again (a closure escaping, a slice growing per
 // call) and shows up long before it is visible in wall-clock benchmarks. The
-// pass includes the path-dual delta updates (qPrev snapshot, reverse-incidence
-// scatter) and the per-video warm-start open sets.
+// pass includes the per-chunk path-dual rebuild and the per-video warm-start
+// open sets.
 func TestDescentPassZeroAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")

@@ -94,9 +94,8 @@ func BenchmarkAddBlockRows(b *testing.B) {
 	}
 }
 
-// BenchmarkComputePathDuals measures the per-chunk path-dual refresh against
-// unchanged duals: the moved-row scan every call, the exact rebuild every
-// pdRebuildEvery-th.
+// BenchmarkComputePathDuals measures the per-chunk path-dual refresh: one
+// rebuild of every table entry from the frozen duals.
 func BenchmarkComputePathDuals(b *testing.B) {
 	s := benchSolver(b)
 	s.computeDuals(s.q)

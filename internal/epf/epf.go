@@ -38,9 +38,9 @@
 // The hot kernels run on flat structures: the topology's CSR path table,
 // the instance's dense j-major cost matrix and per-demand sparse slice
 // lists, and a (t,j)-major path-dual transpose, so block pricing walks
-// contiguous memory. The transpose is delta-updated from the links whose
-// price moved, with a periodic exact rebuild, and every block's local search
-// starts from the video's previous open set. See DESIGN.md §8 for the layout
+// contiguous memory. The transpose is rebuilt from the chunk's frozen duals
+// before every use, and every block's local search starts from the video's
+// previous open set. See DESIGN.md §8 for the layout
 // and the determinism constraints the kernels honor.
 package epf
 
@@ -318,11 +318,6 @@ type solver struct {
 	pathDualT []float64
 	costT     []float64 // dense j-major cost table from the instance
 
-	// Incremental pricing state (computePathDuals).
-	qPrev   []float64 // link-row duals the current pathDualT was built from
-	pdInit  bool
-	pdSince int // delta refreshes since the last full rebuild
-
 	// run-loop state, fields so a steady-state pass allocates nothing
 	gammaLnM1  float64
 	perm       []int
@@ -366,14 +361,6 @@ type solver struct {
 	stateLeafFn func(w, tag, lo, hi int)
 	lbSumLeafFn func(w, tag, lo, hi int)
 	gradLeafFn  func(w, tag, lo, hi int)
-
-	// Parallel path-dual rebuild state: the frozen duals staged for the row
-	// fan-out and the once-built row body. Every pathDualT entry is an
-	// independent sum over its own CSR path, so any row partition is
-	// bitwise-identical to the sequential rebuild.
-	pdRebuildQ []float64
-	pdRowFn    func(w, lo, hi int)
-	pdParallel bool // resolved once: pool > 1 worker and table big enough
 
 	// Rounding state (round.go): the candidate block solution and the polish
 	// passes' visiting order. The two seeds share one incumbent (roundBest,
@@ -510,7 +497,6 @@ func newSolver(inst *mip.Instance, opts Options) (*solver, error) {
 	// The dense cost table is (re)validated against (Alpha, Beta) here, on
 	// the driver goroutine, before any fan-out reads it.
 	s.costT = inst.CostColumns()
-	s.qPrev = make([]float64, s.rows)
 	s.ctx = context.Background()
 	s.pool = par.New(o.Workers)
 	s.scratch = par.NewSlots[workerScratch](s.pool)

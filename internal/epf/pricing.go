@@ -7,17 +7,6 @@ import (
 	"vodplace/internal/mip"
 )
 
-// Incremental-pricing tuning. A link row participates in a delta update
-// only when its dual moved by more than pdRelTol relatively; unchanged rows
-// keep their (within-tolerance) stale contribution. pdRebuildEvery bounds
-// the accumulated drift with a periodic exact rebuild, and a refresh where
-// more than a quarter of the link rows moved falls back to a full rebuild —
-// at that density the scattered delta writes cost more than the rebuild.
-const (
-	pdRelTol       = 1e-9
-	pdRebuildEvery = 16
-)
-
 // addBlockRows adds (sign=+1) or removes (sign=-1) block vi's contribution
 // to the coupling-row activities.
 func (s *solver) addBlockRows(vi int, bs *mip.VideoPlacement, sign float64) {
@@ -130,120 +119,26 @@ func (s *solver) refreshDiskDuals(q []float64) {
 	}
 }
 
-// computePathDuals brings pathDualT in sync with q:
-// pathDualT[(t*n+j)*n+i] = Σ_{l ∈ P_ij} q[link(l,t)].
-//
-// Only the link rows whose dual moved beyond pdRelTol push their delta into
-// the affected (i,j) pairs via the topology's reverse incidence lists; a
-// periodic full rebuild (syncPathDuals), byte-identical to summing along
-// each path, bounds the drift.
+// computePathDuals rebuilds pathDualT from q:
+// pathDualT[(t*n+j)*n+i] = Σ_{l ∈ P_ij} q[link(l,t)], summed along the CSR
+// path in link order, 0 on the diagonal. The table is a pure function of q.
 func (s *solver) computePathDuals(q []float64) {
 	if s.T == 0 {
 		return
 	}
-	if !s.pdInit || s.pdSince >= pdRebuildEvery {
-		s.syncPathDuals(q)
-		return
-	}
-	// First sweep: count moved link rows; a dense refresh rebuilds instead.
-	moved := 0
-	for t := 0; t < s.T; t++ {
-		base := s.n + t*s.L
-		for l := 0; l < s.L; l++ {
-			r := base + l
-			if dualMoved(q[r], s.qPrev[r]) {
-				moved++
-			}
-		}
-	}
-	if moved*4 > s.L*s.T {
-		s.syncPathDuals(q)
-		return
-	}
-	n := s.n
-	for t := 0; t < s.T; t++ {
-		base := s.n + t*s.L
-		tn := t * n
-		for l := 0; l < s.L; l++ {
-			r := base + l
-			if !dualMoved(q[r], s.qPrev[r]) {
-				continue
-			}
-			dq := q[r] - s.qPrev[r]
-			for _, p := range s.inst.G.LinkPairs(l) {
-				i, j := int(p)/n, int(p)%n
-				s.pathDualT[(tn+j)*n+i] += dq
-			}
-			s.qPrev[r] = q[r]
-		}
-	}
-	s.pdSince++
-}
-
-// dualMoved reports whether a link dual changed beyond the relative
-// incremental-pricing tolerance.
-func dualMoved(now, prev float64) bool {
-	d := now - prev
-	if d < 0 {
-		d = -d
-	}
-	ref := prev
-	if ref < 0 {
-		ref = -ref
-	}
-	return d > pdRelTol*ref
-}
-
-// syncPathDuals performs a full rebuild and records q as the new baseline.
-func (s *solver) syncPathDuals(q []float64) {
-	s.rebuildPathDuals(q)
-	copy(s.qPrev, q)
-	s.pdInit = true
-	s.pdSince = 0
-}
-
-// rebuildPathDuals recomputes every pathDualT entry from scratch, summing
-// q along each CSR path in link order.
-//
-// Every entry is an independent sum over its own path's links, so the table
-// partitions freely: the rebuild fans (t,i) rows out to the pool when the
-// table is large enough to amortize the dispatch, and the result is
-// bitwise-identical to the sequential sweep at any worker count.
-func (s *solver) rebuildPathDuals(q []float64) {
-	if s.pdParallel {
-		s.pdRebuildQ = q
-		if err := s.pool.Run(s.ctx, s.T*s.n, s.pdRowFn); err == nil {
-			s.pdRebuildQ = nil
-			return
-		}
-		// Pre-cancelled dispatch: fall through to the sequential rebuild so
-		// the table is never left stale for the caller's final report.
-		s.pdRebuildQ = nil
-	}
-	s.rebuildPathDualRows(q, 0, s.T*s.n)
-}
-
-// rebuildPathDualRows rebuilds the (t,i) rows in [lo, hi) of the flattened
-// t·n row space. Both the sequential rebuild and each parallel range call
-// this body, so the per-entry arithmetic is shared by construction.
-func (s *solver) rebuildPathDualRows(q []float64, lo, hi int) {
 	n := s.n
 	links, off := s.inst.G.PathCSR()
-	for row := lo; row < hi; row++ {
-		t, i := row/n, row%n
-		base := s.n + t*s.L
-		tn := t * n
-		in := i * n
+	for t := 0; t < s.T; t++ {
+		base := n + t*s.L
 		for j := 0; j < n; j++ {
-			if i == j {
-				s.pathDualT[(tn+j)*n+i] = 0
-				continue
+			pd := s.pathDualT[(t*n+j)*n : (t*n+j)*n+n]
+			for i := range pd {
+				var sum float64
+				for _, l := range links[off[i*n+j]:off[i*n+j+1]] {
+					sum += q[base+int(l)]
+				}
+				pd[i] = sum
 			}
-			var sum float64
-			for _, l := range links[off[in+j]:off[in+j+1]] {
-				sum += q[base+int(l)]
-			}
-			s.pathDualT[(tn+j)*n+i] = sum
 		}
 	}
 }

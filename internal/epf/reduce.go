@@ -28,15 +28,9 @@ import (
 // onto small instances; production solves always see the constant default.
 var reduceLeafBlocks = 2048
 
-// pdParallelMinEntries gates the parallel path-dual rebuild: below this
-// table size the fan-out dispatch costs more than the sweep. The threshold
-// compares against T·n·n, a function of the instance alone, so the gate
-// never depends on the environment.
-const pdParallelMinEntries = 1 << 14
-
 // initReduce resolves the solve's reduction layout: the fixed leaf spans,
-// their per-leaf partial buffers and leaf bodies, and the parallel path-dual
-// rebuild gate. Runs once in newSolver, before the initial recomputeState.
+// their per-leaf partial buffers and leaf bodies. Runs once in newSolver,
+// before the initial recomputeState.
 func (s *solver) initReduce() {
 	numBlocks := len(s.inst.Demands)
 	for lo := 0; lo < numBlocks; lo += reduceLeafBlocks {
@@ -73,15 +67,6 @@ func (s *solver) initReduce() {
 		}
 		for vi := lo; vi < hi; vi++ {
 			s.accumulateIntRows(vi, &s.lbSols[vi], dst)
-		}
-	}
-	// Parallel path-dual rebuild: every entry is an independent sum, so this
-	// is bitwise-invisible and gates only on there being enough work and
-	// more than one worker to share it.
-	if s.pool.Workers() > 1 && s.T > 0 && s.T*s.n*s.n >= pdParallelMinEntries {
-		s.pdParallel = true
-		s.pdRowFn = func(_, lo, hi int) {
-			s.rebuildPathDualRows(s.pdRebuildQ, lo, hi)
 		}
 	}
 }

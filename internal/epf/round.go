@@ -161,17 +161,14 @@ func (s *solver) thresholdBlock(lp *WarmLP) func(vi int) bool {
 // A refused R must cost its own visits and nothing else, so it works on
 // borrowed state: the visiting order comes from its own stream, the local
 // searches are seeded from the blocks themselves rather than warmOpen
-// (roundWarm, noteRoundSol), and the incremental path-dual baseline is put
-// back before the from-scratch attempt starts — which overwrites every block
-// and rebuilds the activities and the scale itself. Only the incumbent keeps
-// what R found.
+// (roundWarm, noteRoundSol), and the from-scratch attempt overwrites every
+// block and rebuilds the activities, the scale and (every chunk, from its own
+// duals) the path-dual table itself. Only the incumbent keeps what R found.
 func (s *solver) resumePlacement() bool {
 	w := s.opts.Warm
 	if w == nil || w.Assign == nil {
 		return false
 	}
-	pathDualT, qPrev, pdInit, pdSince := slices.Clone(s.pathDualT), slices.Clone(s.qPrev), s.pdInit, s.pdSince
-
 	s.resuming = true
 	s.stats.RoundCarried = s.polishFrom(s.placeBlock, rand.New(rand.NewSource(^s.opts.Seed)), resumePasses)
 	s.resuming = false
@@ -183,9 +180,6 @@ func (s *solver) resumePlacement() bool {
 			return true
 		}
 	}
-	copy(s.pathDualT, pathDualT)
-	copy(s.qPrev, qPrev)
-	s.pdInit, s.pdSince = pdInit, pdSince
 	return false
 }
 

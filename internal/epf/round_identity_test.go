@@ -227,3 +227,34 @@ func TestLoadThresholdRoundMatchesReference(t *testing.T) {
 		t.Fatal("a video missing from the LP point disturbed its neighbours' seeds")
 	}
 }
+
+// TestDeprecatedModeBitsAreInert: Options.IncrementalPricing and
+// Options.ParallelRound are kept only because the frozen benchmark sets them.
+// All four settings must give the same solve, bit for bit, and it must be the
+// recorded one.
+func TestDeprecatedModeBitsAreInert(t *testing.T) {
+	for _, tc := range roundIdentityCases[:2] {
+		var base *Result
+		for _, bits := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
+			opts := tc.opts
+			opts.IncrementalPricing, opts.ParallelRound = bits[0], bits[1]
+			res, err := SolveInteger(tc.inst(t), opts)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if base == nil {
+				base = res
+				if res.Objective != tc.obj || openSetHash(res.Sol) != tc.open {
+					t.Errorf("%s: objective %#v open %#x, recorded %#v %#x", tc.name, res.Objective, openSetHash(res.Sol), tc.obj, tc.open)
+				}
+				continue
+			}
+			if res.Objective != base.Objective || !identicalDuals(res.RowDuals, base.RowDuals) ||
+				openSetHash(res.Sol) != openSetHash(base.Sol) || res.Stats.RoundResolves != base.Stats.RoundResolves {
+				t.Errorf("%s: bits %v changed the solve: objective %#v open %#x resolves %d, zero value gives %#v %#x %d",
+					tc.name, bits, res.Objective, openSetHash(res.Sol), res.Stats.RoundResolves,
+					base.Objective, openSetHash(base.Sol), base.Stats.RoundResolves)
+			}
+		}
+	}
+}

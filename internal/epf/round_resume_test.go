@@ -110,11 +110,12 @@ func lpPhase(t *testing.T, inst *mip.Instance, o Options) (*solver, *WarmLP) {
 }
 
 // The no-leak rule, white box: a resume refused by an impossible reference
-// (0) leaves behind nothing the from-scratch attempt reads. The path-dual
-// baseline, the local-search seeds and the shuffle stream are as the LP phase
-// left them; the point, the activities and the scale are the threshold seed's
-// own from the moment it has loaded. So the attempt visits what it would have
-// visited without the resume and reaches the same best score.
+// (0) leaves behind nothing the from-scratch attempt reads. The local-search
+// seeds and the shuffle stream are as the LP phase left them; the point, the
+// activities and the scale are the threshold seed's own from the moment it
+// has loaded (the path-dual table is rebuilt from the chunk's duals before
+// every use). So the attempt visits what it would have visited without the
+// resume and reaches the same best score.
 func TestRejectedResumeLeavesNoTrace(t *testing.T) {
 	for _, c := range []*warmCase{&smallDelta, &wideDelta} {
 		cold := c.solveCold(t)
@@ -139,10 +140,6 @@ func TestRejectedResumeLeavesNoTrace(t *testing.T) {
 		}
 		borrowed := func(stage string) {
 			t.Helper()
-			if !slices.Equal(tried.pathDualT, clean.pathDualT) || !slices.Equal(tried.qPrev, clean.qPrev) ||
-				tried.pdInit != clean.pdInit || tried.pdSince != clean.pdSince {
-				t.Errorf("%s, %s: path-dual state differs", c.name, stage)
-			}
 			if !reflect.DeepEqual(tried.warmOpen, clean.warmOpen) {
 				t.Errorf("%s, %s: local-search seeds differ", c.name, stage)
 			}

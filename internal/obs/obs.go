@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -174,14 +175,40 @@ type Event struct {
 // progress is the live snapshot behind the /progress endpoint: the latest
 // event per stream plus arbitrary published values (solver stats).
 type progress struct {
-	epf   map[string]EPFPass
-	done  map[string]EPFDone
+	epf   recentMap[EPFPass]
+	done  recentMap[EPFDone]
 	sim   map[string]SimSlice
-	kv    map[string]any
+	kv    recentMap[any]
 	spans []Span
 }
 
 const maxProgressSpans = 64
+
+// maxProgressStreams caps each keyed progress map: a daemon names a stream
+// per re-solve, so without a cap the snapshot grows with every swap.
+const maxProgressStreams = 64
+
+// recentMap holds the maxProgressStreams most recently written keys; order
+// lists them oldest first.
+type recentMap[V any] struct {
+	m     map[string]V
+	order []string
+}
+
+func (c *recentMap[V]) put(k string, v V) {
+	if c.m == nil {
+		c.m = make(map[string]V)
+	}
+	if _, ok := c.m[k]; ok {
+		i := slices.Index(c.order, k)
+		c.order = slices.Delete(c.order, i, i+1)
+	} else if len(c.order) == maxProgressStreams {
+		delete(c.m, c.order[0])
+		c.order = slices.Delete(c.order, 0, 1)
+	}
+	c.order = append(c.order, k)
+	c.m[k] = v
+}
 
 // Recorder is the telemetry hub one process shares: a JSONL event sink
 // (optional), a metrics registry, and the live progress snapshot. All
@@ -210,12 +237,7 @@ func New(trace io.Writer) *Recorder {
 	r := &Recorder{
 		start:   time.Now(),
 		metrics: NewMetrics(),
-		prog: progress{
-			epf:  make(map[string]EPFPass),
-			done: make(map[string]EPFDone),
-			sim:  make(map[string]SimSlice),
-			kv:   make(map[string]any),
-		},
+		prog:    progress{sim: make(map[string]SimSlice)},
 	}
 	if trace != nil {
 		r.w = bufio.NewWriterSize(trace, 1<<16)
@@ -284,8 +306,8 @@ func (r *Recorder) RecordEPFPass(e EPFPass) {
 		return
 	}
 	r.mu.Lock()
-	prev, hadPrev := r.prog.epf[e.Stream]
-	r.prog.epf[e.Stream] = e
+	prev, hadPrev := r.prog.epf.m[e.Stream]
+	r.prog.epf.put(e.Stream, e)
 	if r.w != nil {
 		b := append(r.buf[:0], `{"k":"epf_pass","stream":`...)
 		b = appendJSONString(b, e.Stream)
@@ -352,7 +374,7 @@ func (r *Recorder) RecordEPFDone(e EPFDone) {
 		return
 	}
 	r.mu.Lock()
-	r.prog.done[e.Stream] = e
+	r.prog.done.put(e.Stream, e)
 	if r.w != nil {
 		b := append(r.buf[:0], `{"k":"epf_done","stream":`...)
 		b = appendJSONString(b, e.Stream)
@@ -459,7 +481,7 @@ func (r *Recorder) PublishKV(key string, v any) {
 		return
 	}
 	r.mu.Lock()
-	r.prog.kv[key] = v
+	r.prog.kv.put(key, v)
 	r.mu.Unlock()
 }
 
@@ -480,10 +502,10 @@ func (r *Recorder) ProgressJSON() ([]byte, error) {
 		Spans    []Span              `json:"spans,omitempty"`
 	}{
 		UptimeMS: float64(time.Since(r.start).Nanoseconds()) / 1e6,
-		EPF:      r.prog.epf,
-		Done:     r.prog.done,
+		EPF:      r.prog.epf.m,
+		Done:     r.prog.done.m,
 		Sim:      r.prog.sim,
-		KV:       r.prog.kv,
+		KV:       r.prog.kv.m,
 		Spans:    r.prog.spans,
 	}
 	return json.MarshalIndent(snap, "", "  ")

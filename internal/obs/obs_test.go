@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -276,6 +277,48 @@ func TestRecorderTable(t *testing.T) {
 				t.Fatalf("Close: %v", err)
 			}
 		})
+	}
+}
+
+// TestProgressStreamsAreCapped: a daemon names one stream per re-solve, so the
+// keyed progress maps keep the most recently written streams only. A key that
+// keeps being republished (serve_swap) is never the oldest.
+func TestProgressStreamsAreCapped(t *testing.T) {
+	r := New(nil)
+	const streams = 1000
+	last := ""
+	for v := 1; v <= streams; v++ {
+		last = fmt.Sprintf("serve.v%d", v)
+		r.RecordEPFPass(samplePass(last, 1))
+		r.RecordEPFDone(EPFDone{Stream: last, Passes: 1})
+		r.PublishKV("epf_stats."+last, v)
+		r.PublishKV("serve_swap", v)
+	}
+	b, err := r.ProgressJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap struct {
+		EPF  map[string]json.RawMessage `json:"epf"`
+		Done map[string]json.RawMessage `json:"done"`
+		KV   map[string]json.RawMessage `json:"kv"`
+	}
+	if err := json.Unmarshal(b, &snap); err != nil {
+		t.Fatal(err)
+	}
+	for name, m := range map[string]map[string]json.RawMessage{"epf": snap.EPF, "done": snap.Done, "kv": snap.KV} {
+		if len(m) > maxProgressStreams {
+			t.Errorf("%s holds %d entries after %d streams, cap %d", name, len(m), streams, maxProgressStreams)
+		}
+	}
+	if snap.EPF[last] == nil || snap.Done[last] == nil || snap.KV["epf_stats."+last] == nil {
+		t.Errorf("the latest stream %s is missing from the snapshot", last)
+	}
+	if string(snap.KV["serve_swap"]) != fmt.Sprint(streams) {
+		t.Errorf("serve_swap = %s, want the latest value %d", snap.KV["serve_swap"], streams)
+	}
+	if snap.EPF["serve.v1"] != nil {
+		t.Error("the oldest stream was not evicted")
 	}
 }
 

@@ -57,8 +57,8 @@ type ServeSwap struct {
 	RDelta  int64   `json:"rdelta"`  // route-table entries that changed vs. the previous snapshot
 	BuildMS float64 `json:"buildms"` // snapshot build+publish wall time
 	// Rebuilt/Rows report the snapshot build's delta economy: of the Rows
-	// route rows (one per video), Rebuilt were recomputed and the rest
-	// copied from the previous snapshot. Rebuilt == Rows on a full rebuild;
+	// route rows (one per video), Rebuilt were recomputed (their video's
+	// open set changed) and the rest copied from the previous snapshot;
 	// both zero in traces from pre-delta releases.
 	Rebuilt int64   `json:"rebuilt"`
 	Rows    int64   `json:"rows"`

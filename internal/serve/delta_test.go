@@ -3,10 +3,14 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -127,12 +131,12 @@ func benchmarkResolveDelta(b *testing.B, k int) {
 			b.Fatal(err)
 		}
 		deltaFx.ver++
-		snap, rebuilt, err := buildSnapshotFrom(deltaFx.snap, dirty, deltaFx.inst, deltaFx.sol, deltaFx.ver, true)
+		snap, rebuilt, err := buildSnapshotFrom(deltaFx.snap, deltaFx.inst, deltaFx.sol, deltaFx.ver, true)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if rebuilt != int64(len(dirty)) {
-			b.Fatalf("rebuilt %d rows for %d dirty videos (incremental mode not engaged?)", rebuilt, len(dirty))
+		if rebuilt != 0 {
+			b.Fatalf("rebuilt %d rows with no open set changed (incremental mode not engaged?)", rebuilt)
 		}
 		deltaFx.snap = snap
 	}
@@ -166,7 +170,7 @@ func BenchmarkResolveFull100k(b *testing.B) {
 		}
 		sol := &mip.Solution{Inst: inst, Videos: deltaFx.sol.Videos}
 		deltaFx.ver++
-		if _, _, err := buildSnapshotFrom(nil, nil, inst, sol, deltaFx.ver, true); err != nil {
+		if _, _, err := buildSnapshotFrom(nil, inst, sol, deltaFx.ver, true); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -374,6 +378,7 @@ func TestDeltaSnapshotEquivalence(t *testing.T) {
 		stB.apply(us)
 
 		// Open-set churn for a small subset of videos.
+		prevOpen := append([][]mip.Frac(nil), open...)
 		for x := 0; x < 1+rng.Intn(5); x++ {
 			vi := rng.Intn(videos)
 			k := 1 + rng.Intn(3)
@@ -395,13 +400,19 @@ func TestDeltaSnapshotEquivalence(t *testing.T) {
 			t.Fatalf("round %d: patch: %v", round, err)
 		}
 		vids := buildVids()
-		next, rebuilt, err := buildSnapshotFrom(snapA, dirty, live, &mip.Solution{Inst: live, Videos: vids}, uint64(round+1), true)
+		next, rebuilt, err := buildSnapshotFrom(snapA, live, &mip.Solution{Inst: live, Videos: vids}, uint64(round+1), true)
 		if err != nil {
 			t.Fatalf("round %d: incremental build: %v", round, err)
 		}
 		snapA = next
-		if rebuilt < int64(len(dirty)) {
-			t.Fatalf("round %d: rebuilt %d rows for %d dirty videos", round, rebuilt, len(dirty))
+		changed := 0
+		for vi := range open {
+			if !reflect.DeepEqual(open[vi], prevOpen[vi]) {
+				changed++
+			}
+		}
+		if rebuilt != int64(changed) {
+			t.Fatalf("round %d: rebuilt %d rows, %d videos changed their open set", round, rebuilt, changed)
 		}
 		if rebuilt < int64(videos) {
 			sawPartial = true
@@ -412,7 +423,7 @@ func TestDeltaSnapshotEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: rebuild: %v", round, err)
 		}
-		snapB, fullRows, err := buildSnapshotFrom(nil, nil, instB, &mip.Solution{Inst: instB, Videos: vids}, uint64(round+1), true)
+		snapB, fullRows, err := buildSnapshotFrom(nil, instB, &mip.Solution{Inst: instB, Videos: vids}, uint64(round+1), true)
 		if err != nil {
 			t.Fatalf("round %d: full build: %v", round, err)
 		}
@@ -442,8 +453,8 @@ func TestDeltaMatchesFullResolve(t *testing.T) {
 	}
 	t.Cleanup(s.Close)
 	ids := make([]int, 0, 8)
-	for vi := 0; vi < len(s.base.Demands) && vi < 8; vi++ {
-		ids = append(ids, s.base.Demands[vi].Video)
+	for vi := 0; vi < len(s.live.Demands) && vi < 8; vi++ {
+		ids = append(ids, s.live.Demands[vi].Video)
 	}
 	for round := 1; round <= 3; round++ {
 		us := make([]DemandUpdate, 0, len(ids))
@@ -461,7 +472,7 @@ func TestDeltaMatchesFullResolve(t *testing.T) {
 		if snap.Version != uint64(round+1) {
 			t.Fatalf("round %d: snapshot v%d did not swap (stats %+v)", round, snap.Version, s.Stats())
 		}
-		rebuilt, err := s.state.instance(s.base)
+		rebuilt, err := s.state.instance(s.live)
 		if err != nil {
 			t.Fatalf("round %d: rebuild: %v", round, err)
 		}
@@ -474,6 +485,70 @@ func TestDeltaMatchesFullResolve(t *testing.T) {
 	}
 }
 
+// TestPatchFailureKeepsServing injects the failure resolveOnce's patch error
+// path exists for: a state row the instance refuses. The attempt is counted
+// failed with its reason on /status, the old snapshot keeps serving, and the
+// rows that never reached the instance stay dirty; once the row is repaired
+// the next batch swaps, on an instance equal to the state.instance reference.
+func TestPatchFailureKeepsServing(t *testing.T) {
+	s := testServer(t, 30, 6, 21)
+	s.Close() // stops the resolver loop; the handlers keep answering
+	h := s.Handler()
+	post := func(rows ...int) {
+		t.Helper()
+		us := make([]DemandUpdate, len(rows))
+		for x, vi := range rows {
+			us[x] = DemandUpdate{Video: s.live.Demands[vi].Video, VHO: vi % 6, Add: 40}
+		}
+		body, err := json.Marshal(us)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec := postDemand(h, body); rec.Code != http.StatusAccepted {
+			t.Fatalf("POST /demand: %d %s", rec.Code, rec.Body)
+		}
+	}
+
+	post(0, 1, 2)
+	s.state.rows[1].agg[0] = math.Inf(1)
+	if snap, err := s.resolveOnce(context.Background()); err == nil || snap != nil {
+		t.Fatalf("resolveOnce over an invalid row: snapshot %v, error %v", snap, err)
+	}
+	if st := s.Stats(); st.Failed != 1 || st.ResolvesSwapped != 0 || s.Snapshot().Version != 1 {
+		t.Errorf("after the failed patch: %+v, serving v%d", st, s.Snapshot().Version)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/status", nil))
+	var status statusJSON
+	if err := json.Unmarshal(rec.Body.Bytes(), &status); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(status.LastReject, "demand patch failed") || status.Resolves.Failed != 1 {
+		t.Errorf("/status last_reject %q, resolves.failed %d", status.LastReject, status.Resolves.Failed)
+	}
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, fmt.Sprintf("/route?video=%d&vho=0", s.live.Demands[1].Video), nil))
+	if rec.Code != http.StatusOK {
+		t.Errorf("/route after the failed patch: %d", rec.Code)
+	}
+	// Row 0 was patched before the refusal; rows 1 and 2 were not.
+	if want := map[int]struct{}{1: {}, 2: {}}; !reflect.DeepEqual(s.state.dirty, want) || !s.dirty {
+		t.Errorf("dirty rows %v (flag %v), want %v", s.state.dirty, s.dirty, want)
+	}
+
+	s.state.rows[1].agg[0] = 7
+	post(3)
+	snap, err := s.resolveOnce(context.Background())
+	if err != nil || snap == nil || snap.Version != 2 {
+		t.Fatalf("resolveOnce after the repair: snapshot %v, error %v (stats %+v)", snap, err, s.Stats())
+	}
+	ref, err := s.state.instance(s.live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	equalInstanceDemands(t, s.live, ref)
+}
+
 // TestDeltaResolveRouteRace drives delta resolves (in-place patches of the
 // instance the served snapshot also references) while reader goroutines
 // hammer /route and /placement — the -race proof that patch writes touch
@@ -484,8 +559,8 @@ func TestDeltaResolveRouteRace(t *testing.T) {
 	defer ts.Close()
 
 	ids := make([]int, 0, 10)
-	for vi := 0; vi < len(s.base.Demands) && vi < 10; vi++ {
-		ids = append(ids, s.base.Demands[vi].Video)
+	for vi := 0; vi < len(s.live.Demands) && vi < 10; vi++ {
+		ids = append(ids, s.live.Demands[vi].Video)
 	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

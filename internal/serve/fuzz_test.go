@@ -176,7 +176,7 @@ func FuzzDemandBatch(f *testing.F) {
 		switch rec := postDemand(s.Handler(), body); rec.Code {
 		case http.StatusAccepted:
 		case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
-			if !reflect.DeepEqual(s.state, stateFromInstance(s.base)) || s.dirty || s.Stats().DemandUpdates != 0 {
+			if !reflect.DeepEqual(s.state, stateFromInstance(s.live)) || s.dirty || s.Stats().DemandUpdates != 0 {
 				t.Fatalf("batch refused with %d changed the demand state", rec.Code)
 			}
 		default:

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"expvar"
 	"fmt"
-	"sort"
 	"time"
 
 	"vodplace/internal/epf"
@@ -65,13 +64,13 @@ func solveOutcome(done *obs.ServeResolve, res *epf.Result, videos int) {
 // solves it (warm-started from the last swapped-in solve),
 // audits the result, and — only if the audit passes and the solve converged
 // — swaps a new snapshot in. It patches just the demand-dirty videos of the
-// live instance in place (state.patchInstance) and hands the incremental
-// snapshot build the set of videos dirtied since the published snapshot, so
-// both the instance refresh and the route-table build cost O(changed)
-// instead of O(catalog); a patch failure falls back to the full re-stream,
-// which is bit-identical (DESIGN.md §15). On any rejection the old snapshot
-// keeps serving, the matching counter is incremented, and the reject reason
-// is kept for /status; a cancellation (shutdown) discards the partial solve.
+// live instance in place (state.patchInstance) and the incremental snapshot
+// build recomputes only the route rows whose open set changed, so both the
+// instance refresh and the route-table build cost O(changed) instead of
+// O(catalog) (DESIGN.md §15); a row the instance refuses fails the attempt
+// and stays dirty. On any rejection the old snapshot keeps serving, the
+// matching counter is incremented, and the reject reason is kept for
+// /status; a cancellation (shutdown) discards the partial solve.
 // The whole attempt is bracketed by serve_resolve start/done trace events
 // (done carries the dirty count and rows rebuilt), and a swap additionally
 // emits serve_swap with the route-table churn and delta economy. Returns the
@@ -85,50 +84,20 @@ func (s *Server) resolveOnce(ctx context.Context) (*Snapshot, error) {
 	s.dirty = false
 	dirty := s.state.drainDirty()
 	catalog := len(s.state.rows)
-	var inst *mip.Instance
-	var err error
-	delta := s.live != nil
-	if delta {
-		inst = s.live
-		if perr := s.state.patchInstance(inst, dirty); perr != nil {
-			// Should not happen — the state already validated these rows —
-			// but a half-applied patch is recoverable: fall back to the full
-			// rebuild, which replaces the live instance wholesale.
-			s.logf("serve: demand patch failed, rebuilding from scratch: %v", perr)
-			delta = false
-		}
+	inst := s.live
+	err := s.state.patchInstance(inst, dirty)
+	if err != nil {
+		// Should not happen — the state already validated these rows. The
+		// refused row and those after it are dirty again (patchInstance),
+		// so the next attempt retries them.
+		s.dirty = true
 	}
-	if !delta {
-		inst, err = s.state.instance(s.base)
-		if err == nil {
-			s.live = inst
-		} else {
-			// The drained dirty rows never reached an instance; drop the
-			// stale live so the next attempt rebuilds rather than patching
-			// an instance that missed them.
-			s.live = nil
-		}
-	}
-	// Remember what this attempt dirtied until a snapshot actually
-	// publishes: a rejected attempt leaves its patches in the live
-	// instance, so the next successful build must still treat those rows
-	// as suspect.
-	for _, vi := range dirty {
-		s.snapDirty[vi] = struct{}{}
-	}
-	snapDirty := make([]int, 0, len(s.snapDirty))
-	for vi := range s.snapDirty {
-		snapDirty = append(snapDirty, vi)
-	}
-	sort.Ints(snapDirty)
 	warm := s.warm
 	driftAtSolve := s.state.drift
 	s.mu.Unlock()
 	s.resolvesStarted.Add(1)
-	if delta && catalog > 0 {
+	if catalog > 0 {
 		s.deltaGauge.Set(float64(len(dirty)) / float64(catalog))
-	} else {
-		s.deltaGauge.Set(1)
 	}
 
 	cur := s.store.Load()
@@ -153,8 +122,8 @@ func (s *Server) resolveOnce(ctx context.Context) (*Snapshot, error) {
 		}
 	}
 	if err != nil {
-		reject(s.resolvesFailed, "failed", "rebuild failed: "+err.Error())
-		return nil, fmt.Errorf("serve: rebuilding instance: %w", err)
+		reject(s.resolvesFailed, "failed", "demand patch failed: "+err.Error())
+		return nil, fmt.Errorf("serve: patching demand: %w", err)
 	}
 
 	if s.cfg.UpdateWeight > 0 {
@@ -200,7 +169,7 @@ func (s *Server) resolveOnce(ctx context.Context) (*Snapshot, error) {
 	}
 
 	tBuild := time.Now()
-	snap, rebuilt, err := buildSnapshotFrom(cur, snapDirty, inst, res.Sol, cur.Version+1, true)
+	snap, rebuilt, err := buildSnapshotFrom(cur, inst, res.Sol, cur.Version+1, true)
 	if err != nil {
 		reject(s.resolvesFailed, "failed", "snapshot build failed: "+err.Error())
 		return nil, fmt.Errorf("serve: building snapshot: %w", err)
@@ -213,8 +182,6 @@ func (s *Server) resolveOnce(ctx context.Context) (*Snapshot, error) {
 	s.mu.Lock()
 	s.warm = res.Warm
 	s.lastSwapped, s.lastGap = done, res.Gap
-	// The published snapshot now reflects every row dirtied so far.
-	clear(s.snapDirty)
 	// The swap covered the demand mass captured at solve start; whatever
 	// arrived since stays counted as drift against the new snapshot.
 	s.state.drift -= driftAtSolve

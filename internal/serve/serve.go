@@ -54,8 +54,7 @@ type Config struct {
 // the HTTP handlers over it, and the background resolver that folds demand
 // updates into audited re-placements.
 type Server struct {
-	cfg  Config
-	base *mip.Instance // capacities/topology template for rebuilds
+	cfg Config
 
 	store atomic.Pointer[Snapshot]
 
@@ -63,18 +62,12 @@ type Server struct {
 	state *demandState
 	warm  *epf.WarmState
 	dirty bool
-	// live is the instance re-solves run on. The delta path patches its
-	// dirty demand rows in place (mip.ApplyDemandDelta) instead of
-	// re-streaming the catalog; a full rebuild (after a patch failure)
-	// replaces it wholesale. Only the resolver goroutine mutates
-	// it, and only demand-side fields — the identity fields snapshot
+	// live is the instance re-solves run on: the one the server was built
+	// on, its dirty demand rows patched in place (mip.ApplyDemandDelta)
+	// instead of re-streaming the catalog. Only the resolver goroutine
+	// mutates it, and only demand-side fields — the identity fields snapshot
 	// readers touch are immutable under a patch.
 	live *mip.Instance
-	// snapDirty accumulates the videos dirtied since the published
-	// snapshot was built — across rejected resolve attempts, whose patches
-	// stick to live without publishing — and is cleared on a swap. It is
-	// the invalidation list handed to the incremental snapshot build.
-	snapDirty map[int]struct{}
 	// lastSwapped is the done event of the most recent swapped-in solve (the
 	// initial one included) and lastGap its duality gap; lastReject explains
 	// the most recent rejected one ("" until a re-solve is rejected). Both
@@ -104,8 +97,8 @@ type Server struct {
 	resolvesCancel  *expvar.Int
 	resolvesFailed  *expvar.Int
 	// deltaGauge is serve.delta_fraction: the dirty-video fraction of the
-	// most recent resolve attempt (1 when the attempt fell back to a full
-	// rebuild), the signal EXPERIMENTS.md correlates with resolve latency.
+	// most recent resolve attempt, the signal EXPERIMENTS.md correlates with
+	// resolve latency.
 	deltaGauge *expvar.Float
 
 	// Per-endpoint request instruments, exposed via /metrics. reqStats fixes
@@ -163,11 +156,9 @@ func NewWithResult(inst *mip.Instance, res *epf.Result, cfg Config) (*Server, er
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:       cfg,
-		base:      inst,
 		state:     stateFromInstance(inst),
 		warm:      res.Warm,
 		live:      inst,
-		snapDirty: make(map[int]struct{}),
 		lastGap:   res.Gap,
 		resolveCh: make(chan struct{}, 1),
 		cancel:    cancel,

@@ -461,7 +461,7 @@ func TestDemandOverflowRejected(t *testing.T) {
 		t.Errorf("refused batch counted as %d accepted updates", got)
 	}
 	s.mu.Lock()
-	untouched := reflect.DeepEqual(s.state, stateFromInstance(s.base)) && !s.dirty
+	untouched := reflect.DeepEqual(s.state, stateFromInstance(s.live)) && !s.dirty
 	s.mu.Unlock()
 	if !untouched {
 		t.Error("refused batch changed the demand state")

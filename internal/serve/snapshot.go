@@ -63,22 +63,20 @@ type Snapshot struct {
 // and unsorted open lists are tolerated, and videos without any open copy
 // get the unreachable sentinel rather than a default office.
 func buildSnapshot(inst *mip.Instance, sol *mip.Solution, version uint64, certified bool) (*Snapshot, error) {
-	s, _, err := buildSnapshotFrom(nil, nil, inst, sol, version, certified)
+	s, _, err := buildSnapshotFrom(nil, inst, sol, version, certified)
 	return s, err
 }
 
 // buildSnapshotFrom is buildSnapshot with an incremental mode: when prev is
 // a snapshot built on the same instance value (pointer identity — the
 // resolver's patched live instance), route rows are copied from prev instead
-// of recomputed for every video whose thresholded open set is unchanged and
-// whose demand is not in dirty (ascending video indices). An unchanged open
-// set makes the recomputation bit-identical to the copy — the row depends
-// only on the open set and the immutable cost matrix — so the incremental
-// result is byte-for-byte the full rebuild's; the dirty list is the
-// belt-and-braces invalidation for rows whose demand moved under the same
-// open set. Returns the snapshot and the number of rows actually recomputed
-// (== the video count on a full build).
-func buildSnapshotFrom(prev *Snapshot, dirty []int, inst *mip.Instance, sol *mip.Solution, version uint64, certified bool) (*Snapshot, int64, error) {
+// of recomputed for every video whose thresholded open set is unchanged. The
+// row depends only on the open set and the immutable cost matrix — demand
+// never enters — so the copy is bit-identical to the recomputation and the
+// incremental result is byte-for-byte the full rebuild's. Returns the
+// snapshot and the number of rows actually recomputed: the videos whose open
+// set changed (== the video count on a full build).
+func buildSnapshotFrom(prev *Snapshot, inst *mip.Instance, sol *mip.Solution, version uint64, certified bool) (*Snapshot, int64, error) {
 	if inst == nil || sol == nil {
 		return nil, 0, fmt.Errorf("serve: nil instance or solution")
 	}
@@ -138,7 +136,6 @@ func buildSnapshotFrom(prev *Snapshot, dirty []int, inst *mip.Instance, sol *mip
 	// per-destination scan is skipped on a reused row.
 	var rebuilt int64
 	var open []int32
-	di := 0
 	for vi := range sol.Videos {
 		open = open[:0]
 		for _, f := range sol.Videos[vi].Open {
@@ -154,15 +151,9 @@ func buildSnapshotFrom(prev *Snapshot, dirty []int, inst *mip.Instance, sol *mip
 		s.openOff[vi+1] = int32(len(s.openIdx))
 
 		row := s.route[vi*n : (vi+1)*n]
-		if incr {
-			for di < len(dirty) && dirty[di] < vi {
-				di++
-			}
-			isDirty := di < len(dirty) && dirty[di] == vi
-			if !isDirty && openSetEqual(open, prev.openIdx[prev.openOff[vi]:prev.openOff[vi+1]]) {
-				copy(row, prev.route[vi*n:(vi+1)*n])
-				continue
-			}
+		if incr && openSetEqual(open, prev.openIdx[prev.openOff[vi]:prev.openOff[vi+1]]) {
+			copy(row, prev.route[vi*n:(vi+1)*n])
+			continue
 		}
 		rebuilt++
 		if len(open) == 0 {

@@ -247,12 +247,17 @@ func (st *demandState) drainDirty() []int {
 // re-streaming the whole catalog. inst must have been built from this state
 // (row order == video index order); rows are extracted with the same
 // fillStaging keep-filter the full rebuild uses, so a patched instance is
-// bit-identical to a rebuilt one.
+// bit-identical to a rebuilt one. A row the instance refuses is left as it
+// was (ApplyDemandDelta changes nothing on error): it and the rows after it
+// go back on the dirty list for the next attempt.
 func (st *demandState) patchInstance(inst *mip.Instance, dirty []int) error {
 	staging := st.newStaging()
-	for _, vi := range dirty {
+	for k, vi := range dirty {
 		st.fillStaging(vi, &staging)
 		if err := inst.ApplyDemandDelta(vi, staging.Js, staging.Agg, staging.Conc); err != nil {
+			for _, un := range dirty[k:] {
+				st.dirty[un] = struct{}{}
+			}
 			return fmt.Errorf("video %d: %w", st.rows[vi].video, err)
 		}
 	}

@@ -35,12 +35,6 @@ type Graph struct {
 	// slices keeps the solver's path walks on contiguous cache lines.
 	pathLinks []int32
 	pathOff   []int32 // len n*n+1
-	// Reverse incidence, also CSR: the ordered pairs p = i*n+j whose route
-	// uses directed link l are pairLinks[pairOff[l]:pairOff[l+1]], ascending.
-	// Incremental dual-pricing kernels use it to propagate a single link's
-	// price change to exactly the affected path sums.
-	pairLinks []int32
-	pairOff   []int32 // len NumLinks()+1
 	built     bool
 }
 
@@ -167,32 +161,8 @@ func (g *Graph) Build() error {
 			g.pathOff[src*g.n+dst+1] = int32(len(g.pathLinks))
 		}
 	}
-	g.buildReverseIncidence()
 	g.built = true
 	return nil
-}
-
-// buildReverseIncidence fills pairLinks/pairOff from the routing table: for
-// every directed link, the ascending list of pairs whose path crosses it.
-func (g *Graph) buildReverseIncidence() {
-	L := len(g.links)
-	counts := make([]int32, L+1)
-	for _, l := range g.pathLinks {
-		counts[l+1]++
-	}
-	g.pairOff = counts
-	for l := 0; l < L; l++ {
-		g.pairOff[l+1] += g.pairOff[l]
-	}
-	g.pairLinks = make([]int32, len(g.pathLinks))
-	next := make([]int32, L)
-	copy(next, g.pairOff[:L])
-	for p := 0; p < g.n*g.n; p++ {
-		for _, l := range g.pathLinks[g.pathOff[p]:g.pathOff[p+1]] {
-			g.pairLinks[next[l]] = int32(p)
-			next[l]++
-		}
-	}
 }
 
 // mustBuild panics on Build failure; used by generators that construct
@@ -228,15 +198,6 @@ func (g *Graph) PathCSR() (links, off []int32) {
 		panic("topology: PathCSR before Build")
 	}
 	return g.pathLinks, g.pathOff
-}
-
-// LinkPairs returns the ordered pairs p = i*n+j whose fixed route uses
-// directed link l, ascending. The caller must not modify the returned slice.
-func (g *Graph) LinkPairs(l int) []int32 {
-	if !g.built {
-		panic("topology: LinkPairs before Build")
-	}
-	return g.pairLinks[g.pairOff[l]:g.pairOff[l+1]:g.pairOff[l+1]]
 }
 
 // Hops returns |P_ij|, the hop count of the fixed route from i to j.
