@@ -22,7 +22,7 @@ TRACE_SMOKE_ARGS := -videos 60 -vhos 8 -passes 40 -seed 1
 # audit-gated snapshot swap during the 2s run.
 SERVE_SMOKE_ARGS := -videos 60 -vhos 8 -passes 200 -eps 0.02 -seed 1
 
-.PHONY: build vet test race check bench bench-check bench-pairs bench-json bench-cores fuzz cover fmt fmt-check clean trace-smoke goldens serve-smoke
+.PHONY: build vet test race check bench bench-check bench-pairs bench-counts bench-json bench-cores fuzz cover fmt fmt-check clean trace-smoke goldens serve-smoke
 
 build:
 	$(GO) build ./...
@@ -79,6 +79,49 @@ bench-pairs:
 	for w in $(or $(WORKLOAD),$(WORKLOADS)); do \
 		bash bench/run.sh --compare parent.$$w.out change.$$w.out || exit 1; \
 	done
+
+# "Same bits", mechanically: for every workload, one traced run (the exact-
+# repeat counts) and one untraced run (objective_gb, which a traced run does
+# not print) in PARENT and in this checkout, kept in counts.<side>.<workload>.out
+# here; then a parent | change table of the counts that say the solver did the
+# same work and served the same placement. Exits 1 if any differs, except
+# epf.lb_block_solves — the bound side's work, the one count a change to the
+# bound step is allowed to move.
+#   make bench-counts PARENT=/root/scratch/parent [WORKLOAD=mixed-wide] [UPDATE_SEED=2]
+COUNTS := epf.passes epf.blocks_optimized epf.line_searches epf.round_resolves \
+	epf.lb_block_solves epf.converged_ratio epf.replay_mismatch \
+	serve.audit_rejected serve.unconverged objective_gb
+bench-counts:
+	@[ -f "$(PARENT)/bench/run.sh" ] || { echo "bench-counts: PARENT=<checkout of the parent commit>"; exit 2; }
+	@change=$$PWD; files=; for w in $(or $(WORKLOAD),$(WORKLOADS)); do \
+		for side in parent change; do \
+			dir=$$change; [ $$side = parent ] && dir=$(PARENT); \
+			for trace in 1 0; do \
+				(cd $$dir && bash bench/run.sh --workload $$w --seed 1 --seconds 25 --trace $$trace \
+					$(if $(UPDATE_SEED),--update-seed $(UPDATE_SEED))) || exit 1; \
+			done > counts.$$side.$$w.out; \
+			files="$$files counts.$$side.$$w.out"; \
+			echo "$$w: $$side done"; \
+		done; \
+	done; \
+	awk -v names="$(COUNTS)" ' \
+		BEGIN { n = split(names, want, " "); for (i = 1; i <= n; i++) is[want[i]] = 1 } \
+		FNR == 1 { split(FILENAME, f, "."); side = f[2]; w = f[3]; if (!(w in seen)) { seen[w] = 1; ws[++nw] = w } } \
+		$$1 in is { v[side, w, $$1] = $$2 } \
+		END { \
+			for (k = 1; k <= nw; k++) { \
+				w = ws[k]; printf "%s\n  %-24s %16s %16s\n", w, "count", "parent", "change"; \
+				for (i = 1; i <= n; i++) { \
+					m = want[i]; p = v["parent", w, m]; c = v["change", w, m]; mark = ""; \
+					if (p == "" || p != c) { \
+						if (p != "" && c != "" && m == "epf.lb_block_solves") mark = "  (bound side: may move)"; \
+						else { mark = "  DIFFERS"; bad = 1 } \
+					} \
+					printf "  %-24s %16s %16s%s\n", m, p, c, mark; \
+				} \
+			} \
+			exit bad \
+		}' $$files
 
 # Refresh the committed benchmark records. The old files' numbers roll over
 # into the new records' "baseline" sections, so after an optimization each
@@ -197,6 +240,6 @@ fmt-check:
 clean:
 	rm -rf .bench_build coverage.out
 	rm -f trace-smoke.jsonl trace-smoke.out *.smoke
-	rm -f parent.*out change.*out
+	rm -f parent.*out change.*out counts.*.out
 	rm -f serve-smoke.addr serve-smoke.json serve-smoke.log serve-smoke.out \
 		serve-smoke.trace.jsonl serve-smoke.prom serve-smoke.telemetry.out

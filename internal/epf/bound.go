@@ -1,6 +1,9 @@
 package epf
 
-import "math"
+import (
+	"math"
+	"time"
+)
 
 // lagrangianBound computes LR(λ) = Σ_k LB_k(λ) − Σ_r λ_r·b_r with the given
 // normalized duals, using per-block dual-ascent lower bounds so the result
@@ -22,6 +25,8 @@ func (s *solver) lagrangianBound(q []float64) float64 {
 // can never corrupt the solve. The returned gradient is solver-owned
 // scratch, valid until the next call.
 func (s *solver) lagrangianEval(q []float64, wantGrad bool) (float64, []float64) {
+	start := time.Now()
+	defer func() { s.stats.LBTime += time.Since(start) }()
 	s.computePathDuals(q)
 	s.stats.LBEvals++
 	numBlocks := len(s.sol)
@@ -108,6 +113,7 @@ func (s *solver) polishLB() {
 		if lr > s.lb {
 			s.lb = lr
 			s.lbStall = 0
+			s.stats.LBRaised++
 			copy(s.lbDuals, s.qLB) // before the ascent step mutates qLB
 		}
 		eta := 0.5 / (1 + float64(s.polishes) + float64(it))

@@ -172,6 +172,7 @@ func (s *solver) initDescent() {
 	s.delta = math.Max(math.Max(dc, r0), s.opts.Epsilon/2)
 	s.alpha = s.gammaLnM1 / s.delta
 	s.seedWarmDescent()
+	s.lbStart = s.lb
 }
 
 // run executes Algorithm 1's main loop and leaves the solver on the
@@ -208,7 +209,7 @@ passes:
 			s.haveUB = true
 		}
 		if s.done(o.Epsilon) {
-			s.recordPass(pass)
+			s.endPass(pass)
 			break
 		}
 
@@ -265,6 +266,7 @@ passes:
 			if bestLR > s.lb+1e-12*math.Abs(s.lb) {
 				s.lb = bestLR
 				s.lbStall = 0
+				s.stats.LBRaised++
 				for r := range s.lbDuals {
 					s.lbDuals[r] = bestScale * s.q[r]
 				}
@@ -272,26 +274,29 @@ passes:
 				s.lbStall++
 			}
 			// When the potential-derived duals stop improving the bound,
-			// polish the dual vector directly with subgradient ascent.
+			// polish the dual vector directly with subgradient ascent. While
+			// the bound is still the one the descent started from (the carried
+			// duals' on a re-solve), one round that fails to raise it is the
+			// last until something does: after a demand delta the old prices
+			// stay the best prices until the primal has moved, and the polish
+			// ascends from this solve's duals, which trail them. Once the
+			// solve has raised its own bound, repeated rounds are one
+			// continuing ascent and keep their cadence.
 			if s.lbStall >= 3 {
-				s.polishLB()
+				if s.lb > s.lbStart || s.polishes == 0 {
+					before := s.stats.LBTime
+					s.polishLB()
+					s.stats.PolishTime += s.stats.LBTime - before
+				}
 				s.lbStall = 0
 			}
 			s.retargetB()
-			if s.done(o.Epsilon) {
-				s.recordPass(pass)
-				break
-			}
 		}
 
-		if o.OnPass != nil {
-			dc, _ := s.maxCouplingViol()
-			o.OnPass(PassInfo{
-				Pass: pass, Objective: s.obj, LowerBound: s.lb,
-				MaxViol: dc, Delta: s.delta, UpperBound: s.ub,
-			})
+		s.endPass(pass)
+		if s.done(o.Epsilon) {
+			break
 		}
-		s.recordPass(pass)
 	}
 	if pass > o.MaxPasses {
 		pass = o.MaxPasses
@@ -307,6 +312,20 @@ passes:
 	s.stats.LPTime = time.Since(lpStart)
 	s.opts.Recorder.RecordSpan(s.opts.TraceStream, "descent", s.stats.LPTime)
 	return pass, converged
+}
+
+// endPass is the per-pass epilogue: every pass the loop completes, the one
+// that meets the termination criterion included, reaches Options.OnPass and
+// the recorder through here.
+func (s *solver) endPass(pass int) {
+	if s.opts.OnPass != nil {
+		dc, _ := s.maxCouplingViol()
+		s.opts.OnPass(PassInfo{
+			Pass: pass, Objective: s.obj, LowerBound: s.lb,
+			MaxViol: dc, Delta: s.delta, UpperBound: s.ub,
+		})
+	}
+	s.recordPass(pass)
 }
 
 // recordPass emits one per-pass telemetry event: the convergence state the

@@ -280,6 +280,7 @@ type solver struct {
 	qLB      []float64 // persistent polished dual vector (nil until first polish)
 	lbDuals  []float64 // dual vector that achieved the best lower bound so far
 	lbStall  int       // passes since the lower bound last improved
+	lbStart  float64   // the bound the descent started from (initDescent)
 	polishes int       // completed polish rounds (decays the ascent step)
 
 	// Shared execution runtime: one pool per solve, per-worker scratch

@@ -121,6 +121,10 @@ func TestFastModeWorkerShardInvariance(t *testing.T) {
 			if !identicalSolutions(base.Sol, res.Sol) {
 				t.Errorf("workers=%d shards=%d: rounded solutions differ from baseline", workers, shards)
 			}
+			if a, b := base.Stats, res.Stats; a.Polishes != b.Polishes || a.LBEvals != b.LBEvals || a.LBRaised != b.LBRaised {
+				t.Errorf("workers=%d shards=%d: %d polish rounds, %d lb evals, %d raised vs baseline %d, %d, %d",
+					workers, shards, b.Polishes, b.LBEvals, b.LBRaised, a.Polishes, a.LBEvals, a.LBRaised)
+			}
 		}
 	}
 }

@@ -11,15 +11,13 @@ import (
 	"vodplace/internal/verify"
 )
 
-// scaleDemand multiplies video vi's demand by f in place, keeping its demand
-// offices (the shape of a serving-plane demand update).
-func scaleDemand(t *testing.T, inst *mip.Instance, vi int, f float64) {
+// patchDemand rewrites video vi's demand in place, keeping its demand offices
+// (the shape of a serving-plane demand update): edit gets dense copies of the
+// per-office aggregates and of each slice's per-office concurrency.
+func patchDemand(t testing.TB, inst *mip.Instance, vi int, edit func(agg []float64, conc [][]float64)) {
 	t.Helper()
 	d := &inst.Demands[vi]
-	agg := make([]float64, len(d.Js))
-	for k := range agg {
-		agg[k] = d.Agg[k] * f
-	}
+	agg := slices.Clone(d.Agg)
 	conc := make([][]float64, inst.Slices)
 	for s := range conc {
 		conc[s] = make([]float64, len(d.Js))
@@ -27,12 +25,49 @@ func scaleDemand(t *testing.T, inst *mip.Instance, vi int, f float64) {
 	for k := range d.Js {
 		ts, vs := d.ConcNZ(k)
 		for x, s := range ts {
-			conc[s][k] = math.Ceil(vs[x] * f)
+			conc[s][k] = vs[x]
 		}
 	}
+	edit(agg, conc)
 	if err := inst.ApplyDemandDelta(vi, d.Js, agg, conc); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// scaleDemand multiplies video vi's demand by f.
+func scaleDemand(t testing.TB, inst *mip.Instance, vi int, f float64) {
+	t.Helper()
+	patchDemand(t, inst, vi, func(agg []float64, conc [][]float64) {
+		for k := range agg {
+			agg[k] *= f
+		}
+		for _, row := range conc {
+			for k := range row {
+				row[k] = math.Ceil(row[k] * f)
+			}
+		}
+	})
+}
+
+// patchedPair solves a seeded random instance cold and returns that result
+// with a second copy of the instance that patch has edited: the two halves of
+// a warm re-solve fixture.
+func patchedPair(t testing.TB, seed int64, shape verify.InstanceOpts, opts epf.Options, patch func(inst *mip.Instance)) (*epf.Result, *mip.Instance) {
+	t.Helper()
+	base, err := verify.RandomInstance(seed, shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev, err := epf.SolveInteger(base, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := verify.RandomInstance(seed, shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	patch(inst)
+	return prev, inst
 }
 
 // TestResumeEconomy is the resume contract on the differential corpus: after

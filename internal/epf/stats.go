@@ -38,6 +38,10 @@ type Stats struct {
 	LBEvals int64
 	// Polishes counts subgradient dual-polish rounds.
 	Polishes int
+	// LBRaised counts the evaluations — a pass's scale search, or one polish
+	// iteration — that raised the bound over the one the descent started
+	// from. LBRaised against LBEvals is the bound side's useful-outcome ratio.
+	LBRaised int64
 	// WarmStartTries / WarmStartHits report the facility-location warm-start
 	// economy: block solves seeded from the video's previous open set, and
 	// the subset where that seed's local optimum beat the cold start.
@@ -64,6 +68,10 @@ type Stats struct {
 	InitTime  time.Duration
 	LPTime    time.Duration
 	RoundTime time.Duration
+	// LBTime is wall time inside LR(λ) evaluations, a subset of LPTime, and
+	// PolishTime the part of LBTime spent in dual-polish rounds.
+	LBTime     time.Duration
+	PolishTime time.Duration
 	// RoundResolves counts the rounding phase's block solves: every visit of
 	// a polish pass re-prices disk and solves the video's block at the live
 	// duals.
@@ -115,8 +123,9 @@ func (st Stats) String() string {
 	if st.Shards > 1 {
 		fmt.Fprintf(&b, "shards %d\n", st.Shards)
 	}
-	fmt.Fprintf(&b, "blocks optimized %d, lb block solves %d, lb evals %d, polish rounds %d\n",
-		st.BlocksOptimized, st.LBBlockSolves, st.LBEvals, st.Polishes)
+	fmt.Fprintf(&b, "blocks optimized %d, lb block solves %d\n", st.BlocksOptimized, st.LBBlockSolves)
+	fmt.Fprintf(&b, "lb evals %d (%d raised it), polish rounds %d, bound %.0f ms of lp %.0f ms\n",
+		st.LBEvals, st.LBRaised, st.Polishes, 1e3*st.LBTime.Seconds(), 1e3*st.LPTime.Seconds())
 	fmt.Fprintf(&b, "dual refreshes %d, line searches %d\n", st.DualRefreshes, st.LineSearches)
 	if st.WarmStartTries > 0 {
 		fmt.Fprintf(&b, "warm starts: %d tried, %d won\n", st.WarmStartTries, st.WarmStartHits)

@@ -157,6 +157,7 @@ type Event struct {
 	ResumedFrac  float64 `json:"resumedfrac"`
 	SolveMS      float64 `json:"solvems"`
 	LPMS         float64 `json:"lpms"`
+	LBMS         float64 `json:"lbms"`
 	RoundMS      float64 `json:"roundms"`
 	Round        string  `json:"round"`
 	RoundRatio   float64 `json:"roundratio"`

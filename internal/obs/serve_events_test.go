@@ -16,7 +16,7 @@ func TestServeEventsRoundTrip(t *testing.T) {
 	r.RecordServeResolve(ServeResolve{
 		Phase: "done", Version: 2, Trigger: "demand", Verdict: "swapped",
 		WarmFrac: 0.75, ResumedFrac: 0.5, Passes: 12, SolveMS: 34.5, AuditMS: 1.25, BuildMS: 0.5,
-		LPMS: 4.5, RoundMS: 29, Round: "rejected", RoundRatio: 1.24, RoundRef: 1.117,
+		LPMS: 4.5, LBMS: 2.25, RoundMS: 29, Round: "rejected", RoundRatio: 1.24, RoundRef: 1.117,
 	})
 	r.RecordServeResolve(ServeResolve{
 		Phase: "done", Version: 3, Trigger: "demand", Verdict: "audit_rejected",
@@ -48,6 +48,9 @@ func TestServeEventsRoundTrip(t *testing.T) {
 		done.LPMS != 4.5 || done.RoundMS != 29 ||
 		done.Round != "rejected" || done.RoundRatio != 1.24 || done.RoundRef != 1.117 {
 		t.Errorf("done event %+v", done)
+	}
+	if done.LBMS != 2.25 {
+		t.Errorf("done event lbms %v, want 2.25", done.LBMS)
 	}
 	rej := events[2]
 	if rej.Verdict != "audit_rejected" || rej.Reason != "audit: coupling row violated" || rej.Round != "" {

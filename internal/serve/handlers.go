@@ -220,8 +220,10 @@ type statusJSON struct {
 	LastPasses int     `json:"last_passes"`
 	LastGapPct float64 `json:"last_gap_pct"`
 	// LastLPMS and LastRoundMS say where the last swapped-in solve spent its
-	// time: the LP descent and the integer rounding + polish.
+	// time: the LP descent and the integer rounding + polish. LastLBMS is the
+	// part of the descent spent evaluating Lagrangian bounds.
 	LastLPMS    float64 `json:"last_lp_ms"`
+	LastLBMS    float64 `json:"last_lb_ms"`
 	LastRoundMS float64 `json:"last_round_ms"`
 	// ResumedFrac is the fraction of the last swapped-in solve's videos that
 	// started from the previous solve's LP point (0 for the initial solve).
@@ -271,6 +273,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		LastPasses:     last.Passes,
 		LastGapPct:     100 * lastGap,
 		LastLPMS:       last.LPMS,
+		LastLBMS:       last.LBMS,
 		LastRoundMS:    last.RoundMS,
 		ResumedFrac:    last.ResumedFrac,
 		LastRound:      last.Round,

@@ -52,7 +52,7 @@ func durMS(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 // from, for the initial solve and every re-solve alike.
 func solveOutcome(done *obs.ServeResolve, res *epf.Result, videos int) {
 	done.Passes = res.Passes
-	done.LPMS, done.RoundMS = durMS(res.Stats.LPTime), durMS(res.Stats.RoundTime)
+	done.LPMS, done.LBMS, done.RoundMS = durMS(res.Stats.LPTime), durMS(res.Stats.LBTime), durMS(res.Stats.RoundTime)
 	done.Round, done.RoundRatio, done.RoundRef = res.Stats.RoundMode(), res.Stats.RoundRatio, res.Stats.RoundRef
 	if videos > 0 {
 		done.WarmFrac = float64(res.Stats.WarmVideos) / float64(videos)

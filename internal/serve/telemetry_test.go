@@ -62,6 +62,9 @@ func TestServeLifecycleTrace(t *testing.T) {
 	if st.LastLPMS <= 0 || st.LastRoundMS <= 0 {
 		t.Errorf("/status last_lp_ms %v last_round_ms %v after a re-solve, want both > 0", st.LastLPMS, st.LastRoundMS)
 	}
+	if st.LastLBMS <= 0 || st.LastLBMS > st.LastLPMS {
+		t.Errorf("/status last_lb_ms %v of last_lp_ms %v after a re-solve, want in (0, lp]", st.LastLBMS, st.LastLPMS)
+	}
 	if st.ResumedFrac <= 0 || st.ResumedFrac > 1 {
 		t.Errorf("/status resumed_frac %v after a warm re-solve, want in (0, 1]", st.ResumedFrac)
 	}
@@ -99,6 +102,9 @@ func TestServeLifecycleTrace(t *testing.T) {
 			} else if e.Verdict == "swapped" {
 				swapped++
 				lastDone = e
+				if e.LBMS <= 0 || e.LBMS > e.LPMS {
+					t.Errorf("swapped done: lbms %v of lpms %v", e.LBMS, e.LPMS)
+				}
 				if e.SolveMS <= 0 || e.Passes <= 0 || e.Reason != "" ||
 					e.LPMS <= 0 || e.RoundMS <= 0 || e.LPMS+e.RoundMS > e.SolveMS ||
 					e.ResumedFrac <= 0 || e.ResumedFrac > e.WarmFrac ||
@@ -123,6 +129,10 @@ func TestServeLifecycleTrace(t *testing.T) {
 		lastDone.ResumedFrac != st.ResumedFrac || lastDone.Round != st.LastRound ||
 		lastDone.RoundRatio != st.LastRoundRatio || lastDone.RoundRef != st.LastRoundRef {
 		t.Errorf("/status %+v does not match the swapped done event %+v", st, lastDone)
+	}
+
+	if lastDone.LBMS != st.LastLBMS {
+		t.Errorf("/status last_lb_ms %v, the swapped done event's lbms %v", st.LastLBMS, lastDone.LBMS)
 	}
 
 	// The shared registry carries both the server's counters and the

@@ -170,7 +170,11 @@ func (s *summary) writeTable(w io.Writer) {
 			// Phase split only when the attempt carried it — traces from
 			// before the solve reported its phases render exactly as before.
 			if e.LPMS > 0 || e.RoundMS > 0 {
-				fmt.Fprintf(w, " (lp %s  round %s)", g(e.LPMS), g(e.RoundMS))
+				fmt.Fprintf(w, " (lp %s", g(e.LPMS))
+				if e.LBMS > 0 {
+					fmt.Fprintf(w, " [bound %s]", g(e.LBMS))
+				}
+				fmt.Fprintf(w, "  round %s)", g(e.RoundMS))
 			}
 			// Which rounding ran, at which incumbent/bound ratio and — when a
 			// resume was tried — against which reference; only on attempts
