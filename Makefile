@@ -10,6 +10,7 @@ FUZZ_TARGETS := \
 	./internal/verify:FuzzFacloc \
 	./internal/verify:FuzzWarmResume \
 	./internal/facloc:FuzzFaclocKernels \
+	./internal/mip:FuzzApplyDemandDelta \
 	./internal/serve:FuzzRouteTable \
 	./internal/serve:FuzzDemandBatch
 

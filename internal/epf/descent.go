@@ -248,10 +248,17 @@ passes:
 			// The three-point scale search costs two extra full block
 			// passes; run it while the duals are still moving (early
 			// passes) and periodically afterwards, with a single
-			// evaluation at the carried scale in between.
+			// evaluation at the carried scale in between. A warm re-solve
+			// whose carried bound still stands skips it once an incumbent
+			// exists: the primal has reached ε on the old prices, so no
+			// scale of this solve's duals beats them yet. Before the first
+			// incumbent a stale carried bound is what the off-centre scales
+			// raise, so the search keeps its cadence there.
 			mults := lbMultsWide[:]
-			if pass > 8 && pass%3 != 0 {
+			if (pass > 8 && pass%3 != 0) || (s.lbWarm && s.lb == s.lbStart && s.haveUB) {
 				mults = lbMultsNarrow[:]
+			} else {
+				s.stats.ScaleSearches++
 			}
 			for _, mult := range mults {
 				scale := s.lbScale * mult

@@ -2,6 +2,7 @@ package epf_test
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -26,32 +27,45 @@ func addDemand(t testing.TB, inst *mip.Instance, vi, k int, add float64) {
 	})
 }
 
+// standingBound are the additive-delta fixtures: what the benchmark's
+// mixed-wide workload makes — an additive delta on a quarter of the videos —
+// on instances whose warm re-solve converges in passes with the carried duals
+// still the certificate (seedWarmDescent copied them in and nothing
+// overwrote them).
+var standingBound = []struct {
+	shape  verify.InstanceOpts
+	seed   int64
+	add    float64
+	passes int
+}{
+	{boundShape, 1, 30, 7},
+	{boundShape, 7, 30, 7},
+	{verify.InstanceOpts{Nodes: 10, Videos: 240, Slices: 2}, 8, 80, 10},
+}
+
+// standingBoundPair returns a standingBound fixture's name, the patched
+// instance and the options of its warm re-solve.
+func standingBoundPair(t *testing.T, i int) (string, *mip.Instance, epf.Options, *epf.Result) {
+	tc := standingBound[i]
+	name := fmt.Sprintf("%d videos, seed %d, +%g", tc.shape.Videos, tc.seed, tc.add)
+	opts := epf.Options{Seed: tc.seed, MaxPasses: 300, Epsilon: 0.05}
+	prev, inst := patchedPair(t, tc.seed, tc.shape, opts, func(inst *mip.Instance) {
+		for x := 0; x < tc.shape.Videos/4; x++ {
+			addDemand(t, inst, (int(tc.seed)+4*x)%tc.shape.Videos, x, tc.add)
+		}
+	})
+	opts.Warm = prev.Warm
+	return name, inst, opts, prev
+}
+
 // While a re-solve's bound is still the one re-derived from the carried
-// duals, one polish round that fails to raise it is the last. The fixtures
-// are what the benchmark's mixed-wide workload makes — an additive delta on a
-// quarter of the videos — and each ends with the carried duals still the
-// certificate (seedWarmDescent copied them in and nothing overwrote them)
-// after enough passes for the every-third-stall cadence to have fired twice
-// or more. The ledger is the same on the whole worker × shard grid.
+// duals, one polish round that fails to raise it is the last. Each
+// standingBound fixture runs enough passes for the every-third-stall cadence
+// to have fired twice or more. The ledger is the same on the whole
+// worker × shard grid.
 func TestStandingBoundIsPolishedOnce(t *testing.T) {
-	for _, tc := range []struct {
-		shape  verify.InstanceOpts
-		seed   int64
-		add    float64
-		passes int
-	}{
-		{boundShape, 1, 30, 7},
-		{boundShape, 7, 30, 7},
-		{verify.InstanceOpts{Nodes: 10, Videos: 240, Slices: 2}, 8, 80, 10},
-	} {
-		name := fmt.Sprintf("%d videos, seed %d, +%g", tc.shape.Videos, tc.seed, tc.add)
-		opts := epf.Options{Seed: tc.seed, MaxPasses: 300, Epsilon: 0.05}
-		prev, inst := patchedPair(t, tc.seed, tc.shape, opts, func(inst *mip.Instance) {
-			for x := 0; x < tc.shape.Videos/4; x++ {
-				addDemand(t, inst, (int(tc.seed)+4*x)%tc.shape.Videos, x, tc.add)
-			}
-		})
-		opts.Warm = prev.Warm
+	for i, tc := range standingBound {
+		name, inst, opts, prev := standingBoundPair(t, i)
 		var first epf.Stats
 		for _, workers := range []int{1, 2, 4} {
 			for _, shards := range []int{1, 3} {
@@ -83,6 +97,103 @@ func TestStandingBoundIsPolishedOnce(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// Once a warm re-solve holds an incumbent while its carried bound stands,
+// every bound step is one evaluation at the carried scale; before the first
+// incumbent the three-point search keeps the cadence of passes 1–8 and every
+// third pass. Pinned on the standingBound fixtures by the evaluation ledger —
+// the carried bound's evaluation, one per bound step (the converged pass has
+// none), two more per scale search and six per polish round — across the
+// worker × shard grid, and each fixture must have cadence passes the rule
+// skipped.
+func TestCarriedBoundSkipsScaleSearch(t *testing.T) {
+	for i, tc := range standingBound {
+		name, inst, opts, _ := standingBoundPair(t, i)
+		for _, workers := range []int{1, 2, 4} {
+			for _, shards := range []int{1, 3} {
+				opts.Workers, opts.Shards = workers, shards
+				var infos []epf.PassInfo
+				opts.OnPass = func(p epf.PassInfo) { infos = append(infos, p) }
+				warm, err := epf.SolveInteger(inst, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if warm.Passes != tc.passes || len(infos) != tc.passes {
+					t.Fatalf("%s: %d passes, %d reported (want %d)", name, warm.Passes, len(infos), tc.passes)
+				}
+				var searched, skipped int64
+				for _, p := range infos[:len(infos)-1] {
+					if p.LowerBound != warm.LowerBound {
+						t.Fatalf("%s: pass %d moved the bound to %v — not a standing-bound fixture", name, p.Pass, p.LowerBound)
+					}
+					if p.Pass > 8 && p.Pass%3 != 0 {
+						continue
+					}
+					if math.IsInf(p.UpperBound, 1) {
+						searched++
+					} else {
+						skipped++
+					}
+				}
+				st := warm.Stats
+				want := 1 + int64(tc.passes-1) + 2*searched + 6*int64(st.Polishes)
+				if st.ScaleSearches != searched || st.LBEvals != want || skipped == 0 {
+					t.Errorf("%s workers=%d shards=%d: %d scale searches, %d lb evals; want %d, %d (%d cadence passes held an incumbent)",
+						name, workers, shards, st.ScaleSearches, st.LBEvals, searched, want, skipped)
+				}
+			}
+		}
+	}
+}
+
+// With no incumbent yet the three-point search runs, and on a far-infeasible
+// warm start (half the catalog's demand doubled: 30 % over capacity at the
+// first pass) it is what raises the stale carried bound, on pass 3 as it
+// did before the carried-bound rule; a narrow-only rule delays that raise to
+// pass 8 and re-deals the solve (19 passes, another bound). Every value is
+// the one recorded at the commit before the rule.
+func TestFarInfeasibleWarmStartKeepsScaleSearch(t *testing.T) {
+	shape := verify.InstanceOpts{Nodes: 10, Videos: 240, Slices: 2}
+	opts := epf.Options{Seed: 2, MaxPasses: 300, Epsilon: 0.05}
+	prev, inst := patchedPair(t, 2, shape, opts, func(inst *mip.Instance) {
+		for vi := 0; vi < shape.Videos; vi += 2 {
+			scaleDemand(t, inst, vi, 2)
+		}
+	})
+	opts.Warm = prev.Warm
+	var infos []epf.PassInfo
+	opts.OnPass = func(p epf.PassInfo) { infos = append(infos, p) }
+	warm, err := epf.SolveInteger(inst, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	carried, err := verify.CertifyLowerBound(inst, prev.Warm.RowDuals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		passes, incumbent       = 26, 15
+		raised, lb, obj         = 18235.61933397914, 18420.761028179015, 20159.69148768719
+		searches, evals, polish = 14, 102, 8
+	)
+	if warm.Passes != passes || len(infos) != passes {
+		t.Fatalf("%d passes, %d reported; recorded %d", warm.Passes, len(infos), passes)
+	}
+	for _, p := range infos[:incumbent-1] {
+		if !math.IsInf(p.UpperBound, 1) {
+			t.Fatalf("incumbent at pass %d; recorded at %d", p.Pass, incumbent)
+		}
+	}
+	if stale := infos[1].LowerBound; math.Abs(stale-carried) > 1e-9*carried || infos[2].LowerBound != raised {
+		t.Errorf("bound %v at pass 2 (carried duals certify %v), %v at pass 3; recorded the carried bound, then %v",
+			stale, carried, infos[2].LowerBound, raised)
+	}
+	st := warm.Stats
+	if warm.LowerBound != lb || warm.Objective != obj || st.ScaleSearches != searches || st.LBEvals != evals || st.Polishes != polish {
+		t.Errorf("bound %#v, objective %#v, %d scale searches, %d lb evals, %d polish rounds; recorded %#v, %#v, %d, %d, %d",
+			warm.LowerBound, warm.Objective, st.ScaleSearches, st.LBEvals, st.Polishes, lb, obj, searches, evals, polish)
 	}
 }
 

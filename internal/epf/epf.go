@@ -281,6 +281,7 @@ type solver struct {
 	lbDuals  []float64 // dual vector that achieved the best lower bound so far
 	lbStall  int       // passes since the lower bound last improved
 	lbStart  float64   // the bound the descent started from (initDescent)
+	lbWarm   bool      // lbStart is the carried duals' bound (seedWarmDescent)
 	polishes int       // completed polish rounds (decays the ascent step)
 
 	// Shared execution runtime: one pool per solve, per-worker scratch

@@ -42,6 +42,9 @@ type Stats struct {
 	// iteration — that raised the bound over the one the descent started
 	// from. LBRaised against LBEvals is the bound side's useful-outcome ratio.
 	LBRaised int64
+	// ScaleSearches counts the bound steps that ran the three-point dual-scale
+	// search; every other bound step is one evaluation at the carried scale.
+	ScaleSearches int64
 	// WarmStartTries / WarmStartHits report the facility-location warm-start
 	// economy: block solves seeded from the video's previous open set, and
 	// the subset where that seed's local optimum beat the cold start.
@@ -124,8 +127,8 @@ func (st Stats) String() string {
 		fmt.Fprintf(&b, "shards %d\n", st.Shards)
 	}
 	fmt.Fprintf(&b, "blocks optimized %d, lb block solves %d\n", st.BlocksOptimized, st.LBBlockSolves)
-	fmt.Fprintf(&b, "lb evals %d (%d raised it), polish rounds %d, bound %.0f ms of lp %.0f ms\n",
-		st.LBEvals, st.LBRaised, st.Polishes, 1e3*st.LBTime.Seconds(), 1e3*st.LPTime.Seconds())
+	fmt.Fprintf(&b, "lb evals %d (%d raised it), scale searches %d, polish rounds %d, bound %.0f ms of lp %.0f ms\n",
+		st.LBEvals, st.LBRaised, st.ScaleSearches, st.Polishes, 1e3*st.LBTime.Seconds(), 1e3*st.LPTime.Seconds())
 	fmt.Fprintf(&b, "dual refreshes %d, line searches %d\n", st.DualRefreshes, st.LineSearches)
 	if st.WarmStartTries > 0 {
 		fmt.Fprintf(&b, "warm starts: %d tried, %d won\n", st.WarmStartTries, st.WarmStartHits)

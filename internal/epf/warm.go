@@ -406,7 +406,8 @@ func (s *solver) seedBlocks(load func(vi int) bool) (loaded, warm int) {
 // seedWarmDescent folds the warm state into the freshly initialized descent:
 // the previous duals are re-evaluated on this instance (a valid Lagrangian
 // bound wherever they came from, so the certificate invariant holds — if the
-// warm bound wins, lbDuals is exactly the vector that achieves it); the
+// warm bound wins, lbDuals is exactly the vector that achieves it and lbWarm
+// records the win for the bound step's scale search); the
 // previous δ may sharpen the initial penalty scale but never below the seeded
 // point's actual violation. Called from initDescent, after the cold defaults
 // are in place.
@@ -419,6 +420,7 @@ func (s *solver) seedWarmDescent() {
 	if dualsOK {
 		if lr := s.lagrangianBound(w.RowDuals); lr > s.lb {
 			s.lb = lr
+			s.lbWarm = true
 			copy(s.lbDuals, w.RowDuals)
 		}
 		s.lbScale = 1

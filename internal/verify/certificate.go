@@ -1,11 +1,14 @@
 package verify
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"runtime"
 
 	"vodplace/internal/facloc"
 	"vodplace/internal/mip"
+	"vodplace/internal/par"
 )
 
 // CertifyLowerBound re-derives a provable lower bound on the placement LP
@@ -29,7 +32,16 @@ import (
 // re-derived independently and the maximum of the two is returned, so the
 // zero dual vector certifies a solver's initial bound too. Passing nil duals
 // certifies only the no-network bound.
+//
+// The block bounds are computed on a GOMAXPROCS-sized pool; the value and
+// any error are the same at every pool size.
 func CertifyLowerBound(inst *mip.Instance, rowDuals []float64) (float64, error) {
+	return certifyLowerBound(inst, rowDuals, runtime.GOMAXPROCS(0))
+}
+
+// certifyLowerBound is CertifyLowerBound with its block bounds computed on a
+// pool of the given number of workers.
+func certifyLowerBound(inst *mip.Instance, rowDuals []float64, workers int) (float64, error) {
 	if inst == nil {
 		return 0, fmt.Errorf("nil instance")
 	}
@@ -68,45 +80,28 @@ func CertifyLowerBound(inst *mip.Instance, rowDuals []float64) (float64, error) 
 		}
 	}
 
-	var fs facloc.Solver
-	prob := facloc.Problem{Open: make([]float64, n)}
+	// Block bounds are independent given λ: each worker fills its videos'
+	// index-addressed slots, then the sum runs in video order and the first
+	// failing video is the lowest-index one, so the value and the error are
+	// the serial loop's at any worker count.
+	bounds := make([]float64, len(inst.Demands))
+	errs := make([]error, len(inst.Demands))
+	pool := par.New(workers)
+	defer pool.Close()
+	scratch := make([]blockScratch, pool.Workers())
+	pool.Run(context.Background(), len(inst.Demands), func(w, lo, hi int) { //nolint:errcheck // never cancelled
+		sc := &scratch[w]
+		if sc.prob.Open == nil {
+			sc.prob.Open = make([]float64, n)
+		}
+		for vi := lo; vi < hi; vi++ {
+			bounds[vi], errs[vi] = blockBound(inst, vi, rowDuals, pathDual, sc)
+		}
+	})
 	var lr float64
-	for vi := range inst.Demands {
-		d := &inst.Demands[vi]
-		for i := 0; i < n; i++ {
-			prob.Open[i] = rowDuals[i]*d.SizeGB + inst.PlacementCost(vi, i)
-		}
-		K := len(d.Js)
-		if K == 0 {
-			// The block minimum is opening the cheapest single facility.
-			minF := math.Inf(1)
-			for _, f := range prob.Open {
-				if f < minF {
-					minF = f
-				}
-			}
-			lr += minF
-			continue
-		}
-		prob.Reshape(K)
-		for k := 0; k < K; k++ {
-			j := int(d.Js[k])
-			coef := d.SizeGB * d.Agg[k]
-			row := prob.Row(k)
-			// Ascending-t CSR nonzeros: the same terms, in the same order, as
-			// the dense t-scan, so the certified costs are bit-identical.
-			ts, fv := d.ConcNZ(k)
-			for i := 0; i < n; i++ {
-				c := coef * inst.Cost(i, j)
-				for ti, tt := range ts {
-					c += d.RateMbps * fv[ti] * pathDual[tt][i*n+j]
-				}
-				row[i] = c
-			}
-		}
-		bound, err := checkedBlockBound(&fs, &prob)
-		if err != nil {
-			return 0, fmt.Errorf("video %d: %w", d.Video, err)
+	for vi, bound := range bounds {
+		if errs[vi] != nil {
+			return 0, fmt.Errorf("video %d: %w", inst.Demands[vi].Video, errs[vi])
 		}
 		lr += bound
 	}
@@ -122,6 +117,52 @@ func CertifyLowerBound(inst *mip.Instance, rowDuals []float64) (float64, error) 
 		return 0, fmt.Errorf("certified bound is NaN")
 	}
 	return math.Max(lr, trivial), nil
+}
+
+// blockScratch is one worker's block problem and facility-location solver.
+type blockScratch struct {
+	fs   facloc.Solver
+	prob facloc.Problem
+}
+
+// blockBound returns LB_m(λ) for video index vi: the block's costs built from
+// the instance data, bounded by a checked UFL dual vector. pathDual holds the
+// path-aggregated link prices, λ_path[t][i·n+j].
+func blockBound(inst *mip.Instance, vi int, rowDuals []float64, pathDual [][]float64, sc *blockScratch) (float64, error) {
+	n := inst.NumVHOs()
+	d := &inst.Demands[vi]
+	prob := &sc.prob
+	for i := 0; i < n; i++ {
+		prob.Open[i] = rowDuals[i]*d.SizeGB + inst.PlacementCost(vi, i)
+	}
+	K := len(d.Js)
+	if K == 0 {
+		// The block minimum is opening the cheapest single facility.
+		minF := math.Inf(1)
+		for _, f := range prob.Open {
+			if f < minF {
+				minF = f
+			}
+		}
+		return minF, nil
+	}
+	prob.Reshape(K)
+	for k := 0; k < K; k++ {
+		j := int(d.Js[k])
+		coef := d.SizeGB * d.Agg[k]
+		row := prob.Row(k)
+		// Ascending-t CSR nonzeros: the same terms, in the same order, as
+		// the dense t-scan, so the certified costs are bit-identical.
+		ts, fv := d.ConcNZ(k)
+		for i := 0; i < n; i++ {
+			c := coef * inst.Cost(i, j)
+			for ti, tt := range ts {
+				c += d.RateMbps * fv[ti] * pathDual[tt][i*n+j]
+			}
+			row[i] = c
+		}
+	}
+	return checkedBlockBound(&sc.fs, prob)
 }
 
 // checkedBlockBound obtains a UFL dual vector for prob and verifies its

@@ -1,7 +1,9 @@
 package verify
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"vodplace/internal/epf"
@@ -314,4 +316,46 @@ func TestCertifyLowerBound(t *testing.T) {
 			t.Error("infinite dual accepted")
 		}
 	})
+}
+
+// The certificate's block bounds run on a pool, summed in video order with
+// the lowest-index failure reported, so the certified value is the same bits
+// and a failure the same text at every pool size.
+func TestCertifyLowerBoundWorkerInvariance(t *testing.T) {
+	inst := mustInstance(t, 3, InstanceOpts{Nodes: 8, Videos: 120, Slices: 2})
+	res, err := epf.Solve(inst, epf.Options{Seed: 3, MaxPasses: 100, Epsilon: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ones := make([]float64, len(res.RowDuals))
+	for r := range ones {
+		ones[r] = 1
+	}
+	for _, duals := range [][]float64{res.RowDuals, ones} {
+		want, err := certifyLowerBound(inst, duals, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{2, 4} {
+			if got, err := certifyLowerBound(inst, duals, workers); err != nil || math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%d workers: certified %v (%v), one worker %v", workers, got, err, want)
+			}
+		}
+	}
+
+	// A negative size prices a video's disk rows below zero, an open cost no
+	// UFL dual can cover: two such videos in the last two quarters of the
+	// catalog fail on different workers, and the lower index is reported.
+	for _, vi := range []int{95, 70} {
+		inst.Demands[vi].SizeGB = -1
+	}
+	_, want := certifyLowerBound(inst, ones, 1)
+	if prefix := fmt.Sprintf("video %d: ", inst.Demands[70].Video); want == nil || !strings.HasPrefix(want.Error(), prefix) {
+		t.Fatalf("one worker: error %v, want one starting %q", want, prefix)
+	}
+	for _, workers := range []int{2, 4} {
+		if _, err := certifyLowerBound(inst, ones, workers); err == nil || err.Error() != want.Error() {
+			t.Errorf("%d workers: error %v, one worker %v", workers, err, want)
+		}
+	}
 }
