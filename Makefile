@@ -9,6 +9,7 @@ FUZZ_TARGETS := \
 	./internal/verify:FuzzEPFSolve \
 	./internal/verify:FuzzFacloc \
 	./internal/verify:FuzzWarmResume \
+	./internal/verify:FuzzAuditorCache \
 	./internal/facloc:FuzzFaclocKernels \
 	./internal/mip:FuzzApplyDemandDelta \
 	./internal/serve:FuzzRouteTable \

@@ -283,9 +283,3 @@ func BenchmarkAblationChunk1(b *testing.B) {
 func BenchmarkAblationChunkWholePass(b *testing.B) {
 	ablationRun(b, epf.Options{Seed: 1, MaxPasses: 25, ChunkSize: 1 << 20})
 }
-
-// BenchmarkAblationSparseLB computes lower bounds only every 5th pass,
-// trading bound quality for pass throughput.
-func BenchmarkAblationSparseLB(b *testing.B) {
-	ablationRun(b, epf.Options{Seed: 1, MaxPasses: 25, LBEvery: 5})
-}

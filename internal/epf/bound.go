@@ -60,6 +60,18 @@ func (s *solver) lagrangianEval(q []float64, wantGrad bool) (float64, []float64)
 	return lr, grad
 }
 
+// snapshotTerms records the per-block terms the last evaluation left in lbBuf
+// as those of lbDuals. Every place that sets lbDuals from an evaluation calls
+// it, so lbTerms always sums to the bound lbDuals certifies, and a later
+// solve at the same duals can take the terms of unchanged videos from the
+// exported copy (WarmBound).
+func (s *solver) snapshotTerms() {
+	if s.lbTerms == nil {
+		s.lbTerms = make([]float64, len(s.lbBuf))
+	}
+	copy(s.lbTerms, s.lbBuf)
+}
+
 // accumulateIntRows adds the coupling-row activities of the integer block
 // solution ns for video vi into act.
 func (s *solver) accumulateIntRows(vi int, ns *intSol, act []float64) {
@@ -115,6 +127,7 @@ func (s *solver) polishLB() {
 			s.lbStall = 0
 			s.stats.LBRaised++
 			copy(s.lbDuals, s.qLB) // before the ascent step mutates qLB
+			s.snapshotTerms()
 		}
 		eta := 0.5 / (1 + float64(s.polishes) + float64(it))
 		for r := range s.qLB {

@@ -241,64 +241,68 @@ passes:
 		// vector is run each time; the best scale is carried to the next
 		// pass. This is one of the update-mechanism tweaks the paper alludes
 		// to in the Appendix.
-		if pass%o.LBEvery == 0 {
-			s.computeDuals(s.q)
-			bestScale := s.lbScale
-			bestLR := math.Inf(-1)
-			// The three-point scale search costs two extra full block
-			// passes; run it while the duals are still moving (early
-			// passes) and periodically afterwards, with a single
-			// evaluation at the carried scale in between. A warm re-solve
-			// whose carried bound still stands skips it once an incumbent
-			// exists: the primal has reached ε on the old prices, so no
-			// scale of this solve's duals beats them yet. Before the first
-			// incumbent a stale carried bound is what the off-centre scales
-			// raise, so the search keeps its cadence there.
-			mults := lbMultsWide[:]
-			if (pass > 8 && pass%3 != 0) || (s.lbWarm && s.lb == s.lbStart && s.haveUB) {
-				mults = lbMultsNarrow[:]
-			} else {
-				s.stats.ScaleSearches++
-			}
-			for _, mult := range mults {
-				scale := s.lbScale * mult
-				for r := range s.qTmp {
-					s.qTmp[r] = scale * s.q[r]
-				}
-				if lr := s.lagrangianBound(s.qTmp); lr > bestLR {
-					bestLR, bestScale = lr, scale
-				}
-			}
-			s.lbScale = bestScale
-			if bestLR > s.lb+1e-12*math.Abs(s.lb) {
-				s.lb = bestLR
-				s.lbStall = 0
-				s.stats.LBRaised++
-				for r := range s.lbDuals {
-					s.lbDuals[r] = bestScale * s.q[r]
-				}
-			} else {
-				s.lbStall++
-			}
-			// When the potential-derived duals stop improving the bound,
-			// polish the dual vector directly with subgradient ascent. While
-			// the bound is still the one the descent started from (the carried
-			// duals' on a re-solve), one round that fails to raise it is the
-			// last until something does: after a demand delta the old prices
-			// stay the best prices until the primal has moved, and the polish
-			// ascends from this solve's duals, which trail them. Once the
-			// solve has raised its own bound, repeated rounds are one
-			// continuing ascent and keep their cadence.
-			if s.lbStall >= 3 {
-				if s.lb > s.lbStart || s.polishes == 0 {
-					before := s.stats.LBTime
-					s.polishLB()
-					s.stats.PolishTime += s.stats.LBTime - before
-				}
-				s.lbStall = 0
-			}
-			s.retargetB()
+		s.computeDuals(s.q)
+		bestScale := s.lbScale
+		bestLR := math.Inf(-1)
+		raise := s.lb + 1e-12*math.Abs(s.lb)
+		// The three-point scale search costs two extra full block
+		// passes; run it while the duals are still moving (early
+		// passes) and periodically afterwards, with a single
+		// evaluation at the carried scale in between. A warm re-solve
+		// whose carried bound still stands skips it once an incumbent
+		// exists: the primal has reached ε on the old prices, so no
+		// scale of this solve's duals beats them yet. Before the first
+		// incumbent a stale carried bound is what the off-centre scales
+		// raise, so the search keeps its cadence there.
+		mults := lbMultsWide[:]
+		if (pass > 8 && pass%3 != 0) || (s.lbWarm && s.lb == s.lbStart && s.haveUB) {
+			mults = lbMultsNarrow[:]
+		} else {
+			s.stats.ScaleSearches++
 		}
+		for _, mult := range mults {
+			scale := s.lbScale * mult
+			for r := range s.qTmp {
+				s.qTmp[r] = scale * s.q[r]
+			}
+			if lr := s.lagrangianBound(s.qTmp); lr > bestLR {
+				bestLR, bestScale = lr, scale
+				// lbBuf holds this multiplier's terms only until the next
+				// one is evaluated: keep the winner's if it will raise.
+				if lr > raise {
+					s.snapshotTerms()
+				}
+			}
+		}
+		s.lbScale = bestScale
+		if bestLR > raise {
+			s.lb = bestLR
+			s.lbStall = 0
+			s.stats.LBRaised++
+			for r := range s.lbDuals {
+				s.lbDuals[r] = bestScale * s.q[r]
+			}
+		} else {
+			s.lbStall++
+		}
+		// When the potential-derived duals stop improving the bound,
+		// polish the dual vector directly with subgradient ascent. While
+		// the bound is still the one the descent started from (the carried
+		// duals' on a re-solve), one round that fails to raise it is the
+		// last until something does: after a demand delta the old prices
+		// stay the best prices until the primal has moved, and the polish
+		// ascends from this solve's duals, which trail them. Once the
+		// solve has raised its own bound, repeated rounds are one
+		// continuing ascent and keep their cadence.
+		if s.lbStall >= 3 {
+			if s.lb > s.lbStart || s.polishes == 0 {
+				before := s.stats.LBTime
+				s.polishLB()
+				s.stats.PolishTime += s.stats.LBTime - before
+			}
+			s.lbStall = 0
+		}
+		s.retargetB()
 
 		s.endPass(pass)
 		if s.done(o.Epsilon) {

@@ -85,9 +85,6 @@ type Options struct {
 	Shards int
 	// Seed drives block shuffling. Default 1.
 	Seed int64
-	// LBEvery computes the Lagrangian lower bound every this many passes.
-	// Default 1 (every pass, as in Algorithm 1).
-	LBEvery int
 	// NoShuffle processes blocks in a fixed order instead of re-randomizing
 	// each pass. Exists for the ablation of the paper's observation that
 	// re-shuffling cuts pass counts by a large factor; never set it in
@@ -149,9 +146,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.Seed == 0 {
 		out.Seed = 1
-	}
-	if out.LBEvery <= 0 {
-		out.LBEvery = 1
 	}
 	if out.TraceStream == "" {
 		out.TraceStream = "epf"
@@ -279,10 +273,17 @@ type solver struct {
 	qTmp     []float64 // scaled-dual scratch for lower-bound evaluations
 	qLB      []float64 // persistent polished dual vector (nil until first polish)
 	lbDuals  []float64 // dual vector that achieved the best lower bound so far
+	lbTerms  []float64 // per-block terms of LR(lbDuals); nil while lbDuals is the initial zero vector
 	lbStall  int       // passes since the lower bound last improved
 	lbStart  float64   // the bound the descent started from (initDescent)
 	lbWarm   bool      // lbStart is the carried duals' bound (seedWarmDescent)
 	polishes int       // completed polish rounds (decays the ascent step)
+
+	// The warm seed's carried terms (carriedTerms): the blocks whose term it
+	// took from WarmState.Bound, which the bound fan-out skips, and their
+	// carried packed inputs, which the export shares.
+	lbKeep      []bool
+	lbCarriedIn [][]uint32
 
 	// Shared execution runtime: one pool per solve, per-worker scratch
 	// reused across all fan-outs, cancellation checked at chunk boundaries.
@@ -559,7 +560,8 @@ func (s *solver) initShards() {
 	// The bound fan-out body, created once; the frozen duals and gradient
 	// request flow through solver fields (s.lbQ, s.lbWantGrad). Per-block
 	// bounds land in s.lbBuf, index-addressed, and the caller reduces them in
-	// video order — bit-identical at any worker or shard count.
+	// video order — bit-identical at any worker or shard count. A block in
+	// s.lbKeep already holds its carried term (carriedTerms) and is skipped.
 	s.lbTaskFn = func(w, _, lo, hi int) {
 		ws := s.scratch.Get(w)
 		if ws.used == nil {
@@ -569,6 +571,9 @@ func (s *solver) initShards() {
 		for vi := lo; vi < hi; vi++ {
 			if (vi-lo)%64 == 0 && s.ctx.Err() != nil {
 				return
+			}
+			if s.lbKeep != nil && s.lbKeep[vi] {
+				continue
 			}
 			s.buildBlockProblem(vi, q, &ws.prob)
 			lb, _ := ws.fs.DualAscent(&ws.prob)

@@ -422,7 +422,7 @@ func TestExpCapOrdering(t *testing.T) {
 func TestOptionsDefaults(t *testing.T) {
 	var o Options
 	d := o.withDefaults()
-	if d.Epsilon != 0.01 || d.MaxPasses <= 0 || d.Workers <= 0 || d.LBEvery != 1 {
+	if d.Epsilon != 0.01 || d.MaxPasses <= 0 || d.Workers <= 0 {
 		t.Errorf("bad defaults: %+v", d)
 	}
 	if d.ChunkSize != 0 {

@@ -29,6 +29,10 @@ type Stats struct {
 	// LBBlockSolves counts block solves performed for Lagrangian bound
 	// evaluations (dual ascent, plus minimizers during polish).
 	LBBlockSolves int64
+	// LBTermsReused counts the blocks whose term the warm seed's evaluation
+	// took from WarmState.Bound instead of solving (their inputs were
+	// unchanged); LBBlockSolves covers the rest.
+	LBTermsReused int64
 	// DualRefreshes counts full dual-vector recomputations (chunk freezes,
 	// bound evaluations, rounding chunks).
 	DualRefreshes int64
@@ -127,8 +131,8 @@ func (st Stats) String() string {
 		fmt.Fprintf(&b, "shards %d\n", st.Shards)
 	}
 	fmt.Fprintf(&b, "blocks optimized %d, lb block solves %d\n", st.BlocksOptimized, st.LBBlockSolves)
-	fmt.Fprintf(&b, "lb evals %d (%d raised it), scale searches %d, polish rounds %d, bound %.0f ms of lp %.0f ms\n",
-		st.LBEvals, st.LBRaised, st.ScaleSearches, st.Polishes, 1e3*st.LBTime.Seconds(), 1e3*st.LPTime.Seconds())
+	fmt.Fprintf(&b, "lb evals %d (%d raised it), %d terms reused, scale searches %d, polish rounds %d, bound %.0f ms of lp %.0f ms\n",
+		st.LBEvals, st.LBRaised, st.LBTermsReused, st.ScaleSearches, st.Polishes, 1e3*st.LBTime.Seconds(), 1e3*st.LPTime.Seconds())
 	fmt.Fprintf(&b, "dual refreshes %d, line searches %d\n", st.DualRefreshes, st.LineSearches)
 	if st.WarmStartTries > 0 {
 		fmt.Fprintf(&b, "warm starts: %d tried, %d won\n", st.WarmStartTries, st.WarmStartHits)

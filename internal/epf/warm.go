@@ -45,9 +45,40 @@ type WarmLP struct {
 	Frac []mip.Frac
 }
 
+// WarmBound is the carried lower bound split per video: the term LB_p(λ) each
+// video contributed to LR(λ) = Σ_p LB_p(λ) − λ·b at the exported duals λ, and
+// a packed copy of every input the term read. A term is the dual-ascent bound
+// of the video's facility-location block at λ, and that block is a function
+// of λ, of the instance-wide inputs below and of the video's own size, rate,
+// demand offices, aggregates, concurrency nonzeros and — when UpdateWeight ≠
+// 0 — origin. So a later solve that re-evaluates the same λ (the warm seed)
+// takes the term of every video whose inputs equal the packed ones byte for
+// byte and solves only the other blocks; the sum runs through the same
+// fixed-leaf reduction, so the bound is bit-identical to a full sweep.
+type WarmBound struct {
+	// Duals is λ: a copy, so a caller editing WarmState.RowDuals cannot make
+	// the terms stale (any difference from RowDuals voids every term).
+	Duals []float64
+	// The instance-wide inputs: the cost coefficients, the update weight, the
+	// office, link and slice counts, and a copy of the path table as
+	// topology.Graph.PathCSR returns it. Any difference voids every term.
+	Alpha, Beta, UpdateWeight float64
+	Offices, Links, Slices    int
+	PathLinks, PathOff        []int32
+	// Term[p] is the term of the video at position p (WarmVideo.Pos).
+	Term []float64
+	// Inputs[p] is that video's packed inputs (appendBlockInputs): 32-bit
+	// words, each float64 as its two halves — 172 B per video on the
+	// benchmark's 2000-video, 55-office catalog. A video whose inputs matched
+	// the state this solve consumed shares that state's slice (states are
+	// read-only), so a chain of re-solves holds one copy of a clean video's
+	// inputs, not one per state; the videos packed afresh share one arena.
+	Inputs [][]uint32
+}
+
 // WarmState is the cross-period carryover exported on every Result: the
 // final Lagrangian row duals, the descent's final penalty scale, the
-// fractional point the LP descent ended on, each
+// fractional point the LP descent ended on, the bound's per-video terms, each
 // video's final open office set keyed by the catalog's stable video ID and,
 // after SolveInteger, the integer placement itself with the yardstick it was
 // accepted by. A later solve over a shifted instance accepts it via
@@ -74,6 +105,15 @@ type WarmLP struct {
 // bounds-checked per video, so a truncated or foreign state costs the videos
 // it garbles their resume and nothing else.
 //
+// The carried bound is re-derived the same way: the carried duals are
+// evaluated on the new instance, each video's term taken from Bound when its
+// inputs are unchanged (WarmBound) and solved otherwise — a mismatch, a
+// truncated array or a position the state does not cover costs that video
+// one block solve, never a stale term. The term values themselves are the
+// producing solve's and are trusted like the rest of the state: edited by
+// hand, they give a bound the duals do not certify, which verify.Audit
+// rejects.
+//
 // A WarmState is read-only to the solve consuming it: the solver copies out
 // of it and never writes, so one state can seed a retry after a rejected
 // attempt, or several solves at once.
@@ -93,6 +133,11 @@ type WarmState struct {
 	// (for SolveInteger, the point rounding started from). Nil on states
 	// assembled by hand; every block then starts from its open set.
 	LP *WarmLP
+	// Bound is the certified bound's per-video terms at RowDuals with the
+	// inputs they read. Nil when the bound is still the no-network one (no
+	// evaluation set the duals) and on states assembled by hand; every term
+	// is then solved.
+	Bound *WarmBound
 	// Assign is the integer placement's assignment, flat on LP's row index:
 	// Assign[r] is the office serving the demand office LP.J[r], -1 on a
 	// video's open row (its copies are WarmVideo.Open). 4 B per row, ≈ 75 KB
@@ -121,6 +166,7 @@ func (s *solver) exportWarm(res *Result, lp *WarmLP) *WarmState {
 		Delta:    s.lpDelta,
 		Videos:   make(map[int]WarmVideo, len(s.sol)),
 		LP:       lp,
+		Bound:    s.exportBound(),
 	}
 	for vi := range s.sol {
 		open := warmOpenSet(s.sol[vi].Open)
@@ -134,6 +180,121 @@ func (s *solver) exportWarm(res *Result, lp *WarmLP) *WarmState {
 		w.RoundRef = s.roundRef
 	}
 	return w
+}
+
+// exportBound packs the terms of the certified bound (lbTerms at lbDuals) with
+// the inputs they read, or returns nil when no evaluation set the duals. The
+// terms and lbCarriedIn are handed over, not copied: the solver is done with
+// them. A video whose inputs the warm seed matched keeps the carried slice;
+// the rest are packed into one fresh arena.
+func (s *solver) exportBound() *WarmBound {
+	if s.lbTerms == nil {
+		return nil
+	}
+	inputs := s.lbCarriedIn
+	if inputs == nil {
+		inputs = make([][]uint32, len(s.sol))
+	}
+	words := 0
+	for vi, in := range inputs {
+		if in == nil {
+			d := &s.inst.Demands[vi]
+			words += 5 + 4*len(d.Js) + 3*d.NNZ() // appendBlockInputs' length
+		}
+	}
+	arena := make([]uint32, 0, words)
+	for vi, in := range inputs {
+		if in == nil {
+			at := len(arena)
+			arena = s.appendBlockInputs(arena, vi)
+			inputs[vi] = arena[at:len(arena):len(arena)]
+		}
+	}
+	links, off := s.inst.G.PathCSR()
+	return &WarmBound{
+		Duals: slices.Clone(s.lbDuals),
+		Alpha: s.inst.Alpha, Beta: s.inst.Beta, UpdateWeight: s.inst.UpdateWeight,
+		Offices: s.n, Links: s.L, Slices: s.T,
+		PathLinks: slices.Clone(links), PathOff: slices.Clone(off),
+		Term:   s.lbTerms,
+		Inputs: inputs,
+	}
+}
+
+// appendBlockInputs appends to dst the per-video inputs of block vi's bound
+// term, as 32-bit words: the origin (0 when UpdateWeight is 0, which leaves
+// it unread), SizeGB and RateMbps, then per demand office its index, Agg, the
+// count of concurrency nonzeros and each nonzero's slice and value. A float64
+// is two words, its bits. Read from the front the words decode uniquely, so
+// two videos pack equal exactly when every input is the same bits.
+func (s *solver) appendBlockInputs(dst []uint32, vi int) []uint32 {
+	d := &s.inst.Demands[vi]
+	var origin int32
+	if s.inst.UpdateWeight != 0 && len(s.inst.Origin) > 0 {
+		origin = s.inst.Origin[vi]
+	}
+	dst = appendFloatBits(append(dst, uint32(origin)), d.SizeGB)
+	dst = appendFloatBits(dst, d.RateMbps)
+	for k, j := range d.Js {
+		dst = appendFloatBits(append(dst, uint32(j)), d.Agg[k])
+		ts, vs := d.ConcNZ(k)
+		dst = append(dst, uint32(len(ts)))
+		for x, t := range ts {
+			dst = appendFloatBits(append(dst, uint32(t)), vs[x])
+		}
+	}
+	return dst
+}
+
+// appendFloatBits appends the bits of f as two words, low half first.
+func appendFloatBits(dst []uint32, f float64) []uint32 {
+	u := math.Float64bits(f)
+	return append(dst, uint32(u), uint32(u>>32))
+}
+
+// carriedTerms prepares the warm seed's evaluation at w.RowDuals: when the
+// state's Bound was evaluated at those duals on the same instance-wide
+// inputs, every block whose packed inputs match its carried ones byte for
+// byte gets its carried term in lbBuf and a mark in lbKeep, so the fan-out
+// solves only the others, and its carried inputs in lbCarriedIn for the
+// export. It returns how many terms it carried.
+func (s *solver) carriedTerms(w *WarmState) int {
+	b := w.Bound
+	if b == nil || !s.sameBoundInputs(b, w.RowDuals) {
+		return 0
+	}
+	s.lbKeep = make([]bool, len(s.sol))
+	s.lbCarriedIn = make([][]uint32, len(s.sol))
+	var buf []uint32
+	carried := 0
+	for vi := range s.sol {
+		wv, ok := w.Videos[s.inst.Demands[vi].Video]
+		p := int(wv.Pos)
+		if !ok || p < 0 || p >= len(b.Term) || p >= len(b.Inputs) {
+			continue
+		}
+		buf = s.appendBlockInputs(buf[:0], vi)
+		if !slices.Equal(buf, b.Inputs[p]) {
+			continue
+		}
+		s.lbBuf[vi] = b.Term[p]
+		s.lbKeep[vi] = true
+		s.lbCarriedIn[vi] = b.Inputs[p]
+		carried++
+	}
+	return carried
+}
+
+// sameBoundInputs reports whether b's terms were evaluated at duals on this
+// instance's instance-wide inputs, bit for bit.
+func (s *solver) sameBoundInputs(b *WarmBound, duals []float64) bool {
+	links, off := s.inst.G.PathCSR()
+	sameBits := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	return slices.EqualFunc(b.Duals, duals, sameBits) &&
+		sameBits(b.Alpha, s.inst.Alpha) && sameBits(b.Beta, s.inst.Beta) &&
+		sameBits(b.UpdateWeight, s.inst.UpdateWeight) &&
+		b.Offices == s.n && b.Links == s.L && b.Slices == s.T &&
+		slices.Equal(b.PathLinks, links) && slices.Equal(b.PathOff, off)
 }
 
 // packAssign flattens the final integer assignment onto lp's row index (see
@@ -407,7 +568,8 @@ func (s *solver) seedBlocks(load func(vi int) bool) (loaded, warm int) {
 // the previous duals are re-evaluated on this instance (a valid Lagrangian
 // bound wherever they came from, so the certificate invariant holds — if the
 // warm bound wins, lbDuals is exactly the vector that achieves it and lbWarm
-// records the win for the bound step's scale search); the
+// records the win for the bound step's scale search), solving only the blocks
+// whose carried term does not apply (carriedTerms); the
 // previous δ may sharpen the initial penalty scale but never below the seeded
 // point's actual violation. Called from initDescent, after the cold defaults
 // are in place.
@@ -418,10 +580,14 @@ func (s *solver) seedWarmDescent() {
 	}
 	dualsOK := len(w.RowDuals) == s.rows && finiteNonNegative(w.RowDuals)
 	if dualsOK {
-		if lr := s.lagrangianBound(w.RowDuals); lr > s.lb {
+		s.stats.LBTermsReused = int64(s.carriedTerms(w))
+		lr := s.lagrangianBound(w.RowDuals)
+		s.lbKeep = nil
+		if lr > s.lb {
 			s.lb = lr
 			s.lbWarm = true
 			copy(s.lbDuals, w.RowDuals)
+			s.snapshotTerms()
 		}
 		s.lbScale = 1
 		s.retargetB()

@@ -452,6 +452,16 @@ func cloneWarm(w *WarmState) *WarmState {
 	lp := *w.LP
 	lp.Row, lp.J, lp.Off, lp.Frac = slices.Clone(lp.Row), slices.Clone(lp.J), slices.Clone(lp.Off), slices.Clone(lp.Frac)
 	c.LP = &lp
+	if w.Bound != nil {
+		b := *w.Bound
+		b.Duals, b.Term = slices.Clone(b.Duals), slices.Clone(b.Term)
+		b.PathLinks, b.PathOff = slices.Clone(b.PathLinks), slices.Clone(b.PathOff)
+		b.Inputs = make([][]uint32, len(w.Bound.Inputs))
+		for p, in := range w.Bound.Inputs {
+			b.Inputs[p] = slices.Clone(in)
+		}
+		c.Bound = &b
+	}
 	return &c
 }
 

@@ -162,6 +162,8 @@ type Event struct {
 	Round        string  `json:"round"`
 	RoundRatio   float64 `json:"roundratio"`
 	RoundRef     float64 `json:"roundref"`
+	BoundCarried bool    `json:"boundcarried"`
+	CertReused   int     `json:"certreused"`
 	AuditMS      float64 `json:"auditms"`
 	BuildMS      float64 `json:"buildms"`
 	RDelta       int64   `json:"rdelta"`

@@ -45,11 +45,17 @@ type ServeResolve struct {
 	Round      string  `json:"round"`
 	RoundRatio float64 `json:"roundratio"`
 	RoundRef   float64 `json:"roundref"`
-	AuditMS    float64 `json:"auditms"` // done: certification wall time
-	BuildMS    float64 `json:"buildms"` // done, swapped: snapshot build+publish wall time
-	Dirty      int     `json:"dirty"`   // done: demand-dirty videos this attempt resolved
-	Rebuilt    int64   `json:"rebuilt"` // done, swapped: route rows recomputed (vs copied) by the snapshot build
-	TMS        float64 `json:"tms"`     // ms since recorder start (stamped by the recorder)
+	// BoundCarried is set when the solve exported the carried dual vector
+	// unchanged (its bound stood), and CertReused counts the certificate's
+	// block bounds the server's auditor took from its cache: together they
+	// say how much of the two bound sweeps a swap owes was reused.
+	BoundCarried bool    `json:"boundcarried"`
+	CertReused   int     `json:"certreused"`
+	AuditMS      float64 `json:"auditms"` // done: certification wall time
+	BuildMS      float64 `json:"buildms"` // done, swapped: snapshot build+publish wall time
+	Dirty        int     `json:"dirty"`   // done: demand-dirty videos this attempt resolved
+	Rebuilt      int64   `json:"rebuilt"` // done, swapped: route rows recomputed (vs copied) by the snapshot build
+	TMS          float64 `json:"tms"`     // ms since recorder start (stamped by the recorder)
 }
 
 // ServeSwap is one published snapshot: the moment the serving plane's
@@ -114,6 +120,8 @@ func (r *Recorder) RecordServeResolve(e ServeResolve) {
 				b = appendFloat(b, ",\"roundratio\":", e.RoundRatio)
 				b = appendFloat(b, ",\"roundref\":", e.RoundRef)
 			}
+			b = appendBool(b, ",\"boundcarried\":", e.BoundCarried)
+			b = appendInt(b, ",\"certreused\":", int64(e.CertReused))
 			b = appendFloat(b, ",\"auditms\":", e.AuditMS)
 			b = appendFloat(b, ",\"buildms\":", e.BuildMS)
 			b = appendInt(b, ",\"dirty\":", int64(e.Dirty))

@@ -17,6 +17,7 @@ func TestServeEventsRoundTrip(t *testing.T) {
 		Phase: "done", Version: 2, Trigger: "demand", Verdict: "swapped",
 		WarmFrac: 0.75, ResumedFrac: 0.5, Passes: 12, SolveMS: 34.5, AuditMS: 1.25, BuildMS: 0.5,
 		LPMS: 4.5, LBMS: 2.25, RoundMS: 29, Round: "rejected", RoundRatio: 1.24, RoundRef: 1.117,
+		BoundCarried: true, CertReused: 1992,
 	})
 	r.RecordServeResolve(ServeResolve{
 		Phase: "done", Version: 3, Trigger: "demand", Verdict: "audit_rejected",
@@ -52,8 +53,11 @@ func TestServeEventsRoundTrip(t *testing.T) {
 	if done.LBMS != 2.25 {
 		t.Errorf("done event lbms %v, want 2.25", done.LBMS)
 	}
+	if !done.BoundCarried || done.CertReused != 1992 {
+		t.Errorf("done event boundcarried %v certreused %d, want true 1992", done.BoundCarried, done.CertReused)
+	}
 	rej := events[2]
-	if rej.Verdict != "audit_rejected" || rej.Reason != "audit: coupling row violated" || rej.Round != "" {
+	if rej.Verdict != "audit_rejected" || rej.Reason != "audit: coupling row violated" || rej.Round != "" || rej.BoundCarried {
 		t.Errorf("reject event %+v", rej)
 	}
 	swap := events[3]

@@ -235,7 +235,12 @@ type statusJSON struct {
 	LastRound      string  `json:"last_round"`
 	LastRoundRatio float64 `json:"last_round_ratio"`
 	LastRoundRef   float64 `json:"last_round_ref"`
-	LastReject     string  `json:"last_reject"`
+	// LastBoundCarried says the last swapped-in solve exported the carried
+	// dual vector unchanged, and LastCertReused how many of its
+	// certificate's block bounds the auditor reused (obs.ServeResolve).
+	LastBoundCarried bool   `json:"last_bound_carried"`
+	LastCertReused   int    `json:"last_cert_reused"`
+	LastReject       string `json:"last_reject"`
 
 	RouteRequests int64 `json:"route_requests"`
 	RouteErrors   int64 `json:"route_errors"`
@@ -257,32 +262,36 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	snap := s.store.Load()
+	// The resolver publishes a snapshot and its solve's outcome under mu, so
+	// loading both under it keeps the version and the last_* fields in step.
 	s.mu.Lock()
+	snap := s.store.Load()
 	last, lastGap, lastReject := s.lastSwapped, s.lastGap, s.lastReject
 	s.mu.Unlock()
 	out := statusJSON{
-		Version:        snap.Version,
-		Certified:      snap.Certified,
-		BuiltUnix:      snap.BuiltAt.Unix(),
-		AgeSeconds:     time.Since(snap.BuiltAt).Seconds(),
-		Videos:         snap.NumVideos(),
-		VHOs:           snap.NumVHOs(),
-		Links:          snap.Inst.G.NumLinks(),
-		Slices:         snap.Inst.Slices,
-		LastPasses:     last.Passes,
-		LastGapPct:     100 * lastGap,
-		LastLPMS:       last.LPMS,
-		LastLBMS:       last.LBMS,
-		LastRoundMS:    last.RoundMS,
-		ResumedFrac:    last.ResumedFrac,
-		LastRound:      last.Round,
-		LastRoundRatio: last.RoundRatio,
-		LastRoundRef:   last.RoundRef,
-		LastReject:     lastReject,
-		RouteRequests:  s.routeRequests.Value(),
-		RouteErrors:    s.routeErrors.Value(),
-		DemandUpdates:  s.demandUpdates.Value(),
+		Version:          snap.Version,
+		Certified:        snap.Certified,
+		BuiltUnix:        snap.BuiltAt.Unix(),
+		AgeSeconds:       time.Since(snap.BuiltAt).Seconds(),
+		Videos:           snap.NumVideos(),
+		VHOs:             snap.NumVHOs(),
+		Links:            snap.Inst.G.NumLinks(),
+		Slices:           snap.Inst.Slices,
+		LastPasses:       last.Passes,
+		LastGapPct:       100 * lastGap,
+		LastLPMS:         last.LPMS,
+		LastLBMS:         last.LBMS,
+		LastRoundMS:      last.RoundMS,
+		ResumedFrac:      last.ResumedFrac,
+		LastRound:        last.Round,
+		LastRoundRatio:   last.RoundRatio,
+		LastRoundRef:     last.RoundRef,
+		LastBoundCarried: last.BoundCarried,
+		LastCertReused:   last.CertReused,
+		LastReject:       lastReject,
+		RouteRequests:    s.routeRequests.Value(),
+		RouteErrors:      s.routeErrors.Value(),
+		DemandUpdates:    s.demandUpdates.Value(),
 	}
 	out.Resolves.Started = s.resolvesStarted.Value()
 	out.Resolves.Swapped = s.resolvesSwapped.Value()

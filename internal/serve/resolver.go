@@ -5,12 +5,12 @@ import (
 	"errors"
 	"expvar"
 	"fmt"
+	"slices"
 	"time"
 
 	"vodplace/internal/epf"
 	"vodplace/internal/mip"
 	"vodplace/internal/obs"
-	"vodplace/internal/verify"
 )
 
 // resolveLoop is the control plane: it waits for demand to change and runs
@@ -140,6 +140,7 @@ func (s *Server) resolveOnce(ctx context.Context) (*Snapshot, error) {
 	done.SolveMS = durMS(time.Since(tSolve))
 	if res != nil {
 		solveOutcome(&done, res, len(inst.Demands))
+		done.BoundCarried = warm != nil && slices.Equal(res.RowDuals, warm.RowDuals)
 	}
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
@@ -153,10 +154,12 @@ func (s *Server) resolveOnce(ctx context.Context) (*Snapshot, error) {
 
 	// The swap gate: the data plane only ever serves certified placements.
 	// An audit failure means the solver's claims were wrong — keep the old
-	// snapshot and record the rejection.
+	// snapshot and record the rejection. The server's auditor re-derives
+	// only the certificate terms this attempt's inputs moved.
 	tAudit := time.Now()
-	rep := verify.Audit(inst, res)
+	rep := s.auditor.Audit(inst, res)
 	done.AuditMS = durMS(time.Since(tAudit))
+	done.CertReused = rep.CertReused
 	if !rep.Ok() {
 		reject(s.auditRejected, "audit_rejected", "audit: "+rep.Err().Error())
 		s.logf("serve: resolve rejected by audit, keeping v%d: %v", cur.Version, rep.Err())
@@ -175,11 +178,14 @@ func (s *Server) resolveOnce(ctx context.Context) (*Snapshot, error) {
 		return nil, fmt.Errorf("serve: building snapshot: %w", err)
 	}
 	rdelta := routeDelta(cur, snap)
-	s.store.Store(snap)
-	done.BuildMS = durMS(time.Since(tBuild))
 	done.Rebuilt = rebuilt
 	done.Verdict = "swapped"
+	// The snapshot and the last_* fields /status reports with it are
+	// published under one lock, so a reader that sees the new version also
+	// sees the solve that produced it.
 	s.mu.Lock()
+	s.store.Store(snap)
+	done.BuildMS = durMS(time.Since(tBuild))
 	s.warm = res.Warm
 	s.lastSwapped, s.lastGap = done, res.Gap
 	// The swap covered the demand mass captured at solve start; whatever

@@ -68,6 +68,10 @@ type Server struct {
 	// mutates it, and only demand-side fields — the identity fields snapshot
 	// readers touch are immutable under a patch.
 	live *mip.Instance
+	// auditor certifies every re-solve, keeping the certificate's block
+	// bounds between attempts so an attempt re-derives only those its
+	// inputs moved. Only the resolver goroutine uses it.
+	auditor verify.Auditor
 	// lastSwapped is the done event of the most recent swapped-in solve (the
 	// initial one included) and lastGap its duality gap; lastReject explains
 	// the most recent rejected one ("" until a re-solve is rejected). Both

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net/http/httptest"
 	"strings"
@@ -127,7 +128,8 @@ func TestServeLifecycleTrace(t *testing.T) {
 	if uint64(lastDone.Version) != st.Version || lastDone.Passes != st.LastPasses ||
 		lastDone.LPMS != st.LastLPMS || lastDone.RoundMS != st.LastRoundMS ||
 		lastDone.ResumedFrac != st.ResumedFrac || lastDone.Round != st.LastRound ||
-		lastDone.RoundRatio != st.LastRoundRatio || lastDone.RoundRef != st.LastRoundRef {
+		lastDone.RoundRatio != st.LastRoundRatio || lastDone.RoundRef != st.LastRoundRef ||
+		lastDone.BoundCarried != st.LastBoundCarried || lastDone.CertReused != st.LastCertReused {
 		t.Errorf("/status %+v does not match the swapped done event %+v", st, lastDone)
 	}
 
@@ -143,6 +145,51 @@ func TestServeLifecycleTrace(t *testing.T) {
 	}
 	if got := m.Counter("serve.resolves_swapped").Value(); got < 1 {
 		t.Errorf("serve.resolves_swapped %d, want >= 1", got)
+	}
+}
+
+// The server's auditor keeps its certificate between re-solves. The first
+// one starts empty; a re-solve that exported the carried duals unchanged is
+// certified at the same duals as the last, so only the videos patched since
+// are re-derived; one that moved its duals re-derives everything. The done
+// event and /status say which happened and how many block bounds were reused.
+func TestResolveReusesCertificate(t *testing.T) {
+	const videos = 30
+	s := testServer(t, videos, 6, 21)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	carried := 0
+	for round := 1; round <= 4; round++ {
+		vi := (3 * round) % videos
+		s.mu.Lock()
+		s.state.apply([]DemandUpdate{{Video: s.live.Demands[vi].Video, VHO: round % 6, Add: 5}})
+		s.dirty = true
+		s.mu.Unlock()
+		if snap, err := s.resolveOnce(context.Background()); err != nil || snap == nil {
+			t.Fatalf("round %d: no swap (error %v, stats %+v)", round, err, s.Stats())
+		}
+		s.mu.Lock()
+		done := s.lastSwapped
+		s.mu.Unlock()
+		want := 0
+		if round > 1 && done.BoundCarried {
+			want = videos - 1
+			carried++
+		}
+		if done.CertReused != want {
+			t.Errorf("round %d: bound carried %v, %d block bounds reused; want %d", round, done.BoundCarried, done.CertReused, want)
+		}
+		var st statusJSON
+		if code := getJSON(t, ts, "/status", &st); code != 200 {
+			t.Fatalf("status %d", code)
+		}
+		if st.LastBoundCarried != done.BoundCarried || st.LastCertReused != done.CertReused {
+			t.Errorf("round %d: /status last_bound_carried %v last_cert_reused %d, the done event %v %d",
+				round, st.LastBoundCarried, st.LastCertReused, done.BoundCarried, done.CertReused)
+		}
+	}
+	if carried == 0 {
+		t.Error("no re-solve carried its bound; the certificate was never reused")
 	}
 }
 

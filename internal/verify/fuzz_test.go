@@ -2,6 +2,7 @@ package verify
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"vodplace/internal/epf"
@@ -288,7 +289,7 @@ func FuzzFacloc(f *testing.F) {
 func mutateWarm(w *epf.WarmState, ids []int, kind, at, val uint8) {
 	pick := func(n int) int { return int(at) % max(n, 1) }
 	office := int32(int8(val)) // −128..127: in range, out of range, negative
-	switch kind % 9 {
+	switch kind % 10 {
 	case 0:
 		w.Assign = w.Assign[:pick(len(w.Assign)+1)]
 	case 1:
@@ -332,13 +333,37 @@ func mutateWarm(w *epf.WarmState, ids []int, kind, at, val uint8) {
 		} else if len(lp.Off) > 0 {
 			lp.Off[pick(len(lp.Off))] = office
 		}
+	case 9:
+		b := w.Bound
+		if b == nil {
+			break
+		}
+		switch val % 4 {
+		case 0:
+			b.Term = b.Term[:pick(len(b.Term)+1)]
+		case 1:
+			b.Inputs = b.Inputs[:pick(len(b.Inputs)+1)]
+		case 2:
+			if len(b.Inputs) > 0 {
+				if in := b.Inputs[pick(len(b.Inputs))]; len(in) > 0 {
+					in[int(val)%len(in)] ^= 1
+				}
+			}
+		case 3:
+			if len(b.Duals) > 0 {
+				b.Duals[pick(len(b.Duals))] += 1
+			}
+		}
 	}
 }
 
 // FuzzWarmResume hands the solver warm states it did not write: a valid
 // exported state with its flat arrays truncated, extended or overwritten,
 // positions permuted, offices out of range, rows assigned to offices that
-// hold no copy, and a reference that is NaN, negative or infinite. Whatever
+// hold no copy, a reference that is NaN, negative or infinite, and bound
+// terms truncated, an input word flipped or the terms' dual copy edited (the
+// term values themselves are the state's word, which only the audit checks).
+// Whatever
 // it is handed, a warm integer solve of a (patched) instance must not panic
 // and must return an integral placement whose claims survive the audit —
 // a garbled state costs the videos it garbles their resume, nothing else.
@@ -347,6 +372,7 @@ func FuzzWarmResume(f *testing.F) {
 	f.Add(int64(3), uint8(5), uint8(9), []byte{0, 3, 0, 2, 5, 200, 5, 0, 0})
 	f.Add(int64(7), uint8(3), uint8(12), []byte{3, 1, 2, 4, 0, 99, 6, 2, 0, 6, 7, 3, 8, 1, 250})
 	f.Add(int64(-2), uint8(6), uint8(4), []byte{1, 0, 130, 7, 2, 77, 8, 3, 1, 5, 3, 0})
+	f.Add(int64(5), uint8(5), uint8(8), []byte{9, 2, 2, 9, 1, 6, 9, 3, 3, 3, 0, 4, 9, 0, 8})
 	f.Fuzz(func(t *testing.T, seed int64, nodesB, videosB uint8, muts []byte) {
 		shape := InstanceOpts{Nodes: clamp(nodesB, 2, 6), Videos: clamp(videosB, 2, 12), Slices: 1 + int(uint64(seed)%2)}
 		inst, err := RandomInstance(seed, shape)
@@ -366,6 +392,15 @@ func FuzzWarmResume(f *testing.F) {
 		lp.Row, lp.J = append([]int32(nil), lp.Row...), append([]int32(nil), lp.J...)
 		lp.Off, lp.Frac = append([]int32(nil), lp.Off...), append([]mip.Frac(nil), lp.Frac...)
 		w.LP = &lp
+		if cold.Warm.Bound != nil {
+			b := *cold.Warm.Bound
+			b.Duals, b.Term = slices.Clone(b.Duals), slices.Clone(b.Term)
+			b.Inputs = make([][]uint32, len(cold.Warm.Bound.Inputs))
+			for p, in := range cold.Warm.Bound.Inputs {
+				b.Inputs[p] = slices.Clone(in)
+			}
+			w.Bound = &b
+		}
 		w.Videos = make(map[int]epf.WarmVideo, len(cold.Warm.Videos))
 		var ids []int
 		for vi := range inst.Demands {

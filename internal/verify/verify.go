@@ -58,6 +58,9 @@ type Report struct {
 	CertifiedLB float64
 	// ClaimedLB is the bound the solver reported (Audit only).
 	ClaimedLB float64
+	// CertReused is the number of block bounds the certificate took from an
+	// Auditor's cache instead of re-deriving (0 for the package-level Audit).
+	CertReused int
 	// Gap is (Objective − CertifiedLB)/CertifiedLB when a certificate was
 	// checked and CertifiedLB > 0.
 	Gap float64
@@ -250,8 +253,16 @@ func CheckSolution(sol *mip.Solution) *Report {
 // the duality-gap certificate from the reported row duals. Hard failures
 // (Report.Err() != nil) mean the result's claims are wrong, not merely that
 // the solution is ε-infeasible — coupling-row slack is the solver's reported
-// business; lying about it is the auditor's.
+// business; lying about it is the auditor's. It is an empty Auditor's audit.
 func Audit(inst *mip.Instance, res *epf.Result) *Report {
+	var a Auditor
+	return a.Audit(inst, res)
+}
+
+// Audit is the package-level Audit with the certificate derived through a's
+// cache (Report.CertReused says how many block bounds it reused); the report
+// is the one a fresh Audit gives, value for value.
+func (a *Auditor) Audit(inst *mip.Instance, res *epf.Result) *Report {
 	if inst == nil || res == nil || res.Sol == nil {
 		r := &Report{}
 		r.failf("nil instance or result")
@@ -293,12 +304,12 @@ func Audit(inst *mip.Instance, res *epf.Result) *Report {
 	// Duality-gap certificate: the claimed bound must be justified by the
 	// reported dual prices (or by the trivial no-network bound, which is the
 	// λ = 0 certificate).
-	cert, err := CertifyLowerBound(inst, res.RowDuals)
+	cert, reused, err := a.certify(inst, res.RowDuals)
 	if err != nil {
 		r.failf("certificate: %v", err)
 		return r
 	}
-	r.CertifiedLB = cert
+	r.CertifiedLB, r.CertReused = cert, reused
 	if res.LowerBound > cert*(1+CertTol)+CertTol {
 		r.failf("claimed lower bound %g exceeds certified bound %g", res.LowerBound, cert)
 	}

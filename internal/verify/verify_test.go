@@ -318,6 +318,14 @@ func TestCertifyLowerBound(t *testing.T) {
 	})
 }
 
+// certifyWith is CertifyLowerBound with its block bounds derived on a pool of
+// the given size: a fresh Auditor's certificate.
+func certifyWith(inst *mip.Instance, duals []float64, workers int) (float64, error) {
+	a := Auditor{workers: workers}
+	lb, _, err := a.certify(inst, duals)
+	return lb, err
+}
+
 // The certificate's block bounds run on a pool, summed in video order with
 // the lowest-index failure reported, so the certified value is the same bits
 // and a failure the same text at every pool size.
@@ -332,12 +340,12 @@ func TestCertifyLowerBoundWorkerInvariance(t *testing.T) {
 		ones[r] = 1
 	}
 	for _, duals := range [][]float64{res.RowDuals, ones} {
-		want, err := certifyLowerBound(inst, duals, 1)
+		want, err := certifyWith(inst, duals, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 4} {
-			if got, err := certifyLowerBound(inst, duals, workers); err != nil || math.Float64bits(got) != math.Float64bits(want) {
+			if got, err := certifyWith(inst, duals, workers); err != nil || math.Float64bits(got) != math.Float64bits(want) {
 				t.Errorf("%d workers: certified %v (%v), one worker %v", workers, got, err, want)
 			}
 		}
@@ -349,12 +357,12 @@ func TestCertifyLowerBoundWorkerInvariance(t *testing.T) {
 	for _, vi := range []int{95, 70} {
 		inst.Demands[vi].SizeGB = -1
 	}
-	_, want := certifyLowerBound(inst, ones, 1)
+	_, want := certifyWith(inst, ones, 1)
 	if prefix := fmt.Sprintf("video %d: ", inst.Demands[70].Video); want == nil || !strings.HasPrefix(want.Error(), prefix) {
 		t.Fatalf("one worker: error %v, want one starting %q", want, prefix)
 	}
 	for _, workers := range []int{2, 4} {
-		if _, err := certifyLowerBound(inst, ones, workers); err == nil || err.Error() != want.Error() {
+		if _, err := certifyWith(inst, ones, workers); err == nil || err.Error() != want.Error() {
 			t.Errorf("%d workers: error %v, one worker %v", workers, err, want)
 		}
 	}
