@@ -36,7 +36,6 @@ func main() {
 		seed   = flag.Int64("seed", 0, "random seed (default 1)")
 		passes = flag.Int("passes", 0, "solver pass cap (default 80)")
 		eps    = flag.Float64("eps", 0, "solver convergence tolerance (default: solver's)")
-		shards = flag.Int("shards", 0, "catalog shards for block scheduling (0/1 = unsharded; any value yields bit-identical results)")
 		quick  = flag.Bool("quick", false, "reduced scale for smoke runs")
 		doAud  = flag.Bool("verify", false, "re-check every solver result with the independent certificate auditor")
 		cold   = flag.Bool("cold", false, "solve every placement period cold instead of seeding it from the previous period's final state")
@@ -93,7 +92,6 @@ func main() {
 		Seed:                   *seed,
 		MaxPasses:              *passes,
 		Epsilon:                *eps,
-		Shards:                 *shards,
 		Quick:                  *quick,
 		Verify:                 *doAud,
 		Warm:                   !*cold,

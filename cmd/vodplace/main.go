@@ -40,7 +40,6 @@ func main() {
 		link    = flag.Float64("link", 1000, "uniform link capacity in Mb/s")
 		slices  = flag.Int("slices", 2, "number of peak-window link constraints |T|")
 		window  = flag.Int64("window", 3600, "peak window length in seconds")
-		shards  = flag.Int("shards", 1, "catalog shards for instance building and block scheduling (1 = unsharded; any value yields bit-identical results)")
 		seed    = flag.Int64("seed", 1, "random seed")
 		passes  = flag.Int("passes", 120, "solver pass cap")
 		verbose = flag.Bool("v", false, "per-pass solver progress")
@@ -95,7 +94,7 @@ func main() {
 		G: g, Lib: lib,
 		DiskGB:      core.UniformDisk(lib, *vhos, *disk),
 		LinkCapMbps: core.UniformLinks(g, *link),
-		Cfg:         demand.Config{Slices: *slices, WindowSec: *window, HorizonDays: 7, Shards: *shards},
+		Cfg:         demand.Config{Slices: *slices, WindowSec: *window, HorizonDays: 7},
 	}
 	inst, err := builder.Instance(tr, 7)
 	if err != nil {

@@ -48,12 +48,6 @@ type MIPOptions struct {
 	Slices int
 	// WindowSec is the peak-window size. Default 3600.
 	WindowSec int64
-	// Shards is the number of catalog shards each period's instance is built
-	// with (demand.Config.Shards); the EPF solver adopts the instance's
-	// layout, so this also shards the per-period solves. ≤ 1 (the default)
-	// keeps the historical single-shard pipeline. Sharding never changes a
-	// period's numeric result.
-	Shards int
 	// FirstPlacementDay is when the first placement takes effect; it also
 	// needs that much history. Default HistoryDays.
 	FirstPlacementDay int
@@ -166,7 +160,6 @@ func (s *System) RunMIPContext(ctx context.Context, tr *workload.Trace, opts MIP
 			HorizonDays: o.UpdateEveryDays,
 			Slices:      o.Slices,
 			WindowSec:   o.WindowSec,
-			Shards:      o.Shards,
 		},
 	}
 

@@ -63,10 +63,10 @@ type Config struct {
 	// sweet spot).
 	WindowSec int64
 	// Shards is the number of catalog shards the built instance is split
-	// into (mip.Instance.Shards); the EPF solver adopts the instance's shard
-	// count by default. ≤ 1 builds a single shard — exactly the historical
-	// layout. Sharding never changes the instance's numeric content, only
-	// its decomposition.
+	// into (mip.Instance.Shards): the builder streams the catalog in shards
+	// of that size, which bounds its peak staging memory. ≤ 1 builds a
+	// single shard. The layout is accounting only — it never changes the
+	// instance's numeric content, and the solver does not read it.
 	Shards int
 	// SeriesEstimation enables new-episode estimation from the previous
 	// episode. Default true (disabled only by DisableSeriesEstimation).

@@ -3,7 +3,52 @@ package epf
 import (
 	"math"
 	"time"
+
+	"vodplace/internal/par"
 )
+
+// lbRangeBlocks is the width of one bound-sweep task: the catalog is cut into
+// consecutive ranges of this many videos, and RunTasks stripes them across the
+// workers. It is a variable only so tests can put range edges inside small
+// instances; production solves always see the constant default.
+var lbRangeBlocks = 256
+
+// initBound builds the bound sweep's static task list and its fan-out body.
+// Runs once in newSolver. The frozen duals and the gradient request flow
+// through solver fields (s.lbQ, s.lbWantGrad); per-block bounds land in
+// s.lbBuf, index-addressed, and the caller reduces them in video order, so the
+// split never changes a bit. A block in s.lbKeep already holds its carried term
+// (carriedTerms) and is skipped.
+func (s *solver) initBound() {
+	numBlocks := len(s.inst.Demands)
+	for lo := 0; lo < numBlocks; lo += lbRangeBlocks {
+		hi := min(lo+lbRangeBlocks, numBlocks)
+		s.lbTasks = append(s.lbTasks, par.Task{Lo: lo, Hi: hi})
+	}
+	s.lbTaskFn = func(w, _, lo, hi int) {
+		ws := s.scratch.Get(w)
+		if ws.used == nil {
+			ws.used = make([]bool, s.n)
+		}
+		q := s.lbQ
+		for vi := lo; vi < hi; vi++ {
+			if (vi-lo)%64 == 0 && s.ctx.Err() != nil {
+				return
+			}
+			if s.lbKeep != nil && s.lbKeep[vi] {
+				continue
+			}
+			s.buildBlockProblem(vi, q, &ws.prob)
+			lb, _ := ws.fs.DualAscent(&ws.prob)
+			s.lbBuf[vi] = lb
+			if s.lbWantGrad {
+				ws.fs.SolveQuickInto(&ws.prob, &ws.fsol, nil)
+				toIntSolInto(&ws.fsol, &s.inst.Demands[vi], ws.used, &s.lbSols[vi])
+			}
+			ws.lbBlocks++
+		}
+	}
+}
 
 // lagrangianBound computes LR(λ) = Σ_k LB_k(λ) − Σ_r λ_r·b_r with the given
 // normalized duals, using per-block dual-ascent lower bounds so the result

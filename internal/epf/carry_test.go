@@ -12,13 +12,13 @@ import (
 	"vodplace/internal/verify"
 )
 
-// countStats is st without its wall times, its pool and shard layout, and the
-// two counters that say how the bound's terms were obtained (solved or
-// carried) — what a warm solve with carried terms must share with one that
-// solves every block, at any worker × shard combination.
+// countStats is st without its wall times, its pool, and the two counters
+// that say how the bound's terms were obtained (solved or carried) — what a
+// warm solve with carried terms must share with one that solves every block,
+// at any worker count.
 func countStats(st epf.Stats) epf.Stats {
 	st.InitTime, st.LPTime, st.RoundTime, st.LBTime, st.PolishTime, st.ReduceTime = 0, 0, 0, 0, 0, 0
-	st.Workers, st.Shards, st.ScratchAllocs, st.ScratchReuses = 0, 0, 0, 0
+	st.Workers, st.ScratchAllocs, st.ScratchReuses = 0, 0, 0
 	st.LBBlockSolves, st.LBTermsReused = 0, 0
 	return st
 }
@@ -134,7 +134,7 @@ func rebuiltWithout(t *testing.T, inst *mip.Instance, drop int) *mip.Instance {
 // A warm re-solve that takes unchanged videos' bound terms from the carried
 // state is the same solve, bit for bit, as one handed the same state without
 // them (every block solved): bound, duals, objective, placement, counts and
-// the terms it exports, at every worker × shard combination. Each edit below
+// the terms it exports, at every worker count. Each edit below
 // must cost exactly the terms whose inputs it touched — one changed
 // aggregate, one changed concurrency value, a new or evicted video, an origin
 // under the update objective — and an instance-wide edit (Alpha, one dual)
@@ -237,22 +237,20 @@ func TestCarriedBoundTermsSameBits(t *testing.T) {
 		if want.Stats.LBTermsReused != 0 {
 			t.Fatalf("%s: a state without terms reused %d", tc.name, want.Stats.LBTermsReused)
 		}
-		for _, workers := range []int{1, 2, 4} {
-			for _, shards := range []int{1, 3} {
-				o.Workers, o.Shards, o.Warm = workers, shards, w
-				got, err := epf.SolveInteger(inst, o)
-				if err != nil {
-					t.Fatal(err)
-				}
-				name := fmt.Sprintf("%s, workers=%d shards=%d", tc.name, workers, shards)
-				if diff := sameSolveBits(got, want); diff != "" {
-					t.Errorf("%s: carried terms change the solve: %s", name, diff)
-				}
-				st := got.Stats
-				if st.LBTermsReused != int64(tc.reused) || st.LBBlockSolves+st.LBTermsReused != want.Stats.LBBlockSolves {
-					t.Errorf("%s: %d terms reused, %d block solves; want %d reused of the %d solves without them",
-						name, st.LBTermsReused, st.LBBlockSolves, tc.reused, want.Stats.LBBlockSolves)
-				}
+		for _, workers := range []int{1, 2, 3, 4} {
+			o.Workers, o.Warm = workers, w
+			got, err := epf.SolveInteger(inst, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("%s, workers=%d", tc.name, workers)
+			if diff := sameSolveBits(got, want); diff != "" {
+				t.Errorf("%s: carried terms change the solve: %s", name, diff)
+			}
+			st := got.Stats
+			if st.LBTermsReused != int64(tc.reused) || st.LBBlockSolves+st.LBTermsReused != want.Stats.LBBlockSolves {
+				t.Errorf("%s: %d terms reused, %d block solves; want %d reused of the %d solves without them",
+					name, st.LBTermsReused, st.LBBlockSolves, tc.reused, want.Stats.LBBlockSolves)
 			}
 		}
 	}

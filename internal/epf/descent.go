@@ -7,7 +7,6 @@ import (
 
 	"vodplace/internal/mip"
 	"vodplace/internal/obs"
-	"vodplace/internal/par"
 )
 
 // initRun prepares the per-run state (pass permutation, chunk buffers, the
@@ -39,19 +38,17 @@ func (s *solver) initRun() {
 			}
 		}
 	}
-	// The fan-out body is created once; per-chunk state flows through
-	// solver fields (s.chunk, s.chunkPos, s.chunkSols) so no closure is
-	// allocated on the hot path. Tasks are shard-affine position ranges
-	// built by buildChunkTasks; chunkSols is index-addressed by chunk
-	// position and applied sequentially in chunk order by the caller, so
-	// neither the worker partition nor the shard grouping affects numerics.
-	s.chunkTaskFn = func(w, _, lo, hi int) {
+	// The fan-out body is created once; per-chunk state flows through solver
+	// fields (s.chunk, s.chunkSols) so no closure is allocated on the hot
+	// path. Workers take contiguous ranges of chunk positions; chunkSols is
+	// index-addressed by position and applied sequentially in chunk order by
+	// the caller, so the worker partition never affects numerics.
+	s.chunkFn = func(w, lo, hi int) {
 		ws := s.scratch.Get(w)
 		if ws.used == nil {
 			ws.used = make([]bool, s.n)
 		}
-		for idx := lo; idx < hi; idx++ {
-			c := int(s.chunkPos[idx])
+		for c := lo; c < hi; c++ {
 			vi := s.chunk[c]
 			s.buildBlockProblem(vi, s.q, &ws.prob)
 			ws.fs.SolveQuickInto(&ws.prob, &ws.fsol, s.warmOpen[vi])
@@ -59,52 +56,6 @@ func (s *solver) initRun() {
 			s.warmOpen[vi] = append(s.warmOpen[vi][:0], s.chunkSols[c].open...)
 		}
 		ws.blocks += int64(hi - lo)
-	}
-}
-
-// buildChunkTasks groups the current chunk's positions by shard (a stable
-// counting sort into s.chunkPos) and splits each shard group into pieces of
-// at most ceil(|chunk|/W), so a W-worker fan-out stays balanced while each
-// piece touches a single shard's videos. Per-shard block counts are tallied
-// here, on the driver goroutine, so the telemetry is deterministic. No
-// allocations: every buffer was sized in initShards/initRun.
-func (s *solver) buildChunkTasks() {
-	S := len(s.shards)
-	cnt, head := s.shardCnt, s.shardHead
-	for si := 0; si < S; si++ {
-		cnt[si] = 0
-	}
-	for _, vi := range s.chunk {
-		cnt[s.shardOf[vi]]++
-	}
-	var sum int32
-	for si := 0; si < S; si++ {
-		head[si] = sum
-		sum += cnt[si]
-		s.shardBlocks[si] += int64(cnt[si])
-	}
-	for c, vi := range s.chunk {
-		si := s.shardOf[vi]
-		s.chunkPos[head[si]] = int32(c)
-		head[si]++
-	}
-	per := (len(s.chunk) + s.opts.Workers - 1) / s.opts.Workers
-	if per < 1 {
-		per = 1
-	}
-	s.tasks = s.tasks[:0]
-	pos := 0
-	for si := 0; si < S; si++ {
-		g := int(cnt[si])
-		for g > 0 {
-			sz := per
-			if sz > g {
-				sz = g
-			}
-			s.tasks = append(s.tasks, par.Task{Tag: si, Lo: pos, Hi: pos + sz})
-			pos += sz
-			g -= sz
-		}
 	}
 }
 
@@ -127,11 +78,9 @@ func (s *solver) descentPass() bool {
 		s.computeDuals(s.q)
 		s.computePathDuals(s.q)
 
-		// Parallel block optimization on the shared pool, dispatched as
-		// shard-affine position ranges.
+		// Parallel block optimization on the shared pool.
 		s.chunk = s.perm[lo:hi]
-		s.buildChunkTasks()
-		if err := s.pool.RunTasks(s.ctx, s.tasks, s.chunkTaskFn); err != nil {
+		if err := s.pool.Run(s.ctx, len(s.chunk), s.chunkFn); err != nil {
 			return false // cancelled before dispatch; chunkSols is stale
 		}
 
@@ -435,23 +384,6 @@ func (s *solver) finishTrace(res *Result) {
 		Converged:  res.Converged,
 		Rounded:    res.Rounded,
 	})
-	// Per-shard summaries ride only on sharded solves, so an unsharded
-	// solve's trace stays byte-identical to pre-shard releases.
-	if len(s.shards) > 1 {
-		for si, sp := range s.shards {
-			var nnz int64
-			for vi := sp.lo; vi < sp.hi; vi++ {
-				nnz += int64(s.inst.Demands[vi].NNZ())
-			}
-			rec.RecordEPFShard(obs.EPFShard{
-				Stream: s.opts.TraceStream,
-				Shard:  si,
-				Videos: sp.hi - sp.lo,
-				NNZ:    nnz,
-				Blocks: s.shardBlocks[si],
-			})
-		}
-	}
 	rec.RecordSpan(s.opts.TraceStream, "reduce", res.Stats.ReduceTime)
 	rec.PublishKV("epf_stats."+s.opts.TraceStream, res.Stats)
 	rec.Flush() //nolint:errcheck // sink errors surface from the caller's Close

@@ -61,40 +61,37 @@ func standingBoundPair(t *testing.T, i int) (string, *mip.Instance, epf.Options,
 // While a re-solve's bound is still the one re-derived from the carried
 // duals, one polish round that fails to raise it is the last. Each
 // standingBound fixture runs enough passes for the every-third-stall cadence
-// to have fired twice or more. The ledger is the same on the whole
-// worker × shard grid.
+// to have fired twice or more. The ledger is the same at every worker count.
 func TestStandingBoundIsPolishedOnce(t *testing.T) {
 	for i, tc := range standingBound {
 		name, inst, opts, prev := standingBoundPair(t, i)
 		var first epf.Stats
-		for _, workers := range []int{1, 2, 4} {
-			for _, shards := range []int{1, 3} {
-				opts.Workers, opts.Shards = workers, shards
-				warm, err := epf.SolveInteger(inst, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				st := warm.Stats
-				if !warm.Converged || warm.Passes != tc.passes || !slices.Equal(warm.RowDuals, prev.Warm.RowDuals) {
-					t.Fatalf("%s: converged %v after %d passes (want %d) on the carried duals: %v — not a standing-bound fixture",
-						name, warm.Converged, warm.Passes, tc.passes, slices.Equal(warm.RowDuals, prev.Warm.RowDuals))
-				}
-				if st.Polishes != 1 || st.LBRaised != 0 {
-					t.Errorf("%s: %d polish rounds, %d of %d evaluations raised the bound; want one probe round and none",
-						name, st.Polishes, st.LBRaised, st.LBEvals)
-				}
-				if st.PolishTime <= 0 || st.PolishTime > st.LBTime || st.LBTime > st.LPTime {
-					t.Errorf("%s: polish %v of bound %v of lp %v", name, st.PolishTime, st.LBTime, st.LPTime)
-				}
-				if rep := verify.Audit(inst, warm); !rep.Ok() {
-					t.Errorf("%s: fails the audit: %v", name, rep.Err())
-				}
-				if workers == 1 && shards == 1 {
-					first = st
-				} else if st.Polishes != first.Polishes || st.LBEvals != first.LBEvals || st.LBRaised != first.LBRaised {
-					t.Errorf("%s workers=%d shards=%d: %d polish rounds, %d lb evals, %d raised vs %d, %d, %d",
-						name, workers, shards, st.Polishes, st.LBEvals, st.LBRaised, first.Polishes, first.LBEvals, first.LBRaised)
-				}
+		for _, workers := range []int{1, 2, 3, 4} {
+			opts.Workers = workers
+			warm, err := epf.SolveInteger(inst, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := warm.Stats
+			if !warm.Converged || warm.Passes != tc.passes || !slices.Equal(warm.RowDuals, prev.Warm.RowDuals) {
+				t.Fatalf("%s: converged %v after %d passes (want %d) on the carried duals: %v — not a standing-bound fixture",
+					name, warm.Converged, warm.Passes, tc.passes, slices.Equal(warm.RowDuals, prev.Warm.RowDuals))
+			}
+			if st.Polishes != 1 || st.LBRaised != 0 {
+				t.Errorf("%s: %d polish rounds, %d of %d evaluations raised the bound; want one probe round and none",
+					name, st.Polishes, st.LBRaised, st.LBEvals)
+			}
+			if st.PolishTime <= 0 || st.PolishTime > st.LBTime || st.LBTime > st.LPTime {
+				t.Errorf("%s: polish %v of bound %v of lp %v", name, st.PolishTime, st.LBTime, st.LPTime)
+			}
+			if rep := verify.Audit(inst, warm); !rep.Ok() {
+				t.Errorf("%s: fails the audit: %v", name, rep.Err())
+			}
+			if workers == 1 {
+				first = st
+			} else if st.Polishes != first.Polishes || st.LBEvals != first.LBEvals || st.LBRaised != first.LBRaised {
+				t.Errorf("%s workers=%d: %d polish rounds, %d lb evals, %d raised vs %d, %d, %d",
+					name, workers, st.Polishes, st.LBEvals, st.LBRaised, first.Polishes, first.LBEvals, first.LBRaised)
 			}
 		}
 	}
@@ -105,44 +102,41 @@ func TestStandingBoundIsPolishedOnce(t *testing.T) {
 // incumbent the three-point search keeps the cadence of passes 1–8 and every
 // third pass. Pinned on the standingBound fixtures by the evaluation ledger —
 // the carried bound's evaluation, one per bound step (the converged pass has
-// none), two more per scale search and six per polish round — across the
-// worker × shard grid, and each fixture must have cadence passes the rule
-// skipped.
+// none), two more per scale search and six per polish round — at every
+// worker count, and each fixture must have cadence passes the rule skipped.
 func TestCarriedBoundSkipsScaleSearch(t *testing.T) {
 	for i, tc := range standingBound {
 		name, inst, opts, _ := standingBoundPair(t, i)
-		for _, workers := range []int{1, 2, 4} {
-			for _, shards := range []int{1, 3} {
-				opts.Workers, opts.Shards = workers, shards
-				var infos []epf.PassInfo
-				opts.OnPass = func(p epf.PassInfo) { infos = append(infos, p) }
-				warm, err := epf.SolveInteger(inst, opts)
-				if err != nil {
-					t.Fatal(err)
+		for _, workers := range []int{1, 2, 3, 4} {
+			opts.Workers = workers
+			var infos []epf.PassInfo
+			opts.OnPass = func(p epf.PassInfo) { infos = append(infos, p) }
+			warm, err := epf.SolveInteger(inst, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if warm.Passes != tc.passes || len(infos) != tc.passes {
+				t.Fatalf("%s: %d passes, %d reported (want %d)", name, warm.Passes, len(infos), tc.passes)
+			}
+			var searched, skipped int64
+			for _, p := range infos[:len(infos)-1] {
+				if p.LowerBound != warm.LowerBound {
+					t.Fatalf("%s: pass %d moved the bound to %v — not a standing-bound fixture", name, p.Pass, p.LowerBound)
 				}
-				if warm.Passes != tc.passes || len(infos) != tc.passes {
-					t.Fatalf("%s: %d passes, %d reported (want %d)", name, warm.Passes, len(infos), tc.passes)
+				if p.Pass > 8 && p.Pass%3 != 0 {
+					continue
 				}
-				var searched, skipped int64
-				for _, p := range infos[:len(infos)-1] {
-					if p.LowerBound != warm.LowerBound {
-						t.Fatalf("%s: pass %d moved the bound to %v — not a standing-bound fixture", name, p.Pass, p.LowerBound)
-					}
-					if p.Pass > 8 && p.Pass%3 != 0 {
-						continue
-					}
-					if math.IsInf(p.UpperBound, 1) {
-						searched++
-					} else {
-						skipped++
-					}
+				if math.IsInf(p.UpperBound, 1) {
+					searched++
+				} else {
+					skipped++
 				}
-				st := warm.Stats
-				want := 1 + int64(tc.passes-1) + 2*searched + 6*int64(st.Polishes)
-				if st.ScaleSearches != searched || st.LBEvals != want || skipped == 0 {
-					t.Errorf("%s workers=%d shards=%d: %d scale searches, %d lb evals; want %d, %d (%d cadence passes held an incumbent)",
-						name, workers, shards, st.ScaleSearches, st.LBEvals, searched, want, skipped)
-				}
+			}
+			st := warm.Stats
+			want := 1 + int64(tc.passes-1) + 2*searched + 6*int64(st.Polishes)
+			if st.ScaleSearches != searched || st.LBEvals != want || skipped == 0 {
+				t.Errorf("%s workers=%d: %d scale searches, %d lb evals; want %d, %d (%d cadence passes held an incumbent)",
+					name, workers, st.ScaleSearches, st.LBEvals, searched, want, skipped)
 			}
 		}
 	}

@@ -42,6 +42,13 @@
 // before every use, and every block's local search starts from the video's
 // previous open set. See DESIGN.md §8 for the layout
 // and the determinism constraints the kernels honor.
+//
+// The schedule is a function of the catalog size and the worker count alone:
+// a descent chunk fans out as Workers contiguous position ranges, a bound
+// sweep as fixed lbRangeBlocks-video ranges striped across the workers, and
+// the reductions over their index-addressed results run over fixed leaves
+// (reduce.go). No split reaches the numerics, so every result is
+// bit-identical at any worker count (DESIGN.md §11, §13).
 package epf
 
 import (
@@ -73,16 +80,6 @@ type Options struct {
 	// deployments scale the pool with the runtime instead of the raw core
 	// count. Results are bit-identical at any worker count either way.
 	Workers int
-	// Shards is the number of contiguous catalog shards the block schedule
-	// is grouped by. 0 (the default) adopts the instance's own shard layout
-	// (mip.Instance.Shards — one shard for batch-built instances, the
-	// builder's layout for streamed ones); a positive value forces an even
-	// contiguous re-partition with that many shards, capped at the video
-	// count. Sharding changes only data locality, scheduling and per-shard
-	// telemetry — every result is bit-identical at any shard count, exactly
-	// as it is at any worker count, because block results land in
-	// index-addressed slots and every reduction runs in index order.
-	Shards int
 	// Seed drives block shuffling. Default 1.
 	Seed int64
 	// NoShuffle processes blocks in a fixed order instead of re-randomizing
@@ -197,11 +194,6 @@ type Result struct {
 type intSol struct {
 	open   []int32
 	assign []int32
-}
-
-// shardSpan is one contiguous catalog shard [lo, hi) in video-index space.
-type shardSpan struct {
-	lo, hi int
 }
 
 // workerScratch is one pool worker's reusable state: the facility-location
@@ -332,30 +324,22 @@ type solver struct {
 	seedAssign []int32    // seedWarmBlock staging buffer: one office per demand office
 	warmOpen   [][]int32  // per-video previous block open set (warm starts)
 
-	// Shard scheduling state. Shards are contiguous catalog ranges resolved
-	// in newSolver (from the instance layout or Options.Shards); every
-	// fan-out dispatches shard-affine index ranges via par.RunTasks so one
-	// worker's consecutive blocks share a shard's working set. Because block
-	// results are index-addressed and reductions run in chunk/video order on
-	// the driver goroutine, the shard decomposition — like the worker count —
-	// never changes numeric output.
-	shards      []shardSpan
-	shardOf     []int32    // video index -> shard index
-	shardBlocks []int64    // per-shard descent block solves, driver-tallied
-	chunkPos    []int32    // current chunk's positions, grouped by shard
-	shardCnt    []int32    // counting-sort scratch: blocks per shard
-	shardHead   []int32    // counting-sort scratch: group write heads
-	tasks       []par.Task // descent-chunk task list (reused)
-	chunkTaskFn func(w, tag, lo, hi int)
-	lbTasks     []par.Task // static shard-affine split of all blocks
-	lbTaskFn    func(w, tag, lo, hi int)
-	lbQ         []float64 // frozen duals for the current bound fan-out
-	lbWantGrad  bool
+	// Fan-out bodies, created once; per-fan-out state flows through solver
+	// fields. A descent chunk is split into Workers contiguous position
+	// ranges; a bound sweep runs lbTasks, the catalog in lbRangeBlocks-video
+	// ranges striped across the workers. Block results are index-addressed
+	// and reduced in chunk/video order on the driver goroutine, so neither
+	// split changes numeric output.
+	chunkFn    func(w, lo, hi int)
+	lbTasks    []par.Task
+	lbTaskFn   func(w, tag, lo, hi int)
+	lbQ        []float64 // frozen duals for the current bound fan-out
+	lbWantGrad bool
 
 	// Deterministic parallel-reduction state (reduce.go). Leaves are fixed
 	// spans of video-index space whose boundaries depend only on the catalog
-	// size, so the reduction tree is identical at any worker or shard count;
-	// a single-leaf catalog's tree is the flat sequential sum.
+	// size, so the reduction tree is identical at any worker count; a
+	// single-leaf catalog's tree is the flat sequential sum.
 	leafTasks   []par.Task // one per leaf, Tag = leaf index
 	leafAct     []float64  // per-leaf partial activities, numLeaves×rows flat
 	leafObj     []float64  // per-leaf partial objective sums
@@ -504,7 +488,7 @@ func newSolver(inst *mip.Instance, opts Options) (*solver, error) {
 	s.pool = par.New(o.Workers)
 	s.scratch = par.NewSlots[workerScratch](s.pool)
 	s.lbBuf = make([]float64, len(inst.Demands))
-	s.initShards()
+	s.initBound()
 	s.initReduce()
 	s.warmRound = s.opts.Warm != nil
 	s.initSolution()
@@ -519,111 +503,6 @@ func (s *solver) close() {
 	if s.pool != nil {
 		s.pool.Close()
 	}
-}
-
-// initShards resolves the solve's shard layout and builds the shard-affine
-// scheduling state: the video→shard map, the static bound-evaluation task
-// list, and the bound fan-out body. Runs once in newSolver; every buffer the
-// steady-state dispatch touches is sized here.
-func (s *solver) initShards() {
-	numBlocks := len(s.inst.Demands)
-	s.shards = resolveShards(s.inst, s.opts.Shards)
-	S := len(s.shards)
-	s.shardOf = make([]int32, numBlocks)
-	for si, sp := range s.shards {
-		for vi := sp.lo; vi < sp.hi; vi++ {
-			s.shardOf[vi] = int32(si)
-		}
-	}
-	s.shardBlocks = make([]int64, S)
-	s.shardCnt = make([]int32, S)
-	s.shardHead = make([]int32, S)
-	s.chunkPos = make([]int32, s.opts.ChunkSize)
-	// Σ_s ceil(g_s/per) ≤ S + W pieces for any chunk split, so the task
-	// buffer never regrows.
-	s.tasks = make([]par.Task, 0, S+s.opts.Workers)
-	// Bound evaluations sweep every block; the split is static, so build it
-	// once: each shard's range in pieces of at most ceil(numBlocks/W).
-	per := (numBlocks + s.opts.Workers - 1) / s.opts.Workers
-	if per < 1 {
-		per = 1
-	}
-	for si, sp := range s.shards {
-		for lo := sp.lo; lo < sp.hi; lo += per {
-			hi := lo + per
-			if hi > sp.hi {
-				hi = sp.hi
-			}
-			s.lbTasks = append(s.lbTasks, par.Task{Tag: si, Lo: lo, Hi: hi})
-		}
-	}
-	// The bound fan-out body, created once; the frozen duals and gradient
-	// request flow through solver fields (s.lbQ, s.lbWantGrad). Per-block
-	// bounds land in s.lbBuf, index-addressed, and the caller reduces them in
-	// video order — bit-identical at any worker or shard count. A block in
-	// s.lbKeep already holds its carried term (carriedTerms) and is skipped.
-	s.lbTaskFn = func(w, _, lo, hi int) {
-		ws := s.scratch.Get(w)
-		if ws.used == nil {
-			ws.used = make([]bool, s.n)
-		}
-		q := s.lbQ
-		for vi := lo; vi < hi; vi++ {
-			if (vi-lo)%64 == 0 && s.ctx.Err() != nil {
-				return
-			}
-			if s.lbKeep != nil && s.lbKeep[vi] {
-				continue
-			}
-			s.buildBlockProblem(vi, q, &ws.prob)
-			lb, _ := ws.fs.DualAscent(&ws.prob)
-			s.lbBuf[vi] = lb
-			if s.lbWantGrad {
-				ws.fs.SolveQuickInto(&ws.prob, &ws.fsol, nil)
-				toIntSolInto(&ws.fsol, &s.inst.Demands[vi], ws.used, &s.lbSols[vi])
-			}
-			ws.lbBlocks++
-		}
-	}
-	s.stats.Shards = S
-}
-
-// resolveShards returns the contiguous catalog shards a solve schedules by.
-// want = 0 adopts the instance's own layout (single shard when the instance
-// carries none, e.g. hand-built literals); want > 0 forces an even
-// re-partition into min(want, numVideos) shards.
-func resolveShards(inst *mip.Instance, want int) []shardSpan {
-	numBlocks := len(inst.Demands)
-	if want <= 0 {
-		if ns := inst.NumShards(); ns > 0 {
-			out := make([]shardSpan, ns)
-			for si := 0; si < ns; si++ {
-				sh := inst.Shards[si]
-				out[si] = shardSpan{lo: sh.Lo, hi: sh.Hi}
-			}
-			return out
-		}
-		return []shardSpan{{lo: 0, hi: numBlocks}}
-	}
-	if want > numBlocks {
-		want = numBlocks
-	}
-	if want < 1 {
-		want = 1
-	}
-	out := make([]shardSpan, 0, want)
-	per := (numBlocks + want - 1) / want
-	for lo := 0; lo < numBlocks; lo += per {
-		hi := lo + per
-		if hi > numBlocks {
-			hi = numBlocks
-		}
-		out = append(out, shardSpan{lo: lo, hi: hi})
-	}
-	if len(out) == 0 {
-		out = append(out, shardSpan{lo: 0, hi: numBlocks})
-	}
-	return out
 }
 
 // mergeStats folds the per-worker scratch counters into s.stats. Totals are

@@ -46,8 +46,7 @@ func TestPathDualsAreExact(t *testing.T) {
 				s.computePathDuals(s.q)
 				check("descent")
 				s.chunk = s.perm[lo:min(lo+s.opts.ChunkSize, numBlocks)]
-				s.buildChunkTasks()
-				if err := s.pool.RunTasks(s.ctx, s.tasks, s.chunkTaskFn); err != nil {
+				if err := s.pool.Run(s.ctx, len(s.chunk), s.chunkFn); err != nil {
 					t.Fatal(err)
 				}
 				for c, vi := range s.chunk {

@@ -16,12 +16,12 @@ import (
 // slots), and the driver merges the leaf partials in leaf order.
 //
 // The leaf boundaries are a function of the catalog size alone — never of
-// the worker count, the shard layout, or the chunk schedule — so the
-// floating-point summation tree is the same for every worker×shard
-// combination. A catalog that fits in one leaf is the flat sequential sum in
-// video order, bit for bit: its one partial starts from +0 as the flat sum
-// did, and merging it adds it to +0. That is what lets the tree coexist with
-// the bitwise invariance contract and the pinned goldens.
+// the worker count or the chunk schedule — so the floating-point summation
+// tree is the same at every worker count. A catalog that fits in one leaf is
+// the flat sequential sum in video order, bit for bit: its one partial starts
+// from +0 as the flat sum did, and merging it adds it to +0. That is what lets
+// the tree coexist with the bitwise invariance contract and the pinned
+// goldens.
 
 // reduceLeafBlocks is the fixed leaf width of the deterministic reduction
 // tree. It is a variable only so tests can force the multi-leaf machinery

@@ -16,10 +16,18 @@ func forceMultiLeaf(t *testing.T, leaf int) {
 	t.Cleanup(func() { reduceLeafBlocks = old })
 }
 
+// forceBoundRanges shrinks the bound sweep's task width so small test
+// instances split into many ranges, restoring the default on cleanup.
+func forceBoundRanges(t *testing.T, width int) {
+	t.Helper()
+	old := lbRangeBlocks
+	lbRangeBlocks = width
+	t.Cleanup(func() { lbRangeBlocks = old })
+}
+
 // The multi-leaf reduction contract: leaf boundaries depend only on the
-// catalog size, so at a fixed leaf width every worker×shard combination
-// must reproduce the same solve bit for bit — objective, bound, duals,
-// solution, and trajectory.
+// catalog size, so at a fixed leaf width every worker count must reproduce the
+// same solve bit for bit — objective, bound, duals, solution, and trajectory.
 func TestMultiLeafReductionInvariance(t *testing.T) {
 	forceMultiLeaf(t, 16) // 60 videos -> 4 leaves
 	base := mustSolve(t, randomInstance(t, 9, 8, 60, 2.0, 100),
@@ -27,23 +35,21 @@ func TestMultiLeafReductionInvariance(t *testing.T) {
 	if len(base.RowDuals) == 0 {
 		t.Fatal("baseline exported no duals")
 	}
-	for _, workers := range []int{1, 4} {
-		for _, shards := range []int{1, 3, 7} {
-			res := mustSolve(t, randomInstance(t, 9, 8, 60, 2.0, 100),
-				Options{Seed: 5, MaxPasses: 30, Workers: workers, Shards: shards})
-			if res.Objective != base.Objective || res.LowerBound != base.LowerBound {
-				t.Errorf("workers=%d shards=%d: (%.17g, %.17g) vs baseline (%.17g, %.17g)",
-					workers, shards, res.Objective, res.LowerBound, base.Objective, base.LowerBound)
-			}
-			if !identicalDuals(base.RowDuals, res.RowDuals) {
-				t.Errorf("workers=%d shards=%d: row duals differ from baseline", workers, shards)
-			}
-			if !identicalSolutions(base.Sol, res.Sol) {
-				t.Errorf("workers=%d shards=%d: solutions differ from baseline", workers, shards)
-			}
-			if res.Passes != base.Passes {
-				t.Errorf("workers=%d shards=%d: %d passes vs baseline %d", workers, shards, res.Passes, base.Passes)
-			}
+	for _, workers := range []int{2, 3, 4, 7} {
+		res := mustSolve(t, randomInstance(t, 9, 8, 60, 2.0, 100),
+			Options{Seed: 5, MaxPasses: 30, Workers: workers})
+		if res.Objective != base.Objective || res.LowerBound != base.LowerBound {
+			t.Errorf("workers=%d: (%.17g, %.17g) vs baseline (%.17g, %.17g)",
+				workers, res.Objective, res.LowerBound, base.Objective, base.LowerBound)
+		}
+		if !identicalDuals(base.RowDuals, res.RowDuals) {
+			t.Errorf("workers=%d: row duals differ from baseline", workers)
+		}
+		if !identicalSolutions(base.Sol, res.Sol) {
+			t.Errorf("workers=%d: solutions differ from baseline", workers)
+		}
+		if res.Passes != base.Passes {
+			t.Errorf("workers=%d: %d passes vs baseline %d", workers, res.Passes, base.Passes)
 		}
 	}
 }
@@ -89,54 +95,51 @@ func TestMultiLeafReductionSanity(t *testing.T) {
 	}
 }
 
-// Integer output is bit-identical across the whole worker × shard grid, not
-// just along each axis.
-func TestFastModeWorkerShardInvariance(t *testing.T) {
-	opts := func(workers, shards int) Options {
-		return Options{Seed: 5, MaxPasses: 30, Workers: workers, Shards: shards}
+// Integer output is bit-identical at every worker count: the bound, the duals,
+// the rounded placement and the bound-side ledger.
+func TestFastModeWorkerInvariance(t *testing.T) {
+	opts := func(workers int) Options {
+		return Options{Seed: 5, MaxPasses: 30, Workers: workers}
 	}
-	base, err := SolveInteger(randomInstance(t, 9, 8, 60, 2.0, 100), opts(1, 0))
+	base, err := SolveInteger(randomInstance(t, 9, 8, 60, 2.0, 100), opts(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(base.RowDuals) == 0 {
 		t.Fatal("baseline exported no duals")
 	}
-	for _, workers := range []int{1, 4, 8} {
-		for _, shards := range []int{0, 2, 7} {
-			if workers == 1 && shards == 0 {
-				continue
-			}
-			res, err := SolveInteger(randomInstance(t, 9, 8, 60, 2.0, 100), opts(workers, shards))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Objective != base.Objective || res.LowerBound != base.LowerBound {
-				t.Errorf("workers=%d shards=%d: (%.17g, %.17g) vs baseline (%.17g, %.17g)",
-					workers, shards, res.Objective, res.LowerBound, base.Objective, base.LowerBound)
-			}
-			if !identicalDuals(base.RowDuals, res.RowDuals) {
-				t.Errorf("workers=%d shards=%d: row duals differ from baseline", workers, shards)
-			}
-			if !identicalSolutions(base.Sol, res.Sol) {
-				t.Errorf("workers=%d shards=%d: rounded solutions differ from baseline", workers, shards)
-			}
-			if a, b := base.Stats, res.Stats; a.Polishes != b.Polishes || a.LBEvals != b.LBEvals || a.LBRaised != b.LBRaised {
-				t.Errorf("workers=%d shards=%d: %d polish rounds, %d lb evals, %d raised vs baseline %d, %d, %d",
-					workers, shards, b.Polishes, b.LBEvals, b.LBRaised, a.Polishes, a.LBEvals, a.LBRaised)
-			}
+	for _, workers := range []int{2, 4, 7, 8} {
+		res, err := SolveInteger(randomInstance(t, 9, 8, 60, 2.0, 100), opts(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Objective != base.Objective || res.LowerBound != base.LowerBound {
+			t.Errorf("workers=%d: (%.17g, %.17g) vs baseline (%.17g, %.17g)",
+				workers, res.Objective, res.LowerBound, base.Objective, base.LowerBound)
+		}
+		if !identicalDuals(base.RowDuals, res.RowDuals) {
+			t.Errorf("workers=%d: row duals differ from baseline", workers)
+		}
+		if !identicalSolutions(base.Sol, res.Sol) {
+			t.Errorf("workers=%d: rounded solutions differ from baseline", workers)
+		}
+		if a, b := base.Stats, res.Stats; a.Polishes != b.Polishes || a.LBEvals != b.LBEvals || a.LBRaised != b.LBRaised {
+			t.Errorf("workers=%d: %d polish rounds, %d lb evals, %d raised vs baseline %d, %d, %d",
+				workers, b.Polishes, b.LBEvals, b.LBRaised, a.Polishes, a.LBEvals, a.LBRaised)
 		}
 	}
 }
 
-// A sharded solve's whole trace is worker-invariant, not just its final
-// point: every pass event, and the per-shard block tallies the driver keeps
-// while the shard-affine tasks move between workers.
+// A solve whose bound sweeps run as many short ranges — more tasks than
+// workers, so each worker's share is striped across the catalog — has a
+// worker-invariant trace, not just a worker-invariant final point: every pass
+// event, cumulative block counts included.
 func TestFastModeTracedSeriesInvariance(t *testing.T) {
-	a, eventsA := tracedSolve(t, Options{Seed: 5, MaxPasses: 30, Workers: 1, Shards: 4})
-	for _, workers := range []int{3, 8} {
-		b, eventsB := tracedSolve(t, Options{Seed: 5, MaxPasses: 30, Workers: workers, Shards: 4})
-		label := fmt.Sprintf("4 shards, Workers=1 vs %d", workers)
+	forceBoundRanges(t, 7) // 60 videos -> 9 ranges
+	a, eventsA := tracedSolve(t, Options{Seed: 5, MaxPasses: 30, Workers: 1})
+	for _, workers := range []int{2, 3, 8} {
+		b, eventsB := tracedSolve(t, Options{Seed: 5, MaxPasses: 30, Workers: workers})
+		label := fmt.Sprintf("7-video bound ranges, Workers=1 vs %d", workers)
 		if a.Objective != b.Objective || a.LowerBound != b.LowerBound {
 			t.Errorf("%s: (%.17g, %.17g) vs (%.17g, %.17g)", label, a.Objective, a.LowerBound, b.Objective, b.LowerBound)
 		}
@@ -145,30 +148,28 @@ func TestFastModeTracedSeriesInvariance(t *testing.T) {
 }
 
 // Cross-period warm starts compose with rounding: a warm-seeded integer
-// solve is worker- and shard-invariant.
+// solve is worker-invariant.
 func TestWarmRoundInvariance(t *testing.T) {
 	cold := mustSolve(t, randomInstance(t, 9, 8, 60, 2.0, 100),
 		Options{Seed: 5, MaxPasses: 20, Workers: 1})
-	opts := func(workers, shards int) Options {
-		return Options{Seed: 5, MaxPasses: 20, Workers: workers, Shards: shards, Warm: cold.Warm}
+	opts := func(workers int) Options {
+		return Options{Seed: 5, MaxPasses: 20, Workers: workers, Warm: cold.Warm}
 	}
-	base, err := SolveInteger(randomInstance(t, 9, 8, 60, 2.0, 100), opts(1, 0))
+	base, err := SolveInteger(randomInstance(t, 9, 8, 60, 2.0, 100), opts(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{4} {
-		for _, shards := range []int{0, 3} {
-			res, err := SolveInteger(randomInstance(t, 9, 8, 60, 2.0, 100), opts(workers, shards))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Objective != base.Objective || res.LowerBound != base.LowerBound {
-				t.Errorf("workers=%d shards=%d: (%.17g, %.17g) vs baseline (%.17g, %.17g)",
-					workers, shards, res.Objective, res.LowerBound, base.Objective, base.LowerBound)
-			}
-			if !identicalSolutions(base.Sol, res.Sol) {
-				t.Errorf("workers=%d shards=%d: warm rounded solutions differ", workers, shards)
-			}
+	for _, workers := range []int{2, 4} {
+		res, err := SolveInteger(randomInstance(t, 9, 8, 60, 2.0, 100), opts(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Objective != base.Objective || res.LowerBound != base.LowerBound {
+			t.Errorf("workers=%d: (%.17g, %.17g) vs baseline (%.17g, %.17g)",
+				workers, res.Objective, res.LowerBound, base.Objective, base.LowerBound)
+		}
+		if !identicalSolutions(base.Sol, res.Sol) {
+			t.Errorf("workers=%d: warm rounded solutions differ", workers)
 		}
 	}
 }

@@ -62,7 +62,7 @@ func tracedSolve(t *testing.T, o Options) (*Result, []obs.Event) {
 }
 
 // sameTrace fails unless both traces carry the same events with every
-// deterministic field of every pass and shard event bit-identical.
+// deterministic field of every pass event bit-identical.
 func sameTrace(t *testing.T, label string, a, b []obs.Event) {
 	t.Helper()
 	if len(a) != len(b) {
@@ -74,8 +74,6 @@ func sameTrace(t *testing.T, label string, a, b []obs.Event) {
 		switch {
 		case ea.K != eb.K || ea.Pass != eb.Pass:
 			t.Errorf("%s: event %d is %s/%d vs %s/%d", label, i, ea.K, ea.Pass, eb.K, eb.Pass)
-		case ea.K == "epf_shard" && (ea.Shard != eb.Shard || ea.Videos != eb.Videos || ea.Blocks != eb.Blocks):
-			t.Errorf("%s: shard summaries diverge:\n  %+v\n  %+v", label, ea, eb)
 		case ea.K == "epf_pass" && (ea.Phi != eb.Phi || ea.Objective != eb.Objective || ea.LowerBound != eb.LowerBound ||
 			ea.UpperBound != eb.UpperBound || ea.Gap != eb.Gap || ea.UBGap != eb.UBGap ||
 			ea.MaxViol != eb.MaxViol || ea.MaxLinkUtil != eb.MaxLinkUtil ||

@@ -1,6 +1,7 @@
 package epf
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -20,89 +21,39 @@ func identicalDuals(a, b []float64) bool {
 	return true
 }
 
-// The sharding invariant: shards decompose scheduling and telemetry, never
-// numerics. Any shard count at any worker count must reproduce the unsharded
-// single-worker solve bit for bit — objective, bound, duals, and solution.
-func TestSolveShardCountInvariance(t *testing.T) {
-	base := mustSolve(t, randomInstance(t, 9, 8, 60, 2.0, 100),
-		Options{Seed: 5, MaxPasses: 30, Workers: 1})
-	for _, shards := range []int{1, 2, 4, 7} {
-		for _, workers := range []int{1, 4} {
-			res := mustSolve(t, randomInstance(t, 9, 8, 60, 2.0, 100),
-				Options{Seed: 5, MaxPasses: 30, Workers: workers, Shards: shards})
-			if res.Objective != base.Objective || res.LowerBound != base.LowerBound {
-				t.Errorf("shards=%d workers=%d: (%.17g, %.17g) vs baseline (%.17g, %.17g)",
-					shards, workers, res.Objective, res.LowerBound, base.Objective, base.LowerBound)
-			}
-			if !identicalDuals(base.RowDuals, res.RowDuals) {
-				t.Errorf("shards=%d workers=%d: row duals differ from baseline", shards, workers)
-			}
-			if !identicalSolutions(base.Sol, res.Sol) {
-				t.Errorf("shards=%d workers=%d: solutions differ from baseline", shards, workers)
-			}
-			if res.Passes != base.Passes || res.Converged != base.Converged {
-				t.Errorf("shards=%d workers=%d: trajectory diverged (passes %d vs %d)",
-					shards, workers, res.Passes, base.Passes)
-			}
-			// A forced re-partition packs ceil(videos/shards) videos per
-			// shard, so the resolved count may fall below the request on a
-			// tiny catalog. The 60-video instance resolves all four counts.
-			per := (60 + shards - 1) / shards
-			if want := (60 + per - 1) / per; res.Stats.Shards != want {
-				t.Errorf("shards=%d: Stats.Shards = %d, want %d", shards, res.Stats.Shards, want)
-			}
-		}
-	}
-}
-
-func TestSolveIntegerShardCountInvariance(t *testing.T) {
-	base, err := SolveInteger(randomInstance(t, 9, 8, 60, 2.0, 100),
-		Options{Seed: 5, MaxPasses: 30, Workers: 1})
+// sealedInstance streams randomInstance's problem through the InstanceBuilder
+// at the given shard size, so the catalog carries a multi-shard layout.
+func sealedInstance(t *testing.T, seed int64, nodes, videos int, diskFactor, linkCap float64, shardSize int) *mip.Instance {
+	t.Helper()
+	g, disk, caps, demands := randomProblem(t, seed, nodes, videos, diskFactor, linkCap)
+	b, err := mip.NewInstanceBuilder(g, disk, caps, 1, shardSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{2, 7} {
-		res, err := SolveInteger(randomInstance(t, 9, 8, 60, 2.0, 100),
-			Options{Seed: 5, MaxPasses: 30, Workers: 4, Shards: shards})
-		if err != nil {
+	for vi := range demands {
+		if err := b.Add(&demands[vi]); err != nil {
 			t.Fatal(err)
 		}
-		if res.Objective != base.Objective || res.LowerBound != base.LowerBound {
-			t.Errorf("shards=%d: (%.17g, %.17g) vs baseline (%.17g, %.17g)",
-				shards, res.Objective, res.LowerBound, base.Objective, base.LowerBound)
-		}
-		if !identicalSolutions(base.Sol, res.Sol) {
-			t.Errorf("shards=%d: rounded solutions differ from baseline", shards)
-		}
 	}
+	inst, err := b.Seal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (videos + shardSize - 1) / shardSize; inst.NumShards() != want {
+		t.Fatalf("shardSize=%d: instance has %d shards, want %d", shardSize, inst.NumShards(), want)
+	}
+	return inst
 }
 
-// An instance sealed by the streaming builder carries its own shard layout;
-// Options.Shards == 0 adopts it. Adopted layouts must also be numerically
-// invisible: the solve matches the batch-built unsharded instance bit for bit.
-func TestSolveAdoptsInstanceShardLayout(t *testing.T) {
+// An instance sealed by the streaming builder solves bit-identically to the
+// batch-built one: its shard layout is accounting only and never reaches the
+// solver.
+func TestSolveSealedInstanceMatchesBatch(t *testing.T) {
 	base := mustSolve(t, randomInstance(t, 9, 8, 60, 2.0, 100),
 		Options{Seed: 5, MaxPasses: 30, Workers: 1})
 	for _, shardSize := range []int{3, 10, 25} {
-		g, disk, caps, demands := randomProblem(t, 9, 8, 60, 2.0, 100)
-		b, err := mip.NewInstanceBuilder(g, disk, caps, 1, shardSize)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for vi := range demands {
-			if err := b.Add(&demands[vi]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		inst, err := b.Seal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantShards := (len(demands) + shardSize - 1) / shardSize
-		if ns := inst.NumShards(); ns != wantShards {
-			t.Fatalf("shardSize=%d: instance has %d shards, want %d", shardSize, ns, wantShards)
-		}
-		res := mustSolve(t, inst, Options{Seed: 5, MaxPasses: 30, Workers: 4})
+		res := mustSolve(t, sealedInstance(t, 9, 8, 60, 2.0, 100, shardSize),
+			Options{Seed: 5, MaxPasses: 30, Workers: 4})
 		if res.Objective != base.Objective || res.LowerBound != base.LowerBound {
 			t.Errorf("shardSize=%d: (%.17g, %.17g) vs baseline (%.17g, %.17g)",
 				shardSize, res.Objective, res.LowerBound, base.Objective, base.LowerBound)
@@ -113,23 +64,44 @@ func TestSolveAdoptsInstanceShardLayout(t *testing.T) {
 		if !identicalSolutions(base.Sol, res.Sol) {
 			t.Errorf("shardSize=%d: solutions differ from baseline", shardSize)
 		}
-		if wantShards > 1 && res.Stats.Shards != wantShards {
-			t.Errorf("shardSize=%d: Stats.Shards = %d, want %d", shardSize, res.Stats.Shards, wantShards)
+	}
+}
+
+// The integer solve of a sealed instance is the batch-built instance's too, at
+// any shard count of its layout.
+func TestSolveIntegerShardCountInvariance(t *testing.T) {
+	base, err := SolveInteger(randomInstance(t, 9, 8, 60, 2.0, 100),
+		Options{Seed: 5, MaxPasses: 30, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shardSize := range []int{30, 9} { // 2 and 7 shards
+		res, err := SolveInteger(sealedInstance(t, 9, 8, 60, 2.0, 100, shardSize),
+			Options{Seed: 5, MaxPasses: 30, Workers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Objective != base.Objective || res.LowerBound != base.LowerBound {
+			t.Errorf("shardSize=%d: (%.17g, %.17g) vs baseline (%.17g, %.17g)",
+				shardSize, res.Objective, res.LowerBound, base.Objective, base.LowerBound)
+		}
+		if !identicalSolutions(base.Sol, res.Sol) {
+			t.Errorf("shardSize=%d: rounded solutions differ from baseline", shardSize)
 		}
 	}
 }
 
-// Warm starts must survive sharding in both directions: a sharded solve's
-// carryover seeds an unsharded one and vice versa, with the warm trajectory
-// itself shard-invariant.
+// Warm states cross shard layouts in both directions: a sealed instance's
+// carryover seeds the batch-built instance and vice versa, and both warm
+// solves are the same bits.
 func TestWarmStartShardInvariance(t *testing.T) {
-	coldOpts := Options{Seed: 5, MaxPasses: 20, Workers: 1}
-	cold := mustSolve(t, randomInstance(t, 9, 8, 60, 2.0, 100), coldOpts)
-	shardedCold := mustSolve(t, randomInstance(t, 9, 8, 60, 2.0, 100),
-		Options{Seed: 5, MaxPasses: 20, Workers: 4, Shards: 4})
+	plainCold := mustSolve(t, randomInstance(t, 9, 8, 60, 2.0, 100),
+		Options{Seed: 5, MaxPasses: 20, Workers: 1})
+	shardedCold := mustSolve(t, sealedInstance(t, 9, 8, 60, 2.0, 100, 15),
+		Options{Seed: 5, MaxPasses: 20, Workers: 4})
 
-	warmFromPlain := mustSolve(t, randomInstance(t, 9, 8, 60, 2.0, 100),
-		Options{Seed: 5, MaxPasses: 20, Workers: 4, Shards: 4, Warm: cold.Warm})
+	warmFromPlain := mustSolve(t, sealedInstance(t, 9, 8, 60, 2.0, 100, 15),
+		Options{Seed: 5, MaxPasses: 20, Workers: 4, Warm: plainCold.Warm})
 	warmFromSharded := mustSolve(t, randomInstance(t, 9, 8, 60, 2.0, 100),
 		Options{Seed: 5, MaxPasses: 20, Workers: 1, Warm: shardedCold.Warm})
 
@@ -144,15 +116,70 @@ func TestWarmStartShardInvariance(t *testing.T) {
 	}
 }
 
+// The bound sweep's ranges are a schedule, never numerics: with 7-video ranges
+// on a 60-video catalog, a cold solve and a warm re-solve whose carried terms
+// let the sweep skip all but four blocks, each on a range edge, give
+// Workers 1's bound, duals, placement and bound-side counts at any worker count.
+func TestBoundRangeSplitSameBits(t *testing.T) {
+	forceBoundRanges(t, 7)
+	patched := func() *mip.Instance {
+		inst := randomInstance(t, 9, 8, 60, 2.0, 100)
+		for _, vi := range []int{6, 7, 20, 41} {
+			patchDemand(t, inst, vi, 2.5, false)
+		}
+		return inst
+	}
+	var cold, warm *Result
+	for _, workers := range []int{1, 2, 4} {
+		opts := Options{Seed: 5, MaxPasses: 30, Workers: workers}
+		c, err := SolveInteger(randomInstance(t, 9, 8, 60, 2.0, 100), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cold == nil {
+			cold = c
+		}
+		opts.Warm = cold.Warm
+		w, err := SolveInteger(patched(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warm == nil {
+			warm = w
+			if w.Stats.LBTermsReused != 56 {
+				t.Fatalf("warm re-solve reused %d carried terms, want 56 (four videos patched)", w.Stats.LBTermsReused)
+			}
+			continue
+		}
+		for _, leg := range []struct {
+			name      string
+			got, want *Result
+		}{{"cold", c, cold}, {"warm", w, warm}} {
+			g, b := leg.got, leg.want
+			if math.Float64bits(g.LowerBound) != math.Float64bits(b.LowerBound) || g.Objective != b.Objective || g.Passes != b.Passes {
+				t.Errorf("%s workers=%d: (%.17g, %.17g, %d passes) vs Workers 1 (%.17g, %.17g, %d passes)",
+					leg.name, workers, g.Objective, g.LowerBound, g.Passes, b.Objective, b.LowerBound, b.Passes)
+			}
+			if !identicalDuals(b.RowDuals, g.RowDuals) || !identicalSolutions(b.Sol, g.Sol) {
+				t.Errorf("%s workers=%d: duals or placement differ from Workers 1", leg.name, workers)
+			}
+			if g.Stats.LBBlockSolves != b.Stats.LBBlockSolves || g.Stats.LBTermsReused != b.Stats.LBTermsReused {
+				t.Errorf("%s workers=%d: %d bound block solves, %d terms reused; Workers 1 %d, %d",
+					leg.name, workers, g.Stats.LBBlockSolves, g.Stats.LBTermsReused, b.Stats.LBBlockSolves, b.Stats.LBTermsReused)
+			}
+		}
+	}
+}
+
 // A resumed re-solve keeps the determinism contract end to end: after a
 // demand patch, the warm integer solve — descent from the carried LP point,
 // rounding resumed from the carried placement, and the state it exports in
-// turn — is bit-identical at any shard × worker count, whether the resume is
-// accepted or refused (pinned references force each: 2 is met by any sane
-// placement, 0 by none, so the from-scratch attempt runs behind it).
-func TestResumeShardWorkerInvariance(t *testing.T) {
-	opts := func(shards, workers int) Options {
-		return Options{Seed: 5, MaxPasses: 60, Epsilon: 0.05, Shards: shards, Workers: workers}
+// turn — is bit-identical at any worker count, whether the resume is accepted
+// or refused (pinned references force each: 2 is met by any sane placement, 0
+// by none, so the from-scratch attempt runs behind it).
+func TestResumeWorkerInvariance(t *testing.T) {
+	opts := func(workers int) Options {
+		return Options{Seed: 5, MaxPasses: 60, Epsilon: 0.05, Workers: workers}
 	}
 	patched := func() *mip.Instance {
 		inst := randomInstance(t, 43, 9, 200, 1.6, 150)
@@ -162,7 +189,7 @@ func TestResumeShardWorkerInvariance(t *testing.T) {
 		patchDemand(t, inst, 33, 2, true)
 		return inst
 	}
-	cold, err := SolveInteger(randomInstance(t, 43, 9, 200, 1.6, 150), opts(0, 1))
+	cold, err := SolveInteger(randomInstance(t, 43, 9, 200, 1.6, 150), opts(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,18 +199,18 @@ func TestResumeShardWorkerInvariance(t *testing.T) {
 	resumeInvariance(t, &refused, "rejected", patched, opts)
 }
 
-func resumeInvariance(t *testing.T, w *WarmState, mode string, patched func() *mip.Instance, opts func(shards, workers int) Options) {
+func resumeInvariance(t *testing.T, w *WarmState, mode string, patched func() *mip.Instance, opts func(workers int) Options) {
 	var base *Result
-	for _, cfg := range [][2]int{{1, 1}, {4, 3}, {7, 2}} {
-		o := opts(cfg[0], cfg[1])
+	for _, workers := range []int{1, 3, 2} {
+		o := opts(workers)
 		o.Warm = w
 		res, err := SolveInteger(patched(), o)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Stats.ResumedVideos != 199 || res.Stats.RoundCarried != 199 {
-			t.Errorf("shards=%d workers=%d: resumed %d videos, carried %d into rounding, want 199 (one changed its offices)",
-				cfg[0], cfg[1], res.Stats.ResumedVideos, res.Stats.RoundCarried)
+			t.Errorf("workers=%d: resumed %d videos, carried %d into rounding, want 199 (one changed its offices)",
+				workers, res.Stats.ResumedVideos, res.Stats.RoundCarried)
 		}
 		if base == nil {
 			base = res
@@ -194,24 +221,24 @@ func resumeInvariance(t *testing.T, w *WarmState, mode string, patched func() *m
 			continue
 		}
 		if res.Objective != base.Objective || res.LowerBound != base.LowerBound || res.Passes != base.Passes {
-			t.Errorf("shards=%d workers=%d: (%.17g, %.17g, %d passes) vs 1×1 (%.17g, %.17g, %d passes)",
-				cfg[0], cfg[1], res.Objective, res.LowerBound, res.Passes,
+			t.Errorf("workers=%d: (%.17g, %.17g, %d passes) vs Workers 1 (%.17g, %.17g, %d passes)",
+				workers, res.Objective, res.LowerBound, res.Passes,
 				base.Objective, base.LowerBound, base.Passes)
 		}
 		if !identicalDuals(base.RowDuals, res.RowDuals) || !identicalSolutions(base.Sol, res.Sol) {
-			t.Errorf("shards=%d workers=%d: duals or rounded solution differ from 1×1", cfg[0], cfg[1])
+			t.Errorf("workers=%d: duals or rounded solution differ from Workers 1", workers)
 		}
 		if !reflect.DeepEqual(base.Warm.LP, res.Warm.LP) || !reflect.DeepEqual(base.Warm.Assign, res.Warm.Assign) ||
 			base.Warm.RoundRef != res.Warm.RoundRef {
-			t.Errorf("shards=%d workers=%d: exported LP point, placement or reference differs from 1×1", cfg[0], cfg[1])
+			t.Errorf("workers=%d: exported LP point, placement or reference differs from Workers 1", workers)
 		}
 		if res.Stats.RoundResumed != base.Stats.RoundResumed || res.Stats.RoundRatio != base.Stats.RoundRatio {
-			t.Errorf("shards=%d workers=%d: rounding %s at ratio %v, 1×1 %s at %v", cfg[0], cfg[1],
+			t.Errorf("workers=%d: rounding %s at ratio %v, Workers 1 %s at %v", workers,
 				res.Stats.RoundMode(), res.Stats.RoundRatio, base.Stats.RoundMode(), base.Stats.RoundRatio)
 		}
 		if res.Stats.RoundResolves != base.Stats.RoundResolves {
-			t.Errorf("shards=%d workers=%d: %d blocks priced live in rounding, 1×1 priced %d",
-				cfg[0], cfg[1], res.Stats.RoundResolves, base.Stats.RoundResolves)
+			t.Errorf("workers=%d: %d blocks priced live in rounding, Workers 1 priced %d",
+				workers, res.Stats.RoundResolves, base.Stats.RoundResolves)
 		}
 	}
 }

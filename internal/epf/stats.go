@@ -18,9 +18,6 @@ import (
 type Stats struct {
 	// Workers is the pool size the solve ran with.
 	Workers int
-	// Shards is the number of catalog shards the block schedule was grouped
-	// by (1 on unsharded solves).
-	Shards int
 	// Passes is the number of gradient-descent passes performed.
 	Passes int
 	// BlocksOptimized counts block subproblem solves in the descent loop
@@ -127,9 +124,6 @@ func (st Stats) RoundMode() string {
 func (st Stats) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "workers %d, passes %d\n", st.Workers, st.Passes)
-	if st.Shards > 1 {
-		fmt.Fprintf(&b, "shards %d\n", st.Shards)
-	}
 	fmt.Fprintf(&b, "blocks optimized %d, lb block solves %d\n", st.BlocksOptimized, st.LBBlockSolves)
 	fmt.Fprintf(&b, "lb evals %d (%d raised it), %d terms reused, scale searches %d, polish rounds %d, bound %.0f ms of lp %.0f ms\n",
 		st.LBEvals, st.LBRaised, st.LBTermsReused, st.ScaleSearches, st.Polishes, 1e3*st.LBTime.Seconds(), 1e3*st.LPTime.Seconds())

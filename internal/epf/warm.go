@@ -120,10 +120,9 @@ type WarmBound struct {
 type WarmState struct {
 	// RowDuals is the coupling-row dual vector that certified the previous
 	// solve's lower bound (layout as Result.RowDuals). It aliases the
-	// producing Result's RowDuals slice; treat it as read-only. The layout
-	// is shard-independent — duals are keyed by coupling row, never by
-	// shard — so warm states move freely between sharded and unsharded
-	// solves and across shard counts.
+	// producing Result's RowDuals slice; treat it as read-only. Duals are
+	// keyed by coupling row, never by the instance's shard layout, so warm
+	// states move freely between instances built with different layouts.
 	RowDuals []float64
 	// Delta is the penalty scale δ the previous LP descent ended at.
 	Delta float64

@@ -21,9 +21,9 @@ import (
 // deliberately tiny — the sweep measures per-pass cost at scale, not
 // convergence.
 
-// scaleShardSize keeps roughly catalog/64 videos per shard without dropping
-// below one mid-size shard — enough shards that scheduling and telemetry are
-// exercised, large enough that per-shard overhead stays invisible.
+// scaleShardSize is the builder's shard size at every scale point, so peak
+// staging stays one shard's worth of videos however large the catalog. The
+// solver's schedule does not read the layout.
 const scaleShardSize = 256
 
 // scaleWorkload generates the library and trace for a scale point once per

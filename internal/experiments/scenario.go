@@ -47,11 +47,6 @@ type Config struct {
 	// solver default). Looser tolerances let small noisy instances converge
 	// before the pass cap — useful when studying convergence trends.
 	Epsilon float64
-	// Shards is the catalog shard count passed to every EPF solve
-	// (epf.Options.Shards). 0 keeps the solver's default (adopt the
-	// instance's layout). Any value produces bit-identical experiment
-	// output; sharding changes only scheduling and telemetry.
-	Shards int
 	// Quick shrinks everything for tests.
 	Quick bool
 	// Verify re-checks every solver result with the independent certificate
@@ -121,7 +116,7 @@ func (c Config) withDefaults() Config {
 func (c Config) solver() epf.Options {
 	return epf.Options{
 		Seed: c.Seed, MaxPasses: c.MaxPasses, Epsilon: c.Epsilon,
-		Shards: c.Shards, Recorder: c.Recorder,
+		Recorder: c.Recorder,
 	}
 }
 

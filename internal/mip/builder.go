@@ -8,7 +8,7 @@ import (
 )
 
 // InstanceShard is one contiguous video range of an Instance: the unit the
-// solver stack schedules, accounts and reports independently. The shared
+// builder seals and accounts (the solver's schedule ignores it). The shared
 // per-network state (graph, paths, capacities, cost tables) lives on the
 // Instance; a shard owns only catalog-dimension state — its demand rows with
 // their Conc CSR, and (via ShardOrigins) its slice of the origin vector.

@@ -149,11 +149,11 @@ type Instance struct {
 	// Demands holds one entry per video in the instance. Videos with no
 	// demand still require at least one stored copy (constraints (3)+(4)).
 	Demands []VideoDemand
-	// Shards partitions Demands into contiguous video ranges — the catalog
-	// decomposition the solver stack schedules and accounts by. Instances
-	// from NewInstance carry a single shard spanning the whole catalog;
-	// InstanceBuilder seals one shard per ShardSize videos. Sharding is a
-	// data/scheduling decomposition only: it never changes numeric output.
+	// Shards partitions Demands into contiguous video ranges, with their
+	// nonzero and size tallies. Instances from NewInstance carry a single
+	// shard spanning the whole catalog; InstanceBuilder seals one shard per
+	// shardSize videos. The layout is accounting only: the solver does not
+	// read it, and it never changes numeric output.
 	Shards []InstanceShard
 	// Alpha and Beta are the cost coefficients of (1): c_ij = α|P_ij| + β.
 	Alpha, Beta float64

@@ -58,18 +58,6 @@ type EPFPass struct {
 	ElapsedMS    float64 `json:"ms"` // wall time since descent start (non-deterministic)
 }
 
-// EPFShard describes one catalog shard of a sharded solve at solve end:
-// its video range size, concurrency nonzeros, and the cumulative number of
-// descent block solves scheduled from it. Emitted only when a solve runs
-// with more than one shard, so unsharded traces carry no shard events.
-type EPFShard struct {
-	Stream string `json:"stream"`
-	Shard  int    `json:"shard"`
-	Videos int    `json:"videos"`
-	NNZ    int64  `json:"nnz"`
-	Blocks int64  `json:"blocks"`
-}
-
 // EPFDone summarizes a finished (or cancelled) solve.
 type EPFDone struct {
 	Stream     string  `json:"stream"`
@@ -109,7 +97,7 @@ type Span struct {
 }
 
 // Event is the decoded union of every trace line; K discriminates
-// ("epf_pass", "epf_shard", "epf_done", "sim_slice", "span", and the
+// ("epf_pass", "epf_done", "sim_slice", "span", and the
 // serving-plane kinds "serve_resolve", "serve_swap", "serve_demand").
 // Field tags match the typed event structs, so a round trip through
 // ParseTrace preserves every value.
@@ -117,9 +105,6 @@ type Event struct {
 	K            string  `json:"k"`
 	Stream       string  `json:"stream"`
 	Pass         int     `json:"pass"`
-	Shard        int     `json:"shard"`
-	Videos       int     `json:"videos"`
-	NNZ          int64   `json:"nnz"`
 	Phi          float64 `json:"phi"`
 	Objective    float64 `json:"obj"`
 	LowerBound   float64 `json:"lb"`
@@ -345,30 +330,6 @@ func (r *Recorder) RecordEPFPass(e EPFPass) {
 	} else {
 		m.Histogram("epf_pass_ms", nsPerMS).Observe(e.ElapsedMS)
 	}
-}
-
-// RecordEPFShard records one catalog shard's solve-end summary: trace line
-// plus per-shard block-count gauge. Call once per shard, only on sharded
-// solves (an unsharded solve's trace must stay byte-identical to older
-// releases).
-func (r *Recorder) RecordEPFShard(e EPFShard) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	if r.w != nil {
-		b := append(r.buf[:0], `{"k":"epf_shard","stream":`...)
-		b = appendJSONString(b, e.Stream)
-		b = appendInt(b, ",\"shard\":", int64(e.Shard))
-		b = appendInt(b, ",\"videos\":", int64(e.Videos))
-		b = appendInt(b, ",\"nnz\":", e.NNZ)
-		b = appendInt(b, ",\"blocks\":", e.Blocks)
-		r.buf = r.writeLine(b)
-	}
-	r.mu.Unlock()
-	m := r.metrics
-	m.Gauge("epf_shard_blocks." + strconv.Itoa(e.Shard)).Set(float64(e.Blocks))
-	m.Gauge("epf_shard_videos." + strconv.Itoa(e.Shard)).Set(float64(e.Videos))
 }
 
 // RecordEPFDone records a solve's final summary.

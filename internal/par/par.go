@@ -56,9 +56,8 @@ type Pool struct {
 }
 
 // Task is one tagged contiguous index range for RunTasks. Tag identifies the
-// logical group the range belongs to (a catalog shard in the EPF solver), so
-// one fan-out can interleave ranges from many groups while the callee still
-// knows which group each range serves.
+// range to the callee — in the EPF solver, the index of a reduction leaf,
+// which names the leaf's partial-sum slot.
 type Task struct {
 	Tag, Lo, Hi int
 }
@@ -83,7 +82,7 @@ func New(n int) *Pool {
 	}
 	// One strided runner shared by every RunTasks fan-out: worker w executes
 	// tasks w, w+W, w+2W, … so task order within a worker follows slice order
-	// (groups stay contiguous per worker) and no per-call closure is needed.
+	// and no per-call closure is needed.
 	p.taskRunner = func(w, _, _ int) {
 		ts, fn := p.tasks, p.taskFn
 		for i := w; i < len(ts); i += p.workers {
@@ -143,8 +142,10 @@ func (p *Pool) Run(ctx context.Context, n int, fn func(worker, lo, hi int)) erro
 // The same determinism contract as Run applies: results go to caller-owned,
 // index-addressed slots and reductions happen in index order on the caller's
 // goroutine, so neither the worker count nor the task decomposition changes
-// numeric output. RunTasks exists for callers that want locality-aware
-// decompositions (e.g. shard-affine ranges) rather than Run's flat split.
+// numeric output. RunTasks exists for callers whose split is fixed by the data
+// rather than the pool — e.g. fixed-width ranges, more of them than workers,
+// striped so every worker's share spans the catalog — where Run's flat split
+// would follow the worker count.
 func (p *Pool) RunTasks(ctx context.Context, tasks []Task, fn func(worker, tag, lo, hi int)) error {
 	if len(tasks) == 0 {
 		return ctx.Err()

@@ -31,7 +31,7 @@ import (
 // Config configures the placement server.
 type Config struct {
 	// Solver configures every solve (the initial one and background
-	// re-solves). MaxPasses, Shards etc. apply to both.
+	// re-solves). MaxPasses, Workers etc. apply to both.
 	Solver epf.Options
 	// UpdateWeight, when positive, charges re-solves for migrating copies
 	// away from the currently-served placement (objective (11) with origins

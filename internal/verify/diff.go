@@ -26,12 +26,6 @@ type Options struct {
 	// EPF configures the approximate solver under test. A zero MaxPasses is
 	// raised to 200 so small instances converge.
 	EPF epf.Options
-	// Shards is the shard count of the differential re-solve: every instance
-	// is solved unsharded and again with this many catalog shards, and the
-	// two results must agree bitwise (objective, lower bound, row duals) and
-	// certify the same lower bound. 0 selects 3; negative disables the
-	// sharded leg.
-	Shards int
 	// LPBand is the allowed relative deviation of the EPF objective from the
 	// exact LP optimum, in units of the solver's ε-feasibility slack: the
 	// objective must land in [opt·(1−LPBand), opt·(1+LPBand)]. Default 0.10,
@@ -59,9 +53,6 @@ func (o Options) defaults() Options {
 	}
 	if o.LPBand == 0 {
 		o.LPBand = 0.10
-	}
-	if o.Shards == 0 {
-		o.Shards = 3
 	}
 	return o
 }
@@ -169,8 +160,7 @@ func diffInstance(rep *DiffReport, seed int64, o Options) error {
 		return err
 	}
 	// Warm re-solve of the same instance from the cold solve's carryover: the
-	// resumed trajectory must hold the same certificates on the same corpus
-	// and be as shard-invariant as the cold one.
+	// resumed trajectory must hold the same certificates on the same corpus.
 	warmOpts := epfOpts
 	warmOpts.Warm = res.Warm
 	if _, err := diffLP(rep, inst, seed, "warm ", o, opt, warmOpts); err != nil {
@@ -181,8 +171,8 @@ func diffInstance(rep *DiffReport, seed int64, o Options) error {
 }
 
 // diffLP runs one LP solve and audits it against the exact optimum opt —
-// certificates, bound soundness, the objective band — then re-solves it with
-// o.Shards catalog shards. label prefixes failure messages.
+// certificates, bound soundness, the objective band. label prefixes failure
+// messages.
 func diffLP(rep *DiffReport, inst *mip.Instance, seed int64, label string, o Options, opt float64, epfOpts epf.Options) (*epf.Result, error) {
 	res, err := epf.Solve(inst, epfOpts)
 	if err != nil {
@@ -211,39 +201,6 @@ func diffLP(rep *DiffReport, inst *mip.Instance, seed int64, label string, o Opt
 	if res.Objective > opt*(1+o.LPBand)+CertTol || res.Objective < opt*(1-o.LPBand)-CertTol {
 		rep.failf("seed %d: %sEPF objective %g outside ±%.0f%% band around LP optimum %g (violation %+v)",
 			seed, label, res.Objective, 100*o.LPBand, opt, res.Violation)
-	}
-	if o.Shards <= 0 {
-		return res, nil
-	}
-
-	// Sharded re-solve: the shard decomposition must not change a single bit
-	// of the result, and the sharded duals must certify the same bound the
-	// unsharded ones do. This is the sharding determinism contract checked
-	// end-to-end, not just within the solver's own tests.
-	epfOpts.Shards = o.Shards
-	shRes, err := epf.Solve(inst, epfOpts)
-	if err != nil {
-		return nil, fmt.Errorf("%sepf sharded: %w", label, err)
-	}
-	if shRes.Objective != res.Objective || shRes.LowerBound != res.LowerBound {
-		rep.failf("seed %d: %ssharded solve (%d shards) diverged: obj %g vs %g, lb %g vs %g",
-			seed, label, o.Shards, shRes.Objective, res.Objective, shRes.LowerBound, res.LowerBound)
-	}
-	for r := range res.RowDuals {
-		if shRes.RowDuals[r] != res.RowDuals[r] {
-			rep.failf("seed %d: %ssharded solve row dual %d differs: %g vs %g", seed, label, r, shRes.RowDuals[r], res.RowDuals[r])
-			break
-		}
-	}
-	certU, errU := CertifyLowerBound(inst, res.RowDuals)
-	certS, errS := CertifyLowerBound(inst, shRes.RowDuals)
-	switch {
-	case errU != nil:
-		rep.failf("seed %d: %sunsharded certificate: %v", seed, label, errU)
-	case errS != nil:
-		rep.failf("seed %d: %ssharded certificate: %v", seed, label, errS)
-	case certU != certS:
-		rep.failf("seed %d: %scertified bounds diverge across sharding: %g vs %g", seed, label, certU, certS)
 	}
 	return res, nil
 }

@@ -71,10 +71,6 @@ type epfStream struct {
 	passes []obs.Event
 	done   *obs.Event
 	spans  []obs.Event
-	// shards holds the stream's per-shard accounting events. Solvers emit
-	// them only for multi-shard solves, so single-shard traces summarize
-	// byte-identically to pre-sharding ones.
-	shards []obs.Event
 }
 
 // simStream is one simulator stream's bin series.
@@ -114,8 +110,6 @@ func summarize(events []obs.Event) *summary {
 			epfFor(e.Stream).done = &ec
 		case "span":
 			epfFor(e.Stream).spans = append(epfFor(e.Stream).spans, e)
-		case "epf_shard":
-			epfFor(e.Stream).shards = append(epfFor(e.Stream).shards, e)
 		case "sim_slice":
 			st, ok := simIdx[e.Stream]
 			if !ok {
@@ -177,17 +171,6 @@ func (s *summary) writeTable(w io.Writer) {
 		if d := st.done; d != nil {
 			fmt.Fprintf(w, "done: passes %d  obj %.1f  lb %.1f  gap %.2f%%  converged %v  rounded %v\n",
 				d.Passes, d.Objective, d.LowerBound, 100*d.Gap, d.Converged, d.Rounded)
-		}
-		// Per-shard accounting, present only for multi-shard solves. Every
-		// field is deterministic (the block tallies are accumulated on the
-		// driver in shard order), so these lines are golden-stable too.
-		var shardBlocks int64
-		for _, e := range st.shards {
-			fmt.Fprintf(w, "shard %d  videos %d  nnz %d  blocks %d\n", e.Shard, e.Videos, e.NNZ, e.Blocks)
-			shardBlocks += e.Blocks
-		}
-		if len(st.shards) > 0 {
-			fmt.Fprintf(w, "shards %d  block solves %d\n", len(st.shards), shardBlocks)
 		}
 		fmt.Fprintln(w)
 	}

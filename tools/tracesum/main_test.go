@@ -24,12 +24,6 @@ var update = flag.Bool("update", false, "rewrite the golden summary")
 // it (see TestSummaryWorkerInvariance), but pinning keeps the golden's
 // provenance explicit.
 func solveTraced(t *testing.T, workers int) []byte {
-	return solveTracedSharded(t, workers, 0)
-}
-
-// solveTracedSharded is solveTraced with a forced shard count; 0 keeps the
-// solver's default single-shard layout.
-func solveTracedSharded(t *testing.T, workers, shards int) []byte {
 	t.Helper()
 	inst, err := verify.RandomInstance(11, verify.InstanceOpts{Nodes: 8, Videos: 40, Slices: 2}.Defaults())
 	if err != nil {
@@ -38,7 +32,7 @@ func solveTracedSharded(t *testing.T, workers, shards int) []byte {
 	var buf bytes.Buffer
 	rec := obs.New(&buf)
 	if _, err := epf.SolveInteger(inst, epf.Options{
-		Seed: 11, MaxPasses: 60, Workers: workers, Shards: shards, Recorder: rec,
+		Seed: 11, MaxPasses: 60, Workers: workers, Recorder: rec,
 	}); err != nil {
 		t.Fatalf("SolveInteger: %v", err)
 	}
@@ -87,52 +81,6 @@ func TestGoldenSummary(t *testing.T) {
 	// The same solve must pass the monotonicity audit the CLI's -check runs.
 	if bad := sum.monotoneViolations(); len(bad) > 0 {
 		t.Errorf("monotonicity violations in a clean solve: %v", bad)
-	}
-}
-
-// TestGoldenShardedSummary pins the summary of the same solve run over three
-// catalog shards: identical pass series and endpoint (sharding never changes
-// numerics), plus the per-shard accounting block that only multi-shard traces
-// carry. Regenerate with -update after an intentional change.
-func TestGoldenShardedSummary(t *testing.T) {
-	sum := summaryFor(t, solveTracedSharded(t, 2, 3))
-	var out bytes.Buffer
-	sum.writeTable(&out)
-
-	if !strings.Contains(out.String(), "shard 0  videos ") {
-		t.Fatalf("sharded summary missing per-shard block:\n%s", out.String())
-	}
-
-	golden := filepath.Join("testdata", "sharded.golden")
-	if *update {
-		if err := os.WriteFile(golden, out.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("reading golden (run with -update to generate): %v", err)
-	}
-	if !bytes.Equal(out.Bytes(), want) {
-		t.Errorf("sharded summary drifted from golden (re-run with -update if intentional)\n--- got ---\n%s--- want ---\n%s", out.Bytes(), want)
-	}
-	if bad := sum.monotoneViolations(); len(bad) > 0 {
-		t.Errorf("monotonicity violations in a clean sharded solve: %v", bad)
-	}
-}
-
-// TestSummaryShardInvariance: the CSV reduction (pass rows only) of a
-// fixed-seed trace is bit-identical at any shard count — the tool-layer view
-// of the bit-identity acceptance criterion.
-func TestSummaryShardInvariance(t *testing.T) {
-	var base bytes.Buffer
-	summaryFor(t, solveTraced(t, 1)).writeCSV(&base)
-	for _, shards := range []int{2, 5} {
-		var got bytes.Buffer
-		summaryFor(t, solveTracedSharded(t, 4, shards)).writeCSV(&got)
-		if !bytes.Equal(base.Bytes(), got.Bytes()) {
-			t.Errorf("CSV summary differs between unsharded and %d shards", shards)
-		}
 	}
 }
 
