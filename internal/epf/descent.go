@@ -197,14 +197,11 @@ passes:
 		// The three-point scale search costs two extra full block
 		// passes; run it while the duals are still moving (early
 		// passes) and periodically afterwards, with a single
-		// evaluation at the carried scale in between. A warm re-solve
-		// whose carried bound still stands skips it once an incumbent
-		// exists: the primal has reached ε on the old prices, so no
-		// scale of this solve's duals beats them yet. Before the first
-		// incumbent a stale carried bound is what the off-centre scales
-		// raise, so the search keeps its cadence there.
+		// evaluation at the carried scale in between — and only that
+		// one while carriedBoundHolds.
+		holds := s.carriedBoundHolds()
 		mults := lbMultsWide[:]
-		if (pass > 8 && pass%3 != 0) || (s.lbWarm && s.lb == s.lbStart && s.haveUB) {
+		if (pass > 8 && pass%3 != 0) || holds {
 			mults = lbMultsNarrow[:]
 		} else {
 			s.stats.ScaleSearches++
@@ -236,15 +233,13 @@ passes:
 		}
 		// When the potential-derived duals stop improving the bound,
 		// polish the dual vector directly with subgradient ascent. While
-		// the bound is still the one the descent started from (the carried
-		// duals' on a re-solve), one round that fails to raise it is the
-		// last until something does: after a demand delta the old prices
-		// stay the best prices until the primal has moved, and the polish
-		// ascends from this solve's duals, which trail them. Once the
-		// solve has raised its own bound, repeated rounds are one
-		// continuing ascent and keep their cadence.
+		// the bound is still the one the descent started from, one round
+		// that fails to raise it is the last until something does, and
+		// none runs while carriedBoundHolds. Once the solve has raised its
+		// own bound, repeated rounds are one continuing ascent and keep
+		// their cadence.
 		if s.lbStall >= 3 {
-			if s.lb > s.lbStart || s.polishes == 0 {
+			if s.lb > s.lbStart || (s.polishes == 0 && !holds) {
 				before := s.stats.LBTime
 				s.polishLB()
 				s.stats.PolishTime += s.stats.LBTime - before
@@ -400,6 +395,18 @@ var (
 // the current premium.
 func (s *solver) retargetB() {
 	s.bObj = math.Max(s.lb*s.bPremium, s.bFloor)
+}
+
+// carriedBoundHolds reports that a warm re-solve's carried bound stands and an
+// ε-feasible incumbent is in hand: the primal has reached ε on the old prices,
+// so neither another scale of this solve's duals nor a polish ascending from
+// them, which trail those prices, is worth a block sweep yet. While it holds, a
+// bound step is one evaluation at the carried scale. Cold solves, re-solves
+// before their first incumbent (where a stale carried bound is what the search
+// and the probe raise) and every pass after the solve raised its own bound keep
+// the usual cadence.
+func (s *solver) carriedBoundHolds() bool {
+	return s.lbWarm && s.lb == s.lbStart && s.haveUB
 }
 
 // done reports the Algorithm 1 termination criterion. A tiny absolute slack

@@ -143,6 +143,7 @@ type Event struct {
 	SolveMS      float64 `json:"solvems"`
 	LPMS         float64 `json:"lpms"`
 	LBMS         float64 `json:"lbms"`
+	PolishMS     float64 `json:"polishms"`
 	RoundMS      float64 `json:"roundms"`
 	Round        string  `json:"round"`
 	RoundRatio   float64 `json:"roundratio"`

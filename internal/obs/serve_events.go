@@ -31,10 +31,12 @@ type ServeResolve struct {
 	SolveMS     float64 `json:"solvems"` // done: integer-solve wall time
 	// LPMS and RoundMS split SolveMS into the solver's two phases (the LP
 	// descent and the integer rounding + polish); the remainder is set-up.
-	// LBMS is the part of LPMS spent evaluating Lagrangian bounds.
-	LPMS    float64 `json:"lpms"`
-	LBMS    float64 `json:"lbms"`
-	RoundMS float64 `json:"roundms"`
+	// LBMS is the part of LPMS spent evaluating Lagrangian bounds, and
+	// PolishMS the part of LBMS spent in dual polish rounds.
+	LPMS     float64 `json:"lpms"`
+	LBMS     float64 `json:"lbms"`
+	PolishMS float64 `json:"polishms"`
+	RoundMS  float64 `json:"roundms"`
 	// Round says which rounding ran: "resumed" (the served placement,
 	// polished, met its reference and nothing was rounded from scratch),
 	// "rejected" (it was tried and refused, so the from-scratch candidates
@@ -113,6 +115,7 @@ func (r *Recorder) RecordServeResolve(e ServeResolve) {
 			b = appendFloat(b, ",\"solvems\":", e.SolveMS)
 			b = appendFloat(b, ",\"lpms\":", e.LPMS)
 			b = appendFloat(b, ",\"lbms\":", e.LBMS)
+			b = appendFloat(b, ",\"polishms\":", e.PolishMS)
 			b = appendFloat(b, ",\"roundms\":", e.RoundMS)
 			if e.Round != "" {
 				b = append(b, ",\"round\":"...)

@@ -16,7 +16,7 @@ func TestServeEventsRoundTrip(t *testing.T) {
 	r.RecordServeResolve(ServeResolve{
 		Phase: "done", Version: 2, Trigger: "demand", Verdict: "swapped",
 		WarmFrac: 0.75, ResumedFrac: 0.5, Passes: 12, SolveMS: 34.5, AuditMS: 1.25, BuildMS: 0.5,
-		LPMS: 4.5, LBMS: 2.25, RoundMS: 29, Round: "rejected", RoundRatio: 1.24, RoundRef: 1.117,
+		LPMS: 4.5, LBMS: 2.25, PolishMS: 1.5, RoundMS: 29, Round: "rejected", RoundRatio: 1.24, RoundRef: 1.117,
 		BoundCarried: true, CertReused: 1992,
 	})
 	r.RecordServeResolve(ServeResolve{
@@ -50,8 +50,8 @@ func TestServeEventsRoundTrip(t *testing.T) {
 		done.Round != "rejected" || done.RoundRatio != 1.24 || done.RoundRef != 1.117 {
 		t.Errorf("done event %+v", done)
 	}
-	if done.LBMS != 2.25 {
-		t.Errorf("done event lbms %v, want 2.25", done.LBMS)
+	if done.LBMS != 2.25 || done.PolishMS != 1.5 {
+		t.Errorf("done event lbms %v polishms %v, want 2.25 1.5", done.LBMS, done.PolishMS)
 	}
 	if !done.BoundCarried || done.CertReused != 1992 {
 		t.Errorf("done event boundcarried %v certreused %d, want true 1992", done.BoundCarried, done.CertReused)

@@ -221,10 +221,12 @@ type statusJSON struct {
 	LastGapPct float64 `json:"last_gap_pct"`
 	// LastLPMS and LastRoundMS say where the last swapped-in solve spent its
 	// time: the LP descent and the integer rounding + polish. LastLBMS is the
-	// part of the descent spent evaluating Lagrangian bounds.
-	LastLPMS    float64 `json:"last_lp_ms"`
-	LastLBMS    float64 `json:"last_lb_ms"`
-	LastRoundMS float64 `json:"last_round_ms"`
+	// part of the descent spent evaluating Lagrangian bounds, and
+	// LastPolishMS the part of that spent in dual polish rounds.
+	LastLPMS     float64 `json:"last_lp_ms"`
+	LastLBMS     float64 `json:"last_lb_ms"`
+	LastPolishMS float64 `json:"last_polish_ms"`
+	LastRoundMS  float64 `json:"last_round_ms"`
 	// ResumedFrac is the fraction of the last swapped-in solve's videos that
 	// started from the previous solve's LP point (0 for the initial solve).
 	ResumedFrac float64 `json:"resumed_frac"`
@@ -281,6 +283,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		LastGapPct:       100 * lastGap,
 		LastLPMS:         last.LPMS,
 		LastLBMS:         last.LBMS,
+		LastPolishMS:     last.PolishMS,
 		LastRoundMS:      last.RoundMS,
 		ResumedFrac:      last.ResumedFrac,
 		LastRound:        last.Round,

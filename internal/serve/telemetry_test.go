@@ -66,6 +66,9 @@ func TestServeLifecycleTrace(t *testing.T) {
 	if st.LastLBMS <= 0 || st.LastLBMS > st.LastLPMS {
 		t.Errorf("/status last_lb_ms %v of last_lp_ms %v after a re-solve, want in (0, lp]", st.LastLBMS, st.LastLPMS)
 	}
+	if st.LastPolishMS < 0 || st.LastPolishMS > st.LastLBMS {
+		t.Errorf("/status last_polish_ms %v of last_lb_ms %v after a re-solve, want in [0, bound]", st.LastPolishMS, st.LastLBMS)
+	}
 	if st.ResumedFrac <= 0 || st.ResumedFrac > 1 {
 		t.Errorf("/status resumed_frac %v after a warm re-solve, want in (0, 1]", st.ResumedFrac)
 	}
@@ -103,8 +106,8 @@ func TestServeLifecycleTrace(t *testing.T) {
 			} else if e.Verdict == "swapped" {
 				swapped++
 				lastDone = e
-				if e.LBMS <= 0 || e.LBMS > e.LPMS {
-					t.Errorf("swapped done: lbms %v of lpms %v", e.LBMS, e.LPMS)
+				if e.PolishMS < 0 || e.PolishMS > e.LBMS || e.LBMS <= 0 || e.LBMS > e.LPMS {
+					t.Errorf("swapped done: polishms %v of lbms %v of lpms %v", e.PolishMS, e.LBMS, e.LPMS)
 				}
 				if e.SolveMS <= 0 || e.Passes <= 0 || e.Reason != "" ||
 					e.LPMS <= 0 || e.RoundMS <= 0 || e.LPMS+e.RoundMS > e.SolveMS ||
@@ -133,8 +136,9 @@ func TestServeLifecycleTrace(t *testing.T) {
 		t.Errorf("/status %+v does not match the swapped done event %+v", st, lastDone)
 	}
 
-	if lastDone.LBMS != st.LastLBMS {
-		t.Errorf("/status last_lb_ms %v, the swapped done event's lbms %v", st.LastLBMS, lastDone.LBMS)
+	if lastDone.LBMS != st.LastLBMS || lastDone.PolishMS != st.LastPolishMS {
+		t.Errorf("/status last_lb_ms %v last_polish_ms %v, the swapped done event's lbms %v polishms %v",
+			st.LastLBMS, st.LastPolishMS, lastDone.LBMS, lastDone.PolishMS)
 	}
 
 	// The shared registry carries both the server's counters and the

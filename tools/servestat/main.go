@@ -171,7 +171,9 @@ func (s *summary) writeTable(w io.Writer) {
 			// before the solve reported its phases render exactly as before.
 			if e.LPMS > 0 || e.RoundMS > 0 {
 				fmt.Fprintf(w, " (lp %s", g(e.LPMS))
-				if e.LBMS > 0 {
+				if e.PolishMS > 0 {
+					fmt.Fprintf(w, " [bound %s, polish %s]", g(e.LBMS), g(e.PolishMS))
+				} else if e.LBMS > 0 {
 					fmt.Fprintf(w, " [bound %s]", g(e.LBMS))
 				}
 				fmt.Fprintf(w, "  round %s)", g(e.RoundMS))
