@@ -81,17 +81,53 @@ func benchSolver(b *testing.B) *solver {
 	return s
 }
 
-// BenchmarkAddBlockRows measures one full add+remove activity sweep over
-// every block (the incremental state-update kernel).
+// BenchmarkAddBlockRows measures the one walk of a block's coupling rows
+// over every block, in each of its uses:
+//
+//   - dense: a full add+remove activity sweep (the incremental state update);
+//   - delta: the line-search delta of each block against its integer block
+//     minimizer at the current duals (applyBlock's old → new walk);
+//   - step: both sides of the rounding step against the same candidates,
+//     with the union of their rows.
+//
+// The sparse cases clear their scratch after every block, as their callers
+// do.
 func BenchmarkAddBlockRows(b *testing.B) {
 	s := benchSolver(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for vi := range s.sol {
-			s.addBlockRows(vi, &s.sol[vi], +1)
-			s.addBlockRows(vi, &s.sol[vi], -1)
-		}
+	s.computeDuals(s.q)
+	if _, grad := s.lagrangianEval(s.q, true); grad == nil {
+		b.Fatal("candidate evaluation cancelled")
 	}
+	b.Run("dense", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for vi := range s.sol {
+				s.addBlockRows(vi, &s.sol[vi], +1)
+				s.addBlockRows(vi, &s.sol[vi], -1)
+			}
+		}
+	})
+	b.Run("delta", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for vi := range s.sol {
+				s.blockDelta(vi, &s.lbSols[vi])
+				for _, r := range s.touched {
+					s.acc[r] = 0
+				}
+				s.touched = s.touched[:0]
+			}
+		}
+	})
+	b.Run("step", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for vi := range s.sol {
+				s.stepSides(vi, &s.sol[vi], &s.lbSols[vi])
+				for _, r := range s.stepRows {
+					s.stepUse[0][r], s.stepUse[1][r] = 0, 0
+				}
+				s.stepRows = s.stepRows[:0]
+			}
+		}
+	})
 }
 
 // BenchmarkComputePathDuals measures the per-chunk path-dual refresh: one

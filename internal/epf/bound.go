@@ -117,33 +117,6 @@ func (s *solver) snapshotTerms() {
 	copy(s.lbTerms, s.lbBuf)
 }
 
-// accumulateIntRows adds the coupling-row activities of the integer block
-// solution ns for video vi into act.
-func (s *solver) accumulateIntRows(vi int, ns *intSol, act []float64) {
-	d := &s.inst.Demands[vi]
-	for _, i := range ns.open {
-		act[int(i)] += d.SizeGB
-	}
-	if s.T == 0 {
-		return
-	}
-	for k, i := range ns.assign {
-		j := int(d.Js[k])
-		if int(i) == j {
-			continue
-		}
-		path := s.inst.G.Path(int(i), j)
-		ts, fv := d.ConcNZ(k)
-		for x, t := range ts {
-			flow := d.RateMbps * fv[x]
-			base := s.n + int(t)*s.L
-			for _, l := range path {
-				act[base+int(l)] += flow
-			}
-		}
-	}
-}
-
 // polishLB runs a few exponentiated-gradient ascent steps on the Lagrangian
 // dual vector: rows that the current dual's block minimizer overloads get
 // their price multiplied up, slack rows decay. This closes the last

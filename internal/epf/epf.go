@@ -215,11 +215,11 @@ type workerScratch struct {
 // threshold (exp(709) ≈ MaxFloat64), but they are deliberately different:
 //
 //   - dualExpCap bounds the *price ratio* between a coupling row and the
-//     objective row when duals are materialized (computeDuals,
-//     refreshDiskDuals). Prices are multiplied by B/b_r, summed over paths
-//     and fed into facility-location costs, so the tighter cap keeps block
-//     costs comfortably inside the float64 range even after those
-//     amplifications; exp(300) ≈ 2e130 headroom below maxDual.
+//     objective row when duals are materialized (dual). Prices are
+//     multiplied by B/b_r, summed over paths and fed into facility-location
+//     costs, so the tighter cap keeps block costs comfortably inside the
+//     float64 range even after those amplifications; exp(300) ≈ 2e130
+//     headroom below maxDual.
 //
 //   - lineExpCap bounds potential-derivative terms (expClamp, used by the
 //     line search and the rounding criteria), where only the sign and the
@@ -365,10 +365,9 @@ type solver struct {
 	seedBuf     []int32
 
 	// integerStepImproves scratch (round.go): per-row usage of the current
-	// and the candidate block, which side touched each row, and the touched
-	// rows.
+	// and the candidate block, and the rows either side touched (each side
+	// lists its own, so a row can appear twice before the union is taken).
 	stepUse  [2][]float64
-	stepMark []uint8
 	stepRows []int32
 
 	// Cross-period warm-start state (Options.Warm / Result.Warm).
@@ -454,8 +453,7 @@ func newSolver(inst *mip.Instance, opts Options) (*solver, error) {
 	s.acc = make([]float64, s.rows)
 	s.touched = make([]int32, 0, s.rows)
 	s.stepUse = [2][]float64{make([]float64, s.rows), make([]float64, s.rows)}
-	s.stepMark = make([]uint8, s.rows)
-	s.stepRows = make([]int32, 0, s.rows)
+	s.stepRows = make([]int32, 0, 2*s.rows)
 	s.yBuf = make([]float64, s.n)
 	s.lsDelta = make([]float64, s.rows)
 	s.lsAct = make([]float64, s.rows)

@@ -6,75 +6,13 @@ import (
 	"vodplace/internal/mip"
 )
 
-// addDelta accumulates a sparse row delta into s.acc/s.touched.
-func (s *solver) addDelta(r int, v float64) {
-	if s.acc[r] == 0 && v != 0 {
-		s.touched = append(s.touched, int32(r))
-	}
-	s.acc[r] += v
-}
-
 // applyBlock replaces block vi by a convex combination of its current
 // solution and the integer solution ns, with the mixing weight chosen by an
 // exact line search on the potential. Activities and objective are updated
 // incrementally.
 func (s *solver) applyBlock(vi int, ns *intSol) {
-	d := &s.inst.Demands[vi]
 	old := &s.sol[vi]
-	n := s.n
-
-	// Deltas: new block rows minus old block rows, into s.acc/s.touched.
-	s.touched = s.touched[:0]
-	// Old contribution, negated.
-	for _, f := range old.Open {
-		s.addDelta(int(f.I), -d.SizeGB*f.V)
-	}
-	for k, fr := range old.Assign {
-		j := int(d.Js[k])
-		ts, fv := d.ConcNZ(k)
-		for _, f := range fr {
-			if int(f.I) == j || f.V == 0 {
-				continue
-			}
-			path := s.inst.G.Path(int(f.I), j)
-			for x, t := range ts {
-				flow := d.RateMbps * fv[x] * f.V
-				base := s.n + int(t)*s.L
-				for _, l := range path {
-					s.addDelta(base+int(l), -flow)
-				}
-			}
-		}
-	}
-	// New contribution.
-	for _, i := range ns.open {
-		s.addDelta(int(i), d.SizeGB)
-	}
-	var dObj float64
-	dObj -= s.blockCost(vi, old)
-	for k, i := range ns.assign {
-		j := int(d.Js[k])
-		dObj += d.SizeGB * d.Agg[k] * s.costT[j*n+int(i)]
-		if int(i) == j {
-			continue
-		}
-		path := s.inst.G.Path(int(i), j)
-		ts, fv := d.ConcNZ(k)
-		for x, t := range ts {
-			flow := d.RateMbps * fv[x]
-			base := s.n + int(t)*s.L
-			for _, l := range path {
-				s.addDelta(base+int(l), flow)
-			}
-		}
-	}
-	if s.inst.UpdateWeight != 0 {
-		for _, i := range ns.open {
-			dObj += s.inst.PlacementCost(vi, int(i))
-		}
-	}
-
-	tau := s.lineSearch(dObj)
+	tau := s.lineSearch(s.blockDelta(vi, ns))
 	if tau > 0 {
 		// Remove the old block's rows and cost, replace the block, add the
 		// new (mixed and y-tightened) contribution back.
@@ -91,8 +29,21 @@ func (s *solver) applyBlock(vi int, ns *intSol) {
 	s.touched = s.touched[:0]
 }
 
+// blockDelta accumulates the row delta ns − s.sol[vi] (old block out, then
+// new block in) into s.acc/s.touched and returns the objective delta.
+func (s *solver) blockDelta(vi int, ns *intSol) float64 {
+	old := &s.sol[vi]
+	s.blockRows(vi, old, -1, s.acc, &s.touched)
+	s.intRows(vi, ns, s.acc, &s.touched)
+	return s.addIntCost(-s.blockCost(vi, old), vi, ns)
+}
+
 // lineSearch minimizes Φ(z + τ·Δ) over τ ∈ [0, 1] given the sparse row
 // deltas in s.acc/s.touched and the objective delta. Φ is convex in τ.
+//
+// A row addRow listed twice (its running delta returned to exactly 0) enters
+// Φ′(τ) twice. The pinned trajectories include that double count; its fix
+// waits for the next change that regenerates them (ROADMAP, EXPERIMENTS.md).
 //
 // The touched rows are first gathered into contiguous scratch arrays with
 // the per-row delta/b coefficient divided out once, so each derivative

@@ -7,46 +7,93 @@ import (
 	"vodplace/internal/mip"
 )
 
+// One walk of a block's coupling rows (DESIGN.md §13): blockRows walks a
+// live block, intRows a candidate integer one, and both hand every serving
+// path to linkRows. rows is nil for a dense destination (act, a leaf partial,
+// the subgradient) and a touched-row list for a sparse one (the line-search
+// delta, either side of the rounding step); the terms, and their order, are
+// the same either way.
+
 // addBlockRows adds (sign=+1) or removes (sign=-1) block vi's contribution
 // to the coupling-row activities.
 func (s *solver) addBlockRows(vi int, bs *mip.VideoPlacement, sign float64) {
-	s.addBlockRowsTo(s.act, vi, bs, sign)
+	s.blockRows(vi, bs, sign, s.act, nil)
 }
 
-// addBlockRowsTo adds (sign=+1) or removes (sign=-1) block vi's contribution
-// to the coupling-row activities in act. Only the nonzero time slices of each
-// demand (the instance's sparse concurrency lists) are visited, and link
-// rows are addressed through the CSR path table. act is either the live
-// activity vector or one leaf's partial (parallel reductions): the per-entry
-// accumulation order is identical either way.
-func (s *solver) addBlockRowsTo(act []float64, vi int, bs *mip.VideoPlacement, sign float64) {
+// blockRows adds sign (±1) times block vi's row usage onto dst: disk first,
+// in open order, then the link rows demand office by demand office, serving
+// office by serving office, slice by slice, in path order. Entries of zero
+// weight are skipped.
+func (s *solver) blockRows(vi int, bs *mip.VideoPlacement, sign float64, dst []float64, rows *[]int32) {
 	d := &s.inst.Demands[vi]
 	for _, f := range bs.Open {
-		act[int(f.I)] += sign * d.SizeGB * f.V
+		addRow(dst, rows, int(f.I), d.SizeGB*(sign*f.V))
 	}
 	if s.T == 0 {
 		return
 	}
 	for k, fr := range bs.Assign {
-		j := int(d.Js[k])
-		ts, fv := d.ConcNZ(k)
-		if len(ts) == 0 {
-			continue
-		}
 		for _, f := range fr {
-			if int(f.I) == j || f.V == 0 {
-				continue
-			}
-			path := s.inst.G.Path(int(f.I), j)
-			for x, t := range ts {
-				flow := sign * d.RateMbps * fv[x] * f.V
-				base := s.n + int(t)*s.L
-				for _, l := range path {
-					act[base+int(l)] += flow
-				}
+			if f.I != d.Js[k] && f.V != 0 {
+				s.linkRows(d, k, int(f.I), sign*f.V, dst, rows)
 			}
 		}
 	}
+}
+
+// intRows adds the integer block solution ns of video vi onto dst, in
+// blockRows' order: each open office's disk row, then each demand office's
+// path from its one serving office.
+func (s *solver) intRows(vi int, ns *intSol, dst []float64, rows *[]int32) {
+	d := &s.inst.Demands[vi]
+	for _, i := range ns.open {
+		addRow(dst, rows, int(i), d.SizeGB)
+	}
+	if s.T == 0 {
+		return
+	}
+	for k, i := range ns.assign {
+		if i != d.Js[k] {
+			s.linkRows(d, k, int(i), 1, dst, rows)
+		}
+	}
+}
+
+// linkRows adds demand office k of video d, served from office i with weight
+// w, onto the link rows of the path i→j in each of k's nonzero slices: the
+// flow r·f_j(t)·w on every link of the path. Callers skip local serves
+// (i = j), which use no link. The dense case is a separate loop so the hot
+// add carries no listing test.
+func (s *solver) linkRows(d *mip.VideoDemand, k, i int, w float64, dst []float64, rows *[]int32) {
+	ts, fv := d.ConcNZ(k)
+	if len(ts) == 0 {
+		return
+	}
+	path := s.inst.G.Path(i, int(d.Js[k]))
+	for x, t := range ts {
+		flow := d.RateMbps * fv[x] * w
+		base := s.n + int(t)*s.L
+		if rows == nil {
+			for _, l := range path {
+				dst[base+int(l)] += flow
+			}
+			continue
+		}
+		for _, l := range path {
+			addRow(dst, rows, base+int(l), flow)
+		}
+	}
+}
+
+// addRow adds v onto dst[r] and, given a list, appends r when the add makes
+// an exact-zero entry nonzero. A walk of one sign lists each row it changes
+// once; the line-search delta (old block out, new in) lists a row again when
+// its running sum returns to exactly 0 before a later add (see lineSearch).
+func addRow(dst []float64, rows *[]int32, r int, v float64) {
+	if rows != nil && dst[r] == 0 && v != 0 {
+		*rows = append(*rows, int32(r))
+	}
+	dst[r] += v
 }
 
 // blockCost returns block vi's objective contribution.
@@ -69,6 +116,21 @@ func (s *solver) blockCost(vi int, bs *mip.VideoPlacement) float64 {
 	return c
 }
 
+// addIntCost adds the objective contribution of the integer block solution
+// ns of video vi onto c, term by term in blockCost's order.
+func (s *solver) addIntCost(c float64, vi int, ns *intSol) float64 {
+	d := &s.inst.Demands[vi]
+	for k, i := range ns.assign {
+		c += d.SizeGB * d.Agg[k] * s.costT[int(d.Js[k])*s.n+int(i)]
+	}
+	if s.inst.UpdateWeight != 0 {
+		for _, i := range ns.open {
+			c += s.inst.PlacementCost(vi, int(i))
+		}
+	}
+	return c
+}
+
 // computeDuals fills s.q with the normalized dual weights
 // q_r = (B/b_r)·exp(α(r_r − r_0)) used as block prices: the block objective
 // is c^k·z + Σ_r q_r·(A^k z)_r, a positive rescaling of the potential
@@ -77,16 +139,31 @@ func (s *solver) computeDuals(q []float64) {
 	s.stats.DualRefreshes++
 	r0 := s.obj/s.bObj - 1
 	for r := 0; r < s.rows; r++ {
-		rr := s.act[r]/s.b[r] - 1
-		e := s.alpha * (rr - r0)
-		if e > dualExpCap {
-			// A row this much hotter than the objective row is effectively
-			// infinitely priced; cap to keep block costs finite. Any finite
-			// non-negative dual vector still yields a valid Lagrangian bound.
-			e = dualExpCap
-		}
-		q[r] = clampDual(s.bObj / s.b[r] * math.Exp(e))
+		q[r] = s.dual(r, r0)
 	}
+}
+
+// refreshDiskDuals recomputes only the disk rows of q from the live
+// activities (used by the rounding pass between videos; link rows keep the
+// values of the chunk's refresh).
+func (s *solver) refreshDiskDuals(q []float64) {
+	r0 := s.obj/s.bObj - 1
+	for i := 0; i < s.n; i++ {
+		q[s.rowDisk(i)] = s.dual(s.rowDisk(i), r0)
+	}
+}
+
+// dual is row r's price at the live activities, given the objective row's
+// relative level r0 = obj/B − 1.
+func (s *solver) dual(r int, r0 float64) float64 {
+	e := s.alpha * (s.act[r]/s.b[r] - 1 - r0)
+	if e > dualExpCap {
+		// A row this much hotter than the objective row is effectively
+		// infinitely priced; cap to keep block costs finite. Any finite
+		// non-negative dual vector still yields a valid Lagrangian bound.
+		e = dualExpCap
+	}
+	return clampDual(s.bObj / s.b[r] * math.Exp(e))
 }
 
 // maxDual caps dual prices. On infeasible FEAS(B) instances the Lagrangian
@@ -101,22 +178,6 @@ func clampDual(v float64) float64 {
 		return maxDual
 	}
 	return v
-}
-
-// refreshDiskDuals recomputes only the disk rows of q from the live
-// activities (used by the rounding pass between videos; link rows keep the
-// values of the chunk's refresh).
-func (s *solver) refreshDiskDuals(q []float64) {
-	r0 := s.obj/s.bObj - 1
-	for i := 0; i < s.n; i++ {
-		r := s.rowDisk(i)
-		rr := s.act[r]/s.b[r] - 1
-		e := s.alpha * (rr - r0)
-		if e > dualExpCap {
-			e = dualExpCap
-		}
-		q[r] = clampDual(s.bObj / s.b[r] * math.Exp(e))
-	}
 }
 
 // computePathDuals rebuilds pathDualT from q:

@@ -48,7 +48,7 @@ func (s *solver) initReduce() {
 		}
 		var obj float64
 		for vi := lo; vi < hi; vi++ {
-			s.addBlockRowsTo(dst, vi, &s.sol[vi], +1)
+			s.blockRows(vi, &s.sol[vi], +1, dst, nil)
 			obj += s.blockCost(vi, &s.sol[vi])
 		}
 		s.leafObj[li] = obj
@@ -66,7 +66,7 @@ func (s *solver) initReduce() {
 			dst[r] = 0
 		}
 		for vi := lo; vi < hi; vi++ {
-			s.accumulateIntRows(vi, &s.lbSols[vi], dst)
+			s.intRows(vi, &s.lbSols[vi], dst, nil)
 		}
 	}
 }

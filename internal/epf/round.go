@@ -315,24 +315,6 @@ func (s *solver) considerIntegerIncumbent() {
 	}
 }
 
-// Sides of the integerStepImproves row accumulators (stepUse index + 1, and
-// the stepMark bit recording that the side touched the row).
-const (
-	stepCur uint8 = 1
-	stepNew uint8 = 2
-)
-
-// stepAdd accumulates v onto coupling row r of one side's block usage, in
-// the descent's sparse acc/touched idiom: dense per-row scratch plus the
-// list of rows to visit and clear.
-func (s *solver) stepAdd(side uint8, r int, v float64) {
-	if s.stepMark[r] == 0 {
-		s.stepRows = append(s.stepRows, int32(r))
-	}
-	s.stepMark[r] |= side
-	s.stepUse[side-1][r] += v
-}
-
 // integerStepImproves decides whether replacing block vi's current solution
 // cur with ns improves the chosen criterion. The block's own rows are
 // already removed from act by the caller.
@@ -344,76 +326,38 @@ func (s *solver) stepAdd(side uint8, r int, v float64) {
 // potential over the touched rows plus the objective row — conservative
 // about any move that pushes a busy row further.
 //
-// Both sides' row usage goes into sparse accumulators and every sum below
-// visits the touched rows in ascending index, so the two floats compared are
-// the same bits on every run; nothing is allocated per call.
+// Both sides' row usage goes into sparse accumulators (stepSides) and every
+// sum below visits the union of touched rows in ascending index, so the two
+// floats compared are the same bits on every run; nothing is allocated per
+// call.
 func (s *solver) integerStepImproves(vi int, cur *mip.VideoPlacement, ns *intSol, curCost float64, useMerit bool, dcCap float64) bool {
-	d := &s.inst.Demands[vi]
-	for _, f := range cur.Open {
-		s.stepAdd(stepCur, s.rowDisk(int(f.I)), d.SizeGB*f.V)
-	}
-	var newCost float64
-	for _, i := range ns.open {
-		s.stepAdd(stepNew, s.rowDisk(int(i)), d.SizeGB)
-	}
-	for k, fr := range cur.Assign {
-		j := int(d.Js[k])
-		for _, f := range fr {
-			if int(f.I) == j || f.V == 0 {
-				continue
-			}
-			path := s.inst.G.Path(int(f.I), j)
-			ts, fv := d.ConcNZ(k)
-			for ti, tt := range ts {
-				flow := d.RateMbps * fv[ti] * f.V
-				if flow == 0 {
-					continue
-				}
-				for _, l := range path {
-					s.stepAdd(stepCur, s.rowLink(int(l), int(tt)), flow)
-				}
-			}
-		}
-	}
-	for k, i := range ns.assign {
-		j := int(d.Js[k])
-		newCost += d.SizeGB * d.Agg[k] * s.inst.Cost(int(i), j)
-		if int(i) == j {
-			continue
-		}
-		path := s.inst.G.Path(int(i), j)
-		ts, fv := d.ConcNZ(k)
-		for ti, tt := range ts {
-			flow := d.RateMbps * fv[ti]
-			if flow == 0 {
-				continue
-			}
-			for _, l := range path {
-				s.stepAdd(stepNew, s.rowLink(int(l), int(tt)), flow)
-			}
-		}
-	}
-	if s.inst.UpdateWeight != 0 {
-		for _, i := range ns.open {
-			newCost += s.inst.PlacementCost(vi, int(i))
-		}
-	}
-	slices.Sort(s.stepRows)
-	ok := s.stepAccepts(curCost, newCost, useMerit, dcCap)
+	s.stepSides(vi, cur, ns)
+	ok := s.stepAccepts(curCost, s.addIntCost(0, vi, ns), useMerit, dcCap)
 	for _, r := range s.stepRows {
-		s.stepMark[r], s.stepUse[0][r], s.stepUse[1][r] = 0, 0, 0
+		s.stepUse[0][r], s.stepUse[1][r] = 0, 0
 	}
 	s.stepRows = s.stepRows[:0]
 	return ok
+}
+
+// stepSides accumulates the row usage of the current block cur and of the
+// candidate ns into s.stepUse[0] and s.stepUse[1], each side listing the rows
+// it touches into s.stepRows, then leaves the union there in ascending order.
+func (s *solver) stepSides(vi int, cur *mip.VideoPlacement, ns *intSol) {
+	s.blockRows(vi, cur, +1, s.stepUse[0], &s.stepRows)
+	s.intRows(vi, ns, s.stepUse[1], &s.stepRows)
+	slices.Sort(s.stepRows)
+	s.stepRows = slices.Compact(s.stepRows)
 }
 
 // stepAccepts evaluates integerStepImproves' criterion over the accumulated
 // rows (s.stepRows ascending, usage in s.stepUse).
 func (s *solver) stepAccepts(curCost, newCost float64, useMerit bool, dcCap float64) bool {
 	curUse, newUse := s.stepUse[0], s.stepUse[1]
-	// Trust region: reject replacements that push any row past dcCap.
+	// Trust region: reject replacements that push any row the candidate uses
+	// past dcCap.
 	for _, r := range s.stepRows {
-		if s.stepMark[r]&stepNew != 0 && (s.act[r]+newUse[r])/s.b[r]-1 > dcCap+1e-12 {
+		if newUse[r] != 0 && (s.act[r]+newUse[r])/s.b[r]-1 > dcCap+1e-12 {
 			return false
 		}
 	}
