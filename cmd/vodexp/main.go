@@ -29,12 +29,12 @@ func main() {
 		exp    = flag.String("exp", "", "experiment id (fig2..fig13, table2..table6, rounding) or 'all'")
 		videos = flag.Int("videos", 0, "library size (default 2000; quick 300)")
 		days   = flag.Int("days", 0, "trace days (default 28; quick 16)")
-		vhos   = flag.Int("vhos", 0, "number of offices (default 55 = backbone)")
-		rpd    = flag.Float64("rpd", 0, "requests per video per day (default 4; quick 2)")
+		vhos   = flag.Int("vhos", 0, "number of offices (default 55 = backbone; quick 10)")
+		rpd    = flag.Float64("rpd", 0, "requests per video per day (default 25; quick 20)")
 		disk   = flag.Float64("disk", 0, "aggregate disk as multiple of library size (default 2)")
 		link   = flag.Float64("link", 0, "uniform link capacity in Mb/s (default 1000)")
 		seed   = flag.Int64("seed", 0, "random seed (default 1)")
-		passes = flag.Int("passes", 0, "solver pass cap (default 80)")
+		passes = flag.Int("passes", 0, "solver pass cap (default 80; quick 50)")
 		eps    = flag.Float64("eps", 0, "solver convergence tolerance (default: solver's)")
 		quick  = flag.Bool("quick", false, "reduced scale for smoke runs")
 		doAud  = flag.Bool("verify", false, "re-check every solver result with the independent certificate auditor")

@@ -7,7 +7,9 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"unicode"
@@ -17,11 +19,15 @@ import (
 // top-level functions, types, constants and variables per package, and the
 // fields and methods of every named type.
 type goDecls struct {
-	pkgs    map[string]map[string]bool // package name -> its top-level names and its types' members
-	members map[string]map[string]bool // type name -> field and method names
-	pkgMems map[string]map[string]bool // "pkg.Type" -> field and method names
-	all     map[string]bool            // every declared name, members included
+	pkgs     map[string]map[string]bool // package name -> its top-level names and its types' members
+	members  map[string]map[string]bool // type name -> field and method names
+	pkgMems  map[string]map[string]bool // "pkg.Type" -> field and method names
+	all      map[string]bool            // every declared name, members included
+	structs  map[string]*ast.StructType // "pkg.Type" -> its struct, non-test files only
+	comments []fileText                 // each file's comment text, in walk order
 }
+
+type fileText struct{ path, text string }
 
 // put adds name to the set m[key].
 func put(m map[string]map[string]bool, key, name string) {
@@ -49,8 +55,9 @@ func (d *goDecls) addMember(pkg, typ, name string) {
 	d.all[name] = true
 }
 
-// parseModule walks the repository and collects its declarations. Only the
-// syntax is read, so the walk needs no build and no type-checking.
+// parseModule walks the repository and collects its declarations and
+// comments. Only the syntax is read, so the walk needs no build and no
+// type-checking.
 func parseModule(t *testing.T) *goDecls {
 	t.Helper()
 	d := &goDecls{
@@ -58,6 +65,7 @@ func parseModule(t *testing.T) *goDecls {
 		members: map[string]map[string]bool{},
 		pkgMems: map[string]map[string]bool{},
 		all:     map[string]bool{},
+		structs: map[string]*ast.StructType{},
 	}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, e fs.DirEntry, err error) error {
@@ -73,10 +81,15 @@ func parseModule(t *testing.T) *goDecls {
 		if !strings.HasSuffix(path, ".go") {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution|parser.ParseComments)
 		if err != nil {
 			return err
 		}
+		var text strings.Builder
+		for _, c := range f.Comments {
+			text.WriteString(c.Text())
+		}
+		d.comments = append(d.comments, fileText{path, text.String()})
 		pkg := strings.TrimSuffix(f.Name.Name, "_test")
 		for _, decl := range f.Decls {
 			switch decl := decl.(type) {
@@ -108,6 +121,9 @@ func parseModule(t *testing.T) *goDecls {
 					case *ast.TypeSpec:
 						d.add(pkg, spec.Name.Name)
 						d.addTypeMembers(pkg, spec.Name.Name, spec.Type)
+						if st, ok := spec.Type.(*ast.StructType); ok && !strings.HasSuffix(path, "_test.go") {
+							d.structs[pkg+"."+spec.Name.Name] = st
+						}
 					}
 				}
 			}
@@ -209,5 +225,147 @@ func TestDesignNamesExist(t *testing.T) {
 		if !d.resolve(name) {
 			t.Errorf("DESIGN.md names `%s`, which no Go source in the module declares", name)
 		}
+	}
+}
+
+// designSections splits DESIGN.md, fenced blocks removed, at its "## "
+// headings. The text before the first heading is the section named "".
+func designSections(t *testing.T) (names []string, bodies []string) {
+	t.Helper()
+	doc, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	names, bodies = []string{""}, []string{""}
+	for _, line := range strings.Split(fencedBlock.ReplaceAllString(string(doc), ""), "\n") {
+		if heading, ok := strings.CutPrefix(line, "## "); ok {
+			names, bodies = append(names, heading), append(bodies, "")
+			continue
+		}
+		bodies[len(bodies)-1] += line + "\n"
+	}
+	return names, bodies
+}
+
+// liveFields lists the exported fields of a struct, except those whose doc
+// comment starts "Deprecated:".
+func liveFields(st *ast.StructType) []string {
+	var out []string
+	for _, f := range st.Fields.List {
+		if f.Doc != nil && strings.HasPrefix(f.Doc.Text(), "Deprecated:") {
+			continue
+		}
+		for _, n := range f.Names {
+			if n.IsExported() {
+				out = append(out, n.Name)
+			}
+		}
+	}
+	return out
+}
+
+// jsonKeys lists a struct's JSON keys, a nested struct's as "outer.inner"
+// after the outer key itself.
+func jsonKeys(st *ast.StructType, prefix string) []string {
+	var out []string
+	for _, f := range st.Fields.List {
+		if f.Tag == nil {
+			continue
+		}
+		tag, err := strconv.Unquote(f.Tag.Value)
+		if err != nil {
+			continue
+		}
+		key, _, _ := strings.Cut(reflect.StructTag(tag).Get("json"), ",")
+		if key == "" || key == "-" {
+			continue
+		}
+		out = append(out, prefix+key)
+		if inner, ok := f.Type.(*ast.StructType); ok {
+			out = append(out, jsonKeys(inner, prefix+key+".")...)
+		}
+	}
+	return out
+}
+
+var (
+	surfaceName = regexp.MustCompile(`^(?:epf\.)?(Options|Stats)\.([A-Z][A-Za-z0-9_]*)$`)
+	designCite  = regexp.MustCompile(`DESIGN(?:\.md)?\s+§\d+(?:(?:\s*,\s*|\s+and\s+)§\d+)*`)
+	sectionNum  = regexp.MustCompile(`§(\d+)`)
+	numbered    = regexp.MustCompile(`^(\d+)\. `)
+)
+
+// TestDesignCoversSurface holds DESIGN.md to the public surface it
+// specifies: every live field of epf.Options and epf.Stats has exactly one
+// home section, the "## " section that names it backticked as Options.X or
+// Stats.X (optionally epf.-prefixed); every JSON key of the /status
+// response appears backticked; and every "DESIGN.md §N" cited in a Go
+// comment, README.md or EXPERIMENTS.md names an existing "## N." heading.
+func TestDesignCoversSurface(t *testing.T) {
+	d := parseModule(t)
+	names, bodies := designSections(t)
+
+	homes := map[string][]string{} // "Options.X" -> the sections naming it
+	spans := map[string]bool{}     // every backticked span in DESIGN.md
+	for i, body := range bodies {
+		seen := map[string]bool{}
+		for _, m := range codeSpan.FindAllStringSubmatch(body, -1) {
+			spans[m[1]] = true
+			if s := surfaceName.FindStringSubmatch(m[1]); s != nil && !seen[s[1]+"."+s[2]] {
+				seen[s[1]+"."+s[2]] = true
+				homes[s[1]+"."+s[2]] = append(homes[s[1]+"."+s[2]], names[i])
+			}
+		}
+	}
+	for _, typ := range []string{"Options", "Stats"} {
+		st := d.structs["epf."+typ]
+		if st == nil {
+			t.Fatalf("no struct epf.%s in the module", typ)
+		}
+		for _, field := range liveFields(st) {
+			switch h := homes[typ+"."+field]; len(h) {
+			case 0:
+				t.Errorf("DESIGN.md gives `%s.%s` no home: no ## section names it", typ, field)
+			case 1:
+			default:
+				t.Errorf("DESIGN.md names `%s.%s` in %d sections, want one: %q", typ, field, len(h), h)
+			}
+		}
+	}
+
+	st := d.structs["serve.statusJSON"]
+	if st == nil {
+		t.Fatal("no struct serve.statusJSON in the module")
+	}
+	for _, key := range jsonKeys(st, "") {
+		if !spans[key] {
+			t.Errorf("DESIGN.md never names the /status key `%s`", key)
+		}
+	}
+
+	headings := map[string]bool{}
+	for _, name := range names {
+		if m := numbered.FindStringSubmatch(name); m != nil {
+			headings[m[1]] = true
+		}
+	}
+	cited := func(where, text string) {
+		for _, cite := range designCite.FindAllString(text, -1) {
+			for _, n := range sectionNum.FindAllStringSubmatch(cite, -1) {
+				if !headings[n[1]] {
+					t.Errorf("%s cites DESIGN.md §%s, which has no \"## %s.\" heading", where, n[1], n[1])
+				}
+			}
+		}
+	}
+	for _, doc := range []string{"README.md", "EXPERIMENTS.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cited(doc, string(text))
+	}
+	for _, f := range d.comments {
+		cited(f.path+" (comment)", f.text)
 	}
 }

@@ -19,7 +19,7 @@ func minAllocsPerRun(f func()) float64 {
 	return best
 }
 
-// The performance architecture's allocation contract (DESIGN.md §8): once a
+// The performance architecture's allocation contract (DESIGN.md §15): once a
 // solve is warmed up — per-worker scratch live, merge-row and chunk-result
 // capacities grown to their steady state — a full gradient-descent pass
 // allocates nothing. Every buffer a pass touches is created or

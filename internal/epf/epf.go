@@ -40,7 +40,7 @@
 // lists, and a (t,j)-major path-dual transpose, so block pricing walks
 // contiguous memory. The transpose is rebuilt from the chunk's frozen duals
 // before every use, and every block's local search starts from the video's
-// previous open set. See DESIGN.md §8 for the layout
+// previous open set. See DESIGN.md §15 for the layout
 // and the determinism constraints the kernels honor.
 //
 // The schedule is a function of the catalog size and the worker count alone:
@@ -48,7 +48,7 @@
 // sweep as fixed lbRangeBlocks-video ranges striped across the workers, and
 // the reductions over their index-addressed results run over fixed leaves
 // (reduce.go). No split reaches the numerics, so every result is
-// bit-identical at any worker count (DESIGN.md §11, §13).
+// bit-identical at any worker count (DESIGN.md §13).
 package epf
 
 import (
@@ -71,7 +71,8 @@ type Options struct {
 	// Epsilon is the feasibility/optimality tolerance ε. Default 0.01.
 	Epsilon float64
 	// ChunkSize is the number of blocks optimized against one frozen dual
-	// vector. Default 128.
+	// vector. Default adaptive: videos/24, clamped to [8, 256], so a pass
+	// spans at least ~24 dual refreshes.
 	ChunkSize int
 	// MaxPasses bounds the number of full passes. Default 300.
 	MaxPasses int

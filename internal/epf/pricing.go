@@ -7,7 +7,7 @@ import (
 	"vodplace/internal/mip"
 )
 
-// One walk of a block's coupling rows (DESIGN.md §13): blockRows walks a
+// One walk of a block's coupling rows (DESIGN.md §7): blockRows walks a
 // live block, intRows a candidate integer one, and both hand every serving
 // path to linkRows. rows is nil for a dense destination (act, a leaf partial,
 // the subgradient) and a touched-row list for a sparse one (the line-search

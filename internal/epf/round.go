@@ -36,8 +36,8 @@ func (s *solver) refreshRoundDuals() {
 // exactly what rounding must react to — with stale disk prices every video
 // in a chunk would favor the same cheap office. Removing a video's own copy
 // alone moves its office's dual by exp(α·s/b), tens of percent at every
-// catalog size measured (DESIGN.md, rounding), so no block is worth solving
-// ahead of its turn.
+// catalog size measured (EXPERIMENTS.md, "Why the polish is serial"), so no
+// block is worth solving ahead of its turn.
 func (s *solver) roundSolve(ws *workerScratch, vi int) *intSol {
 	s.refreshDiskDuals(s.q)
 	s.stats.RoundResolves++

@@ -68,7 +68,7 @@ type Fig11Result struct {
 // for uniform or heterogeneous office disks.
 func Fig11Compute(ctx context.Context, sc *Scenario, linkCaps []float64, heterogeneous bool) *Fig11Result {
 	out := &Fig11Result{LinkCapMbps: linkCaps}
-	day := minInt(7, sc.Cfg.Days-1)
+	day := min(7, sc.Cfg.Days-1)
 	for _, cap := range linkCaps {
 		if ctx.Err() != nil {
 			break // cancelled: report only the caps probed so far
@@ -100,13 +100,6 @@ func Fig11Compute(ctx context.Context, sc *Scenario, linkCaps []float64, heterog
 		out.MinDiskFactor = append(out.MinDiskFactor, hi)
 	}
 	return out
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Fig11Feasibility prints the uniform and heterogeneous feasibility lines.
@@ -257,7 +250,7 @@ func Fig13Compute(ctx context.Context, cfg Config, sizes []int, networks []strin
 			c := cfg
 			c.Videos = videos
 			c.VHOs = g.NumNodes()
-			c.Days = minInt(cfg.withDefaults().Days, 14)
+			c.Days = min(cfg.withDefaults().Days, 14)
 			sc := buildScenarioOn(g, c)
 			disk := core.UniformDisk(sc.Lib, g.NumNodes(), 2.0)
 			cap := minFeasibleLinkCap(ctx, sc, disk, 5, 50000, 7)
@@ -363,7 +356,7 @@ func Table4Compute(ctx context.Context, cfg Config, names []string) ([]Table4Row
 				Sys: &core.System{G: g, Lib: base.Lib}}
 		}
 		disk := core.UniformDisk(sc.Lib, g.NumNodes(), 3.0)
-		cap := minFeasibleLinkCap(ctx, sc, disk, 5, 80000, minInt(7, c.Days-1))
+		cap := minFeasibleLinkCap(ctx, sc, disk, 5, 80000, min(7, c.Days-1))
 		rows = append(rows, Table4Row{
 			Topology:    name,
 			Nodes:       g.NumNodes(),
@@ -430,7 +423,7 @@ type Table5Row struct {
 // the enforced windows and over the whole period.
 func Table5Compute(ctx context.Context, cfg Config, windows []int64) ([]Table5Row, error) {
 	sc := NewScenario(cfg)
-	day := minInt(7, sc.Cfg.Days-1)
+	day := min(7, sc.Cfg.Days-1)
 	var rows []Table5Row
 	for _, win := range windows {
 		if err := ctx.Err(); err != nil {

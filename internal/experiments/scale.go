@@ -30,7 +30,7 @@ func catalogForScale(c Config) *catalog.Library {
 	return catalog.Generate(catalog.Config{
 		NumVideos: c.Videos,
 		Weeks:     (c.Days + 6) / 7,
-		NumSeries: maxInt(2, c.Videos/200),
+		NumSeries: max(2, c.Videos/200),
 	}, c.Seed+10)
 }
 

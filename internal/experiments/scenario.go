@@ -30,9 +30,10 @@ type Config struct {
 	Videos int
 	// Days is the trace length. Default 28 (Quick: 16).
 	Days int
-	// VHOs is the office count; the default 55 uses the backbone topology.
+	// VHOs is the office count; the default 55 uses the backbone topology
+	// (Quick: 10, a random graph).
 	VHOs int
-	// RequestsPerVideoPerDay scales trace volume. Default 50 (Quick: 20) —
+	// RequestsPerVideoPerDay scales trace volume. Default 25 (Quick: 20) —
 	// the paper's service sees hundreds of requests per video per week.
 	RequestsPerVideoPerDay float64
 	// DiskFactor is aggregate disk as a multiple of library size. Default 2.
@@ -164,7 +165,7 @@ func NewScenario(cfg Config) *Scenario {
 	lib := catalog.Generate(catalog.Config{
 		NumVideos: c.Videos,
 		Weeks:     (c.Days + 6) / 7,
-		NumSeries: maxInt(2, c.Videos/200),
+		NumSeries: max(2, c.Videos/200),
 	}, c.Seed+10)
 	tr := workload.GenerateTrace(lib, workload.TraceConfig{
 		Days:                   c.Days,
@@ -178,13 +179,6 @@ func NewScenario(cfg Config) *Scenario {
 		LinkCapMbps: core.UniformLinks(g, c.LinkCapMbps),
 	}
 	return &Scenario{Cfg: c, G: g, Lib: lib, Trace: tr, Sys: sys}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Runner is one registered experiment. Run observes ctx: experiments that

@@ -499,7 +499,7 @@ func (s *Solver) extractInto(p *Problem, kk int, out *Solution) {
 // maintained incrementally: opening costs O(K), closing O(K + affected·n).
 //
 // The add and swap gains are the hot loops of the whole solver (DESIGN.md
-// §8); both are moveGain down a contiguous column of colT. The kernels may
+// §15); both are moveGain down a contiguous column of colT. The kernels may
 // be rewritten only under the summation-order rule: each gain stays one
 // left-to-right sum over k ascending from the same first operand (−F_i,
 // F_i − F_i'); an operand may be read from elsewhere, a two-way select may

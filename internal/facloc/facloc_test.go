@@ -339,9 +339,10 @@ func BenchmarkDualAscent55x55(b *testing.B) {
 }
 
 // The 55×8 benchmarks are the shape the solver actually sees: a Backbone55
-// block has a mean of 8.4 demand offices (DESIGN.md §8), and a rounding-phase
-// re-solve starts from a warm open set a move or two from the optimum — here
-// the optimum of the same costs perturbed by ±5 %. Each iteration solves the
+// block has a mean of 8.4 demand offices (EXPERIMENTS.md, "Where a solve's
+// time goes"), and a rounding-phase re-solve starts from a warm open set a
+// move or two from the optimum — here the optimum of the same costs
+// perturbed by ±5 %. Each iteration solves the
 // next of 64 different problems, as the solver does: on one problem solved
 // over and over the branch predictor learns every data-dependent branch and
 // the benchmark times a loop no block solve ever runs.

@@ -110,9 +110,6 @@ func NewInstanceBuilder(g *topology.Graph, diskGB, linkCapMbps []float64, slices
 	}, nil
 }
 
-// NumAdded returns the number of demands accepted so far.
-func (b *InstanceBuilder) NumAdded() int { return len(b.demands) }
-
 // validateDemand checks one staged demand against the instance dimensions
 // (n offices, slices enforced time slices): positive size and rate, matching
 // Js/Agg/Conc shapes, strictly ascending in-range offices, finite

@@ -3,7 +3,7 @@ package mip
 import "fmt"
 
 // This file is the instance patch API behind the serving plane's delta
-// resolve path (DESIGN.md §15). A built Instance is immutable by convention;
+// resolve path (DESIGN.md §6). A built Instance is immutable by convention;
 // ApplyDemandDelta is the one sanctioned mutation, and it is shaped so that
 // patching video-by-video is exactly equivalent — bit for bit — to streaming
 // the whole catalog through an InstanceBuilder again:

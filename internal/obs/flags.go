@@ -7,7 +7,8 @@ import (
 )
 
 // Flags holds the telemetry CLI surface shared by vodplace, vodexp and
-// vodsim. All three default off; any one of them enables the recorder.
+// vodserved. All three flags default off; any one of them enables the
+// recorder.
 type Flags struct {
 	TraceOut  string // JSONL event trace destination ("-" = stdout)
 	Metrics   bool   // publish the registry via expvar + dump it on exit

@@ -68,7 +68,7 @@ func solveOutcome(done *obs.ServeResolve, res *epf.Result, videos int) {
 // live instance in place (state.patchInstance) and the incremental snapshot
 // build recomputes only the route rows whose open set changed, so both the
 // instance refresh and the route-table build cost O(changed) instead of
-// O(catalog) (DESIGN.md §15); a row the instance refuses fails the attempt
+// O(catalog) (DESIGN.md §12); a row the instance refuses fails the attempt
 // and stays dirty. On any rejection the old snapshot keeps serving, the
 // matching counter is incremented, and the reject reason is kept for
 // /status; a cancellation (shutdown) discards the partial solve.

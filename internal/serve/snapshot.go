@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"time"
 
@@ -151,7 +152,9 @@ func buildSnapshotFrom(prev *Snapshot, inst *mip.Instance, sol *mip.Solution, ve
 		s.openOff[vi+1] = int32(len(s.openIdx))
 
 		row := s.route[vi*n : (vi+1)*n]
-		if incr && openSetEqual(open, prev.openIdx[prev.openOff[vi]:prev.openOff[vi+1]]) {
+		// Open sets come out ascending, so equal lists are equal sets; an
+		// order-only difference would cost one conservative rebuild.
+		if incr && slices.Equal(open, prev.openIdx[prev.openOff[vi]:prev.openOff[vi+1]]) {
 			copy(row, prev.route[vi*n:(vi+1)*n])
 			continue
 		}
@@ -174,22 +177,6 @@ func buildSnapshotFrom(prev *Snapshot, inst *mip.Instance, sol *mip.Solution, ve
 		}
 	}
 	return s, rebuilt, nil
-}
-
-// openSetEqual reports whether two thresholded open-office lists are
-// identical (same offices in the same order — the deterministic solver
-// emits open sets ascending, so order equality is set equality; an
-// order-only difference merely costs one conservative recomputation).
-func openSetEqual(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // routeDelta counts route-table entries that differ between two snapshots,

@@ -120,9 +120,6 @@ func dayFactor(day int) float64 {
 	}
 }
 
-// DayFactor exposes the weekday volume multiplier (day 0 is a Monday).
-func DayFactor(day int) float64 { return dayFactor(day) }
-
 // prefMultiplier returns the deterministic (office, video) preference
 // multiplier in [2^-skew, 2^skew] derived from a 64-bit mix of the pair.
 func prefMultiplier(vho, video int, skew float64) float64 {

@@ -1,5 +1,5 @@
 // Command tracesum reduces a JSONL telemetry trace (produced by the
-// -trace-out flag of vodplace/vodexp/vodsim) to a convergence summary: the
+// -trace-out flag of vodplace/vodexp/vodserved) to a convergence summary: the
 // per-pass series of every EPF stream rendered as a table or CSV, per-bin
 // simulator streams condensed to totals, and — under -check — a
 // monotonicity audit of the bound series (the lower bound may only rise,
@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -295,7 +296,7 @@ const relTol = 1e-9
 func monotoneLB(passes []obs.Event) string {
 	for i := 1; i < len(passes); i++ {
 		prev, cur := passes[i-1].LowerBound, passes[i].LowerBound
-		if cur < prev-relTol*abs(prev) {
+		if cur < prev-relTol*math.Abs(prev) {
 			return fmt.Sprintf("lower bound fell %s -> %s at pass %d", g(prev), g(cur), passes[i].Pass)
 		}
 	}
@@ -316,20 +317,13 @@ func monotoneUBGap(passes []obs.Event) string {
 			}
 			continue
 		}
-		if started && cur > prev+relTol*abs(prev) {
+		if started && cur > prev+relTol*math.Abs(prev) {
 			return fmt.Sprintf("duality gap rose %s -> %s at pass %d", g(prev), g(cur), passes[i].Pass)
 		}
 		started = true
 		prev = cur
 	}
 	return ""
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 // monotoneViolations audits every EPF stream and returns one message per
