@@ -14,7 +14,8 @@ FUZZ_TARGETS := \
 	./internal/epf:FuzzBlockRows \
 	./internal/mip:FuzzApplyDemandDelta \
 	./internal/serve:FuzzRouteTable \
-	./internal/serve:FuzzDemandBatch
+	./internal/serve:FuzzDemandBatch \
+	./internal/serve:FuzzStateMatchesDense
 
 # Fixed-seed instance for the telemetry smoke test; small enough to solve in
 # seconds, large enough for a nontrivial convergence trajectory.
@@ -146,7 +147,7 @@ bench-json:
 	$(GO) test -run '^$$' -bench Scale -benchmem -count 1 -timeout 60m ./internal/experiments/ \
 		| $(GO) run ./tools/benchjson -baseline BENCH_scale.json > BENCH_scale.json.tmp
 	mv BENCH_scale.json.tmp BENCH_scale.json
-	$(GO) test -run '^$$' -bench 'Serve|Resolve' -benchmem -count 3 ./internal/serve/ \
+	$(GO) test -run '^$$' -bench 'Serve|Resolve|DemandState' -benchmem -count 3 ./internal/serve/ \
 		| $(GO) run ./tools/benchjson -baseline BENCH_serve.json > BENCH_serve.json.tmp
 	mv BENCH_serve.json.tmp BENCH_serve.json
 

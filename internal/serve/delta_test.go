@@ -510,7 +510,7 @@ func TestPatchFailureKeepsServing(t *testing.T) {
 	}
 
 	post(0, 1, 2)
-	s.state.rows[1].agg[0] = math.Inf(1)
+	*s.state.aggCell(1, 0) = math.Inf(1)
 	if snap, err := s.resolveOnce(context.Background()); err == nil || snap != nil {
 		t.Fatalf("resolveOnce over an invalid row: snapshot %v, error %v", snap, err)
 	}
@@ -536,7 +536,7 @@ func TestPatchFailureKeepsServing(t *testing.T) {
 		t.Errorf("dirty rows %v (flag %v), want %v", s.state.dirty, s.dirty, want)
 	}
 
-	s.state.rows[1].agg[0] = 7
+	*s.state.aggCell(1, 0) = 7
 	post(3)
 	snap, err := s.resolveOnce(context.Background())
 	if err != nil || snap == nil || snap.Version != 2 {

@@ -490,8 +490,7 @@ func TestDemandOverflowRejected(t *testing.T) {
 		t.Fatalf("batch at the bound: status %d (%s), want 202", rec.Code, strings.TrimSpace(rec.Body.String()))
 	}
 	s.mu.Lock()
-	row := s.state.rows[s.state.byID[id]]
-	agg, drift := row.agg[0], s.state.drift
+	agg, drift := *s.state.aggCell(s.state.byID[id], 0), s.state.drift
 	s.mu.Unlock()
 	if agg != maxDemandCell || math.IsInf(drift, 0) {
 		t.Errorf("two adds at the bound left the cell at %g (drift %g), want it saturated at %g", agg, drift, maxDemandCell)

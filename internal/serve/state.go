@@ -3,7 +3,7 @@ package serve
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"vodplace/internal/mip"
 )
@@ -20,16 +20,30 @@ type DemandUpdate struct {
 	Add   float64 `json:"add"`
 }
 
-// demandRow is the canonical mutable demand for one video: dense per-office
-// aggregates and per-(slice, office) peak concurrency. The server mutates
-// rows under its lock and streams them through a fresh InstanceBuilder
-// (which copies) on every re-solve, so built instances never alias state.
+// demandRow is the canonical mutable demand for one video, sized by the
+// offices that have held demand for it: js lists them ascending, and cells
+// holds 1+T values per office, office-major — the aggregate, then each
+// slice's peak concurrency. Rows never shrink: an office whose cells decay
+// to zero stays in js, and fillStaging's keep-filter drops it. The server
+// mutates rows under its lock, and patchInstance copies the dirty ones into
+// the live instance, so instances never alias state.
 type demandRow struct {
 	video    int
 	sizeGB   float64
 	rateMbps float64
-	agg      []float64   // [office]
-	conc     [][]float64 // [slice][office]
+	js       []int32
+	cells    []float64 // [k*(1+T)]: aggregate, then conc[0..T) of office js[k]
+}
+
+// cellsAt returns office j's 1+T cells (w = 1+T), first inserting zeroed
+// ones at j's place in js when the row holds none for j.
+func (r *demandRow) cellsAt(j, w int) []float64 {
+	k, found := slices.BinarySearch(r.js, int32(j))
+	if !found {
+		r.js = slices.Insert(r.js, k, int32(j))
+		r.cells = slices.Insert(r.cells, k*w, make([]float64, w)...)
+	}
+	return r.cells[k*w : (k+1)*w]
 }
 
 // demandState is the control plane's demand model: the videos of the
@@ -69,15 +83,14 @@ const maxDemandCell = 1e12
 // the seed instance carries no demand mass to derive one from.
 const defaultConcFrac = 0.05
 
-// stateFromInstance copies a built instance's demands into mutable dense
-// state. The instance keeps only the CSR concurrency view, so the dense
-// rows are reconstructed from it.
+// stateFromInstance copies a built instance's demands into mutable state,
+// one row per video holding the instance's own CSR offices.
 func stateFromInstance(inst *mip.Instance) *demandState {
-	n := inst.NumVHOs()
+	w := 1 + inst.Slices
 	st := &demandState{
 		rows:     make([]demandRow, len(inst.Demands)),
 		byID:     make(map[int]int, len(inst.Demands)),
-		n:        n,
+		n:        inst.NumVHOs(),
 		slices:   inst.Slices,
 		concFrac: make([]float64, inst.Slices),
 		dirty:    make(map[int]struct{}),
@@ -90,18 +103,16 @@ func stateFromInstance(inst *mip.Instance) *demandState {
 			video:    d.Video,
 			sizeGB:   d.SizeGB,
 			rateMbps: d.RateMbps,
-			agg:      make([]float64, n),
-			conc:     make([][]float64, inst.Slices),
+			js:       slices.Clone(d.Js),
+			cells:    make([]float64, len(d.Js)*w),
 		}
-		for t := range row.conc {
-			row.conc[t] = make([]float64, n)
-		}
-		for k, j := range d.Js {
-			row.agg[j] = d.Agg[k]
+		for k := range d.Js {
+			c := row.cells[k*w : (k+1)*w]
+			c[0] = d.Agg[k]
 			totalAgg += d.Agg[k]
 			ts, vs := d.ConcNZ(k)
 			for x, t := range ts {
-				row.conc[t][j] = vs[x]
+				c[1+t] = vs[x]
 				totalConc[t] += vs[x]
 			}
 		}
@@ -141,12 +152,12 @@ func (st *demandState) apply(us []DemandUpdate) {
 	for _, u := range us {
 		ri := st.byID[u.Video]
 		st.dirty[ri] = struct{}{}
-		row := &st.rows[ri]
-		prev := row.agg[u.VHO]
-		row.agg[u.VHO] = clampCell(prev + u.Add)
-		st.drift += math.Abs(row.agg[u.VHO] - prev)
-		for t := range row.conc {
-			row.conc[t][u.VHO] = clampCell(row.conc[t][u.VHO] + u.Add*st.concFrac[t])
+		c := st.rows[ri].cellsAt(u.VHO, 1+st.slices)
+		prev := c[0]
+		c[0] = clampCell(prev + u.Add)
+		st.drift += math.Abs(c[0] - prev)
+		for t, f := range st.concFrac {
+			c[1+t] = clampCell(c[1+t] + u.Add*f)
 		}
 	}
 }
@@ -171,13 +182,13 @@ func (st *demandState) newStaging() mip.VideoDemand {
 }
 
 // fillStaging loads row vi into the reused staging demand: the identity
-// fields plus the sparse office profile under the keep-filter (an office
-// appears iff its aggregate or any slice concurrency is positive). Both
-// construction routes — the full-catalog rebuild in instance and the
-// dirty-row patch in patchInstance — extract rows through this one helper,
-// so they cannot disagree about which offices a row keeps.
+// fields plus the row's offices under the keep-filter (an office appears iff
+// its aggregate or any slice concurrency is positive). patchInstance
+// extracts every row through this one helper, so a patched instance carries
+// exactly the rows a fresh InstanceBuilder would be fed.
 func (st *demandState) fillStaging(vi int, staging *mip.VideoDemand) {
 	row := &st.rows[vi]
+	w := 1 + st.slices
 	staging.Video = row.video
 	staging.SizeGB = row.sizeGB
 	staging.RateMbps = row.rateMbps
@@ -186,43 +197,21 @@ func (st *demandState) fillStaging(vi int, staging *mip.VideoDemand) {
 	for t := range staging.Conc {
 		staging.Conc[t] = staging.Conc[t][:0]
 	}
-	for j := 0; j < st.n; j++ {
-		keep := row.agg[j] > 0
-		for t := 0; !keep && t < st.slices; t++ {
-			keep = row.conc[t][j] > 0
+	for k, j := range row.js {
+		c := row.cells[k*w : (k+1)*w]
+		keep := false
+		for _, v := range c {
+			keep = keep || v > 0
 		}
 		if !keep {
 			continue
 		}
-		staging.Js = append(staging.Js, int32(j))
-		staging.Agg = append(staging.Agg, row.agg[j])
+		staging.Js = append(staging.Js, j)
+		staging.Agg = append(staging.Agg, c[0])
 		for t := range staging.Conc {
-			staging.Conc[t] = append(staging.Conc[t], row.conc[t][j])
+			staging.Conc[t] = append(staging.Conc[t], c[1+t])
 		}
 	}
-}
-
-// instance builds a fresh placement instance from the current state by
-// streaming every row through an InstanceBuilder with one reused staging
-// demand (the builder copies what it keeps).
-func (st *demandState) instance(base *mip.Instance) (*mip.Instance, error) {
-	b, err := mip.NewInstanceBuilder(base.G, base.DiskGB, base.LinkCapMbps, st.slices, 0)
-	if err != nil {
-		return nil, err
-	}
-	staging := st.newStaging()
-	for vi := range st.rows {
-		st.fillStaging(vi, &staging)
-		if err := b.Add(&staging); err != nil {
-			return nil, fmt.Errorf("video %d: %w", st.rows[vi].video, err)
-		}
-	}
-	inst, err := b.Seal()
-	if err != nil {
-		return nil, err
-	}
-	inst.Alpha, inst.Beta = base.Alpha, base.Beta
-	return inst, nil
 }
 
 // drainDirty returns the row indices apply has touched since the previous
@@ -237,7 +226,7 @@ func (st *demandState) drainDirty() []int {
 	for vi := range st.dirty {
 		out = append(out, vi)
 	}
-	sort.Ints(out)
+	slices.Sort(out)
 	clear(st.dirty)
 	return out
 }
@@ -245,9 +234,9 @@ func (st *demandState) drainDirty() []int {
 // patchInstance rewrites the dirty videos' demand rows of inst in place
 // through mip.ApplyDemandDelta — the delta resolve path's alternative to
 // re-streaming the whole catalog. inst must have been built from this state
-// (row order == video index order); rows are extracted with the same
-// fillStaging keep-filter the full rebuild uses, so a patched instance is
-// bit-identical to a rebuilt one. A row the instance refuses is left as it
+// (row order == video index order); rows are extracted through fillStaging,
+// so a patched instance is bit-identical to one an InstanceBuilder streams
+// fresh from the state. A row the instance refuses is left as it
 // was (ApplyDemandDelta changes nothing on error): it and the rows after it
 // go back on the dirty list for the next attempt.
 func (st *demandState) patchInstance(inst *mip.Instance, dirty []int) error {

@@ -329,7 +329,7 @@ func TestDemandDrift(t *testing.T) {
 		t.Fatalf("drift %v, want 10", st.drift)
 	}
 	// A negative add that clamps at zero only counts the mass removed.
-	before := st.rows[st.byID[id]].agg[1]
+	before := *st.aggCell(st.byID[id], 1)
 	st.apply([]DemandUpdate{{Video: id, VHO: 1, Add: -1e9}})
 	if want := 10 + before; st.drift != want {
 		t.Errorf("drift %v, want %v (clamped removal counts %v)", st.drift, want, before)
