@@ -73,9 +73,10 @@ func (p *Problem) Reshape(k int) {
 }
 
 // Validate checks structural consistency and the cost contract (finite,
-// non-negative entries — see Solver); solver entry points call it only
-// in debug paths, so malformed problems surface in tests rather than deep in
-// solver loops.
+// non-negative entries — see Solver). No solver entry point calls it: the
+// solvers trust the contract, and tests and fuzzers call Validate on the
+// problems they build, so malformed problems surface there rather than deep
+// in solver loops.
 func (p *Problem) Validate() error {
 	n := len(p.Open)
 	if n == 0 {
@@ -329,7 +330,7 @@ func (s *Solver) SolveInto(p *Problem, out *Solution) {
 	s.nOpen = 1
 	s.rebuildOpenList()
 	s.refreshBests(p)
-	s.localSearch(p, true)
+	s.localSearch(p, true, false)
 	cost1 := s.openSetCost(p)
 	if cap(s.openScratch) < n {
 		s.openScratch = make([]bool, n)
@@ -339,13 +340,7 @@ func (s *Solver) SolveInto(p *Problem, out *Solution) {
 	nOpen1 := s.nOpen
 
 	// Start 2: everything open, letting drop moves pare the set down.
-	for i := range s.open {
-		s.open[i] = true
-	}
-	s.nOpen = n
-	s.rebuildOpenList()
-	s.refreshBests(p)
-	s.localSearch(p, true)
+	s.searchFromAllOpen(p, true)
 	if cost1 <= s.openSetCost(p) {
 		copy(s.open, open1)
 		s.nOpen = nOpen1
@@ -399,7 +394,7 @@ func (s *Solver) SolveWarmInto(p *Problem, out *Solution, warm []int32) {
 	s.rebuildOpenList()
 	s.refreshBests(p)
 	before := s.openSetCost(p)
-	s.localSearch(p, true)
+	s.localSearch(p, true, false)
 	if s.openSetCost(p) < before {
 		s.WarmHits++
 	}
@@ -433,7 +428,7 @@ func (s *Solver) SolveQuickInto(p *Problem, out *Solution, warm []int32) {
 	s.nOpen = 1
 	s.rebuildOpenList()
 	s.refreshBests(p)
-	s.localSearch(p, false)
+	s.localSearch(p, false, false)
 	cost1 := s.openSetCost(p)
 	if cap(s.openScratch) < n {
 		s.openScratch = make([]bool, n)
@@ -442,11 +437,11 @@ func (s *Solver) SolveQuickInto(p *Problem, out *Solution, warm []int32) {
 	copy(open1, s.open)
 	nOpen1 := s.nOpen
 
-	for i := range s.open {
-		s.open[i] = false
-	}
 	if len(warm) > 0 {
 		s.WarmTries++
+		for i := range s.open {
+			s.open[i] = false
+		}
 		s.nOpen = 0
 		for _, i := range warm {
 			if !s.open[i] {
@@ -454,15 +449,12 @@ func (s *Solver) SolveQuickInto(p *Problem, out *Solution, warm []int32) {
 				s.nOpen++
 			}
 		}
+		s.rebuildOpenList()
+		s.refreshBests(p)
+		s.localSearch(p, false, false)
 	} else {
-		for i := range s.open {
-			s.open[i] = true
-		}
-		s.nOpen = n
+		s.searchFromAllOpen(p, false)
 	}
-	s.rebuildOpenList()
-	s.refreshBests(p)
-	s.localSearch(p, false)
 	cost2 := s.openSetCost(p)
 	if len(warm) > 0 && cost2 < cost1 {
 		s.WarmHits++
@@ -494,9 +486,53 @@ func (s *Solver) extractInto(p *Problem, kk int, out *Solution) {
 	out.Cost = s.openSetCost(p)
 }
 
+// searchFromAllOpen is localSearch from the all-open set, with its first
+// drops computed instead of run. From all-open the first pass is drops
+// alone, and when office i comes up with every office before it closed, the
+// open set is {i..n−1}: demand k is served by i exactly when i is the
+// (cost, index) first of that suffix, and its second best is then the first
+// of {i+1..n−1}. One backward sweep per demand, k ascending, subtracts
+// best2 − best1 from F_i with the drop loop's operands in its order, so
+// every gain has the loop's bits and the first office the loop keeps, i*,
+// is known. The search resumes from the loop's own state at i*: {i*..n−1}
+// open, trackers rescanned (rescans break ties by index, as the loop's
+// trackers do from all-open), the rest of the first pass's drops to run.
+func (s *Solver) searchFromAllOpen(p *Problem, swaps bool) {
+	n := len(p.Open)
+	gain := s.gainBuf
+	copy(gain, p.Open)
+	for k := range s.best1 {
+		row := p.Row(k)
+		m := row[n-1]
+		for i := n - 2; i >= 0; i-- {
+			if g := row[i]; g <= m {
+				gain[i] -= m - g
+				m = g
+			}
+		}
+	}
+	kept := n - 1
+	for i := 0; i < n-1; i++ {
+		if !(gain[i] > 1e-12) {
+			kept = i
+			break
+		}
+	}
+	for i := range s.open {
+		s.open[i] = i >= kept
+	}
+	s.nOpen = n - kept
+	s.rebuildOpenList()
+	s.refreshBests(p)
+	s.localSearch(p, swaps, true)
+}
+
 // localSearch runs add/drop (and, when swaps is set, swap) moves on the
 // current open set to a local optimum or a pass cap. Best trackers are
 // maintained incrementally: opening costs O(K), closing O(K + affected·n).
+// With atDrops the first pass starts at its drop moves, on the state
+// searchFromAllOpen leaves: it makes no add moves, and the drops made
+// before the search count as that pass's improvement.
 //
 // The add and swap gains are the hot loops of the whole solver (DESIGN.md
 // §15); both are moveGain down a contiguous column of colT. The kernels may
@@ -508,19 +544,20 @@ func (s *Solver) extractInto(p *Problem, kk int, out *Solution) {
 // every gain, every first-improving move and so the whole trajectory are
 // bit for bit those of the branchy row-major loops this replaced, which are
 // kept in ref_test.go as the oracle (TestKernelsMatchReference).
-func (s *Solver) localSearch(p *Problem, swaps bool) {
+func (s *Solver) localSearch(p *Problem, swaps, atDrops bool) {
 	n := p.NumFacilities()
 	kk := len(s.best1)
 	best1, alt0 := s.best1, s.alt0
 	const maxPasses = 60
 	for pass := 0; pass < maxPasses; pass++ {
-		improved := false
+		resumed := pass == 0 && atDrops
+		improved := resumed && s.nOpen < n
 
 		// Add moves: gain of opening i = Σ_k max(0, best1_k − g_ki) − F_i.
 		// A demand's other option is its current best, so the term is
 		// best1_k − min(best1_k, g_ki): the same subtraction when i is
 		// cheaper, best1_k − best1_k = +0 where the sum used to skip.
-		for i := 0; i < n; i++ {
+		for i := 0; i < n && !resumed; i++ {
 			if s.open[i] {
 				continue
 			}

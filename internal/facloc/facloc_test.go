@@ -405,6 +405,24 @@ func BenchmarkSolveQuickWarm55x8(b *testing.B) {
 	}
 }
 
+// BenchmarkSolveQuickCold55x8 is the polish subgradient's call, a cold
+// SolveQuickInto, on 64 placement-shaped problems (placementProblem): open
+// costs far above the row spread, where the all-open start's first drop
+// pass closes most offices. The corpus is drawn as bench55x8 draws its own.
+func BenchmarkSolveQuickCold55x8(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	cases := make([]*Problem, 64)
+	for c := range cases {
+		cases[c] = placementProblem(rng, 55, 8)
+	}
+	var s Solver
+	var out Solution
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.SolveQuickInto(cases[i%len(cases)], &out, nil)
+	}
+}
+
 func BenchmarkDualAscent55x8(b *testing.B) {
 	cases := bench55x8()
 	var s Solver

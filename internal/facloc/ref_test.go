@@ -258,13 +258,18 @@ func (s *refSolver) SolveQuickInto(p *Problem, out *Solution, warm []int32) {
 	s.extractInto(p, kk, out)
 }
 
-// kernelProblem draws an n×k problem whose costs are chosen to stress the
-// kernels' selects rather than to look like a placement block: flavour 0 is
-// plain uniform costs; 1 quantises everything to {0,1,2,3} so gains tie
-// exactly and best1 == g is common; 2 has free facilities; 3 scales every
-// cost to 1e120 (the size clampDual lets a dual reach); 4 mixes 1e120-scale
-// and unit-scale entries so small terms are absorbed and sums tie.
+// kernelProblem draws an n×k problem. Flavours 0–4 choose costs to stress
+// the kernels' selects rather than to look like a placement block: flavour
+// 0 is plain uniform costs; 1 quantises everything to {0,1,2,3} so gains
+// tie exactly and best1 == g is common; 2 has free facilities; 3 scales
+// every cost to 1e120 (the size clampDual lets a dual reach); 4 mixes
+// 1e120-scale and unit-scale entries so small terms are absorbed and sums
+// tie. Flavour placementFlavour is shaped like a placement block instead
+// (see placementProblem).
 func kernelProblem(rng *rand.Rand, n, k, flavour int) *Problem {
+	if flavour == placementFlavour {
+		return placementProblem(rng, n, k)
+	}
 	p := &Problem{Open: make([]float64, n), Assign: make([]float64, k*n)}
 	draw := func() float64 {
 		switch flavour {
@@ -289,6 +294,62 @@ func kernelProblem(rng *rand.Rand, n, k, flavour int) *Problem {
 		p.Assign[idx] = draw()
 	}
 	return p
+}
+
+const placementFlavour = 5
+
+// placementProblem draws an n×k problem shaped like a placement block: each
+// row is its demand's coefficient times a hop level 0..5, so costs tie
+// exactly; a quarter of the entries carry a ~1e-30 path-dual term, which
+// survives only on a hop-0 entry (elsewhere it is absorbed); open costs of
+// 4–10 sit far above the row spread (at most 0.6); and up to three offices
+// are cheap (free, or under half a row spread). Without a cheap office the
+// all-open drop pass closes every office but the last; a cheap one usually
+// stops it there.
+func placementProblem(rng *rand.Rand, n, k int) *Problem {
+	p := &Problem{Open: make([]float64, n), Assign: make([]float64, k*n)}
+	for i := range p.Open {
+		p.Open[i] = 4 + 6*rng.Float64()
+	}
+	for range rng.Intn(4) {
+		i := rng.Intn(n)
+		p.Open[i] = 0
+		if rng.Intn(2) == 0 {
+			p.Open[i] = 0.3 * rng.Float64()
+		}
+	}
+	for kd := 0; kd < k; kd++ {
+		coef := 0.02 + 0.1*rng.Float64()
+		for i, row := 0, p.Row(kd); i < n; i++ {
+			row[i] = coef * float64(rng.Intn(6))
+			if rng.Intn(4) == 0 {
+				row[i] += 1e-30 * rng.Float64()
+			}
+		}
+	}
+	return p
+}
+
+// allOpenKept returns the first office the all-open start's first drop
+// pass keeps, from the pass's definition rather than the solver's sweep:
+// office i comes up with {i..n−1} open, serves demand k when no later
+// office is cheaper, and closes when i < n−1 and
+// F_i − Σ_{k served by i} (second_k − g_ki) > 1e-12.
+func allOpenKept(p *Problem) int {
+	n := p.NumFacilities()
+	for i := 0; i < n-1; i++ {
+		gain := p.Open[i]
+		for k := 0; k < p.NumDemands(); k++ {
+			row := p.Row(k)
+			if second := slices.Min(row[i+1:]); row[i] <= second {
+				gain -= second - row[i]
+			}
+		}
+		if !(gain > 1e-12) {
+			return i
+		}
+	}
+	return n - 1
 }
 
 // checkKernels runs every local-search entry point on p through both solvers
@@ -347,16 +408,104 @@ func TestKernelsMatchReference(t *testing.T) {
 			shapes = append(shapes, [2]int{n, k})
 		}
 	}
-	const rounds = 130 // × 16 shapes = 2080 problems, × 4 entry points
+	const rounds = 156 // × 16 shapes = 2496 problems, × 4 entry points
 	for round := 0; round < rounds; round++ {
 		for _, sh := range shapes {
-			p := kernelProblem(rng, sh[0], sh[1], round%5)
+			p := kernelProblem(rng, sh[0], sh[1], round%(placementFlavour+1))
 			checkKernels(t, &s, &ref, p, warmSet(rng, sh[0]))
 		}
 	}
 	if s.WarmTries != 2*rounds*int64(len(shapes)) || s.WarmHits == 0 || s.WarmHits == s.WarmTries {
 		t.Errorf("warm counters %d/%d: want %d tries and a proper subset of hits", s.WarmHits, s.WarmTries, 2*rounds*len(shapes))
 	}
+}
+
+// The all-open start computes its first drop pass instead of running it and
+// resumes at the first office the pass keeps, i*. Flavours 0–4 put open and
+// assignment costs on one scale, so that pass rarely gets far; this test
+// holds the placement flavour to covering all three ways the shortcut can
+// end (i* = 0, mid-range, n−1) many times over, on one Solver reused across
+// shapes, each problem checked against the reference.
+func TestAllOpenShortcutCoverage(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	var s Solver
+	var ref refSolver
+	var first, mid, last int
+	for round := 0; round < 40; round++ {
+		for _, n := range []int{55, 23, 9, 2} {
+			for _, k := range []int{8, 14, 1, 0} {
+				p := kernelProblem(rng, n, k, placementFlavour)
+				switch kept := allOpenKept(p); {
+				case kept == 0:
+					first++
+				case kept == n-1:
+					last++
+				default:
+					mid++
+				}
+				checkKernels(t, &s, &ref, p, warmSet(rng, n))
+				checkAllOpen(t, &s, &ref, p)
+			}
+		}
+	}
+	if first < 50 || mid < 50 || last < 50 {
+		t.Errorf("i* = 0 on %d problems, mid-range on %d, n−1 on %d: want at least 50 each", first, mid, last)
+	}
+	t.Logf("i* = 0 on %d problems, mid-range on %d, n−1 on %d", first, mid, last)
+}
+
+// checkAllOpen runs the all-open start alone through both solvers, with and
+// without swaps, and requires the same open set and the same trackers bit
+// for bit afterwards. The entry points keep the better of two starts, which
+// can hide a wrong all-open start behind a good first one. The Solver starts
+// from a stale open set, as start 2 follows start 1.
+func checkAllOpen(t testing.TB, s *Solver, ref *refSolver, p *Problem) {
+	t.Helper()
+	n, kk := p.NumFacilities(), p.NumDemands()
+	bits := func(x []float64) []uint64 {
+		b := make([]uint64, len(x))
+		for a, v := range x {
+			b[a] = math.Float64bits(v)
+		}
+		return b
+	}
+	for _, swaps := range []bool{false, true} {
+		s.reserve(p, n, kk)
+		for i := range s.open {
+			s.open[i] = i%2 == 0
+		}
+		s.searchFromAllOpen(p, swaps)
+		ref.reserve(p, n, kk)
+		for i := range ref.open {
+			ref.open[i] = true
+		}
+		ref.nOpen = n
+		ref.rebuildOpenList()
+		ref.refreshBests(p)
+		ref.localSearch(p, swaps)
+		if s.nOpen != ref.nOpen || !slices.Equal(s.openList, ref.openList) || !slices.Equal(s.open, ref.open) ||
+			!slices.Equal(s.bestI, ref.bestI) || !slices.Equal(s.bestI2, ref.bestI2) ||
+			!slices.Equal(bits(s.best1), bits(ref.best1)) || !slices.Equal(bits(s.best2), bits(ref.best2)) {
+			t.Fatalf("all-open start (swaps %v) on %d×%d: open %v bestI %v bestI2 %v, reference open %v bestI %v bestI2 %v\nproblem %+v",
+				swaps, n, kk, s.openList, s.bestI, s.bestI2, ref.openList, ref.bestI, ref.bestI2, *p)
+		}
+	}
+}
+
+// placementSeed is a FuzzFaclocKernels input shaped like a placement block
+// on the fuzzer's 16-level grid: open costs 12–15 above assignment costs
+// 0–3, with office cheap free.
+func placementSeed(n, k, cheap int) []byte {
+	rng := rand.New(rand.NewSource(int64(n*k + cheap)))
+	data := make([]byte, n+n*k)
+	for i := range data {
+		data[i] = byte(rng.Intn(4))
+		if i < n {
+			data[i] += 12
+		}
+	}
+	data[cheap] = 0
+	return data
 }
 
 // FuzzFaclocKernels is TestKernelsMatchReference with the fuzzer choosing
@@ -366,6 +515,8 @@ func FuzzFaclocKernels(f *testing.F) {
 	f.Add(uint8(9), uint8(8), uint8(0), []byte{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5})
 	f.Add(uint8(55), uint8(8), uint8(1), []byte{0, 0, 7, 7})
 	f.Add(uint8(2), uint8(55), uint8(2), []byte{})
+	f.Add(uint8(55), uint8(8), uint8(1), placementSeed(55, 8, 30))
+	f.Add(uint8(23), uint8(14), uint8(0), placementSeed(23, 14, 9))
 	f.Fuzz(func(t *testing.T, nB, kB, scale uint8, data []byte) {
 		n, k := 1+int(nB)%55, int(kB)%56
 		unit := []float64{1, 0.1, 1e119}[scale%3]

@@ -227,6 +227,12 @@ type statusJSON struct {
 	LastLBMS     float64 `json:"last_lb_ms"`
 	LastPolishMS float64 `json:"last_polish_ms"`
 	LastRoundMS  float64 `json:"last_round_ms"`
+	// LastSolveMS, LastAuditMS and LastBuildMS split the whole swap: the
+	// solve (LP and rounding included), the server's audit of its result
+	// and the snapshot build (obs.ServeResolve's SolveMS, AuditMS, BuildMS).
+	LastSolveMS float64 `json:"last_solve_ms"`
+	LastAuditMS float64 `json:"last_audit_ms"`
+	LastBuildMS float64 `json:"last_build_ms"`
 	// ResumedFrac is the fraction of the last swapped-in solve's videos that
 	// started from the previous solve's LP point (0 for the initial solve).
 	ResumedFrac float64 `json:"resumed_frac"`
@@ -285,6 +291,9 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		LastLBMS:         last.LBMS,
 		LastPolishMS:     last.PolishMS,
 		LastRoundMS:      last.RoundMS,
+		LastSolveMS:      last.SolveMS,
+		LastAuditMS:      last.AuditMS,
+		LastBuildMS:      last.BuildMS,
 		ResumedFrac:      last.ResumedFrac,
 		LastRound:        last.Round,
 		LastRoundRatio:   last.RoundRatio,

@@ -140,6 +140,11 @@ func TestServeLifecycleTrace(t *testing.T) {
 		t.Errorf("/status last_lb_ms %v last_polish_ms %v, the swapped done event's lbms %v polishms %v",
 			st.LastLBMS, st.LastPolishMS, lastDone.LBMS, lastDone.PolishMS)
 	}
+	if lastDone.SolveMS != st.LastSolveMS || lastDone.AuditMS != st.LastAuditMS || lastDone.BuildMS != st.LastBuildMS ||
+		st.LastAuditMS <= 0 || st.LastBuildMS <= 0 {
+		t.Errorf("/status last_solve_ms %v last_audit_ms %v last_build_ms %v, the swapped done event's solvems %v auditms %v buildms %v (audit and build > 0)",
+			st.LastSolveMS, st.LastAuditMS, st.LastBuildMS, lastDone.SolveMS, lastDone.AuditMS, lastDone.BuildMS)
+	}
 
 	// The shared registry carries both the server's counters and the
 	// recorder's event-derived families.
