@@ -2,6 +2,7 @@ package epf
 
 import (
 	"math"
+	"slices"
 
 	"vodplace/internal/facloc"
 	"vodplace/internal/mip"
@@ -207,8 +208,10 @@ func (s *solver) computePathDuals(q []float64) {
 // buildBlockProblem fills prob with video vi's facility-location block under
 // the frozen duals (q via pathDualT). Open cost: disk dual price plus any
 // placement-transfer cost; assignment cost: transfer objective plus link
-// dual prices along the path. All scans are over flat arrays: the j-th cost
-// column, the demand's nonzero slices, and the (t,j) path-dual column.
+// dual prices along the path; each row's order is the instance's hop order
+// from its demand office (mip.Instance.HopOrder). All scans are over flat
+// arrays: the j-th cost column, the demand's nonzero slices, and the (t,j)
+// path-dual column.
 func (s *solver) buildBlockProblem(vi int, q []float64, prob *facloc.Problem) {
 	d := &s.inst.Demands[vi]
 	n := s.n
@@ -221,8 +224,10 @@ func (s *solver) buildBlockProblem(vi int, q []float64, prob *facloc.Problem) {
 	}
 	K := len(d.Js)
 	prob.Reshape(K)
+	prob.Order = slices.Grow(prob.Order[:0], K*n)[:K*n]
 	for k := 0; k < K; k++ {
 		j := int(d.Js[k])
+		copy(prob.Order[k*n:k*n+n], s.inst.HopOrder(j))
 		coef := d.SizeGB * d.Agg[k]
 		row := prob.Assign[k*n : k*n+n]
 		col := s.costT[j*n : j*n+n]

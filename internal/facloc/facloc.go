@@ -20,7 +20,8 @@
 // Problems here are small (facilities = offices, |V| ≈ 23..55 in the paper's
 // networks) but solved millions of times, so every scan is an O(K) or O(n)
 // pass over contiguous memory: per-demand scans (DualAscent, best/second-best
-// rescans) read rows of the Problem's flat row-major cost matrix, per-facility
+// rescans) read rows of the Problem's flat row-major cost matrix (DualAscent
+// in each row's ascending order, Problem.Order), per-facility
 // scans (the local search's add and swap gains) read columns of a
 // facility-major copy the Solver keeps in its reusable scratch space.
 package facloc
@@ -42,6 +43,12 @@ type Problem struct {
 	// with n = len(Open). The flat layout keeps the per-demand scans of the
 	// inner solvers on contiguous memory.
 	Assign []float64
+	// Order is optional, K×n flat like Assign: Order[k*n:k*n+n] is a
+	// permutation of 0..n−1 that lists demand k's facilities in ascending
+	// cost order, or close to it. DualAscent walks each row in this order,
+	// so a good one saves time; the bound's bits never depend on it. Empty
+	// means index order.
+	Order []int32
 }
 
 // NumFacilities returns n.
@@ -95,6 +102,22 @@ func (p *Problem) Validate() error {
 			return fmt.Errorf("facloc: assign cost (%d,%d) is %g", idx/n, idx%n, g)
 		}
 	}
+	if len(p.Order) == 0 {
+		return nil
+	}
+	if len(p.Order) != len(p.Assign) {
+		return fmt.Errorf("facloc: order has %d entries, assign matrix %d", len(p.Order), len(p.Assign))
+	}
+	seen := make([]bool, n)
+	for k := 0; k < len(p.Order)/n; k++ {
+		clear(seen)
+		for _, i := range p.Order[k*n : k*n+n] {
+			if i < 0 || int(i) >= n || seen[i] {
+				return fmt.Errorf("facloc: order row %d is not a permutation of 0..%d", k, n-1)
+			}
+			seen[i] = true
+		}
+	}
 	return nil
 }
 
@@ -146,11 +169,17 @@ type Solver struct {
 	openScratch []bool
 	nOpen       int
 	gainBuf     []float64
-	// dual-ascent scratch
-	v       []float64
-	slack   []float64
-	order   []int
-	contrib []int
+	// dual-ascent scratch: v and slack are the duals and the facilities'
+	// slacks; wave is the demands' wave order; rowOrder[k] is demand k's
+	// ascending cost order (a row of Problem.Order, of iota, or of sorted
+	// where DualAscent repaired it) and end[k] its contributor prefix's end.
+	v        []float64
+	slack    []float64
+	wave     []int
+	end      []int
+	rowOrder [][]int32
+	iota     []int32
+	sorted   []int32
 }
 
 // reserve sizes the scratch for p (n facilities, k demands), clears the open
@@ -641,9 +670,17 @@ func moveGain(gain float64, best1, alt, col []float64) float64 {
 //	max Σ_k v_k  s.t.  Σ_k max(0, v_k − g_ki) ≤ F_i  ∀i
 //
 // and returns its value, a valid lower bound on the UFL LP optimum (and
-// hence on the integer optimum). The second return is the dual vector for
-// diagnostics. With zero demand points the bound is min_i F_i, since every
-// video must still be stored once.
+// hence on the integer optimum). The second return is the dual vector, v_k
+// per demand: solver-owned scratch, valid until the next call on s. With
+// zero demand points the bound is min_i F_i, since every video must still be
+// stored once.
+//
+// Each demand's row is walked in ascending cost order: p.Order's row when
+// the problem carries one, index order otherwise, repaired by an insertion
+// sort wherever that order does not sort the row. Order changes the time
+// the walk takes, never its bits: the contributors {i : g_ki ≤ v_k} and the
+// next breakpoint min{g_ki > v_k} are the same sets and values in any order,
+// a sorted one only makes them a prefix and the entry after it.
 //
 // The ascent starts from v_k = min_i g_ki, where no facility contributes yet
 // (max(0, v_k − g_ki) = 0 for every i, v_k being the row minimum), so every
@@ -659,35 +696,30 @@ func (s *Solver) DualAscent(p *Problem) (float64, []float64) {
 		}
 		return lb, nil
 	}
-	if cap(s.v) < kk {
-		s.v = make([]float64, kk)
+	s.v, s.wave, s.end = sized(s.v, kk), sized(s.wave, kk), sized(s.end, kk)
+	s.rowOrder, s.slack, s.sorted = sized(s.rowOrder, kk), sized(s.slack, n), sized(s.sorted, kk*n)
+	if len(s.iota) < n {
+		s.iota = make([]int32, n)
+		for i := range s.iota {
+			s.iota[i] = int32(i)
+		}
 	}
-	s.v = s.v[:kk]
-	if cap(s.slack) < n {
-		s.slack = make([]float64, n)
-	}
-	s.slack = s.slack[:n]
-	if cap(s.order) < kk {
-		s.order = make([]int, kk)
-	}
-	s.order = s.order[:kk]
 
 	copy(s.slack, p.Open)
 	for k := 0; k < kk; k++ {
-		m := math.Inf(1)
-		for _, g := range p.Row(k) {
-			if g < m {
-				m = g
-			}
+		row := p.Row(k)
+		o := s.iota[:n]
+		if len(p.Order) > 0 {
+			o = p.Order[k*n : k*n+n : k*n+n]
 		}
-		s.v[k] = m
+		o = ascending(row, o, s.sorted[k*n:k*n+n:k*n+n])
+		s.rowOrder[k] = o
+		s.v[k] = row[o[0]]
+		s.end[k] = 0
 	}
 
 	// Ascend demand duals in waves: raise each v_k to its next assignment
 	// cost breakpoint or until a contributing facility's slack hits zero.
-	for k := range s.order {
-		s.order[k] = k
-	}
 	// Processing demands with the lowest initial dual first mimics the
 	// classic ascent's uniform raise and converges in few waves; the order
 	// is computed once — re-sorting each wave measurably dominated solver
@@ -696,7 +728,10 @@ func (s *Solver) DualAscent(p *Problem) (float64, []float64) {
 	// and reflection overhead of the generic sort dominated this function's
 	// profile, and a stable sort's output is unique, so the wave order (and
 	// the solver trajectory built on it) is bit-identical.
-	ord := s.order
+	ord := s.wave
+	for k := range ord {
+		ord[k] = k
+	}
 	for a := 1; a < kk; a++ {
 		x := ord[a]
 		vx := s.v[x]
@@ -711,37 +746,30 @@ func (s *Solver) DualAscent(p *Problem) (float64, []float64) {
 	// once falls to zero can never progress in any later wave — dropping it
 	// is exact, not an approximation, and later waves touch only the demands
 	// still in play.
-	if cap(s.contrib) < n {
-		s.contrib = make([]int, n)
-	}
 	const maxWaves = 64
 	active := ord
 	for wave := 0; wave < maxWaves; wave++ {
 		progressed := false
 		na := 0
 		for _, k := range active {
-			row := p.Row(k)
+			row, o := p.Row(k), s.rowOrder[k]
 			vk := s.v[k]
-			// One fused sweep: the next assignment-cost breakpoint strictly
-			// above v_k, and the minimum slack over contributing facilities
-			// (g_ki <= v_k), recorded in ascending order so the raise below
-			// touches only them. min() is order-free and the decrement order
-			// is unchanged, so nothing differs numerically from the
-			// historical full-row sweeps.
+			// The contributors (g_ki <= v_k) are the prefix o[:e] and the
+			// next breakpoint is the entry after it; v_k only rises, so the
+			// prefix only grows from the previous sweep's end.
+			e := s.end[k]
+			for e < n && row[o[e]] <= vk {
+				e++
+			}
+			s.end[k] = e
 			next := math.Inf(1)
+			if e < n {
+				next = row[o[e]]
+			}
 			minSlack := math.Inf(1)
-			nc := 0
-			for i, g := range row {
-				if g > vk {
-					if g < next {
-						next = g
-					}
-				} else {
-					if s.slack[i] < minSlack {
-						minSlack = s.slack[i]
-					}
-					s.contrib[nc] = i
-					nc++
+			for _, i := range o[:e] {
+				if s.slack[i] < minSlack {
+					minSlack = s.slack[i]
 				}
 			}
 			allowed := next - vk
@@ -751,7 +779,9 @@ func (s *Solver) DualAscent(p *Problem) (float64, []float64) {
 			if allowed <= 1e-15 || math.IsInf(allowed, 1) {
 				continue // frozen for good; drops out of active
 			}
-			for _, i := range s.contrib[:nc] {
+			// Each contributor's slack is its own cell, so the visiting
+			// order does not change a bit of the decrements.
+			for _, i := range o[:e] {
 				s.slack[i] -= allowed
 				if s.slack[i] < 0 {
 					s.slack[i] = 0
@@ -759,6 +789,12 @@ func (s *Solver) DualAscent(p *Problem) (float64, []float64) {
 			}
 			s.v[k] = vk + allowed
 			progressed = true
+			if allowed == minSlack {
+				// The tightest slack is now x − x = +0 and slacks only
+				// fall, so the next sweep would raise by 0 and freeze:
+				// leave now.
+				continue
+			}
 			active[na] = k
 			na++
 		}
@@ -772,6 +808,44 @@ func (s *Solver) DualAscent(p *Problem) (float64, []float64) {
 		lb += vk
 	}
 	return lb, s.v
+}
+
+// sized returns b resliced to length n, reallocated when its capacity is
+// short; the contents are unspecified.
+func sized[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
+	}
+	return b[:n]
+}
+
+// ascending returns o when it lists row's entries in non-decreasing order,
+// and otherwise a copy of o in dst, repaired by a stable insertion sort from
+// the first entry out of place.
+func ascending(row []float64, o, dst []int32) []int32 {
+	last := row[o[0]]
+	for a := 1; a < len(o); a++ {
+		g := row[o[a]]
+		if g < last {
+			copy(dst, o[:a])
+			for ; a < len(o); a++ {
+				x := o[a]
+				g := row[x]
+				if g >= last {
+					dst[a], last = x, g
+					continue
+				}
+				b := a
+				for ; b > 0 && row[dst[b-1]] > g; b-- {
+					dst[b] = dst[b-1]
+				}
+				dst[b] = x
+			}
+			return dst
+		}
+		last = g
+	}
+	return o
 }
 
 // BruteForce exhaustively enumerates facility subsets and returns the true

@@ -37,9 +37,13 @@ func solutionCost(p *Problem, s Solution) float64 {
 }
 
 func TestValidate(t *testing.T) {
-	good := &Problem{Open: []float64{1}, Assign: []float64{2}}
-	if err := good.Validate(); err != nil {
-		t.Errorf("valid problem rejected: %v", err)
+	for _, good := range []*Problem{
+		{Open: []float64{1}, Assign: []float64{2}},
+		{Open: []float64{1, 1}, Assign: []float64{1, 2, 3, 4}, Order: []int32{1, 0, 0, 1}},
+	} {
+		if err := good.Validate(); err != nil {
+			t.Errorf("valid problem rejected: %v", err)
+		}
 	}
 	bad := []*Problem{
 		{},
@@ -49,6 +53,12 @@ func TestValidate(t *testing.T) {
 		{Open: []float64{math.NaN()}},
 		{Open: []float64{math.Inf(1)}},
 		{Open: []float64{1}, Assign: []float64{math.Inf(1)}},
+		// Orders that are not a permutation of 0..n−1 in every row: short,
+		// a repeated office, an office out of range either way.
+		{Open: []float64{1, 1}, Assign: []float64{1, 2, 3, 4}, Order: []int32{0, 1}},
+		{Open: []float64{1, 1}, Assign: []float64{1, 2, 3, 4}, Order: []int32{0, 1, 1, 1}},
+		{Open: []float64{1, 1}, Assign: []float64{1, 2, 3, 4}, Order: []int32{0, 1, 2, 0}},
+		{Open: []float64{1, 1}, Assign: []float64{1, 2, 3, 4}, Order: []int32{-1, 0, 0, 1}},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
@@ -190,6 +200,24 @@ func TestDualAscentZeroDemands(t *testing.T) {
 	lb, _ := s.DualAscent(p)
 	if lb != 2 {
 		t.Errorf("zero-demand bound = %g, want min open cost 2", lb)
+	}
+}
+
+// DualAscent on a warmed Solver allocates nothing, with an Order (whose
+// rows partly need the repair) and without one (index order, repaired on
+// most rows of random costs).
+func TestDualAscentZeroAllocations(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	withOrder := placementProblem(rng, 55, 8)
+	noOrder := randomProblem(rng, 55, 8, 5)
+	var s Solver
+	for _, p := range []*Problem{withOrder, noOrder} {
+		s.DualAscent(p)
+	}
+	for _, p := range []*Problem{withOrder, noOrder} {
+		if allocs := testing.AllocsPerRun(20, func() { s.DualAscent(p) }); allocs != 0 {
+			t.Errorf("DualAscent (order %v) allocates %g per run after warm-up, want 0", p.Order != nil, allocs)
+		}
 	}
 }
 
@@ -420,6 +448,25 @@ func BenchmarkSolveQuickCold55x8(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.SolveQuickInto(cases[i%len(cases)], &out, nil)
+	}
+}
+
+// BenchmarkDualAscentPlacement55x8 is the bound's call on placement-shaped
+// blocks: 64 placementProblem blocks, each with its hop-level order, as the
+// block builders hand them over. Their rows need the repair far more often
+// than the traffic's (EXPERIMENTS.md, "The block bound's rows").
+// BenchmarkDualAscent55x8 and BenchmarkDualAscent55x55 walk random rows
+// from index order instead, which no caller sends.
+func BenchmarkDualAscentPlacement55x8(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	cases := make([]*Problem, 64)
+	for c := range cases {
+		cases[c] = placementProblem(rng, 55, 8)
+	}
+	var s Solver
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.DualAscent(cases[i%len(cases)])
 	}
 }
 

@@ -9,15 +9,27 @@ package facloc
 // Solver through the embedding — those read rows and did not change.
 //
 // The only edits are the receiver type and reserve's new signature.
+//
+// refDualAscent is, in the same way, the DualAscent the ordered walk
+// replaced: the fused full-row scan, which finds the contributors, the next
+// breakpoint and the tightest slack in one sweep over every office on every
+// raise. It keeps its own wave order and contributor scratch; its one added
+// statement counts the slack-limited raises (slackLimited), after which the
+// ordered walk drops the demand at once.
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"slices"
 	"testing"
 )
 
-type refSolver struct{ Solver }
+type refSolver struct {
+	Solver
+	order, contrib []int
+	slackLimited   int
+}
 
 // openFacility opens i and updates the best trackers incrementally (O(K)).
 func (s *refSolver) openFacility(p *Problem, i int) {
@@ -258,6 +270,135 @@ func (s *refSolver) SolveQuickInto(p *Problem, out *Solution, warm []int32) {
 	s.extractInto(p, kk, out)
 }
 
+func refDualAscent(s *refSolver, p *Problem) (float64, []float64) {
+	n, kk := p.NumFacilities(), p.NumDemands()
+	if kk == 0 {
+		lb := math.Inf(1)
+		for _, f := range p.Open {
+			if f < lb {
+				lb = f
+			}
+		}
+		return lb, nil
+	}
+	if cap(s.v) < kk {
+		s.v = make([]float64, kk)
+	}
+	s.v = s.v[:kk]
+	if cap(s.slack) < n {
+		s.slack = make([]float64, n)
+	}
+	s.slack = s.slack[:n]
+	if cap(s.order) < kk {
+		s.order = make([]int, kk)
+	}
+	s.order = s.order[:kk]
+
+	copy(s.slack, p.Open)
+	for k := 0; k < kk; k++ {
+		m := math.Inf(1)
+		for _, g := range p.Row(k) {
+			if g < m {
+				m = g
+			}
+		}
+		s.v[k] = m
+	}
+
+	// Ascend demand duals in waves: raise each v_k to its next assignment
+	// cost breakpoint or until a contributing facility's slack hits zero.
+	for k := range s.order {
+		s.order[k] = k
+	}
+	// Processing demands with the lowest initial dual first mimics the
+	// classic ascent's uniform raise and converges in few waves; the order
+	// is computed once — re-sorting each wave measurably dominated solver
+	// profiles without improving the bound. A hand-rolled stable insertion
+	// sort replaces sort.SliceStable: the K's here are small, the closure
+	// and reflection overhead of the generic sort dominated this function's
+	// profile, and a stable sort's output is unique, so the wave order (and
+	// the solver trajectory built on it) is bit-identical.
+	ord := s.order
+	for a := 1; a < kk; a++ {
+		x := ord[a]
+		vx := s.v[x]
+		b := a
+		for ; b > 0 && s.v[ord[b-1]] > vx; b-- {
+			ord[b] = ord[b-1]
+		}
+		ord[b] = x
+	}
+	// active is ord compacted in place as demands freeze: slacks never
+	// increase and a frozen v_k never moves, so a demand whose allowed raise
+	// once falls to zero can never progress in any later wave — dropping it
+	// is exact, not an approximation, and later waves touch only the demands
+	// still in play.
+	if cap(s.contrib) < n {
+		s.contrib = make([]int, n)
+	}
+	const maxWaves = 64
+	active := ord
+	for wave := 0; wave < maxWaves; wave++ {
+		progressed := false
+		na := 0
+		for _, k := range active {
+			row := p.Row(k)
+			vk := s.v[k]
+			// One fused sweep: the next assignment-cost breakpoint strictly
+			// above v_k, and the minimum slack over contributing facilities
+			// (g_ki <= v_k), recorded in ascending order so the raise below
+			// touches only them. min() is order-free and the decrement order
+			// is unchanged, so nothing differs numerically from the
+			// historical full-row sweeps.
+			next := math.Inf(1)
+			minSlack := math.Inf(1)
+			nc := 0
+			for i, g := range row {
+				if g > vk {
+					if g < next {
+						next = g
+					}
+				} else {
+					if s.slack[i] < minSlack {
+						minSlack = s.slack[i]
+					}
+					s.contrib[nc] = i
+					nc++
+				}
+			}
+			allowed := next - vk
+			if minSlack < allowed {
+				allowed = minSlack
+			}
+			if allowed <= 1e-15 || math.IsInf(allowed, 1) {
+				continue // frozen for good; drops out of active
+			}
+			if allowed == minSlack {
+				s.slackLimited++
+			}
+			for _, i := range s.contrib[:nc] {
+				s.slack[i] -= allowed
+				if s.slack[i] < 0 {
+					s.slack[i] = 0
+				}
+			}
+			s.v[k] = vk + allowed
+			progressed = true
+			active[na] = k
+			na++
+		}
+		active = active[:na]
+		if !progressed {
+			break
+		}
+	}
+	var lb float64
+	for _, vk := range s.v {
+		lb += vk
+	}
+	return lb, s.v
+}
+
 // kernelProblem draws an n×k problem. Flavours 0–4 choose costs to stress
 // the kernels' selects rather than to look like a placement block: flavour
 // 0 is plain uniform costs; 1 quantises everything to {0,1,2,3} so gains
@@ -305,9 +446,12 @@ const placementFlavour = 5
 // 4–10 sit far above the row spread (at most 0.6); and up to three offices
 // are cheap (free, or under half a row spread). Without a cheap office the
 // all-open drop pass closes every office but the last; a cheap one usually
-// stops it there.
+// stops it there. Order is each row's hop-level order, levels ascending and
+// ties by index, as mip.Instance.HopOrder gives a placement block: a hop-0
+// entry whose path-dual term survives sits out of order ahead of a later
+// plain hop-0 entry, so most rows need DualAscent's repair.
 func placementProblem(rng *rand.Rand, n, k int) *Problem {
-	p := &Problem{Open: make([]float64, n), Assign: make([]float64, k*n)}
+	p := &Problem{Open: make([]float64, n), Assign: make([]float64, k*n), Order: make([]int32, k*n)}
 	for i := range p.Open {
 		p.Open[i] = 4 + 6*rng.Float64()
 	}
@@ -318,14 +462,21 @@ func placementProblem(rng *rand.Rand, n, k int) *Problem {
 			p.Open[i] = 0.3 * rng.Float64()
 		}
 	}
+	level := make([]int, n)
 	for kd := 0; kd < k; kd++ {
 		coef := 0.02 + 0.1*rng.Float64()
 		for i, row := 0, p.Row(kd); i < n; i++ {
-			row[i] = coef * float64(rng.Intn(6))
+			level[i] = rng.Intn(6)
+			row[i] = coef * float64(level[i])
 			if rng.Intn(4) == 0 {
 				row[i] += 1e-30 * rng.Float64()
 			}
 		}
+		o := p.Order[kd*n : kd*n+n]
+		for i := range o {
+			o[i] = int32(i)
+		}
+		slices.SortStableFunc(o, func(a, b int32) int { return level[a] - level[b] })
 	}
 	return p
 }
@@ -508,19 +659,63 @@ func placementSeed(n, k, cheap int) []byte {
 	return data
 }
 
-// FuzzFaclocKernels is TestKernelsMatchReference with the fuzzer choosing
-// the shape and the costs: each data byte is one cost on a 16-level grid
-// (cycled when data is short), so mutations steer ties directly.
+// hopOrderSeed is a FuzzFaclocKernels input shaped like a placement block
+// with its hop order: open costs 12–15, assignment cost 2·h at hop level h
+// 0..3, plus 3 on a quarter of the entries (a path-dual term, which lifts
+// the entry past the next level and breaks the hop order), and order bytes
+// that are the levels themselves.
+func hopOrderSeed(n, k int) (data, ord []byte) {
+	rng := rand.New(rand.NewSource(int64(n * k)))
+	data = make([]byte, n+n*k)
+	ord = make([]byte, n*k)
+	for i := 0; i < n; i++ {
+		data[i] = byte(12 + rng.Intn(4))
+	}
+	for idx := range ord {
+		ord[idx] = byte(rng.Intn(4))
+		data[n+idx] = 2 * ord[idx]
+		if rng.Intn(4) == 0 {
+			data[n+idx] += 3
+		}
+	}
+	return data, ord
+}
+
+// fuzzOrder derives a K×n Order from ord: row k lists the offices stably
+// sorted by the key ord[(k·n+i) mod len(ord)]. Empty ord gives no Order.
+func fuzzOrder(n, k int, ord []byte) []int32 {
+	if len(ord) == 0 {
+		return nil
+	}
+	out := make([]int32, k*n)
+	for kd := 0; kd < k; kd++ {
+		o := out[kd*n : kd*n+n]
+		for i := range o {
+			o[i] = int32(i)
+		}
+		key := func(i int32) int { return int(ord[(kd*n+int(i))%len(ord)]) }
+		slices.SortStableFunc(o, func(a, b int32) int { return key(a) - key(b) })
+	}
+	return out
+}
+
+// FuzzFaclocKernels is TestKernelsMatchReference and
+// TestDualAscentMatchesReference with the fuzzer choosing the shape, the
+// costs and the order: each data byte is one cost on a 16-level grid
+// (cycled when data is short), so mutations steer ties directly, and ord
+// keys each row's Order (fuzzOrder).
 func FuzzFaclocKernels(f *testing.F) {
-	f.Add(uint8(9), uint8(8), uint8(0), []byte{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5})
-	f.Add(uint8(55), uint8(8), uint8(1), []byte{0, 0, 7, 7})
-	f.Add(uint8(2), uint8(55), uint8(2), []byte{})
-	f.Add(uint8(55), uint8(8), uint8(1), placementSeed(55, 8, 30))
-	f.Add(uint8(23), uint8(14), uint8(0), placementSeed(23, 14, 9))
-	f.Fuzz(func(t *testing.T, nB, kB, scale uint8, data []byte) {
+	f.Add(uint8(9), uint8(8), uint8(0), []byte{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5}, []byte{})
+	f.Add(uint8(55), uint8(8), uint8(1), []byte{0, 0, 7, 7}, []byte{1, 0})
+	f.Add(uint8(2), uint8(55), uint8(2), []byte{}, []byte{})
+	f.Add(uint8(55), uint8(8), uint8(1), placementSeed(55, 8, 30), []byte{5, 4, 3, 2, 1, 0})
+	f.Add(uint8(23), uint8(14), uint8(0), placementSeed(23, 14, 9), []byte{})
+	data, ord := hopOrderSeed(55, 8)
+	f.Add(uint8(55), uint8(8), uint8(0), data, ord)
+	f.Fuzz(func(t *testing.T, nB, kB, scale uint8, data, ord []byte) {
 		n, k := 1+int(nB)%55, int(kB)%56
 		unit := []float64{1, 0.1, 1e119}[scale%3]
-		p := &Problem{Open: make([]float64, n), Assign: make([]float64, k*n)}
+		p := &Problem{Open: make([]float64, n), Assign: make([]float64, k*n), Order: fuzzOrder(n, k, ord)}
 		at := 0
 		next := func() float64 {
 			if len(data) == 0 {
@@ -536,10 +731,135 @@ func FuzzFaclocKernels(f *testing.F) {
 		for idx := range p.Assign {
 			p.Assign[idx] = next()
 		}
+		if err := p.Validate(); err != nil {
+			t.Fatal(err)
+		}
 		warm := []int32{int32(int(kB) % n), int32(int(scale) % n)}
 		slices.Sort(warm)
 		var s Solver
 		var ref refSolver
 		checkKernels(t, &s, &ref, p, warm)
+		checkDualAscent(t, &s, &ref, p)
 	})
+}
+
+// checkDualAscent runs DualAscent on p through the Solver and the fused scan
+// it replaced and requires the same bound bits and the same bits of every
+// v_k.
+func checkDualAscent(t testing.TB, s *Solver, ref *refSolver, p *Problem) {
+	t.Helper()
+	lb, v := s.DualAscent(p)
+	rlb, rv := refDualAscent(ref, p)
+	same := math.Float64bits(lb) == math.Float64bits(rlb) && len(v) == len(rv)
+	for k := range v {
+		same = same && math.Float64bits(v[k]) == math.Float64bits(rv[k])
+	}
+	if !same {
+		t.Fatalf("DualAscent on %d×%d: bound %v v %v, reference bound %v v %v\nproblem %+v",
+			p.NumFacilities(), p.NumDemands(), lb, v, rlb, rv, *p)
+	}
+}
+
+// sortedOrder is the stable argsort of each of p's rows: the order a hop
+// table gives a row that carries no dual terms.
+func sortedOrder(p *Problem) []int32 {
+	n := p.NumFacilities()
+	out := make([]int32, len(p.Assign))
+	for k := 0; k < p.NumDemands(); k++ {
+		o, row := out[k*n:k*n+n], p.Row(k)
+		for i := range o {
+			o[i] = int32(i)
+		}
+		slices.SortStableFunc(o, func(a, b int32) int { return cmp.Compare(row[a], row[b]) })
+	}
+	return out
+}
+
+// The ordered walk against the fused scan it replaced, on every
+// kernelProblem flavour under five orders: the hop-level order (the
+// placement flavour's own, a sorted order for the others), index order,
+// reversed, a random permutation per row, and the sorted order with one
+// adjacent pair swapped per row. One Solver pair is reused across shapes
+// that shrink and grow. The test requires that both of the walk's own
+// paths run often: rows whose order does not sort them (the repair), and
+// slack-limited raises (after which the walk drops the demand at once).
+func TestDualAscentMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	var s Solver
+	var ref refSolver
+	orders := []struct {
+		name string
+		make func(p *Problem) []int32
+	}{
+		{"hop", func(p *Problem) []int32 {
+			if p.Order != nil {
+				return p.Order
+			}
+			return sortedOrder(p)
+		}},
+		{"index", func(*Problem) []int32 { return nil }},
+		{"reversed", func(p *Problem) []int32 {
+			n, out := p.NumFacilities(), make([]int32, len(p.Assign))
+			for idx := range out {
+				out[idx] = int32(n - 1 - idx%n)
+			}
+			return out
+		}},
+		{"random", func(p *Problem) []int32 {
+			n, out := p.NumFacilities(), make([]int32, 0, len(p.Assign))
+			for range p.NumDemands() {
+				for _, i := range rng.Perm(n) {
+					out = append(out, int32(i))
+				}
+			}
+			return out
+		}},
+		{"swapped", func(p *Problem) []int32 {
+			n, out := p.NumFacilities(), sortedOrder(p)
+			for k := 0; k < p.NumDemands() && n > 1; k++ {
+				a := k*n + rng.Intn(n-1)
+				out[a], out[a+1] = out[a+1], out[a]
+			}
+			return out
+		}},
+	}
+	repaired := 0
+	for round := 0; round < 30; round++ {
+		for _, n := range []int{55, 1, 9, 2} {
+			for _, k := range []int{8, 55, 0, 1} {
+				p := kernelProblem(rng, n, k, round%(placementFlavour+1))
+				for _, o := range orders {
+					p.Order = o.make(p)
+					if err := p.Validate(); err != nil {
+						t.Fatalf("%s order: %v", o.name, err)
+					}
+					for kd := 0; kd < k; kd++ {
+						ord := p.Order
+						if ord == nil {
+							ord = sortedIota(n)
+						} else {
+							ord = ord[kd*n : kd*n+n]
+						}
+						if !slices.IsSortedFunc(ord, func(a, b int32) int { return cmp.Compare(p.Row(kd)[a], p.Row(kd)[b]) }) {
+							repaired++
+						}
+					}
+					checkDualAscent(t, &s, &ref, p)
+				}
+			}
+		}
+	}
+	if repaired < 50 || ref.slackLimited < 50 {
+		t.Errorf("%d rows repaired, %d demands left early: want at least 50 each", repaired, ref.slackLimited)
+	}
+	t.Logf("%d rows repaired, %d demands left early", repaired, ref.slackLimited)
+}
+
+// sortedIota returns 0..n−1, the walk's order for a problem without Order.
+func sortedIota(n int) []int32 {
+	o := make([]int32, n)
+	for i := range o {
+		o[i] = int32(i)
+	}
+	return o
 }

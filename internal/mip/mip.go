@@ -10,6 +10,7 @@ package mip
 
 import (
 	"math"
+	"slices"
 
 	"vodplace/internal/topology"
 )
@@ -169,6 +170,9 @@ type Instance struct {
 	Origin []int32
 
 	hops []int16 // cached hop counts, row-major [i*n+j]
+	// hopOrder[j*n:(j+1)*n] lists the offices by hop count from destination
+	// j, ties by index: the ascending order of every cost row Cost(·, j).
+	hopOrder []int32
 
 	// generation counts the in-place demand patches applied through
 	// ApplyDemandDelta since construction (0 on a freshly built instance).
@@ -219,6 +223,26 @@ func (inst *Instance) cacheHops() {
 			row[j] = int16(inst.G.Hops(i, j))
 		}
 	}
+	inst.hopOrder = make([]int32, n*n)
+	for j := 0; j < n; j++ {
+		o := inst.hopOrder[j*n : (j+1)*n]
+		for i := range o {
+			o[i] = int32(i)
+		}
+		slices.SortStableFunc(o, func(a, b int32) int {
+			return int(inst.hops[int(a)*n+j]) - int(inst.hops[int(b)*n+j])
+		})
+	}
+}
+
+// HopOrder returns the offices ordered by hop count from destination office
+// j, ties by index: a permutation of 0..n−1 along which Cost(i, j) =
+// α·hops + β never decreases for α ≥ 0, so a block's assignment row for
+// demand office j is ascending in it unless link-dual terms reorder it. It
+// is built at seal time and shared: callers must not modify it.
+func (inst *Instance) HopOrder(j int) []int32 {
+	n := inst.G.NumNodes()
+	return inst.hopOrder[j*n : (j+1)*n : (j+1)*n]
 }
 
 // CostColumns returns the dense j-major cost table: the returned slice has

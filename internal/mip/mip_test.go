@@ -122,6 +122,46 @@ func TestCost(t *testing.T) {
 	}
 }
 
+// HopOrder is, for every destination office, a permutation of the offices
+// along which the hop count never falls and ties keep index order, so every
+// cost row Cost(·, j) is ascending in it.
+func TestHopOrder(t *testing.T) {
+	g := topology.Backbone55()
+	n := g.NumNodes()
+	disk := make([]float64, n)
+	for i := range disk {
+		disk[i] = 1
+	}
+	inst, err := NewInstance(g, disk, caps(g, 100), 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst.Alpha, inst.Beta = 1.5, 0.25
+	for j := 0; j < n; j++ {
+		o := inst.HopOrder(j)
+		seen := make([]bool, n)
+		for a, i := range o {
+			if seen[i] {
+				t.Fatalf("HopOrder(%d) repeats office %d", j, i)
+			}
+			seen[i] = true
+			if a == 0 {
+				continue
+			}
+			prev := o[a-1]
+			if h, hp := inst.Hops(int(i), j), inst.Hops(int(prev), j); h < hp || (h == hp && i < prev) {
+				t.Fatalf("HopOrder(%d): office %d (%d hops) after office %d (%d hops)", j, i, h, prev, hp)
+			}
+			if inst.Cost(int(i), j) < inst.Cost(int(prev), j) {
+				t.Fatalf("HopOrder(%d): Cost falls from office %d to %d", j, prev, i)
+			}
+		}
+		if len(o) != n || o[0] != int32(j) {
+			t.Fatalf("HopOrder(%d) = %v: want all %d offices, office %d (0 hops) first", j, o, n, j)
+		}
+	}
+}
+
 // storeAt builds an integral placement of the tiny instance's single video at
 // the given office serving all demand.
 func storeAt(inst *Instance, i int32) *Solution {

@@ -289,8 +289,10 @@ func blockBound(inst *mip.Instance, vi int, rowDuals []float64, pathDual [][]flo
 		return minF, nil
 	}
 	prob.Reshape(K)
+	prob.Order = slices.Grow(prob.Order[:0], K*n)[:K*n]
 	for k := 0; k < K; k++ {
 		j := int(d.Js[k])
+		copy(prob.Order[k*n:k*n+n], inst.HopOrder(j))
 		coef := d.SizeGB * d.Agg[k]
 		row := prob.Row(k)
 		// Ascending-t CSR nonzeros: the same terms, in the same order, as
