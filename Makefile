@@ -26,7 +26,7 @@ TRACE_SMOKE_ARGS := -videos 60 -vhos 8 -passes 40 -seed 1
 # audit-gated snapshot swap during the 2s run.
 SERVE_SMOKE_ARGS := -videos 60 -vhos 8 -passes 200 -eps 0.02 -seed 1
 
-.PHONY: build vet test race check bench bench-check bench-pairs bench-counts bench-json bench-cores fuzz cover fmt fmt-check clean trace-smoke goldens serve-smoke
+.PHONY: build vet test race check bench bench-check bench-pairs bench-counts bench-json fuzz cover fmt fmt-check clean trace-smoke goldens serve-smoke
 
 build:
 	$(GO) build ./...
@@ -150,20 +150,6 @@ bench-json:
 	$(GO) test -run '^$$' -bench 'Serve|Resolve|DemandState' -benchmem -count 3 ./internal/serve/ \
 		| $(GO) run ./tools/benchjson -baseline BENCH_serve.json > BENCH_serve.json.tmp
 	mv BENCH_serve.json.tmp BENCH_serve.json
-
-# Cores sweep: the same solve at GOMAXPROCS 1, 2 and 4, recorded with
-# per-core speedup ratios (speedup_vs_1cpu) in BENCH_cores.json. Three
-# representative benchmarks: the quick EPF solve (solver hot loop), the
-# warm week pipeline (end-to-end multi-period), and the 100k-video sharded
-# scale solve (where the parallel reductions and rounding matter most).
-# -count 1: the long points dominate and best-of-N would multiply an
-# already multi-minute run.
-bench-cores:
-	( $(GO) test -run '^$$' -bench '^BenchmarkEPFSolveQuick$$' -benchmem -cpu 1,2,4 -count 1 ./internal/epf/ ; \
-	  $(GO) test -run '^$$' -bench '^BenchmarkRunMIPWeekWarm$$' -benchmem -cpu 1,2,4 -count 1 ./internal/core/ ; \
-	  $(GO) test -run '^$$' -bench '^BenchmarkScaleSolve100k$$' -benchmem -cpu 1,2,4 -count 1 -timeout 60m ./internal/experiments/ ) \
-		| $(GO) run ./tools/benchjson -cores > BENCH_cores.json.tmp
-	mv BENCH_cores.json.tmp BENCH_cores.json
 
 # go test accepts a single -fuzz pattern per invocation, so budgeted runs
 # loop over the pkg:target pairs explicitly.

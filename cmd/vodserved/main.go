@@ -80,10 +80,6 @@ func run() int {
 		Solver:       epf.Options{Seed: *seed, MaxPasses: *passes, Epsilon: *eps},
 		UpdateWeight: *updateW,
 		Recorder:     rec,
-		// Share the recorder's registry (nil without -trace-out, which makes
-		// the server create its own): one /metrics exposition then carries
-		// both the request counters and the event-derived families.
-		Metrics: rec.Metrics(),
 		Logf: func(format string, args ...any) {
 			fmt.Printf(format+"\n", args...)
 		},

@@ -265,27 +265,19 @@ func (s *System) RunMIPContext(ctx context.Context, tr *workload.Trace, opts MIP
 
 // recordPeriod publishes one placement period's convergence telemetry: how
 // many passes the solve took and what fraction of videos reused carried-over
-// warm state (zero on cold solves). Keyed by the period's trace stream so
-// tools/tracesum and the /progress endpoint can show per-day trends.
+// warm state (zero on cold solves), as gauges keyed by the period's trace
+// stream so a /metrics scrape shows per-day trends.
 func recordPeriod(r *obs.Recorder, stream string, inst *mip.Instance, res *epf.Result) {
 	if !r.Enabled() {
 		return
 	}
-	nv := len(inst.Demands)
 	frac := 0.0
-	if nv > 0 {
+	if nv := len(inst.Demands); nv > 0 {
 		frac = float64(res.Stats.WarmVideos) / float64(nv)
 	}
-	r.PublishKV("pipeline."+stream, map[string]any{
-		"passes":     res.Stats.Passes,
-		"warmVideos": res.Stats.WarmVideos,
-		"numVideos":  nv,
-		"warmFrac":   frac,
-	})
-	if m := r.Metrics(); m != nil {
-		m.Gauge(stream + ".passes").Set(float64(res.Stats.Passes))
-		m.Gauge(stream + ".warm_frac").Set(frac)
-	}
+	m := r.Metrics()
+	m.Gauge(stream + ".passes").Set(float64(res.Stats.Passes))
+	m.Gauge(stream + ".warm_frac").Set(frac)
 }
 
 // originsFromPinned maps each instance video to an office currently holding

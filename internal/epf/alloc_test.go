@@ -2,7 +2,10 @@ package epf
 
 import (
 	"context"
+	"io"
 	"testing"
+
+	"vodplace/internal/obs"
 )
 
 // minAllocsPerRun is the minimum of three testing.AllocsPerRun(3, f) trials.
@@ -55,5 +58,32 @@ func TestDescentPassZeroAllocations(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state descent pass allocates %g times per pass, want 0", allocs)
+	}
+}
+
+// A traced pass keeps the contract (DESIGN.md §14): with a recorder
+// attached, the per-pass event — potential, link utilizations, merged work
+// counters, one encoded trace line and the epf gauges — allocates nothing
+// once its instruments exist.
+func TestTracedPassZeroAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	inst := randomInstance(t, 11, 10, 90, 2.0, 150)
+	s, err := newSolver(inst, Options{Seed: 3, Workers: 1, Recorder: obs.New(io.Discard), TraceStream: "epf"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.close()
+	s.ctx = context.Background()
+	s.initDescent()
+	for pass := 1; pass <= 6; pass++ {
+		if !s.descentPass() {
+			t.Fatal("warm-up pass cancelled")
+		}
+		s.recordPass(pass)
+	}
+	if allocs := minAllocsPerRun(func() { s.recordPass(7) }); allocs != 0 {
+		t.Errorf("a traced pass's telemetry allocates %g times per pass, want 0", allocs)
 	}
 }

@@ -285,10 +285,11 @@ func (s *solver) endPass(pass int) {
 
 // recordPass emits one per-pass telemetry event: the convergence state the
 // paper's figures plot (Φ, bounds, duality gap, link utilization) plus the
-// incrementally merged work counters, so a mid-run /progress snapshot shows
-// live totals rather than the zeros the pre-telemetry solver reported until
-// solve end. A nil recorder makes this a single pointer test; every field
-// except the elapsed-ms stamp is bit-identical across worker counts.
+// incrementally merged work counters, so each pass line carries live totals
+// rather than the zeros the pre-telemetry solver reported until solve end.
+// A nil recorder makes this a single pointer test; every field except the
+// elapsed-ms stamp is bit-identical across worker counts. A traced pass
+// allocates nothing (alloc_test.go).
 func (s *solver) recordPass(pass int) {
 	rec := s.opts.Recorder
 	if !rec.Enabled() {
@@ -328,7 +329,6 @@ func (s *solver) recordPass(pass int) {
 		WarmHits:     s.stats.WarmStartHits,
 		ElapsedMS:    float64(time.Since(s.runStart).Nanoseconds()) / 1e6,
 	})
-	rec.PublishKV("epf_stats."+s.opts.TraceStream, s.stats)
 }
 
 // potential evaluates the potential Φ(z) at the live α: the capacity rows'
@@ -380,7 +380,6 @@ func (s *solver) finishTrace(res *Result) {
 		Rounded:    res.Rounded,
 	})
 	rec.RecordSpan(s.opts.TraceStream, "reduce", res.Stats.ReduceTime)
-	rec.PublishKV("epf_stats."+s.opts.TraceStream, res.Stats)
 	rec.Flush() //nolint:errcheck // sink errors surface from the caller's Close
 }
 

@@ -106,8 +106,8 @@ type Options struct {
 	// OnPass, when non-nil, is invoked after every pass with progress
 	// information (used by the CLI tools for -v output).
 	OnPass func(PassInfo)
-	// Recorder, when non-nil, receives per-pass telemetry events, phase
-	// spans and live solver stats (see internal/obs). A nil recorder is the
+	// Recorder, when non-nil, receives per-pass telemetry events and phase
+	// spans (see internal/obs). A nil recorder is the
 	// disabled state and costs one pointer test per pass; nothing recorded
 	// ever feeds back into the solve, so telemetry cannot change numerics.
 	Recorder *obs.Recorder

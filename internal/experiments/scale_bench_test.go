@@ -86,7 +86,7 @@ func BenchmarkScaleBuild100k(b *testing.B) { benchmarkScaleBuild(b, 100_000) }
 
 // BenchmarkScaleBuild1M is the catalog-scale ceiling point: a full
 // 1M-video trace generation + streamed instance build. Build only — a
-// solve at this size belongs to a cores sweep, not the scale gate. The
+// solve at this size is beyond the scale gate. The
 // workload generation and the build peak at several GB, so -short (CI's
 // bench smoke) skips it; `make bench-json` runs it for BENCH_scale.json.
 func BenchmarkScaleBuild1M(b *testing.B) {

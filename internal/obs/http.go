@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"net"
@@ -14,37 +13,26 @@ import (
 // ServeDebug starts the live introspection endpoint on addr (e.g.
 // "localhost:6060") serving:
 //
-//	/debug/vars    — the process expvar namespace (Publish a registry first)
-//	/debug/pprof/* — live profiling via internal/prof
-//	/progress      — the recorder's live JSON snapshot
 //	/metrics       — the recorder's registry in Prometheus text format
+//	/debug/pprof/* — live profiling via internal/prof
 //
 // It listens before returning, so a caller that gets a nil error can curl
-// the address immediately; the server then runs on a background goroutine
-// until the returned shutdown function is called. r may be nil, in which
-// case /progress serves an empty object.
-func ServeDebug(addr string, r *Recorder) (shutdown func() error, err error) {
+// the returned address — the one bound, which differs from addr when addr
+// asks for port 0 — immediately; the server then runs on a background
+// goroutine until the returned shutdown function is called. r may be nil,
+// in which case /metrics serves an empty exposition.
+func ServeDebug(addr string, r *Recorder) (bound string, shutdown func() error, err error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return nil, fmt.Errorf("obs: debug listener: %w", err)
+		return "", nil, fmt.Errorf("obs: debug listener: %w", err)
 	}
 	mux := http.NewServeMux()
-	mux.Handle("/debug/vars", expvar.Handler())
 	prof.Routes(mux)
 	mux.Handle("/metrics", PromHandler(func(w io.Writer) { r.Metrics().WritePrometheus(w) }))
-	mux.HandleFunc("/progress", func(w http.ResponseWriter, _ *http.Request) {
-		b, err := r.ProgressJSON()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(b) //nolint:errcheck // nothing useful to do on a client hangup
-	})
 	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ln) }()
-	return func() error {
+	return ln.Addr().String(), func() error {
 		if err := srv.Close(); err != nil {
 			return err
 		}

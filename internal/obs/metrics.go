@@ -1,114 +1,74 @@
 package obs
 
 import (
-	"encoding/json"
 	"expvar"
 	"math"
 	"sync"
 )
 
 // Metrics is a small counter/gauge/histogram registry. Instruments are
-// created on first use and live in the registry's own expvar.Map, which
-// stays private until Publish exports it into the process-global expvar
-// namespace — so tests and libraries can use registries freely without
-// colliding on expvar's global, panic-on-duplicate Publish.
+// created on first use and live in the registry's own map; the one reader
+// is WritePrometheus, so registries are private values tests and libraries
+// can create freely.
 type Metrics struct {
 	mu   sync.Mutex
-	vars *expvar.Map
+	vars map[string]any // *expvar.Int, *expvar.Float, func() float64 or *Histogram
 }
 
-// NewMetrics returns an empty, unpublished registry.
+// NewMetrics returns an empty registry.
 func NewMetrics() *Metrics {
-	return &Metrics{vars: new(expvar.Map).Init()}
+	return &Metrics{vars: make(map[string]any)}
 }
 
-var publishMu sync.Mutex
-
-// Publish exports the registry under namespace in the process-global expvar
-// map (served at /debug/vars). Publishing the same namespace twice is a
-// no-op rather than the panic expvar.Publish would raise.
-func (m *Metrics) Publish(namespace string) {
+// instrument returns the name's instrument when it is a T, and otherwise
+// stores a fresh one from mk. On a nil registry it returns a throwaway
+// instrument so call sites never nil-check.
+func instrument[T any](m *Metrics, name string, mk func() T) T {
 	if m == nil {
-		return
-	}
-	publishMu.Lock()
-	defer publishMu.Unlock()
-	if expvar.Get(namespace) == nil {
-		expvar.Publish(namespace, m.vars)
-	}
-}
-
-// Counter returns the named monotone counter, creating it on first use.
-// On a nil registry it returns a throwaway instrument so call sites never
-// nil-check.
-func (m *Metrics) Counter(name string) *expvar.Int {
-	if m == nil {
-		return new(expvar.Int)
+		return mk()
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if v, ok := m.vars.Get(name).(*expvar.Int); ok {
+	if v, ok := m.vars[name].(T); ok {
 		return v
 	}
-	v := new(expvar.Int)
-	m.vars.Set(name, v)
+	v := mk()
+	m.vars[name] = v
 	return v
+}
+
+// Counter returns the named monotone counter, creating it on first use.
+func (m *Metrics) Counter(name string) *expvar.Int {
+	return instrument(m, name, func() *expvar.Int { return new(expvar.Int) })
 }
 
 // Gauge returns the named float gauge, creating it on first use.
 func (m *Metrics) Gauge(name string) *expvar.Float {
-	if m == nil {
-		return new(expvar.Float)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if v, ok := m.vars.Get(name).(*expvar.Float); ok {
-		return v
-	}
-	v := new(expvar.Float)
-	m.vars.Set(name, v)
-	return v
+	return instrument(m, name, func() *expvar.Float { return new(expvar.Float) })
 }
 
 // GaugeFunc registers a gauge whose value is computed when it is read, so
-// expvar readers and /metrics scrapes both see the exact current value.
-// Registering a name again replaces the function.
+// /metrics scrapes see the exact current value. Registering a name again
+// replaces the function.
 func (m *Metrics) GaugeFunc(name string, f func() float64) {
 	if m == nil {
 		return
 	}
-	m.vars.Set(name, expvar.Func(func() any { return f() }))
+	m.mu.Lock()
+	m.vars[name] = f
+	m.mu.Unlock()
 }
 
 // Histogram returns the named histogram, creating it on first use with per
-// small units to one exposed unit (1e6 for a nanosecond-recorded "_ms"
+// small units to one exposed unit (NsPerMS for a nanosecond-recorded "_ms"
 // family, 1 for a family exposed as recorded).
 func (m *Metrics) Histogram(name string, per float64) *Histogram {
-	if m == nil {
-		return &Histogram{per: per}
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if h, ok := m.vars.Get(name).(*Histogram); ok {
-		return h
-	}
-	h := &Histogram{per: per}
-	m.vars.Set(name, h)
-	return h
+	return instrument(m, name, func() *Histogram { return &Histogram{per: per} })
 }
 
-// String renders the whole registry as the expvar.Map JSON (also what
-// /debug/vars serves for the published namespace).
-func (m *Metrics) String() string {
-	if m == nil {
-		return "{}"
-	}
-	return m.vars.String()
-}
-
-// nsPerMS is the per of the duration families: recorded in nanoseconds,
+// NsPerMS is the per of the duration families: recorded in nanoseconds,
 // exposed in the milliseconds their names end in.
-const nsPerMS = 1e6
+const NsPerMS = 1e6
 
 // Histogram is the registry's histogram instrument: a mutex around a Hist.
 // Sites observe floats in the exposed unit (the unit the family name ends
@@ -144,10 +104,4 @@ func (h *Histogram) Snapshot() Hist {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.h
-}
-
-// String implements expvar.Var: the Summary in the exposed unit, as JSON.
-func (h *Histogram) String() string {
-	b, _ := json.Marshal(h.Snapshot().Summary(h.per)) //nolint:errcheck // plain struct of finite numbers
-	return string(b)
 }

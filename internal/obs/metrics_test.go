@@ -1,32 +1,11 @@
 package obs
 
 import (
-	"encoding/json"
-	"expvar"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 )
-
-// TestPublishIdempotent pins the double-publish contract: expvar.Publish
-// panics on a duplicate name, Metrics.Publish must not — the first registry
-// wins and later calls are no-ops.
-func TestPublishIdempotent(t *testing.T) {
-	m1 := NewMetrics()
-	m1.Counter("wins").Set(7)
-	m1.Publish("obs_test_ns")
-	m2 := NewMetrics()
-	m2.Counter("wins").Set(99)
-	m2.Publish("obs_test_ns") // must not panic, must not replace m1
-
-	got, ok := expvar.Get("obs_test_ns").(*expvar.Map)
-	if !ok {
-		t.Fatal("namespace not published as a map")
-	}
-	if v, ok := got.Get("wins").(*expvar.Int); !ok || v.Value() != 7 {
-		t.Fatalf("published registry was replaced: wins = %v", got.Get("wins"))
-	}
-}
 
 // TestInstrumentIdentity pins create-on-first-use: the same name always
 // returns the same instrument, so increments from different call sites
@@ -48,17 +27,19 @@ func TestInstrumentIdentity(t *testing.T) {
 	nilM.Gauge("g").Set(1)
 	nilM.Histogram("h", 1).Observe(1)
 	nilM.GaugeFunc("f", func() float64 { return 1 })
-	if nilM.String() != "{}" {
-		t.Errorf("nil registry String = %q", nilM.String())
+	var b strings.Builder
+	nilM.WritePrometheus(&b)
+	if b.Len() != 0 {
+		t.Errorf("nil registry exposition = %q", b.String())
 	}
 }
 
 // TestHistogram pins the registry instrument: samples observed in the
 // exposed unit are recorded as whole small units, quantiles are bucket upper
 // edges, a sample equal to an edge counts under that edge, non-finite and
-// negative samples are dropped, and the expvar JSON is the Summary.
+// negative samples are dropped, and the Summary reads in the exposed unit.
 func TestHistogram(t *testing.T) {
-	h := NewMetrics().Histogram("x_ms", nsPerMS)
+	h := NewMetrics().Histogram("x_ms", NsPerMS)
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
 		h.Observe(v)
 	}
@@ -84,17 +65,13 @@ func TestHistogram(t *testing.T) {
 	if snap.Count != 101 || snap.Sum != 1300e6 {
 		t.Errorf("count %d sum %v ns, want 101 / 1.3e9", snap.Count, snap.Sum)
 	}
-	var summary Summary
-	if err := json.Unmarshal([]byte(h.String()), &summary); err != nil {
-		t.Fatalf("String() is not valid JSON: %v\n%s", err, h.String())
-	}
-	if summary != snap.Summary(nsPerMS) || summary.Min != 3 || summary.Max != 1000 || summary.P50 != 4.194304 {
+	if summary := snap.Summary(NsPerMS); summary.Min != 3 || summary.Max != 1000 || summary.P50 != 4.194304 {
 		t.Errorf("summary = %+v", summary)
 	}
 
 	// The edge-equal sample: exactly 2^20 ns observed as 1.048576 ms belongs
 	// to the bucket whose le is 1.048576, one ns more to the next.
-	e := NewMetrics().Histogram("edge_ms", nsPerMS)
+	e := NewMetrics().Histogram("edge_ms", NsPerMS)
 	e.Observe(1.048576)
 	e.Observe(1.048577)
 	if snap := e.Snapshot(); snap.Buckets[20] != 1 || snap.Buckets[21] != 1 {

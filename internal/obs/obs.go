@@ -1,8 +1,8 @@
 // Package obs is the solver, simulator and serving telemetry layer: a typed
 // event tracer writing JSONL through a buffered sink, a metrics registry
-// (counters, gauges, histograms) publishable via expvar, phase span timing,
-// and a live progress snapshot served by the opt-in debug HTTP endpoint
-// (ServeDebug, wired to the CLIs through the -trace-out / -metrics /
+// (counters, gauges, histograms) rendered as Prometheus text, phase span
+// timing, and the opt-in debug HTTP endpoint serving /metrics and
+// /debug/pprof (ServeDebug, wired to the CLIs through the -trace-out and
 // -debug-addr flags in Register/Start). Every latency or size distribution
 // in the repository is one value type, Hist, behind two recorders: ReqStat
 // (one atomic add per request) and the registry's mutex-guarded Histogram.
@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -87,13 +86,6 @@ type SimSlice struct {
 	RemoteServed int     `json:"remote"`
 	Evictions    int     `json:"evict"`
 	HitRate      float64 `json:"hit"` // per-bin local service fraction
-}
-
-// Span is one completed phase timing (init, descent, rounding, verify, …).
-type Span struct {
-	Stream string  `json:"stream"`
-	Phase  string  `json:"phase"`
-	MS     float64 `json:"ms"`
 }
 
 // Event is the decoded union of every trace line; K discriminates
@@ -161,46 +153,8 @@ type Event struct {
 	TMS          float64 `json:"tms"`
 }
 
-// progress is the live snapshot behind the /progress endpoint: the latest
-// event per stream plus arbitrary published values (solver stats).
-type progress struct {
-	epf   recentMap[EPFPass]
-	done  recentMap[EPFDone]
-	sim   map[string]SimSlice
-	kv    recentMap[any]
-	spans []Span
-}
-
-const maxProgressSpans = 64
-
-// maxProgressStreams caps each keyed progress map: a daemon names a stream
-// per re-solve, so without a cap the snapshot grows with every swap.
-const maxProgressStreams = 64
-
-// recentMap holds the maxProgressStreams most recently written keys; order
-// lists them oldest first.
-type recentMap[V any] struct {
-	m     map[string]V
-	order []string
-}
-
-func (c *recentMap[V]) put(k string, v V) {
-	if c.m == nil {
-		c.m = make(map[string]V)
-	}
-	if _, ok := c.m[k]; ok {
-		i := slices.Index(c.order, k)
-		c.order = slices.Delete(c.order, i, i+1)
-	} else if len(c.order) == maxProgressStreams {
-		delete(c.m, c.order[0])
-		c.order = slices.Delete(c.order, 0, 1)
-	}
-	c.order = append(c.order, k)
-	c.m[k] = v
-}
-
 // Recorder is the telemetry hub one process shares: a JSONL event sink
-// (optional), a metrics registry, and the live progress snapshot. All
+// (optional) and a metrics registry. It keeps no per-stream state. All
 // methods are safe for concurrent use; events from different goroutines
 // interleave in the file, but the emit order within one stream (one
 // emitting goroutine per stream, by convention) is preserved because every
@@ -211,22 +165,20 @@ type Recorder struct {
 	start   time.Time
 	metrics *Metrics
 
-	mu   sync.Mutex
-	w    *bufio.Writer
-	c    io.Closer
-	buf  []byte
-	err  error
-	prog progress
+	mu  sync.Mutex
+	w   *bufio.Writer
+	c   io.Closer
+	buf []byte
+	err error
 }
 
 // New returns an enabled recorder. trace is the JSONL sink and may be nil
-// for a metrics/progress-only recorder; if it also implements io.Closer,
+// for a metrics-only recorder; if it also implements io.Closer,
 // Close closes it.
 func New(trace io.Writer) *Recorder {
 	r := &Recorder{
 		start:   time.Now(),
 		metrics: NewMetrics(),
-		prog:    progress{sim: make(map[string]SimSlice)},
 	}
 	if trace != nil {
 		r.w = bufio.NewWriterSize(trace, 1<<16)
@@ -288,15 +240,13 @@ func (r *Recorder) Close() error {
 	return err
 }
 
-// RecordEPFPass records one solver pass: trace line, progress snapshot, and
-// the epf gauge/counter/histogram set.
+// RecordEPFPass records one solver pass: trace line and the epf
+// gauge/counter set. The pass durations are the trace's ms series.
 func (r *Recorder) RecordEPFPass(e EPFPass) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	prev, hadPrev := r.prog.epf.m[e.Stream]
-	r.prog.epf.put(e.Stream, e)
 	if r.w != nil {
 		b := append(r.buf[:0], `{"k":"epf_pass","stream":`...)
 		b = appendJSONString(b, e.Stream)
@@ -326,11 +276,6 @@ func (r *Recorder) RecordEPFPass(e EPFPass) {
 	m.Gauge("epf_max_viol").Set(e.MaxViol)
 	m.Gauge("epf_max_link_util").Set(e.MaxLinkUtil)
 	m.Counter("epf_passes_total").Add(1)
-	if hadPrev && e.ElapsedMS >= prev.ElapsedMS {
-		m.Histogram("epf_pass_ms", nsPerMS).Observe(e.ElapsedMS - prev.ElapsedMS)
-	} else {
-		m.Histogram("epf_pass_ms", nsPerMS).Observe(e.ElapsedMS)
-	}
 }
 
 // RecordEPFDone records a solve's final summary.
@@ -339,7 +284,6 @@ func (r *Recorder) RecordEPFDone(e EPFDone) {
 		return
 	}
 	r.mu.Lock()
-	r.prog.done.put(e.Stream, e)
 	if r.w != nil {
 		b := append(r.buf[:0], `{"k":"epf_done","stream":`...)
 		b = appendJSONString(b, e.Stream)
@@ -361,7 +305,6 @@ func (r *Recorder) RecordSimSlice(e SimSlice) {
 		return
 	}
 	r.mu.Lock()
-	r.prog.sim[e.Stream] = e
 	if r.w != nil {
 		b := append(r.buf[:0], `{"k":"sim_slice","stream":`...)
 		b = appendJSONString(b, e.Stream)
@@ -396,10 +339,6 @@ func (r *Recorder) RecordSpan(stream, phase string, d time.Duration) {
 	}
 	ms := float64(d.Nanoseconds()) / 1e6
 	r.mu.Lock()
-	r.prog.spans = append(r.prog.spans, Span{Stream: stream, Phase: phase, MS: ms})
-	if len(r.prog.spans) > maxProgressSpans {
-		r.prog.spans = r.prog.spans[len(r.prog.spans)-maxProgressSpans:]
-	}
 	if r.w != nil {
 		b := append(r.buf[:0], `{"k":"span","stream":`...)
 		b = appendJSONString(b, stream)
@@ -409,7 +348,7 @@ func (r *Recorder) RecordSpan(stream, phase string, d time.Duration) {
 		r.buf = r.writeLine(b)
 	}
 	r.mu.Unlock()
-	r.metrics.Histogram("span_ms", nsPerMS).Observe(ms)
+	r.metrics.Histogram("span_ms", NsPerMS).Observe(ms)
 	r.metrics.Gauge("span_" + phase + "_ms").Set(ms)
 }
 
@@ -436,44 +375,6 @@ func (sp SpanTimer) End() {
 		return
 	}
 	sp.r.RecordSpan(sp.stream, sp.phase, time.Since(sp.t0))
-}
-
-// PublishKV stores an arbitrary value in the progress snapshot under key
-// (e.g. a solver's live Stats struct). Values are marshaled when /progress
-// is served, so they should be plain data.
-func (r *Recorder) PublishKV(key string, v any) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.prog.kv.put(key, v)
-	r.mu.Unlock()
-}
-
-// ProgressJSON renders the live snapshot: the latest pass/slice per stream,
-// published values, recent spans and uptime.
-func (r *Recorder) ProgressJSON() ([]byte, error) {
-	if r == nil {
-		return []byte("{}\n"), nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	snap := struct {
-		UptimeMS float64             `json:"uptime_ms"`
-		EPF      map[string]EPFPass  `json:"epf,omitempty"`
-		Done     map[string]EPFDone  `json:"done,omitempty"`
-		Sim      map[string]SimSlice `json:"sim,omitempty"`
-		KV       map[string]any      `json:"kv,omitempty"`
-		Spans    []Span              `json:"spans,omitempty"`
-	}{
-		UptimeMS: float64(time.Since(r.start).Nanoseconds()) / 1e6,
-		EPF:      r.prog.epf.m,
-		Done:     r.prog.done.m,
-		Sim:      r.prog.sim,
-		KV:       r.prog.kv.m,
-		Spans:    r.prog.spans,
-	}
-	return json.MarshalIndent(snap, "", "  ")
 }
 
 // writeLine terminates b with "}\n", writes it to the sink (mu held by the

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -38,9 +37,6 @@ func TestNilRecorderNoOps(t *testing.T) {
 	if err := r.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if b, err := r.ProgressJSON(); err != nil || string(b) != "{}\n" {
-		t.Fatalf("ProgressJSON = %q, %v", b, err)
-	}
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
 	}
@@ -53,7 +49,6 @@ func TestNilRecorderNoOps(t *testing.T) {
 		r.RecordSimSlice(slice)
 		r.RecordSpan("epf", "descent", time.Millisecond)
 		r.StartSpan("epf", "verify").End()
-		r.PublishKV("k", 1)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled recorder allocated %.1f per run, want 0", allocs)
@@ -236,8 +231,8 @@ func TestConcurrentStreamsPreserveOrder(t *testing.T) {
 	}
 }
 
-// TestRecorderTable drives the snapshot/progress surface over a table of
-// recorders (trace-backed, metrics-only, nil) to pin the shared behavior.
+// TestRecorderTable drives the registry side over a table of recorders
+// (trace-backed, metrics-only, nil) to pin the shared behavior.
 func TestRecorderTable(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -254,15 +249,7 @@ func TestRecorderTable(t *testing.T) {
 				t.Fatalf("Enabled = %v, want %v", tc.rec.Enabled(), tc.tracing)
 			}
 			tc.rec.RecordEPFPass(samplePass("epf", 1))
-			tc.rec.PublishKV("answer", 42)
-			b, err := tc.rec.ProgressJSON()
-			if err != nil {
-				t.Fatalf("ProgressJSON: %v", err)
-			}
 			if tc.tracing {
-				if !strings.Contains(string(b), `"pass": 1`) || !strings.Contains(string(b), `"answer": 42`) {
-					t.Errorf("progress snapshot missing recorded state:\n%s", b)
-				}
 				m := tc.rec.Metrics()
 				if got := m.Counter("epf_passes_total").Value(); got != 1 {
 					t.Errorf("epf_passes_total = %d, want 1", got)
@@ -270,8 +257,6 @@ func TestRecorderTable(t *testing.T) {
 				if got := m.Gauge("epf_objective").Value(); got != 5.5 {
 					t.Errorf("epf_objective gauge = %v, want 5.5", got)
 				}
-			} else if string(b) != "{}\n" {
-				t.Errorf("nil recorder progress = %q", b)
 			}
 			if err := tc.rec.Close(); err != nil {
 				t.Fatalf("Close: %v", err)
@@ -280,45 +265,30 @@ func TestRecorderTable(t *testing.T) {
 	}
 }
 
-// TestProgressStreamsAreCapped: a daemon names one stream per re-solve, so the
-// keyed progress maps keep the most recently written streams only. A key that
-// keeps being republished (serve_swap) is never the oldest.
-func TestProgressStreamsAreCapped(t *testing.T) {
-	r := New(nil)
-	const streams = 1000
-	last := ""
-	for v := 1; v <= streams; v++ {
-		last = fmt.Sprintf("serve.v%d", v)
-		r.RecordEPFPass(samplePass(last, 1))
-		r.RecordEPFDone(EPFDone{Stream: last, Passes: 1})
-		r.PublishKV("epf_stats."+last, v)
-		r.PublishKV("serve_swap", v)
+// TestRecorderStateIsBounded: a daemon names one stream per re-solve, so
+// nothing the recorder keeps may grow with the number of streams. After
+// 1 000 serve.vNN streams of passes, dones and spans the registry holds the
+// families one stream leaves behind, and no more.
+func TestRecorderStateIsBounded(t *testing.T) {
+	feed := func(r *Recorder, stream string) {
+		r.RecordEPFPass(samplePass(stream, 1))
+		r.RecordEPFDone(EPFDone{Stream: stream, Passes: 1})
+		r.RecordSpan(stream, "descent", time.Millisecond)
+		r.StartSpan(stream, "rounding").End()
 	}
-	b, err := r.ProgressJSON()
-	if err != nil {
-		t.Fatal(err)
+	families := func(r *Recorder) int {
+		var b strings.Builder
+		r.Metrics().WritePrometheus(&b)
+		return strings.Count(b.String(), "# TYPE ")
 	}
-	var snap struct {
-		EPF  map[string]json.RawMessage `json:"epf"`
-		Done map[string]json.RawMessage `json:"done"`
-		KV   map[string]json.RawMessage `json:"kv"`
+	one := New(io.Discard)
+	feed(one, "serve.v1")
+	many := New(io.Discard)
+	for v := 1; v <= 1000; v++ {
+		feed(many, fmt.Sprintf("serve.v%d", v))
 	}
-	if err := json.Unmarshal(b, &snap); err != nil {
-		t.Fatal(err)
-	}
-	for name, m := range map[string]map[string]json.RawMessage{"epf": snap.EPF, "done": snap.Done, "kv": snap.KV} {
-		if len(m) > maxProgressStreams {
-			t.Errorf("%s holds %d entries after %d streams, cap %d", name, len(m), streams, maxProgressStreams)
-		}
-	}
-	if snap.EPF[last] == nil || snap.Done[last] == nil || snap.KV["epf_stats."+last] == nil {
-		t.Errorf("the latest stream %s is missing from the snapshot", last)
-	}
-	if string(snap.KV["serve_swap"]) != fmt.Sprint(streams) {
-		t.Errorf("serve_swap = %s, want the latest value %d", snap.KV["serve_swap"], streams)
-	}
-	if snap.EPF["serve.v1"] != nil {
-		t.Error("the oldest stream was not evicted")
+	if got, want := families(many), families(one); got != want || want == 0 {
+		t.Errorf("registry holds %d families after 1000 streams, %d after one", got, want)
 	}
 }
 

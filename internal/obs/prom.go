@@ -68,25 +68,25 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	}
 	type family struct {
 		name string
-		v    expvar.Var
+		v    any
 	}
-	var fams []family
-	m.vars.Do(func(kv expvar.KeyValue) {
-		fams = append(fams, family{PromName(kv.Key), kv.Value})
-	})
+	m.mu.Lock()
+	fams := make([]family, 0, len(m.vars))
+	for k, v := range m.vars {
+		fams = append(fams, family{PromName(k), v})
+	}
+	m.mu.Unlock()
 	sort.Slice(fams, func(a, b int) bool { return fams[a].name < fams[b].name })
 	bw := bufio.NewWriter(w)
-	defer bw.Flush() //nolint:errcheck // exposition best-effort, like expvar
+	defer bw.Flush() //nolint:errcheck // exposition best-effort
 	for _, fam := range fams {
 		switch v := fam.v.(type) {
 		case *expvar.Int:
 			fmt.Fprintf(bw, "# TYPE %s counter\n%s %d\n", fam.name, fam.name, v.Value())
 		case *expvar.Float:
 			fmt.Fprintf(bw, "# TYPE %s gauge\n%s %s\n", fam.name, fam.name, promFloat(v.Value()))
-		case expvar.Func:
-			if f, ok := v.Value().(float64); ok {
-				fmt.Fprintf(bw, "# TYPE %s gauge\n%s %s\n", fam.name, fam.name, promFloat(f))
-			}
+		case func() float64:
+			fmt.Fprintf(bw, "# TYPE %s gauge\n%s %s\n", fam.name, fam.name, promFloat(v()))
 		case *Histogram:
 			fmt.Fprintf(bw, "# TYPE %s histogram\n", fam.name)
 			v.Snapshot().writeProm(bw, fam.name, "", v.per)

@@ -19,7 +19,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 	m.Counter("serve.route_requests").Add(42)
 	m.Gauge("serve.snapshot_age_seconds").Set(3.5)
 	m.GaugeFunc("serve.demand_drift", func() float64 { return 12 })
-	h := m.Histogram("epf.pass_ms", nsPerMS)
+	h := m.Histogram("epf.pass_ms", NsPerMS)
 	h.Observe(0.25)
 	h.Observe(1)
 	h.Observe(100)

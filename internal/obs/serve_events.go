@@ -10,7 +10,8 @@ import "time"
 // are wall-clock phenomena, so each carries TMS — milliseconds since the
 // recorder started — which is what tools/servestat turns into staleness
 // percentiles. Solver-side consumers (tracesum) ignore unknown kinds, so
-// mixed traces stay valid.
+// mixed traces stay valid. These methods write trace lines only: the
+// serve_* metric families have one writer, the server (internal/serve).
 
 // ServeResolve is one background re-solve attempt. Phase "start" opens the
 // attempt (Version is the snapshot version the resolve would publish,
@@ -134,17 +135,6 @@ func (r *Recorder) RecordServeResolve(e ServeResolve) {
 		r.buf = r.writeLine(b)
 	}
 	r.mu.Unlock()
-	if e.Phase == "done" {
-		m := r.metrics
-		m.Counter("serve_resolves_total").Add(1)
-		if e.Verdict != "swapped" {
-			m.Counter("serve_resolves_rejected_total").Add(1)
-		}
-		m.Gauge("serve_warm_frac").Set(e.WarmFrac)
-		m.Histogram("serve_resolve_solve_ms", nsPerMS).Observe(e.SolveMS)
-		m.Histogram("serve_resolve_audit_ms", nsPerMS).Observe(e.AuditMS)
-		r.PublishKV("serve_resolve", e)
-	}
 }
 
 // RecordServeSwap records one snapshot publication.
@@ -165,13 +155,6 @@ func (r *Recorder) RecordServeSwap(e ServeSwap) {
 		r.buf = r.writeLine(b)
 	}
 	r.mu.Unlock()
-	m := r.metrics
-	m.Counter("serve_swaps_total").Add(1)
-	m.Gauge("serve_snapshot_version").Set(float64(e.Version))
-	m.Gauge("serve_route_delta").Set(float64(e.RDelta))
-	m.Gauge("serve_rows_rebuilt").Set(float64(e.Rebuilt))
-	m.Histogram("serve_swap_build_ms", nsPerMS).Observe(e.BuildMS)
-	r.PublishKV("serve_swap", e)
 }
 
 // RecordServeDemand records one accepted demand batch.
@@ -189,10 +172,4 @@ func (r *Recorder) RecordServeDemand(e ServeDemand) {
 		r.buf = r.writeLine(b)
 	}
 	r.mu.Unlock()
-	m := r.metrics
-	m.Counter("serve_demand_batches_total").Add(1)
-	m.Counter("serve_demand_entries_total").Add(int64(e.Batch))
-	// No drift gauge here: the serving daemon registers its own
-	// serve.demand_drift gauge in the shared registry, and that name
-	// sanitizes to the same Prometheus family.
 }

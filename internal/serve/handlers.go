@@ -121,9 +121,9 @@ func instrumented(st *obs.ReqStat, h http.HandlerFunc) http.HandlerFunc {
 }
 
 // writeMetrics renders the /metrics body: the registry families first (the
-// counters the daemon always had, plus gauges and any recorder-side
-// histograms when the registry is shared), then the per-endpoint request
-// families.
+// server's counters, gauges and re-solve histograms, plus the recorder's
+// solver families when the registry is shared), then the per-endpoint
+// request families.
 func (s *Server) writeMetrics(w io.Writer) {
 	s.metrics.WritePrometheus(w)
 	obs.WriteReqProm(w, s.reqStats)

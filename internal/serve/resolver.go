@@ -115,7 +115,7 @@ func (s *Server) resolveOnce(ctx context.Context) (*Snapshot, error) {
 	reject := func(counter *expvar.Int, verdict, reason string) {
 		counter.Add(1)
 		done.Verdict, done.Reason = verdict, reason
-		rec.RecordServeResolve(done)
+		s.finishResolve(done)
 		if reason != "" { // a shutdown discard is not a rejection
 			s.mu.Lock()
 			s.lastReject = reason
@@ -197,14 +197,26 @@ func (s *Server) resolveOnce(ctx context.Context) (*Snapshot, error) {
 	}
 	s.mu.Unlock()
 	s.resolvesSwapped.Add(1)
+	s.swapBuildMS.Observe(done.BuildMS)
+	s.swapDelta.Set(float64(rdelta))
+	s.rowsRebuilt.Set(float64(rebuilt))
 	rec.RecordServeSwap(obs.ServeSwap{
 		Version: int64(snap.Version), RDelta: rdelta, BuildMS: done.BuildMS,
 		Rebuilt: rebuilt, Rows: int64(len(inst.Demands)),
 	})
-	rec.RecordServeResolve(done)
+	s.finishResolve(done)
 	s.logf("serve: placement v%d swapped in (%d passes, gap %.2f%%, objective %.1f GB)",
 		snap.Version, res.Passes, 100*res.Gap, res.Objective)
 	return snap, nil
+}
+
+// finishResolve closes a resolve attempt: it observes the done event's
+// families, then writes its trace line.
+func (s *Server) finishResolve(done obs.ServeResolve) {
+	s.warmFrac.Set(done.WarmFrac)
+	s.resolveSolveMS.Observe(done.SolveMS)
+	s.resolveAuditMS.Observe(done.AuditMS)
+	s.cfg.Recorder.RecordServeResolve(done)
 }
 
 // originsFromSnapshot maps each video of the new instance to an office

@@ -37,12 +37,12 @@ type Config struct {
 	// away from the currently-served placement (objective (11) with origins
 	// taken from the live snapshot), damping churn between snapshots.
 	UpdateWeight float64
-	// Metrics receives the server's counters; a fresh private registry is
-	// created when nil. The same instruments back the /status endpoint.
-	Metrics *obs.Metrics
 	// Recorder, when non-nil, receives solver telemetry for the initial
 	// solve and every re-solve (streams "serve.vNN") plus the serving-plane
-	// lifecycle events (serve_resolve / serve_swap / serve_demand).
+	// lifecycle events (serve_resolve / serve_swap / serve_demand). The
+	// server registers its families in the recorder's registry, so one
+	// /metrics exposition carries both; without a recorder it keeps a
+	// private registry with the same serve families.
 	Recorder *obs.Recorder
 	// Logf, when non-nil, receives one-line lifecycle messages (swap,
 	// rejection, shutdown discard). The daemon points it at stdout; tests
@@ -104,6 +104,15 @@ type Server struct {
 	// most recent resolve attempt, the signal EXPERIMENTS.md correlates with
 	// resolve latency.
 	deltaGauge *expvar.Float
+	// The re-solve families, observed where the resolver emits its
+	// serve_resolve done and serve_swap events: the server is their one
+	// writer, with or without a recorder.
+	warmFrac       *expvar.Float
+	resolveSolveMS *obs.Histogram
+	resolveAuditMS *obs.Histogram
+	swapBuildMS    *obs.Histogram
+	swapDelta      *expvar.Float
+	rowsRebuilt    *expvar.Float
 
 	// Per-endpoint request instruments, exposed via /metrics. reqStats fixes
 	// the exposition order.
@@ -153,7 +162,7 @@ func NewWithResult(inst *mip.Instance, res *epf.Result, cfg Config) (*Server, er
 	if err != nil {
 		return nil, err
 	}
-	m := cfg.Metrics
+	m := cfg.Recorder.Metrics()
 	if m == nil {
 		m = obs.NewMetrics()
 	}
@@ -179,6 +188,12 @@ func NewWithResult(inst *mip.Instance, res *epf.Result, cfg Config) (*Server, er
 		resolvesCancel:  m.Counter("serve.resolves_cancelled"),
 		resolvesFailed:  m.Counter("serve.resolves_failed"),
 		deltaGauge:      m.Gauge("serve.delta_fraction"),
+		warmFrac:        m.Gauge("serve.warm_frac"),
+		resolveSolveMS:  m.Histogram("serve.resolve_solve_ms", obs.NsPerMS),
+		resolveAuditMS:  m.Histogram("serve.resolve_audit_ms", obs.NsPerMS),
+		swapBuildMS:     m.Histogram("serve.swap_build_ms", obs.NsPerMS),
+		swapDelta:       m.Gauge("serve.route_delta"),
+		rowsRebuilt:     m.Gauge("serve.rows_rebuilt"),
 
 		reqRoute:     obs.NewReqStat("route"),
 		reqPlacement: obs.NewReqStat("placement"),
@@ -213,9 +228,6 @@ func NewWithResult(inst *mip.Instance, res *epf.Result, cfg Config) (*Server, er
 
 // Snapshot returns the currently-served snapshot.
 func (s *Server) Snapshot() *Snapshot { return s.store.Load() }
-
-// Metrics returns the server's counter registry.
-func (s *Server) Metrics() *obs.Metrics { return s.metrics }
 
 // Close stops the background resolver, cancelling (and discarding) any
 // in-flight re-solve, and waits for it to exit. The handlers keep answering

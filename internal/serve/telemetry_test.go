@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
+	"maps"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -23,7 +25,6 @@ func TestServeLifecycleTrace(t *testing.T) {
 	s, err := New(inst, Config{
 		Solver:   epf.Options{Seed: 17, MaxPasses: 600, Epsilon: 0.02},
 		Recorder: rec,
-		Metrics:  rec.Metrics(),
 	})
 	if err != nil {
 		t.Fatalf("serve.New: %v", err)
@@ -146,14 +147,121 @@ func TestServeLifecycleTrace(t *testing.T) {
 			st.LastSolveMS, st.LastAuditMS, st.LastBuildMS, lastDone.SolveMS, lastDone.AuditMS, lastDone.BuildMS)
 	}
 
-	// The shared registry carries both the server's counters and the
-	// recorder's event-derived families.
+	// The shared registry carries the server's counters beside the
+	// recorder's solver families.
 	m := rec.Metrics()
-	if got := m.Counter("serve_swaps_total").Value(); got < 1 {
-		t.Errorf("serve_swaps_total %d, want >= 1", got)
+	if got := m.Counter("serve.resolves_swapped").Value(); got != int64(swapped) {
+		t.Errorf("serve.resolves_swapped %d, want the %d swapped done events", got, swapped)
 	}
-	if got := m.Counter("serve.resolves_swapped").Value(); got < 1 {
-		t.Errorf("serve.resolves_swapped %d, want >= 1", got)
+	if got := m.Counter("serve.demand_updates").Value(); got != int64(len(entries)) {
+		t.Errorf("serve.demand_updates %d, want the %d entries of the batch", got, len(entries))
+	}
+	if got := m.Counter("epf_passes_total").Value(); got < 1 {
+		t.Errorf("epf_passes_total %d, want >= 1", got)
+	}
+}
+
+// TestMetricsSameWithOrWithoutRecorder: the server is the one writer of the
+// serve_* families, so /metrics after a swap declares the same serve_*
+// families with a recorder attached as without one, every family's # TYPE
+// line appears once, and the re-solve histograms count every finished
+// resolve.
+func TestMetricsSameWithOrWithoutRecorder(t *testing.T) {
+	scrape := func(rec *obs.Recorder) map[string]bool {
+		t.Helper()
+		s, err := New(testInstance(t, 30, 6, 17), Config{
+			Solver:   epf.Options{Seed: 17, MaxPasses: 600, Epsilon: 0.02},
+			Recorder: rec,
+		})
+		if err != nil {
+			t.Fatalf("serve.New: %v", err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		snap := s.Snapshot()
+		body := fmt.Sprintf(`[{"video":%d,"vho":0,"add":40},{"video":%d,"vho":1,"add":40}]`,
+			snap.Inst.Demands[0].Video, snap.Inst.Demands[1].Video)
+		resp, err := ts.Client().Post(ts.URL+"/demand", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		deadline := time.Now().Add(30 * time.Second)
+		for s.Snapshot().Version < 2 {
+			if time.Now().After(deadline) {
+				t.Fatalf("no swap within deadline; stats %+v", s.Stats())
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		s.Close() // every started resolve has finished once the resolver exits
+
+		resp, err = ts.Client().Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var text strings.Builder
+		_, err = io.Copy(&text, resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		families := map[string]bool{}
+		for _, line := range strings.Split(text.String(), "\n") {
+			f := strings.Fields(line)
+			if len(f) != 4 || f[0] != "#" || f[1] != "TYPE" {
+				continue
+			}
+			if families[f[2]] {
+				t.Errorf("recorder %v: family %s declared twice", rec != nil, f[2])
+			}
+			families[f[2]] = true
+		}
+		samples, err := obs.ParseProm(strings.NewReader(text.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		value := map[string]float64{}
+		for _, sm := range samples {
+			if sm.Labels == nil {
+				value[sm.Name] = sm.Value
+			}
+		}
+		finished := value["serve_resolves_swapped"] + value["serve_audit_rejected"] +
+			value["serve_unconverged_rejected"] + value["serve_resolves_cancelled"] + value["serve_resolves_failed"]
+		if value["serve_resolves_swapped"] < 1 || finished != value["serve_resolves_started"] {
+			t.Errorf("recorder %v: %v resolves started, %v finished, %v swapped", rec != nil,
+				value["serve_resolves_started"], finished, value["serve_resolves_swapped"])
+		}
+		for _, h := range []string{"serve_resolve_solve_ms", "serve_resolve_audit_ms"} {
+			if value[h+"_count"] != finished {
+				t.Errorf("recorder %v: %s_count %v, want the %v finished resolves", rec != nil, h, value[h+"_count"], finished)
+			}
+		}
+		if value["serve_swap_build_ms_count"] != value["serve_resolves_swapped"] {
+			t.Errorf("recorder %v: serve_swap_build_ms_count %v, want the %v swaps", rec != nil,
+				value["serve_swap_build_ms_count"], value["serve_resolves_swapped"])
+		}
+		if value["serve_demand_updates"] != 2 {
+			t.Errorf("recorder %v: serve_demand_updates %v, want 2", rec != nil, value["serve_demand_updates"])
+		}
+		serve := map[string]bool{}
+		for f := range families {
+			if strings.HasPrefix(f, "serve_") {
+				serve[f] = true
+			}
+		}
+		return serve
+	}
+	without := scrape(nil)
+	with := scrape(obs.New(io.Discard))
+	if !maps.Equal(without, with) {
+		t.Errorf("serve_* families differ:\nwithout a recorder %v\nwith a recorder    %v", without, with)
+	}
+	for _, f := range []string{"serve_warm_frac", "serve_resolve_solve_ms", "serve_resolve_audit_ms",
+		"serve_swap_build_ms", "serve_route_delta", "serve_rows_rebuilt"} {
+		if !without[f] {
+			t.Errorf("family %s missing", f)
+		}
 	}
 }
 

@@ -5,7 +5,6 @@
 //
 //	go test -run '^$' -bench . -benchmem ./internal/epf/ | go run ./tools/benchjson
 //	go test ... | go run ./tools/benchjson -baseline BENCH_epf.json
-//	go test -cpu 1,2,4 ... | go run ./tools/benchjson -cores
 //
 // With -baseline, the named file's "current" section is carried over as the
 // new record's "baseline", so re-running `make bench-json` after an
@@ -15,14 +14,9 @@
 // ratio would compare machines, not code: the record carries no "speedup"
 // map, "speedup_skipped" says which field differed, and so does stderr.
 //
-// With -cores, the per-line "-N" GOMAXPROCS suffixes are kept as distinct
-// keys (a `go test -cpu 1,2,4` sweep; the suffixless key is the 1-CPU run)
-// and the record gains a "speedup_vs_1cpu" section: 1-CPU ns/op divided by
-// each multi-core variant's ns/op.
-//
-// Every record carries the host parallelism it was measured under (numcpu,
-// and outside -cores mode the uniform gomaxprocs of the run), so committed
-// numbers are honest about how many cores they had to scale across.
+// Every record carries the host parallelism it was measured under (numcpu
+// and the uniform gomaxprocs of the run), so committed numbers are honest
+// about how many cores they had to scale across.
 package main
 
 import (
@@ -57,23 +51,20 @@ type Record struct {
 	CPU    string `json:"cpu,omitempty"`
 	NumCPU int    `json:"numcpu,omitempty"`
 	// Gomaxprocs is the uniform GOMAXPROCS of the run, inferred from the
-	// benchmark-name suffixes; omitted for -cores sweeps, where the
-	// per-key suffix carries it.
+	// benchmark-name suffixes.
 	Gomaxprocs int                `json:"gomaxprocs,omitempty"`
 	Current    map[string]Result  `json:"current"`
 	Baseline   map[string]Result  `json:"baseline,omitempty"`
 	Speedup    map[string]float64 `json:"speedup,omitempty"`
 	// SpeedupSkipped, when set, is why Speedup is absent although a baseline
 	// was carried over: the two records come from different hosts.
-	SpeedupSkipped string             `json:"speedup_skipped,omitempty"`
-	SpeedupCores   map[string]float64 `json:"speedup_vs_1cpu,omitempty"`
+	SpeedupSkipped string `json:"speedup_skipped,omitempty"`
 }
 
 func main() {
 	baselinePath := flag.String("baseline", "", "JSON record whose 'current' section becomes this record's baseline")
-	cores := flag.Bool("cores", false, "treat input as a -cpu sweep: keep -N name suffixes and derive speedup_vs_1cpu")
 	flag.Parse()
-	if err := run(os.Stdin, os.Stdout, os.Stderr, *baselinePath, *cores); err != nil {
+	if err := run(os.Stdin, os.Stdout, os.Stderr, *baselinePath); err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 		os.Exit(1)
 	}
@@ -81,7 +72,7 @@ func main() {
 
 // run converts the `go test -bench` text on in into one JSON record on out;
 // notes that are not errors go to errw.
-func run(in io.Reader, out, errw io.Writer, baselinePath string, cores bool) error {
+func run(in io.Reader, out, errw io.Writer, baselinePath string) error {
 	rec := Record{Current: map[string]Result{}, NumCPU: runtime.NumCPU()}
 	sc := bufio.NewScanner(in)
 	for sc.Scan() {
@@ -98,11 +89,11 @@ func run(in io.Reader, out, errw io.Writer, baselinePath string, cores bool) err
 		case strings.HasPrefix(line, "cpu:"):
 			rec.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
 		case strings.HasPrefix(line, "Benchmark"):
-			name, procs, res, ok := parseLine(line, cores)
+			name, procs, res, ok := parseLine(line)
 			if !ok {
 				continue
 			}
-			if !cores && procs > rec.Gomaxprocs {
+			if procs > rec.Gomaxprocs {
 				rec.Gomaxprocs = procs
 			}
 			// -count N repeats a benchmark; keep the fastest run, the
@@ -134,24 +125,6 @@ func run(in io.Reader, out, errw io.Writer, baselinePath string, cores bool) err
 			}
 			rec.Baseline = prev.Current
 			rec.SpeedupSkipped = hostMismatch(&prev, &rec)
-		}
-	}
-	if cores {
-		rec.SpeedupCores = map[string]float64{}
-		for name, cur := range rec.Current {
-			i := strings.LastIndex(name, "-")
-			if i <= 0 {
-				continue
-			}
-			if _, err := strconv.Atoi(name[i+1:]); err != nil {
-				continue
-			}
-			if one, ok := rec.Current[name[:i]]; ok && cur.NsPerOp > 0 {
-				rec.SpeedupCores[name] = round2(one.NsPerOp / cur.NsPerOp)
-			}
-		}
-		if len(rec.SpeedupCores) == 0 {
-			rec.SpeedupCores = nil
 		}
 	}
 	if rec.SpeedupSkipped != "" {
@@ -189,11 +162,10 @@ func hostMismatch(prev, cur *Record) string {
 func round2(v float64) float64 { return float64(int(v*100+0.5)) / 100 }
 
 // parseLine splits one benchmark result row. The -benchmem columns are
-// optional. Outside cores mode the name's "-8" GOMAXPROCS suffix is
-// stripped (and returned) so records taken on different machines stay
-// comparable keys; in cores mode the suffix is the point and stays in the
-// key. A suffixless line ran at GOMAXPROCS=1.
-func parseLine(line string, cores bool) (string, int, Result, bool) {
+// optional. The name's "-8" GOMAXPROCS suffix is stripped (and returned) so
+// records taken on different machines stay comparable keys. A suffixless
+// line ran at GOMAXPROCS=1.
+func parseLine(line string) (string, int, Result, bool) {
 	f := strings.Fields(line)
 	if len(f) < 3 {
 		return "", 0, Result{}, false
@@ -201,10 +173,7 @@ func parseLine(line string, cores bool) (string, int, Result, bool) {
 	name, procs := f[0], 1
 	if i := strings.LastIndex(name, "-"); i > 0 {
 		if n, err := strconv.Atoi(name[i+1:]); err == nil {
-			procs = n
-			if !cores {
-				name = name[:i]
-			}
+			name, procs = name[:i], n
 		}
 	}
 	iters, err := strconv.Atoi(f[1])

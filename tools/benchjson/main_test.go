@@ -23,7 +23,7 @@ PASS
 
 // convert runs the tool over text against an optional baseline record and
 // returns the decoded output record and what went to stderr.
-func convert(t *testing.T, text string, baseline *Record, cores bool) (Record, string) {
+func convert(t *testing.T, text string, baseline *Record) (Record, string) {
 	t.Helper()
 	path := ""
 	if baseline != nil {
@@ -37,7 +37,7 @@ func convert(t *testing.T, text string, baseline *Record, cores bool) (Record, s
 		}
 	}
 	var out, errw bytes.Buffer
-	if err := run(strings.NewReader(text), &out, &errw, path, cores); err != nil {
+	if err := run(strings.NewReader(text), &out, &errw, path); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	var rec Record
@@ -57,7 +57,7 @@ func sameHost() *Record {
 }
 
 func TestCountKeepsFastestRun(t *testing.T) {
-	rec, _ := convert(t, benchText, nil, false)
+	rec, _ := convert(t, benchText, nil)
 	if got := rec.Current["BenchmarkSolve"]; got.NsPerOp != 100000000 || got.Iterations != 12 {
 		t.Errorf("three runs of BenchmarkSolve recorded as %+v, want the 100 ms one", got)
 	}
@@ -73,7 +73,7 @@ func TestCountKeepsFastestRun(t *testing.T) {
 }
 
 func TestSameHostBaselineGivesRatios(t *testing.T) {
-	rec, stderr := convert(t, benchText, sameHost(), false)
+	rec, stderr := convert(t, benchText, sameHost())
 	if got := rec.Speedup["BenchmarkSolve"]; got != 2.5 {
 		t.Errorf("speedup %v, want 250 ms / 100 ms = 2.5", got)
 	}
@@ -96,7 +96,7 @@ func TestCrossHostBaselineSkipsRatios(t *testing.T) {
 	} {
 		base := sameHost()
 		mutate(base)
-		rec, stderr := convert(t, benchText, base, false)
+		rec, stderr := convert(t, benchText, base)
 		if rec.Speedup != nil {
 			t.Errorf("%s differs: ratios across hosts emitted: %v", field, rec.Speedup)
 		}
@@ -109,27 +109,16 @@ func TestCrossHostBaselineSkipsRatios(t *testing.T) {
 	}
 }
 
-func TestCoresKeepsSuffixes(t *testing.T) {
+// TestSuffixIsAHostDetail: the GOMAXPROCS suffix is stripped from every
+// key, a dash inside a name survives, and the record's gomaxprocs is the
+// largest suffix seen (a suffixless line ran at 1).
+func TestSuffixIsAHostDetail(t *testing.T) {
 	const sweep = `cpu: Test CPU @ 2.00GHz
 BenchmarkSolve     	       5	 400000000 ns/op
-BenchmarkSolve-2   	      10	 250000000 ns/op
 BenchmarkSolve-4   	      10	 100000000 ns/op
 BenchmarkRound-up-2	      10	       100 ns/op
 `
-	rec, _ := convert(t, sweep, nil, true)
-	for _, name := range []string{"BenchmarkSolve", "BenchmarkSolve-2", "BenchmarkSolve-4", "BenchmarkRound-up-2"} {
-		if _, ok := rec.Current[name]; !ok {
-			t.Errorf("-cores dropped or renamed %s: %v", name, rec.Current)
-		}
-	}
-	if rec.SpeedupCores["BenchmarkSolve-2"] != 1.6 || rec.SpeedupCores["BenchmarkSolve-4"] != 4 || len(rec.SpeedupCores) != 2 {
-		t.Errorf("speedup_vs_1cpu %v, want {-2: 1.6, -4: 4}", rec.SpeedupCores)
-	}
-	if rec.Gomaxprocs != 0 {
-		t.Errorf("-cores record claims a uniform gomaxprocs %d", rec.Gomaxprocs)
-	}
-	// Outside -cores the suffix is a host detail, not part of the key.
-	rec, _ = convert(t, sweep, nil, false)
+	rec, _ := convert(t, sweep, nil)
 	if _, ok := rec.Current["BenchmarkRound-up"]; !ok || len(rec.Current) != 2 || rec.Gomaxprocs != 4 {
 		t.Errorf("suffixes not stripped: %v, gomaxprocs %d", rec.Current, rec.Gomaxprocs)
 	}
