@@ -25,9 +25,27 @@ type goDecls struct {
 	all      map[string]bool            // every declared name, members included
 	structs  map[string]*ast.StructType // "pkg.Type" -> its struct, non-test files only
 	comments []fileText                 // each file's comment text, in walk order
+	settings []fileNames                // each file's set names, in walk order
+	knobs    []knobStruct               // internal/'s *Config, *Options and *Opts structs
 }
 
 type fileText struct{ path, text string }
+
+// fileNames is the set of names a file sets: the keys of its composite
+// literals and the selector names its assignments write to.
+type fileNames struct {
+	path  string
+	names map[string]bool
+}
+
+// knobStruct is an exported struct of internal/ whose name ends in Config,
+// Options or Opts, with the file that declares it.
+type knobStruct struct {
+	path, name string
+	st         *ast.StructType
+}
+
+var knobName = regexp.MustCompile(`^([A-Z][A-Za-z0-9]*)?(Config|Options|Opts)$`)
 
 // put adds name to the set m[key].
 func put(m map[string]map[string]bool, key, name string) {
@@ -55,9 +73,9 @@ func (d *goDecls) addMember(pkg, typ, name string) {
 	d.all[name] = true
 }
 
-// parseModule walks the repository and collects its declarations and
-// comments. Only the syntax is read, so the walk needs no build and no
-// type-checking.
+// parseModule walks the repository and collects its declarations, its
+// comments and the names each file sets. Only the syntax is read, so the
+// walk needs no build and no type-checking.
 func parseModule(t *testing.T) *goDecls {
 	t.Helper()
 	d := &goDecls{
@@ -90,6 +108,7 @@ func parseModule(t *testing.T) *goDecls {
 			text.WriteString(c.Text())
 		}
 		d.comments = append(d.comments, fileText{path, text.String()})
+		d.settings = append(d.settings, fileNames{path, setNames(f)})
 		pkg := strings.TrimSuffix(f.Name.Name, "_test")
 		for _, decl := range f.Decls {
 			switch decl := decl.(type) {
@@ -123,6 +142,9 @@ func parseModule(t *testing.T) *goDecls {
 						d.addTypeMembers(pkg, spec.Name.Name, spec.Type)
 						if st, ok := spec.Type.(*ast.StructType); ok && !strings.HasSuffix(path, "_test.go") {
 							d.structs[pkg+"."+spec.Name.Name] = st
+							if strings.HasPrefix(filepath.ToSlash(path), "internal/") && knobName.MatchString(spec.Name.Name) {
+								d.knobs = append(d.knobs, knobStruct{path, spec.Name.Name, st})
+							}
 						}
 					}
 				}
@@ -134,6 +156,38 @@ func parseModule(t *testing.T) *goDecls {
 		t.Fatal(err)
 	}
 	return d
+}
+
+// setNames collects the names f sets: every identifier key of a composite
+// literal and every selector that is the target of an assignment or of an
+// increment or decrement.
+func setNames(f *ast.File) map[string]bool {
+	names := map[string]bool{}
+	target := func(e ast.Expr) {
+		if sel, ok := e.(*ast.SelectorExpr); ok {
+			names[sel.Sel.Name] = true
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CompositeLit:
+			for _, elt := range n.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					if id, ok := kv.Key.(*ast.Ident); ok {
+						names[id.Name] = true
+					}
+				}
+			}
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				target(lhs)
+			}
+		case *ast.IncDecStmt:
+			target(n.X)
+		}
+		return true
+	})
+	return names
 }
 
 func (d *goDecls) addTypeMembers(pkg, typ string, expr ast.Expr) {
@@ -367,5 +421,31 @@ func TestDesignCoversSurface(t *testing.T) {
 	}
 	for _, f := range d.comments {
 		cited(f.path+" (comment)", f.text)
+	}
+}
+
+// TestConfigFieldsHaveCallers holds every knob to a caller: each field of an
+// exported *Config, *Options or *Opts struct in internal/ must be set — as a
+// composite-literal key or an assignment target — by some Go file other than
+// the one declaring it, bench/, tests and examples included. A field nothing
+// sets is a default that should be a constant. The match is by name only,
+// so a field passes when any other file sets a field of that name.
+func TestConfigFieldsHaveCallers(t *testing.T) {
+	d := parseModule(t)
+	for _, k := range d.knobs {
+		for _, f := range k.st.Fields.List {
+			for _, n := range f.Names {
+				set := false
+				for _, fn := range d.settings {
+					if fn.path != k.path && fn.names[n.Name] {
+						set = true
+						break
+					}
+				}
+				if !set {
+					t.Errorf("%s: no other file sets %s.%s", k.path, k.name, n.Name)
+				}
+			}
+		}
 	}
 }

@@ -110,9 +110,6 @@ type Config struct {
 	// NumVideos is the total library size, including videos released during
 	// the horizon.
 	NumVideos int
-	// ClassMix gives the probability of each class, indexed by Class. If all
-	// zero, DefaultClassMix is used.
-	ClassMix [4]float64
 	// NumSeries is the number of weekly TV series. Each series releases one
 	// new episode per week starting on its release weekday. If zero, a
 	// default of max(1, NumVideos/200) is used for horizons with new content.
@@ -120,34 +117,28 @@ type Config struct {
 	// Weeks is the horizon length in weeks over which new content arrives.
 	// Weeks <= 1 means the whole library is available on day 0.
 	Weeks int
-	// NewPerWeekFraction is the fraction of the library released in each
-	// week after the first (spread over series episodes, blockbusters and
-	// other new videos). Default 0.02.
-	NewPerWeekFraction float64
 	// BlockbustersPerWeek is how many of each week's new movies are tagged
 	// blockbusters (§VI-A assumes 1–3). Default 2.
 	BlockbustersPerWeek int
 }
 
-// DefaultClassMix is the class distribution used when Config.ClassMix is
-// unset: mostly short-form and TV content with a substantial movie share,
-// mirroring the trace description in §VII-A.
-var DefaultClassMix = [4]float64{0.30, 0.40, 0.15, 0.15}
+// classMix is the probability of each class, indexed by Class: mostly
+// short-form and TV content with a substantial movie share, mirroring the
+// trace description in §VII-A.
+var classMix = [numClasses]float64{0.30, 0.40, 0.15, 0.15}
+
+// newPerWeekFraction is the fraction of the library released in each week
+// after the first (spread over series episodes, blockbusters and other new
+// videos).
+const newPerWeekFraction = 0.02
 
 func (cfg *Config) withDefaults() Config {
 	out := *cfg
 	if out.NumVideos <= 0 {
 		out.NumVideos = 1000
 	}
-	sum := out.ClassMix[0] + out.ClassMix[1] + out.ClassMix[2] + out.ClassMix[3]
-	if sum == 0 {
-		out.ClassMix = DefaultClassMix
-	}
 	if out.Weeks <= 0 {
 		out.Weeks = 1
-	}
-	if out.NewPerWeekFraction <= 0 {
-		out.NewPerWeekFraction = 0.02
 	}
 	if out.BlockbustersPerWeek <= 0 {
 		out.BlockbustersPerWeek = 2
@@ -166,7 +157,7 @@ func (cfg *Config) withDefaults() Config {
 // Layout: the first videos (release day 0) form the initial library. For
 // each subsequent week w = 1..Weeks-1, NumSeries episodes (one per series),
 // BlockbustersPerWeek blockbuster movies, and enough other new videos to
-// reach NewPerWeekFraction*NumVideos are released on day 7*w (series
+// reach newPerWeekFraction*NumVideos are released on day 7*w (series
 // episodes) spread across the week (other content). Episode 1 of each series
 // is part of the initial library so that history-based estimation has
 // something to anchor on.
@@ -195,7 +186,7 @@ func Generate(cfg Config, seed int64) *Library {
 		u := rng.Float64()
 		var acc float64
 		for cl := MusicVideo; cl < numClasses; cl++ {
-			acc += c.ClassMix[cl]
+			acc += classMix[cl]
 			if u < acc {
 				return cl
 			}
@@ -204,7 +195,7 @@ func Generate(cfg Config, seed int64) *Library {
 	}
 
 	// Reserve the per-week new content budget.
-	newPerWeek := int(c.NewPerWeekFraction * float64(c.NumVideos))
+	newPerWeek := int(newPerWeekFraction * float64(c.NumVideos))
 	minWeekly := c.NumSeries + c.BlockbustersPerWeek
 	if newPerWeek < minWeekly {
 		newPerWeek = minWeekly

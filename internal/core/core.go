@@ -33,12 +33,18 @@ type System struct {
 	LinkCapMbps []float64
 }
 
+// evalFromDay is the first day every scheme's reported metrics count:
+// §VII-B warms the system up with the first nine days.
+const evalFromDay = 9
+
+// topKRankDays is the popularity-ranking window of the Top-K baseline: the
+// K most requested videos of the trace's first week.
+const topKRankDays = 7
+
 // MIPOptions configures the MIP-based scheme.
 type MIPOptions struct {
 	// UpdateEveryDays is the re-placement period. Default 7 (§VI-C).
 	UpdateEveryDays int
-	// HistoryDays is the demand-estimation look-back. Default 7.
-	HistoryDays int
 	// CacheFraction is the share of each office's disk reserved for the
 	// complementary LRU cache. Default 0.05 (§VII-B); set negative for 0.
 	CacheFraction float64
@@ -48,12 +54,6 @@ type MIPOptions struct {
 	Slices int
 	// WindowSec is the peak-window size. Default 3600.
 	WindowSec int64
-	// FirstPlacementDay is when the first placement takes effect; it also
-	// needs that much history. Default HistoryDays.
-	FirstPlacementDay int
-	// EvalFromDay excludes earlier days from the reported metrics.
-	// Default 9 (§VII-B warms up with the first nine days).
-	EvalFromDay int
 	// UpdateWeight is w in objective (11): the cost of migrating copies.
 	UpdateWeight float64
 	// Warm threads each period's final solver state into the next period's
@@ -85,9 +85,6 @@ func (o *MIPOptions) withDefaults() MIPOptions {
 	if out.UpdateEveryDays <= 0 {
 		out.UpdateEveryDays = 7
 	}
-	if out.HistoryDays <= 0 {
-		out.HistoryDays = 7
-	}
 	if out.CacheFraction == 0 {
 		out.CacheFraction = 0.05
 	}
@@ -99,12 +96,6 @@ func (o *MIPOptions) withDefaults() MIPOptions {
 	}
 	if out.WindowSec <= 0 {
 		out.WindowSec = 3600
-	}
-	if out.FirstPlacementDay <= 0 {
-		out.FirstPlacementDay = out.HistoryDays
-	}
-	if out.EvalFromDay <= 0 {
-		out.EvalFromDay = 9
 	}
 	if out.Recorder == nil {
 		out.Recorder = out.Solver.Recorder
@@ -156,15 +147,16 @@ func (s *System) RunMIPContext(ctx context.Context, tr *workload.Trace, opts MIP
 		G: s.G, Lib: s.Lib, DiskGB: pinnedDisk, LinkCapMbps: s.LinkCapMbps,
 		Cfg: demand.Config{
 			Method:      o.Method,
-			HistoryDays: o.HistoryDays,
 			HorizonDays: o.UpdateEveryDays,
 			Slices:      o.Slices,
 			WindowSec:   o.WindowSec,
 		},
 	}
 
+	// The first placement takes effect once a full history window lies
+	// behind it.
 	var days []int
-	for day := o.FirstPlacementDay; day < tr.Days; day += o.UpdateEveryDays {
+	for day := demand.HistoryDays; day < tr.Days; day += o.UpdateEveryDays {
 		days = append(days, day)
 	}
 
@@ -230,7 +222,7 @@ func (s *System) RunMIPContext(ctx context.Context, tr *workload.Trace, opts MIP
 		prevPinned = plan.Pinned
 	}
 	if len(run.Plans) == 0 {
-		return nil, fmt.Errorf("core: trace too short for any placement (days=%d, first placement day=%d)", tr.Days, o.FirstPlacementDay)
+		return nil, fmt.Errorf("core: trace too short for any placement (days=%d, first placement day=%d)", tr.Days, demand.HistoryDays)
 	}
 
 	cfg := sim.Config{
@@ -240,7 +232,7 @@ func (s *System) RunMIPContext(ctx context.Context, tr *workload.Trace, opts MIP
 		CacheGB:        cacheGB,
 		CachePolicy:    cache.LRU,
 		Seed:           o.Solver.Seed,
-		MetricsFromSec: int64(o.EvalFromDay) * workload.SecondsPerDay,
+		MetricsFromSec: evalFromDay * workload.SecondsPerDay,
 		Recorder:       o.Recorder,
 		Scheme:         o.Scheme,
 		LinkCapMbps:    s.LinkCapMbps,
@@ -310,12 +302,8 @@ type BaselineOptions struct {
 	// Policy is the replacement policy (LRU or LFU).
 	Policy cache.Policy
 	// TopK > 0 replicates the K most popular videos (ranked over the first
-	// RankDays) at every office before random assignment of the rest.
+	// topKRankDays) at every office before random assignment of the rest.
 	TopK int
-	// RankDays is the popularity-ranking window for TopK. Default 7.
-	RankDays int
-	// EvalFromDay excludes earlier days from metrics. Default 9.
-	EvalFromDay int
 	// Seed drives the random assignment.
 	Seed int64
 	// Recorder receives per-bin simulator events; Scheme names the stream
@@ -326,12 +314,6 @@ type BaselineOptions struct {
 
 func (o *BaselineOptions) withDefaults() BaselineOptions {
 	out := *o
-	if out.RankDays <= 0 {
-		out.RankDays = 7
-	}
-	if out.EvalFromDay <= 0 {
-		out.EvalFromDay = 9
-	}
 	if out.Seed == 0 {
 		out.Seed = 1
 	}
@@ -349,7 +331,7 @@ func (s *System) RunBaseline(tr *workload.Trace, opts BaselineOptions) (*sim.Res
 	n := s.G.NumNodes()
 	var pinned [][]int
 	if o.TopK > 0 {
-		ranked := sim.RankByPopularity(tr, 0, int64(o.RankDays)*workload.SecondsPerDay)
+		ranked := sim.RankByPopularity(tr, 0, topKRankDays*workload.SecondsPerDay)
 		pinned = sim.TopKPlacement(s.Lib, ranked, o.TopK, n, o.Seed)
 	} else {
 		pinned = sim.RandomPlacement(s.Lib, n, o.Seed)
@@ -360,7 +342,7 @@ func (s *System) RunBaseline(tr *workload.Trace, opts BaselineOptions) (*sim.Res
 		CacheGB:        sim.CacheRemainder(s.Lib, pinned, s.DiskGB),
 		CachePolicy:    o.Policy,
 		Seed:           o.Seed,
-		MetricsFromSec: int64(o.EvalFromDay) * workload.SecondsPerDay,
+		MetricsFromSec: evalFromDay * workload.SecondsPerDay,
 		Recorder:       o.Recorder,
 		Scheme:         o.Scheme,
 		LinkCapMbps:    s.LinkCapMbps,
@@ -368,22 +350,20 @@ func (s *System) RunBaseline(tr *workload.Trace, opts BaselineOptions) (*sim.Res
 	return sim.Run(cfg, tr)
 }
 
-// RunOriginLRU plays the Table II comparison: regional origin servers hold
-// the whole library, every office's disk is an LRU cache, and misses fetch
-// from the region's origin.
-func (s *System) RunOriginLRU(tr *workload.Trace, regions, evalFromDay int) (*sim.Result, error) {
-	if regions <= 0 {
-		regions = 4
-	}
-	if evalFromDay <= 0 {
-		evalFromDay = 9
-	}
+// originRegions is the number of regional origin servers in the Table II
+// comparison.
+const originRegions = 4
+
+// RunOriginLRU plays the Table II comparison: originRegions regional origin
+// servers hold the whole library, every office's disk is an LRU cache, and
+// misses fetch from the region's origin.
+func (s *System) RunOriginLRU(tr *workload.Trace) (*sim.Result, error) {
 	cfg := sim.Config{
 		G: s.G, Lib: s.Lib,
-		Origins:        sim.RegionOrigins(s.G, regions),
+		Origins:        sim.RegionOrigins(s.G, originRegions),
 		CacheGB:        append([]float64(nil), s.DiskGB...),
 		CachePolicy:    cache.LRU,
-		MetricsFromSec: int64(evalFromDay) * workload.SecondsPerDay,
+		MetricsFromSec: evalFromDay * workload.SecondsPerDay,
 	}
 	return sim.Run(cfg, tr)
 }

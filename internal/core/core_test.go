@@ -111,7 +111,7 @@ func TestTopKBaseline(t *testing.T) {
 
 func TestOriginLRU(t *testing.T) {
 	s, tr := testSystem(t)
-	res, err := s.RunOriginLRU(tr, 2, 9)
+	res, err := s.RunOriginLRU(tr)
 	if err != nil {
 		t.Fatal(err)
 	}

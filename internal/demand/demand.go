@@ -8,6 +8,7 @@ package demand
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"vodplace/internal/catalog"
@@ -47,12 +48,15 @@ func (m Method) String() string {
 	}
 }
 
+// HistoryDays is the look-back window of the History and None forecasts
+// (§VI-A): the days of requests before a placement day that its instance is
+// built from.
+const HistoryDays = 7
+
 // Config parameterizes instance building.
 type Config struct {
 	// Method is the forecast method. Default History.
 	Method Method
-	// HistoryDays is the look-back window. Default 7 (§VI-A).
-	HistoryDays int
 	// HorizonDays is the placement period the instance must cover (new
 	// videos released within it are included). Default 7.
 	HorizonDays int
@@ -68,18 +72,10 @@ type Config struct {
 	// single shard. The layout is accounting only — it never changes the
 	// instance's numeric content, and the solver does not read it.
 	Shards int
-	// SeriesEstimation enables new-episode estimation from the previous
-	// episode. Default true (disabled only by DisableSeriesEstimation).
-	DisableSeriesEstimation bool
-	// DisableBlockbusterEstimation disables blockbuster estimation.
-	DisableBlockbusterEstimation bool
 }
 
 func (c *Config) withDefaults() Config {
 	out := *c
-	if out.HistoryDays <= 0 {
-		out.HistoryDays = 7
-	}
 	if out.HorizonDays <= 0 {
 		out.HorizonDays = 7
 	}
@@ -123,7 +119,7 @@ func (b *Builder) Instance(tr *workload.Trace, placementDay int) (*mip.Instance,
 		from = int64(placementDay) * workload.SecondsPerDay
 		to = int64(placementDay+cfg.HorizonDays) * workload.SecondsPerDay
 	default:
-		histStart := placementDay - cfg.HistoryDays
+		histStart := placementDay - HistoryDays
 		if histStart < 0 {
 			histStart = 0
 		}
@@ -184,7 +180,7 @@ func (b *Builder) Instance(tr *workload.Trace, placementDay int) (*mip.Instance,
 			if observed < 1 {
 				observed = 1
 			}
-			scale := float64(cfg.HistoryDays) / float64(observed)
+			scale := float64(HistoryDays) / float64(observed)
 			if scale > 3 {
 				scale = 3
 			}
@@ -256,21 +252,31 @@ func (b *Builder) Instance(tr *workload.Trace, placementDay int) (*mip.Instance,
 // estimateNewVideos adds §VI-A estimated profiles for videos released in
 // [placementDay, placementDay+HorizonDays) that have no history.
 func (b *Builder) estimateNewVideos(profiles map[int]*profile, placementDay int, cfg Config) {
-	// Most popular movie of the window, for blockbuster estimation.
+	// Most popular movie of the window, for blockbuster estimation. Movies
+	// are walked in library order and each sums its offices in ascending
+	// order, so the pick is the same on every build and a tie goes to the
+	// lowest video ID.
 	bestMovie, bestMovieAgg := -1, 0.0
-	if !cfg.DisableBlockbusterEstimation {
-		for v, p := range profiles {
-			vid := b.Lib.Videos[v]
-			if vid.Class != catalog.Movie1h && vid.Class != catalog.Movie2h {
-				continue
-			}
-			var total float64
-			for _, a := range p.agg {
-				total += a
-			}
-			if total > bestMovieAgg {
-				bestMovieAgg, bestMovie = total, v
-			}
+	var offices []int32
+	for _, vid := range b.Lib.Videos {
+		if vid.Class != catalog.Movie1h && vid.Class != catalog.Movie2h {
+			continue
+		}
+		p, ok := profiles[vid.ID]
+		if !ok {
+			continue
+		}
+		offices = offices[:0]
+		for j := range p.agg {
+			offices = append(offices, j)
+		}
+		slices.Sort(offices)
+		var total float64
+		for _, j := range offices {
+			total += p.agg[j]
+		}
+		if total > bestMovieAgg {
+			bestMovieAgg, bestMovie = total, vid.ID
 		}
 	}
 
@@ -285,7 +291,7 @@ func (b *Builder) estimateNewVideos(profiles map[int]*profile, placementDay int,
 		}
 		var src int = -1
 		switch {
-		case v.Series != catalog.NoSeries && !cfg.DisableSeriesEstimation:
+		case v.Series != catalog.NoSeries:
 			if prev, ok := b.Lib.PreviousEpisode(v); ok {
 				if _, has := profiles[prev.ID]; has {
 					src = prev.ID

@@ -2,6 +2,7 @@ package demand
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"vodplace/internal/catalog"
@@ -235,5 +236,53 @@ func TestMethodString(t *testing.T) {
 	}
 	if Method(9).String() == "" {
 		t.Error("unknown method should format")
+	}
+}
+
+// TestBlockbusterTieGoesToLowestID builds an instance whose two movies tie
+// for most requested in the history window, at different offices. The
+// blockbuster released on the placement day must copy the lower ID's row on
+// every build, whatever order the builder's maps iterate in.
+func TestBlockbusterTieGoesToLowestID(t *testing.T) {
+	g := topology.Random(4, 1.0, 3)
+	movie := func(id int, class catalog.Class, releaseDay int, blockbuster bool) catalog.Video {
+		return catalog.Video{
+			ID: id, Class: class, SizeGB: class.SizeGB(), DurationSec: class.DurationSec(),
+			RateMbps: catalog.StandardRateMbps, Series: catalog.NoSeries,
+			ReleaseDay: releaseDay, Blockbuster: blockbuster,
+		}
+	}
+	lib := &catalog.Library{Videos: []catalog.Video{
+		movie(0, catalog.Movie1h, 0, false),
+		movie(1, catalog.Movie2h, 0, false),
+		movie(2, catalog.Movie1h, 7, true),
+	}}
+	// Video 0: three requests at office 1 on day 2. Video 1: three at
+	// office 3 on day 4. Equal totals, disjoint rows.
+	var reqs []workload.Request
+	for r := int64(0); r < 3; r++ {
+		reqs = append(reqs, workload.Request{Time: 2*workload.SecondsPerDay + 3600*r, VHO: 1, Video: 0})
+	}
+	for r := int64(0); r < 3; r++ {
+		reqs = append(reqs, workload.Request{Time: 4*workload.SecondsPerDay + 3600*r, VHO: 3, Video: 1})
+	}
+	tr := &workload.Trace{Requests: reqs, Days: 14, NumVHOs: 4, Lib: lib}
+	disk := []float64{10, 10, 10, 10}
+	caps := make([]float64, g.NumLinks())
+	for l := range caps {
+		caps[l] = 1000
+	}
+	b := &Builder{G: g, Lib: lib, DiskGB: disk, LinkCapMbps: caps}
+
+	for build := 0; build < 20; build++ {
+		inst, err := b.Instance(tr, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, got := inst.Demands[0], inst.Demands[2]
+		if len(src.Js) == 0 || !slices.Equal(got.Js, src.Js) || !slices.Equal(got.Agg, src.Agg) {
+			t.Fatalf("build %d: blockbuster row Js=%v Agg=%v, want video 0's Js=%v Agg=%v",
+				build, got.Js, got.Agg, src.Js, src.Agg)
+		}
 	}
 }

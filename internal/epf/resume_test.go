@@ -92,7 +92,7 @@ func patchedPair(t testing.TB, seed int64, shape verify.InstanceOpts, opts epf.O
 func TestResumeEconomy(t *testing.T) {
 	const (
 		videos = 120
-		band   = 0.10 // verify.Options.LPBand's default: the differential band
+		band   = 0.10 // verify's lpBand: the differential band
 	)
 	type fixture struct {
 		seed    int64

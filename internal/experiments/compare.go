@@ -126,7 +126,7 @@ func Fig5PeakBandwidth(ctx context.Context, w io.Writer, cfg Config) error {
 		fmt.Fprintf(w, " %14s", s.Name)
 	}
 	fmt.Fprintln(w)
-	binsPerDay := int(workload.SecondsPerDay / 300)
+	binsPerDay := int(workload.SecondsPerDay / sim.BinSec)
 	for day := 0; day < sc.Cfg.Days; day++ {
 		fmt.Fprintf(w, "%-6d", day)
 		for _, s := range res.Schemes {
@@ -348,7 +348,7 @@ func Table2Compute(ctx context.Context, cfg Config, diskFactor float64) (*Table2
 	if err != nil {
 		return nil, err
 	}
-	origin, err := sc.Sys.RunOriginLRU(sc.Trace, 4, 0)
+	origin, err := sc.Sys.RunOriginLRU(sc.Trace)
 	if err != nil {
 		return nil, err
 	}

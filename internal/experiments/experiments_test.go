@@ -179,7 +179,7 @@ func TestProbeFeasibleBounds(t *testing.T) {
 	for l := range bigLinks {
 		bigLinks[l] = 1e6
 	}
-	if !probeFeasible(context.Background(), sc, bigDisk, bigLinks, 7) {
+	if !probeFeasible(context.Background(), sc, bigDisk, bigLinks, 7, feasTolerance) {
 		t.Error("generous capacities reported infeasible")
 	}
 	// Disk below one copy of the library must be infeasible.
@@ -187,7 +187,7 @@ func TestProbeFeasibleBounds(t *testing.T) {
 	for i := range tinyDisk {
 		tinyDisk[i] = sc.Lib.TotalSizeGB() * 0.5 / float64(sc.Cfg.VHOs)
 	}
-	if probeFeasible(context.Background(), sc, tinyDisk, bigLinks, 7) {
+	if probeFeasible(context.Background(), sc, tinyDisk, bigLinks, 7, feasTolerance) {
 		t.Error("sub-library disk reported feasible")
 	}
 }

@@ -9,7 +9,7 @@ import (
 	"vodplace/internal/core"
 	"vodplace/internal/demand"
 	"vodplace/internal/epf"
-	"vodplace/internal/mip"
+	"vodplace/internal/sim"
 	"vodplace/internal/topology"
 	"vodplace/internal/workload"
 )
@@ -29,12 +29,20 @@ func init() {
 // that this tolerance does not move any frontier visibly.
 const feasTolerance = 0.03
 
+// linkSearchDiskTolerance is the disk violation the link-capacity searches
+// accept: their disk budget is fixed (and mathematically adequate), so the
+// verdict hangs on the link rows, and disk gets only a loose sanity guard
+// against the solver's tight-disk plateau masquerading as link
+// infeasibility.
+const linkSearchDiskTolerance = 0.08
+
 // probeFeasible builds a placement instance from the trace's first history
-// window and reports whether the EPF solver reaches an ε-feasible fractional
-// point under the given capacities. A false result conflates true
-// infeasibility with exceeding the pass budget, exactly as any numerical
-// feasibility probe does.
-func probeFeasible(ctx context.Context, sc *Scenario, diskGB []float64, linkCapMbps []float64, day int) bool {
+// window and reports whether the EPF solver reaches a fractional point under
+// the given capacities with link violation at most feasTolerance and disk
+// violation at most diskTol. A false result conflates true infeasibility
+// with exceeding the pass budget, exactly as any numerical feasibility probe
+// does.
+func probeFeasible(ctx context.Context, sc *Scenario, diskGB []float64, linkCapMbps []float64, day int, diskTol float64) bool {
 	b := &demand.Builder{G: sc.G, Lib: sc.Lib, DiskGB: diskGB, LinkCapMbps: linkCapMbps,
 		Cfg: demand.Config{HorizonDays: 7}}
 	inst, err := b.Instance(sc.Trace, day)
@@ -51,7 +59,7 @@ func probeFeasible(ctx context.Context, sc *Scenario, diskGB []float64, linkCapM
 	}
 	sc.Cfg.mustAudit(inst, res)
 	v := res.Violation
-	return v.Disk <= feasTolerance && v.Link <= feasTolerance && v.Unserved <= 1e-6
+	return v.Disk <= diskTol && v.Link <= feasTolerance && v.Unserved <= 1e-6
 }
 
 // Fig11Result is one feasibility-region line: for each link capacity, the
@@ -81,17 +89,17 @@ func Fig11Compute(ctx context.Context, sc *Scenario, linkCaps []float64, heterog
 			return core.UniformDisk(sc.Lib, sc.Cfg.VHOs, factor)
 		}
 		lo, hi := 1.02, 8.0
-		if !probeFeasible(ctx, sc, disk(hi), links, day) {
+		if !probeFeasible(ctx, sc, disk(hi), links, day, feasTolerance) {
 			out.MinDiskFactor = append(out.MinDiskFactor, 0)
 			continue
 		}
-		if probeFeasible(ctx, sc, disk(lo), links, day) {
+		if probeFeasible(ctx, sc, disk(lo), links, day, feasTolerance) {
 			out.MinDiskFactor = append(out.MinDiskFactor, lo)
 			continue
 		}
 		for iter := 0; iter < 7; iter++ {
 			mid := (lo + hi) / 2
-			if probeFeasible(ctx, sc, disk(mid), links, day) {
+			if probeFeasible(ctx, sc, disk(mid), links, day, feasTolerance) {
 				hi = mid
 			} else {
 				lo = mid
@@ -165,44 +173,19 @@ func Fig12CacheSweep(ctx context.Context, w io.Writer, cfg Config) error {
 	return nil
 }
 
-// probeLinkFeasible is probeFeasible for link-capacity searches: the disk
-// budget is fixed (and mathematically adequate) in those experiments, so the
-// verdict hangs on the link rows; disk gets only a loose sanity guard
-// against the solver's tight-disk plateau masquerading as link
-// infeasibility.
-func probeLinkFeasible(ctx context.Context, sc *Scenario, diskGB []float64, linkCapMbps []float64, day int) bool {
-	b := &demand.Builder{G: sc.G, Lib: sc.Lib, DiskGB: diskGB, LinkCapMbps: linkCapMbps,
-		Cfg: demand.Config{HorizonDays: 7}}
-	inst, err := b.Instance(sc.Trace, day)
-	if err != nil {
-		return false
-	}
-	opts := sc.Cfg.solver()
-	if opts.MaxPasses < 60 {
-		opts.MaxPasses = 60
-	}
-	res, err := epf.SolveContext(ctx, inst, opts)
-	if err != nil {
-		return false
-	}
-	sc.Cfg.mustAudit(inst, res)
-	v := res.Violation
-	return v.Link <= feasTolerance && v.Disk <= 0.08 && v.Unserved <= 1e-6
-}
-
 // minFeasibleLinkCap binary-searches the lowest uniform link capacity at
 // which the placement is ε-feasible, on a log scale over [loMbps, hiMbps].
 func minFeasibleLinkCap(ctx context.Context, sc *Scenario, diskGB []float64, loMbps, hiMbps float64, day int) float64 {
-	if !probeLinkFeasible(ctx, sc, diskGB, core.UniformLinks(sc.G, hiMbps), day) {
+	if !probeFeasible(ctx, sc, diskGB, core.UniformLinks(sc.G, hiMbps), day, linkSearchDiskTolerance) {
 		return 0
 	}
-	if probeLinkFeasible(ctx, sc, diskGB, core.UniformLinks(sc.G, loMbps), day) {
+	if probeFeasible(ctx, sc, diskGB, core.UniformLinks(sc.G, loMbps), day, linkSearchDiskTolerance) {
 		return loMbps
 	}
 	lo, hi := loMbps, hiMbps
 	for iter := 0; iter < 8; iter++ {
 		mid := sqrtGeo(lo, hi)
-		if probeLinkFeasible(ctx, sc, diskGB, core.UniformLinks(sc.G, mid), day) {
+		if probeFeasible(ctx, sc, diskGB, core.UniformLinks(sc.G, mid), day, linkSearchDiskTolerance) {
 			hi = mid
 		} else {
 			lo = mid
@@ -493,10 +476,9 @@ func Table5Compute(ctx context.Context, cfg Config, windows []int64) ([]Table5Ro
 // maxDuringEnforcedWindows returns the realized peak link bandwidth within
 // the peak windows each plan enforced.
 func maxDuringEnforcedWindows(sc *Scenario, run *core.MIPRun, win int64) float64 {
-	binSec := int64(300)
 	var peak float64
 	for _, plan := range run.Plans {
-		histFrom := int64(plan.Day-7) * workload.SecondsPerDay
+		histFrom := int64(plan.Day-demand.HistoryDays) * workload.SecondsPerDay
 		if histFrom < 0 {
 			histFrom = 0
 		}
@@ -506,7 +488,7 @@ func maxDuringEnforcedWindows(sc *Scenario, run *core.MIPRun, win int64) float64
 			// The window was identified in history; the matching period in
 			// the serving week is one week later.
 			servStart := start + 7*workload.SecondsPerDay
-			for b := servStart / binSec; b <= (servStart+win)/binSec; b++ {
+			for b := servStart / sim.BinSec; b <= (servStart+win)/sim.BinSec; b++ {
 				if b >= 0 && int(b) < len(run.Sim.BinPeakMbps) {
 					if v := run.Sim.BinPeakMbps[b]; v > peak {
 						peak = v
@@ -532,6 +514,3 @@ func Table5Windows(ctx context.Context, w io.Writer, cfg Config) error {
 	}
 	return nil
 }
-
-// ensure mip import is used (instance types appear in signatures elsewhere).
-var _ = mip.Frac{}

@@ -11,7 +11,7 @@ import (
 // builder seals and accounts (the solver's schedule ignores it). The shared
 // per-network state (graph, paths, capacities, cost tables) lives on the
 // Instance; a shard owns only catalog-dimension state — its demand rows with
-// their Conc CSR, and (via ShardOrigins) its slice of the origin vector.
+// their Conc CSR.
 type InstanceShard struct {
 	// Lo, Hi delimit the shard's video index range [Lo, Hi) in Demands.
 	Lo, Hi int
@@ -34,16 +34,6 @@ func (inst *Instance) NumShards() int { return len(inst.Shards) }
 func (inst *Instance) ShardDemands(s int) []VideoDemand {
 	sh := inst.Shards[s]
 	return inst.Demands[sh.Lo:sh.Hi]
-}
-
-// ShardOrigins returns shard s's slice of the origin vector, or nil when the
-// instance has no origin vector (no prior placement).
-func (inst *Instance) ShardOrigins(s int) []int32 {
-	if len(inst.Origin) == 0 {
-		return nil
-	}
-	sh := inst.Shards[s]
-	return inst.Origin[sh.Lo:sh.Hi]
 }
 
 // InstanceBuilder assembles an Instance incrementally: demands stream in one

@@ -26,6 +26,9 @@ import (
 	"vodplace/internal/workload"
 )
 
+// BinSec is the metric bin width: 5 minutes, as in Fig. 5.
+const BinSec = 300
+
 // Config describes one simulation run.
 type Config struct {
 	G   *topology.Graph
@@ -46,8 +49,6 @@ type Config struct {
 	// server attached at office Origins[j] (Table II's comparison), instead
 	// of the nearest replica.
 	Origins []int
-	// BinSec is the metric bin width. Default 300 (5 minutes, as in Fig. 5).
-	BinSec int64
 	// Seed drives x-distribution sampling.
 	Seed int64
 	// Updates are placement changes applied when simulated time reaches
@@ -151,7 +152,6 @@ func (b bitset) has(i int) bool { return b[i/64]&(1<<(i%64)) != 0 }
 
 // tracker maintains per-link loads and per-bin metrics.
 type tracker struct {
-	binSec  int64
 	loads   []float64
 	agg     float64
 	curBin  int
@@ -168,9 +168,8 @@ type tracker struct {
 	onBin   func(bin int, startSec int64, peak, agg, gb, util float64)
 }
 
-func newTracker(links int, bins int, binSec int64) *tracker {
+func newTracker(links int, bins int) *tracker {
 	return &tracker{
-		binSec:  binSec,
 		loads:   make([]float64, links),
 		binPeak: make([]float64, bins),
 		binAgg:  make([]float64, bins),
@@ -183,13 +182,13 @@ func newTracker(links int, bins int, binSec int64) *tracker {
 // load.
 func (tr *tracker) advance(t int64) {
 	for {
-		binEnd := int64(tr.curBin+1) * tr.binSec
+		binEnd := int64(tr.curBin+1) * BinSec
 		if t < binEnd {
 			break
 		}
 		tr.accumulate(binEnd)
 		if tr.onBin != nil && tr.curBin < len(tr.binPeak) {
-			tr.onBin(tr.curBin, int64(tr.curBin)*tr.binSec,
+			tr.onBin(tr.curBin, int64(tr.curBin)*BinSec,
 				tr.binPeak[tr.curBin], tr.binAgg[tr.curBin], tr.binGB[tr.curBin], tr.curUtil)
 		}
 		tr.curBin++
@@ -271,15 +270,11 @@ func Run(cfg Config, tr *workload.Trace) (*Result, error) {
 	if cfg.Origins != nil && len(cfg.Origins) != n {
 		return nil, fmt.Errorf("sim: %d origins for %d offices", len(cfg.Origins), n)
 	}
-	binSec := cfg.BinSec
-	if binSec <= 0 {
-		binSec = 300
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 1))
 
 	horizon := int64(tr.Days) * workload.SecondsPerDay
-	bins := int((horizon + binSec - 1) / binSec)
-	track := newTracker(cfg.G.NumLinks(), bins, binSec)
+	bins := int((horizon + BinSec - 1) / BinSec)
+	track := newTracker(cfg.G.NumLinks(), bins)
 
 	// Replica index: pinned and cached locations per video.
 	numVideos := cfg.Lib.Len()
@@ -518,7 +513,7 @@ func Run(cfg Config, tr *workload.Trace) (*Result, error) {
 	res.BinPeakMbps = track.binPeak
 	res.BinAggMbps = track.binAgg
 	res.BinGBHop = track.binGB
-	firstBin := int(cfg.MetricsFromSec / binSec)
+	firstBin := int(cfg.MetricsFromSec / BinSec)
 	for b := range track.binPeak {
 		if b < firstBin {
 			continue

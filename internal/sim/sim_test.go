@@ -240,7 +240,7 @@ func TestBinAccounting(t *testing.T) {
 	pinned := [][]int{{0, 1}, nil}
 	// One stream crossing several bins.
 	tr := tinyTrace(lib, 1, 2, []workload.Request{{Time: 150, VHO: 1, Video: 0}})
-	res, err := Run(Config{G: g, Lib: lib, Pinned: pinned, BinSec: 300}, tr)
+	res, err := Run(Config{G: g, Lib: lib, Pinned: pinned}, tr)
 	if err != nil {
 		t.Fatal(err)
 	}

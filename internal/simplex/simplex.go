@@ -51,12 +51,6 @@ func NewLP(numVars int) *LP {
 	return &LP{numVars: numVars, c: make([]float64, numVars)}
 }
 
-// NumVars returns the number of variables.
-func (lp *LP) NumVars() int { return lp.numVars }
-
-// NumRows returns the number of constraints.
-func (lp *LP) NumRows() int { return len(lp.rows) }
-
 // SetObjective sets the cost of variable v.
 func (lp *LP) SetObjective(v int, cost float64) {
 	lp.c[v] = cost

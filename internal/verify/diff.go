@@ -23,20 +23,22 @@ type Options struct {
 	Seed int64
 	// Instance parameterizes the random placement instances.
 	Instance InstanceOpts
-	// EPF configures the approximate solver under test. A zero MaxPasses is
-	// raised to 200 so small instances converge.
-	EPF epf.Options
-	// LPBand is the allowed relative deviation of the EPF objective from the
-	// exact LP optimum, in units of the solver's ε-feasibility slack: the
-	// objective must land in [opt·(1−LPBand), opt·(1+LPBand)]. Default 0.10,
-	// matching the solver's documented "within a few percent of OPT while
-	// using up to (1+ε) of each capacity" contract.
-	LPBand float64
 	// OnInstance, when non-nil, is invoked after each placement instance
 	// completes (with its 0-based index). Used for progress and for the
 	// cancellation tests.
 	OnInstance func(i int)
 }
+
+// diffMaxPasses is the pass budget of the solves under test, enough for the
+// small random instances to converge.
+const diffMaxPasses = 200
+
+// lpBand is the allowed relative deviation of the EPF objective from the
+// exact LP optimum, in units of the solver's ε-feasibility slack: the
+// objective must land in [opt·(1−lpBand), opt·(1+lpBand)], matching the
+// solver's documented "within a few percent of OPT while using up to (1+ε)
+// of each capacity" contract.
+const lpBand = 0.10
 
 func (o Options) defaults() Options {
 	if o.Instances == 0 {
@@ -47,12 +49,6 @@ func (o Options) defaults() Options {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.EPF.MaxPasses == 0 {
-		o.EPF.MaxPasses = 200
-	}
-	if o.LPBand == 0 {
-		o.LPBand = 0.10
 	}
 	return o
 }
@@ -153,9 +149,8 @@ func diffInstance(rep *DiffReport, seed int64, o Options) error {
 	}
 	opt := lpRes.Objective
 
-	epfOpts := o.EPF
-	epfOpts.Seed = seed
-	res, err := diffLP(rep, inst, seed, "", o, opt, epfOpts)
+	epfOpts := epf.Options{Seed: seed, MaxPasses: diffMaxPasses}
+	res, err := diffLP(rep, inst, seed, "", opt, epfOpts)
 	if err != nil {
 		return err
 	}
@@ -163,7 +158,7 @@ func diffInstance(rep *DiffReport, seed int64, o Options) error {
 	// resumed trajectory must hold the same certificates on the same corpus.
 	warmOpts := epfOpts
 	warmOpts.Warm = res.Warm
-	if _, err := diffLP(rep, inst, seed, "warm ", o, opt, warmOpts); err != nil {
+	if _, err := diffLP(rep, inst, seed, "warm ", opt, warmOpts); err != nil {
 		return err
 	}
 	diffInteger(rep, inst, seed, opt, epfOpts)
@@ -173,7 +168,7 @@ func diffInstance(rep *DiffReport, seed int64, o Options) error {
 // diffLP runs one LP solve and audits it against the exact optimum opt —
 // certificates, bound soundness, the objective band. label prefixes failure
 // messages.
-func diffLP(rep *DiffReport, inst *mip.Instance, seed int64, label string, o Options, opt float64, epfOpts epf.Options) (*epf.Result, error) {
+func diffLP(rep *DiffReport, inst *mip.Instance, seed int64, label string, opt float64, epfOpts epf.Options) (*epf.Result, error) {
 	res, err := epf.Solve(inst, epfOpts)
 	if err != nil {
 		return nil, fmt.Errorf("%sepf: %w", label, err)
@@ -198,9 +193,9 @@ func diffLP(rep *DiffReport, inst *mip.Instance, seed int64, label string, o Opt
 	if dev := math.Abs(res.Objective-opt) / math.Max(1, opt); dev > rep.WorstLPDev {
 		rep.WorstLPDev = dev
 	}
-	if res.Objective > opt*(1+o.LPBand)+CertTol || res.Objective < opt*(1-o.LPBand)-CertTol {
+	if res.Objective > opt*(1+lpBand)+CertTol || res.Objective < opt*(1-lpBand)-CertTol {
 		rep.failf("seed %d: %sEPF objective %g outside ±%.0f%% band around LP optimum %g (violation %+v)",
-			seed, label, res.Objective, 100*o.LPBand, opt, res.Violation)
+			seed, label, res.Objective, 100*lpBand, opt, res.Violation)
 	}
 	return res, nil
 }

@@ -19,8 +19,6 @@ type InstanceOpts struct {
 	Videos int
 	// Slices is the number of time slices. Default 1.
 	Slices int
-	// Density is the extra-edge density passed to topology.Random. Default 1.
-	Density float64
 	// DiskFactor scales per-office disk against total library size: each
 	// office gets totalSize·DiskFactor/Nodes GB. Default 2.
 	DiskFactor float64
@@ -45,9 +43,6 @@ func (o InstanceOpts) Defaults() InstanceOpts {
 	if o.Slices == 0 {
 		o.Slices = 1
 	}
-	if o.Density == 0 {
-		o.Density = 1
-	}
 	if o.DiskFactor == 0 {
 		o.DiskFactor = 2
 	}
@@ -63,13 +58,17 @@ func (o InstanceOpts) Defaults() InstanceOpts {
 	return o
 }
 
+// edgeDensity is the extra-edge density of the random instances' topologies
+// (topology.Random).
+const edgeDensity = 1
+
 // RandomInstance builds a seeded random placement instance small enough for
 // the dense simplex to solve exactly. The same seed always yields the same
 // instance; distinct seeds drive the topology and the demand pattern.
 func RandomInstance(seed int64, opts InstanceOpts) (*mip.Instance, error) {
 	o := opts.Defaults()
 	rng := rand.New(rand.NewSource(seed))
-	g := topology.Random(o.Nodes, o.Density, seed)
+	g := topology.Random(o.Nodes, edgeDensity, seed)
 	demands := make([]mip.VideoDemand, o.Videos)
 	var totalSize float64
 	for v := range demands {

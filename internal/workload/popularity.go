@@ -31,59 +31,38 @@ type PopularityModel struct {
 	lib *catalog.Library
 	// base[v] is the video's long-run popularity weight.
 	base []float64
-	// zipf parameters, recorded for introspection.
-	Exponent float64
-	Cutoff   float64
+	// Cutoff is the exponential cutoff rank of the Zipf weights.
+	Cutoff float64
 }
 
-// PopularityConfig parameterizes the popularity model.
-type PopularityConfig struct {
-	// Exponent is the Zipf exponent. Default 1.0, which gives the
-	// 10%-of-videos ≈ 70%-of-views concentration of VoD catalogs; the
-	// exponential cutoff keeps a fat medium-popularity band (Fig. 7).
-	Exponent float64
-	// CutoffFraction sets the exponential cutoff rank as a fraction of the
-	// library size (the "long tail with a cutoff" shape). Default 0.5.
-	CutoffFraction float64
-	// SeriesBoost multiplies the base weight of TV-series episodes, which in
+// The popularity model's shape.
+const (
+	// zipfExponent gives the 10%-of-videos ≈ 70%-of-views concentration of
+	// VoD catalogs; the exponential cutoff keeps a fat medium-popularity
+	// band (Fig. 7).
+	zipfExponent = 1.0
+	// cutoffFraction sets the exponential cutoff rank as a fraction of the
+	// library size (the "long tail with a cutoff" shape).
+	cutoffFraction = 0.5
+	// seriesBoost multiplies the base weight of TV-series episodes, which in
 	// the paper account for more than half the requests to new releases.
-	// Default 4.
-	SeriesBoost float64
-	// BlockbusterBoost multiplies blockbuster movies. Default 12.
-	BlockbusterBoost float64
-}
-
-func (cfg *PopularityConfig) withDefaults() PopularityConfig {
-	out := *cfg
-	if out.Exponent <= 0 {
-		out.Exponent = 1.0
-	}
-	if out.CutoffFraction <= 0 {
-		out.CutoffFraction = 0.5
-	}
-	if out.SeriesBoost <= 0 {
-		out.SeriesBoost = 4
-	}
-	if out.BlockbusterBoost <= 0 {
-		out.BlockbusterBoost = 12
-	}
-	return out
-}
+	seriesBoost = 4
+	// blockbusterBoost multiplies blockbuster movies.
+	blockbusterBoost = 12
+)
 
 // NewPopularityModel builds the popularity model for lib. Ranks are assigned
 // by a seeded permutation so that popularity is uncorrelated with video id or
 // release order, except that series episodes inherit a per-series weight
 // (episodes of one series draw similar demand, the Fig. 4 observation) and
 // blockbusters land near the head.
-func NewPopularityModel(lib *catalog.Library, cfg PopularityConfig, seed int64) *PopularityModel {
-	c := cfg.withDefaults()
+func NewPopularityModel(lib *catalog.Library, seed int64) *PopularityModel {
 	rng := rand.New(rand.NewSource(seed))
 	n := lib.Len()
 	m := &PopularityModel{
-		lib:      lib,
-		base:     make([]float64, n),
-		Exponent: c.Exponent,
-		Cutoff:   c.CutoffFraction * float64(n),
+		lib:    lib,
+		base:   make([]float64, n),
+		Cutoff: cutoffFraction * float64(n),
 	}
 	if m.Cutoff < 1 {
 		m.Cutoff = 1
@@ -93,7 +72,7 @@ func NewPopularityModel(lib *catalog.Library, cfg PopularityConfig, seed int64) 
 	perm := rng.Perm(n)
 	zipf := func(rank int) float64 {
 		r := float64(rank + 1)
-		return math.Pow(r, -c.Exponent) * math.Exp(-r/m.Cutoff)
+		return math.Pow(r, -zipfExponent) * math.Exp(-r/m.Cutoff)
 	}
 	for i, v := range lib.Videos {
 		rank := perm[i]
@@ -106,14 +85,14 @@ func NewPopularityModel(lib *catalog.Library, cfg PopularityConfig, seed int64) 
 		}
 		m.base[i] = zipf(rank)
 		if v.Blockbuster {
-			m.base[i] = zipf(perm[i]%25) * c.BlockbusterBoost / 4
+			m.base[i] = zipf(perm[i]%25) * blockbusterBoost / 4
 		}
 	}
 	// Per-series weight: draw once per series from the head of the
 	// distribution, then give each episode that weight with mild jitter.
 	seriesWeight := make([]float64, lib.NumSeries)
 	for s := range seriesWeight {
-		seriesWeight[s] = zipf(rng.Intn(50)) * c.SeriesBoost / 4
+		seriesWeight[s] = zipf(rng.Intn(50)) * seriesBoost / 4
 	}
 	for i, v := range lib.Videos {
 		if v.Series != catalog.NoSeries {

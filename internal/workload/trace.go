@@ -57,15 +57,9 @@ type TraceConfig struct {
 	// Populations optionally overrides the per-VHO demand weights; must have
 	// NumVHOs entries summing to ~1. Defaults to Populations(NumVHOs, seed).
 	Populations []float64
-	// PrefSkew controls how much request mixes differ across offices: each
-	// (office, video) pair gets a deterministic multiplier in
-	// [2^-PrefSkew, 2^PrefSkew]. Default 1.
-	PrefSkew float64
 	// FlashCrowds injects this many single-day ×100 demand spikes on random
 	// videos. Default 0.
 	FlashCrowds int
-	// Popularity configures the popularity model.
-	Popularity PopularityConfig
 }
 
 func (cfg *TraceConfig) withDefaults() TraceConfig {
@@ -78,9 +72,6 @@ func (cfg *TraceConfig) withDefaults() TraceConfig {
 	}
 	if out.RequestsPerVideoPerDay <= 0 {
 		out.RequestsPerVideoPerDay = 1
-	}
-	if out.PrefSkew <= 0 {
-		out.PrefSkew = 1
 	}
 	return out
 }
@@ -120,9 +111,15 @@ func dayFactor(day int) float64 {
 	}
 }
 
+// prefSkew controls how much request mixes differ across offices: each
+// (office, video) pair gets a deterministic multiplier in
+// [2^-prefSkew, 2^prefSkew].
+const prefSkew = 1.0
+
 // prefMultiplier returns the deterministic (office, video) preference
-// multiplier in [2^-skew, 2^skew] derived from a 64-bit mix of the pair.
-func prefMultiplier(vho, video int, skew float64) float64 {
+// multiplier in [2^-prefSkew, 2^prefSkew] derived from a 64-bit mix of the
+// pair.
+func prefMultiplier(vho, video int) float64 {
 	x := uint64(vho)*0x9E3779B97F4A7C15 + uint64(video)*0xBF58476D1CE4E5B9 + 0x94D049BB133111EB
 	// splitmix64 finalizer
 	x ^= x >> 30
@@ -131,7 +128,7 @@ func prefMultiplier(vho, video int, skew float64) float64 {
 	x *= 0x94D049BB133111EB
 	x ^= x >> 31
 	u := float64(x>>11) / float64(1<<53) // [0, 1)
-	return math.Pow(2, (2*u-1)*skew)
+	return math.Pow(2, (2*u-1)*prefSkew)
 }
 
 // poisson draws a Poisson(lambda) variate: Knuth's method for small lambda,
@@ -171,7 +168,7 @@ func GenerateTrace(lib *catalog.Library, cfg TraceConfig, seed int64) *Trace {
 	if len(pops) != c.NumVHOs {
 		panic(fmt.Sprintf("workload: %d populations for %d VHOs", len(pops), c.NumVHOs))
 	}
-	model := NewPopularityModel(lib, c.Popularity, seed+2)
+	model := NewPopularityModel(lib, seed+2)
 
 	tr := &Trace{
 		Days:    c.Days,
@@ -193,7 +190,7 @@ func GenerateTrace(lib *catalog.Library, cfg TraceConfig, seed int64) *Trace {
 	baseDaily := c.RequestsPerVideoPerDay * float64(n)
 	weights := make([]float64, n)
 	cum := make([]float64, n+1)
-	maxMult := math.Pow(2, c.PrefSkew)
+	maxMult := math.Pow(2, prefSkew)
 
 	for day := 0; day < c.Days; day++ {
 		total := model.dayWeights(day, weights)
@@ -228,7 +225,7 @@ func GenerateTrace(lib *catalog.Library, cfg TraceConfig, seed int64) *Trace {
 					var v int
 					for attempt := 0; ; attempt++ {
 						v = sample()
-						m := prefMultiplier(j, v, c.PrefSkew)
+						m := prefMultiplier(j, v)
 						if attempt >= 16 || rng.Float64() < m/maxMult {
 							break
 						}

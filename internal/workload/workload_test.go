@@ -72,7 +72,7 @@ func TestPopulationsHeterogeneous(t *testing.T) {
 
 func TestPopularityLongTail(t *testing.T) {
 	lib := testLibrary(1000, 1)
-	m := NewPopularityModel(lib, PopularityConfig{}, 1)
+	m := NewPopularityModel(lib, 1)
 	weights := make([]float64, lib.Len())
 	var total float64
 	for v := range weights {
@@ -112,7 +112,7 @@ func TestRecencyBoostShape(t *testing.T) {
 
 func TestSeriesEpisodesSimilarPopularity(t *testing.T) {
 	lib := testLibrary(2000, 4)
-	m := NewPopularityModel(lib, PopularityConfig{}, 2)
+	m := NewPopularityModel(lib, 2)
 	eps := lib.SeriesEpisodes(0)
 	if len(eps) < 3 {
 		t.Fatal("need several episodes")
@@ -488,14 +488,14 @@ func TestPoissonMoments(t *testing.T) {
 func TestPrefMultiplierRange(t *testing.T) {
 	for vho := 0; vho < 10; vho++ {
 		for video := 0; video < 100; video++ {
-			m := prefMultiplier(vho, video, 1)
+			m := prefMultiplier(vho, video)
 			if m < 0.5-1e-9 || m > 2+1e-9 {
-				t.Fatalf("prefMultiplier(%d,%d,1) = %g outside [0.5,2]", vho, video, m)
+				t.Fatalf("prefMultiplier(%d,%d) = %g outside [0.5,2]", vho, video, m)
 			}
 		}
 	}
 	// Deterministic.
-	if prefMultiplier(3, 7, 1) != prefMultiplier(3, 7, 1) {
+	if prefMultiplier(3, 7) != prefMultiplier(3, 7) {
 		t.Error("prefMultiplier not deterministic")
 	}
 }
