@@ -20,7 +20,6 @@ import (
 
 	"vodplace/internal/experiments"
 	"vodplace/internal/obs"
-	"vodplace/internal/prof"
 )
 
 func main() {
@@ -40,7 +39,6 @@ func main() {
 		doAud  = flag.Bool("verify", false, "re-check every solver result with the independent certificate auditor")
 		cold   = flag.Bool("cold", false, "solve every placement period cold instead of seeding it from the previous period's final state")
 	)
-	profFlags := prof.Register(flag.CommandLine)
 	obsFlags := obs.Register(flag.CommandLine)
 	flag.Parse()
 
@@ -54,27 +52,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, "vodexp: -exp required (or -list); see -h")
 		os.Exit(2)
 	}
-	profStop, err := prof.Start(profFlags)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "vodexp: %v\n", err)
-		os.Exit(1)
-	}
 	rec, obsStop, err := obs.Start(obsFlags)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "vodexp: %v\n", err)
-		profStop() //nolint:errcheck // already failing
 		os.Exit(1)
 	}
 	// Every exit path runs obsStop so an interrupted experiment still keeps
-	// its buffered trace.
+	// its buffered trace and profiles.
 	exit := func(code int) {
 		if err := obsStop(); err != nil {
-			fmt.Fprintf(os.Stderr, "vodexp: %v\n", err)
-			if code == 0 {
-				code = 1
-			}
-		}
-		if err := profStop(); err != nil {
 			fmt.Fprintf(os.Stderr, "vodexp: %v\n", err)
 			if code == 0 {
 				code = 1

@@ -14,8 +14,9 @@ import (
 // TestEndToEndLoopback is the full serve/load smoke: build both binaries,
 // start a seeded daemon on an ephemeral port, run vodload against it with
 // demand bursts, and assert nonzero throughput, zero routing errors, and at
-// least one audit-gated warm re-solve swapped in mid-run. SIGTERM must then
-// shut the daemon down cleanly (exit 0).
+// least one audit-gated warm re-solve swapped in mid-run; then replay the
+// deployment's trace against the same daemon with zero routing errors.
+// SIGTERM must then shut the daemon down cleanly (exit 0).
 func TestEndToEndLoopback(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns two binaries and solves placements")
@@ -89,6 +90,27 @@ func TestEndToEndLoopback(t *testing.T) {
 	}
 	if sum.LatencyMs.P99 <= 0 {
 		t.Errorf("p99 latency not reported: %+v", sum.LatencyMs)
+	}
+
+	// Trace mode regenerates the daemon's workload from the shared
+	// deployment recipe: with the daemon's -videos and -seed every replayed
+	// request names a served video.
+	tracePath := filepath.Join(dir, "trace.json")
+	replay := exec.Command(loadBin,
+		"-addr", addr, "-mode", "trace", "-videos", "60", "-seed", "1",
+		"-duration", "1s", "-concurrency", "2", "-wait", "30s", "-json", tracePath)
+	if out, err := replay.CombinedOutput(); err != nil {
+		t.Fatalf("vodload -mode trace: %v\n%s", err, out)
+	}
+	if raw, err = os.ReadFile(tracePath); err != nil {
+		t.Fatal(err)
+	}
+	var trace summary
+	if err := json.Unmarshal(raw, &trace); err != nil {
+		t.Fatalf("parsing %s: %v\n%s", tracePath, err, raw)
+	}
+	if trace.Requests == 0 || trace.RouteErrors != 0 {
+		t.Errorf("trace replay: %d requests, %d route errors", trace.Requests, trace.RouteErrors)
 	}
 
 	if err := daemon.Process.Signal(syscall.SIGTERM); err != nil {

@@ -33,7 +33,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"vodplace/internal/catalog"
+	"vodplace/internal/core"
 	"vodplace/internal/obs"
 	"vodplace/internal/workload"
 )
@@ -347,8 +347,8 @@ func run() int {
 
 // buildStreams returns one request generator per sender. Zipf mode samples
 // (video, vho) with rank-r weight r^-s over the served ids; trace mode
-// regenerates the synthetic workload trace (same recipe and seed as the
-// server) and replays its request sequence, filtered to the served
+// regenerates the deployment's workload trace (core.Deployment, the
+// server's recipe) and replays its request sequence, filtered to the served
 // universe, sharded round-robin across senders.
 func buildStreams(mode string, ids []int, vhos, concurrency int, zipfS float64, seed int64, traceVideos int, traceRPD float64) ([]func() (int, int), error) {
 	streams := make([]func() (int, int), concurrency)
@@ -362,10 +362,7 @@ func buildStreams(mode string, ids []int, vhos, concurrency int, zipfS float64, 
 			}
 		}
 	case "trace":
-		lib := catalog.Generate(catalog.Config{NumVideos: traceVideos, Weeks: 2}, seed+10)
-		tr := workload.GenerateTrace(lib, workload.TraceConfig{
-			Days: 8, NumVHOs: vhos, RequestsPerVideoPerDay: traceRPD,
-		}, seed+20)
+		_, tr := core.Deployment{Videos: traceVideos, VHOs: vhos, RPD: traceRPD, Seed: seed}.Workload()
 		served := make(map[int]bool, len(ids))
 		for _, id := range ids {
 			served[id] = true

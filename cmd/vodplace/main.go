@@ -20,57 +20,32 @@ import (
 	"syscall"
 	"time"
 
-	"vodplace/internal/catalog"
 	"vodplace/internal/core"
-	"vodplace/internal/demand"
 	"vodplace/internal/epf"
 	"vodplace/internal/obs"
-	"vodplace/internal/prof"
-	"vodplace/internal/topology"
 	"vodplace/internal/verify"
-	"vodplace/internal/workload"
 )
 
 func main() {
+	dep := core.Register(flag.CommandLine)
 	var (
-		videos  = flag.Int("videos", 2000, "library size")
-		vhos    = flag.Int("vhos", 55, "number of offices (55 = backbone)")
-		rpd     = flag.Float64("rpd", 4, "requests per video per day")
-		disk    = flag.Float64("disk", 2.0, "aggregate disk as multiple of library size")
-		link    = flag.Float64("link", 1000, "uniform link capacity in Mb/s")
-		slices  = flag.Int("slices", 2, "number of peak-window link constraints |T|")
-		window  = flag.Int64("window", 3600, "peak window length in seconds")
-		seed    = flag.Int64("seed", 1, "random seed")
 		passes  = flag.Int("passes", 120, "solver pass cap")
 		verbose = flag.Bool("v", false, "per-pass solver progress")
 		doAudit = flag.Bool("verify", false, "re-check the solution with the independent certificate auditor")
 		doWarm  = flag.Bool("warm", false, "after the cold solve, re-solve seeded from its final state and report the convergence saving")
 	)
-	profFlags := prof.Register(flag.CommandLine)
 	obsFlags := obs.Register(flag.CommandLine)
 	flag.Parse()
 
-	profStop, err := prof.Start(profFlags)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "vodplace: %v\n", err)
-		os.Exit(1)
-	}
 	rec, obsStop, err := obs.Start(obsFlags)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "vodplace: %v\n", err)
-		profStop() //nolint:errcheck // already failing
 		os.Exit(1)
 	}
-	// Every exit path runs obsStop so the trace sink is flushed even when the
-	// run was interrupted or the audit failed.
+	// Every exit path runs obsStop so the trace sink and the profiles are
+	// flushed even when the run was interrupted or the audit failed.
 	exit := func(code int) {
 		if err := obsStop(); err != nil {
-			fmt.Fprintf(os.Stderr, "vodplace: %v\n", err)
-			if code == 0 {
-				code = 1
-			}
-		}
-		if err := profStop(); err != nil {
 			fmt.Fprintf(os.Stderr, "vodplace: %v\n", err)
 			if code == 0 {
 				code = 1
@@ -79,32 +54,15 @@ func main() {
 		os.Exit(code)
 	}
 
-	var g *topology.Graph
-	if *vhos == 55 {
-		g = topology.Backbone55()
-	} else {
-		g = topology.Random(*vhos, 1.4, *seed)
-	}
-	lib := catalog.Generate(catalog.Config{NumVideos: *videos, Weeks: 2}, *seed+10)
-	tr := workload.GenerateTrace(lib, workload.TraceConfig{
-		Days: 8, NumVHOs: *vhos, RequestsPerVideoPerDay: *rpd,
-	}, *seed+20)
-
-	builder := &demand.Builder{
-		G: g, Lib: lib,
-		DiskGB:      core.UniformDisk(lib, *vhos, *disk),
-		LinkCapMbps: core.UniformLinks(g, *link),
-		Cfg:         demand.Config{Slices: *slices, WindowSec: *window, HorizonDays: 7},
-	}
-	inst, err := builder.Instance(tr, 7)
+	inst, err := dep.Instance()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "vodplace: %v\n", err)
 		exit(1)
 	}
 	fmt.Printf("instance: %d offices, %d links, %d videos, %d time slices\n",
-		inst.NumVHOs(), g.NumLinks(), inst.NumVideos(), inst.Slices)
+		inst.NumVHOs(), inst.G.NumLinks(), inst.NumVideos(), inst.Slices)
 
-	opts := epf.Options{Seed: *seed, MaxPasses: *passes, Recorder: rec}
+	opts := epf.Options{Seed: dep.Seed, MaxPasses: *passes, Recorder: rec}
 	if *verbose {
 		opts.OnPass = func(pi epf.PassInfo) {
 			fmt.Println(obs.PassRow(pi.Pass, pi.Objective, pi.LowerBound, pi.MaxViol))

@@ -173,16 +173,16 @@ func (s *System) RunMIPContext(ctx context.Context, tr *workload.Trace, opts MIP
 	defer pre.Close()
 
 	run := &MIPRun{}
-	var prevPinned [][]int
+	var prev *mip.Solution
 	var warm *epf.WarmState
 	for _, day := range days {
 		inst, err := pre.Next()
 		if err != nil {
 			return nil, fmt.Errorf("core: building instance for day %d: %w", day, err)
 		}
-		if o.UpdateWeight > 0 && prevPinned != nil {
+		if o.UpdateWeight > 0 && prev != nil {
 			inst.UpdateWeight = o.UpdateWeight
-			inst.Origin = originsFromPinned(inst, prevPinned, n)
+			inst.Origin = mip.Origins(inst, prev)
 		}
 		// Each placement period traces as its own stream, so pass series from
 		// successive solves never interleave in one stream.
@@ -219,7 +219,7 @@ func (s *System) RunMIPContext(ctx context.Context, tr *workload.Trace, opts MIP
 			XDist:    sim.XDistFromSolution(inst, res.Sol),
 		}
 		run.Plans = append(run.Plans, plan)
-		prevPinned = plan.Pinned
+		prev = res.Sol
 	}
 	if len(run.Plans) == 0 {
 		return nil, fmt.Errorf("core: trace too short for any placement (days=%d, first placement day=%d)", tr.Days, demand.HistoryDays)
@@ -270,31 +270,6 @@ func recordPeriod(r *obs.Recorder, stream string, inst *mip.Instance, res *epf.R
 	m := r.Metrics()
 	m.Gauge(stream + ".passes").Set(float64(res.Stats.Passes))
 	m.Gauge(stream + ".warm_frac").Set(frac)
-}
-
-// originsFromPinned maps each instance video to an office currently holding
-// it (for the migration-cost objective). Videos absent from the previous
-// placement — new releases, nothing to migrate — get the −1 sentinel, which
-// mip.PlacementCost treats as "no prior copy": zero migration cost anywhere,
-// rather than a spurious free ride at office 0.
-func originsFromPinned(inst *mip.Instance, pinned [][]int, n int) []int32 {
-	holder := make(map[int]int32)
-	for i, vids := range pinned {
-		for _, v := range vids {
-			if _, ok := holder[v]; !ok {
-				holder[v] = int32(i)
-			}
-		}
-	}
-	out := make([]int32, len(inst.Demands))
-	for vi := range inst.Demands {
-		if o, ok := holder[inst.Demands[vi].Video]; ok {
-			out[vi] = o
-		} else {
-			out[vi] = -1
-		}
-	}
-	return out
 }
 
 // BaselineOptions configures the caching baselines.

@@ -5,7 +5,6 @@ import (
 
 	"vodplace/internal/catalog"
 	"vodplace/internal/epf"
-	"vodplace/internal/mip"
 	"vodplace/internal/topology"
 	"vodplace/internal/workload"
 )
@@ -146,47 +145,5 @@ func TestRunMIPWarmWorkerInvariance(t *testing.T) {
 					a.Objective, a.LowerBound, a.Passes)
 			}
 		}
-	}
-}
-
-// TestOriginsFromPinnedUnseen: a video absent from the previous placement
-// gets the −1 "no prior copy" sentinel, and the update objective exempts it
-// — not the old behavior of silently treating office 0 as its origin.
-func TestOriginsFromPinnedUnseen(t *testing.T) {
-	g := topology.New("pair", 2)
-	if err := g.AddEdge(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Build(); err != nil {
-		t.Fatal(err)
-	}
-	demands := []mip.VideoDemand{
-		{Video: 10, SizeGB: 1, RateMbps: 2, Js: []int32{0}, Agg: []float64{1}, Conc: [][]float64{{1}}},
-		{Video: 20, SizeGB: 1, RateMbps: 2, Js: []int32{1}, Agg: []float64{1}, Conc: [][]float64{{1}}},
-	}
-	inst, err := mip.NewInstance(g, []float64{10, 10}, []float64{1000, 1000}, 1, demands)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Previous placement holds video 20 at office 1; video 10 is a new release.
-	origins := originsFromPinned(inst, [][]int{{}, {20}}, 2)
-	if origins[0] != -1 {
-		t.Errorf("unseen video origin = %d, want -1", origins[0])
-	}
-	if origins[1] != 1 {
-		t.Errorf("pinned video origin = %d, want 1", origins[1])
-	}
-	inst.UpdateWeight = 1
-	inst.Origin = origins
-	// New release: no migration cost anywhere, even at the remote office.
-	if c := inst.PlacementCost(0, 1); c != 0 {
-		t.Errorf("new release placement cost = %g, want 0", c)
-	}
-	// Held video: free at its origin, costs to move.
-	if c := inst.PlacementCost(1, 1); c != 0 {
-		t.Errorf("placement at origin cost = %g, want 0", c)
-	}
-	if c := inst.PlacementCost(1, 0); c <= 0 {
-		t.Errorf("migration cost = %g, want > 0", c)
 	}
 }

@@ -348,51 +348,16 @@ func (s *Solver) Solve(p *Problem) Solution {
 // SolveInto is Solve writing the result into out, reusing its backing
 // arrays (zero allocations once out has been used for a same-shape problem).
 func (s *Solver) SolveInto(p *Problem, out *Solution) {
-	n, kk := p.NumFacilities(), p.NumDemands()
-	if n == 0 {
-		panic("facloc: Solve with no facilities")
-	}
-	s.reserve(p, n, kk)
-
-	// Start 1: the single facility with the cheapest total cost.
-	s.open[s.cheapestSingle(p, kk)] = true
-	s.nOpen = 1
-	s.rebuildOpenList()
-	s.refreshBests(p)
-	s.localSearch(p, true, false)
-	cost1 := s.openSetCost(p)
-	if cap(s.openScratch) < n {
-		s.openScratch = make([]bool, n)
-	}
-	open1 := s.openScratch[:n]
-	copy(open1, s.open)
-	nOpen1 := s.nOpen
-
-	// Start 2: everything open, letting drop moves pare the set down.
-	s.searchFromAllOpen(p, true)
-	if cost1 <= s.openSetCost(p) {
-		copy(s.open, open1)
-		s.nOpen = nOpen1
-		s.rebuildOpenList()
-		s.refreshBests(p)
-	}
-	s.extractInto(p, kk, out)
+	s.solveTwoStart(p, out, true, nil)
 }
 
-// SolveWarm is Solve started from a warm open set (ascending facility
-// indices) instead of the two cold starts: the full add/drop/swap local
-// search runs from the warm set alone. With an empty warm set it is exactly
-// Solve. Used by the epf rounding phase under cross-period warm starts,
-// where the previous period's placement usually sits a couple of moves from
-// the new optimum and the cold starts' long climbs are the dominant cost.
-func (s *Solver) SolveWarm(p *Problem, warm []int32) Solution {
-	var out Solution
-	s.SolveWarmInto(p, &out, warm)
-	return out
-}
-
-// SolveWarmInto is SolveWarm writing the result into out, reusing its
-// backing arrays.
+// SolveWarmInto is Solve started from a warm open set (ascending facility
+// indices) instead of the two cold starts, writing the result into out: the
+// full add/drop/swap local search runs from the warm set alone. With an
+// empty warm set it is exactly SolveInto. Used by the epf rounding phase
+// under cross-period warm starts, where the previous period's placement
+// usually sits a couple of moves from the new optimum and the cold starts'
+// long climbs are the dominant cost.
 func (s *Solver) SolveWarmInto(p *Problem, out *Solution, warm []int32) {
 	if len(warm) == 0 {
 		s.SolveInto(p, out)
@@ -410,18 +375,7 @@ func (s *Solver) SolveWarmInto(p *Problem, out *Solution, warm []int32) {
 	// saved is the cold starts' long climbs, which is most of the rounding
 	// bill when the warm set already sits near the optimum.
 	s.WarmTries++
-	for i := range s.open {
-		s.open[i] = false
-	}
-	s.nOpen = 0
-	for _, i := range warm {
-		if !s.open[i] {
-			s.open[i] = true
-			s.nOpen++
-		}
-	}
-	s.rebuildOpenList()
-	s.refreshBests(p)
+	s.loadWarm(p, warm)
 	before := s.openSetCost(p)
 	s.localSearch(p, true, false)
 	if s.openSetCost(p) < before {
@@ -448,16 +402,24 @@ func (s *Solver) SolveQuick(p *Problem) Solution {
 // the new optimum and seeds the local search much closer than the all-open
 // drop start. An empty warm set keeps the two-start schedule.
 func (s *Solver) SolveQuickInto(p *Problem, out *Solution, warm []int32) {
+	s.solveTwoStart(p, out, false, warm)
+}
+
+// solveTwoStart is the body of SolveInto (swaps, no warm set) and
+// SolveQuickInto (no swaps): local search from the cheapest single facility,
+// then from the warm set when there is one or else from all open, keeping
+// the first start's result unless the second is strictly cheaper.
+func (s *Solver) solveTwoStart(p *Problem, out *Solution, swaps bool, warm []int32) {
 	n, kk := p.NumFacilities(), p.NumDemands()
 	if n == 0 {
-		panic("facloc: SolveQuick with no facilities")
+		panic("facloc: Solve with no facilities")
 	}
 	s.reserve(p, n, kk)
 	s.open[s.cheapestSingle(p, kk)] = true
 	s.nOpen = 1
 	s.rebuildOpenList()
 	s.refreshBests(p)
-	s.localSearch(p, false, false)
+	s.localSearch(p, swaps, false)
 	cost1 := s.openSetCost(p)
 	if cap(s.openScratch) < n {
 		s.openScratch = make([]bool, n)
@@ -468,21 +430,10 @@ func (s *Solver) SolveQuickInto(p *Problem, out *Solution, warm []int32) {
 
 	if len(warm) > 0 {
 		s.WarmTries++
-		for i := range s.open {
-			s.open[i] = false
-		}
-		s.nOpen = 0
-		for _, i := range warm {
-			if !s.open[i] {
-				s.open[i] = true
-				s.nOpen++
-			}
-		}
-		s.rebuildOpenList()
-		s.refreshBests(p)
-		s.localSearch(p, false, false)
+		s.loadWarm(p, warm)
+		s.localSearch(p, swaps, false)
 	} else {
-		s.searchFromAllOpen(p, false)
+		s.searchFromAllOpen(p, swaps)
 	}
 	cost2 := s.openSetCost(p)
 	if len(warm) > 0 && cost2 < cost1 {
@@ -495,6 +446,23 @@ func (s *Solver) SolveQuickInto(p *Problem, out *Solution, warm []int32) {
 		s.refreshBests(p)
 	}
 	s.extractInto(p, kk, out)
+}
+
+// loadWarm makes the warm set (facility indices, repeats allowed) the open
+// set and rescans every demand's trackers.
+func (s *Solver) loadWarm(p *Problem, warm []int32) {
+	for i := range s.open {
+		s.open[i] = false
+	}
+	s.nOpen = 0
+	for _, i := range warm {
+		if !s.open[i] {
+			s.open[i] = true
+			s.nOpen++
+		}
+	}
+	s.rebuildOpenList()
+	s.refreshBests(p)
 }
 
 // extractInto fills out from the current open set, reusing out's backing

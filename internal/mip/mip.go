@@ -307,6 +307,33 @@ func (inst *Instance) PlacementCost(vi, i int) float64 {
 	return inst.UpdateWeight * inst.Demands[vi].SizeGB * inst.Cost(o, i)
 }
 
+// Origins returns the Origin vector objective (11) charges inst's placement
+// against: for each video of inst, the lowest office holding a copy (y ≥ ½)
+// of the same library video in the previous placement prev, or −1 when prev
+// holds none (a new release, or a video prev dropped).
+func Origins(inst *Instance, prev *Solution) []int32 {
+	held := make(map[int]int32, len(prev.Videos))
+	for pv := range prev.Videos {
+		lowest := int32(-1)
+		for _, f := range prev.Videos[pv].Open {
+			if f.V >= 0.5 && (lowest < 0 || f.I < lowest) {
+				lowest = f.I
+			}
+		}
+		if lowest >= 0 {
+			held[prev.Inst.Demands[pv].Video] = lowest
+		}
+	}
+	out := make([]int32, len(inst.Demands))
+	for vi := range inst.Demands {
+		out[vi] = -1
+		if o, ok := held[inst.Demands[vi].Video]; ok {
+			out[vi] = o
+		}
+	}
+	return out
+}
+
 // Frac is one sparse coefficient: office I with value V.
 type Frac struct {
 	I int32

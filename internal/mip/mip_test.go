@@ -335,6 +335,55 @@ func TestUpdateCostObjective(t *testing.T) {
 	}
 }
 
+// TestOriginsUnseen: each video's origin is the lowest office holding a
+// copy (y ≥ ½) of the same library video in the previous placement. A video
+// the previous placement does not hold — absent, or present only below ½ —
+// gets the −1 "no prior copy" sentinel, and the update objective exempts it
+// rather than treating office 0 as its origin.
+func TestOriginsUnseen(t *testing.T) {
+	g := pathGraph3(t)
+	instOf := func(videos ...int) *Instance {
+		t.Helper()
+		demands := make([]VideoDemand, len(videos))
+		for vi, v := range videos {
+			demands[vi] = VideoDemand{Video: v, SizeGB: 1, RateMbps: 2, Js: []int32{0}, Agg: []float64{1}, Conc: [][]float64{{1}}}
+		}
+		inst, err := NewInstance(g, []float64{10, 10, 10}, caps(g, 1000), 1, demands)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return inst
+	}
+	// The previous placement, in another video order: 40 at offices 2 and 1
+	// (listed high office first), 30 only fractionally at 0, 20 at 1.
+	prev := NewSolution(instOf(40, 30, 20))
+	prev.Videos[0].Open = []Frac{{I: 2, V: 1}, {I: 1, V: 1}}
+	prev.Videos[1].Open = []Frac{{I: 0, V: 0.4}}
+	prev.Videos[2].Open = []Frac{{I: 1, V: 1}}
+
+	// Video 10 is a new release.
+	inst := instOf(10, 20, 30, 40)
+	origins := Origins(inst, prev)
+	for vi, want := range []int32{-1, 1, -1, 1} {
+		if origins[vi] != want {
+			t.Errorf("video %d origin = %d, want %d", inst.Demands[vi].Video, origins[vi], want)
+		}
+	}
+	inst.UpdateWeight = 1
+	inst.Origin = origins
+	// New release: no migration cost anywhere, even at a remote office.
+	if c := inst.PlacementCost(0, 2); c != 0 {
+		t.Errorf("new release placement cost = %g, want 0", c)
+	}
+	// Held video: free at its origin, costs to move.
+	if c := inst.PlacementCost(1, 1); c != 0 {
+		t.Errorf("placement at origin cost = %g, want 0", c)
+	}
+	if c := inst.PlacementCost(1, 0); c <= 0 {
+		t.Errorf("migration cost = %g, want > 0", c)
+	}
+}
+
 func TestLowerBoundNoNetwork(t *testing.T) {
 	inst := tinyInstance(t)
 	inst.Beta = 0.5

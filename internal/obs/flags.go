@@ -1,34 +1,57 @@
 package obs
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+
+	"vodplace/internal/prof"
 )
 
-// Flags holds the telemetry CLI surface shared by vodplace, vodexp and
-// vodserved. Both flags default off; either one enables the recorder.
+// Flags holds the diagnostics CLI surface shared by vodplace, vodexp and
+// vodserved: the telemetry recorder's two outputs and the three profiles.
+// Every flag defaults off; either telemetry flag enables the recorder.
 type Flags struct {
 	TraceOut  string // JSONL event trace destination ("-" = stdout)
 	DebugAddr string // live HTTP endpoint (/metrics, /debug/pprof)
+	Prof      prof.Flags
 }
 
-// Register installs the telemetry flags on fs and returns the destination
-// struct to pass to Start after fs has been parsed.
+// Register installs the five diagnostics flags on fs and returns the
+// destination struct to pass to Start after fs has been parsed.
 func Register(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
 	fs.StringVar(&f.TraceOut, "trace-out", "", "write a JSONL telemetry trace to this file (\"-\" for stdout)")
 	fs.StringVar(&f.DebugAddr, "debug-addr", "", "serve /metrics and /debug/pprof on this address (e.g. localhost:6060)")
+	fs.StringVar(&f.Prof.CPU, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&f.Prof.Mem, "memprofile", "", "write a heap profile to this file on exit")
+	fs.StringVar(&f.Prof.Trace, "traceprofile", "", "write a runtime execution trace to this file")
 	return f
 }
 
-// Start builds the recorder the parsed flags ask for. When both flags are
-// off it returns (nil, no-op stop, nil): the nil recorder threads through
-// the solver and simulator as the disabled no-op. Otherwise the returned
-// stop shuts the debug server down (if any) and flushes and closes the
-// trace sink. Call stop on every exit path, including signal-triggered
-// ones, so an interrupted run still keeps its buffered trace.
+// Start begins the profiles the parsed flags ask for, then builds the
+// recorder. When both telemetry flags are off the recorder is nil: the nil
+// recorder threads through the solver and simulator as the disabled no-op.
+// The returned stop shuts the debug server down (if any), flushes and
+// closes the trace sink, and then stops the profiles. Call it on every exit
+// path, including signal-triggered ones, so an interrupted run still keeps
+// its buffered trace and profiles. On error nothing is left running.
 func Start(f *Flags) (*Recorder, func() error, error) {
+	profStop, err := prof.Start(&f.Prof)
+	if err != nil {
+		return nil, nil, err
+	}
+	rec, recStop, err := startRecorder(f)
+	if err != nil {
+		profStop() //nolint:errcheck // already failing
+		return nil, nil, err
+	}
+	return rec, func() error { return errors.Join(recStop(), profStop()) }, nil
+}
+
+// startRecorder builds the recorder behind -trace-out and -debug-addr.
+func startRecorder(f *Flags) (*Recorder, func() error, error) {
 	if f.TraceOut == "" && f.DebugAddr == "" {
 		return nil, func() error { return nil }, nil
 	}

@@ -1,14 +1,12 @@
-// Package prof wires the standard pprof/trace collectors into the CLIs.
-//
-// Every binary that runs the solver accepts the same three flags
-// (-cpuprofile, -memprofile, -traceprofile); Start opens whichever outputs
-// were requested and returns a single Stop to flush them on the way out.
+// Package prof is the profiler behind obs.Start: the standard pprof/trace
+// collectors the CLIs' -cpuprofile, -memprofile and -traceprofile flags
+// (declared by obs.Register) ask for. Start opens whichever outputs were
+// requested and returns a single Stop to flush them on the way out.
 // Profiles are written with the stock runtime encoders, so the files feed
 // directly into `go tool pprof` and `go tool trace`.
 package prof
 
 import (
-	"flag"
 	"fmt"
 	"net/http"
 	httppprof "net/http/pprof"
@@ -23,17 +21,6 @@ type Flags struct {
 	CPU   string
 	Mem   string
 	Trace string
-}
-
-// Register installs the standard profiling flags on fs (the default
-// flag.CommandLine in the CLIs) and returns the destination struct to pass
-// to Start after fs has been parsed.
-func Register(fs *flag.FlagSet) *Flags {
-	f := &Flags{}
-	fs.StringVar(&f.CPU, "cpuprofile", "", "write a CPU profile to this file")
-	fs.StringVar(&f.Mem, "memprofile", "", "write a heap profile to this file on exit")
-	fs.StringVar(&f.Trace, "traceprofile", "", "write a runtime execution trace to this file")
-	return f
 }
 
 // Routes installs the live pprof handlers (/debug/pprof/*) on mux. The

@@ -129,7 +129,7 @@ func (s *Server) resolveOnce(ctx context.Context) (*Snapshot, error) {
 
 	if s.cfg.UpdateWeight > 0 {
 		inst.UpdateWeight = s.cfg.UpdateWeight
-		inst.Origin = originsFromSnapshot(inst, cur)
+		inst.Origin = mip.Origins(inst, cur.Sol)
 	}
 
 	opts := s.cfg.Solver
@@ -217,30 +217,4 @@ func (s *Server) finishResolve(done obs.ServeResolve) {
 	s.resolveSolveMS.Observe(done.SolveMS)
 	s.resolveAuditMS.Observe(done.AuditMS)
 	s.cfg.Recorder.RecordServeResolve(done)
-}
-
-// originsFromSnapshot maps each video of the new instance to an office
-// currently serving it (the migration-cost origin of objective (11)).
-// Videos the served placement does not hold get the −1 "no prior copy"
-// sentinel.
-func originsFromSnapshot(inst *mip.Instance, snap *Snapshot) []int32 {
-	out := make([]int32, len(inst.Demands))
-	for vi := range inst.Demands {
-		out[vi] = -1
-		id := inst.Demands[vi].Video
-		if id < 0 || id >= len(snap.vidIdx) {
-			continue
-		}
-		pv := snap.vidIdx[id]
-		if pv < 0 {
-			continue
-		}
-		for _, f := range snap.Sol.Videos[pv].Open {
-			if f.V >= openY {
-				out[vi] = f.I
-				break
-			}
-		}
-	}
-	return out
 }

@@ -12,38 +12,21 @@ import (
 	"testing"
 	"time"
 
-	"vodplace/internal/catalog"
-	"vodplace/internal/demand"
+	"vodplace/internal/core"
 	"vodplace/internal/epf"
 	"vodplace/internal/mip"
 	"vodplace/internal/topology"
-	"vodplace/internal/workload"
 )
 
-// testInstance builds a small seeded placement instance the same way the
-// daemon does: synthetic catalog + trace, demand estimated from the first
-// week of history.
+// testInstance builds a small seeded placement instance with the daemon's
+// recipe (core.Deployment): synthetic catalog + trace, demand estimated
+// from the first week of history.
 func testInstance(tb testing.TB, videos, vhos int, seed int64) *mip.Instance {
 	tb.Helper()
-	g := topology.Random(vhos, 1.4, seed)
-	lib := catalog.Generate(catalog.Config{NumVideos: videos, Weeks: 2}, seed+10)
-	tr := workload.GenerateTrace(lib, workload.TraceConfig{
-		Days: 8, NumVHOs: vhos, RequestsPerVideoPerDay: 4,
-	}, seed+20)
-	per := lib.TotalSizeGB() * 2.0 / float64(vhos)
-	disk := make([]float64, vhos)
-	for i := range disk {
-		disk[i] = per
-	}
-	link := make([]float64, g.NumLinks())
-	for l := range link {
-		link[l] = 1000
-	}
-	b := &demand.Builder{
-		G: g, Lib: lib, DiskGB: disk, LinkCapMbps: link,
-		Cfg: demand.Config{Slices: 2, WindowSec: 3600, HorizonDays: 7},
-	}
-	inst, err := b.Instance(tr, 7)
+	inst, err := core.Deployment{
+		Videos: videos, VHOs: vhos, RPD: 4, Disk: 2, Link: 1000,
+		Slices: 2, Window: 3600, Seed: seed,
+	}.Instance()
 	if err != nil {
 		tb.Fatalf("building test instance: %v", err)
 	}

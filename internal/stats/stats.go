@@ -1,17 +1,12 @@
-// Package stats provides small numeric helpers used across the placement
-// library: means, geometric means, percentiles, cosine similarity and
-// fixed-width histograms.
+// Package stats provides the small numeric aggregates the experiments
+// report: means, geometric means, minima and maxima.
 //
-// All functions are pure and allocate at most O(n); they are deliberately
-// simple so that experiment code can depend on them without pulling in any
-// heavier numerical machinery.
+// All functions are pure and allocation-free; they are deliberately simple
+// so that experiment code can depend on them without pulling in any heavier
+// numerical machinery.
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "math"
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
@@ -44,15 +39,6 @@ func GeoMean(xs []float64) float64 {
 	return math.Exp(sumLog / float64(len(xs)))
 }
 
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
 // Max returns the maximum of xs, or 0 for an empty slice.
 func Max(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -79,134 +65,4 @@ func Min(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using linear
-// interpolation between closest ranks. It returns 0 for an empty slice.
-// The input slice is not modified.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 100 {
-		p = 100
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// CosineSimilarity returns the cosine of the angle between two equal-length
-// vectors, in [0, 1] for non-negative vectors (the request-count vectors used
-// in the paper's Fig. 3 are non-negative). It returns 0 if either vector is
-// all zeros or the lengths differ.
-func CosineSimilarity(a, b []float64) float64 {
-	if len(a) != len(b) || len(a) == 0 {
-		return 0
-	}
-	var dot, na, nb float64
-	for i := range a {
-		dot += a[i] * b[i]
-		na += a[i] * a[i]
-		nb += b[i] * b[i]
-	}
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return dot / (math.Sqrt(na) * math.Sqrt(nb))
-}
-
-// CosineSimilarityCounts is CosineSimilarity over integer count vectors,
-// the form produced by per-video request tallies.
-func CosineSimilarityCounts(a, b []int) float64 {
-	if len(a) != len(b) || len(a) == 0 {
-		return 0
-	}
-	var dot, na, nb float64
-	for i := range a {
-		x, y := float64(a[i]), float64(b[i])
-		dot += x * y
-		na += x * x
-		nb += y * y
-	}
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return dot / (math.Sqrt(na) * math.Sqrt(nb))
-}
-
-// Histogram is a fixed-width histogram over [Lo, Hi) with len(Counts) bins.
-// Samples outside the range are clamped into the first or last bin so that
-// totals are preserved.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-}
-
-// NewHistogram returns a histogram with bins equal-width bins over [lo, hi).
-// It panics if bins <= 0 or hi <= lo, which indicate programmer error.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 {
-		panic(fmt.Sprintf("stats: NewHistogram bins must be positive, got %d", bins))
-	}
-	if hi <= lo {
-		panic(fmt.Sprintf("stats: NewHistogram needs hi > lo, got [%g, %g)", lo, hi))
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	idx := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(h.Counts) {
-		idx = len(h.Counts) - 1
-	}
-	h.Counts[idx]++
-}
-
-// Total returns the number of samples recorded.
-func (h *Histogram) Total() int {
-	var n int
-	for _, c := range h.Counts {
-		n += c
-	}
-	return n
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + w*(float64(i)+0.5)
-}
-
-// CDF returns the empirical cumulative distribution of the histogram as a
-// slice of cumulative fractions per bin. An empty histogram yields all zeros.
-func (h *Histogram) CDF() []float64 {
-	out := make([]float64, len(h.Counts))
-	total := h.Total()
-	if total == 0 {
-		return out
-	}
-	cum := 0
-	for i, c := range h.Counts {
-		cum += c
-		out[i] = float64(cum) / float64(total)
-	}
-	return out
 }

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func almostEqual(a, b, tol float64) bool {
@@ -54,168 +53,7 @@ func TestMinMaxSum(t *testing.T) {
 	if got := Min(xs); got != -1 {
 		t.Errorf("Min = %g, want -1", got)
 	}
-	if got := Sum(xs); got != 11 {
-		t.Errorf("Sum = %g, want 11", got)
-	}
-	if Max(nil) != 0 || Min(nil) != 0 || Sum(nil) != 0 {
+	if Max(nil) != 0 || Min(nil) != 0 {
 		t.Error("empty-slice aggregates should be 0")
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	cases := []struct {
-		p, want float64
-	}{
-		{0, 1}, {50, 3}, {100, 5}, {25, 2}, {-5, 1}, {150, 5},
-	}
-	for _, c := range cases {
-		if got := Percentile(xs, c.p); !almostEqual(got, c.want, 1e-9) {
-			t.Errorf("Percentile(%v, %g) = %g, want %g", xs, c.p, got, c.want)
-		}
-	}
-	if got := Percentile(nil, 50); got != 0 {
-		t.Errorf("Percentile(nil) = %g, want 0", got)
-	}
-	// Input must not be mutated.
-	unsorted := []float64{5, 1, 3}
-	Percentile(unsorted, 50)
-	if unsorted[0] != 5 || unsorted[1] != 1 || unsorted[2] != 3 {
-		t.Errorf("Percentile mutated its input: %v", unsorted)
-	}
-}
-
-func TestCosineSimilarity(t *testing.T) {
-	if got := CosineSimilarity([]float64{1, 0}, []float64{1, 0}); !almostEqual(got, 1, 1e-12) {
-		t.Errorf("identical vectors: got %g, want 1", got)
-	}
-	if got := CosineSimilarity([]float64{1, 0}, []float64{0, 1}); !almostEqual(got, 0, 1e-12) {
-		t.Errorf("orthogonal vectors: got %g, want 0", got)
-	}
-	if got := CosineSimilarity([]float64{1, 1}, []float64{2, 2}); !almostEqual(got, 1, 1e-12) {
-		t.Errorf("parallel vectors: got %g, want 1", got)
-	}
-	if got := CosineSimilarity([]float64{0, 0}, []float64{1, 1}); got != 0 {
-		t.Errorf("zero vector: got %g, want 0", got)
-	}
-	if got := CosineSimilarity([]float64{1}, []float64{1, 2}); got != 0 {
-		t.Errorf("mismatched lengths: got %g, want 0", got)
-	}
-}
-
-func TestCosineSimilarityCounts(t *testing.T) {
-	a := []int{3, 0, 4}
-	b := []int{3, 0, 4}
-	if got := CosineSimilarityCounts(a, b); !almostEqual(got, 1, 1e-12) {
-		t.Errorf("identical count vectors: got %g, want 1", got)
-	}
-	if got := CosineSimilarityCounts([]int{1, 0}, []int{0, 1}); got != 0 {
-		t.Errorf("orthogonal count vectors: got %g, want 0", got)
-	}
-}
-
-// Property: cosine similarity of non-negative vectors lies in [0, 1] and is
-// symmetric.
-func TestCosineSimilarityProperties(t *testing.T) {
-	f := func(raw []uint8) bool {
-		if len(raw) < 2 {
-			return true
-		}
-		n := len(raw) / 2
-		a := make([]float64, n)
-		b := make([]float64, n)
-		for i := 0; i < n; i++ {
-			a[i] = float64(raw[i])
-			b[i] = float64(raw[n+i])
-		}
-		s := CosineSimilarity(a, b)
-		if s < -1e-9 || s > 1+1e-9 {
-			return false
-		}
-		return almostEqual(s, CosineSimilarity(b, a), 1e-12)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: percentile is monotone in p and bounded by min/max.
-func TestPercentileProperties(t *testing.T) {
-	f := func(raw []int16, p1, p2 uint8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		xs := make([]float64, len(raw))
-		for i, v := range raw {
-			xs[i] = float64(v)
-		}
-		a := float64(p1 % 101) // 0..100
-		b := float64(p2 % 101)
-		if a > b {
-			a, b = b, a
-		}
-		pa, pb := Percentile(xs, a), Percentile(xs, b)
-		return pa <= pb+1e-9 && pa >= Min(xs)-1e-9 && pb <= Max(xs)+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{0, 1.9, 2, 9.9, 10, 15, -3} {
-		h.Add(x)
-	}
-	if got := h.Total(); got != 7 {
-		t.Fatalf("Total = %d, want 7", got)
-	}
-	// -3 and 0 and 1.9 in bin 0; 2 in bin 1; 9.9, 10, 15 in bin 4.
-	want := []int{3, 1, 0, 0, 3}
-	for i, w := range want {
-		if h.Counts[i] != w {
-			t.Errorf("bin %d = %d, want %d (all: %v)", i, h.Counts[i], w, h.Counts)
-		}
-	}
-	if got := h.BinCenter(0); !almostEqual(got, 1, 1e-12) {
-		t.Errorf("BinCenter(0) = %g, want 1", got)
-	}
-	cdf := h.CDF()
-	if !almostEqual(cdf[len(cdf)-1], 1, 1e-12) {
-		t.Errorf("CDF last = %g, want 1", cdf[len(cdf)-1])
-	}
-	for i := 1; i < len(cdf); i++ {
-		if cdf[i] < cdf[i-1] {
-			t.Errorf("CDF not monotone at %d: %v", i, cdf)
-		}
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for _, c := range []struct {
-		name   string
-		lo, hi float64
-		bins   int
-	}{
-		{"zero bins", 0, 1, 0},
-		{"inverted range", 1, 0, 4},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			NewHistogram(c.lo, c.hi, c.bins)
-		})
-	}
-}
-
-func TestHistogramEmptyCDF(t *testing.T) {
-	h := NewHistogram(0, 1, 3)
-	for _, v := range h.CDF() {
-		if v != 0 {
-			t.Errorf("empty CDF should be all zero, got %v", h.CDF())
-		}
 	}
 }

@@ -260,6 +260,7 @@ func FuzzFacloc(f *testing.F) {
 		}
 		var fs facloc.Solver
 		exact := facloc.BruteForce(p)
+		var warm facloc.Solution
 		tol := CertTol * (1 + math.Abs(exact.Cost))
 		if dualLB, _ := fs.DualAscent(p); dualLB > exact.Cost+tol {
 			t.Fatalf("dual bound %g above optimum %g", dualLB, exact.Cost)
@@ -270,7 +271,10 @@ func FuzzFacloc(f *testing.F) {
 		}{
 			{"Solve", fs.Solve(p)}, {"SolveQuick", fs.SolveQuick(p)},
 			// The rounding phase's entry point, seeded off the optimum.
-			{"SolveWarm", fs.SolveWarm(p, []int32{int32(uint64(seed) % uint64(p.NumFacilities()))})},
+			{"SolveWarm", func() facloc.Solution {
+				fs.SolveWarmInto(p, &warm, []int32{int32(uint64(seed) % uint64(p.NumFacilities()))})
+				return warm
+			}()},
 			{"BruteForce", exact},
 		} {
 			if re := uflCost(p, h.sol); relDiff(re, h.sol.Cost) > CertTol {
