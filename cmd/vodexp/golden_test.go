@@ -28,8 +28,13 @@ func buildBinary(t *testing.T) string {
 	return bin
 }
 
+// tinyArgs is the smallest configuration at which every experiment still
+// runs end to end.
+var tinyArgs = []string{"-quick", "-videos", "150", "-days", "14", "-vhos", "6", "-rpd", "10", "-passes", "20", "-seed", "2"}
+
 // TestGolden pins the output of fixed-seed experiment runs (the fast
-// analysis experiments, so the suite stays cheap). Regenerate with
+// analysis experiments and the two capacity searches at a tiny scale, so the
+// suite stays cheap). Regenerate with
 // `go test ./cmd/vodexp -run Golden -update` after an intentional change.
 func TestGolden(t *testing.T) {
 	bin := buildBinary(t)
@@ -43,6 +48,11 @@ func TestGolden(t *testing.T) {
 		{"fig2_quick", []string{"-exp", "fig2", "-quick", "-verify", "-cold"}},
 		{"fig4_quick", []string{"-exp", "fig4", "-quick", "-cold"}},
 		{"fig2_fast", []string{"-exp", "fig2", "-quick", "-verify"}},
+		// The capacity searches at a tiny scale: Table IV's link search on
+		// three networks, Table V's per-window search and the placement
+		// solved at the capacity it found.
+		{"table4_tiny", append([]string{"-exp", "table4"}, tinyArgs...)},
+		{"table5_tiny", append([]string{"-exp", "table5"}, tinyArgs...)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			out, err := exec.Command(bin, tc.args...).CombinedOutput()
