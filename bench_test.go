@@ -209,7 +209,7 @@ func BenchmarkCompareSchemesParallel(b *testing.B) {
 	sc := experiments.NewScenario(compareCfg())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.CompareSchemes(sc); err != nil {
+		if _, err := experiments.CompareSchemes(context.Background(), sc); err != nil {
 			b.Fatal(err)
 		}
 	}

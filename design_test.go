@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -27,6 +28,17 @@ type goDecls struct {
 	comments []fileText                 // each file's comment text, in walk order
 	settings []fileNames                // each file's set names, in walk order
 	knobs    []knobStruct               // internal/'s *Config, *Options and *Opts structs
+	half     halfSites                  // non-test comparisons of a .V with 0.5
+}
+
+// halfSites records where non-test Go spells the y ≥ ½ open threshold
+// itself: each comparison of a .V selector with the literal 0.5, each
+// constant declared as 0.5 ("pkg.name" -> its position) and the "pkg.name"
+// identifiers some .V is compared with.
+type halfSites struct {
+	literals []string
+	consts   map[string]string
+	compared map[string]bool
 }
 
 type fileText struct{ path, text string }
@@ -84,6 +96,7 @@ func parseModule(t *testing.T) *goDecls {
 		pkgMems: map[string]map[string]bool{},
 		all:     map[string]bool{},
 		structs: map[string]*ast.StructType{},
+		half:    halfSites{consts: map[string]string{}, compared: map[string]bool{}},
 	}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, e fs.DirEntry, err error) error {
@@ -110,6 +123,9 @@ func parseModule(t *testing.T) *goDecls {
 		d.comments = append(d.comments, fileText{path, text.String()})
 		d.settings = append(d.settings, fileNames{path, setNames(f)})
 		pkg := strings.TrimSuffix(f.Name.Name, "_test")
+		if !strings.HasSuffix(path, "_test.go") {
+			d.half.collect(fset, f, pkg)
+		}
 		for _, decl := range f.Decls {
 			switch decl := decl.(type) {
 			case *ast.FuncDecl:
@@ -188,6 +204,51 @@ func setNames(f *ast.File) map[string]bool {
 		return true
 	})
 	return names
+}
+
+func (h *halfSites) collect(fset *token.FileSet, f *ast.File, pkg string) {
+	isHalf := func(e ast.Expr) bool {
+		lit, ok := e.(*ast.BasicLit)
+		return ok && lit.Kind == token.FLOAT && lit.Value == "0.5"
+	}
+	isV := func(e ast.Expr) bool {
+		sel, ok := e.(*ast.SelectorExpr)
+		return ok && sel.Sel.Name == "V"
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.GenDecl:
+			if n.Tok != token.CONST {
+				return true
+			}
+			for _, spec := range n.Specs {
+				vs := spec.(*ast.ValueSpec)
+				for i, name := range vs.Names {
+					if i < len(vs.Values) && isHalf(vs.Values[i]) {
+						h.consts[pkg+"."+name.Name] = fset.Position(name.Pos()).String()
+					}
+				}
+			}
+		case *ast.BinaryExpr:
+			switch n.Op {
+			case token.LSS, token.LEQ, token.GTR, token.GEQ, token.EQL, token.NEQ:
+			default:
+				return true
+			}
+			for _, pair := range [][2]ast.Expr{{n.X, n.Y}, {n.Y, n.X}} {
+				if !isV(pair[0]) {
+					continue
+				}
+				if isHalf(pair[1]) {
+					h.literals = append(h.literals, fset.Position(n.Pos()).String())
+				}
+				if id, ok := pair[1].(*ast.Ident); ok {
+					h.compared[pkg+"."+id.Name] = true
+				}
+			}
+		}
+		return true
+	})
 }
 
 func (d *goDecls) addTypeMembers(pkg, typ string, expr ast.Expr) {
@@ -447,5 +508,23 @@ func TestConfigFieldsHaveCallers(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestOpenThresholdHasOneHome holds the y ≥ ½ "holds a copy" rule to one
+// home, mip.OpenY: no non-test Go compares a .V selector with the literal
+// 0.5, and no package but mip declares its own 0.5 constant to compare a .V
+// with.
+func TestOpenThresholdHasOneHome(t *testing.T) {
+	d := parseModule(t)
+	sites := append([]string(nil), d.half.literals...)
+	for name, pos := range d.half.consts {
+		if d.half.compared[name] && !strings.HasPrefix(name, "mip.") {
+			sites = append(sites, pos+" (const "+name+")")
+		}
+	}
+	sort.Strings(sites)
+	for _, s := range sites {
+		t.Errorf("%s spells the y ≥ ½ open threshold itself; compare with mip.OpenY", s)
 	}
 }

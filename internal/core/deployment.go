@@ -47,16 +47,19 @@ func (d Deployment) Workload() (*catalog.Library, *workload.Trace) {
 	return lib, tr
 }
 
-// Instance builds the placement instance for day 7, its demand estimated
-// from the first week of history: the 55-office backbone at 55 offices, a
-// seeded random topology otherwise.
-func (d Deployment) Instance() (*mip.Instance, error) {
-	var g *topology.Graph
-	if d.VHOs == 55 {
-		g = topology.Backbone55()
-	} else {
-		g = topology.Random(d.VHOs, 1.4, d.Seed)
+// Network is the deployment's topology rule: the 55-office backbone at 55
+// offices, a seeded random graph otherwise.
+func Network(vhos int, seed int64) *topology.Graph {
+	if vhos == 55 {
+		return topology.Backbone55()
 	}
+	return topology.Random(vhos, 1.4, seed)
+}
+
+// Instance builds the placement instance for day 7 on the deployment's
+// Network, its demand estimated from the first week of history.
+func (d Deployment) Instance() (*mip.Instance, error) {
+	g := Network(d.VHOs, d.Seed)
 	lib, tr := d.Workload()
 	b := &demand.Builder{
 		G: g, Lib: lib,

@@ -446,7 +446,7 @@ func (s *solver) placeBlock(vi int) bool {
 }
 
 // warmOpenSet extracts the integral open set of a block: offices with
-// y ≥ ½, falling back to the largest-y office when the block is spread thin.
+// y ≥ mip.OpenY, falling back to the largest-y office when the block is spread thin.
 // The input is ascending, so the output is too.
 func warmOpenSet(open []mip.Frac) []int32 {
 	var out []int32
@@ -456,7 +456,7 @@ func warmOpenSet(open []mip.Frac) []int32 {
 		if f.V > bestV {
 			bestV, best = f.V, f.I
 		}
-		if f.V >= 0.5 {
+		if f.V >= mip.OpenY {
 			out = append(out, f.I)
 		}
 	}

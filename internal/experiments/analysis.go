@@ -126,7 +126,7 @@ type Fig4Result struct {
 // ReleaseDayCounts returns each episode's request count on its release day,
 // in episode order — the quantity whose stability justifies the §VI-A
 // estimator.
-func (r *Fig4Result) ReleaseDayCounts(days int) []int {
+func (r *Fig4Result) ReleaseDayCounts() []int {
 	var eps []int
 	for ep := range r.Daily {
 		eps = append(eps, ep)
@@ -185,7 +185,7 @@ func Fig4Series(_ context.Context, w io.Writer, cfg Config) error {
 		}
 		fmt.Fprintln(w)
 	}
-	peaks := r.ReleaseDayCounts(sc.Cfg.Days)
+	peaks := r.ReleaseDayCounts()
 	fmt.Fprintf(w, "peak-day counts per episode: %v\n", peaks)
 	return nil
 }

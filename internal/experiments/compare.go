@@ -47,16 +47,11 @@ func (r *CompareResult) Outcome(name string) *SchemeOutcome {
 
 // CompareSchemes runs the §VII-B comparison: the MIP scheme with weekly
 // updates and a 5% complementary cache, against Random+LRU, Random+LFU and
-// Top-100+LRU at identical disk budgets.
-func CompareSchemes(sc *Scenario) (*CompareResult, error) {
-	return CompareSchemesContext(context.Background(), sc)
-}
-
-// CompareSchemesContext fans the four schemes out across a worker pool:
-// they share only immutable scenario state (graph path tables, library,
-// trace) and write into index-addressed slots, so the reported order is the
-// fixed scheme order regardless of which scheme finishes first.
-func CompareSchemesContext(ctx context.Context, sc *Scenario) (*CompareResult, error) {
+// Top-100+LRU at identical disk budgets. The four schemes fan out across a
+// worker pool: they share only immutable scenario state (graph path tables,
+// library, trace) and write into index-addressed slots, so the reported
+// order is the fixed scheme order regardless of which scheme finishes first.
+func CompareSchemes(ctx context.Context, sc *Scenario) (*CompareResult, error) {
 	topK := 100
 	if sc.Cfg.Videos < 1000 {
 		topK = sc.Cfg.Videos / 20
@@ -68,7 +63,7 @@ func CompareSchemesContext(ctx context.Context, sc *Scenario) (*CompareResult, e
 	}
 	schemes := []scheme{
 		{"mip", func() (*sim.Result, error) {
-			r, err := sc.Sys.RunMIPContext(ctx, sc.Trace, core.MIPOptions{Solver: sc.Cfg.solver(), Verify: sc.Cfg.Verify, Warm: sc.Cfg.Warm})
+			r, err := sc.Sys.RunMIPContext(ctx, sc.Trace, sc.Cfg.mipOptions(core.MIPOptions{}))
 			if err != nil {
 				return nil, err
 			}
@@ -112,7 +107,7 @@ func CompareSchemesContext(ctx context.Context, sc *Scenario) (*CompareResult, e
 // peak series, the Fig. 5 content.
 func Fig5PeakBandwidth(ctx context.Context, w io.Writer, cfg Config) error {
 	sc := NewScenario(cfg)
-	res, err := CompareSchemesContext(ctx, sc)
+	res, err := CompareSchemes(ctx, sc)
 	if err != nil {
 		return err
 	}
@@ -151,7 +146,7 @@ func Fig5PeakBandwidth(ctx context.Context, w io.Writer, cfg Config) error {
 // Fig6Aggregate prints total and per-day aggregate transfer volume.
 func Fig6Aggregate(ctx context.Context, w io.Writer, cfg Config) error {
 	sc := NewScenario(cfg)
-	res, err := CompareSchemesContext(ctx, sc)
+	res, err := CompareSchemes(ctx, sc)
 	if err != nil {
 		return err
 	}
@@ -169,36 +164,28 @@ type Fig7Result struct {
 	TotalGB                 float64
 }
 
+// byDemand returns the first placement's video indices by decreasing
+// estimated demand, and each video's copy count (Solution.Copies). Fig. 7
+// and Fig. 8 both read the placement in this order.
+func byDemand(run *core.MIPRun) (ranked, copies []int) {
+	plan := run.Plans[0]
+	demand := make([]float64, len(plan.Instance.Demands))
+	ranked = make([]int, len(demand))
+	for vi := range demand {
+		demand[vi], ranked[vi] = plan.Instance.Demands[vi].TotalDemandGB(), vi
+	}
+	sort.Slice(ranked, func(a, b int) bool { return demand[ranked[a]] > demand[ranked[b]] })
+	return ranked, plan.Result.Sol.Copies()
+}
+
 // Fig7Compute classifies the first placement's copies by demand rank.
 func Fig7Compute(run *core.MIPRun) *Fig7Result {
-	plan := run.Plans[0]
-	type vd struct {
-		vi     int
-		demand float64
-	}
-	ranked := make([]vd, len(plan.Instance.Demands))
-	for vi := range plan.Instance.Demands {
-		ranked[vi] = vd{vi, plan.Instance.Demands[vi].TotalDemandGB()}
-	}
-	sort.Slice(ranked, func(a, b int) bool { return ranked[a].demand > ranked[b].demand })
+	ranked, copies := byDemand(run)
 	out := &Fig7Result{}
-	highCut := 100
-	if highCut > len(ranked) {
-		highCut = len(ranked)
-	}
-	mediumCut := highCut + len(ranked)*20/100
-	if mediumCut > len(ranked) {
-		mediumCut = len(ranked)
-	}
-	for pos, r := range ranked {
-		d := &plan.Instance.Demands[r.vi]
-		copies := 0
-		for _, f := range plan.Result.Sol.Videos[r.vi].Open {
-			if f.V >= 0.5 {
-				copies++
-			}
-		}
-		gb := float64(copies) * d.SizeGB
+	highCut := min(100, len(ranked))
+	mediumCut := min(highCut+len(ranked)*20/100, len(ranked))
+	for pos, vi := range ranked {
+		gb := float64(copies[vi]) * run.Plans[0].Instance.Demands[vi].SizeGB
 		out.TotalGB += gb
 		switch {
 		case pos < highCut:
@@ -215,7 +202,7 @@ func Fig7Compute(run *core.MIPRun) *Fig7Result {
 // Fig7DiskByPopularity prints the popularity-class disk split.
 func Fig7DiskByPopularity(ctx context.Context, w io.Writer, cfg Config) error {
 	sc := NewScenario(cfg)
-	run, err := sc.Sys.RunMIPContext(ctx, sc.Trace, core.MIPOptions{Solver: sc.Cfg.solver(), Verify: sc.Cfg.Verify, Warm: sc.Cfg.Warm})
+	run, err := sc.Sys.RunMIPContext(ctx, sc.Trace, sc.Cfg.mipOptions(core.MIPOptions{}))
 	if err != nil {
 		return err
 	}
@@ -237,26 +224,11 @@ type Fig8Result struct {
 
 // Fig8Compute extracts copy counts by rank from the first placement.
 func Fig8Compute(run *core.MIPRun) *Fig8Result {
-	plan := run.Plans[0]
-	type vd struct {
-		vi     int
-		demand float64
-	}
-	ranked := make([]vd, len(plan.Instance.Demands))
-	for vi := range plan.Instance.Demands {
-		ranked[vi] = vd{vi, plan.Instance.Demands[vi].TotalDemandGB()}
-	}
-	sort.Slice(ranked, func(a, b int) bool { return ranked[a].demand > ranked[b].demand })
+	ranked, copies := byDemand(run)
 	out := &Fig8Result{}
-	for _, r := range ranked {
-		copies := 0
-		for _, f := range plan.Result.Sol.Videos[r.vi].Open {
-			if f.V >= 0.5 {
-				copies++
-			}
-		}
-		out.Copies = append(out.Copies, copies)
-		if copies >= 2 {
+	for _, vi := range ranked {
+		out.Copies = append(out.Copies, copies[vi])
+		if copies[vi] >= 2 {
 			out.MultiCopy++
 		}
 	}
@@ -266,7 +238,7 @@ func Fig8Compute(run *core.MIPRun) *Fig8Result {
 // Fig8Copies prints copy counts at sampled ranks.
 func Fig8Copies(ctx context.Context, w io.Writer, cfg Config) error {
 	sc := NewScenario(cfg)
-	run, err := sc.Sys.RunMIPContext(ctx, sc.Trace, core.MIPOptions{Solver: sc.Cfg.solver(), Verify: sc.Cfg.Verify, Warm: sc.Cfg.Warm})
+	run, err := sc.Sys.RunMIPContext(ctx, sc.Trace, sc.Cfg.mipOptions(core.MIPOptions{}))
 	if err != nil {
 		return err
 	}
@@ -344,7 +316,7 @@ func Table2Compute(ctx context.Context, cfg Config, diskFactor float64) (*Table2
 	c := cfg
 	c.DiskFactor = diskFactor
 	sc := NewScenario(c)
-	mipRun, err := sc.Sys.RunMIPContext(ctx, sc.Trace, core.MIPOptions{Solver: sc.Cfg.solver(), Verify: sc.Cfg.Verify, Warm: sc.Cfg.Warm})
+	mipRun, err := sc.Sys.RunMIPContext(ctx, sc.Trace, sc.Cfg.mipOptions(core.MIPOptions{}))
 	if err != nil {
 		return nil, err
 	}

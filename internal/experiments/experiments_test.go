@@ -96,7 +96,7 @@ func TestFig4(t *testing.T) {
 	if len(r.Daily) == 0 {
 		t.Fatal("no episodes observed")
 	}
-	peaks := r.ReleaseDayCounts(sc.Cfg.Days)
+	peaks := r.ReleaseDayCounts()
 	if len(peaks) != len(r.Daily) {
 		t.Errorf("peak counts %d, episodes %d", len(peaks), len(r.Daily))
 	}
@@ -104,7 +104,7 @@ func TestFig4(t *testing.T) {
 
 func TestCompareSchemes(t *testing.T) {
 	sc := NewScenario(quickCfg())
-	res, err := CompareSchemes(sc)
+	res, err := CompareSchemes(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestProbeFeasibleBounds(t *testing.T) {
 	for l := range bigLinks {
 		bigLinks[l] = 1e6
 	}
-	if !probeFeasible(context.Background(), sc, bigDisk, bigLinks, 7, feasTolerance) {
+	if !probeFeasible(context.Background(), sc, bigDisk, bigLinks, 7, 0, feasTolerance) {
 		t.Error("generous capacities reported infeasible")
 	}
 	// Disk below one copy of the library must be infeasible.
@@ -187,8 +187,33 @@ func TestProbeFeasibleBounds(t *testing.T) {
 	for i := range tinyDisk {
 		tinyDisk[i] = sc.Lib.TotalSizeGB() * 0.5 / float64(sc.Cfg.VHOs)
 	}
-	if probeFeasible(context.Background(), sc, tinyDisk, bigLinks, 7, feasTolerance) {
+	if probeFeasible(context.Background(), sc, tinyDisk, bigLinks, 7, 0, feasTolerance) {
 		t.Error("sub-library disk reported feasible")
+	}
+}
+
+// TestTable5SolvesAtFoundCap holds Table V to its promise: every placement
+// it plays is solved with every link at the capacity its search found, not
+// at the scenario's own link budget.
+func TestTable5SolvesAtFoundCap(t *testing.T) {
+	cfg := Config{Quick: true, Videos: 150, Days: 14, VHOs: 6,
+		RequestsPerVideoPerDay: 10, Seed: 2, MaxPasses: 20}
+	rows, err := Table5Compute(context.Background(), cfg, []int64{60, 3600})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		if r.Run == nil || len(r.Run.Plans) == 0 {
+			t.Fatalf("window %ds: no placement played", r.WindowSec)
+		}
+		for _, plan := range r.Run.Plans {
+			for l, c := range plan.Instance.LinkCapMbps {
+				if c != r.FeasibleCapMbps {
+					t.Fatalf("window %ds, day %d: link %d solved at %g Mb/s, want the found %g",
+						r.WindowSec, plan.Day, l, c, r.FeasibleCapMbps)
+				}
+			}
+		}
 	}
 }
 

@@ -36,15 +36,17 @@ const feasTolerance = 0.03
 // infeasibility.
 const linkSearchDiskTolerance = 0.08
 
-// probeFeasible builds a placement instance from the trace's first history
-// window and reports whether the EPF solver reaches a fractional point under
-// the given capacities with link violation at most feasTolerance and disk
-// violation at most diskTol. A false result conflates true infeasibility
-// with exceeding the pass budget, exactly as any numerical feasibility probe
-// does.
-func probeFeasible(ctx context.Context, sc *Scenario, diskGB []float64, linkCapMbps []float64, day int, diskTol float64) bool {
+// probeFeasible builds the placement instance for day from the week of
+// history before it, with win-second peak windows (0 keeps demand's
+// default), and reports whether the EPF solver reaches a fractional point
+// under the given capacities that serves every request with link violation
+// at most feasTolerance and disk violation at most diskTol. A false result
+// conflates true infeasibility with exceeding the pass budget, exactly as
+// any numerical feasibility probe does. It is the one probe every capacity
+// search runs.
+func probeFeasible(ctx context.Context, sc *Scenario, diskGB, linkCapMbps []float64, day int, win int64, diskTol float64) bool {
 	b := &demand.Builder{G: sc.G, Lib: sc.Lib, DiskGB: diskGB, LinkCapMbps: linkCapMbps,
-		Cfg: demand.Config{HorizonDays: 7}}
+		Cfg: demand.Config{WindowSec: win, HorizonDays: 7}}
 	inst, err := b.Instance(sc.Trace, day)
 	if err != nil {
 		return false // disk cannot even hold one copy of each video
@@ -62,6 +64,51 @@ func probeFeasible(ctx context.Context, sc *Scenario, diskGB []float64, linkCapM
 	return v.Disk <= diskTol && v.Link <= feasTolerance && v.Unserved <= 1e-6
 }
 
+// minFeasible is the one capacity search: the least value in [lo, hi] at
+// which feasible holds, taking feasibility as monotone in the value. It
+// returns 0 when hi is infeasible and lo when lo is already feasible;
+// otherwise it bisects steps times at mid(lo, hi) and returns the feasible
+// end.
+func minFeasible(lo, hi float64, steps int, mid func(lo, hi float64) float64, feasible func(float64) bool) float64 {
+	if !feasible(hi) {
+		return 0
+	}
+	if feasible(lo) {
+		return lo
+	}
+	for i := 0; i < steps; i++ {
+		if m := mid(lo, hi); feasible(m) {
+			hi = m
+		} else {
+			lo = m
+		}
+	}
+	return hi
+}
+
+// arithMid is the disk search's midpoint, on a linear scale.
+func arithMid(lo, hi float64) float64 { return (lo + hi) / 2 }
+
+// sqrtGeo is the link searches' midpoint, on a log scale: √(a·b) found by
+// bisection. math.Sqrt(a*b) cannot overflow at these sizes either, but it
+// lands on a different last bit, and a probe that sits on the frontier
+// flips with it, moving a printed capacity (fig13 -quick's ebone/300 row
+// reads 37 Mb/s instead of 39). The bisection keeps the committed results
+// reproducible.
+func sqrtGeo(a, b float64) float64 {
+	m := a * b
+	lo, hi := a, b
+	for i := 0; i < 40; i++ {
+		mid := (lo + hi) / 2
+		if mid*mid > m {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return (lo + hi) / 2
+}
+
 // Fig11Result is one feasibility-region line: for each link capacity, the
 // minimum aggregate disk (as a multiple of library size) at which all
 // requests can be served.
@@ -72,40 +119,23 @@ type Fig11Result struct {
 	MinDiskFactor []float64
 }
 
-// Fig11Compute binary-searches the minimum disk factor per link capacity,
-// for uniform or heterogeneous office disks.
+// Fig11Compute searches the minimum disk factor per link capacity, for
+// uniform or heterogeneous office disks.
 func Fig11Compute(ctx context.Context, sc *Scenario, linkCaps []float64, heterogeneous bool) *Fig11Result {
 	out := &Fig11Result{LinkCapMbps: linkCaps}
 	day := min(7, sc.Cfg.Days-1)
+	disk := core.UniformDisk
+	if heterogeneous {
+		disk = core.HeterogeneousDisk
+	}
 	for _, cap := range linkCaps {
 		if ctx.Err() != nil {
 			break // cancelled: report only the caps probed so far
 		}
 		links := core.UniformLinks(sc.G, cap)
-		disk := func(factor float64) []float64 {
-			if heterogeneous {
-				return core.HeterogeneousDisk(sc.Lib, sc.Cfg.VHOs, factor)
-			}
-			return core.UniformDisk(sc.Lib, sc.Cfg.VHOs, factor)
-		}
-		lo, hi := 1.02, 8.0
-		if !probeFeasible(ctx, sc, disk(hi), links, day, feasTolerance) {
-			out.MinDiskFactor = append(out.MinDiskFactor, 0)
-			continue
-		}
-		if probeFeasible(ctx, sc, disk(lo), links, day, feasTolerance) {
-			out.MinDiskFactor = append(out.MinDiskFactor, lo)
-			continue
-		}
-		for iter := 0; iter < 7; iter++ {
-			mid := (lo + hi) / 2
-			if probeFeasible(ctx, sc, disk(mid), links, day, feasTolerance) {
-				hi = mid
-			} else {
-				lo = mid
-			}
-		}
-		out.MinDiskFactor = append(out.MinDiskFactor, hi)
+		out.MinDiskFactor = append(out.MinDiskFactor, minFeasible(1.02, 8, 7, arithMid, func(factor float64) bool {
+			return probeFeasible(ctx, sc, disk(sc.Lib, sc.Cfg.VHOs, factor), links, day, 0, feasTolerance)
+		}))
 	}
 	return out
 }
@@ -113,7 +143,8 @@ func Fig11Compute(ctx context.Context, sc *Scenario, linkCaps []float64, heterog
 // Fig11Feasibility prints the uniform and heterogeneous feasibility lines.
 func Fig11Feasibility(ctx context.Context, w io.Writer, cfg Config) error {
 	sc := NewScenario(cfg)
-	caps := []float64{cfg.withDefaults().LinkCapMbps / 2, cfg.withDefaults().LinkCapMbps, cfg.withDefaults().LinkCapMbps * 2, cfg.withDefaults().LinkCapMbps * 4}
+	link := sc.Cfg.LinkCapMbps
+	caps := []float64{link / 2, link, link * 2, link * 4}
 	uni := Fig11Compute(ctx, sc, caps, false)
 	het := Fig11Compute(ctx, sc, caps, true)
 	if err := ctx.Err(); err != nil {
@@ -143,12 +174,7 @@ func Fig12Compute(ctx context.Context, sc *Scenario, fractions []float64) (*Fig1
 		if cf == 0 {
 			cf = -1 // MIPOptions: negative means exactly zero cache
 		}
-		run, err := sc.Sys.RunMIPContext(ctx, sc.Trace, core.MIPOptions{
-			CacheFraction: cf,
-			Solver:        sc.Cfg.solver(),
-			Verify:        sc.Cfg.Verify,
-			Warm:          sc.Cfg.Warm,
-		})
+		run, err := sc.Sys.RunMIPContext(ctx, sc.Trace, sc.Cfg.mipOptions(core.MIPOptions{CacheFraction: cf}))
 		if err != nil {
 			return nil, err
 		}
@@ -173,42 +199,6 @@ func Fig12CacheSweep(ctx context.Context, w io.Writer, cfg Config) error {
 	return nil
 }
 
-// minFeasibleLinkCap binary-searches the lowest uniform link capacity at
-// which the placement is ε-feasible, on a log scale over [loMbps, hiMbps].
-func minFeasibleLinkCap(ctx context.Context, sc *Scenario, diskGB []float64, loMbps, hiMbps float64, day int) float64 {
-	if !probeFeasible(ctx, sc, diskGB, core.UniformLinks(sc.G, hiMbps), day, linkSearchDiskTolerance) {
-		return 0
-	}
-	if probeFeasible(ctx, sc, diskGB, core.UniformLinks(sc.G, loMbps), day, linkSearchDiskTolerance) {
-		return loMbps
-	}
-	lo, hi := loMbps, hiMbps
-	for iter := 0; iter < 8; iter++ {
-		mid := sqrtGeo(lo, hi)
-		if probeFeasible(ctx, sc, diskGB, core.UniformLinks(sc.G, mid), day, linkSearchDiskTolerance) {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return hi
-}
-
-func sqrtGeo(a, b float64) float64 {
-	m := a * b
-	// geometric midpoint without math.Sqrt overflow concerns at these scales
-	lo, hi := a, b
-	for i := 0; i < 40; i++ {
-		mid := (lo + hi) / 2
-		if mid*mid > m {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return (lo + hi) / 2
-}
-
 // Fig13Row is one scenario of the Fig. 13 scalability study.
 type Fig13Row struct {
 	Network     string
@@ -229,14 +219,14 @@ func Fig13Compute(ctx context.Context, cfg Config, sizes []int, networks []strin
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			g := namedTopology(netName)
 			c := cfg
 			c.Videos = videos
-			c.VHOs = g.NumNodes()
 			c.Days = min(cfg.withDefaults().Days, 14)
-			sc := buildScenarioOn(g, c)
-			disk := core.UniformDisk(sc.Lib, g.NumNodes(), 2.0)
-			cap := minFeasibleLinkCap(ctx, sc, disk, 5, 50000, 7)
+			sc := scenarioOn(namedTopology(netName), c)
+			disk := core.UniformDisk(sc.Lib, sc.Cfg.VHOs, 2.0)
+			cap := minFeasible(5, 50000, 8, sqrtGeo, func(mbps float64) bool {
+				return probeFeasible(ctx, sc, disk, core.UniformLinks(sc.G, mbps), 7, 0, linkSearchDiskTolerance)
+			})
 			rows = append(rows, Fig13Row{
 				Network:     netName,
 				Videos:      videos,
@@ -246,25 +236,6 @@ func Fig13Compute(ctx context.Context, cfg Config, sizes []int, networks []strin
 		}
 	}
 	return rows, nil
-}
-
-// buildScenarioOn materializes a scenario on a specific prebuilt graph.
-func buildScenarioOn(g *topology.Graph, cfg Config) *Scenario {
-	c := cfg.withDefaults()
-	c.VHOs = g.NumNodes()
-	lib := catalogForScale(c)
-	tr := workload.GenerateTrace(lib, workload.TraceConfig{
-		Days:                   c.Days,
-		NumVHOs:                c.VHOs,
-		RequestsPerVideoPerDay: c.RequestsPerVideoPerDay,
-	}, c.Seed+20)
-	sys := &core.System{
-		G:           g,
-		Lib:         lib,
-		DiskGB:      core.UniformDisk(lib, c.VHOs, c.DiskFactor),
-		LinkCapMbps: core.UniformLinks(g, c.LinkCapMbps),
-	}
-	return &Scenario{Cfg: c, G: g, Lib: lib, Trace: tr, Sys: sys}
 }
 
 func namedTopology(name string) *topology.Graph {
@@ -314,32 +285,28 @@ type Table4Row struct {
 // smaller than the trace's office count, the offices with the largest
 // request volumes are kept, as in the paper.
 func Table4Compute(ctx context.Context, cfg Config, names []string) ([]Table4Row, error) {
-	c := cfg.withDefaults()
 	base := NewScenario(cfg)
+	day := min(7, base.Cfg.Days-1)
 	var rows []Table4Row
 	for _, name := range names {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		g := namedTopology(name)
-		sc := base
-		switch {
-		case g.NumNodes() < base.Cfg.VHOs:
-			// Keep the offices with the largest request volumes, as in the
-			// paper's RocketFuel runs.
-			tr := remapTopVHOs(base.Trace, g.NumNodes())
-			sysCfg := base.Cfg
-			sysCfg.VHOs = g.NumNodes()
-			sc = &Scenario{Cfg: sysCfg, G: g, Lib: base.Lib, Trace: tr,
-				Sys: &core.System{G: g, Lib: base.Lib}}
-		default:
-			// Same or larger network: demand simply occupies the first
-			// offices.
-			sc = &Scenario{Cfg: base.Cfg, G: g, Lib: base.Lib, Trace: base.Trace,
-				Sys: &core.System{G: g, Lib: base.Lib}}
+		// On a same-size or larger network demand simply occupies the first
+		// offices; a smaller one keeps the offices with the largest request
+		// volumes, as in the paper's RocketFuel runs. The probe reads no
+		// System, so the scenario carries none.
+		c, tr := base.Cfg, base.Trace
+		if g.NumNodes() < c.VHOs {
+			c.VHOs = g.NumNodes()
+			tr = remapTopVHOs(base.Trace, g.NumNodes())
 		}
+		sc := &Scenario{Cfg: c, G: g, Lib: base.Lib, Trace: tr}
 		disk := core.UniformDisk(sc.Lib, g.NumNodes(), 3.0)
-		cap := minFeasibleLinkCap(ctx, sc, disk, 5, 80000, min(7, c.Days-1))
+		cap := minFeasible(5, 80000, 8, sqrtGeo, func(mbps float64) bool {
+			return probeFeasible(ctx, sc, disk, core.UniformLinks(g, mbps), day, 0, linkSearchDiskTolerance)
+		})
 		rows = append(rows, Table4Row{
 			Topology:    name,
 			Nodes:       g.NumNodes(),
@@ -398,6 +365,9 @@ type Table5Row struct {
 	FeasibleCapMbps float64
 	MaxDuringWindow float64
 	MaxEntirePeriod float64
+	// Run is the placement solved with every link at FeasibleCapMbps and
+	// played against the trace; nil when no capacity was feasible.
+	Run *core.MIPRun
 }
 
 // Table5Compute reproduces Table V: for each constraint-window size, the
@@ -412,62 +382,26 @@ func Table5Compute(ctx context.Context, cfg Config, windows []int64) ([]Table5Ro
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		// Find the feasibility constraint for this window size.
-		var cap float64
-		probe := func(capMbps float64) bool {
-			b := &demand.Builder{G: sc.G, Lib: sc.Lib,
-				DiskGB:      core.UniformDisk(sc.Lib, sc.Cfg.VHOs, sc.Cfg.DiskFactor),
-				LinkCapMbps: core.UniformLinks(sc.G, capMbps),
-				Cfg:         demand.Config{WindowSec: win, HorizonDays: 7}}
-			inst, err := b.Instance(sc.Trace, day)
-			if err != nil {
-				return false
-			}
-			opts := sc.Cfg.solver()
-			if opts.MaxPasses < 60 {
-				opts.MaxPasses = 60
-			}
-			res, err := epf.SolveContext(ctx, inst, opts)
-			if err != nil {
-				return false
-			}
-			sc.Cfg.mustAudit(inst, res)
-			v := res.Violation
-			return v.Disk <= feasTolerance && v.Link <= feasTolerance
-		}
-		lo, hi := 5.0, 50000.0
-		if !probe(hi) {
+		cap := minFeasible(5, 50000, 8, sqrtGeo, func(mbps float64) bool {
+			return probeFeasible(ctx, sc, sc.Sys.DiskGB, core.UniformLinks(sc.G, mbps), day, win, feasTolerance)
+		})
+		if cap == 0 {
 			rows = append(rows, Table5Row{WindowSec: win})
 			continue
 		}
-		for iter := 0; iter < 8; iter++ {
-			mid := sqrtGeo(lo, hi)
-			if probe(mid) {
-				hi = mid
-			} else {
-				lo = mid
-			}
-		}
-		cap = hi
-
-		// Solve at that capacity and play the trace.
-		run, err := sc.Sys.RunMIPContext(ctx, sc.Trace, core.MIPOptions{
-			WindowSec:     win,
-			CacheFraction: -1,
-			Solver:        sc.Cfg.solver(),
-			Verify:        sc.Cfg.Verify,
-			Warm:          sc.Cfg.Warm,
-		})
+		// Solve at that capacity: the scenario's system, every link at cap.
+		sys := *sc.Sys
+		sys.LinkCapMbps = core.UniformLinks(sc.G, cap)
+		run, err := sys.RunMIPContext(ctx, sc.Trace, sc.Cfg.mipOptions(core.MIPOptions{WindowSec: win, CacheFraction: -1}))
 		if err != nil {
 			return nil, err
 		}
-		// Realized maxima inside the enforced windows vs the whole horizon.
-		maxWindow := maxDuringEnforcedWindows(sc, run, win)
 		rows = append(rows, Table5Row{
 			WindowSec:       win,
 			FeasibleCapMbps: cap,
-			MaxDuringWindow: maxWindow,
+			MaxDuringWindow: maxDuringEnforcedWindows(sc, run, win),
 			MaxEntirePeriod: run.Sim.MaxLinkMbps,
+			Run:             run,
 		})
 	}
 	return rows, nil

@@ -24,16 +24,6 @@ func init() {
 	register("rounding", "Rounding optimality gap and violation (§V-D)", RoundingStats)
 }
 
-// catalogForScale builds a library sized for a scenario config (shared by
-// the scaling experiments, which sweep library sizes).
-func catalogForScale(c Config) *catalog.Library {
-	return catalog.Generate(catalog.Config{
-		NumVideos: c.Videos,
-		Weeks:     (c.Days + 6) / 7,
-		NumSeries: max(2, c.Videos/200),
-	}, c.Seed+10)
-}
-
 // buildScaleInstance generates a library + trace of the given size on g and
 // assembles the placement instance from the first week of history.
 func buildScaleInstance(g *topology.Graph, videos int, diskFactor float64, seed int64) (*mip.Instance, error) {
@@ -210,17 +200,15 @@ func Table6Compute(ctx context.Context, cfg Config) ([]Table6Row, error) {
 		opts core.MIPOptions
 	}
 	variants := []variant{
-		{"once in 2 weeks", core.MIPOptions{UpdateEveryDays: 14, CacheFraction: -1, Solver: sc.Cfg.solver()}},
-		{"weekly", core.MIPOptions{UpdateEveryDays: 7, CacheFraction: -1, Solver: sc.Cfg.solver()}},
-		{"daily", core.MIPOptions{UpdateEveryDays: 1, CacheFraction: -1, Solver: sc.Cfg.solver()}},
-		{"perfect estimate", core.MIPOptions{UpdateEveryDays: 7, CacheFraction: -1, Method: demand.Perfect, Solver: sc.Cfg.solver()}},
-		{"no estimate", core.MIPOptions{UpdateEveryDays: 7, CacheFraction: -1, Method: demand.None, Solver: sc.Cfg.solver()}},
+		{"once in 2 weeks", core.MIPOptions{UpdateEveryDays: 14, CacheFraction: -1}},
+		{"weekly", core.MIPOptions{UpdateEveryDays: 7, CacheFraction: -1}},
+		{"daily", core.MIPOptions{UpdateEveryDays: 1, CacheFraction: -1}},
+		{"perfect estimate", core.MIPOptions{UpdateEveryDays: 7, CacheFraction: -1, Method: demand.Perfect}},
+		{"no estimate", core.MIPOptions{UpdateEveryDays: 7, CacheFraction: -1, Method: demand.None}},
 	}
 	var rows []Table6Row
 	for _, v := range variants {
-		v.opts.Verify = sc.Cfg.Verify
-		v.opts.Warm = sc.Cfg.Warm
-		run, err := sc.Sys.RunMIPContext(ctx, sc.Trace, v.opts)
+		run, err := sc.Sys.RunMIPContext(ctx, sc.Trace, sc.Cfg.mipOptions(v.opts))
 		if err != nil {
 			return nil, fmt.Errorf("table6 %s: %w", v.name, err)
 		}

@@ -121,6 +121,12 @@ func (c Config) solver() epf.Options {
 	}
 }
 
+// mipOptions returns o with the configuration's Solver, Verify and Warm.
+func (c Config) mipOptions(o core.MIPOptions) core.MIPOptions {
+	o.Solver, o.Verify, o.Warm = c.solver(), c.Verify, c.Warm
+	return o
+}
+
 // audit re-checks res against inst with the independent certificate auditor
 // when Verify is set, returning the auditor's error on any violated claim.
 func (c Config) audit(inst *mip.Instance, res *epf.Result) error {
@@ -151,17 +157,20 @@ type Scenario struct {
 	Sys   *core.System
 }
 
-// NewScenario builds the default evaluation setup for cfg: the 55-office
-// backbone (or a random graph at other office counts), a library with weekly
-// series episodes and blockbusters, and a full-horizon trace.
+// NewScenario builds the default evaluation setup for cfg on the
+// deployment's network (core.Network: the 55-office backbone, or a random
+// graph at other office counts).
 func NewScenario(cfg Config) *Scenario {
 	c := cfg.withDefaults()
-	var g *topology.Graph
-	if c.VHOs == 55 {
-		g = topology.Backbone55()
-	} else {
-		g = topology.Random(c.VHOs, 1.4, c.Seed)
-	}
+	return scenarioOn(core.Network(c.VHOs, c.Seed), c)
+}
+
+// scenarioOn builds the evaluation setup for cfg on g, one office per node:
+// a library with weekly series episodes and blockbusters, and a full-horizon
+// trace.
+func scenarioOn(g *topology.Graph, cfg Config) *Scenario {
+	c := cfg.withDefaults()
+	c.VHOs = g.NumNodes()
 	lib := catalog.Generate(catalog.Config{
 		NumVideos: c.Videos,
 		Weeks:     (c.Days + 6) / 7,

@@ -308,7 +308,7 @@ func (inst *Instance) PlacementCost(vi, i int) float64 {
 }
 
 // Origins returns the Origin vector objective (11) charges inst's placement
-// against: for each video of inst, the lowest office holding a copy (y ≥ ½)
+// against: for each video of inst, the lowest office holding a copy (y ≥ OpenY)
 // of the same library video in the previous placement prev, or −1 when prev
 // holds none (a new release, or a video prev dropped).
 func Origins(inst *Instance, prev *Solution) []int32 {
@@ -316,7 +316,7 @@ func Origins(inst *Instance, prev *Solution) []int32 {
 	for pv := range prev.Videos {
 		lowest := int32(-1)
 		for _, f := range prev.Videos[pv].Open {
-			if f.V >= 0.5 && (lowest < 0 || f.I < lowest) {
+			if f.V >= OpenY && (lowest < 0 || f.I < lowest) {
 				lowest = f.I
 			}
 		}
@@ -542,13 +542,19 @@ func (s *Solution) IsIntegral(tol float64) bool {
 	return true
 }
 
-// Copies returns the number of offices storing each video (counting y ≥ 0.5
-// for fractional solutions).
+// OpenY is the fractional-storage threshold at which an office counts as
+// holding a copy of a video: y_i^m ≥ OpenY. Integral placements sit exactly
+// at 0 or 1. The router, the simulator's pinned lists, the warm start's open
+// sets, the migration origins and the copy counts all read this one rule.
+const OpenY = 0.5
+
+// Copies returns the number of offices storing each video (counting
+// y ≥ OpenY for fractional solutions).
 func (s *Solution) Copies() []int {
 	out := make([]int, len(s.Videos))
 	for vi := range s.Videos {
 		for _, f := range s.Videos[vi].Open {
-			if f.V >= 0.5 {
+			if f.V >= OpenY {
 				out[vi]++
 			}
 		}

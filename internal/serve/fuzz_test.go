@@ -87,7 +87,7 @@ func FuzzRouteTable(f *testing.F) {
 				io := int(rd.next())%(n+2) - 1 // [-1, n]: both ends invalid
 				y := float64(rd.next()%150) / 100
 				sol.Videos[vi].Open = append(sol.Videos[vi].Open, mip.Frac{I: int32(io), V: y})
-				if y >= openY && (io < 0 || io >= n) {
+				if y >= mip.OpenY && (io < 0 || io >= n) {
 					badOffice = true
 				}
 			}
@@ -133,7 +133,7 @@ func FuzzRouteTable(f *testing.F) {
 				// Feasibility: the routed office really holds an open copy.
 				feasible := false
 				for _, fr := range sol.Videos[vi].Open {
-					if int(fr.I) == office && fr.V >= openY {
+					if int(fr.I) == office && fr.V >= mip.OpenY {
 						feasible = true
 					}
 				}

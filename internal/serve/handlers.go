@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"time"
 
+	"vodplace/internal/mip"
 	"vodplace/internal/obs"
 )
 
@@ -188,7 +189,7 @@ func (s *Server) handlePlacement(w http.ResponseWriter, r *http.Request) {
 	for vi := range snap.Sol.Videos {
 		row := placementRow{Video: snap.Inst.Demands[vi].Video, Open: []int{}}
 		for _, f := range snap.Sol.Videos[vi].Open {
-			if f.V >= openY {
+			if f.V >= mip.OpenY {
 				row.Open = append(row.Open, int(f.I))
 			}
 		}

@@ -52,7 +52,7 @@ func testServer(tb testing.TB, videos, vhos int, seed int64) *Server {
 func cheapestCopy(inst *mip.Instance, sol *mip.Solution, vi, j int) int {
 	best, bestCost := -1, 0.0
 	for _, f := range sol.Videos[vi].Open {
-		if f.V < openY {
+		if f.V < mip.OpenY {
 			continue
 		}
 		c := inst.Cost(int(f.I), j)
@@ -255,7 +255,7 @@ func TestPlacementEndpoint(t *testing.T) {
 		}
 		var want []int
 		for _, f := range snap.Sol.Videos[vi].Open {
-			if f.V >= openY {
+			if f.V >= mip.OpenY {
 				want = append(want, int(f.I))
 			}
 		}

@@ -9,12 +9,6 @@ import (
 	"vodplace/internal/mip"
 )
 
-// openY is the fractional-storage threshold above which an office counts as
-// holding a servable copy — the same ≥ 0.5 convention mip.Solution.Copies
-// uses to count copies of fractional placements. Integral placements (the
-// only kind the daemon ever swaps in) sit exactly at 0 or 1.
-const openY = 0.5
-
 // Snapshot is one immutable view of the data plane: a placement, the
 // instance it was solved on, and a fully precomputed route table answering
 // "which office serves video m for office j" with a single array read. A
@@ -47,7 +41,7 @@ type Snapshot struct {
 	n      int
 
 	// openOff/openIdx record each video's thresholded open set (the y ≥
-	// openY offices, in solution order) in CSR form: video vi's open offices
+	// mip.OpenY offices, in solution order) in CSR form: video vi's open offices
 	// are openIdx[openOff[vi]:openOff[vi+1]]. A route row is a pure function
 	// of this set and the (immutable) cost matrix, so the incremental
 	// builder compares the next solution's open sets against these to decide
@@ -140,7 +134,7 @@ func buildSnapshotFrom(prev *Snapshot, inst *mip.Instance, sol *mip.Solution, ve
 	for vi := range sol.Videos {
 		open = open[:0]
 		for _, f := range sol.Videos[vi].Open {
-			if f.V < openY {
+			if f.V < mip.OpenY {
 				continue
 			}
 			if int(f.I) < 0 || int(f.I) >= n {

@@ -11,14 +11,14 @@ import (
 )
 
 // PinnedFromSolution extracts per-office pinned video lists from an integral
-// placement solution (y_i^m ≥ ½ counts as stored).
+// placement solution (y_i^m ≥ mip.OpenY counts as stored).
 func PinnedFromSolution(inst *mip.Instance, sol *mip.Solution) [][]int {
 	n := inst.NumVHOs()
 	pinned := make([][]int, n)
 	for vi := range sol.Videos {
 		video := inst.Demands[vi].Video
 		for _, f := range sol.Videos[vi].Open {
-			if f.V >= 0.5 {
+			if f.V >= mip.OpenY {
 				pinned[f.I] = append(pinned[f.I], video)
 			}
 		}
