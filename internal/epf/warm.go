@@ -446,8 +446,8 @@ func (s *solver) placeBlock(vi int) bool {
 }
 
 // warmOpenSet extracts the integral open set of a block: offices with
-// y ≥ mip.OpenY, falling back to the largest-y office when the block is spread thin.
-// The input is ascending, so the output is too.
+// y ≥ mip.OpenY, falling back to the largest-y office when the block is
+// spread thin. The input is ascending, so the output is too.
 func warmOpenSet(open []mip.Frac) []int32 {
 	var out []int32
 	var best int32 = -1

@@ -308,9 +308,9 @@ func (inst *Instance) PlacementCost(vi, i int) float64 {
 }
 
 // Origins returns the Origin vector objective (11) charges inst's placement
-// against: for each video of inst, the lowest office holding a copy (y ≥ OpenY)
-// of the same library video in the previous placement prev, or −1 when prev
-// holds none (a new release, or a video prev dropped).
+// against: for each video of inst, the lowest office holding a copy
+// (y ≥ OpenY) of the same library video in the previous placement prev, or
+// −1 when prev holds none (a new release, or a video prev dropped).
 func Origins(inst *Instance, prev *Solution) []int32 {
 	held := make(map[int]int32, len(prev.Videos))
 	for pv := range prev.Videos {

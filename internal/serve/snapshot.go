@@ -40,10 +40,10 @@ type Snapshot struct {
 	vidIdx []int32
 	n      int
 
-	// openOff/openIdx record each video's thresholded open set (the y ≥
-	// mip.OpenY offices, in solution order) in CSR form: video vi's open offices
-	// are openIdx[openOff[vi]:openOff[vi+1]]. A route row is a pure function
-	// of this set and the (immutable) cost matrix, so the incremental
+	// openOff/openIdx record each video's thresholded open set (the
+	// y ≥ mip.OpenY offices, in solution order) in CSR form: video vi's open
+	// offices are openIdx[openOff[vi]:openOff[vi+1]]. A route row is a pure
+	// function of this set and the (immutable) cost matrix, so the incremental
 	// builder compares the next solution's open sets against these to decide
 	// which rows it must recompute — never against Sol, which the next
 	// attempt may alias.
