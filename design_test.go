@@ -43,18 +43,19 @@ type halfSites struct {
 
 type fileText struct{ path, text string }
 
-// fileNames is the set of names a file sets: the keys of its composite
-// literals and the selector names its assignments write to.
+// fileNames is what a file sets: the selector names its assignments write
+// to, and the keys of its composite literals as "pkg.Type.Field".
 type fileNames struct {
 	path  string
 	names map[string]bool
+	keys  map[string]bool
 }
 
 // knobStruct is an exported struct of internal/ whose name ends in Config,
-// Options or Opts, with the file that declares it.
+// Options or Opts, with its package and the file that declares it.
 type knobStruct struct {
-	path, name string
-	st         *ast.StructType
+	path, pkg, name string
+	st              *ast.StructType
 }
 
 var knobName = regexp.MustCompile(`^([A-Z][A-Za-z0-9]*)?(Config|Options|Opts)$`)
@@ -121,8 +122,8 @@ func parseModule(t *testing.T) *goDecls {
 			text.WriteString(c.Text())
 		}
 		d.comments = append(d.comments, fileText{path, text.String()})
-		d.settings = append(d.settings, fileNames{path, setNames(f)})
 		pkg := strings.TrimSuffix(f.Name.Name, "_test")
+		d.settings = append(d.settings, setNames(f, path, pkg))
 		if !strings.HasSuffix(path, "_test.go") {
 			d.half.collect(fset, f, pkg)
 		}
@@ -159,7 +160,7 @@ func parseModule(t *testing.T) *goDecls {
 						if st, ok := spec.Type.(*ast.StructType); ok && !strings.HasSuffix(path, "_test.go") {
 							d.structs[pkg+"."+spec.Name.Name] = st
 							if strings.HasPrefix(filepath.ToSlash(path), "internal/") && knobName.MatchString(spec.Name.Name) {
-								d.knobs = append(d.knobs, knobStruct{path, spec.Name.Name, st})
+								d.knobs = append(d.knobs, knobStruct{path, pkg, spec.Name.Name, st})
 							}
 						}
 					}
@@ -174,24 +175,71 @@ func parseModule(t *testing.T) *goDecls {
 	return d
 }
 
-// setNames collects the names f sets: every identifier key of a composite
-// literal and every selector that is the target of an assignment or of an
-// increment or decrement.
-func setNames(f *ast.File) map[string]bool {
-	names := map[string]bool{}
+// setNames collects what f, a file of package pkg, sets: every identifier key
+// of a composite literal, under the literal's type, and every selector that
+// is the target of an assignment or of an increment or decrement. A literal
+// that omits its type, as the elements of []T{{F: 1}} do, has the element
+// type of the literal around it.
+func setNames(f *ast.File, path, pkg string) fileNames {
+	fn := fileNames{path, map[string]bool{}, map[string]bool{}}
+	imports := map[string]string{} // local name -> package name
+	for _, spec := range f.Imports {
+		p, _ := strconv.Unquote(spec.Path.Value)
+		name := p[strings.LastIndex(p, "/")+1:]
+		local := name
+		if spec.Name != nil {
+			local = spec.Name.Name
+		}
+		imports[local] = name
+	}
+	// typeName is "pkg.Type" for a named type expression, else "".
+	var typeName func(e ast.Expr) string
+	typeName = func(e ast.Expr) string {
+		switch e := e.(type) {
+		case *ast.Ident:
+			return pkg + "." + e.Name
+		case *ast.SelectorExpr:
+			if x, ok := e.X.(*ast.Ident); ok && imports[x.Name] != "" {
+				return imports[x.Name] + "." + e.Sel.Name
+			}
+		case *ast.StarExpr:
+			return typeName(e.X)
+		case *ast.IndexExpr:
+			return typeName(e.X)
+		}
+		return ""
+	}
+	elided := map[*ast.CompositeLit]ast.Expr{} // literal -> the type it omits
 	target := func(e ast.Expr) {
 		if sel, ok := e.(*ast.SelectorExpr); ok {
-			names[sel.Sel.Name] = true
+			fn.names[sel.Sel.Name] = true
 		}
 	}
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CompositeLit:
+			typ := n.Type
+			if typ == nil {
+				typ = elided[n]
+			}
+			var elem ast.Expr
+			switch t := typ.(type) {
+			case *ast.ArrayType:
+				elem = t.Elt
+			case *ast.MapType:
+				elem = t.Value
+			}
+			name := typeName(typ)
 			for _, elt := range n.Elts {
+				v := elt
 				if kv, ok := elt.(*ast.KeyValueExpr); ok {
-					if id, ok := kv.Key.(*ast.Ident); ok {
-						names[id.Name] = true
+					if id, ok := kv.Key.(*ast.Ident); ok && name != "" {
+						fn.keys[name+"."+id.Name] = true
 					}
+					v = kv.Value
+				}
+				if lit, ok := v.(*ast.CompositeLit); ok && lit.Type == nil {
+					elided[lit] = elem
 				}
 			}
 		case *ast.AssignStmt:
@@ -203,7 +251,7 @@ func setNames(f *ast.File) map[string]bool {
 		}
 		return true
 	})
-	return names
+	return fn
 }
 
 func (h *halfSites) collect(fset *token.FileSet, f *ast.File, pkg string) {
@@ -487,10 +535,11 @@ func TestDesignCoversSurface(t *testing.T) {
 
 // TestConfigFieldsHaveCallers holds every knob to a caller: each field of an
 // exported *Config, *Options or *Opts struct in internal/ must be set — as a
-// composite-literal key or an assignment target — by some Go file other than
-// the one declaring it, bench/, tests and examples included. A field nothing
-// sets is a default that should be a constant. The match is by name only,
-// so a field passes when any other file sets a field of that name.
+// key of a literal of that struct's type or as an assignment target — by
+// some Go file other than the one declaring it, bench/, tests and examples
+// included. A field nothing sets is a default that should be a constant.
+// Assignments match by field name only, so one passes when any other file
+// assigns a field of that name.
 func TestConfigFieldsHaveCallers(t *testing.T) {
 	d := parseModule(t)
 	for _, k := range d.knobs {
@@ -498,7 +547,7 @@ func TestConfigFieldsHaveCallers(t *testing.T) {
 			for _, n := range f.Names {
 				set := false
 				for _, fn := range d.settings {
-					if fn.path != k.path && fn.names[n.Name] {
+					if fn.path != k.path && (fn.names[n.Name] || fn.keys[k.pkg+"."+k.name+"."+n.Name]) {
 						set = true
 						break
 					}

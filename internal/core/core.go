@@ -76,9 +76,10 @@ type MIPOptions struct {
 	// Solver.Recorder so callers that already thread a recorder through the
 	// solver options get the pipeline events too.
 	Recorder *obs.Recorder
-	// Scheme names this run's simulator event stream. Default "mip".
-	Scheme string
 }
+
+// mipScheme names RunMIP's solver and simulator event streams.
+const mipScheme = "mip"
 
 func (o *MIPOptions) withDefaults() MIPOptions {
 	out := *o
@@ -99,9 +100,6 @@ func (o *MIPOptions) withDefaults() MIPOptions {
 	}
 	if out.Recorder == nil {
 		out.Recorder = out.Solver.Recorder
-	}
-	if out.Scheme == "" {
-		out.Scheme = "mip"
 	}
 	return out
 }
@@ -188,7 +186,7 @@ func (s *System) RunMIPContext(ctx context.Context, tr *workload.Trace, opts MIP
 		// successive solves never interleave in one stream.
 		sopts := o.Solver
 		sopts.Recorder = o.Recorder
-		sopts.TraceStream = fmt.Sprintf("%s.day%02d", o.Scheme, day)
+		sopts.TraceStream = fmt.Sprintf("%s.day%02d", mipScheme, day)
 		if o.Warm {
 			sopts.Warm = warm // nil on the first period: cold start
 		}
@@ -234,7 +232,7 @@ func (s *System) RunMIPContext(ctx context.Context, tr *workload.Trace, opts MIP
 		Seed:           o.Solver.Seed,
 		MetricsFromSec: evalFromDay * workload.SecondsPerDay,
 		Recorder:       o.Recorder,
-		Scheme:         o.Scheme,
+		Scheme:         mipScheme,
 		LinkCapMbps:    s.LinkCapMbps,
 	}
 	if o.CacheFraction == 0 {

@@ -26,7 +26,7 @@ func (s *solver) initBound() {
 		s.lbTasks = append(s.lbTasks, par.Task{Lo: lo, Hi: hi})
 	}
 	s.lbTaskFn = func(w, _, lo, hi int) {
-		ws := s.scratch.Get(w)
+		ws := &s.scratch[w]
 		if ws.used == nil {
 			ws.used = make([]bool, s.n)
 		}

@@ -18,7 +18,7 @@ import (
 // at any worker count.
 func countStats(st epf.Stats) epf.Stats {
 	st.InitTime, st.LPTime, st.RoundTime, st.LBTime, st.PolishTime, st.ReduceTime = 0, 0, 0, 0, 0, 0
-	st.Workers, st.ScratchAllocs, st.ScratchReuses = 0, 0, 0
+	st.Workers = 0
 	st.LBBlockSolves, st.LBTermsReused = 0, 0
 	return st
 }

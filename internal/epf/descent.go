@@ -44,7 +44,7 @@ func (s *solver) initRun() {
 	// index-addressed by position and applied sequentially in chunk order by
 	// the caller, so the worker partition never affects numerics.
 	s.chunkFn = func(w, lo, hi int) {
-		ws := s.scratch.Get(w)
+		ws := &s.scratch[w]
 		if ws.used == nil {
 			ws.used = make([]bool, s.n)
 		}

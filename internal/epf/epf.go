@@ -282,7 +282,7 @@ type solver struct {
 	// reused across all fan-outs, cancellation checked at chunk boundaries.
 	ctx      context.Context
 	pool     *par.Pool
-	scratch  *par.Slots[workerScratch]
+	scratch  []workerScratch // one per pool worker, indexed by worker
 	stats    Stats
 	runStart time.Time // descent start; trace events stamp elapsed ms from it
 
@@ -485,7 +485,7 @@ func newSolver(inst *mip.Instance, opts Options) (*solver, error) {
 	s.costT = inst.CostColumns()
 	s.ctx = context.Background()
 	s.pool = par.New(o.Workers)
-	s.scratch = par.NewSlots[workerScratch](s.pool)
+	s.scratch = make([]workerScratch, s.pool.Workers())
 	s.lbBuf = make([]float64, len(inst.Demands))
 	s.initBound()
 	s.initReduce()
@@ -512,13 +512,13 @@ func (s *solver) mergeStats() {
 	s.stats.Polishes = s.polishes
 	s.stats.BlocksOptimized, s.stats.LBBlockSolves = 0, 0
 	s.stats.WarmStartTries, s.stats.WarmStartHits = 0, 0
-	s.scratch.Each(func(_ int, ws *workerScratch) {
+	for i := range s.scratch {
+		ws := &s.scratch[i]
 		s.stats.BlocksOptimized += ws.blocks
 		s.stats.LBBlockSolves += ws.lbBlocks
 		s.stats.WarmStartTries += ws.fs.WarmTries
 		s.stats.WarmStartHits += ws.fs.WarmHits
-	})
-	s.stats.ScratchAllocs, s.stats.ScratchReuses = s.scratch.Counts()
+	}
 }
 
 // initSolution places one copy of each video at its highest-demand office

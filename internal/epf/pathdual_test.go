@@ -64,7 +64,7 @@ func TestPathDualsAreExact(t *testing.T) {
 		s.seedBlocks(s.thresholdBlock(s.packPoint(&WarmLP{})))
 		s.recomputeState()
 		s.retuneScale()
-		ws := s.scratch.Get(0)
+		ws := &s.scratch[0]
 		for pass := 0; pass < 2; pass++ {
 			for lo := 0; lo < numBlocks; lo += roundChunk {
 				s.refreshRoundDuals()

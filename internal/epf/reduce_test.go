@@ -208,7 +208,7 @@ func TestRoundZeroAllocations(t *testing.T) {
 	if len(chunk) > roundChunk {
 		chunk = chunk[:roundChunk]
 	}
-	ws := s.scratch.Get(0)
+	ws := &s.scratch[0]
 	cycle := func() {
 		s.refreshRoundDuals()
 		for _, vi := range chunk {

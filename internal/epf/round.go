@@ -192,7 +192,7 @@ func (s *solver) resumePlacement() bool {
 // pass and costs about the same per pass. The visiting order of each pass
 // is drawn from rng.
 func (s *solver) polishInteger(rng *rand.Rand, passes int) {
-	ws := s.scratch.Get(0)
+	ws := &s.scratch[0]
 	order := s.polishOrder[:0]
 	for vi := range s.sol {
 		order = append(order, vi)

@@ -62,10 +62,6 @@ type Stats struct {
 	// ResumedVideos / NumVideos near 1 is a re-solve that resumed the
 	// previous descent; near 0, one that restarted it.
 	ResumedVideos int
-	// ScratchAllocs / ScratchReuses report the per-worker scratch economy:
-	// allocs should stay ≤ Workers, everything else lands in reuses.
-	ScratchAllocs int64
-	ScratchReuses int64
 	// InitTime is wall time in newSolver (buffers, cost table, initial
 	// point); LPTime is wall time in the fractional descent phase (including
 	// bound evaluations); RoundTime is wall time in the §V-D integer phase.
@@ -144,7 +140,6 @@ func (st Stats) String() string {
 		fmt.Fprintf(&b, "rounding %s: %d videos carried, ratio %.4f, reference %.4f\n",
 			st.RoundMode(), st.RoundCarried, st.RoundRatio, st.RoundRef)
 	}
-	fmt.Fprintf(&b, "scratch: %d allocs, %d reuses\n", st.ScratchAllocs, st.ScratchReuses)
 	fmt.Fprintf(&b, "time: init %.2fs, lp %.2fs, rounding %.2fs (reduce %.2fs)",
 		st.InitTime.Seconds(), st.LPTime.Seconds(), st.RoundTime.Seconds(),
 		st.ReduceTime.Seconds())

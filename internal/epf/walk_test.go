@@ -191,7 +191,7 @@ func TestBlockRowsMatchReference(t *testing.T) {
 			exact := leaf == leaves[0]
 			s.run(context.Background())
 			checkStateRows(t, s, exact, "LP point")
-			ws := s.scratch.Get(0)
+			ws := &s.scratch[0]
 			for vi := range s.sol {
 				checkBlockWalks(t, s, vi, s.roundSolve(ws, vi))
 			}

@@ -330,8 +330,8 @@ func Table2Compute(ctx context.Context, cfg Config, diskFactor float64) (*Table2
 		LRUPeak:    origin.MaxLinkMbps,
 		MIPAggPeak: mipRun.Sim.MaxAggMbps,
 		LRUAggPeak: origin.MaxAggMbps,
-		MIPHitRate: mipRun.Sim.HitRate,
-		LRUHitRate: origin.HitRate,
+		MIPHitRate: mipRun.Sim.LocalFrac,
+		LRUHitRate: origin.LocalFrac,
 	}, nil
 }
 

@@ -1,7 +1,7 @@
 // Package par is the shared concurrent execution runtime for the solver,
 // experiment and simulation layers: a persistent worker pool with stable
-// worker identities, typed per-worker scratch slots, and an index-range
-// fan-out primitive with cooperative context cancellation.
+// worker identities and an index-range fan-out primitive with cooperative
+// context cancellation.
 //
 // The EPF solver's speed claim rests on block subproblems parallelizing;
 // before this package each fan-out respawned goroutines and reallocated its
@@ -31,7 +31,7 @@ type job struct {
 
 // Pool is a fixed-size worker pool. Workers are spawned once by New and live
 // until Close; worker indices are stable across Run calls, so callers may
-// keep per-worker state (see Slots) without locks.
+// keep per-worker state in a slice indexed by worker without locks.
 //
 // A Pool serializes fan-outs: it is not safe for concurrent Run calls from
 // multiple goroutines. Each solve owns its pool.
@@ -184,59 +184,4 @@ func (p *Pool) Close() {
 		close(ch)
 	}
 	p.live.Wait()
-}
-
-// Slots is a typed per-worker scratch vector: one lazily-allocated *T per
-// pool worker. During a fan-out, slot w is touched only by the goroutine
-// running worker w's range, so Get is lock-free; the pool's completion
-// barrier orders those writes before any caller-side read (Each, Counts).
-//
-// Slots also counts allocations vs reuses, the solver's scratch-economy
-// observability: a healthy solve allocates once per worker and reuses for
-// every subsequent chunk.
-type Slots[T any] struct {
-	slots  []*T
-	allocs []int64
-	gets   []int64
-}
-
-// NewSlots returns an empty scratch vector sized to p's worker count.
-func NewSlots[T any](p *Pool) *Slots[T] {
-	n := p.Workers()
-	return &Slots[T]{
-		slots:  make([]*T, n),
-		allocs: make([]int64, n),
-		gets:   make([]int64, n),
-	}
-}
-
-// Get returns worker w's scratch slot, allocating it on first use. Call it
-// once per Run range, not per item, so the reuse counters reflect fan-outs.
-func (s *Slots[T]) Get(w int) *T {
-	s.gets[w]++
-	if s.slots[w] == nil {
-		s.slots[w] = new(T)
-		s.allocs[w]++
-	}
-	return s.slots[w]
-}
-
-// Counts returns total slot allocations and reuses (gets served by an
-// already-live slot) across all workers.
-func (s *Slots[T]) Counts() (allocs, reuses int64) {
-	for w := range s.slots {
-		allocs += s.allocs[w]
-		reuses += s.gets[w] - s.allocs[w]
-	}
-	return allocs, reuses
-}
-
-// Each invokes fn for every allocated slot, in worker order. Call only
-// between fan-outs (e.g. to merge per-worker counters after a solve).
-func (s *Slots[T]) Each(fn func(worker int, t *T)) {
-	for w, t := range s.slots {
-		if t != nil {
-			fn(w, t)
-		}
-	}
 }

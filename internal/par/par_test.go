@@ -252,41 +252,6 @@ func TestDefaultWorkerCount(t *testing.T) {
 	}
 }
 
-type scratchT struct {
-	buf []float64
-	n   int
-}
-
-func TestSlotsAllocateOncePerWorker(t *testing.T) {
-	p := New(4)
-	defer p.Close()
-	slots := NewSlots[scratchT](p)
-	const rounds = 20
-	for r := 0; r < rounds; r++ {
-		if err := p.Run(context.Background(), 400, func(w, lo, hi int) {
-			ws := slots.Get(w)
-			if ws.buf == nil {
-				ws.buf = make([]float64, 16)
-			}
-			ws.n += hi - lo
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	allocs, reuses := slots.Counts()
-	if allocs > 4 {
-		t.Errorf("%d allocations for 4 workers", allocs)
-	}
-	if allocs+reuses != 4*rounds {
-		t.Errorf("allocs+reuses = %d, want %d gets", allocs+reuses, 4*rounds)
-	}
-	total := 0
-	slots.Each(func(_ int, s *scratchT) { total += s.n })
-	if total != 400*rounds {
-		t.Errorf("scratch saw %d items, want %d", total, 400*rounds)
-	}
-}
-
 // blockWork stands in for one block subproblem: enough arithmetic that the
 // fan-out cost is visible but not dominant.
 func blockWork(scratch []float64, i int) float64 {
@@ -304,18 +269,17 @@ func BenchmarkPooledFanout(b *testing.B) {
 	const n = 128 // one default chunk
 	p := New(8)
 	defer p.Close()
-	slots := NewSlots[scratchT](p)
+	scratch := make([][]float64, p.Workers())
 	out := make([]float64, n)
 	ctx := context.Background()
 	b.ResetTimer()
 	for it := 0; it < b.N; it++ {
 		_ = p.Run(ctx, n, func(w, lo, hi int) {
-			ws := slots.Get(w)
-			if ws.buf == nil {
-				ws.buf = make([]float64, 256)
+			if scratch[w] == nil {
+				scratch[w] = make([]float64, 256)
 			}
 			for i := lo; i < hi; i++ {
-				out[i] = blockWork(ws.buf, i)
+				out[i] = blockWork(scratch[w], i)
 			}
 		})
 	}

@@ -110,11 +110,9 @@ type Result struct {
 	MigratedVideos int
 	MigratedGB     float64
 
-	// LocalFrac is the fraction of requests served locally; HitRate is the
-	// same quantity (the paper's "cache hit rate" counts pinned and cached
-	// service together).
+	// LocalFrac is the fraction of requests served locally, the paper's
+	// "cache hit rate" (it counts pinned and cached service together).
 	LocalFrac float64
-	HitRate   float64
 }
 
 // endEvent is a stream completion.
@@ -534,7 +532,6 @@ func Run(cfg Config, tr *workload.Trace) (*Result, error) {
 	if res.Requests > 0 {
 		localServed := res.Requests - res.RemoteServed
 		res.LocalFrac = float64(localServed) / float64(res.Requests)
-		res.HitRate = res.LocalFrac
 	}
 	// Push buffered slice events out at run end so an interrupted caller
 	// (SIGINT between scheme runs) still sees every completed bin.

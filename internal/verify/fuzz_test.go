@@ -253,6 +253,12 @@ func FuzzFacloc(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint8(6))
 	f.Add(int64(5), uint8(8), uint8(12))
 	f.Add(int64(-11), uint8(1), uint8(1))
+	// Seeds 1–50 at 4–6 facilities × 6–8 demands after clamp, inside
+	// BruteForce's enumeration limit.
+	for seed := int64(1); seed <= 50; seed++ {
+		r := uint8(seed % 3)
+		f.Add(seed, 3+r, 6+r)
+	}
 	f.Fuzz(func(t *testing.T, seed int64, nB, kB uint8) {
 		p := RandomUFL(seed, clamp(nB, 1, 9), clamp(kB, 0, 12))
 		if err := p.Validate(); err != nil {
@@ -285,6 +291,27 @@ func FuzzFacloc(f *testing.F) {
 			}
 		}
 	})
+}
+
+// uflCost re-evaluates a facility-location solution from scratch: open costs
+// of the reported set plus each demand's cheapest open assignment.
+func uflCost(p *facloc.Problem, s facloc.Solution) float64 {
+	open := make(map[int]bool, len(s.Open))
+	var cost float64
+	for _, i := range s.Open {
+		open[i] = true
+		cost += p.Open[i]
+	}
+	for k := 0; k < p.NumDemands(); k++ {
+		best := math.Inf(1)
+		for i, c := range p.Row(k) {
+			if open[i] && c < best {
+				best = c
+			}
+		}
+		cost += best
+	}
+	return cost
 }
 
 // mutateWarm applies one fuzz-chosen corruption to a deep copy's worth of

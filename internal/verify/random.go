@@ -10,8 +10,8 @@ import (
 	"vodplace/internal/topology"
 )
 
-// InstanceOpts parameterizes the seeded random instances the differential
-// harness sweeps. The zero value is replaced by Defaults().
+// InstanceOpts parameterizes the seeded random instances of RandomInstance.
+// Zero fields take the defaults described below.
 type InstanceOpts struct {
 	// Nodes is the number of video hub offices. Default 5.
 	Nodes int
@@ -27,13 +27,14 @@ type InstanceOpts struct {
 	// DemandProb is the probability each office demands each video.
 	// Default 0.7.
 	DemandProb float64
-	// Beta is the fixed per-transfer cost component of c_ij = α·hops + β.
-	// Default 0.5 (nonzero so the no-network bound is informative).
-	Beta float64
 }
 
-// Defaults fills zero fields with the harness defaults described above.
-func (o InstanceOpts) Defaults() InstanceOpts {
+// instanceBeta is the random instances' fixed per-transfer cost component of
+// c_ij = α·hops + β, nonzero so the no-network bound is informative.
+const instanceBeta = 0.5
+
+// defaults fills zero fields with the defaults described above.
+func (o InstanceOpts) defaults() InstanceOpts {
 	if o.Nodes == 0 {
 		o.Nodes = 5
 	}
@@ -52,9 +53,6 @@ func (o InstanceOpts) Defaults() InstanceOpts {
 	if o.DemandProb == 0 {
 		o.DemandProb = 0.7
 	}
-	if o.Beta == 0 {
-		o.Beta = 0.5
-	}
 	return o
 }
 
@@ -66,7 +64,7 @@ const edgeDensity = 1
 // the dense simplex to solve exactly. The same seed always yields the same
 // instance; distinct seeds drive the topology and the demand pattern.
 func RandomInstance(seed int64, opts InstanceOpts) (*mip.Instance, error) {
-	o := opts.Defaults()
+	o := opts.defaults()
 	rng := rand.New(rand.NewSource(seed))
 	g := topology.Random(o.Nodes, edgeDensity, seed)
 	demands := make([]mip.VideoDemand, o.Videos)
@@ -106,7 +104,7 @@ func RandomInstance(seed int64, opts InstanceOpts) (*mip.Instance, error) {
 	if err != nil {
 		return nil, fmt.Errorf("seed %d: %w", seed, err)
 	}
-	inst.Beta = o.Beta
+	inst.Beta = instanceBeta
 	return inst, nil
 }
 

@@ -12,7 +12,7 @@
 // and Solution types, internal/topology's path tables), which is the model
 // being solved, not a solver.
 //
-// Three layers:
+// Two layers:
 //
 //   - CheckSolution / Audit: feasibility certificates. Conservation,
 //     availability, disk and per-slice link activity are re-accumulated
@@ -26,9 +26,9 @@
 //     arithmetically — so the bound's validity rests on the check, not on
 //     any solver's internal state.
 //
-//   - Differential: a cross-solver harness (diff.go) sweeping seeded random
-//     instances through EPF vs the exact simplex LP, and the facloc
-//     heuristics vs brute-force enumeration.
+// RandomInstance and RandomUFL build the seeded problems the package's tests
+// cross-check: EPF against the exact simplex LP, and the facloc heuristics
+// against brute-force enumeration.
 package verify
 
 import (

@@ -25,7 +25,7 @@ var update = flag.Bool("update", false, "rewrite the golden summary")
 // provenance explicit.
 func solveTraced(t *testing.T, workers int) []byte {
 	t.Helper()
-	inst, err := verify.RandomInstance(11, verify.InstanceOpts{Nodes: 8, Videos: 40, Slices: 2}.Defaults())
+	inst, err := verify.RandomInstance(11, verify.InstanceOpts{Nodes: 8, Videos: 40, Slices: 2})
 	if err != nil {
 		t.Fatalf("RandomInstance: %v", err)
 	}
