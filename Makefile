@@ -11,6 +11,7 @@ FUZZ_TARGETS := \
 	./internal/verify:FuzzWarmResume \
 	./internal/verify:FuzzAuditorCache \
 	./internal/facloc:FuzzFaclocKernels \
+	./internal/facloc:FuzzMoveGainBound \
 	./internal/epf:FuzzBlockRows \
 	./internal/mip:FuzzApplyDemandDelta \
 	./internal/serve:FuzzRouteTable \

@@ -26,9 +26,227 @@ type goDecls struct {
 	all      map[string]bool            // every declared name, members included
 	structs  map[string]*ast.StructType // "pkg.Type" -> its struct, non-test files only
 	comments []fileText                 // each file's comment text, in walk order
-	settings []fileNames                // each file's set names, in walk order
+	settings []fileNames                // each file's set fields, in walk order
 	knobs    []knobStruct               // internal/'s *Config, *Options and *Opts structs
 	half     halfSites                  // non-test comparisons of a .V with 0.5
+	types    typeTables                 // what setNames resolves a receiver's type from
+}
+
+// typeRef is a type as setNames resolves it: a named type as "pkg.Name",
+// pointers dropped, or a slice, array or map by its element.
+type typeRef struct {
+	name string
+	elem *typeRef
+}
+
+// typeTables is the module's declarations setNames reads types from, every
+// file's included: each struct's field types, each function's and method's
+// first result type ("pkg.Func", "pkg.Type.Method") and each package-level
+// variable's type.
+type typeTables struct {
+	fields  map[string]map[string]*typeRef
+	results map[string]*typeRef
+	vars    map[string]*typeRef
+}
+
+// fileScope is what a file's type expressions are read in: its package and
+// its imports by local name.
+type fileScope struct {
+	pkg     string
+	imports map[string]string
+}
+
+// typeOf reads the type expression e as written in the file.
+func (fs fileScope) typeOf(e ast.Expr) *typeRef {
+	switch e := e.(type) {
+	case *ast.Ident:
+		return &typeRef{name: fs.pkg + "." + e.Name}
+	case *ast.SelectorExpr:
+		if x, ok := e.X.(*ast.Ident); ok && fs.imports[x.Name] != "" {
+			return &typeRef{name: fs.imports[x.Name] + "." + e.Sel.Name}
+		}
+	case *ast.StarExpr:
+		return fs.typeOf(e.X)
+	case *ast.ParenExpr:
+		return fs.typeOf(e.X)
+	case *ast.IndexExpr:
+		return fs.typeOf(e.X)
+	case *ast.ArrayType:
+		return &typeRef{elem: fs.typeOf(e.Elt)}
+	case *ast.MapType:
+		return &typeRef{elem: fs.typeOf(e.Value)}
+	}
+	return nil
+}
+
+// collect adds f's struct fields, function results and package-level
+// variables to the tables.
+func (tt typeTables) collect(f *ast.File, fs fileScope) {
+	for _, decl := range f.Decls {
+		switch decl := decl.(type) {
+		case *ast.FuncDecl:
+			if decl.Type.Results == nil || len(decl.Type.Results.List) == 0 {
+				continue
+			}
+			key := fs.pkg + "." + decl.Name.Name
+			if decl.Recv != nil {
+				recv := fs.typeOf(decl.Recv.List[0].Type)
+				if recv == nil {
+					continue
+				}
+				key = recv.name + "." + decl.Name.Name
+			}
+			tt.results[key] = fs.typeOf(decl.Type.Results.List[0].Type)
+		case *ast.GenDecl:
+			for _, spec := range decl.Specs {
+				switch spec := spec.(type) {
+				case *ast.TypeSpec:
+					st, ok := spec.Type.(*ast.StructType)
+					if !ok {
+						continue
+					}
+					fields := map[string]*typeRef{}
+					for _, fl := range st.Fields.List {
+						for _, n := range fl.Names {
+							fields[n.Name] = fs.typeOf(fl.Type)
+						}
+					}
+					tt.fields[fs.pkg+"."+spec.Name.Name] = fields
+				case *ast.ValueSpec:
+					for i, n := range spec.Names {
+						if spec.Type != nil {
+							tt.vars[fs.pkg+"."+n.Name] = fs.typeOf(spec.Type)
+						} else if i < len(spec.Values) {
+							tt.vars[fs.pkg+"."+n.Name] = (&resolver{tt: tt, fs: fs}).exprType(spec.Values[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// resolver types the expressions of one function body, in source order:
+// scope holds each local name's type as last declared, so block scoping is
+// approximated by declaration order.
+type resolver struct {
+	tt    typeTables
+	fs    fileScope
+	scope map[string]*typeRef
+}
+
+func (r *resolver) declare(name string, t *typeRef) {
+	if r.scope != nil && name != "_" {
+		r.scope[name] = t
+	}
+}
+
+func (r *resolver) declareFields(fl *ast.FieldList) {
+	if fl == nil {
+		return
+	}
+	for _, f := range fl.List {
+		for _, n := range f.Names {
+			r.declare(n.Name, r.fs.typeOf(f.Type))
+		}
+	}
+}
+
+// exprType returns e's type, or nil where the tables cannot say.
+func (r *resolver) exprType(e ast.Expr) *typeRef {
+	switch e := e.(type) {
+	case *ast.Ident:
+		if t, ok := r.scope[e.Name]; ok {
+			return t
+		}
+		return r.tt.vars[r.fs.pkg+"."+e.Name]
+	case *ast.SelectorExpr:
+		if x, ok := e.X.(*ast.Ident); ok && r.fs.imports[x.Name] != "" && r.scope[x.Name] == nil {
+			return r.tt.vars[r.fs.imports[x.Name]+"."+e.Sel.Name]
+		}
+		if t := r.exprType(e.X); t != nil && t.name != "" {
+			return r.tt.fields[t.name][e.Sel.Name]
+		}
+	case *ast.CompositeLit:
+		return r.fs.typeOf(e.Type)
+	case *ast.UnaryExpr:
+		return r.exprType(e.X)
+	case *ast.StarExpr:
+		return r.exprType(e.X)
+	case *ast.ParenExpr:
+		return r.exprType(e.X)
+	case *ast.SliceExpr:
+		return r.exprType(e.X)
+	case *ast.TypeAssertExpr:
+		return r.fs.typeOf(e.Type)
+	case *ast.IndexExpr:
+		if t := r.exprType(e.X); t != nil {
+			return t.elem
+		}
+	case *ast.CallExpr:
+		return r.callType(e)
+	}
+	return nil
+}
+
+// callType is the first result type of the call, or the type a conversion,
+// new or append yields.
+func (r *resolver) callType(c *ast.CallExpr) *typeRef {
+	fun := c.Fun
+	if ix, ok := fun.(*ast.IndexExpr); ok {
+		fun = ix.X
+	}
+	switch fun := fun.(type) {
+	case *ast.Ident:
+		switch {
+		case fun.Name == "new" && len(c.Args) == 1:
+			return r.fs.typeOf(c.Args[0])
+		case fun.Name == "append" && len(c.Args) > 0:
+			return r.exprType(c.Args[0])
+		}
+		key := r.fs.pkg + "." + fun.Name
+		if t, ok := r.tt.results[key]; ok {
+			return t
+		}
+		if _, ok := r.tt.fields[key]; ok {
+			return &typeRef{name: key}
+		}
+	case *ast.SelectorExpr:
+		if x, ok := fun.X.(*ast.Ident); ok && r.fs.imports[x.Name] != "" && r.scope[x.Name] == nil {
+			key := r.fs.imports[x.Name] + "." + fun.Sel.Name
+			if t, ok := r.tt.results[key]; ok {
+				return t
+			}
+			if _, ok := r.tt.fields[key]; ok {
+				return &typeRef{name: key}
+			}
+			return nil
+		}
+		if t := r.exprType(fun.X); t != nil && t.name != "" {
+			return r.tt.results[t.name+"."+fun.Sel.Name]
+		}
+	}
+	return nil
+}
+
+// declareAssign records the names a := statement or a var declaration
+// introduces: pairwise with the values, or the first name from a lone value
+// (a call's first result, a map read's or type assertion's value).
+func (r *resolver) declareAssign(names []ast.Expr, values []ast.Expr) {
+	for i, n := range names {
+		id, ok := n.(*ast.Ident)
+		if !ok {
+			continue
+		}
+		switch {
+		case len(values) == len(names):
+			r.declare(id.Name, r.exprType(values[i]))
+		case len(values) == 1 && i == 0:
+			r.declare(id.Name, r.exprType(values[0]))
+		default:
+			r.declare(id.Name, nil)
+		}
+	}
 }
 
 // halfSites records where non-test Go spells the y ≥ ½ open threshold
@@ -43,12 +261,11 @@ type halfSites struct {
 
 type fileText struct{ path, text string }
 
-// fileNames is what a file sets: the selector names its assignments write
-// to, and the keys of its composite literals as "pkg.Type.Field".
+// fileNames is what a file sets, as "pkg.Type.Field": the keys of its
+// composite literals and the fields its assignments write to.
 type fileNames struct {
-	path  string
-	names map[string]bool
-	keys  map[string]bool
+	path string
+	sets map[string]bool
 }
 
 // knobStruct is an exported struct of internal/ whose name ends in Config,
@@ -98,7 +315,14 @@ func parseModule(t *testing.T) *goDecls {
 		all:     map[string]bool{},
 		structs: map[string]*ast.StructType{},
 		half:    halfSites{consts: map[string]string{}, compared: map[string]bool{}},
+		types:   typeTables{fields: map[string]map[string]*typeRef{}, results: map[string]*typeRef{}, vars: map[string]*typeRef{}},
 	}
+	type parsedFile struct {
+		path string
+		f    *ast.File
+		fs   fileScope
+	}
+	var files []parsedFile
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, e fs.DirEntry, err error) error {
 		if err != nil {
@@ -123,7 +347,17 @@ func parseModule(t *testing.T) *goDecls {
 		}
 		d.comments = append(d.comments, fileText{path, text.String()})
 		pkg := strings.TrimSuffix(f.Name.Name, "_test")
-		d.settings = append(d.settings, setNames(f, path, pkg))
+		fs := fileScope{pkg: pkg, imports: map[string]string{}}
+		for _, spec := range f.Imports {
+			p, _ := strconv.Unquote(spec.Path.Value)
+			local := p[strings.LastIndex(p, "/")+1:]
+			if spec.Name != nil {
+				local = spec.Name.Name
+			}
+			fs.imports[local] = p[strings.LastIndex(p, "/")+1:]
+		}
+		d.types.collect(f, fs)
+		files = append(files, parsedFile{path, f, fs})
 		if !strings.HasSuffix(path, "_test.go") {
 			d.half.collect(fset, f, pkg)
 		}
@@ -172,85 +406,98 @@ func parseModule(t *testing.T) *goDecls {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, pf := range files {
+		d.settings = append(d.settings, setNames(pf.f, pf.path, pf.fs, d.types))
+	}
 	return d
 }
 
-// setNames collects what f, a file of package pkg, sets: every identifier key
-// of a composite literal, under the literal's type, and every selector that
-// is the target of an assignment or of an increment or decrement. A literal
-// that omits its type, as the elements of []T{{F: 1}} do, has the element
-// type of the literal around it.
-func setNames(f *ast.File, path, pkg string) fileNames {
-	fn := fileNames{path, map[string]bool{}, map[string]bool{}}
-	imports := map[string]string{} // local name -> package name
-	for _, spec := range f.Imports {
-		p, _ := strconv.Unquote(spec.Path.Value)
-		name := p[strings.LastIndex(p, "/")+1:]
-		local := name
-		if spec.Name != nil {
-			local = spec.Name.Name
-		}
-		imports[local] = name
-	}
-	// typeName is "pkg.Type" for a named type expression, else "".
-	var typeName func(e ast.Expr) string
-	typeName = func(e ast.Expr) string {
-		switch e := e.(type) {
-		case *ast.Ident:
-			return pkg + "." + e.Name
-		case *ast.SelectorExpr:
-			if x, ok := e.X.(*ast.Ident); ok && imports[x.Name] != "" {
-				return imports[x.Name] + "." + e.Sel.Name
-			}
-		case *ast.StarExpr:
-			return typeName(e.X)
-		case *ast.IndexExpr:
-			return typeName(e.X)
-		}
-		return ""
-	}
+// setNames collects what f sets: every identifier key of a composite
+// literal, under the literal's type, and every field that is the target of
+// an assignment or of an increment or decrement, under the type its receiver
+// resolves to in the tables (a target whose receiver does not resolve sets
+// nothing). A literal that omits its type, as the elements of []T{{F: 1}}
+// do, has the element type of the literal around it.
+func setNames(f *ast.File, path string, fs fileScope, tt typeTables) fileNames {
+	fn := fileNames{path, map[string]bool{}}
 	elided := map[*ast.CompositeLit]ast.Expr{} // literal -> the type it omits
-	target := func(e ast.Expr) {
-		if sel, ok := e.(*ast.SelectorExpr); ok {
-			fn.names[sel.Sel.Name] = true
+	for _, decl := range f.Decls {
+		r := &resolver{tt: tt, fs: fs, scope: map[string]*typeRef{}}
+		target := func(e ast.Expr) {
+			if sel, ok := e.(*ast.SelectorExpr); ok {
+				if t := r.exprType(sel.X); t != nil && t.name != "" {
+					fn.sets[t.name+"."+sel.Sel.Name] = true
+				}
+			}
 		}
-	}
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CompositeLit:
-			typ := n.Type
-			if typ == nil {
-				typ = elided[n]
-			}
-			var elem ast.Expr
-			switch t := typ.(type) {
-			case *ast.ArrayType:
-				elem = t.Elt
-			case *ast.MapType:
-				elem = t.Value
-			}
-			name := typeName(typ)
-			for _, elt := range n.Elts {
-				v := elt
-				if kv, ok := elt.(*ast.KeyValueExpr); ok {
-					if id, ok := kv.Key.(*ast.Ident); ok && name != "" {
-						fn.keys[name+"."+id.Name] = true
+		ast.Inspect(decl, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				r.declareFields(n.Recv)
+				r.declareFields(n.Type.Params)
+				r.declareFields(n.Type.Results)
+			case *ast.FuncLit:
+				r.declareFields(n.Type.Params)
+				r.declareFields(n.Type.Results)
+			case *ast.ValueSpec:
+				names := make([]ast.Expr, len(n.Names))
+				for i, id := range n.Names {
+					names[i] = id
+				}
+				if n.Type != nil {
+					for _, id := range n.Names {
+						r.declare(id.Name, fs.typeOf(n.Type))
 					}
-					v = kv.Value
+				} else {
+					r.declareAssign(names, n.Values)
 				}
-				if lit, ok := v.(*ast.CompositeLit); ok && lit.Type == nil {
-					elided[lit] = elem
+			case *ast.RangeStmt:
+				if id, ok := n.Value.(*ast.Ident); ok && n.Tok == token.DEFINE {
+					if t := r.exprType(n.X); t != nil {
+						r.declare(id.Name, t.elem)
+					}
 				}
+			case *ast.CompositeLit:
+				typ := n.Type
+				if typ == nil {
+					typ = elided[n]
+				}
+				var elem ast.Expr
+				switch t := typ.(type) {
+				case *ast.ArrayType:
+					elem = t.Elt
+				case *ast.MapType:
+					elem = t.Value
+				}
+				var name string
+				if t := fs.typeOf(typ); t != nil {
+					name = t.name
+				}
+				for _, elt := range n.Elts {
+					v := elt
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok && name != "" {
+							fn.sets[name+"."+id.Name] = true
+						}
+						v = kv.Value
+					}
+					if lit, ok := v.(*ast.CompositeLit); ok && lit.Type == nil {
+						elided[lit] = elem
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					target(lhs)
+				}
+				if n.Tok == token.DEFINE {
+					r.declareAssign(n.Lhs, n.Rhs)
+				}
+			case *ast.IncDecStmt:
+				target(n.X)
 			}
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				target(lhs)
-			}
-		case *ast.IncDecStmt:
-			target(n.X)
-		}
-		return true
-	})
+			return true
+		})
+	}
 	return fn
 }
 
@@ -535,11 +782,10 @@ func TestDesignCoversSurface(t *testing.T) {
 
 // TestConfigFieldsHaveCallers holds every knob to a caller: each field of an
 // exported *Config, *Options or *Opts struct in internal/ must be set — as a
-// key of a literal of that struct's type or as an assignment target — by
-// some Go file other than the one declaring it, bench/, tests and examples
-// included. A field nothing sets is a default that should be a constant.
-// Assignments match by field name only, so one passes when any other file
-// assigns a field of that name.
+// key of a literal of that struct's type or as the target of an assignment
+// whose receiver resolves to that type — by some Go file other than the one
+// declaring it, bench/, tests and examples included. A field nothing sets is
+// a default that should be a constant.
 func TestConfigFieldsHaveCallers(t *testing.T) {
 	d := parseModule(t)
 	for _, k := range d.knobs {
@@ -547,7 +793,7 @@ func TestConfigFieldsHaveCallers(t *testing.T) {
 			for _, n := range f.Names {
 				set := false
 				for _, fn := range d.settings {
-					if fn.path != k.path && (fn.names[n.Name] || fn.keys[k.pkg+"."+k.name+"."+n.Name]) {
+					if fn.path != k.path && fn.sets[k.pkg+"."+k.name+"."+n.Name] {
 						set = true
 						break
 					}

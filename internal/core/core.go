@@ -37,6 +37,10 @@ type System struct {
 // §VII-B warms the system up with the first nine days.
 const evalFromDay = 9
 
+// mipSlices is |T|, the number of peak-window link constraints of the MIP
+// scheme's instances.
+const mipSlices = 2
+
 // topKRankDays is the popularity-ranking window of the Top-K baseline: the
 // K most requested videos of the trace's first week.
 const topKRankDays = 7
@@ -50,8 +54,6 @@ type MIPOptions struct {
 	CacheFraction float64
 	// Method is the demand-estimation method. Default History.
 	Method demand.Method
-	// Slices is |T|. Default 2.
-	Slices int
 	// WindowSec is the peak-window size. Default 3600.
 	WindowSec int64
 	// UpdateWeight is w in objective (11): the cost of migrating copies.
@@ -91,9 +93,6 @@ func (o *MIPOptions) withDefaults() MIPOptions {
 	}
 	if out.CacheFraction < 0 {
 		out.CacheFraction = 0
-	}
-	if out.Slices <= 0 {
-		out.Slices = 2
 	}
 	if out.WindowSec <= 0 {
 		out.WindowSec = 3600
@@ -146,7 +145,7 @@ func (s *System) RunMIPContext(ctx context.Context, tr *workload.Trace, opts MIP
 		Cfg: demand.Config{
 			Method:      o.Method,
 			HorizonDays: o.UpdateEveryDays,
-			Slices:      o.Slices,
+			Slices:      mipSlices,
 			WindowSec:   o.WindowSec,
 		},
 	}

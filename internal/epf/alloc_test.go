@@ -87,3 +87,31 @@ func TestTracedPassZeroAllocations(t *testing.T) {
 		t.Errorf("a traced pass's telemetry allocates %g times per pass, want 0", allocs)
 	}
 }
+
+// TestWarmExportBytesPerVideo bounds what exporting a warm state allocates
+// per video, bound terms and assignment aside, on a 2 000-video, 55-office
+// instance: the ID table, the open-set offsets and the open sets, 4 B each
+// per entry. A map from ID to a per-video struct with its own open slice
+// costs several times that.
+func TestWarmExportBytesPerVideo(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	const videos = 2000
+	s, err := newSolver(randomInstance(t, 7, 55, videos, 2.0, 150), Options{Seed: 7, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.close()
+	s.lbTerms = nil
+	res := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			s.exportWarm(&Result{}, nil)
+		}
+	})
+	perVideo := float64(res.AllocedBytesPerOp()) / videos
+	t.Logf("warm export: %.1f B per video", perVideo)
+	if perVideo > 32 {
+		t.Errorf("warm export allocates %.1f B per video, want ≤ 32", perVideo)
+	}
+}

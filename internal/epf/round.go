@@ -145,7 +145,7 @@ func (s *solver) polishFrom(load func(vi int) bool, rng *rand.Rand, passes int) 
 func (s *solver) thresholdBlock(lp *WarmLP) func(vi int) bool {
 	return func(vi int) bool {
 		r := lp.Row[vi]
-		open := warmOpenSet(lp.Frac[lp.Off[r]:lp.Off[r+1]])
+		open := appendOpenSet(nil, lp.Frac[lp.Off[r]:lp.Off[r+1]])
 		if len(open) == 0 {
 			return false
 		}

@@ -235,17 +235,17 @@ func TestImpossibleReferenceRejects(t *testing.T) {
 // placedBlock reports whether block vi is exactly the carried integer block:
 // the carried open set at full copies, each row on its carried assignment.
 func placedBlock(s *solver, vi int, w *WarmState) bool {
-	wv := w.Videos[s.inst.Demands[vi].Video]
+	open := warmOpen(w, s.inst.Demands[vi].Video)
 	bs := &s.sol[vi]
-	if len(bs.Open) != len(wv.Open) {
+	if len(bs.Open) != len(open) {
 		return false
 	}
 	for x, f := range bs.Open {
-		if f.I != wv.Open[x] || f.V != 1 {
+		if f.I != open[x] || f.V != 1 {
 			return false
 		}
 	}
-	r := int(w.LP.Row[wv.Pos]) + 1
+	r := int(w.LP.Row[w.videoPos(s.inst.Demands[vi].Video)]) + 1
 	for k, fr := range bs.Assign {
 		if r+k >= len(w.Assign) || len(fr) != 1 || fr[0].I != w.Assign[r+k] || fr[0].V != 1 {
 			return false
@@ -268,18 +268,17 @@ func TestPlacementFallsBackPerVideo(t *testing.T) {
 	patchDemand(t, inst, 50, 3, false) // demand moved, offices did not: still carried
 
 	w := cloneWarm(cold.Warm)
-	delete(w.Videos, inst.Demands[unknown].Video)
+	w.Pos[inst.Demands[unknown].Video] = -1
 	row := func(vi int) int { return int(w.LP.Row[vi]) + 1 }
 	w.Assign[row(badOffice)] = int32(inst.NumVHOs())
 	for i := int32(0); ; i++ {
-		if !slices.Contains(w.Videos[inst.Demands[unopened].Video].Open, i) {
+		if !slices.Contains(warmOpen(w, inst.Demands[unopened].Video), i) {
 			w.Assign[row(unopened)] = i
 			break
 		}
 	}
-	wv := w.Videos[inst.Demands[badOpen].Video]
-	wv.Open = append(slices.Clone(wv.Open), int32(inst.NumVHOs()))
-	w.Videos[inst.Demands[badOpen].Video] = wv
+	p := w.videoPos(inst.Demands[badOpen].Video)
+	w.Open[w.OpenOff[p+1]-1] = int32(inst.NumVHOs())
 	truncated := len(inst.Demands) - 4
 	w.Assign = w.Assign[:w.LP.Row[truncated]]
 
@@ -313,7 +312,7 @@ func TestPlacementFallsBackPerVideo(t *testing.T) {
 		for _, f := range s.sol[vi].Open {
 			open = append(open, f.I)
 		}
-		if want := cold.Warm.Videos[inst.Demands[vi].Video].Open; !slices.Equal(open, want) {
+		if want := warmOpen(cold.Warm, inst.Demands[vi].Video); !slices.Equal(open, want) {
 			t.Errorf("video %d seeded at %v, carried open set %v", vi, open, want)
 		}
 	}

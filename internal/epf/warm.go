@@ -7,22 +7,11 @@ import (
 	"vodplace/internal/mip"
 )
 
-// WarmVideo is the per-video slice of a WarmState: the offices holding the
-// video in the previous period's final placement, and where its block sits
-// in the carried LP point.
-type WarmVideo struct {
-	// Open is the previous solve's open office set for this video, ascending.
-	Open []int32
-	// Pos is the video's position in WarmState.LP (its index in the
-	// producing solve's instance). Meaningless when LP is nil.
-	Pos int32
-}
-
 // WarmLP is the fractional point an LP descent ended on — the ε-feasible
 // incumbent when it converged — stored flat: one CSR over all videos' rows
 // instead of a slice per row (16 B per nonzero + 8 B per row: 508 B per
 // video on the benchmark's 2000-video, 55-office catalog). Video p
-// (WarmVideo.Pos) owns rows Row[p]..Row[p+1]-1: first its open row y, then
+// (WarmState.Pos) owns rows Row[p]..Row[p+1]-1: first its open row y, then
 // one assignment row per demand office, in the order of the Js the point was
 // built for.
 //
@@ -65,7 +54,7 @@ type WarmBound struct {
 	Alpha, Beta, UpdateWeight float64
 	Offices, Links, Slices    int
 	PathLinks, PathOff        []int32
-	// Term[p] is the term of the video at position p (WarmVideo.Pos).
+	// Term[p] is the term of the video at position p (WarmState.Pos).
 	Term []float64
 	// Inputs[p] is that video's packed inputs (appendBlockInputs): 32-bit
 	// words, each float64 as its two halves — 172 B per video on the
@@ -126,8 +115,18 @@ type WarmState struct {
 	RowDuals []float64
 	// Delta is the penalty scale δ the previous LP descent ended at.
 	Delta float64
-	// Videos maps catalog video ID → final open set and LP position.
-	Videos map[int]WarmVideo
+	// Pos maps a catalog video ID to the video's position p in the
+	// producing solve's instance, the index OpenOff, LP.Row, Bound.Term and
+	// Bound.Inputs are read at: Pos[id] = p, or −1 when the state carries
+	// nothing for the video (it was not in that instance, or held no copy).
+	// A negative ID or one at or past len(Pos) is absent too. Flat and
+	// sized by the largest ID, like the serving snapshot's id table.
+	Pos []int32
+	// OpenOff and Open are every position's final open office set,
+	// ascending, in CSR form over one arena: position p's set is
+	// Open[OpenOff[p]:OpenOff[p+1]], empty for a video Pos does not list.
+	OpenOff []int32
+	Open    []int32
 	// LP is the fractional point the producing solve's LP phase ended on
 	// (for SolveInteger, the point rounding started from). Nil on states
 	// assembled by hand; every block then starts from its open set.
@@ -139,7 +138,7 @@ type WarmState struct {
 	Bound *WarmBound
 	// Assign is the integer placement's assignment, flat on LP's row index:
 	// Assign[r] is the office serving the demand office LP.J[r], -1 on a
-	// video's open row (its copies are WarmVideo.Open). 4 B per row, ≈ 75 KB
+	// video's open row (its copies are its Open set). 4 B per row, ≈ 75 KB
 	// at 2000 videos. Nil unless SolveInteger produced the state; rounding
 	// then starts from scratch.
 	Assign []int32
@@ -163,22 +162,50 @@ func (s *solver) exportWarm(res *Result, lp *WarmLP) *WarmState {
 	w := &WarmState{
 		RowDuals: res.RowDuals,
 		Delta:    s.lpDelta,
-		Videos:   make(map[int]WarmVideo, len(s.sol)),
 		LP:       lp,
 		Bound:    s.exportBound(),
 	}
-	for vi := range s.sol {
-		open := warmOpenSet(s.sol[vi].Open)
-		if len(open) == 0 {
-			continue
-		}
-		w.Videos[s.inst.Demands[vi].Video] = WarmVideo{Open: open, Pos: int32(vi)}
-	}
+	s.exportOpenSets(w)
 	if res.Rounded {
 		w.Assign = s.packAssign(w.LP)
 		w.RoundRef = s.roundRef
 	}
 	return w
+}
+
+// exportOpenSets fills w's ID table and open-set CSR from the live point:
+// each video's appendOpenSet at its position, carved from one arena sized by
+// the point's open entries, and its ID mapped to that position when the set
+// is not empty. A later video with the same ID takes the table entry.
+func (s *solver) exportOpenSets(w *WarmState) {
+	maxID, entries := -1, 0
+	for vi := range s.sol {
+		maxID = max(maxID, s.inst.Demands[vi].Video)
+		entries += len(s.sol[vi].Open)
+	}
+	w.Pos = make([]int32, maxID+1)
+	for id := range w.Pos {
+		w.Pos[id] = -1
+	}
+	w.OpenOff = make([]int32, len(s.sol)+1)
+	w.Open = make([]int32, 0, entries)
+	for vi := range s.sol {
+		at := len(w.Open)
+		w.Open = appendOpenSet(w.Open, s.sol[vi].Open)
+		w.OpenOff[vi+1] = int32(len(w.Open))
+		if id := s.inst.Demands[vi].Video; id >= 0 && len(w.Open) > at {
+			w.Pos[id] = int32(vi)
+		}
+	}
+}
+
+// videoPos returns the position w carries catalog video id at, or −1 when
+// it carries nothing for the video.
+func (w *WarmState) videoPos(id int) int {
+	if id < 0 || id >= len(w.Pos) || w.Pos[id] < 0 {
+		return -1
+	}
+	return int(w.Pos[id])
 }
 
 // exportBound packs the terms of the certified bound (lbTerms at lbDuals) with
@@ -267,9 +294,8 @@ func (s *solver) carriedTerms(w *WarmState) int {
 	var buf []uint32
 	carried := 0
 	for vi := range s.sol {
-		wv, ok := w.Videos[s.inst.Demands[vi].Video]
-		p := int(wv.Pos)
-		if !ok || p < 0 || p >= len(b.Term) || p >= len(b.Inputs) {
+		p := w.videoPos(s.inst.Demands[vi].Video)
+		if p < 0 || p >= len(b.Term) || p >= len(b.Inputs) {
 			continue
 		}
 		buf = s.appendBlockInputs(buf[:0], vi)
@@ -364,11 +390,11 @@ func (s *solver) carriedRows(vi int) (lo, hi int, ok bool) {
 	}
 	lp := w.LP
 	d := &s.inst.Demands[vi]
-	wv, found := w.Videos[d.Video]
-	if !found || wv.Pos < 0 || int(wv.Pos)+1 >= len(lp.Row) {
+	p := w.videoPos(d.Video)
+	if p < 0 || p+1 >= len(lp.Row) {
 		return 0, 0, false
 	}
-	lo, hi = int(lp.Row[wv.Pos]), int(lp.Row[wv.Pos+1])
+	lo, hi = int(lp.Row[p]), int(lp.Row[p+1])
 	if lo < 0 || hi > len(lp.J) || hi-lo != 1+len(d.Js) || !slices.Equal(lp.J[lo+1:hi], d.Js) {
 		return 0, 0, false
 	}
@@ -445,11 +471,11 @@ func (s *solver) placeBlock(vi int) bool {
 	return true
 }
 
-// warmOpenSet extracts the integral open set of a block: offices with
-// y ≥ mip.OpenY, falling back to the largest-y office when the block is
+// appendOpenSet appends the integral open set of a block to dst: offices
+// with y ≥ mip.OpenY, falling back to the largest-y office when the block is
 // spread thin. The input is ascending, so the output is too.
-func warmOpenSet(open []mip.Frac) []int32 {
-	var out []int32
+func appendOpenSet(dst []int32, open []mip.Frac) []int32 {
+	at := len(dst)
 	var best int32 = -1
 	var bestV float64
 	for _, f := range open {
@@ -457,34 +483,39 @@ func warmOpenSet(open []mip.Frac) []int32 {
 			bestV, best = f.V, f.I
 		}
 		if f.V >= mip.OpenY {
-			out = append(out, f.I)
+			dst = append(dst, f.I)
 		}
 	}
-	if len(out) == 0 && best >= 0 {
-		out = append(out, best)
+	if len(dst) == at && best >= 0 {
+		dst = append(dst, best)
 	}
-	return out
+	return dst
 }
 
 // warmVideoOpen returns the valid warm open set for video index vi, or nil
-// when the warm state has none (unknown ID, offices outside [0, n) from a
-// topology change, or a list that is not strictly ascending) — the per-video
-// cold fallback.
+// when the warm state has none (unknown ID, an offset range outside the
+// arena, offices outside [0, n) from a topology change, or a list that is
+// not strictly ascending) — the per-video cold fallback.
 func (s *solver) warmVideoOpen(vi int) []int32 {
 	w := s.opts.Warm
 	if w == nil {
 		return nil
 	}
-	wv, ok := w.Videos[s.inst.Demands[vi].Video]
-	if !ok || len(wv.Open) == 0 {
+	p := w.videoPos(s.inst.Demands[vi].Video)
+	if p < 0 || p+1 >= len(w.OpenOff) {
 		return nil
 	}
-	for x, i := range wv.Open {
-		if i < 0 || int(i) >= s.n || (x > 0 && i <= wv.Open[x-1]) {
+	lo, hi := w.OpenOff[p], w.OpenOff[p+1]
+	if lo < 0 || hi <= lo || int(hi) > len(w.Open) {
+		return nil
+	}
+	open := w.Open[lo:hi:hi]
+	for x, i := range open {
+		if i < 0 || int(i) >= s.n || (x > 0 && i <= open[x-1]) {
 			return nil
 		}
 	}
-	return wv.Open
+	return open
 }
 
 // setIntBlock overwrites block vi with an integer block: a full copy at each

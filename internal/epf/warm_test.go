@@ -34,18 +34,18 @@ func TestWarmExport(t *testing.T) {
 	if w.Delta <= 0 {
 		t.Errorf("exported Delta = %g, want > 0", w.Delta)
 	}
-	if len(w.Videos) != len(inst.Demands) {
-		t.Fatalf("warm state covers %d videos, instance has %d", len(w.Videos), len(inst.Demands))
+	if len(w.OpenOff) != len(inst.Demands)+1 {
+		t.Fatalf("warm state covers %d positions, instance has %d videos", len(w.OpenOff)-1, len(inst.Demands))
 	}
 	for vi := range inst.Demands {
-		wv, ok := w.Videos[inst.Demands[vi].Video]
-		if !ok {
-			t.Fatalf("video %d missing from warm state", inst.Demands[vi].Video)
+		if p := w.videoPos(inst.Demands[vi].Video); p != vi {
+			t.Fatalf("video %d carried at position %d, want %d", inst.Demands[vi].Video, p, vi)
 		}
-		if len(wv.Open) == 0 {
+		open := warmOpen(w, inst.Demands[vi].Video)
+		if len(open) == 0 {
 			t.Fatalf("video %d exported an empty open set", inst.Demands[vi].Video)
 		}
-		for _, o := range wv.Open {
+		for _, o := range open {
 			if o < 0 || int(o) >= inst.NumVHOs() {
 				t.Fatalf("video %d exported office %d out of range", inst.Demands[vi].Video, o)
 			}
@@ -160,18 +160,20 @@ func TestWarmCatalogChurn(t *testing.T) {
 	w := &WarmState{
 		RowDuals: cold.Warm.RowDuals,
 		Delta:    cold.Warm.Delta,
-		Videos:   make(map[int]WarmVideo, len(cold.Warm.Videos)),
+		Pos:      slices.Clone(cold.Warm.Pos),
+		OpenOff:  cold.Warm.OpenOff,
+		Open:     slices.Clone(cold.Warm.Open),
 	}
 	dropped := 0
-	for id, wv := range cold.Warm.Videos {
+	for id, p := range w.Pos {
 		switch {
+		case p < 0:
 		case id%5 == 0: // churned out of the catalog
+			w.Pos[id] = -1
 			dropped++
 		case id%7 == 1: // stale entry pointing at a removed office
-			w.Videos[id] = WarmVideo{Open: []int32{int32(inst.NumVHOs())}}
+			w.Open[w.OpenOff[p]] = int32(inst.NumVHOs())
 			dropped++
-		default:
-			w.Videos[id] = wv
 		}
 	}
 	if dropped == 0 {
@@ -309,7 +311,7 @@ func TestWarmExportCarriesLPPoint(t *testing.T) {
 		}
 		fractional := false
 		for vi := range inst.Demands {
-			if got := res.Warm.Videos[inst.Demands[vi].Video].Pos; int(got) != vi {
+			if got := res.Warm.videoPos(inst.Demands[vi].Video); got != vi {
 				t.Fatalf("%s: video %d carried at position %d", name, vi, got)
 			}
 			js, rows := lpRows(lp, vi)
@@ -379,12 +381,8 @@ func TestResumeFallsBackPerVideo(t *testing.T) {
 	patchDemand(t, inst, 20, 3, false) // demand moved, offices did not: still resumed
 
 	w := *cold.Warm
-	w.Videos = make(map[int]WarmVideo, len(cold.Warm.Videos))
-	for id, wv := range cold.Warm.Videos {
-		if id != inst.Demands[unknown].Video {
-			w.Videos[id] = wv
-		}
-	}
+	w.Pos = slices.Clone(w.Pos)
+	w.Pos[inst.Demands[unknown].Video] = -1
 	s, err := newSolver(inst, Options{Seed: 5, Warm: &w})
 	if err != nil {
 		t.Fatal(err)
@@ -408,8 +406,8 @@ func TestResumeFallsBackPerVideo(t *testing.T) {
 		}
 		open = append(open, f.I)
 	}
-	if !slices.Equal(open, cold.Warm.Videos[inst.Demands[changed].Video].Open) {
-		t.Errorf("changed video seeded at %v, carried open set %v", open, cold.Warm.Videos[inst.Demands[changed].Video].Open)
+	if want := warmOpen(cold.Warm, inst.Demands[changed].Video); !slices.Equal(open, want) {
+		t.Errorf("changed video seeded at %v, carried open set %v", open, want)
 	}
 	// The unknown video got the cold single-copy init.
 	if len(s.sol[unknown].Open) != 1 {
@@ -440,15 +438,22 @@ func TestResumeFallsBackPerVideo(t *testing.T) {
 	}
 }
 
+// warmOpen returns the open set w carries for catalog video id, nil when it
+// carries none.
+func warmOpen(w *WarmState, id int) []int32 {
+	p := w.videoPos(id)
+	if p < 0 {
+		return nil
+	}
+	return w.Open[w.OpenOff[p]:w.OpenOff[p+1]]
+}
+
 // cloneWarm deep-copies a WarmState.
 func cloneWarm(w *WarmState) *WarmState {
 	c := *w
 	c.RowDuals = slices.Clone(w.RowDuals)
 	c.Assign = slices.Clone(w.Assign)
-	c.Videos = make(map[int]WarmVideo, len(w.Videos))
-	for id, wv := range w.Videos {
-		c.Videos[id] = WarmVideo{Open: slices.Clone(wv.Open), Pos: wv.Pos}
-	}
+	c.Pos, c.OpenOff, c.Open = slices.Clone(w.Pos), slices.Clone(w.OpenOff), slices.Clone(w.Open)
 	lp := *w.LP
 	lp.Row, lp.J, lp.Off, lp.Frac = slices.Clone(lp.Row), slices.Clone(lp.J), slices.Clone(lp.Off), slices.Clone(lp.Frac)
 	c.LP = &lp

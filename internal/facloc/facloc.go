@@ -541,21 +541,34 @@ func (s *Solver) searchFromAllOpen(p *Problem, swaps bool) {
 // every gain, every first-improving move and so the whole trajectory are
 // bit for bit those of the branchy row-major loops this replaced, which are
 // kept in ref_test.go as the oracle (TestKernelsMatchReference).
+//
+// A gain is not computed when cannotGain proves it at most 1e-12 from
+// sum = Σ best1: no move is taken or skipped differently, so the skip keeps
+// the bits. The sum is taken afresh before each sweep; within the add sweep
+// it only goes stale high, as opening lowers best1, which keeps the proof.
 func (s *Solver) localSearch(p *Problem, swaps, atDrops bool) {
 	n := p.NumFacilities()
 	kk := len(s.best1)
 	best1, alt0 := s.best1, s.alt0
+	sumBest1 := func() float64 {
+		var sum float64
+		for _, b := range best1 {
+			sum += b
+		}
+		return sum
+	}
 	const maxPasses = 60
 	for pass := 0; pass < maxPasses; pass++ {
 		resumed := pass == 0 && atDrops
 		improved := resumed && s.nOpen < n
+		sum := sumBest1()
 
 		// Add moves: gain of opening i = Σ_k max(0, best1_k − g_ki) − F_i.
 		// A demand's other option is its current best, so the term is
 		// best1_k − min(best1_k, g_ki): the same subtraction when i is
 		// cheaper, best1_k − best1_k = +0 where the sum used to skip.
 		for i := 0; i < n && !resumed; i++ {
-			if s.open[i] {
+			if s.open[i] || cannotGain(-p.Open[i], sum) {
 				continue
 			}
 			if moveGain(-p.Open[i], best1, best1, s.colT[i*kk:]) > 1e-12 {
@@ -590,6 +603,7 @@ func (s *Solver) localSearch(p *Problem, swaps, atDrops bool) {
 		// Swap moves: close i, open i'. Evaluated only when add/drop stall,
 		// since each evaluation is O(K).
 		if swaps && !improved {
+			sum = sumBest1()
 			for i := 0; i < n && !improved; i++ {
 				if !s.open[i] {
 					continue
@@ -604,7 +618,7 @@ func (s *Solver) localSearch(p *Problem, swaps, atDrops bool) {
 					}
 				}
 				for ip := 0; ip < n && !improved; ip++ {
-					if s.open[ip] {
+					if s.open[ip] || cannotGain(p.Open[i]-p.Open[ip], sum) {
 						continue
 					}
 					if moveGain(p.Open[i]-p.Open[ip], best1, alt0, s.colT[ip*kk:]) > 1e-12 {
@@ -631,6 +645,18 @@ func moveGain(gain float64, best1, alt, col []float64) float64 {
 		gain += b - min(alt[k], col[k])
 	}
 	return gain
+}
+
+// cannotGain reports that moveGain(x0, best1, alt, col) ≤ 1e-12 for every
+// non-negative alt and col, given sum, the left-to-right float sum of best1
+// (or an upper bound on it). Each term best1[k] − min(alt[k], col[k]) is then
+// at most best1[k], and float addition is monotone, so the gain is at most
+// the float sum x0 + best1[0] + best1[1] + …, which lies within
+// K·2⁻⁵³·(|x0| + sum) of x0 + sum. The 1e-9 margins cover that rounding
+// for any K below 10⁶, and it asks for a negative bound, not merely one
+// below 1e-12. NaN inputs make it false, so such a gain is computed.
+func cannotGain(x0, sum float64) bool {
+	return x0+sum*(1+1e-9)+1e-9*math.Abs(x0) < 0
 }
 
 // DualAscent computes a feasible solution (v, implicit w) of the UFL LP dual

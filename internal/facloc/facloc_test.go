@@ -478,3 +478,50 @@ func BenchmarkDualAscent55x8(b *testing.B) {
 		s.DualAscent(cases[i%len(cases)].p)
 	}
 }
+
+// FuzzMoveGainBound checks the proof behind localSearch's skip: whenever
+// cannotGain holds for x0 and the left-to-right sum of best1, moveGain is at
+// most 1e-12, for any non-negative finite best1, alt and col. Each value is
+// a mantissa byte scaled by 2^e over a wide exponent range, so the sums
+// round; x0 sits a few ulps around −Σ best1 (the margin's edge) or at an
+// arbitrary value the input's bits give.
+func FuzzMoveGainBound(f *testing.F) {
+	f.Add(uint8(0), int16(0), []byte{200, 60, 1, 60, 255, 2, 7, 10, 9, 80, 3, 40})
+	f.Add(uint8(1), int16(-3), []byte{1, 0, 255, 120, 255, 0, 128, 64, 3, 3, 3, 3, 3, 3})
+	f.Add(uint8(2), int16(40), []byte{255, 127, 255, 127, 1, 0, 1, 0, 1, 0, 2, 90})
+	// 2²⁰ then ten 2⁻³³ that Σ best1 rounds away, x0 one ulp below −Σ: the
+	// float gain is 4 ulps of 2²⁰ although x0 + Σ best1 < 0.
+	absorbed := []byte{1, 84, 0, 0, 0, 0}
+	for range 10 {
+		absorbed = append(absorbed, 1, 31, 0, 0, 0, 0)
+	}
+	f.Add(uint8(0), int16(1), absorbed)
+	f.Fuzz(func(t *testing.T, mode uint8, nudge int16, data []byte) {
+		k := min(len(data)/6, 64)
+		val := func(at int) float64 {
+			return float64(data[at]) * math.Ldexp(1, int(data[at+1]%128)-64)
+		}
+		best1, alt, col := make([]float64, k), make([]float64, k), make([]float64, k)
+		for x := 0; x < k; x++ {
+			best1[x], alt[x], col[x] = val(6*x), val(6*x+2), val(6*x+4)
+		}
+		var sum float64
+		for _, b := range best1 {
+			sum += b
+		}
+		x0 := float64(nudge) * math.Ldexp(1, int(mode)%128-64)
+		if mode%2 == 0 {
+			// −sum moved by nudge ulps of sum and scaled by (1 + mode·2⁻³⁶):
+			// just inside and just outside the skip's 1e-9 margin.
+			x0 = -math.Float64frombits(uint64(int64(math.Float64bits(sum))+int64(nudge))) * (1 + float64(mode)*0x1p-36)
+		}
+		if math.IsNaN(x0) || math.IsInf(x0, 0) {
+			return
+		}
+		if cannotGain(x0, sum) {
+			if g := moveGain(x0, best1, alt, col); g > 1e-12 {
+				t.Fatalf("cannotGain(%v, %v) but moveGain = %v\nbest1 %v\nalt %v\ncol %v", x0, sum, g, best1, alt, col)
+			}
+		}
+	})
+}

@@ -57,7 +57,7 @@ type ServeResolve struct {
 	AuditMS      float64 `json:"auditms"` // done: certification wall time
 	BuildMS      float64 `json:"buildms"` // done, swapped: snapshot build+publish wall time
 	Dirty        int     `json:"dirty"`   // done: demand-dirty videos this attempt resolved
-	Rebuilt      int64   `json:"rebuilt"` // done, swapped: route rows recomputed (vs copied) by the snapshot build
+	Rebuilt      int64   `json:"rebuilt"` // done, swapped: videos whose open set the snapshot build found changed
 	TMS          float64 `json:"tms"`     // ms since recorder start (stamped by the recorder)
 }
 
@@ -65,12 +65,12 @@ type ServeResolve struct {
 // routing answer changed.
 type ServeSwap struct {
 	Version int64   `json:"version"` // the new snapshot's version
-	RDelta  int64   `json:"rdelta"`  // route-table entries that changed vs. the previous snapshot
+	RDelta  int64   `json:"rdelta"`  // (video, office) routing answers that changed vs. the previous snapshot
 	BuildMS float64 `json:"buildms"` // snapshot build+publish wall time
 	// Rebuilt/Rows report the snapshot build's delta economy: of the Rows
-	// route rows (one per video), Rebuilt were recomputed (their video's
-	// open set changed) and the rest copied from the previous snapshot;
-	// both zero in traces from pre-delta releases.
+	// videos, Rebuilt changed their open set (so their routes may have
+	// moved) and the rest answer as the previous snapshot did; both zero in
+	// traces from pre-delta releases.
 	Rebuilt int64   `json:"rebuilt"`
 	Rows    int64   `json:"rows"`
 	TMS     float64 `json:"tms"`

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"vodplace/internal/mip"
 )
 
 // TestRouteZeroAllocations pins the /route hot path — query parse, snapshot
@@ -69,5 +71,36 @@ func TestRouteZeroAllocations(t *testing.T) {
 	}
 	if got := s.reqRoute.Requests(); got == 0 {
 		t.Error("instrument recorded nothing")
+	}
+}
+
+// TestSnapshotBuildBytesPerVideo bounds what a full snapshot build allocates
+// per video on a 2 000-video, 55-office catalog with one to three copies per
+// video: the id table, the open-set offsets and the open sets, 4 B each per
+// entry. A per-destination table would cost 4 B per office per video, 220 B
+// here, on top.
+func TestSnapshotBuildBytesPerVideo(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unreliable under -race")
+	}
+	const videos, vhos = 2000, 55
+	inst := syntheticInstance(t, videos, vhos, 2, 3)
+	sol := &mip.Solution{Inst: inst, Videos: make([]mip.VideoPlacement, videos)}
+	for vi := range sol.Videos {
+		for c := 0; c <= vi%3; c++ {
+			sol.Videos[vi].Open = append(sol.Videos[vi].Open, mip.Frac{I: int32((vi + 17*c) % vhos), V: 1})
+		}
+	}
+	res := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := buildSnapshot(inst, sol, 1, true); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	perVideo := float64(res.AllocedBytesPerOp()) / videos
+	t.Logf("snapshot build: %.1f B per video", perVideo)
+	if perVideo > 32 {
+		t.Errorf("snapshot build allocates %.1f B per video, want ≤ 32", perVideo)
 	}
 }

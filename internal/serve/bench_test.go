@@ -12,7 +12,7 @@ import (
 )
 
 // BenchmarkServeRouteLookup is the data-plane unit the acceptance rps gate
-// rests on: parse + table lookup + JSON encode into a reused buffer.
+// rests on: parse + open-set scan + JSON encode into a reused buffer.
 func BenchmarkServeRouteLookup(b *testing.B) {
 	s := testServer(b, 200, 10, 41)
 	snap := s.Snapshot()
@@ -77,8 +77,9 @@ func BenchmarkServeRecord(b *testing.B) {
 	}
 }
 
-// BenchmarkServeSnapshotBuild measures the control-plane cost of
-// precomputing a full route table after a re-solve.
+// BenchmarkServeSnapshotBuild measures the control-plane cost of a full
+// snapshot build after a re-solve: validation, the id table and the open
+// sets.
 func BenchmarkServeSnapshotBuild(b *testing.B) {
 	s := testServer(b, 200, 10, 42)
 	snap := s.Snapshot()

@@ -71,7 +71,7 @@ func syntheticInstance(tb testing.TB, videos, vhos, slices int, seed int64) *mip
 }
 
 // onePerVideoSolution opens office vi%n for every video — the cheapest
-// placement shape that exercises the route table without a solver run.
+// placement shape that exercises the snapshot build without a solver run.
 func onePerVideoSolution(inst *mip.Instance) *mip.Solution {
 	n := inst.NumVHOs()
 	sol := &mip.Solution{Inst: inst, Videos: make([]mip.VideoPlacement, len(inst.Demands))}
@@ -149,7 +149,7 @@ func BenchmarkResolveDelta1000of100k(b *testing.B) { benchmarkResolveDelta(b, 10
 
 // BenchmarkResolveFull100k is the pre-delta baseline the ResolveDelta
 // benchmarks are compared against: the same update batch, then a full
-// catalog re-stream and a from-scratch route-table build.
+// catalog re-stream and a from-scratch snapshot build.
 func BenchmarkResolveFull100k(b *testing.B) {
 	deltaFixture(b)
 	videos := len(deltaFx.inst.Demands)
@@ -289,17 +289,18 @@ func equalInstanceDemands(t *testing.T, got, want *mip.Instance) {
 }
 
 // equalSnapshots fails the test unless both snapshots answer every routing
-// question identically: same route table bytes, same id mapping, same
-// recorded open sets.
+// question identically: same answer for every (video, office), same id
+// mapping, same recorded open sets.
 func equalSnapshots(t *testing.T, round int, got, want *Snapshot) {
 	t.Helper()
-	if got.n != want.n || len(got.route) != len(want.route) {
-		t.Fatalf("round %d: table shape %dx%d, want %dx%d", round, len(got.route), got.n, len(want.route), want.n)
+	if got.n != want.n || len(got.openOff) != len(want.openOff) {
+		t.Fatalf("round %d: shape %dx%d, want %dx%d", round, len(got.openOff)-1, got.n, len(want.openOff)-1, want.n)
 	}
-	for i := range want.route {
-		if got.route[i] != want.route[i] {
-			t.Fatalf("round %d: route[%d] = %d, want %d (video index %d, vho %d)",
-				round, i, got.route[i], want.route[i], i/got.n, i%got.n)
+	for vi := int32(0); int(vi) < len(want.openOff)-1; vi++ {
+		for j := 0; j < want.n; j++ {
+			if g, w := got.serving(vi, j), want.serving(vi, j); g != w {
+				t.Fatalf("round %d: video index %d, vho %d served from %d, want %d", round, vi, j, g, w)
+			}
 		}
 	}
 	if len(got.vidIdx) != len(want.vidIdx) {
@@ -330,7 +331,7 @@ func equalSnapshots(t *testing.T, round int, got, want *Snapshot) {
 // side patches a live instance and builds snapshots incrementally, the
 // other re-streams the catalog and builds from scratch every round. The
 // patched instance (rows, CSR, shard tallies) and the incremental snapshot
-// (route table, id map, open CSR) must stay byte-identical to the rebuilt
+// (routes, id map, open CSR) must stay byte-identical to the rebuilt
 // ones through every round, including rows negative updates empty out.
 func TestDeltaSnapshotEquivalence(t *testing.T) {
 	const videos, vhos, slices, rounds = 300, 8, 2, 12

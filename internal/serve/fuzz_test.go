@@ -28,11 +28,11 @@ func (f *fuzzBytes) next() byte {
 }
 
 // FuzzRouteTable feeds arbitrary hand-built placements and topologies to the
-// route-table builder and checks its contract: it never panics, every route
-// it answers is a feasible open copy with minimal transfer cost (lowest
-// office index on ties), and pairs with no open copy are reported
-// unreachable — never mis-routed to a default office. Placements naming
-// out-of-range offices must be rejected with an error at build time.
+// snapshot builder and checks its contract: it never panics, every route the
+// snapshot answers is a feasible open copy with minimal transfer cost (lowest
+// office index on ties), and pairs with no open copy are reported unreachable
+// — never mis-routed to a default office. Placements naming out-of-range
+// offices must be rejected with an error at build time.
 func FuzzRouteTable(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 2, 0xff, 4, 2, 1, 3, 2, 1, 0x03, 2, 1, 80, 2, 60})

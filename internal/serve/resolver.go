@@ -62,20 +62,19 @@ func solveOutcome(done *obs.ServeResolve, res *epf.Result, videos int) {
 }
 
 // resolveOnce brings the live instance up to date with the demand state,
-// solves it (warm-started from the last swapped-in solve),
-// audits the result, and — only if the audit passes and the solve converged
-// — swaps a new snapshot in. It patches just the demand-dirty videos of the
-// live instance in place (state.patchInstance) and the incremental snapshot
-// build recomputes only the route rows whose open set changed, so both the
-// instance refresh and the route-table build cost O(changed) instead of
-// O(catalog) (DESIGN.md §12); a row the instance refuses fails the attempt
+// solves it (warm-started from the last swapped-in solve), audits the result,
+// and — only if the audit passes and the solve converged — swaps a new
+// snapshot in. It patches just the demand-dirty videos of the live instance
+// in place (state.patchInstance) instead of re-streaming the catalog, and the
+// snapshot build records each video's open set and counts the videos whose
+// set changed (DESIGN.md §12); a row the instance refuses fails the attempt
 // and stays dirty. On any rejection the old snapshot keeps serving, the
-// matching counter is incremented, and the reject reason is kept for
-// /status; a cancellation (shutdown) discards the partial solve.
-// The whole attempt is bracketed by serve_resolve start/done trace events
-// (done carries the dirty count and rows rebuilt), and a swap additionally
-// emits serve_swap with the route-table churn and delta economy. Returns the
-// swapped-in snapshot, or nil when nothing was swapped.
+// matching counter is incremented, and the reject reason is kept for /status;
+// a cancellation (shutdown) discards the partial solve. The whole attempt is
+// bracketed by serve_resolve start/done trace events (done carries the dirty
+// count and rows rebuilt), and a swap additionally emits serve_swap with the
+// routing-answer churn and delta economy. Returns the swapped-in snapshot, or
+// nil when nothing was swapped.
 func (s *Server) resolveOnce(ctx context.Context) (*Snapshot, error) {
 	s.mu.Lock()
 	if !s.dirty {

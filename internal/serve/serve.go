@@ -1,15 +1,16 @@
-// Package serve turns the batch placement solver into a control plane
-// behind a long-running data plane. The data plane answers routing lookups
-// ("which office serves video m for office j?") from an immutable,
-// atomically-swapped Snapshot whose route tables are fully precomputed, so
-// the hot path is array reads plus a JSON encode into a reused buffer —
-// zero steady-state allocations. The control plane accepts streamed demand
-// updates, re-solves the placement LP in the background with cross-period
-// warm starts (epf.WarmState), and swaps a new snapshot in only after the
-// independent certificate auditor (verify.Audit) passes; a rejected solve
-// keeps the old snapshot serving and increments a counter. The data plane
-// never blocks on the control plane: lookups hit whatever snapshot is
-// current, re-solves happen entirely off the request path.
+// Package serve turns the batch placement solver into a control plane behind
+// a long-running data plane. The data plane answers routing lookups ("which
+// office serves video m for office j?") from an immutable, atomically-swapped
+// Snapshot that keeps each video's open office set, so the hot path is an
+// id-table load, a scan of that set against the cost matrix and a JSON encode
+// into a reused buffer — zero steady-state allocations. The control plane
+// accepts streamed demand updates, re-solves the placement LP in the
+// background with cross-period warm starts (epf.WarmState), and swaps a new
+// snapshot in only after the independent certificate auditor (verify.Audit)
+// passes; a rejected solve keeps the old snapshot serving and increments a
+// counter. The data plane never blocks on the control plane: lookups hit
+// whatever snapshot is current, re-solves happen entirely off the request
+// path.
 //
 // See DESIGN.md §12 for the service architecture.
 package serve

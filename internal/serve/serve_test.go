@@ -46,7 +46,7 @@ func testServer(tb testing.TB, videos, vhos int, seed int64) *Server {
 	return s
 }
 
-// cheapestCopy is the from-scratch recomputation the route table is checked
+// cheapestCopy is the from-scratch recomputation the routes are checked
 // against: scan the video's open copies (y ≥ 0.5) and return the office
 // with minimal transfer cost to j, lowest index on ties; -1 when none.
 func cheapestCopy(inst *mip.Instance, sol *mip.Solution, vi, j int) int {

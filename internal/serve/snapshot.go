@@ -10,11 +10,12 @@ import (
 )
 
 // Snapshot is one immutable view of the data plane: a placement, the
-// instance it was solved on, and a fully precomputed route table answering
-// "which office serves video m for office j" with a single array read. A
-// snapshot is never mutated after construction; the server swaps whole
-// snapshots through an atomic pointer, so readers see either the old or the
-// new placement in full — never a torn mix.
+// instance it was solved on, and each video's open office set, from which
+// "which office serves video m for office j" is answered by a scan of that
+// set against the cost matrix. A snapshot is never mutated after
+// construction; the server swaps whole snapshots through an atomic pointer,
+// so readers see either the old or the new placement in full — never a torn
+// mix.
 type Snapshot struct {
 	// Version is the monotone snapshot sequence number; the initial
 	// placement is version 1 and every audit-approved re-solve increments
@@ -31,9 +32,6 @@ type Snapshot struct {
 	// snapshot-age gauge report staleness relative to it.
 	BuiltAt time.Time
 
-	// route[vi*n+j] is the serving office for instance video vi requested
-	// at office j, or -1 when the video has no open copy (unreachable).
-	route []int32
 	// vidIdx[id] maps a library video ID to its instance index, -1 when the
 	// video is not part of this placement. Flat so the hot path is one
 	// bounds check and one load, no map hashing.
@@ -42,35 +40,31 @@ type Snapshot struct {
 
 	// openOff/openIdx record each video's thresholded open set (the
 	// y ≥ mip.OpenY offices, in solution order) in CSR form: video vi's open
-	// offices are openIdx[openOff[vi]:openOff[vi+1]]. A route row is a pure
-	// function of this set and the (immutable) cost matrix, so the incremental
-	// builder compares the next solution's open sets against these to decide
-	// which rows it must recompute — never against Sol, which the next
-	// attempt may alias.
+	// offices are openIdx[openOff[vi]:openOff[vi+1]]. A route is a pure
+	// function of this set and the instance's cost matrix, whose identity
+	// fields a demand patch never writes, so the set is all a snapshot keeps
+	// of its placement — never Sol, which the next attempt may alias.
 	openOff []int32
 	openIdx []int32
 }
 
-// buildSnapshot validates (inst, sol) and precomputes the route table.
+// buildSnapshot validates (inst, sol) and records each video's open set.
 // It is deliberately defensive — the fuzz target feeds it arbitrary
 // hand-built placements — so malformed input yields an error, never a
 // panic or a mis-route: out-of-range open offices are rejected, duplicate
 // and unsorted open lists are tolerated, and videos without any open copy
-// get the unreachable sentinel rather than a default office.
+// are answered unreachable rather than routed to a default office.
 func buildSnapshot(inst *mip.Instance, sol *mip.Solution, version uint64, certified bool) (*Snapshot, error) {
 	s, _, err := buildSnapshotFrom(nil, inst, sol, version, certified)
 	return s, err
 }
 
-// buildSnapshotFrom is buildSnapshot with an incremental mode: when prev is
-// a snapshot built on the same instance value (pointer identity — the
-// resolver's patched live instance), route rows are copied from prev instead
-// of recomputed for every video whose thresholded open set is unchanged. The
-// row depends only on the open set and the immutable cost matrix — demand
-// never enters — so the copy is bit-identical to the recomputation and the
-// incremental result is byte-for-byte the full rebuild's. Returns the
-// snapshot and the number of rows actually recomputed: the videos whose open
-// set changed (== the video count on a full build).
+// buildSnapshotFrom is buildSnapshot with a predecessor: when prev is a
+// snapshot built on the same instance value (pointer identity — the
+// resolver's patched live instance), its id table is shared and each video's
+// open set is compared with prev's. Returns the snapshot and the number of
+// videos whose open set changed — the videos whose routes may have moved
+// (== the video count without a predecessor).
 func buildSnapshotFrom(prev *Snapshot, inst *mip.Instance, sol *mip.Solution, version uint64, certified bool) (*Snapshot, int64, error) {
 	if inst == nil || sol == nil {
 		return nil, 0, fmt.Errorf("serve: nil instance or solution")
@@ -85,21 +79,24 @@ func buildSnapshotFrom(prev *Snapshot, inst *mip.Instance, sol *mip.Solution, ve
 	nv := len(inst.Demands)
 	incr := prev != nil && prev.Inst == inst && prev.n == n && len(prev.openOff) == nv+1
 
+	entries := 0
+	for vi := range sol.Videos {
+		entries += len(sol.Videos[vi].Open)
+	}
 	s := &Snapshot{
 		Version:   version,
 		Inst:      inst,
 		Sol:       sol,
 		Certified: certified,
 		BuiltAt:   time.Now(),
-		route:     make([]int32, nv*n),
 		n:         n,
 		openOff:   make([]int32, nv+1),
+		openIdx:   make([]int32, 0, entries),
 	}
 	if incr {
 		// Library ids are immutable under a patch, so the previous table —
 		// validated when prev was built — is shared as-is.
 		s.vidIdx = prev.vidIdx
-		s.openIdx = make([]int32, 0, len(prev.openIdx))
 	} else {
 		maxID := -1
 		for vi := range inst.Demands {
@@ -124,15 +121,9 @@ func buildSnapshotFrom(prev *Snapshot, inst *mip.Instance, sol *mip.Solution, ve
 		}
 	}
 
-	// Cheapest-copy routes: for each destination j, the open office with the
-	// minimal transfer cost c_ij; strict < keeps the lowest office index on
-	// ties, matching the from-scratch recomputation the tests do. Open-set
-	// extraction and validation always run for every video — only the
-	// per-destination scan is skipped on a reused row.
 	var rebuilt int64
-	var open []int32
 	for vi := range sol.Videos {
-		open = open[:0]
+		at := len(s.openIdx)
 		for _, f := range sol.Videos[vi].Open {
 			if f.V < mip.OpenY {
 				continue
@@ -140,52 +131,52 @@ func buildSnapshotFrom(prev *Snapshot, inst *mip.Instance, sol *mip.Solution, ve
 			if int(f.I) < 0 || int(f.I) >= n {
 				return nil, 0, fmt.Errorf("serve: video %d open office %d out of range [0,%d)", vi, f.I, n)
 			}
-			open = append(open, f.I)
+			s.openIdx = append(s.openIdx, f.I)
 		}
-		s.openIdx = append(s.openIdx, open...)
 		s.openOff[vi+1] = int32(len(s.openIdx))
-
-		row := s.route[vi*n : (vi+1)*n]
 		// Open sets come out ascending, so equal lists are equal sets; an
-		// order-only difference would cost one conservative rebuild.
-		if incr && slices.Equal(open, prev.openIdx[prev.openOff[vi]:prev.openOff[vi+1]]) {
-			copy(row, prev.route[vi*n:(vi+1)*n])
-			continue
-		}
-		rebuilt++
-		if len(open) == 0 {
-			for j := range row {
-				row[j] = -1
-			}
-			continue
-		}
-		for j := 0; j < n; j++ {
-			best := open[0]
-			bestCost := inst.Cost(int(open[0]), j)
-			for _, i := range open[1:] {
-				if c := inst.Cost(int(i), j); c < bestCost || (c == bestCost && i < best) {
-					best, bestCost = i, c
-				}
-			}
-			row[j] = best
+		// order-only difference would count one video too many.
+		if !incr || !slices.Equal(s.openIdx[at:], prev.open(int32(vi))) {
+			rebuilt++
 		}
 	}
 	return s, rebuilt, nil
 }
 
-// routeDelta counts route-table entries that differ between two snapshots,
-// matching videos by library id so re-solves over a changed catalog compare
-// sensibly: a video present on only one side contributes a full row (its
-// every destination changed answer), matched videos contribute their
-// per-destination differences. This is the churn number a swap event
-// reports — how many (video, office) routing answers the swap changed.
+// open returns instance video vi's open offices.
+func (s *Snapshot) open(vi int32) []int32 {
+	return s.openIdx[s.openOff[vi]:s.openOff[vi+1]]
+}
+
+// serving returns the office serving instance video vi at office vho: the
+// open copy with the minimal transfer cost c_ij, the lowest office on ties
+// (matching the from-scratch recomputation the tests do), or -1 when the
+// video has no open copy.
+func (s *Snapshot) serving(vi int32, vho int) int32 {
+	best := int32(-1)
+	var bestCost float64
+	for _, i := range s.open(vi) {
+		if c := s.Inst.Cost(int(i), vho); best < 0 || c < bestCost || (c == bestCost && i < best) {
+			best, bestCost = i, c
+		}
+	}
+	return best
+}
+
+// routeDelta counts the (video, office) routing answers that differ between
+// two snapshots, matching videos by library id so re-solves over a changed
+// catalog compare sensibly: a video present on only one side contributes
+// its every destination, matched videos their per-destination differences.
+// On one instance a video whose open set is unchanged answers every office
+// as before, so only the videos whose set changed are scanned. This is the
+// churn number a swap event reports.
 func routeDelta(old, cur *Snapshot) int64 {
 	if old == nil {
-		return int64(len(cur.route))
+		return int64(len(cur.openOff)-1) * int64(cur.n)
 	}
+	sameCosts := old.Inst == cur.Inst
 	var d int64
-	for id := range cur.vidIdx {
-		vi := cur.vidIdx[id]
+	for id, vi := range cur.vidIdx {
 		if vi < 0 {
 			continue
 		}
@@ -197,10 +188,11 @@ func routeDelta(old, cur *Snapshot) int64 {
 			d += int64(cur.n)
 			continue
 		}
-		row := cur.route[int(vi)*cur.n : (int(vi)+1)*cur.n]
-		orow := old.route[int(ovi)*old.n : (int(ovi)+1)*old.n]
-		for j := range row {
-			if row[j] != orow[j] {
+		if sameCosts && slices.Equal(cur.open(vi), old.open(ovi)) {
+			continue
+		}
+		for j := 0; j < cur.n; j++ {
+			if cur.serving(vi, j) != old.serving(ovi, j) {
 				d++
 			}
 		}
@@ -227,7 +219,7 @@ func (s *Snapshot) Route(videoID, vho int) (office int, ok bool) {
 	if vi < 0 {
 		return -1, false
 	}
-	i := s.route[int(vi)*s.n+vho]
+	i := s.serving(vi, vho)
 	if i < 0 {
 		return -1, false
 	}
@@ -250,8 +242,9 @@ const (
 // AppendRoute answers one /route lookup: it appends the JSON response body
 // for (videoID, vho) to buf and returns the extended buffer plus the HTTP
 // status code. This is the data-plane hot path — a version-stamped route
-// answer is two array loads and a hand-rolled JSON encode into the caller's
-// reused buffer, so the steady state allocates nothing (pinned by
+// answer is an id-table load, a scan of the video's open set against the
+// cost matrix and a hand-rolled JSON encode into the caller's reused buffer,
+// so the steady state allocates nothing (pinned by
 // TestRouteZeroAllocations).
 func (s *Snapshot) AppendRoute(buf []byte, videoID, vho int) ([]byte, int) {
 	if vho < 0 || vho >= s.n {
@@ -272,7 +265,7 @@ func (s *Snapshot) AppendRoute(buf []byte, videoID, vho int) ([]byte, int) {
 		buf = append(buf, "}\n"...)
 		return buf, routeNotFound
 	}
-	i := s.route[int(vi)*s.n+vho]
+	i := s.serving(vi, vho)
 	if i < 0 {
 		buf = append(buf, `{"error":"unreachable"`...)
 		buf = appendKV(buf, `,"video":`, int64(videoID))

@@ -7,11 +7,13 @@ import (
 	"io"
 	"maps"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"vodplace/internal/epf"
+	"vodplace/internal/mip"
 	"vodplace/internal/obs"
 )
 
@@ -404,31 +406,55 @@ func TestStatusTelemetryFields(t *testing.T) {
 	}
 }
 
-// TestRouteDelta pins the swap-churn computation.
+// TestRouteDelta pins the swap-churn computation against the from-scratch
+// recomputation: one video's copies moved changes exactly the answers
+// cheapestCopy says it does, on the same instance (where unchanged open sets
+// are skipped) and on an equal rebuilt one (where every video is scanned).
 func TestRouteDelta(t *testing.T) {
 	s := testServer(t, 30, 6, 20)
 	snap := s.Snapshot()
-	same, err := buildSnapshot(snap.Inst, snap.Sol, 2, true)
+	inst, n := snap.Inst, snap.NumVHOs()
+	same, err := buildSnapshot(inst, snap.Sol, 2, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d := routeDelta(snap, same); d != 0 {
 		t.Errorf("identical snapshots delta %d, want 0", d)
 	}
-	if d := routeDelta(nil, snap); d != int64(len(snap.route)) {
-		t.Errorf("nil-old delta %d, want full table %d", d, len(snap.route))
+	if d, want := routeDelta(nil, snap), int64(len(inst.Demands)*n); d != want {
+		t.Errorf("nil-old delta %d, want every answer %d", d, want)
 	}
-	// Flipping one route entry is a delta of exactly 1.
-	mod, err := buildSnapshot(snap.Inst, snap.Sol, 3, true)
+
+	vids := slices.Clone(snap.Sol.Videos)
+	moved := mip.Solution{Inst: inst, Videos: vids}
+	vids[0].Open = []mip.Frac{{I: int32(cheapestCopy(inst, snap.Sol, 0, 0)+1) % int32(n), V: 1}}
+	var want int64
+	for j := 0; j < n; j++ {
+		if cheapestCopy(inst, snap.Sol, 0, j) != cheapestCopy(inst, &moved, 0, j) {
+			want++
+		}
+	}
+	if want == 0 {
+		t.Fatal("moving the copy changed no answer; pick another office")
+	}
+	mod, err := buildSnapshot(inst, &moved, 3, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := mod.route[0]
-	mod.route[0] = old + 1
-	if d := routeDelta(snap, mod); d != 1 {
-		t.Errorf("one-entry delta %d, want 1", d)
+	if d := routeDelta(snap, mod); d != want {
+		t.Errorf("one moved video: delta %d, want %d", d, want)
 	}
-	mod.route[0] = old
+	rebuilt, err := stateFromInstance(inst).instance(inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := buildSnapshot(rebuilt, &mip.Solution{Inst: rebuilt, Videos: vids}, 3, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := routeDelta(snap, other); d != want {
+		t.Errorf("one moved video on a rebuilt instance: delta %d, want %d", d, want)
+	}
 }
 
 // TestDemandDrift pins the drift accounting: accumulation on apply

@@ -333,13 +333,16 @@ func mutateWarm(w *epf.WarmState, ids []int, kind, at, val uint8) {
 		}
 	case 3:
 		a, b := ids[pick(len(ids))], ids[int(val)%len(ids)]
-		va, vb := w.Videos[a], w.Videos[b]
-		va.Pos, vb.Pos = vb.Pos, va.Pos
-		w.Videos[a], w.Videos[b] = va, vb
+		if val%4 == 0 {
+			w.Pos[a] = -1
+		} else {
+			w.Pos[a], w.Pos[b] = w.Pos[b], w.Pos[a]
+		}
 	case 4:
-		wv := w.Videos[ids[pick(len(ids))]]
-		if len(wv.Open) > 0 {
-			wv.Open[int(val)%len(wv.Open)] = office
+		if val%2 == 0 && len(w.Open) > 0 {
+			w.Open[pick(len(w.Open))] = office
+		} else if len(w.OpenOff) > 0 {
+			w.OpenOff[pick(len(w.OpenOff))] = office
 		}
 	case 5:
 		w.RoundRef = []float64{math.NaN(), -1, 0, math.Inf(1), math.Inf(-1), 1e300, float64(val) / 100}[pick(7)]
@@ -390,14 +393,14 @@ func mutateWarm(w *epf.WarmState, ids []int, kind, at, val uint8) {
 
 // FuzzWarmResume hands the solver warm states it did not write: a valid
 // exported state with its flat arrays truncated, extended or overwritten,
-// positions permuted, offices out of range, rows assigned to offices that
-// hold no copy, a reference that is NaN, negative or infinite, and bound
-// terms truncated, an input word flipped or the terms' dual copy edited (the
-// term values themselves are the state's word, which only the audit checks).
-// Whatever
-// it is handed, a warm integer solve of a (patched) instance must not panic
-// and must return an integral placement whose claims survive the audit —
-// a garbled state costs the videos it garbles their resume, nothing else.
+// positions permuted or dropped, open sets or their offsets out of range,
+// rows assigned to offices that hold no copy, a reference that is NaN,
+// negative or infinite, and bound terms truncated, an input word flipped or
+// the terms' dual copy edited (the term values themselves are the state's
+// word, which only the audit checks). Whatever it is handed, a warm integer
+// solve of a (patched) instance must not panic and must return an integral
+// placement whose claims survive the audit — a garbled state costs the
+// videos it garbles their resume, nothing else.
 func FuzzWarmResume(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint8(6), []byte{})
 	f.Add(int64(3), uint8(5), uint8(9), []byte{0, 3, 0, 2, 5, 200, 5, 0, 0})
@@ -432,14 +435,10 @@ func FuzzWarmResume(f *testing.F) {
 			}
 			w.Bound = &b
 		}
-		w.Videos = make(map[int]epf.WarmVideo, len(cold.Warm.Videos))
+		w.Pos, w.OpenOff, w.Open = slices.Clone(w.Pos), slices.Clone(w.OpenOff), slices.Clone(w.Open)
 		var ids []int
 		for vi := range inst.Demands {
-			id := inst.Demands[vi].Video
-			wv := cold.Warm.Videos[id]
-			wv.Open = append([]int32(nil), wv.Open...)
-			w.Videos[id] = wv
-			ids = append(ids, id)
+			ids = append(ids, inst.Demands[vi].Video)
 		}
 		if len(muts) > 60 {
 			muts = muts[:60]
