@@ -139,7 +139,7 @@ bench-counts:
 # catalog sweep through the sharded streaming pipeline (-count 1 — the long
 # points dominate and best-of-3 would triple a multi-minute run).
 bench-json:
-	$(GO) test -run '^$$' -bench . -benchmem -count 3 ./internal/epf/ ./internal/facloc/ \
+	$(GO) test -run '^$$' -bench . -benchmem -count 3 ./internal/epf/ ./internal/facloc/ ./internal/par/ \
 		| $(GO) run ./tools/benchjson -baseline BENCH_epf.json > BENCH_epf.json.tmp
 	mv BENCH_epf.json.tmp BENCH_epf.json
 	$(GO) test -run '^$$' -bench RunMIPWeek -benchmem -count 3 ./internal/core/ \

@@ -3,36 +3,24 @@ package epf
 import (
 	"math"
 	"time"
-
-	"vodplace/internal/par"
 )
 
-// lbRangeBlocks is the width of one bound-sweep task: the catalog is cut into
-// consecutive ranges of this many videos, and RunTasks stripes them across the
-// workers. It is a variable only so tests can put range edges inside small
-// instances; production solves always see the constant default.
-var lbRangeBlocks = 256
-
-// initBound builds the bound sweep's static task list and its fan-out body.
+// initBound builds the bound sweep's fan-out body, a Run over video indices.
 // Runs once in newSolver. The frozen duals and the gradient request flow
 // through solver fields (s.lbQ, s.lbWantGrad); per-block bounds land in
 // s.lbBuf, index-addressed, and the caller reduces them in video order, so the
-// split never changes a bit. A block in s.lbKeep already holds its carried term
-// (carriedTerms) and is skipped.
+// schedule never changes a bit. A block in s.lbKeep already holds its carried
+// term (carriedTerms) and is skipped. Cancellation is polled at every video
+// index that is a multiple of 64, wherever the claimed ranges fall.
 func (s *solver) initBound() {
-	numBlocks := len(s.inst.Demands)
-	for lo := 0; lo < numBlocks; lo += lbRangeBlocks {
-		hi := min(lo+lbRangeBlocks, numBlocks)
-		s.lbTasks = append(s.lbTasks, par.Task{Lo: lo, Hi: hi})
-	}
-	s.lbTaskFn = func(w, _, lo, hi int) {
+	s.lbFn = func(w, lo, hi int) {
 		ws := &s.scratch[w]
 		if ws.used == nil {
 			ws.used = make([]bool, s.n)
 		}
 		q := s.lbQ
 		for vi := lo; vi < hi; vi++ {
-			if (vi-lo)%64 == 0 && s.ctx.Err() != nil {
+			if vi%64 == 0 && s.ctx.Err() != nil {
 				return
 			}
 			if s.lbKeep != nil && s.lbKeep[vi] {
@@ -79,7 +67,7 @@ func (s *solver) lagrangianEval(q []float64, wantGrad bool) (float64, []float64)
 		s.lbSols = make([]intSol, numBlocks)
 	}
 	s.lbQ, s.lbWantGrad = q, wantGrad
-	err := s.pool.RunTasks(s.ctx, s.lbTasks, s.lbTaskFn)
+	err := s.pool.Run(s.ctx, numBlocks, s.lbFn)
 	if err != nil || s.ctx.Err() != nil {
 		return math.Inf(-1), nil
 	}

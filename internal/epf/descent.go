@@ -40,9 +40,9 @@ func (s *solver) initRun() {
 	}
 	// The fan-out body is created once; per-chunk state flows through solver
 	// fields (s.chunk, s.chunkSols) so no closure is allocated on the hot
-	// path. Workers take contiguous ranges of chunk positions; chunkSols is
-	// index-addressed by position and applied sequentially in chunk order by
-	// the caller, so the worker partition never affects numerics.
+	// path. Workers claim ranges of chunk positions as they free up; chunkSols
+	// is index-addressed by position and applied sequentially in chunk order
+	// by the caller, so the schedule never affects numerics.
 	s.chunkFn = func(w, lo, hi int) {
 		ws := &s.scratch[w]
 		if ws.used == nil {

@@ -43,11 +43,10 @@
 // previous open set. See DESIGN.md §15 for the layout
 // and the determinism constraints the kernels honor.
 //
-// The schedule is a function of the catalog size and the worker count alone:
-// a descent chunk fans out as Workers contiguous position ranges, a bound
-// sweep as fixed lbRangeBlocks-video ranges striped across the workers, and
-// the reductions over their index-addressed results run over fixed leaves
-// (reduce.go). No split reaches the numerics, so every result is
+// The schedule is dynamic: a descent chunk and a bound sweep are each one
+// pool Run, whose workers claim small index ranges as they free up, and the
+// reductions over their index-addressed results run over fixed leaves
+// (reduce.go). No schedule reaches the numerics, so every result is
 // bit-identical at any worker count (DESIGN.md §13).
 package epf
 
@@ -79,7 +78,8 @@ type Options struct {
 	// Workers is the parallelism for block optimization. Default
 	// GOMAXPROCS(0), so `go test -cpu` sweeps and GOMAXPROCS-capped
 	// deployments scale the pool with the runtime instead of the raw core
-	// count. Results are bit-identical at any worker count either way.
+	// count. Which worker solves which block changes from run to run;
+	// results are bit-identical at any worker count either way.
 	Workers int
 	// Seed drives block shuffling. Default 1.
 	Seed int64
@@ -200,7 +200,7 @@ type intSol struct {
 // workerScratch is one pool worker's reusable state: the facility-location
 // solver and problem buffers (allocated once, reused across every chunk,
 // pass and bound evaluation) plus lock-free stat counters. Slot w is only
-// ever touched by the goroutine running worker w's range; the pool's
+// ever touched by the goroutine running worker w's ranges; the pool's
 // completion barrier orders those writes before the sequential merge.
 type workerScratch struct {
 	fs   facloc.Solver
@@ -326,14 +326,13 @@ type solver struct {
 	warmOpen   [][]int32  // per-video previous block open set (warm starts)
 
 	// Fan-out bodies, created once; per-fan-out state flows through solver
-	// fields. A descent chunk is split into Workers contiguous position
-	// ranges; a bound sweep runs lbTasks, the catalog in lbRangeBlocks-video
-	// ranges striped across the workers. Block results are index-addressed
-	// and reduced in chunk/video order on the driver goroutine, so neither
-	// split changes numeric output.
+	// fields. A descent chunk is a Run over chunk positions and a bound sweep
+	// a Run over video indices; the pool's workers claim ranges of either as
+	// they free up. Block results are index-addressed and reduced in
+	// chunk/video order on the driver goroutine, so no schedule changes
+	// numeric output.
 	chunkFn    func(w, lo, hi int)
-	lbTasks    []par.Task
-	lbTaskFn   func(w, tag, lo, hi int)
+	lbFn       func(w, lo, hi int)
 	lbQ        []float64 // frozen duals for the current bound fan-out
 	lbWantGrad bool
 
@@ -341,14 +340,15 @@ type solver struct {
 	// spans of video-index space whose boundaries depend only on the catalog
 	// size, so the reduction tree is identical at any worker count; a
 	// single-leaf catalog's tree is the flat sequential sum.
-	leafTasks   []par.Task // one per leaf, Tag = leaf index
-	leafAct     []float64  // per-leaf partial activities, numLeaves×rows flat
-	leafObj     []float64  // per-leaf partial objective sums
-	leafSum     []float64  // per-leaf partial Lagrangian-term sums
-	leafGrad    []float64  // per-leaf partial subgradients (lazy, polish only)
-	stateLeafFn func(w, tag, lo, hi int)
-	lbSumLeafFn func(w, tag, lo, hi int)
-	gradLeafFn  func(w, tag, lo, hi int)
+	leafAct     []float64 // per-leaf partial activities, numLeaves×rows flat
+	leafObj     []float64 // per-leaf partial objective sums
+	leafSum     []float64 // per-leaf partial Lagrangian-term sums
+	leafGrad    []float64 // per-leaf partial subgradients (lazy, polish only)
+	leafRun     func(w, lo, hi int)
+	leafFn      func(li, lo, hi int) // the leaf body leafRun applies
+	stateLeafFn func(li, lo, hi int)
+	lbSumLeafFn func(li, lo, hi int)
+	gradLeafFn  func(li, lo, hi int)
 
 	// Rounding state (round.go): the candidate block solution and the polish
 	// passes' visiting order. The two seeds share one incumbent (roundBest,

@@ -1,10 +1,6 @@
 package epf
 
-import (
-	"time"
-
-	"vodplace/internal/par"
-)
+import "time"
 
 // Deterministic parallel reductions (DESIGN.md §13).
 //
@@ -28,20 +24,22 @@ import (
 // onto small instances; production solves always see the constant default.
 var reduceLeafBlocks = 2048
 
-// initReduce resolves the solve's reduction layout: the fixed leaf spans,
-// their per-leaf partial buffers and leaf bodies. Runs once in newSolver,
-// before the initial recomputeState.
+// initReduce resolves the solve's reduction layout: the per-leaf partial
+// buffers, the leaf bodies and the Run body that maps leaf indices to their
+// video spans. Runs once in newSolver, before the initial recomputeState.
 func (s *solver) initReduce() {
-	numBlocks := len(s.inst.Demands)
-	for lo := 0; lo < numBlocks; lo += reduceLeafBlocks {
-		hi := min(lo+reduceLeafBlocks, numBlocks)
-		s.leafTasks = append(s.leafTasks, par.Task{Tag: len(s.leafTasks), Lo: lo, Hi: hi})
-	}
-	nl := len(s.leafTasks)
+	numBlocks, width := len(s.inst.Demands), reduceLeafBlocks
+	nl := (numBlocks + width - 1) / width
 	s.leafAct = make([]float64, nl*s.rows)
 	s.leafObj = make([]float64, nl)
 	s.leafSum = make([]float64, nl)
-	s.stateLeafFn = func(_, li, lo, hi int) {
+	s.leafRun = func(_, lo, hi int) {
+		for li := lo; li < hi; li++ {
+			vlo := li * width
+			s.leafFn(li, vlo, min(vlo+width, numBlocks))
+		}
+	}
+	s.stateLeafFn = func(li, lo, hi int) {
 		dst := s.leafAct[li*s.rows : (li+1)*s.rows]
 		for r := range dst {
 			dst[r] = 0
@@ -53,14 +51,14 @@ func (s *solver) initReduce() {
 		}
 		s.leafObj[li] = obj
 	}
-	s.lbSumLeafFn = func(_, li, lo, hi int) {
+	s.lbSumLeafFn = func(li, lo, hi int) {
 		var sum float64
 		for vi := lo; vi < hi; vi++ {
 			sum += s.lbBuf[vi]
 		}
 		s.leafSum[li] = sum
 	}
-	s.gradLeafFn = func(_, li, lo, hi int) {
+	s.gradLeafFn = func(li, lo, hi int) {
 		dst := s.leafGrad[li*s.rows : (li+1)*s.rows]
 		for r := range dst {
 			dst[r] = 0
@@ -71,21 +69,21 @@ func (s *solver) initReduce() {
 	}
 }
 
-// runLeaves runs fn over every leaf: fanned out on the pool, or on the driver
-// when the dispatch is refused (context already cancelled), so the partials
-// the caller merges are never stale.
-func (s *solver) runLeaves(fn func(w, tag, lo, hi int)) {
-	if err := s.pool.RunTasks(s.ctx, s.leafTasks, fn); err != nil {
-		for _, t := range s.leafTasks {
-			fn(0, t.Tag, t.Lo, t.Hi)
-		}
+// runLeaves runs fn(li, lo, hi) for every leaf li and its video span [lo, hi):
+// a Run over leaf indices, or on the driver when the dispatch is refused
+// (context already cancelled), so the partials the caller merges are never
+// stale.
+func (s *solver) runLeaves(fn func(li, lo, hi int)) {
+	s.leafFn = fn
+	if err := s.pool.Run(s.ctx, len(s.leafObj), s.leafRun); err != nil {
+		s.leafRun(0, 0, len(s.leafObj))
 	}
 }
 
 // mergeLeafRows sums the per-leaf row partials in leaf (numLeaves×rows flat)
 // into dst, in leaf order.
 func (s *solver) mergeLeafRows(dst, leaf []float64) {
-	nl, rows := len(s.leafTasks), s.rows
+	nl, rows := len(s.leafObj), s.rows
 	for r := 0; r < rows; r++ {
 		var a float64
 		for li := 0; li < nl; li++ {

@@ -16,15 +16,6 @@ func forceMultiLeaf(t *testing.T, leaf int) {
 	t.Cleanup(func() { reduceLeafBlocks = old })
 }
 
-// forceBoundRanges shrinks the bound sweep's task width so small test
-// instances split into many ranges, restoring the default on cleanup.
-func forceBoundRanges(t *testing.T, width int) {
-	t.Helper()
-	old := lbRangeBlocks
-	lbRangeBlocks = width
-	t.Cleanup(func() { lbRangeBlocks = old })
-}
-
 // The multi-leaf reduction contract: leaf boundaries depend only on the
 // catalog size, so at a fixed leaf width every worker count must reproduce the
 // same solve bit for bit — objective, bound, duals, solution, and trajectory.
@@ -130,16 +121,15 @@ func TestFastModeWorkerInvariance(t *testing.T) {
 	}
 }
 
-// A solve whose bound sweeps run as many short ranges — more tasks than
-// workers, so each worker's share is striped across the catalog — has a
-// worker-invariant trace, not just a worker-invariant final point: every pass
-// event, cumulative block counts included.
+// A solve whose bound sweeps and chunks are claimed in short ranges — more
+// claims than workers, each range going to whichever worker frees up first —
+// has a worker-invariant trace, not just a worker-invariant final point: every
+// pass event, cumulative block counts included.
 func TestFastModeTracedSeriesInvariance(t *testing.T) {
-	forceBoundRanges(t, 7) // 60 videos -> 9 ranges
 	a, eventsA := tracedSolve(t, Options{Seed: 5, MaxPasses: 30, Workers: 1})
 	for _, workers := range []int{2, 3, 8} {
 		b, eventsB := tracedSolve(t, Options{Seed: 5, MaxPasses: 30, Workers: workers})
-		label := fmt.Sprintf("7-video bound ranges, Workers=1 vs %d", workers)
+		label := fmt.Sprintf("Workers=1 vs %d", workers)
 		if a.Objective != b.Objective || a.LowerBound != b.LowerBound {
 			t.Errorf("%s: (%.17g, %.17g) vs (%.17g, %.17g)", label, a.Objective, a.LowerBound, b.Objective, b.LowerBound)
 		}

@@ -1,7 +1,6 @@
 package epf
 
 import (
-	"math"
 	"reflect"
 	"testing"
 
@@ -113,61 +112,6 @@ func TestWarmStartShardInvariance(t *testing.T) {
 	}
 	if !identicalSolutions(warmFromPlain.Sol, warmFromSharded.Sol) {
 		t.Error("warm cross-over solutions differ")
-	}
-}
-
-// The bound sweep's ranges are a schedule, never numerics: with 7-video ranges
-// on a 60-video catalog, a cold solve and a warm re-solve whose carried terms
-// let the sweep skip all but four blocks, each on a range edge, give
-// Workers 1's bound, duals, placement and bound-side counts at any worker count.
-func TestBoundRangeSplitSameBits(t *testing.T) {
-	forceBoundRanges(t, 7)
-	patched := func() *mip.Instance {
-		inst := randomInstance(t, 9, 8, 60, 2.0, 100)
-		for _, vi := range []int{6, 7, 20, 41} {
-			patchDemand(t, inst, vi, 2.5, false)
-		}
-		return inst
-	}
-	var cold, warm *Result
-	for _, workers := range []int{1, 2, 4} {
-		opts := Options{Seed: 5, MaxPasses: 30, Workers: workers}
-		c, err := SolveInteger(randomInstance(t, 9, 8, 60, 2.0, 100), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cold == nil {
-			cold = c
-		}
-		opts.Warm = cold.Warm
-		w, err := SolveInteger(patched(), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if warm == nil {
-			warm = w
-			if w.Stats.LBTermsReused != 56 {
-				t.Fatalf("warm re-solve reused %d carried terms, want 56 (four videos patched)", w.Stats.LBTermsReused)
-			}
-			continue
-		}
-		for _, leg := range []struct {
-			name      string
-			got, want *Result
-		}{{"cold", c, cold}, {"warm", w, warm}} {
-			g, b := leg.got, leg.want
-			if math.Float64bits(g.LowerBound) != math.Float64bits(b.LowerBound) || g.Objective != b.Objective || g.Passes != b.Passes {
-				t.Errorf("%s workers=%d: (%.17g, %.17g, %d passes) vs Workers 1 (%.17g, %.17g, %d passes)",
-					leg.name, workers, g.Objective, g.LowerBound, g.Passes, b.Objective, b.LowerBound, b.Passes)
-			}
-			if !identicalDuals(b.RowDuals, g.RowDuals) || !identicalSolutions(b.Sol, g.Sol) {
-				t.Errorf("%s workers=%d: duals or placement differ from Workers 1", leg.name, workers)
-			}
-			if g.Stats.LBBlockSolves != b.Stats.LBBlockSolves || g.Stats.LBTermsReused != b.Stats.LBTermsReused {
-				t.Errorf("%s workers=%d: %d bound block solves, %d terms reused; Workers 1 %d, %d",
-					leg.name, workers, g.Stats.LBBlockSolves, g.Stats.LBTermsReused, b.Stats.LBBlockSolves, b.Stats.LBTermsReused)
-			}
-		}
 	}
 }
 
