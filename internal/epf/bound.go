@@ -132,6 +132,7 @@ func (s *solver) polishLB() {
 			s.lb = lr
 			s.lbStall = 0
 			s.stats.LBRaised++
+			s.stats.PolishRaised++
 			copy(s.lbDuals, s.qLB) // before the ascent step mutates qLB
 			s.snapshotTerms()
 		}

@@ -237,12 +237,16 @@ passes:
 		// that fails to raise it is the last until something does, and
 		// none runs while carriedBoundHolds. Once the solve has raised its
 		// own bound, repeated rounds are one continuing ascent and keep
-		// their cadence.
+		// their cadence — until the polish has paid: after a round raised
+		// the bound, the first round that raises nothing ends the ascent
+		// for the rest of the solve. Such a round moves only qLB and
+		// polishes, which no other step reads.
 		if s.lbStall >= 3 {
-			if s.lb > s.lbStart || (s.polishes == 0 && !holds) {
-				before := s.stats.LBTime
+			if !s.polishEnded && (s.lb > s.lbStart || (s.polishes == 0 && !holds)) {
+				raised, before := s.stats.PolishRaised, s.stats.LBTime
 				s.polishLB()
 				s.stats.PolishTime += s.stats.LBTime - before
+				s.polishEnded = raised > 0 && s.stats.PolishRaised == raised
 			}
 			s.lbStall = 0
 		}

@@ -271,6 +271,9 @@ type solver struct {
 	lbStart  float64   // the bound the descent started from (initDescent)
 	lbWarm   bool      // lbStart is the carried duals' bound (seedWarmDescent)
 	polishes int       // completed polish rounds (decays the ascent step)
+	// polishEnded: a round raised nothing after the polish had raised the
+	// bound, so no further round runs in this solve (descent.go).
+	polishEnded bool
 
 	// The warm seed's carried terms (carriedTerms): the blocks whose term it
 	// took from WarmState.Bound, which the bound fan-out skips, and their

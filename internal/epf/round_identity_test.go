@@ -51,7 +51,7 @@ var roundIdentityCases = []struct {
 		obj:  18.025248338342234, open: 0x8bacbca77e1e6b9d, resolves: 360},
 	{name: "seed11-fast", inst: func(t *testing.T) *mip.Instance { return randomInstance(t, 11, 10, 90, 2.0, 150) },
 		opts: Options{Seed: 3, MaxPasses: 120},
-		obj:  45.142195804027864, open: 0x236db271abf84d94, resolves: 540},
+		obj:  45.432641669501834, open: 0x21e92a8eb5534f3f, resolves: 540},
 	{name: "seed17-fast-eps5", inst: func(t *testing.T) *mip.Instance { return randomInstance(t, 17, 10, 80, 2.0, 200) },
 		opts: Options{Seed: 5, MaxPasses: 250, Epsilon: 0.05},
 		obj:  33.29632022027962, open: 0x84b0fb14efa6ecc, resolves: 480},

@@ -13,8 +13,9 @@ import (
 // and merged when the result is built; everything else is counted on the
 // sequential driver goroutine.
 //
-// Stats is observability only: nothing in the solver reads it back, so it
-// never influences numeric output.
+// Stats is observability only: apart from PolishRaised, which the polish
+// rule reads (descent.go), nothing in the solver reads it back, so it never
+// influences numeric output.
 type Stats struct {
 	// Workers is the pool size the solve ran with.
 	Workers int
@@ -43,6 +44,10 @@ type Stats struct {
 	// iteration — that raised the bound over the one the descent started
 	// from. LBRaised against LBEvals is the bound side's useful-outcome ratio.
 	LBRaised int64
+	// PolishRaised counts the subset of LBRaised made by polish iterations.
+	// Once it is non-zero the polish has paid, and the first later round that
+	// raises nothing is the solve's last.
+	PolishRaised int64
 	// ScaleSearches counts the bound steps that ran the three-point dual-scale
 	// search; every other bound step is one evaluation at the carried scale.
 	ScaleSearches int64
@@ -121,8 +126,8 @@ func (st Stats) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "workers %d, passes %d\n", st.Workers, st.Passes)
 	fmt.Fprintf(&b, "blocks optimized %d, lb block solves %d\n", st.BlocksOptimized, st.LBBlockSolves)
-	fmt.Fprintf(&b, "lb evals %d (%d raised it), %d terms reused, scale searches %d, polish rounds %d, bound %.0f ms of lp %.0f ms\n",
-		st.LBEvals, st.LBRaised, st.LBTermsReused, st.ScaleSearches, st.Polishes, 1e3*st.LBTime.Seconds(), 1e3*st.LPTime.Seconds())
+	fmt.Fprintf(&b, "lb evals %d (%d raised it), %d terms reused, scale searches %d, polish rounds %d (%d raised it), bound %.0f ms of lp %.0f ms\n",
+		st.LBEvals, st.LBRaised, st.LBTermsReused, st.ScaleSearches, st.Polishes, st.PolishRaised, 1e3*st.LBTime.Seconds(), 1e3*st.LPTime.Seconds())
 	fmt.Fprintf(&b, "dual refreshes %d, line searches %d\n", st.DualRefreshes, st.LineSearches)
 	if st.WarmStartTries > 0 {
 		fmt.Fprintf(&b, "warm starts: %d tried, %d won\n", st.WarmStartTries, st.WarmStartHits)
