@@ -14,6 +14,8 @@ import (
 	"strings"
 	"testing"
 	"unicode"
+
+	"vodplace/internal/experiments"
 )
 
 // goDecls is every name the module's Go sources declare, bench/ included:
@@ -780,11 +782,56 @@ func TestDesignCoversSurface(t *testing.T) {
 	}
 }
 
+var (
+	goRunDir  = regexp.MustCompile(`go run \./([\w/-]+)`)
+	vodexpExp = regexp.MustCompile(`vodexp -exp ([\w-]+)`)
+)
+
+// TestReadmeCommandsResolve holds README.md's commands to the tree: every
+// "go run ./<dir>" names a directory with a main package, and every
+// "vodexp -exp <id>" names an experiment that experiments.Lookup knows, or
+// "all".
+func TestReadmeCommandsResolve(t *testing.T) {
+	doc, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range goRunDir.FindAllStringSubmatch(string(doc), -1) {
+		if !hasMain(m[1]) {
+			t.Errorf("README.md runs `go run ./%s`, but %s holds no main package", m[1], m[1])
+		}
+	}
+	for _, m := range vodexpExp.FindAllStringSubmatch(string(doc), -1) {
+		if _, ok := experiments.Lookup(m[1]); !ok && m[1] != "all" {
+			t.Errorf("README.md runs `vodexp -exp %s`, an experiment vodexp does not know", m[1])
+		}
+	}
+}
+
+// hasMain reports whether dir holds a non-test Go file of package main.
+func hasMain(dir string) bool {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return false
+	}
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), filepath.Join(dir, name), nil, parser.PackageClauseOnly)
+		if err == nil && f.Name.Name == "main" {
+			return true
+		}
+	}
+	return false
+}
+
 // TestConfigFieldsHaveCallers holds every knob to a caller: each field of an
 // exported *Config, *Options or *Opts struct in internal/ must be set — as a
 // key of a literal of that struct's type or as the target of an assignment
 // whose receiver resolves to that type — by some Go file other than the one
-// declaring it, bench/, tests and examples included. A field nothing sets is
+// declaring it, bench/ and tests included. A field nothing sets is
 // a default that should be a constant.
 func TestConfigFieldsHaveCallers(t *testing.T) {
 	d := parseModule(t)

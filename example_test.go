@@ -1,7 +1,4 @@
-// Quickstart: build a small VoD system, solve a placement, inspect it.
-//
-//	go run ./examples/quickstart
-package main
+package vodplace_test
 
 import (
 	"fmt"
@@ -10,7 +7,8 @@ import (
 	"vodplace"
 )
 
-func main() {
+// Build a small VoD system, solve a placement for it and inspect the result.
+func Example() {
 	// A 10-office backbone-like network with a 500-video library.
 	g := vodplace.NewGraph("demo", 10)
 	for i := 0; i < 10; i++ {
@@ -54,17 +52,23 @@ func main() {
 	}
 	fmt.Printf("placement: objective %.0f GB·hop, %.1f%% above the Lagrangian bound\n",
 		res.Objective, 100*res.Gap)
+	// The disk violation is over the default ε of 1 %: the LP point was
+	// 0.82 % over, and the rounding took it past ε (EXPERIMENTS.md).
 	fmt.Printf("violations: disk %.2f%%, link %.2f%%\n",
 		100*res.Violation.Disk, 100*res.Violation.Link)
 
-	copies := res.Sol.Copies()
 	one, multi := 0, 0
-	for _, c := range copies {
+	for _, c := range res.Sol.Copies() {
 		if c == 1 {
 			one++
 		} else {
 			multi++
 		}
 	}
-	fmt.Printf("copies: %d videos single-copy, %d replicated (long tail stays thin)\n", one, multi)
+	fmt.Printf("copies: %d videos single-copy, %d replicated\n", one, multi)
+	// Output:
+	// library: 500 videos, 333 GB; trace: 12567 requests over 8 days
+	// placement: objective 1101 GB·hop, 2.6% above the Lagrangian bound
+	// violations: disk 1.11%, link 0.00%
+	// copies: 347 videos single-copy, 153 replicated
 }

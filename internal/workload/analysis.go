@@ -72,14 +72,22 @@ func (t *Trace) WorkingSetSizes(day int) []int {
 }
 
 // WorkingSetGB returns, for each office, the total size in GB of the
-// distinct videos requested during the peak hour of the given day.
+// distinct videos requested during the peak hour of the given day. Each
+// office's sizes are summed in ascending video id, so the result has the
+// same bits on every call.
 func (t *Trace) WorkingSetGB(day int) []float64 {
 	h := t.PeakHour(day)
 	from := int64(day)*SecondsPerDay + int64(h)*3600
 	counts := t.RequestCounts(from, from+3600)
 	out := make([]float64, t.NumVHOs)
+	var ids []int
 	for j, m := range counts {
+		ids = ids[:0]
 		for v := range m {
+			ids = append(ids, v)
+		}
+		sort.Ints(ids)
+		for _, v := range ids {
 			out[j] += t.Lib.Videos[v].SizeGB
 		}
 	}

@@ -331,6 +331,21 @@ func TestWorkingSets(t *testing.T) {
 	}
 }
 
+// TestWorkingSetGBDeterministic holds WorkingSetGB to the same bits on every
+// call: each office's sizes are summed in one order, not in the order a map
+// happens to yield its keys.
+func TestWorkingSetGBDeterministic(t *testing.T) {
+	tr := GenerateTrace(testLibrary(1200, 2), TraceConfig{Days: 14, NumVHOs: 12, RequestsPerVideoPerDay: 4}, 5)
+	want := tr.WorkingSetGB(11)
+	for call := 0; call < 20; call++ {
+		for j, gb := range tr.WorkingSetGB(11) {
+			if math.Float64bits(gb) != math.Float64bits(want[j]) {
+				t.Fatalf("call %d, office %d: %v, first call %v", call, j, gb, want[j])
+			}
+		}
+	}
+}
+
 func TestTotalConcurrencyCurve(t *testing.T) {
 	lib := testLibrary(50, 1)
 	tr := &Trace{Days: 1, NumVHOs: 1, Lib: lib}

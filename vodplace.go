@@ -9,13 +9,13 @@
 //     link-bandwidth constraints (Instance, Solution);
 //   - the paper's core contribution: a Lagrangian / exponential-potential-
 //     function decomposition that solves the LP relaxation orders of
-//     magnitude faster than general-purpose LP solvers, plus an integer
-//     rounding pass (Solve, SolveInteger);
+//     magnitude faster than general-purpose LP solvers, followed by the
+//     §V-D integer rounding pass (SolveInteger);
 //   - backbone topology models, synthetic libraries and request traces with
 //     the statistical structure of the paper's operational traces
 //     (Backbone55, GenerateLibrary, GenerateTrace);
 //   - demand estimation from request history, including the series-episode
-//     and blockbuster estimators for new releases (BuildInstance);
+//     and blockbuster estimators for new releases (DemandBuilder);
 //   - a trace-driven simulator with LRU/LFU caching baselines and regional
 //     origin servers (System.RunMIP, System.RunBaseline, System.RunOriginLRU);
 //   - every table and figure of the paper's evaluation, regenerable through
@@ -33,12 +33,12 @@
 //	}
 //	run, err := sys.RunMIP(trace, vodplace.MIPOptions{})
 //
-// See examples/ for complete programs.
+// Example is a complete program: it builds a 10-office network, solves its
+// placement with SolveInteger and prints what it chose, and go test checks
+// every line it prints.
 package vodplace
 
 import (
-	"context"
-
 	"vodplace/internal/catalog"
 	"vodplace/internal/core"
 	"vodplace/internal/demand"
@@ -65,19 +65,6 @@ func NewGraph(name string, n int) *Graph { return topology.New(name, n) }
 // Backbone55 returns the 55-office IPTV backbone model (76 bidirectional
 // links) used as the paper's default network.
 func Backbone55() *Graph { return topology.Backbone55() }
-
-// Tree returns an n-office distribution tree (Table IV).
-func Tree(n int) *Graph { return topology.Tree(n) }
-
-// FullMesh returns the complete graph over n offices (Table IV).
-func FullMesh(n int) *Graph { return topology.FullMesh(n) }
-
-// Tiscali, Sprint and Ebone return graphs with the node/link counts of the
-// Rocketfuel maps the paper evaluates on.
-func Tiscali() *Graph { return topology.Tiscali() }
-
-// Sprint returns the 33-office Rocketfuel-Sprint-sized graph.
-func Sprint() *Graph { return topology.Sprint() }
 
 // Ebone returns the 23-office Rocketfuel-Ebone-sized graph.
 func Ebone() *Graph { return topology.Ebone() }
@@ -124,10 +111,6 @@ func GenerateTrace(lib *Library, cfg TraceConfig, seed int64) *Trace {
 	return workload.GenerateTrace(lib, cfg, seed)
 }
 
-// Populations returns normalized per-office demand weights (12 large / 19
-// medium / 24 small at 55 offices).
-func Populations(n int, seed int64) []float64 { return workload.Populations(n, seed) }
-
 // Optimization model types.
 type (
 	// Instance is a placement problem: offices, links, videos, demands,
@@ -140,11 +123,6 @@ type (
 	// Violation summarizes a solution's constraint violations.
 	Violation = mip.Violation
 )
-
-// NewInstance validates and finalizes a placement instance.
-func NewInstance(g *Graph, diskGB, linkCapMbps []float64, slices int, demands []VideoDemand) (*Instance, error) {
-	return mip.NewInstance(g, diskGB, linkCapMbps, slices, demands)
-}
 
 // Demand estimation.
 type (
@@ -178,29 +156,11 @@ type (
 	SolverStats = epf.Stats
 )
 
-// Solve runs the exponential-potential-function LP solver (the paper's core
-// contribution) and returns an ε-feasible, ε-optimal fractional placement
-// with a proven lower bound.
-func Solve(inst *Instance, opts SolverOptions) (*SolverResult, error) {
-	return epf.Solve(inst, opts)
-}
-
-// SolveContext is Solve with cooperative cancellation: the solver stops at
-// the next chunk boundary after ctx is done and returns the partial result
-// alongside ctx.Err().
-func SolveContext(ctx context.Context, inst *Instance, opts SolverOptions) (*SolverResult, error) {
-	return epf.SolveContext(ctx, inst, opts)
-}
-
-// SolveInteger runs Solve plus the §V-D rounding pass, returning an integral
-// placement.
+// SolveInteger runs the exponential-potential-function LP solver (the
+// paper's core contribution) and then the §V-D rounding pass, returning an
+// integral placement with a proven lower bound.
 func SolveInteger(inst *Instance, opts SolverOptions) (*SolverResult, error) {
 	return epf.SolveInteger(inst, opts)
-}
-
-// SolveIntegerContext is SolveInteger with cooperative cancellation.
-func SolveIntegerContext(ctx context.Context, inst *Instance, opts SolverOptions) (*SolverResult, error) {
-	return epf.SolveIntegerContext(ctx, inst, opts)
 }
 
 // Simulation and schemes.
@@ -230,11 +190,6 @@ func Simulate(cfg SimConfig, tr *Trace) (*SimResult, error) { return sim.Run(cfg
 // size.
 func UniformDisk(lib *Library, n int, factor float64) []float64 {
 	return core.UniformDisk(lib, n, factor)
-}
-
-// HeterogeneousDisk returns large/medium/small office disk budgets (Fig. 11).
-func HeterogeneousDisk(lib *Library, n int, factor float64) []float64 {
-	return core.HeterogeneousDisk(lib, n, factor)
 }
 
 // UniformLinks returns equal capacities for every directed link.

@@ -105,17 +105,4 @@ func TestGraphConstructionAPI(t *testing.T) {
 	if g.Hops(0, 2) != 2 {
 		t.Errorf("ring hops(0,2) = %d", g.Hops(0, 2))
 	}
-	for _, gen := range []*Graph{Tree(10), FullMesh(6), Tiscali(), Sprint(), Ebone()} {
-		if !gen.Built() {
-			t.Error("generator returned unbuilt graph")
-		}
-	}
-	pops := Populations(55, 1)
-	if len(pops) != 55 {
-		t.Errorf("populations: %d", len(pops))
-	}
-	het := HeterogeneousDisk(GenerateLibrary(LibraryConfig{NumVideos: 50}, 1), 55, 2)
-	if len(het) != 55 {
-		t.Errorf("heterogeneous disk: %d", len(het))
-	}
 }
