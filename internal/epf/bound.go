@@ -6,8 +6,9 @@ import (
 )
 
 // initBound builds the bound sweep's fan-out body, a Run over video indices.
-// Runs once in newSolver. The frozen duals and the gradient request flow
-// through solver fields (s.lbQ, s.lbWantGrad); per-block bounds land in
+// Runs once in newSolver. The frozen duals, the gradient request and the
+// certify tier's adjustment flow through solver fields (s.lbQ, s.lbWantGrad,
+// s.lbAdjust); per-block bounds land in
 // s.lbBuf, index-addressed, and the caller reduces them in video order, so the
 // schedule never changes a bit. A block in s.lbKeep already holds its carried
 // term (carriedTerms) and is skipped. Cancellation is polled at every video
@@ -28,6 +29,9 @@ func (s *solver) initBound() {
 			}
 			s.buildBlockProblem(vi, q, &ws.prob)
 			lb, _ := ws.fs.DualAscent(&ws.prob)
+			if s.lbAdjust {
+				lb = ws.fs.DualAdjust(&ws.prob)
+			}
 			s.lbBuf[vi] = lb
 			if s.lbWantGrad {
 				ws.fs.SolveQuickInto(&ws.prob, &ws.fsol, nil)
@@ -105,6 +109,38 @@ func (s *solver) snapshotTerms() {
 	copy(s.lbTerms, s.lbBuf)
 }
 
+// certifyIncumbent is the certify tier, run where the bound step stalls with
+// an ε-feasible incumbent in hand: it evaluates LR(lbDuals) with every block's
+// dual-ascent bound raised by the dual adjustment (facloc.DualAdjust), except
+// the blocks whose carried term stands — while lbDuals are still the warm
+// seed's, an unchanged video keeps the term the seed carried, which the
+// producing solve certified. When the incumbent is within 1+ε of that bound,
+// the bound and its terms become the solve's and it reports true: the solve
+// has converged. Otherwise the evaluation is discarded, and nothing the
+// descent reads has moved.
+func (s *solver) certifyIncumbent() bool {
+	if s.lbSeeded {
+		if s.lbKeep == nil {
+			s.lbKeep = make([]bool, len(s.sol))
+		}
+		for vi, in := range s.lbCarriedIn {
+			s.lbKeep[vi] = in != nil
+			s.lbBuf[vi] = s.lbTerms[vi]
+		}
+	}
+	s.lbAdjust = true
+	lr := s.lagrangianBound(s.lbDuals)
+	s.lbAdjust, s.lbKeep = false, nil
+	s.stats.CertifyEvals++
+	if !(lr > s.lb) || s.ub > (1+s.opts.Epsilon)*lr+1e-9 {
+		return false
+	}
+	s.lb = lr
+	s.stats.LBRaised++
+	s.snapshotTerms()
+	return true
+}
+
 // polishLB runs a few exponentiated-gradient ascent steps on the Lagrangian
 // dual vector: rows that the current dual's block minimizer overloads get
 // their price multiplied up, slack rows decay. This closes the last
@@ -129,12 +165,15 @@ func (s *solver) polishLB() {
 			break // cancelled mid-evaluation
 		}
 		if lr > s.lb {
-			s.lb = lr
+			s.lb, s.lbSeeded = lr, false
+			copy(s.lbDuals, s.qLB) // before the ascent step mutates qLB
+			s.snapshotTerms()
+		}
+		if lr > s.lbTarget {
+			s.lbTarget = lr
 			s.lbStall = 0
 			s.stats.LBRaised++
 			s.stats.PolishRaised++
-			copy(s.lbDuals, s.qLB) // before the ascent step mutates qLB
-			s.snapshotTerms()
 		}
 		eta := 0.5 / (1 + float64(s.polishes) + float64(it))
 		for r := range s.qLB {

@@ -111,6 +111,7 @@ func (s *solver) initDescent() {
 	// served at cost β). With β = 0 this is 0, so floor the objective
 	// target to keep r_0 well defined.
 	s.lb = s.inst.LowerBoundNoNetwork()
+	s.lbTarget = s.lb
 	s.ub = math.Inf(1)
 	s.bPremium = 1
 	s.bFloor = math.Max(1e-9, 1e-3*s.obj)
@@ -121,7 +122,7 @@ func (s *solver) initDescent() {
 	s.delta = math.Max(math.Max(dc, r0), s.opts.Epsilon/2)
 	s.alpha = s.gammaLnM1 / s.delta
 	s.seedWarmDescent()
-	s.lbStart = s.lb
+	s.lbStart = s.lbTarget
 }
 
 // run executes Algorithm 1's main loop and leaves the solver on the
@@ -193,7 +194,8 @@ passes:
 		s.computeDuals(s.q)
 		bestScale := s.lbScale
 		bestLR := math.Inf(-1)
-		raise := s.lb + 1e-12*math.Abs(s.lb)
+		raise := s.lbTarget + 1e-12*math.Abs(s.lbTarget)
+		certifies := s.lb + 1e-12*math.Abs(s.lb)
 		// The three-point scale search costs two extra full block
 		// passes; run it while the duals are still moving (early
 		// passes) and periodically afterwards, with a single
@@ -220,26 +222,30 @@ passes:
 			if lr := s.lagrangianBound(s.qTmp); lr > bestLR {
 				bestLR, bestScale = lr, scale
 				// lbBuf holds this multiplier's terms only until the next
-				// one is evaluated: keep the winner's if it will raise.
-				if lr > raise {
+				// one is evaluated: keep the winner's if it will raise the
+				// certified bound.
+				if lr > certifies {
 					s.snapshotTerms()
 				}
 			}
 		}
 		if wide && pass > 8 {
 			s.scaleKept++
-			if bestScale != s.lbScale || s.lb == s.lbStart {
+			if bestScale != s.lbScale || s.lbTarget == s.lbStart {
 				s.scaleKept = 0
 			}
 		}
 		s.lbScale = bestScale
-		if bestLR > raise {
-			s.lb = bestLR
-			s.lbStall = 0
-			s.stats.LBRaised++
+		if bestLR > certifies {
+			s.lb, s.lbSeeded = bestLR, false
 			for r := range s.lbDuals {
 				s.lbDuals[r] = bestScale * s.q[r]
 			}
+		}
+		if bestLR > raise {
+			s.lbTarget = bestLR
+			s.lbStall = 0
+			s.stats.LBRaised++
 		} else {
 			s.lbStall++
 		}
@@ -254,7 +260,14 @@ passes:
 		// for the rest of the solve. Such a round moves only qLB and
 		// polishes, which no other step reads.
 		if s.lbStall >= 3 {
-			if !s.polishEnded && (s.lb > s.lbStart || (s.polishes == 0 && !holds)) {
+			// The certify tier runs first: an incumbent the adjusted bound
+			// certifies ends the solve here, with no polish round.
+			if s.haveUB && s.certifyIncumbent() {
+				s.retargetB()
+				s.endPass(pass)
+				break
+			}
+			if !s.polishEnded && (s.lbTarget > s.lbStart || (s.polishes == 0 && !holds)) {
 				raised, before := s.stats.PolishRaised, s.stats.LBTime
 				s.polishLB()
 				s.stats.PolishTime += s.stats.LBTime - before
@@ -406,10 +419,10 @@ var (
 	lbMultsNarrow = [1]float64{1}
 )
 
-// retargetB recomputes the objective-row target from the proven bound and
+// retargetB recomputes the objective-row target from the descent's bound and
 // the current premium.
 func (s *solver) retargetB() {
-	s.bObj = math.Max(s.lb*s.bPremium, s.bFloor)
+	s.bObj = math.Max(s.lbTarget*s.bPremium, s.bFloor)
 }
 
 // carriedBoundHolds reports that a warm re-solve's carried bound stands and an
@@ -421,7 +434,7 @@ func (s *solver) retargetB() {
 // and the probe raise) and every pass after the solve raised its own bound keep
 // the usual cadence.
 func (s *solver) carriedBoundHolds() bool {
-	return s.lbWarm && s.lb == s.lbStart && s.haveUB
+	return s.lbWarm && s.lbTarget == s.lbStart && s.haveUB
 }
 
 // done reports the Algorithm 1 termination criterion. A tiny absolute slack

@@ -1,7 +1,9 @@
 package epf_test
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"slices"
 	"testing"
@@ -121,8 +123,10 @@ func TestStandingBoundPolishedOnceBeforeIncumbent(t *testing.T) {
 // incumbent the three-point search keeps the cadence of passes 1–8 and every
 // third pass. Pinned on the standingBound fixtures by the evaluation ledger —
 // the carried bound's evaluation, one per bound step (the converged pass has
-// none), two more per scale search and six per polish round — at every
-// worker count, and each fixture must have cadence passes the rule skipped.
+// none), two more per scale search, six per polish round and one certify
+// evaluation per stall (every third bound step) that held an incumbent and did
+// not certify it — at every worker count, and each fixture must have cadence
+// passes the rule skipped.
 func TestCarriedBoundSkipsScaleSearch(t *testing.T) {
 	for i, tc := range standingBound {
 		name, inst, opts, _ := standingBoundPair(t, i)
@@ -137,10 +141,13 @@ func TestCarriedBoundSkipsScaleSearch(t *testing.T) {
 			if warm.Passes != tc.passes || len(infos) != tc.passes {
 				t.Fatalf("%s: %d passes, %d reported (want %d)", name, warm.Passes, len(infos), tc.passes)
 			}
-			var searched, skipped int64
+			var searched, skipped, certify int64
 			for _, p := range infos[:len(infos)-1] {
 				if p.LowerBound != warm.LowerBound {
 					t.Fatalf("%s: pass %d moved the bound to %v — not a standing-bound fixture", name, p.Pass, p.LowerBound)
+				}
+				if p.Pass%3 == 0 && !math.IsInf(p.UpperBound, 1) {
+					certify++
 				}
 				if p.Pass > 8 && p.Pass%3 != 0 {
 					continue
@@ -152,10 +159,10 @@ func TestCarriedBoundSkipsScaleSearch(t *testing.T) {
 				}
 			}
 			st := warm.Stats
-			want := 1 + int64(tc.passes-1) + 2*searched + 6*int64(st.Polishes)
-			if st.ScaleSearches != searched || st.LBEvals != want || skipped == 0 {
-				t.Errorf("%s workers=%d: %d scale searches, %d lb evals; want %d, %d (%d cadence passes held an incumbent)",
-					name, workers, st.ScaleSearches, st.LBEvals, searched, want, skipped)
+			want := 1 + int64(tc.passes-1) + 2*searched + 6*int64(st.Polishes) + certify
+			if st.ScaleSearches != searched || st.CertifyEvals != certify || st.LBEvals != want || skipped == 0 {
+				t.Errorf("%s workers=%d: %d scale searches, %d certify evals, %d lb evals; want %d, %d, %d (%d cadence passes held an incumbent)",
+					name, workers, st.ScaleSearches, st.CertifyEvals, st.LBEvals, searched, certify, want, skipped)
 			}
 		}
 	}
@@ -165,12 +172,13 @@ func TestCarriedBoundSkipsScaleSearch(t *testing.T) {
 // warm start (half the catalog's demand doubled: 30 % over capacity at the
 // first pass) it is what raises the stale carried bound, on pass 3 as it
 // did before the carried-bound rule; a narrow-only rule delays that raise to
-// pass 8 and re-deals the solve (19 passes, another bound). Every value is
-// the one recorded at the commit before the rule, except the evaluations and
-// polish rounds: the polish now ends at its first failed round after a raise,
-// one round (six evaluations) sooner, and the scale search stops after two
-// periodic searches in a row kept the scale (14 → 12 searches, four
-// evaluations fewer), both on the same bits.
+// pass 8 and re-deals the solve (19 passes, another bound). The values are
+// recorded at the commit that added the certify tier: the cold solve's
+// certified terms carry a lift, so the re-solve's objective target starts
+// below the carried bound and the trajectory differs from pass 1 (26 passes
+// and bound 18420.761028179015 before); the certify tier ends it at pass 18.
+// The stale bound stands through pass 2, and the carried duals' certificate
+// covers it.
 func TestFarInfeasibleWarmStartKeepsScaleSearch(t *testing.T) {
 	shape := verify.InstanceOpts{Nodes: 10, Videos: 240, Slices: 2}
 	opts := epf.Options{Seed: 2, MaxPasses: 300, Epsilon: 0.05}
@@ -191,9 +199,9 @@ func TestFarInfeasibleWarmStartKeepsScaleSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	const (
-		passes, incumbent       = 26, 15
-		raised, lb, obj         = 18235.61933397914, 18420.761028179015, 20159.69148768719
-		searches, evals, polish = 12, 92, 7
+		passes, incumbent       = 18, 15
+		raised, lb, obj         = 18212.459694190504, 18728.945818856748, 19981.750122003454
+		searches, evals, polish = 11, 73, 5
 	)
 	if warm.Passes != passes || len(infos) != passes {
 		t.Fatalf("%d passes, %d reported; recorded %d", warm.Passes, len(infos), passes)
@@ -203,9 +211,9 @@ func TestFarInfeasibleWarmStartKeepsScaleSearch(t *testing.T) {
 			t.Fatalf("incumbent at pass %d; recorded at %d", p.Pass, incumbent)
 		}
 	}
-	if stale := infos[1].LowerBound; math.Abs(stale-carried) > 1e-9*carried || infos[2].LowerBound != raised {
-		t.Errorf("bound %v at pass 2 (carried duals certify %v), %v at pass 3; recorded the carried bound, then %v",
-			stale, carried, infos[2].LowerBound, raised)
+	if stale := infos[1].LowerBound; stale != infos[0].LowerBound || stale > carried*(1+verify.CertTol) || infos[2].LowerBound != raised {
+		t.Errorf("bound %v at pass 1, %v at pass 2 (carried duals certify %v), %v at pass 3; recorded the carried bound twice, then %v",
+			infos[0].LowerBound, stale, carried, infos[2].LowerBound, raised)
 	}
 	st := warm.Stats
 	if warm.LowerBound != lb || warm.Objective != obj || st.ScaleSearches != searches || st.LBEvals != evals || st.Polishes != polish {
@@ -218,22 +226,25 @@ func TestFarInfeasibleWarmStartKeepsScaleSearch(t *testing.T) {
 // has paid: after a round raised the bound, the first round that raises
 // nothing is the solve's last. These re-solves (resume_test.go's scaled
 // quarter-catalog patches at ε = 1 %) raise the stale carried bound before
-// their first incumbent and end on duals of their own; each one's polish
-// raises the bound and then ends. Seeds 2, 3 and 8 keep the passes recorded
-// at the commit before the standing-bound rule; on seeds 1 (95 → 101) and 4
-// (79 → 87) a round the rule drops would have raised the bound again.
+// their first incumbent and end on duals of their own. The passes, rounds and
+// raises are recorded at the commit that added the certify tier, which ends
+// every one of them at a stall and moves their trajectories from pass 1 (the
+// carried terms' lift lowers the objective target): 101, 109, 86, 87 and 84
+// passes with 3, 2, 5, 4 and 3 rounds before. Seed 3's five rounds raise
+// nothing, so its polish never pays and keeps its cadence.
 func TestRisingBoundPolishEndsAtFirstFailedRound(t *testing.T) {
 	const videos = 120
 	for _, tc := range []struct {
 		seed             int64
 		patched          int
 		passes, polishes int
+		polishRaised     int64
 	}{
-		{1, videos / 4, 101, 3},
-		{2, videos / 4, 109, 2},
-		{3, videos / 4, 86, 5},
-		{4, videos / 4, 87, 4},
-		{8, videos / 4, 84, 3},
+		{1, videos / 4, 96, 2, 3},
+		{2, videos / 4, 102, 2, 1},
+		{3, videos / 4, 38, 5, 0},
+		{4, videos / 4, 54, 2, 2},
+		{8, videos / 4, 60, 3, 2},
 	} {
 		opts := epf.Options{Seed: tc.seed, MaxPasses: 300, Epsilon: 0.01}
 		prev, inst := patchedPair(t, tc.seed, boundShape, opts, func(inst *mip.Instance) {
@@ -258,9 +269,9 @@ func TestRisingBoundPolishEndsAtFirstFailedRound(t *testing.T) {
 		if slices.Equal(warm.RowDuals, prev.Warm.RowDuals) || !raisedBeforeIncumbent {
 			t.Fatalf("seed %d, %d patched: the carried bound stood until the first incumbent — not a rising-bound fixture", tc.seed, tc.patched)
 		}
-		if warm.Passes != tc.passes || warm.Stats.Polishes != tc.polishes || warm.Stats.PolishRaised == 0 {
-			t.Errorf("seed %d, %d patched: %d passes, %d polish rounds (%d raises); recorded %d, %d and a raise",
-				tc.seed, tc.patched, warm.Passes, warm.Stats.Polishes, warm.Stats.PolishRaised, tc.passes, tc.polishes)
+		if warm.Passes != tc.passes || warm.Stats.Polishes != tc.polishes || warm.Stats.PolishRaised != tc.polishRaised {
+			t.Errorf("seed %d, %d patched: %d passes, %d polish rounds (%d raises); recorded %d, %d (%d)",
+				tc.seed, tc.patched, warm.Passes, warm.Stats.Polishes, warm.Stats.PolishRaised, tc.passes, tc.polishes, tc.polishRaised)
 		}
 	}
 }
@@ -271,7 +282,8 @@ func TestRisingBoundPolishEndsAtFirstFailedRound(t *testing.T) {
 // and ε = 5 %, one worker each. The set that runs the budget out is the one
 // recorded before carriedBoundHolds gated the probe polish (a rule with no
 // probe at all on a standing bound adds 120 videos, ε = 1 %, seed 2 to it),
-// and every result passes the audit. The 240-video ε = 1 % group is left to
+// less 120 videos, ε = 1 %, seeds 5 and 6 (a quarter patched), which the
+// certify tier converges, and every result passes the audit. The 240-video ε = 1 % group is left to
 // EXPERIMENTS.md: it alone takes longer than the rest together.
 func TestWarmConvergenceSweep(t *testing.T) {
 	if testing.Short() {
@@ -283,7 +295,7 @@ func TestWarmConvergenceSweep(t *testing.T) {
 		stuck  []string // seed/patched
 	}{
 		{120, 0.05, nil},
-		{120, 0.01, []string{"5/30", "6/30"}},
+		{120, 0.01, nil},
 		{240, 0.05, []string{"3/1", "3/2", "3/60", "8/60"}},
 	} {
 		t.Run(fmt.Sprintf("%d videos, eps %g", g.videos, g.eps), func(t *testing.T) {
@@ -329,28 +341,32 @@ func TestWarmConvergenceSweep(t *testing.T) {
 }
 
 // A cold solve raises the no-network bound on its first evaluations, so the
-// standing-bound rule never binds: passes, bound and objective recorded at the
-// commit before it. The polish ends at its first failed round after a raise:
-// seeds 2 and 3 keep their bits on 3 and 5 rounds where they ran 30 and 15,
-// while seed 1 loses a raise a later round made (75 passes and bound
-// 4425.780083644067 before). PolishRaised counts the raises of the rounds
-// that ran.
+// standing-bound rule never binds. The certify tier ends each of these solves
+// at a stall with an incumbent its adjusted bound certifies: seed 1 at pass
+// 76 (81 before), seed 2 at 80 (105), seed 3 at 49 (57). Up to that pass each
+// trajectory is the commit before the tier's (prefix, trajectoryHash), so
+// the polish rounds and their raises are the ones recorded there; the bound
+// is the certified one and the objective is the rounding of the certifying
+// pass's incumbent.
 func TestColdSolveMatchesRecordedParent(t *testing.T) {
 	for _, tc := range []struct {
 		seed             int64
 		passes, polishes int
 		polishRaised     int64
 		lb, obj          float64
+		prefix           uint64
 	}{
-		{1, 81, 3, 5, 4420.03024870587, 4526.456886107701},
-		{2, 105, 3, 5, 4496.301728510656, 4622.583152804269},
-		{3, 57, 5, 9, 5014.142439715974, 5096.477615810808},
+		{1, 76, 3, 5, 4422.429882494837, 4521.347794740112, 0xf0dfd29e8f15e4c0},
+		{2, 80, 3, 5, 4513.013716991614, 4597.110772581575, 0x4bc533b0d5aca038},
+		{3, 49, 5, 9, 5018.695766230619, 5120.274528375847, 0x289e98f573750611},
 	} {
 		inst, err := verify.RandomInstance(tc.seed, boundShape)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := epf.SolveInteger(inst, epf.Options{Seed: tc.seed, MaxPasses: 300, Epsilon: 0.01})
+		var infos []epf.PassInfo
+		res, err := epf.SolveInteger(inst, epf.Options{Seed: tc.seed, MaxPasses: 300, Epsilon: 0.01,
+			OnPass: func(p epf.PassInfo) { infos = append(infos, p) }})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -359,17 +375,39 @@ func TestColdSolveMatchesRecordedParent(t *testing.T) {
 			t.Errorf("seed %d: %d passes, %d polish rounds (%d raises), bound %#v, objective %#v; recorded %d, %d (%d), %#v, %#v",
 				tc.seed, res.Passes, st.Polishes, st.PolishRaised, res.LowerBound, res.Objective, tc.passes, tc.polishes, tc.polishRaised, tc.lb, tc.obj)
 		}
+		if h := trajectoryHash(infos, len(infos)-1); h != tc.prefix {
+			t.Errorf("seed %d: trajectory up to the certifying pass hashes to %#x; the commit before the tier's to %#x", tc.seed, h, tc.prefix)
+		}
 	}
 }
 
-// Where no round the polish rule drops would have raised the bound, the rule
-// keeps the bits: the 1 000-video deployment of the command-line tools at seed
-// 2 and ε = 5 % ran 14 polish rounds of which only the first raised the bound.
-// It now stops after the second, 222 → 150 evaluations, on the passes,
-// objective and bound recorded at the commit before the rule, at Workers 1, 2
-// and 3. The scale search that settles after two kept periodic searches
-// takes the same solve to 114 evaluations on the same bits.
-func TestPolishEndSameBitsWorkerInvariance(t *testing.T) {
+// trajectoryHash folds the objective and bound bits of passes 1..upTo, then
+// the objective bits of pass upTo+1, into one FNV-1a word: the trajectory up
+// to a pass whose descent step is shared but whose bound step differs.
+func trajectoryHash(infos []epf.PassInfo, upTo int) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	word := func(f float64) {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
+		h.Write(b[:])
+	}
+	for _, p := range infos[:upTo] {
+		word(p.Objective)
+		word(p.LowerBound)
+	}
+	word(infos[upTo].Objective)
+	return h.Sum64()
+}
+
+// The certify tier ends the 1 000-video deployment of the command-line tools
+// at seed 2 and ε = 5 % at its first stall with an incumbent whose adjusted
+// bound certifies it: pass 39 instead of 77. Up to that pass the trajectory is
+// the one the commit before the tier ran — every pass's objective and bound,
+// and the certifying pass's objective, hash to the value recorded there —
+// and passes, bound and objective are the same bits at Workers 1, 2 and 3.
+// The certified bound is the one verify.CertifyLowerBound re-derives from
+// the exported duals.
+func TestCertifyTierWorkerInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three 1 000-video cold solves")
 	}
@@ -379,19 +417,31 @@ func TestPolishEndSameBitsWorkerInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	const (
-		passes, polishes = 77, 2
-		evals            = 114
-		lb, obj          = 18048.671076710452, 21200.29999999996
+		passes, certify = 39, 5
+		evals           = 82
+		lb, obj         = 18284.56122618723, 21630.899999999987
+		parentPrefix    = 0xa24ec00d599940d2
 	)
 	for _, workers := range []int{1, 2, 3} {
-		res, err := epf.SolveInteger(inst, epf.Options{Seed: dep.Seed, MaxPasses: 300, Epsilon: 0.05, Workers: workers})
+		var infos []epf.PassInfo
+		res, err := epf.SolveInteger(inst, epf.Options{Seed: dep.Seed, MaxPasses: 300, Epsilon: 0.05, Workers: workers,
+			OnPass: func(p epf.PassInfo) { infos = append(infos, p) }})
 		if err != nil {
 			t.Fatal(err)
 		}
 		st := res.Stats
-		if res.Passes != passes || res.LowerBound != lb || res.Objective != obj || st.LBEvals != evals || st.Polishes != polishes {
-			t.Errorf("workers=%d: %d passes, bound %#v, objective %#v, %d lb evals, %d polish rounds; recorded %d, %#v, %#v, %d, %d",
-				workers, res.Passes, res.LowerBound, res.Objective, st.LBEvals, st.Polishes, passes, lb, obj, evals, polishes)
+		if res.Passes != passes || res.LowerBound != lb || res.Objective != obj || st.LBEvals != evals || st.CertifyEvals != certify {
+			t.Errorf("workers=%d: %d passes, bound %#v, objective %#v, %d lb evals, %d certify evals; recorded %d, %#v, %#v, %d, %d",
+				workers, res.Passes, res.LowerBound, res.Objective, st.LBEvals, st.CertifyEvals, passes, lb, obj, evals, certify)
+		}
+		if h := trajectoryHash(infos, len(infos)-1); h != parentPrefix {
+			t.Errorf("workers=%d: trajectory up to the certifying pass hashes to %#x; the commit before the tier's to %#x", workers, h, uint64(parentPrefix))
+		}
+		if workers == 1 {
+			cert, err := verify.CertifyLowerBound(inst, res.RowDuals)
+			if err != nil || math.Abs(cert-res.LowerBound) > verify.CertTol*cert {
+				t.Errorf("claimed bound %v, certificate %v (%v)", res.LowerBound, cert, err)
+			}
 		}
 	}
 }

@@ -267,10 +267,18 @@ type solver struct {
 	qLB      []float64 // persistent polished dual vector (nil until first polish)
 	lbDuals  []float64 // dual vector that achieved the best lower bound so far
 	lbTerms  []float64 // per-block terms of LR(lbDuals); nil while lbDuals is the initial zero vector
-	lbStall  int       // passes since the lower bound last improved
-	lbStart  float64   // the bound the descent started from (initDescent)
-	lbWarm   bool      // lbStart is the carried duals' bound (seedWarmDescent)
-	polishes int       // completed polish rounds (decays the ascent step)
+	// lbTarget is the descent's own bound: the best the bound step and the
+	// polish have evaluated, which the objective-row target follows
+	// (retargetB) and the stall, the polish and carriedBoundHolds read. It is
+	// lb on a cold solve until the certify tier raises lb alone; a warm
+	// re-solve that carries adjusted terms starts it at the seed bound over
+	// their lift (WarmBound.Lift), below lb.
+	lbTarget float64
+	lbStall  int     // bound steps since lbTarget last rose
+	lbStart  float64 // the lbTarget the descent started from (initDescent)
+	lbWarm   bool    // lbStart is the carried duals' bound (seedWarmDescent)
+	lbSeeded bool    // lbDuals and lbTerms are still the warm seed's
+	polishes int     // completed polish rounds (decays the ascent step)
 	// polishEnded: a round raised nothing after the polish had raised the
 	// bound, so no further round runs in this solve (descent.go).
 	polishEnded bool
@@ -342,6 +350,7 @@ type solver struct {
 	lbFn       func(w, lo, hi int)
 	lbQ        []float64 // frozen duals for the current bound fan-out
 	lbWantGrad bool
+	lbAdjust   bool // the fan-out adjusts each block's duals (certifyIncumbent)
 
 	// Deterministic parallel-reduction state (reduce.go). Leaves are fixed
 	// spans of video-index space whose boundaries depend only on the catalog

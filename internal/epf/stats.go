@@ -51,6 +51,11 @@ type Stats struct {
 	// ScaleSearches counts the bound steps that ran the three-point dual-scale
 	// search; every other bound step is one evaluation at the carried scale.
 	ScaleSearches int64
+	// CertifyEvals counts the certify tier's evaluations: LR at the bound's
+	// duals with adjusted block bounds, run where the bound step stalls with
+	// an ε-feasible incumbent. Each is also one of LBEvals; one that
+	// certified the incumbent is also one of LBRaised and ends the solve.
+	CertifyEvals int64
 	// WarmStartTries / WarmStartHits report the facility-location warm-start
 	// economy: block solves seeded from the video's previous open set, and
 	// the subset where that seed's local optimum beat the cold start.
@@ -126,8 +131,8 @@ func (st Stats) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "workers %d, passes %d\n", st.Workers, st.Passes)
 	fmt.Fprintf(&b, "blocks optimized %d, lb block solves %d\n", st.BlocksOptimized, st.LBBlockSolves)
-	fmt.Fprintf(&b, "lb evals %d (%d raised it), %d terms reused, scale searches %d, polish rounds %d (%d raised it), bound %.0f ms of lp %.0f ms\n",
-		st.LBEvals, st.LBRaised, st.LBTermsReused, st.ScaleSearches, st.Polishes, st.PolishRaised, 1e3*st.LBTime.Seconds(), 1e3*st.LPTime.Seconds())
+	fmt.Fprintf(&b, "lb evals %d (%d raised it), %d terms reused, scale searches %d, certify evals %d, polish rounds %d (%d raised it), bound %.0f ms of lp %.0f ms\n",
+		st.LBEvals, st.LBRaised, st.LBTermsReused, st.ScaleSearches, st.CertifyEvals, st.Polishes, st.PolishRaised, 1e3*st.LBTime.Seconds(), 1e3*st.LPTime.Seconds())
 	fmt.Fprintf(&b, "dual refreshes %d, line searches %d\n", st.DualRefreshes, st.LineSearches)
 	if st.WarmStartTries > 0 {
 		fmt.Fprintf(&b, "warm starts: %d tried, %d won\n", st.WarmStartTries, st.WarmStartHits)

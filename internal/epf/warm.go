@@ -54,8 +54,14 @@ type WarmBound struct {
 	Alpha, Beta, UpdateWeight float64
 	Offices, Links, Slices    int
 	PathLinks, PathOff        []int32
-	// Term[p] is the term of the video at position p (WarmState.Pos).
+	// Term[p] is the term of the video at position p (WarmState.Pos): the
+	// adjusted block bound when the certify tier certified the bound.
 	Term []float64
+	// Lift is the certified bound over the descent's own at the export, 1
+	// unless the certify tier raised it. A re-solve that carries terms
+	// starts its objective-row target at its seed bound over Lift, where the
+	// producing descent's target stood, not at the adjusted bound.
+	Lift float64
 	// Inputs[p] is that video's packed inputs (appendBlockInputs): 32-bit
 	// words, each float64 as its two halves — 172 B per video on the
 	// benchmark's 2000-video, 55-office catalog. A video whose inputs matched
@@ -236,6 +242,10 @@ func (s *solver) exportBound() *WarmBound {
 			inputs[vi] = arena[at:len(arena):len(arena)]
 		}
 	}
+	lift := 1.0
+	if s.lbTarget > 0 && s.lb > s.lbTarget {
+		lift = s.lb / s.lbTarget
+	}
 	links, off := s.inst.G.PathCSR()
 	return &WarmBound{
 		Duals: slices.Clone(s.lbDuals),
@@ -243,6 +253,7 @@ func (s *solver) exportBound() *WarmBound {
 		Offices: s.n, Links: s.L, Slices: s.T,
 		PathLinks: slices.Clone(links), PathOff: slices.Clone(off),
 		Term:   s.lbTerms,
+		Lift:   lift,
 		Inputs: inputs,
 	}
 }
@@ -599,7 +610,8 @@ func (s *solver) seedBlocks(load func(vi int) bool) (loaded, warm int) {
 // bound wherever they came from, so the certificate invariant holds — if the
 // warm bound wins, lbDuals is exactly the vector that achieves it and lbWarm
 // records the win for the bound step's scale search), solving only the blocks
-// whose carried term does not apply (carriedTerms); the
+// whose carried term does not apply (carriedTerms), with the objective-row
+// target at that bound over the carried terms' lift; the
 // previous δ may sharpen the initial penalty scale but never below the seeded
 // point's actual violation. Called from initDescent, after the cold defaults
 // are in place.
@@ -614,8 +626,13 @@ func (s *solver) seedWarmDescent() {
 		lr := s.lagrangianBound(w.RowDuals)
 		s.lbKeep = nil
 		if lr > s.lb {
-			s.lb = lr
-			s.lbWarm = true
+			s.lb, s.lbTarget = lr, lr
+			if s.stats.LBTermsReused > 0 {
+				if l := w.Bound.Lift; l > 1 && !math.IsInf(l, 1) {
+					s.lbTarget = lr / l // the carried terms' lift (WarmBound)
+				}
+			}
+			s.lbWarm, s.lbSeeded = true, true
 			copy(s.lbDuals, w.RowDuals)
 			s.snapshotTerms()
 		}

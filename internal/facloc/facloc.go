@@ -180,6 +180,13 @@ type Solver struct {
 	rowOrder [][]int32
 	iota     []int32
 	sorted   []int32
+	// dual-adjustment scratch: the state a rejected move restores (adjV,
+	// adjEnd, adjSlack), the facilities a move freed and the demands it
+	// unblocked.
+	adjV, adjSlack []float64
+	adjEnd         []int
+	freed          []bool
+	unblocked      []int
 }
 
 // reserve sizes the scratch for p (n facilities, k demands), clears the open
@@ -735,13 +742,21 @@ func (s *Solver) DualAscent(p *Problem) (float64, []float64) {
 		}
 		ord[b] = x
 	}
-	// active is ord compacted in place as demands freeze: slacks never
-	// increase and a frozen v_k never moves, so a demand whose allowed raise
-	// once falls to zero can never progress in any later wave — dropping it
-	// is exact, not an approximation, and later waves touch only the demands
-	// still in play.
+	s.ascend(p, ord)
+	return s.dualSum(), s.v
+}
+
+// ascend raises the duals of the demands in active, in that order, in waves:
+// each visit raises v_k to its next assignment-cost breakpoint or until a
+// contributing facility's slack hits zero, and the waves repeat while any
+// demand moved. active is compacted in place as demands freeze: slacks never
+// increase and a frozen v_k never moves, so a demand whose allowed raise once
+// falls to zero can never progress in any later wave — dropping it is exact,
+// not an approximation, and later waves touch only the demands still in play.
+// s.end[k] must not exceed demand k's contributor prefix at v_k.
+func (s *Solver) ascend(p *Problem, active []int) {
+	n := len(p.Open)
 	const maxWaves = 64
-	active := ord
 	for wave := 0; wave < maxWaves; wave++ {
 		progressed := false
 		na := 0
@@ -770,7 +785,7 @@ func (s *Solver) DualAscent(p *Problem) (float64, []float64) {
 			if minSlack < allowed {
 				allowed = minSlack
 			}
-			if allowed <= 1e-15 || math.IsInf(allowed, 1) {
+			if allowed <= frozenRaise || math.IsInf(allowed, 1) {
 				continue // frozen for good; drops out of active
 			}
 			// Each contributor's slack is its own cell, so the visiting
@@ -797,11 +812,120 @@ func (s *Solver) DualAscent(p *Problem) (float64, []float64) {
 			break
 		}
 	}
+}
+
+// frozenRaise is the ascent's zero: a demand whose allowed raise is at most
+// this is frozen, and a facility whose slack is at most this blocks every
+// demand that contributes to it.
+const frozenRaise = 1e-15
+
+// DualAdjust raises the bound of the dual vector the last DualAscent(p) on s
+// left, in place, by Erlenkotter's dual adjustment ("A dual-based procedure
+// for uncapacitated facility location", Operations Research 26(6), 1978), and
+// returns the new Σ_k v_k. The dual vector DualAscent returned is updated with
+// it and stays feasible.
+//
+// A demand k that strictly contributes (g_ki < v_k) to two or more tight
+// facilities pays for both, though a primal solution would serve it from one.
+// The adjustment lowers v_k to its next breakpoint below, the largest
+// g_ki < v_k, which hands every strict contributor's facility that much slack
+// back; it then re-ascends, in index order, the other demands that a freed
+// tight facility was blocking, and k last. The move is kept only when Σ v_k
+// rose (by more than the sum's rounding); otherwise v and the slacks are
+// restored. Sweeps over every demand repeat until one keeps nothing, so the
+// result is a fixpoint: each kept move raises the sum, which the UFL LP
+// optimum bounds. The bound is never below DualAscent's, and its bits
+// depend only on p, as DualAscent's do.
+func (s *Solver) DualAdjust(p *Problem) float64 {
+	n, kk := p.NumFacilities(), p.NumDemands()
+	if kk == 0 {
+		lb, _ := s.DualAscent(p)
+		return lb
+	}
+	s.adjV, s.adjEnd, s.adjSlack = sized(s.adjV, kk), sized(s.adjEnd, kk), sized(s.adjSlack, n)
+	s.freed = sized(s.freed, n)
+	clear(s.freed)
+	if cap(s.unblocked) < kk {
+		s.unblocked = make([]int, 0, kk)
+	}
+	lb := s.dualSum()
+	for {
+		kept := false
+		for k := 0; k < kk; k++ {
+			row, o, vk := p.Row(k), s.rowOrder[k], s.v[k]
+			e, tight := 0, 0
+			for e < n && row[o[e]] < vk {
+				if s.slack[o[e]] <= frozenRaise {
+					tight++
+				}
+				e++
+			}
+			if tight < 2 {
+				continue
+			}
+			copy(s.adjV, s.v)
+			copy(s.adjEnd, s.end)
+			copy(s.adjSlack, s.slack)
+
+			// Lower v_k to the largest g_ki below it: every strict
+			// contributor's slack grows by the drop, and the tight ones
+			// stop blocking.
+			b := row[o[e-1]]
+			for _, i := range o[:e] {
+				if s.slack[i] <= frozenRaise {
+					s.freed[i] = true
+				}
+				s.slack[i] += vk - b
+			}
+			s.v[k], s.end[k] = b, e
+			u := s.unblocked[:0]
+			for j := 0; j < kk; j++ {
+				if j != k && s.contributesToFreed(p, j) {
+					u = append(u, j)
+				}
+			}
+			for _, i := range o[:e] {
+				s.freed[i] = false
+			}
+			s.ascend(p, u)
+			u = append(u[:0], k)
+			s.ascend(p, u)
+			if sum := s.dualSum(); sum-lb > 1e-12*math.Abs(lb) {
+				lb, kept = sum, true
+				continue
+			}
+			copy(s.v, s.adjV)
+			copy(s.end, s.adjEnd)
+			copy(s.slack, s.adjSlack)
+		}
+		if !kept {
+			return lb
+		}
+	}
+}
+
+// contributesToFreed reports whether demand j's contributor prefix (g_ji ≤
+// v_j, which its next raise would pay into) holds a facility DualAdjust freed.
+func (s *Solver) contributesToFreed(p *Problem, j int) bool {
+	row, o, vj := p.Row(j), s.rowOrder[j], s.v[j]
+	for _, i := range o {
+		if row[i] > vj {
+			return false
+		}
+		if s.freed[i] {
+			return true
+		}
+	}
+	return false
+}
+
+// dualSum is Σ_k v_k in index order, the bound's summation.
+func (s *Solver) dualSum() float64 {
 	var lb float64
 	for _, vk := range s.v {
 		lb += vk
 	}
-	return lb, s.v
+	return lb
 }
 
 // sized returns b resliced to length n, reallocated when its capacity is

@@ -34,13 +34,24 @@ import (
 // zero dual vector certifies a solver's initial bound too. Passing nil duals
 // certifies only the no-network bound.
 //
+// Each block's dual vector is the ascent's raised by Erlenkotter's dual
+// adjustment (facloc.DualAdjust), so the certificate reaches the bound of a
+// solver that certified its incumbent with adjusted block bounds (the certify
+// tier); the adjusted vector is the one whose feasibility is checked.
+//
 // The block bounds are computed on a GOMAXPROCS-sized pool; the value and
 // any error are the same at every pool size. It is an empty Auditor's
 // certificate: the same path, with nothing to reuse.
 func CertifyLowerBound(inst *mip.Instance, rowDuals []float64) (float64, error) {
 	var a Auditor
-	lb, _, err := a.certify(inst, rowDuals)
+	lb, _, err := a.certify(inst, rowDuals, math.Inf(1))
 	return lb, err
+}
+
+// reaches reports whether the certified bound cert justifies the claimed one,
+// up to CertTol.
+func reaches(claim, cert float64) bool {
+	return claim <= cert*(1+CertTol)+CertTol
 }
 
 // Auditor is Audit with a memory of its last certificate. A block bound
@@ -60,23 +71,32 @@ func CertifyLowerBound(inst *mip.Instance, rowDuals []float64) (float64, error) 
 // identity plays no part, so an instance patched in place is compared by
 // value. The zero value is an empty Auditor; Audit and CertifyLowerBound are
 // an empty one's. An Auditor is not safe for concurrent use.
+//
+// A certificate is lazy about the dual adjustment: it sums the ascent's
+// block bounds first and adjusts only when that plain certificate falls
+// short of the claim, so a plain claim costs one ascent per re-derived block.
+// The cache keeps each video's adjusted bound beside its plain one once one
+// certificate derived it.
 type Auditor struct {
 	// workers sizes the block-bound pool; 0 means GOMAXPROCS.
 	workers int
 	// The last successful certificate: key packs its λ and instance-wide
-	// inputs (appendCertKey); bound[vi] is video index vi's block bound and
-	// inputs[vi] its packed inputs (appendVideoInputs). A video that hits
-	// keeps its slice, so the cache holds one copy of the inputs.
-	key    []uint32
-	bound  []float64
-	inputs [][]uint32
+	// inputs (appendCertKey); bound[vi] is video index vi's plain block
+	// bound, adjusted[vi] its adjusted one (NaN until a certificate needed
+	// it) and inputs[vi] its packed inputs (appendVideoInputs). A video that
+	// hits keeps its slice, so the cache holds one copy of the inputs.
+	key      []uint32
+	bound    []float64
+	adjusted []float64
+	inputs   [][]uint32
 	// scratch for the packing of the certificate being derived
 	keyBuf, buf []uint32
 }
 
-// certify is CertifyLowerBound through a's cache; reused counts the block
-// bounds taken from it.
-func (a *Auditor) certify(inst *mip.Instance, rowDuals []float64) (lb float64, reused int, err error) {
+// certify is CertifyLowerBound through a's cache, adjusting the block bounds
+// only when the plain certificate does not reach claim; reused counts the
+// plain block bounds taken from the cache.
+func (a *Auditor) certify(inst *mip.Instance, rowDuals []float64, claim float64) (lb float64, reused int, err error) {
 	if inst == nil {
 		return 0, 0, fmt.Errorf("nil instance")
 	}
@@ -101,15 +121,16 @@ func (a *Auditor) certify(inst *mip.Instance, rowDuals []float64) (lb float64, r
 	a.keyBuf = appendCertKey(a.keyBuf[:0], inst, rowDuals)
 	same := a.bound != nil && slices.Equal(a.keyBuf, a.key)
 	nv := len(inst.Demands)
-	bound := make([]float64, nv)
+	bound, adjusted := make([]float64, nv), make([]float64, nv)
 	inputs := make([][]uint32, nv)
 	var miss []int
 	words := 0
 	for vi := range inst.Demands {
+		adjusted[vi] = math.NaN()
 		if same && vi < len(a.inputs) {
 			a.buf = appendVideoInputs(a.buf[:0], inst, vi)
 			if slices.Equal(a.buf, a.inputs[vi]) {
-				bound[vi], inputs[vi] = a.bound[vi], a.inputs[vi]
+				bound[vi], adjusted[vi], inputs[vi] = a.bound[vi], a.adjusted[vi], a.inputs[vi]
 				continue
 			}
 		}
@@ -123,10 +144,36 @@ func (a *Auditor) certify(inst *mip.Instance, rowDuals []float64) (lb float64, r
 		arena = appendVideoInputs(arena, inst, vi)
 		inputs[vi] = arena[at:len(arena):len(arena)]
 	}
-	if err := a.blockBounds(inst, rowDuals, miss, bound); err != nil {
+	if err := a.blockBounds(inst, rowDuals, miss, bound, false); err != nil {
 		return 0, 0, err
 	}
+	reused = nv - len(miss)
+	lr := lagrangian(inst, rowDuals, bound)
+	if !reaches(claim, math.Max(lr, trivial)) {
+		// The plain certificate falls short: adjust every block whose
+		// adjusted bound is not cached, and certify with those.
+		miss = miss[:0]
+		for vi, b := range adjusted {
+			if math.IsNaN(b) {
+				miss = append(miss, vi)
+			}
+		}
+		if err := a.blockBounds(inst, rowDuals, miss, adjusted, true); err != nil {
+			return 0, 0, err
+		}
+		lr = lagrangian(inst, rowDuals, adjusted)
+	}
+	if math.IsNaN(lr) {
+		return 0, 0, fmt.Errorf("certified bound is NaN")
+	}
+	a.key, a.keyBuf = a.keyBuf, a.key
+	a.bound, a.adjusted, a.inputs = bound, adjusted, inputs
+	return math.Max(lr, trivial), reused, nil
+}
 
+// lagrangian is LR(λ) = Σ_m bound[m] − λ·b, summed in video order.
+func lagrangian(inst *mip.Instance, rowDuals, bound []float64) float64 {
+	n, L, T := inst.NumVHOs(), inst.G.NumLinks(), inst.Slices
 	var lr float64
 	for _, b := range bound {
 		lr += b
@@ -139,20 +186,16 @@ func (a *Auditor) certify(inst *mip.Instance, rowDuals []float64) (lb float64, r
 			lr -= rowDuals[n+t*L+l] * inst.LinkCapMbps[l]
 		}
 	}
-	if math.IsNaN(lr) {
-		return 0, 0, fmt.Errorf("certified bound is NaN")
-	}
-	a.key, a.keyBuf = a.keyBuf, a.key
-	a.bound, a.inputs = bound, inputs
-	return math.Max(lr, trivial), nv - len(miss), nil
+	return lr
 }
 
 // blockBounds derives bound[vi] for every video index in miss (ascending)
-// from the instance data. Block bounds are independent given λ: each worker
+// from the instance data, adjusted when adjust is set. Block bounds are
+// independent given λ: each worker
 // fills its videos' index-addressed slots and the first failing video is the
 // lowest-index one, so the bounds and the error are the serial loop's at any
 // worker count.
-func (a *Auditor) blockBounds(inst *mip.Instance, rowDuals []float64, miss []int, bound []float64) error {
+func (a *Auditor) blockBounds(inst *mip.Instance, rowDuals []float64, miss []int, bound []float64, adjust bool) error {
 	if len(miss) == 0 {
 		return nil
 	}
@@ -193,7 +236,7 @@ func (a *Auditor) blockBounds(inst *mip.Instance, rowDuals []float64, miss []int
 			sc.prob.Open = make([]float64, n)
 		}
 		for x := lo; x < hi; x++ {
-			bound[miss[x]], errs[x] = blockBound(inst, miss[x], rowDuals, pathDual, sc)
+			bound[miss[x]], errs[x] = blockBound(inst, miss[x], rowDuals, pathDual, sc, adjust)
 		}
 	})
 	for x, err := range errs {
@@ -268,9 +311,10 @@ type blockScratch struct {
 }
 
 // blockBound returns LB_m(λ) for video index vi: the block's costs built from
-// the instance data, bounded by a checked UFL dual vector. pathDual holds the
-// path-aggregated link prices, λ_path[t][i·n+j].
-func blockBound(inst *mip.Instance, vi int, rowDuals []float64, pathDual [][]float64, sc *blockScratch) (float64, error) {
+// the instance data, bounded by a checked UFL dual vector, adjusted when
+// adjust is set. pathDual holds the path-aggregated link prices,
+// λ_path[t][i·n+j].
+func blockBound(inst *mip.Instance, vi int, rowDuals []float64, pathDual [][]float64, sc *blockScratch, adjust bool) (float64, error) {
 	n := inst.NumVHOs()
 	d := &inst.Demands[vi]
 	prob := &sc.prob
@@ -306,15 +350,25 @@ func blockBound(inst *mip.Instance, vi int, rowDuals []float64, pathDual [][]flo
 			row[i] = c
 		}
 	}
-	return checkedBlockBound(&sc.fs, prob)
+	return checkedBlockBound(&sc.fs, prob, adjust)
 }
 
-// checkedBlockBound obtains a UFL dual vector for prob and verifies its
-// feasibility before summing it: Σ_k max(0, v_k − g_ki) ≤ F_i must hold for
-// every facility (up to floating-point slack proportional to the magnitudes
+// checkedBlockBound obtains a UFL dual vector for prob — the ascent's, raised
+// by the dual adjustment when adjust is set — and verifies its feasibility
+// before summing it: Σ_k max(0, v_k − g_ki) ≤ F_i must hold for every
+// facility (up to floating-point slack proportional to the magnitudes
 // involved). An infeasible proposal is a certificate failure.
-func checkedBlockBound(fs *facloc.Solver, prob *facloc.Problem) (float64, error) {
+func checkedBlockBound(fs *facloc.Solver, prob *facloc.Problem, adjust bool) (float64, error) {
 	_, v := fs.DualAscent(prob)
+	if adjust {
+		fs.DualAdjust(prob) // raises v in place
+	}
+	return checkDuals(prob, v)
+}
+
+// checkDuals returns Σ_k v_k after checking that v is a feasible UFL dual
+// vector for prob, as checkedBlockBound describes.
+func checkDuals(prob *facloc.Problem, v []float64) (float64, error) {
 	if len(v) != prob.NumDemands() {
 		return 0, fmt.Errorf("dual ascent returned %d duals for %d demands", len(v), prob.NumDemands())
 	}

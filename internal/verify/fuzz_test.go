@@ -268,8 +268,22 @@ func FuzzFacloc(f *testing.F) {
 		exact := facloc.BruteForce(p)
 		var warm facloc.Solution
 		tol := CertTol * (1 + math.Abs(exact.Cost))
-		if dualLB, _ := fs.DualAscent(p); dualLB > exact.Cost+tol {
+		dualLB, v := fs.DualAscent(p)
+		if dualLB > exact.Cost+tol {
 			t.Fatalf("dual bound %g above optimum %g", dualLB, exact.Cost)
+		}
+		// The certify tier's block bound: the adjusted duals (DualAdjust
+		// raises v in place) pass the certificate's feasibility check, and
+		// their bound lies between the ascent's and the optimum.
+		adjLB := fs.DualAdjust(p)
+		if _, err := checkDuals(p, v); err != nil {
+			t.Fatalf("adjusted duals: %v", err)
+		}
+		if adjLB < dualLB {
+			t.Fatalf("adjusted bound %g below the ascent's %g", adjLB, dualLB)
+		}
+		if adjLB > exact.Cost+tol {
+			t.Fatalf("adjusted bound %g above optimum %g", adjLB, exact.Cost)
 		}
 		for _, h := range []struct {
 			name string

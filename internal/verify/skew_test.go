@@ -110,11 +110,11 @@ func TestSkewedBlocksWorkerInvariance(t *testing.T) {
 			t.Fatal(err)
 		}
 		a := Auditor{workers: workers}
-		if _, _, err := a.certify(r.cold.Sol.Inst, r.cold.RowDuals); err != nil {
+		if _, _, err := a.certify(r.cold.Sol.Inst, r.cold.RowDuals, r.cold.LowerBound); err != nil {
 			t.Fatal(err)
 		}
 		r.coldBound = a.bound
-		if _, r.warmReused, err = a.certify(warmInst, r.warm.RowDuals); err != nil {
+		if _, r.warmReused, err = a.certify(warmInst, r.warm.RowDuals, r.warm.LowerBound); err != nil {
 			t.Fatal(err)
 		}
 		r.warmBound = a.bound

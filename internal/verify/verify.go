@@ -304,13 +304,13 @@ func (a *Auditor) Audit(inst *mip.Instance, res *epf.Result) *Report {
 	// Duality-gap certificate: the claimed bound must be justified by the
 	// reported dual prices (or by the trivial no-network bound, which is the
 	// λ = 0 certificate).
-	cert, reused, err := a.certify(inst, res.RowDuals)
+	cert, reused, err := a.certify(inst, res.RowDuals, res.LowerBound)
 	if err != nil {
 		r.failf("certificate: %v", err)
 		return r
 	}
 	r.CertifiedLB, r.CertReused = cert, reused
-	if res.LowerBound > cert*(1+CertTol)+CertTol {
+	if !reaches(res.LowerBound, cert) {
 		r.failf("claimed lower bound %g exceeds certified bound %g", res.LowerBound, cert)
 	}
 	if cert > 0 {

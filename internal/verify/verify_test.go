@@ -322,7 +322,7 @@ func TestCertifyLowerBound(t *testing.T) {
 // the given size: a fresh Auditor's certificate.
 func certifyWith(inst *mip.Instance, duals []float64, workers int) (float64, error) {
 	a := Auditor{workers: workers}
-	lb, _, err := a.certify(inst, duals)
+	lb, _, err := a.certify(inst, duals, math.Inf(1))
 	return lb, err
 }
 
