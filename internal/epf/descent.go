@@ -200,16 +200,10 @@ passes:
 		// passes; run it while the duals are still moving (early
 		// passes) and periodically afterwards, with a single
 		// evaluation at the carried scale in between — and only that
-		// one while carriedBoundHolds, or once two periodic searches in a
-		// row have kept the carried scale after the solve raised its own
-		// bound: it has settled for the solve. (After one kept search,
-		// later searches still move the scale on small catalogs, and while
-		// a re-solve's carried bound stands, a later search is what raises
-		// it.)
+		// one while carriedBoundHolds.
 		holds := s.carriedBoundHolds()
 		mults := lbMultsWide[:]
-		wide := s.scaleKept < 2 && !holds && (pass <= 8 || pass%3 == 0)
-		if !wide {
+		if (pass > 8 && pass%3 != 0) || holds {
 			mults = lbMultsNarrow[:]
 		} else {
 			s.stats.ScaleSearches++
@@ -227,12 +221,6 @@ passes:
 				if lr > certifies {
 					s.snapshotTerms()
 				}
-			}
-		}
-		if wide && pass > 8 {
-			s.scaleKept++
-			if bestScale != s.lbScale || s.lbTarget == s.lbStart {
-				s.scaleKept = 0
 			}
 		}
 		s.lbScale = bestScale

@@ -201,7 +201,7 @@ func TestFarInfeasibleWarmStartKeepsScaleSearch(t *testing.T) {
 	const (
 		passes, incumbent       = 18, 15
 		raised, lb, obj         = 18212.459694190504, 18728.945818856748, 19981.750122003454
-		searches, evals, polish = 11, 73, 5
+		searches, evals, polish = 12, 75, 5
 	)
 	if warm.Passes != passes || len(infos) != passes {
 		t.Fatalf("%d passes, %d reported; recorded %d", warm.Passes, len(infos), passes)
@@ -418,7 +418,7 @@ func TestCertifyTierWorkerInvariance(t *testing.T) {
 	}
 	const (
 		passes, certify = 39, 5
-		evals           = 82
+		evals           = 94
 		lb, obj         = 18284.56122618723, 21630.899999999987
 		parentPrefix    = 0xa24ec00d599940d2
 	)

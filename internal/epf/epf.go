@@ -282,10 +282,6 @@ type solver struct {
 	// polishEnded: a round raised nothing after the polish had raised the
 	// bound, so no further round runs in this solve (descent.go).
 	polishEnded bool
-	// scaleKept counts the periodic scale searches (past pass 8) in a row
-	// that kept the carried scale once the solve had raised its own bound;
-	// from two on, every bound step is one evaluation (descent.go).
-	scaleKept int
 
 	// The warm seed's carried terms (carriedTerms): the blocks whose term it
 	// took from WarmState.Bound, which the bound fan-out skips, and their
