@@ -749,11 +749,12 @@ func (s *Solver) DualAscent(p *Problem) (float64, []float64) {
 // ascend raises the duals of the demands in active, in that order, in waves:
 // each visit raises v_k to its next assignment-cost breakpoint or until a
 // contributing facility's slack hits zero, and the waves repeat while any
-// demand moved. active is compacted in place as demands freeze: slacks never
-// increase and a frozen v_k never moves, so a demand whose allowed raise once
-// falls to zero can never progress in any later wave — dropping it is exact,
-// not an approximation, and later waves touch only the demands still in play.
-// s.end[k] must not exceed demand k's contributor prefix at v_k.
+// demand moved. active is compacted in place as demands freeze: within a
+// call slacks never increase and a frozen v_k never moves, so a demand whose
+// allowed raise once falls to zero can never progress in any later wave —
+// dropping it is exact, not an approximation, and later waves touch only the
+// demands still in play. s.end[k] must not exceed demand k's contributor
+// prefix at v_k.
 func (s *Solver) ascend(p *Problem, active []int) {
 	n := len(p.Open)
 	const maxWaves = 64

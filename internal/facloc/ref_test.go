@@ -481,6 +481,36 @@ func placementProblem(rng *rand.Rand, n, k int) *Problem {
 	return p
 }
 
+// localProblem is placementProblem with one hop-0 office per demand, its
+// own, as the traffic's blocks have: open costs are disk prices (small, some
+// near zero) and each row climbs in hop levels from the demand's office. On
+// these blocks the ascent's bound is not zero and the dual adjustment finds
+// moves, which placementProblem's rows (several hop-0 offices each) rarely
+// leave it.
+func localProblem(rng *rand.Rand, n, k int) *Problem {
+	p := &Problem{Open: make([]float64, n), Assign: make([]float64, k*n), Order: make([]int32, k*n)}
+	for i := range p.Open {
+		p.Open[i] = 0.05 + 0.3*rng.Float64()
+	}
+	level := make([]int, n)
+	for kd := 0; kd < k; kd++ {
+		coef, j := 0.02+0.1*rng.Float64(), rng.Intn(n)
+		for i, row := 0, p.Row(kd); i < n; i++ {
+			level[i] = 1 + rng.Intn(5)
+			if i == j {
+				level[i] = 0
+			}
+			row[i] = coef * (0.1 + float64(level[i]))
+		}
+		o := p.Order[kd*n : kd*n+n]
+		for i := range o {
+			o[i] = int32(i)
+		}
+		slices.SortStableFunc(o, func(a, b int32) int { return level[a] - level[b] })
+	}
+	return p
+}
+
 // allOpenKept returns the first office the all-open start's first drop
 // pass keeps, from the pass's definition rather than the solver's sweep:
 // office i comes up with {i..n−1} open, serves demand k when no later

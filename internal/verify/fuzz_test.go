@@ -259,6 +259,12 @@ func FuzzFacloc(f *testing.F) {
 		r := uint8(seed % 3)
 		f.Add(seed, 3+r, 6+r)
 	}
+	// Problems with adjustment moves that leave the dual sum where it was
+	// or, by rounding, below it: DualAdjust must keep none of them.
+	f.Add(int64(28), uint8(5), uint8(12))
+	f.Add(int64(35), uint8(4), uint8(8))
+	f.Add(int64(125), uint8(6), uint8(10))
+	f.Add(int64(134), uint8(8), uint8(12))
 	f.Fuzz(func(t *testing.T, seed int64, nB, kB uint8) {
 		p := RandomUFL(seed, clamp(nB, 1, 9), clamp(kB, 0, 12))
 		if err := p.Validate(); err != nil {
