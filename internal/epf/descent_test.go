@@ -381,6 +381,41 @@ func TestColdSolveMatchesRecordedParent(t *testing.T) {
 	}
 }
 
+// The FEAS(B) rescue raises the objective-row target's premium when no
+// ε-feasible point has appeared by three quarters of the pass budget and the
+// violation has stopped falling over the last 8 passes. On this 40-video
+// instance, whose disk is 1 % over one copy of the catalog, it fires twice
+// within the 60-pass cap and the solve ends without an incumbent. Passes,
+// bound, objective and the whole trajectory are the ones recorded at the
+// commit before the bound step became one type.
+func TestFeasRescueMatchesRecordedParent(t *testing.T) {
+	const (
+		seed, maxPasses = 3, 60
+		lb, obj         = 1948.173066345067, 2039.942994563409
+		trajectory      = 0x388dccd3839c6591
+	)
+	inst, err := verify.RandomInstance(seed, verify.InstanceOpts{Nodes: 8, Videos: 40, Slices: 2, DiskFactor: 1.01})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var infos []epf.PassInfo
+	res, err := epf.Solve(inst, epf.Options{Seed: seed, MaxPasses: maxPasses, Epsilon: 0.01,
+		OnPass: func(p epf.PassInfo) { infos = append(infos, p) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Converged || res.Passes != maxPasses || !math.IsInf(infos[len(infos)-1].UpperBound, 1) {
+		t.Fatalf("converged %v after %d passes, incumbent %v; recorded the %d-pass budget run out with none",
+			res.Converged, res.Passes, infos[len(infos)-1].UpperBound, maxPasses)
+	}
+	if res.LowerBound != lb || res.Objective != obj {
+		t.Errorf("bound %#v, objective %#v; recorded %#v, %#v", res.LowerBound, res.Objective, lb, obj)
+	}
+	if h := trajectoryHash(infos, len(infos)-1); h != trajectory {
+		t.Errorf("trajectory hashes to %#x; recorded %#x", h, uint64(trajectory))
+	}
+}
+
 // trajectoryHash folds the objective and bound bits of passes 1..upTo, then
 // the objective bits of pass upTo+1, into one FNV-1a word: the trajectory up
 // to a pass whose descent step is shared but whose bound step differs.
