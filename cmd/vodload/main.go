@@ -87,6 +87,12 @@ type summary struct {
 	ServerSwapped       int64 `json:"server_resolves_swapped"`
 }
 
+// The synthetic mix's Zipf exponent and the demand an update entry adds.
+const (
+	zipfExponent = 0.8
+	updateAdd    = 25.0
+)
+
 func main() {
 	os.Exit(run())
 }
@@ -95,13 +101,11 @@ func run() int {
 	var (
 		addr        = flag.String("addr", "", "vodserved address host:port (required)")
 		mode        = flag.String("mode", "zipf", "request mix: zipf (synthetic over the served universe) or trace (replay a regenerated workload trace)")
-		zipfS       = flag.Float64("zipf", 0.8, "Zipf exponent for -mode zipf")
 		duration    = flag.Duration("duration", 5*time.Second, "load duration")
 		concurrency = flag.Int("concurrency", 8, "concurrent senders")
 		seed        = flag.Int64("seed", 1, "random seed (also the trace seed for -mode trace)")
 		updates     = flag.Int("updates", 0, "demand-update bursts to POST during the run")
 		updateSize  = flag.Int("update-size", 8, "entries per demand burst")
-		updateAdd   = flag.Float64("update-add", 25, "aggregate demand added per entry")
 		wait        = flag.Duration("wait", 15*time.Second, "how long to wait for the server to become healthy")
 		minRPS      = flag.Float64("min-rps", 0, "fail (exit 1) when sustained rps falls below this")
 		jsonOut     = flag.String("json", "", "write the JSON summary to this file (- for stdout)")
@@ -155,7 +159,7 @@ func run() int {
 	histStart, _ := scrapeRouteHist(client, base)
 
 	// Per-sender request streams.
-	streams, err := buildStreams(*mode, ids, st.VHOs, *concurrency, *zipfS, *seed, *traceVideos, *traceRPD)
+	streams, err := buildStreams(*mode, ids, st.VHOs, *concurrency, *seed, *traceVideos, *traceRPD)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "vodload: %v\n", err)
 		return 1
@@ -216,7 +220,7 @@ func run() int {
 					batch = append(batch, map[string]any{
 						"video": ids[rng.Intn(len(ids))],
 						"vho":   rng.Intn(st.VHOs),
-						"add":   *updateAdd,
+						"add":   updateAdd,
 					})
 				}
 				body, _ := json.Marshal(batch) //nolint:errcheck // fixed shape
@@ -350,11 +354,11 @@ func run() int {
 // regenerates the deployment's workload trace (core.Deployment, the
 // server's recipe) and replays its request sequence, filtered to the served
 // universe, sharded round-robin across senders.
-func buildStreams(mode string, ids []int, vhos, concurrency int, zipfS float64, seed int64, traceVideos int, traceRPD float64) ([]func() (int, int), error) {
+func buildStreams(mode string, ids []int, vhos, concurrency int, seed int64, traceVideos int, traceRPD float64) ([]func() (int, int), error) {
 	streams := make([]func() (int, int), concurrency)
 	switch mode {
 	case "zipf":
-		w := workload.ZipfWeights(len(ids), zipfS)
+		w := workload.ZipfWeights(len(ids), zipfExponent)
 		for i := range streams {
 			smp := workload.NewSampler(w, seed+int64(i)*1000)
 			streams[i] = func() (int, int) {

@@ -1,6 +1,7 @@
 package vodplace
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -9,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -32,6 +34,15 @@ type goDecls struct {
 	knobs    []knobStruct               // internal/'s *Config, *Options and *Opts structs
 	half     halfSites                  // non-test comparisons of a .V with 0.5
 	types    typeTables                 // what setNames resolves a receiver's type from
+	files    []parsedFile               // every parsed file, in walk order
+	fset     *token.FileSet             // the files' positions
+}
+
+// parsedFile is one file's syntax tree with its path and scope.
+type parsedFile struct {
+	path string
+	f    *ast.File
+	fs   fileScope
 }
 
 // typeRef is a type as setNames resolves it: a named type as "pkg.Name",
@@ -319,11 +330,6 @@ func parseModule(t *testing.T) *goDecls {
 		half:    halfSites{consts: map[string]string{}, compared: map[string]bool{}},
 		types:   typeTables{fields: map[string]map[string]*typeRef{}, results: map[string]*typeRef{}, vars: map[string]*typeRef{}},
 	}
-	type parsedFile struct {
-		path string
-		f    *ast.File
-		fs   fileScope
-	}
 	var files []parsedFile
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, e fs.DirEntry, err error) error {
@@ -411,6 +417,7 @@ func parseModule(t *testing.T) *goDecls {
 	for _, pf := range files {
 		d.settings = append(d.settings, setNames(pf.f, pf.path, pf.fs, d.types))
 	}
+	d.files, d.fset = files, fset
 	return d
 }
 
@@ -869,4 +876,164 @@ func TestOpenThresholdHasOneHome(t *testing.T) {
 	for _, s := range sites {
 		t.Errorf("%s spells the y ≥ ½ open threshold itself; compare with mip.OpenY", s)
 	}
+}
+
+// The solver's Stats are observability only: nothing in non-test
+// internal/epf Go may read a field of a solver's stats (s.stats.F) into a
+// condition, a return, a call argument or an assignment to anything but
+// stats itself, directly or through a local variable set from such a read.
+// Reads that feed only stats assignments, stats methods and the recorder's
+// Record* calls (telemetry) are allowed; so is handing the whole s.stats to
+// a Result.
+func TestSolverDoesNotReadStats(t *testing.T) {
+	d := parseModule(t)
+	var sites []string
+	for _, pf := range d.files {
+		if filepath.ToSlash(filepath.Dir(pf.path)) != "internal/epf" || strings.HasSuffix(pf.path, "_test.go") {
+			continue
+		}
+		for _, decl := range pf.f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
+				sites = append(sites, statsSteering(d.fset, fn)...)
+			}
+		}
+	}
+	for _, site := range sites {
+		t.Errorf("%s: the solver steers on its Stats", site)
+	}
+}
+
+// statsField reports whether e is a field of a stats value, x.stats.F.
+func statsField(e ast.Expr) bool {
+	sel, ok := e.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	inner, ok := sel.X.(*ast.SelectorExpr)
+	return ok && inner.Sel.Name == "stats"
+}
+
+// inStats reports whether e names stats or a part of it: x.stats, or a
+// field, element or method of one.
+func inStats(e ast.Expr) bool {
+	for {
+		switch x := e.(type) {
+		case *ast.SelectorExpr:
+			if x.Sel.Name == "stats" {
+				return true
+			}
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		default:
+			return false
+		}
+	}
+}
+
+// statsSteering lists, as "path:line: what", the places in fn where a stats
+// field's value, read directly or through a local set from one, reaches a
+// condition, a return, a non-telemetry call argument or an assignment to
+// anything but stats. Statements are visited in source order, so a local is
+// tainted by the assignments above its use.
+func statsSteering(fset *token.FileSet, fn *ast.FuncDecl) []string {
+	tainted := map[string]bool{}
+	reads := func(e ast.Node) bool {
+		found := false
+		ast.Inspect(e, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				found = found || statsField(n)
+			case *ast.Ident:
+				found = found || tainted[n.Name]
+			}
+			return !found
+		})
+		return found
+	}
+	var sites []string
+	flag := func(n ast.Node, what string) {
+		sites = append(sites, fmt.Sprintf("%s: %s in %s", fset.Position(n.Pos()), what, fn.Name.Name))
+	}
+	call := func(c *ast.CallExpr) {
+		if sel, ok := c.Fun.(*ast.SelectorExpr); ok && (inStats(sel.X) || strings.HasPrefix(sel.Sel.Name, "Record")) {
+			return
+		}
+		for _, a := range c.Args {
+			if reads(a) {
+				flag(a, "a stats read passed to a call")
+			}
+		}
+	}
+	ast.Inspect(fn.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for i, lhs := range n.Lhs {
+				from := n.Rhs
+				if len(n.Rhs) == len(n.Lhs) {
+					from = n.Rhs[i : i+1]
+				}
+				if inStats(lhs) || !slices.ContainsFunc(from, func(e ast.Expr) bool { return reads(e) }) {
+					continue
+				}
+				if id, ok := lhs.(*ast.Ident); ok {
+					tainted[id.Name] = true
+				} else {
+					flag(lhs, "a stats read assigned")
+				}
+			}
+		case *ast.ValueSpec:
+			if slices.ContainsFunc(n.Values, func(e ast.Expr) bool { return reads(e) }) {
+				for _, id := range n.Names {
+					tainted[id.Name] = true
+				}
+			}
+		case *ast.RangeStmt:
+			if reads(n.X) {
+				for _, e := range []ast.Expr{n.Key, n.Value} {
+					if id, ok := e.(*ast.Ident); ok {
+						tainted[id.Name] = true
+					}
+				}
+			}
+		case *ast.IfStmt:
+			if reads(n.Cond) {
+				flag(n.Cond, "a stats read in a condition")
+			}
+		case *ast.ForStmt:
+			if n.Cond != nil && reads(n.Cond) {
+				flag(n.Cond, "a stats read in a condition")
+			}
+		case *ast.SwitchStmt:
+			if n.Tag != nil && reads(n.Tag) {
+				flag(n.Tag, "a stats read in a condition")
+			}
+		case *ast.CaseClause:
+			for _, e := range n.List {
+				if reads(e) {
+					flag(e, "a stats read in a condition")
+				}
+			}
+		case *ast.ReturnStmt:
+			for _, e := range n.Results {
+				if reads(e) {
+					flag(e, "a stats read returned")
+				}
+			}
+		case *ast.ExprStmt:
+			if c, ok := n.X.(*ast.CallExpr); ok {
+				call(c)
+			}
+		case *ast.DeferStmt:
+			call(n.Call)
+		case *ast.GoStmt:
+			call(n.Call)
+		}
+		return true
+	})
+	return sites
 }

@@ -103,7 +103,7 @@ func TestWarmExportBytesPerVideo(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.close()
-	s.lbTerms = nil
+	s.bound.terms = nil
 	res := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s.exportWarm(&Result{}, nil)

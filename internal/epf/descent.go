@@ -26,7 +26,6 @@ func (s *solver) initRun() {
 		s.chunkSols[c].open = make([]int32, 0, s.n)
 		s.chunkSols[c].assign = make([]int32, 0, s.n)
 	}
-	s.dcHist = make([]float64, 0, o.MaxPasses+1)
 	s.warmOpen = make([][]int32, numBlocks)
 	if o.Warm != nil {
 		// Seed the facility-location warm starts from the previous period's
@@ -111,18 +110,17 @@ func (s *solver) initDescent() {
 	// served at cost β). With β = 0 this is 0, so floor the objective
 	// target to keep r_0 well defined.
 	s.lb = s.inst.LowerBoundNoNetwork()
-	s.lbTarget = s.lb
 	s.ub = math.Inf(1)
-	s.bPremium = 1
-	s.bFloor = math.Max(1e-9, 1e-3*s.obj)
-	s.retargetB()
+	b := &s.bound
+	b.target, b.premium, b.floor = s.lb, 1, math.Max(1e-9, 1e-3*s.obj)
+	b.retarget()
 
 	s.initRun()
 	dc, r0 := s.maxCouplingViol()
 	s.delta = math.Max(math.Max(dc, r0), s.opts.Epsilon/2)
 	s.alpha = s.gammaLnM1 / s.delta
 	s.seedWarmDescent()
-	s.lbStart = s.lbTarget
+	b.start = b.target
 }
 
 // run executes Algorithm 1's main loop and leaves the solver on the
@@ -139,10 +137,9 @@ func (s *solver) run(ctx context.Context) (passes int, converged bool) {
 	s.initDescent()
 
 	pass := 0
-passes:
 	for pass = 1; pass <= o.MaxPasses; pass++ {
 		if !s.descentPass() {
-			break passes
+			break
 		}
 
 		// Periodic exact refresh: incremental activity updates accumulate
@@ -163,116 +160,16 @@ passes:
 			break
 		}
 
-		// FEAS(B) rescue: if no ε-feasible point has appeared by late in
-		// the pass budget, the guess B is likely below the LP optimum (the
-		// Lagrangian bound has not caught up) and the violation plateaus —
-		// the potential is balancing a target that cannot be met. Raising
-		// the guess is the move the FEAS(B) framework prescribes; it runs
-		// only as a late rescue because it sacrifices objective pressure.
-		// The first incumbent resets the premium so the normal dynamics
-		// resume, and the incumbent snapshot protects what was found.
-		s.dcHist = append(s.dcHist, dc)
-		switch {
-		case s.haveUB && s.bPremium > 1:
-			s.bPremium = 1
-			s.retargetB()
-		case !s.haveUB && pass > o.MaxPasses*3/4 && dc > 1.8*o.Epsilon && len(s.dcHist) >= 8:
-			ref := s.dcHist[len(s.dcHist)-8]
-			if ref-dc < 0.05*(dc-o.Epsilon) {
-				s.bPremium = math.Min(1.5, s.bPremium*1.03)
-				s.retargetB()
-				s.dcHist = s.dcHist[:0] // give the new target time to act
-			}
+		ran, certified := s.bound.step(pass, dc)
+		for k, r := range ran {
+			s.stats.Bound[k].add(r)
 		}
-
-		// Lower-bound pass (steps 14-15) at this pass's duals. LR(λ) is not
-		// scale-invariant in λ even though the block *directions* are, so a
-		// short adaptive search over multiplicative scalings of the dual
-		// vector is run each time; the best scale is carried to the next
-		// pass. This is one of the update-mechanism tweaks the paper alludes
-		// to in the Appendix.
-		s.computeDuals(s.q)
-		bestScale := s.lbScale
-		bestLR := math.Inf(-1)
-		raise := s.lbTarget + 1e-12*math.Abs(s.lbTarget)
-		certifies := s.lb + 1e-12*math.Abs(s.lb)
-		// The three-point scale search costs two extra full block
-		// passes; run it while the duals are still moving (early
-		// passes) and periodically afterwards, with a single
-		// evaluation at the carried scale in between — and only that
-		// one while carriedBoundHolds.
-		holds := s.carriedBoundHolds()
-		mults := lbMultsWide[:]
-		if (pass > 8 && pass%3 != 0) || holds {
-			mults = lbMultsNarrow[:]
-		} else {
-			s.stats.ScaleSearches++
-		}
-		for _, mult := range mults {
-			scale := s.lbScale * mult
-			for r := range s.qTmp {
-				s.qTmp[r] = scale * s.q[r]
-			}
-			if lr := s.lagrangianBound(s.qTmp); lr > bestLR {
-				bestLR, bestScale = lr, scale
-				// lbBuf holds this multiplier's terms only until the next
-				// one is evaluated: keep the winner's if it will raise the
-				// certified bound.
-				if lr > certifies {
-					s.snapshotTerms()
-				}
-			}
-		}
-		s.lbScale = bestScale
-		if bestLR > certifies {
-			s.lb, s.lbSeeded = bestLR, false
-			for r := range s.lbDuals {
-				s.lbDuals[r] = bestScale * s.q[r]
-			}
-		}
-		if bestLR > raise {
-			s.lbTarget = bestLR
-			s.lbStall = 0
-			s.stats.LBRaised++
-		} else {
-			s.lbStall++
-		}
-		// When the potential-derived duals stop improving the bound,
-		// polish the dual vector directly with subgradient ascent. While
-		// the bound is still the one the descent started from, one round
-		// that fails to raise it is the last until something does, and
-		// none runs while carriedBoundHolds. Once the solve has raised its
-		// own bound, repeated rounds are one continuing ascent and keep
-		// their cadence — until the polish has paid: after a round raised
-		// the bound, the first round that raises nothing ends the ascent
-		// for the rest of the solve. Such a round moves only qLB and
-		// polishes, which no other step reads.
-		if s.lbStall >= 3 {
-			// The certify tier runs first: an incumbent the adjusted bound
-			// certifies ends the solve here, with no polish round.
-			if s.haveUB && s.certifyIncumbent() {
-				s.retargetB()
-				s.endPass(pass)
-				break
-			}
-			if !s.polishEnded && (s.lbTarget > s.lbStart || (s.polishes == 0 && !holds)) {
-				raised, before := s.stats.PolishRaised, s.stats.LBTime
-				s.polishLB()
-				s.stats.PolishTime += s.stats.LBTime - before
-				s.polishEnded = raised > 0 && s.stats.PolishRaised == raised
-			}
-			s.lbStall = 0
-		}
-		s.retargetB()
-
 		s.endPass(pass)
-		if s.done(o.Epsilon) {
+		if certified || s.done(o.Epsilon) {
 			break
 		}
 	}
-	if pass > o.MaxPasses {
-		pass = o.MaxPasses
-	}
+	pass = min(pass, o.MaxPasses)
 
 	converged = s.done(o.Epsilon)
 	s.lpDelta = s.delta // the δ the descent ended at, before rounding retunes
@@ -400,31 +297,6 @@ func (s *solver) finishTrace(res *Result) {
 	rec.Flush() //nolint:errcheck // sink errors surface from the caller's Close
 }
 
-// Lower-bound scale-search multipliers (package-level so the pass loop
-// doesn't materialize a slice literal per pass).
-var (
-	lbMultsWide   = [3]float64{0.5, 1, 2}
-	lbMultsNarrow = [1]float64{1}
-)
-
-// retargetB recomputes the objective-row target from the descent's bound and
-// the current premium.
-func (s *solver) retargetB() {
-	s.bObj = math.Max(s.lbTarget*s.bPremium, s.bFloor)
-}
-
-// carriedBoundHolds reports that a warm re-solve's carried bound stands and an
-// ε-feasible incumbent is in hand: the primal has reached ε on the old prices,
-// so neither another scale of this solve's duals nor a polish ascending from
-// them, which trail those prices, is worth a block sweep yet. While it holds, a
-// bound step is one evaluation at the carried scale. Cold solves, re-solves
-// before their first incumbent (where a stale carried bound is what the search
-// and the probe raise) and every pass after the solve raised its own bound keep
-// the usual cadence.
-func (s *solver) carriedBoundHolds() bool {
-	return s.lbWarm && s.lbTarget == s.lbStart && s.haveUB
-}
-
 // done reports the Algorithm 1 termination criterion. A tiny absolute slack
 // keeps instances with OPT = 0 (no capacity pressure, β = 0) terminating.
 func (s *solver) done(eps float64) bool {
@@ -451,7 +323,7 @@ func (s *solver) buildResult(passes int, converged bool) *Result {
 		LowerBound: s.lb,
 		Objective:  obj,
 		Gap:        gap,
-		RowDuals:   append([]float64(nil), s.lbDuals...),
+		RowDuals:   append([]float64(nil), s.bound.duals...),
 		Violation:  out.Check(),
 		Passes:     passes,
 		Converged:  converged,

@@ -73,7 +73,7 @@ func standingBoundPair(t *testing.T, i int) (string, *mip.Instance, epf.Options,
 func TestStandingBoundPolishedOnceBeforeIncumbent(t *testing.T) {
 	for i, tc := range standingBound {
 		name, inst, opts, prev := standingBoundPair(t, i)
-		polishes := 0
+		var polishes int64
 		if tc.incumbent > 3 {
 			polishes = 1
 		}
@@ -98,9 +98,9 @@ func TestStandingBoundPolishedOnceBeforeIncumbent(t *testing.T) {
 			if incumbent != tc.incumbent {
 				t.Fatalf("%s: first incumbent at pass %d; recorded at %d", name, incumbent, tc.incumbent)
 			}
-			if st.Polishes != polishes || st.LBRaised != 0 {
+			if st.Bound[epf.BoundPolish].Steps != polishes || st.Bound.Total().Raised != 0 {
 				t.Errorf("%s: %d polish rounds, %d of %d evaluations raised the bound; want %d with the incumbent at pass %d, and none",
-					name, st.Polishes, st.LBRaised, st.LBEvals, polishes, incumbent)
+					name, st.Bound[epf.BoundPolish].Steps, st.Bound.Total().Raised, st.LBEvals, polishes, incumbent)
 			}
 			if (st.PolishTime > 0) != (polishes > 0) || st.PolishTime > st.LBTime || st.LBTime > st.LPTime {
 				t.Errorf("%s: polish %v of bound %v of lp %v", name, st.PolishTime, st.LBTime, st.LPTime)
@@ -110,9 +110,9 @@ func TestStandingBoundPolishedOnceBeforeIncumbent(t *testing.T) {
 			}
 			if workers == 1 {
 				first = st
-			} else if st.Polishes != first.Polishes || st.LBEvals != first.LBEvals || st.LBRaised != first.LBRaised {
-				t.Errorf("%s workers=%d: %d polish rounds, %d lb evals, %d raised vs %d, %d, %d",
-					name, workers, st.Polishes, st.LBEvals, st.LBRaised, first.Polishes, first.LBEvals, first.LBRaised)
+			} else if st.Bound != first.Bound || st.LBEvals != first.LBEvals {
+				t.Errorf("%s workers=%d: bound ledger %v, %d lb evals vs %v, %d",
+					name, workers, st.Bound, st.LBEvals, first.Bound, first.LBEvals)
 			}
 		}
 	}
@@ -159,11 +159,12 @@ func TestCarriedBoundSkipsScaleSearch(t *testing.T) {
 				}
 			}
 			st := warm.Stats
-			want := 1 + int64(tc.passes-1) + 2*searched + 6*int64(st.Polishes) + certify
-			if st.ScaleSearches != searched || st.CertifyEvals != certify || st.LBEvals != want || skipped == 0 {
+			want := 1 + int64(tc.passes-1) + 2*searched + 6*st.Bound[epf.BoundPolish].Steps + certify
+			if st.Bound[epf.BoundSearch].Steps != searched || st.Bound[epf.BoundCertify].Evals != certify || st.LBEvals != want || skipped == 0 {
 				t.Errorf("%s workers=%d: %d scale searches, %d certify evals, %d lb evals; want %d, %d, %d (%d cadence passes held an incumbent)",
-					name, workers, st.ScaleSearches, st.CertifyEvals, st.LBEvals, searched, certify, want, skipped)
+					name, workers, st.Bound[epf.BoundSearch].Steps, st.Bound[epf.BoundCertify].Evals, st.LBEvals, searched, certify, want, skipped)
 			}
+			checkLedger(t, name, st, 1)
 		}
 	}
 }
@@ -216,9 +217,9 @@ func TestFarInfeasibleWarmStartKeepsScaleSearch(t *testing.T) {
 			infos[0].LowerBound, stale, carried, infos[2].LowerBound, raised)
 	}
 	st := warm.Stats
-	if warm.LowerBound != lb || warm.Objective != obj || st.ScaleSearches != searches || st.LBEvals != evals || st.Polishes != polish {
+	if warm.LowerBound != lb || warm.Objective != obj || st.Bound[epf.BoundSearch].Steps != searches || st.LBEvals != evals || st.Bound[epf.BoundPolish].Steps != polish {
 		t.Errorf("bound %#v, objective %#v, %d scale searches, %d lb evals, %d polish rounds; recorded %#v, %#v, %d, %d, %d",
-			warm.LowerBound, warm.Objective, st.ScaleSearches, st.LBEvals, st.Polishes, lb, obj, searches, evals, polish)
+			warm.LowerBound, warm.Objective, st.Bound[epf.BoundSearch].Steps, st.LBEvals, st.Bound[epf.BoundPolish].Steps, lb, obj, searches, evals, polish)
 	}
 }
 
@@ -235,10 +236,9 @@ func TestFarInfeasibleWarmStartKeepsScaleSearch(t *testing.T) {
 func TestRisingBoundPolishEndsAtFirstFailedRound(t *testing.T) {
 	const videos = 120
 	for _, tc := range []struct {
-		seed             int64
-		patched          int
-		passes, polishes int
-		polishRaised     int64
+		seed                   int64
+		patched, passes        int
+		polishes, polishRaised int64
 	}{
 		{1, videos / 4, 96, 2, 3},
 		{2, videos / 4, 102, 2, 1},
@@ -269,9 +269,10 @@ func TestRisingBoundPolishEndsAtFirstFailedRound(t *testing.T) {
 		if slices.Equal(warm.RowDuals, prev.Warm.RowDuals) || !raisedBeforeIncumbent {
 			t.Fatalf("seed %d, %d patched: the carried bound stood until the first incumbent — not a rising-bound fixture", tc.seed, tc.patched)
 		}
-		if warm.Passes != tc.passes || warm.Stats.Polishes != tc.polishes || warm.Stats.PolishRaised != tc.polishRaised {
+		polish := warm.Stats.Bound[epf.BoundPolish]
+		if warm.Passes != tc.passes || polish.Steps != tc.polishes || polish.Raised != tc.polishRaised {
 			t.Errorf("seed %d, %d patched: %d passes, %d polish rounds (%d raises); recorded %d, %d (%d)",
-				tc.seed, tc.patched, warm.Passes, warm.Stats.Polishes, warm.Stats.PolishRaised, tc.passes, tc.polishes, tc.polishRaised)
+				tc.seed, tc.patched, warm.Passes, polish.Steps, polish.Raised, tc.passes, tc.polishes, tc.polishRaised)
 		}
 	}
 }
@@ -347,18 +348,21 @@ func TestWarmConvergenceSweep(t *testing.T) {
 // trajectory is the commit before the tier's (prefix, trajectoryHash), so
 // the polish rounds and their raises are the ones recorded there; the bound
 // is the certified one and the objective is the rounding of the certifying
-// pass's incumbent.
+// pass's incumbent. The bound ledger's scale searches, certify evaluations,
+// polish rounds and raises, and its total raises, are the counters the
+// commit before the ledger recorded.
 func TestColdSolveMatchesRecordedParent(t *testing.T) {
 	for _, tc := range []struct {
-		seed             int64
-		passes, polishes int
-		polishRaised     int64
-		lb, obj          float64
-		prefix           uint64
+		seed                           int64
+		passes                         int
+		searches, certify              int64
+		polishes, polishRaised, raised int64
+		lb, obj                        float64
+		prefix                         uint64
 	}{
-		{1, 76, 3, 5, 4422.429882494837, 4521.347794740112, 0xf0dfd29e8f15e4c0},
-		{2, 80, 3, 5, 4513.013716991614, 4597.110772581575, 0x4bc533b0d5aca038},
-		{3, 49, 5, 9, 5018.695766230619, 5120.274528375847, 0x289e98f573750611},
+		{1, 76, 31, 19, 3, 5, 7, 4422.429882494837, 4521.347794740112, 0xf0dfd29e8f15e4c0},
+		{2, 80, 32, 19, 3, 5, 11, 4513.013716991614, 4597.110772581575, 0x4bc533b0d5aca038},
+		{3, 49, 22, 11, 5, 9, 17, 5018.695766230619, 5120.274528375847, 0x289e98f573750611},
 	} {
 		inst, err := verify.RandomInstance(tc.seed, boundShape)
 		if err != nil {
@@ -371,10 +375,18 @@ func TestColdSolveMatchesRecordedParent(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := res.Stats
-		if res.Passes != tc.passes || st.Polishes != tc.polishes || st.PolishRaised != tc.polishRaised || res.LowerBound != tc.lb || res.Objective != tc.obj {
+		polish := st.Bound[epf.BoundPolish]
+		if res.Passes != tc.passes || polish.Steps != tc.polishes || polish.Raised != tc.polishRaised || res.LowerBound != tc.lb || res.Objective != tc.obj {
 			t.Errorf("seed %d: %d passes, %d polish rounds (%d raises), bound %#v, objective %#v; recorded %d, %d (%d), %#v, %#v",
-				tc.seed, res.Passes, st.Polishes, st.PolishRaised, res.LowerBound, res.Objective, tc.passes, tc.polishes, tc.polishRaised, tc.lb, tc.obj)
+				tc.seed, res.Passes, polish.Steps, polish.Raised, res.LowerBound, res.Objective, tc.passes, tc.polishes, tc.polishRaised, tc.lb, tc.obj)
 		}
+		wantCertify := epf.BoundSteps{Steps: tc.certify, Evals: tc.certify, Raised: 1}
+		if st.Bound[epf.BoundSearch].Steps != tc.searches || st.Bound[epf.BoundCertify] != wantCertify ||
+			polish.Evals != 6*tc.polishes || st.Bound.Total().Raised != tc.raised {
+			t.Errorf("seed %d: bound ledger %+v; recorded %d scale searches, %d certify evaluations (the last certified), %d polish evaluations, %d raises",
+				tc.seed, st.Bound, tc.searches, tc.certify, 6*tc.polishes, tc.raised)
+		}
+		checkLedger(t, fmt.Sprintf("seed %d", tc.seed), st, 0)
 		if h := trajectoryHash(infos, len(infos)-1); h != tc.prefix {
 			t.Errorf("seed %d: trajectory up to the certifying pass hashes to %#x; the commit before the tier's to %#x", tc.seed, h, tc.prefix)
 		}
@@ -413,6 +425,16 @@ func TestFeasRescueMatchesRecordedParent(t *testing.T) {
 	}
 	if h := trajectoryHash(infos, len(infos)-1); h != trajectory {
 		t.Errorf("trajectory hashes to %#x; recorded %#x", h, uint64(trajectory))
+	}
+}
+
+// checkLedger fails unless the bound ledger's evaluations are every LR
+// evaluation of the solve but the warm seed's seeded of them.
+func checkLedger(t *testing.T, name string, st epf.Stats, seeded int64) {
+	t.Helper()
+	if evals := st.Bound.Total().Evals; evals != st.LBEvals-seeded {
+		t.Errorf("%s: the bound ledger %+v counts %d evaluations; the solve ran %d, %d of them the warm seed's",
+			name, st.Bound, evals, st.LBEvals, seeded)
 	}
 }
 
@@ -457,6 +479,7 @@ func TestCertifyTierWorkerInvariance(t *testing.T) {
 		lb, obj         = 18284.56122618723, 21630.899999999987
 		parentPrefix    = 0xa24ec00d599940d2
 	)
+	var first epf.BoundLedger
 	for _, workers := range []int{1, 2, 3} {
 		var infos []epf.PassInfo
 		res, err := epf.SolveInteger(inst, epf.Options{Seed: dep.Seed, MaxPasses: 300, Epsilon: 0.05, Workers: workers,
@@ -465,9 +488,14 @@ func TestCertifyTierWorkerInvariance(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := res.Stats
-		if res.Passes != passes || res.LowerBound != lb || res.Objective != obj || st.LBEvals != evals || st.CertifyEvals != certify {
+		if res.Passes != passes || res.LowerBound != lb || res.Objective != obj || st.LBEvals != evals || st.Bound[epf.BoundCertify].Evals != certify {
 			t.Errorf("workers=%d: %d passes, bound %#v, objective %#v, %d lb evals, %d certify evals; recorded %d, %#v, %#v, %d, %d",
-				workers, res.Passes, res.LowerBound, res.Objective, st.LBEvals, st.CertifyEvals, passes, lb, obj, evals, certify)
+				workers, res.Passes, res.LowerBound, res.Objective, st.LBEvals, st.Bound[epf.BoundCertify].Evals, passes, lb, obj, evals, certify)
+		}
+		if workers == 1 {
+			first = st.Bound
+		} else if st.Bound != first {
+			t.Errorf("workers=%d: bound ledger %+v; at Workers 1 %+v", workers, st.Bound, first)
 		}
 		if h := trajectoryHash(infos, len(infos)-1); h != parentPrefix {
 			t.Errorf("workers=%d: trajectory up to the certifying pass hashes to %#x; the commit before the tier's to %#x", workers, h, uint64(parentPrefix))
@@ -545,6 +573,6 @@ func BenchmarkWarmResolveWide(b *testing.B) {
 	}
 	b.ReportMetric(float64(st.Passes), "passes")
 	b.ReportMetric(float64(st.LBEvals), "lb_evals")
-	b.ReportMetric(float64(st.Polishes), "polish_rounds")
+	b.ReportMetric(float64(st.Bound[epf.BoundPolish].Steps), "polish_rounds")
 	b.ReportMetric(1e3*st.LBTime.Seconds(), "lb_ms")
 }

@@ -257,37 +257,10 @@ type solver struct {
 	// The point z, one block per video: the only live copy. Every snapshot of
 	// it — the incumbent here, the LP point a Result carries out — is the flat
 	// WarmLP form (packPoint/loadBlock, warm.go).
-	sol      []mip.VideoPlacement
-	best     WarmLP // the incumbent: ε-feasible point (descent), best-scored (rounding)
-	haveUB   bool
-	lbScale  float64   // adaptive multiplier for the Lagrangian dual vector
-	bPremium float64   // FEAS(B) target premium over the proven bound
-	bFloor   float64   // absolute floor for the objective target
-	qTmp     []float64 // scaled-dual scratch for lower-bound evaluations
-	qLB      []float64 // persistent polished dual vector (nil until first polish)
-	lbDuals  []float64 // dual vector that achieved the best lower bound so far
-	lbTerms  []float64 // per-block terms of LR(lbDuals); nil while lbDuals is the initial zero vector
-	// lbTarget is the descent's own bound: the best the bound step and the
-	// polish have evaluated, which the objective-row target follows
-	// (retargetB) and the stall, the polish and carriedBoundHolds read. It is
-	// lb on a cold solve until the certify tier raises lb alone; a warm
-	// re-solve that carries adjusted terms starts it at the seed bound over
-	// their lift (WarmBound.Lift), below lb.
-	lbTarget float64
-	lbStall  int     // bound steps since lbTarget last rose
-	lbStart  float64 // the lbTarget the descent started from (initDescent)
-	lbWarm   bool    // lbStart is the carried duals' bound (seedWarmDescent)
-	lbSeeded bool    // lbDuals and lbTerms are still the warm seed's
-	polishes int     // completed polish rounds (decays the ascent step)
-	// polishEnded: a round raised nothing after the polish had raised the
-	// bound, so no further round runs in this solve (descent.go).
-	polishEnded bool
-
-	// The warm seed's carried terms (carriedTerms): the blocks whose term it
-	// took from WarmState.Bound, which the bound fan-out skips, and their
-	// carried packed inputs, which the export shares.
-	lbKeep      []bool
-	lbCarriedIn [][]uint32
+	sol    []mip.VideoPlacement
+	best   WarmLP // the incumbent: ε-feasible point (descent), best-scored (rounding)
+	haveUB bool
+	bound  bounder // the bound step and its state (bound.go)
 
 	// Shared execution runtime: one pool per solve, per-worker scratch
 	// reused across all fan-outs, cancellation checked at chunk boundaries.
@@ -331,7 +304,6 @@ type solver struct {
 	chunk      []int
 	chunkSols  []intSol
 	swapFn     func(a, b int)
-	dcHist     []float64
 	mergeBuf   []mip.Frac // mergeFracs staging buffer
 	seedAssign []int32    // seedWarmBlock staging buffer: one office per demand office
 	warmOpen   [][]int32  // per-video previous block open set (warm starts)
@@ -346,7 +318,7 @@ type solver struct {
 	lbFn       func(w, lo, hi int)
 	lbQ        []float64 // frozen duals for the current bound fan-out
 	lbWantGrad bool
-	lbAdjust   bool // the fan-out adjusts each block's duals (certifyIncumbent)
+	lbAdjust   bool // the fan-out adjusts each block's duals (bounder.certify)
 
 	// Deterministic parallel-reduction state (reduce.go). Leaves are fixed
 	// spans of video-index space whose boundaries depend only on the catalog
@@ -475,11 +447,9 @@ func newSolver(inst *mip.Instance, opts Options) (*solver, error) {
 	s.q = make([]float64, s.rows)
 	s.mergeBuf = make([]mip.Frac, 0, s.n+1)
 	s.seedAssign = make([]int32, 0, s.n)
-	s.qTmp = make([]float64, s.rows)
 	// The initial bound (LowerBoundNoNetwork) is the Lagrangian value at
 	// λ = 0, so the zero vector is its certificate.
-	s.lbDuals = make([]float64, s.rows)
-	s.lbScale = 1
+	s.bound = bounder{s: s, scale: 1, qTmp: make([]float64, s.rows), duals: make([]float64, s.rows)}
 	if s.opts.ChunkSize <= 0 {
 		// Adaptive: at least ~24 dual refreshes per pass, chunk in [8, 256].
 		cs := len(inst.Demands) / 24
@@ -521,7 +491,6 @@ func (s *solver) close() {
 // after the rounding phase without double counting.
 func (s *solver) mergeStats() {
 	s.stats.Workers = s.pool.Workers()
-	s.stats.Polishes = s.polishes
 	s.stats.BlocksOptimized, s.stats.LBBlockSolves = 0, 0
 	s.stats.WarmStartTries, s.stats.WarmStartHits = 0, 0
 	for i := range s.scratch {

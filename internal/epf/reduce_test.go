@@ -114,9 +114,9 @@ func TestFastModeWorkerInvariance(t *testing.T) {
 		if !identicalSolutions(base.Sol, res.Sol) {
 			t.Errorf("workers=%d: rounded solutions differ from baseline", workers)
 		}
-		if a, b := base.Stats, res.Stats; a.Polishes != b.Polishes || a.LBEvals != b.LBEvals || a.LBRaised != b.LBRaised {
-			t.Errorf("workers=%d: %d polish rounds, %d lb evals, %d raised vs baseline %d, %d, %d",
-				workers, b.Polishes, b.LBEvals, b.LBRaised, a.Polishes, a.LBEvals, a.LBRaised)
+		if a, b := base.Stats, res.Stats; a.Bound != b.Bound || a.LBEvals != b.LBEvals {
+			t.Errorf("workers=%d: bound ledger %v, %d lb evals vs baseline %v, %d",
+				workers, b.Bound, b.LBEvals, a.Bound, a.LBEvals)
 		}
 	}
 }

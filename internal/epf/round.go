@@ -76,13 +76,14 @@ func (s *solver) roundSolve(ws *workerScratch, vi int) *intSol {
 func (s *solver) round(lp *WarmLP) {
 	roundStart := time.Now()
 	s.roundBest, s.scratchBest = math.Inf(1), math.Inf(1)
-	if s.resumePlacement() {
+	carried, resumed := s.resumePlacement()
+	if resumed {
 		s.stats.RoundResumed = 1
 		s.roundRef = s.opts.Warm.RoundRef
 	} else {
 		s.polishFrom(s.thresholdBlock(lp), s.rng, polishPasses)
 		s.roundRef = finiteOrZero(s.scratchBest / s.lb)
-		if s.stats.RoundCarried == 0 {
+		if carried == 0 {
 			s.stats.RoundRatio = s.roundRef
 		}
 	}
@@ -156,7 +157,8 @@ func (s *solver) thresholdBlock(lp *WarmLP) func(vi int) bool {
 
 // resumePlacement is seed R: it polishes the integer placement carried by the
 // warm state (per video, down the warm ladder: carried block, open-set seed,
-// cold copy) and reports whether the incumbent meets the carried reference.
+// cold copy) and reports how many blocks it carried and whether the
+// incumbent meets the carried reference.
 //
 // A refused R must cost its own visits and nothing else, so it works on
 // borrowed state: the visiting order comes from its own stream, the local
@@ -164,23 +166,22 @@ func (s *solver) thresholdBlock(lp *WarmLP) func(vi int) bool {
 // (roundWarm, noteRoundSol), and the from-scratch attempt overwrites every
 // block and rebuilds the activities, the scale and (every chunk, from its own
 // duals) the path-dual table itself. Only the incumbent keeps what R found.
-func (s *solver) resumePlacement() bool {
+func (s *solver) resumePlacement() (carried int, resumed bool) {
 	w := s.opts.Warm
 	if w == nil || w.Assign == nil {
-		return false
+		return 0, false
 	}
 	s.resuming = true
-	s.stats.RoundCarried = s.polishFrom(s.placeBlock, rand.New(rand.NewSource(^s.opts.Seed)), resumePasses)
+	carried = s.polishFrom(s.placeBlock, rand.New(rand.NewSource(^s.opts.Seed)), resumePasses)
 	s.resuming = false
-	if s.stats.RoundCarried > 0 {
-		s.stats.RoundRef = finiteOrZero(w.RoundRef)
-		ratio := s.roundBest / s.lb
-		s.stats.RoundRatio = finiteOrZero(ratio)
-		if ratio <= w.RoundRef {
-			return true
-		}
+	s.stats.RoundCarried = carried
+	if carried == 0 {
+		return 0, false
 	}
-	return false
+	s.stats.RoundRef = finiteOrZero(w.RoundRef)
+	ratio := s.roundBest / s.lb
+	s.stats.RoundRatio = finiteOrZero(ratio)
+	return carried, ratio <= w.RoundRef
 }
 
 // polishInteger runs integer polish passes on the current integral point:

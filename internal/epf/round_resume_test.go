@@ -128,7 +128,7 @@ func TestRejectedResumeLeavesNoTrace(t *testing.T) {
 		o.Warm = withoutPlacement(cold.Warm)
 		clean, cleanSol := lpPhase(t, c.patched(t), o)
 
-		if tried.resumePlacement() {
+		if _, resumed := tried.resumePlacement(); resumed {
 			t.Fatalf("%s: a resume met reference 0", c.name)
 		}
 		if tried.stats.RoundCarried == 0 || math.IsInf(tried.roundBest, 1) {

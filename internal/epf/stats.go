@@ -13,9 +13,8 @@ import (
 // and merged when the result is built; everything else is counted on the
 // sequential driver goroutine.
 //
-// Stats is observability only: apart from PolishRaised, which the polish
-// rule reads (descent.go), nothing in the solver reads it back, so it never
-// influences numeric output.
+// Stats is observability only: nothing in the solver reads it back
+// (TestSolverDoesNotReadStats), so it never influences numeric output.
 type Stats struct {
 	// Workers is the pool size the solve ran with.
 	Workers int
@@ -38,24 +37,9 @@ type Stats struct {
 	LineSearches int64
 	// LBEvals counts LR(λ) evaluations (each is a full pass over blocks).
 	LBEvals int64
-	// Polishes counts subgradient dual-polish rounds.
-	Polishes int
-	// LBRaised counts the evaluations — a pass's scale search, or one polish
-	// iteration — that raised the bound over the one the descent started
-	// from. LBRaised against LBEvals is the bound side's useful-outcome ratio.
-	LBRaised int64
-	// PolishRaised counts the subset of LBRaised made by polish iterations.
-	// Once it is non-zero the polish has paid, and the first later round that
-	// raises nothing is the solve's last.
-	PolishRaised int64
-	// ScaleSearches counts the bound steps that ran the three-point dual-scale
-	// search; every other bound step is one evaluation at the carried scale.
-	ScaleSearches int64
-	// CertifyEvals counts the certify tier's evaluations: LR at the bound's
-	// duals with adjusted block bounds, run where the bound step stalls with
-	// an ε-feasible incumbent. Each is also one of LBEvals; one that
-	// certified the incumbent is also one of LBRaised and ends the solve.
-	CertifyEvals int64
+	// Bound is the bound step's ledger, a row per BoundKind; its evaluations
+	// are every one of LBEvals but the warm seed's.
+	Bound BoundLedger
 	// WarmStartTries / WarmStartHits report the facility-location warm-start
 	// economy: block solves seeded from the video's previous open set, and
 	// the subset where that seed's local optimum beat the cold start.
@@ -113,6 +97,40 @@ type Stats struct {
 	ReduceTime time.Duration
 }
 
+// BoundKind names the work a pass's bound step runs: BoundEval or
+// BoundSearch, then, where it stalls, BoundCertify with an incumbent in hand
+// and BoundPolish when the polish rule lets a round run.
+type BoundKind int
+
+const (
+	BoundEval    BoundKind = iota // one evaluation at the carried dual scale
+	BoundSearch                   // the three-point dual-scale search
+	BoundCertify                  // LR at the bound's duals with adjusted block bounds
+	BoundPolish                   // a round of subgradient dual polish
+	numBoundKinds
+)
+
+var boundKindNames = [numBoundKinds]string{"eval", "search", "certify", "polish"}
+
+// BoundSteps counts one kind's steps, their LR evaluations and the raises of
+// the bound among them (a certify raise is the one that ended the solve).
+type BoundSteps struct{ Steps, Evals, Raised int64 }
+
+func (t *BoundSteps) add(u BoundSteps) {
+	t.Steps, t.Evals, t.Raised = t.Steps+u.Steps, t.Evals+u.Evals, t.Raised+u.Raised
+}
+
+// BoundLedger is the per-kind table of the bound step's work.
+type BoundLedger [numBoundKinds]BoundSteps
+
+// Total sums the rows.
+func (l *BoundLedger) Total() (t BoundSteps) {
+	for _, r := range l {
+		t.add(r)
+	}
+	return t
+}
+
 // RoundMode names which rounding ran: "resumed" (the carried placement met
 // its reference), "rejected" (it was tried and refused; the from-scratch
 // attempt ran too) or "full" (nothing was carried to try).
@@ -131,8 +149,13 @@ func (st Stats) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "workers %d, passes %d\n", st.Workers, st.Passes)
 	fmt.Fprintf(&b, "blocks optimized %d, lb block solves %d\n", st.BlocksOptimized, st.LBBlockSolves)
-	fmt.Fprintf(&b, "lb evals %d (%d raised it), %d terms reused, scale searches %d, certify evals %d, polish rounds %d (%d raised it), bound %.0f ms of lp %.0f ms\n",
-		st.LBEvals, st.LBRaised, st.LBTermsReused, st.ScaleSearches, st.CertifyEvals, st.Polishes, st.PolishRaised, 1e3*st.LBTime.Seconds(), 1e3*st.LPTime.Seconds())
+	fmt.Fprintf(&b, "lb evals %d (%d raised it), %d terms reused, bound %.0f ms of lp %.0f ms\n",
+		st.LBEvals, st.Bound.Total().Raised, st.LBTermsReused, 1e3*st.LBTime.Seconds(), 1e3*st.LPTime.Seconds())
+	b.WriteString("bound steps/evals/raised:")
+	for k, r := range st.Bound {
+		fmt.Fprintf(&b, " %s %d/%d/%d", boundKindNames[k], r.Steps, r.Evals, r.Raised)
+	}
+	b.WriteString("\n")
 	fmt.Fprintf(&b, "dual refreshes %d, line searches %d\n", st.DualRefreshes, st.LineSearches)
 	if st.WarmStartTries > 0 {
 		fmt.Fprintf(&b, "warm starts: %d tried, %d won\n", st.WarmStartTries, st.WarmStartHits)

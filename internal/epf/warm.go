@@ -214,16 +214,17 @@ func (w *WarmState) videoPos(id int) int {
 	return int(w.Pos[id])
 }
 
-// exportBound packs the terms of the certified bound (lbTerms at lbDuals) with
-// the inputs they read, or returns nil when no evaluation set the duals. The
-// terms and lbCarriedIn are handed over, not copied: the solver is done with
-// them. A video whose inputs the warm seed matched keeps the carried slice;
-// the rest are packed into one fresh arena.
+// exportBound packs the terms of the certified bound (the bound step's terms
+// at its duals) with the inputs they read, or returns nil when no evaluation
+// set the duals. The terms and carried inputs are handed over, not copied:
+// the solver is done with them. A video whose inputs the warm seed matched
+// keeps the carried slice; the rest are packed into one fresh arena.
 func (s *solver) exportBound() *WarmBound {
-	if s.lbTerms == nil {
+	b := &s.bound
+	if b.terms == nil {
 		return nil
 	}
-	inputs := s.lbCarriedIn
+	inputs := b.carriedIn
 	if inputs == nil {
 		inputs = make([][]uint32, len(s.sol))
 	}
@@ -243,16 +244,16 @@ func (s *solver) exportBound() *WarmBound {
 		}
 	}
 	lift := 1.0
-	if s.lbTarget > 0 && s.lb > s.lbTarget {
-		lift = s.lb / s.lbTarget
+	if b.target > 0 && s.lb > b.target {
+		lift = s.lb / b.target
 	}
 	links, off := s.inst.G.PathCSR()
 	return &WarmBound{
-		Duals: slices.Clone(s.lbDuals),
+		Duals: slices.Clone(b.duals),
 		Alpha: s.inst.Alpha, Beta: s.inst.Beta, UpdateWeight: s.inst.UpdateWeight,
 		Offices: s.n, Links: s.L, Slices: s.T,
 		PathLinks: slices.Clone(links), PathOff: slices.Clone(off),
-		Term:   s.lbTerms,
+		Term:   b.terms,
 		Lift:   lift,
 		Inputs: inputs,
 	}
@@ -292,16 +293,15 @@ func appendFloatBits(dst []uint32, f float64) []uint32 {
 // carriedTerms prepares the warm seed's evaluation at w.RowDuals: when the
 // state's Bound was evaluated at those duals on the same instance-wide
 // inputs, every block whose packed inputs match its carried ones byte for
-// byte gets its carried term in lbBuf and a mark in lbKeep, so the fan-out
-// solves only the others, and its carried inputs in lbCarriedIn for the
-// export. It returns how many terms it carried.
+// byte gets its carried term in lbBuf and a mark in the bound step's keep, so
+// the fan-out solves only the others, and its carried inputs in its carriedIn
+// for the export. It returns how many terms it carried.
 func (s *solver) carriedTerms(w *WarmState) int {
 	b := w.Bound
 	if b == nil || !s.sameBoundInputs(b, w.RowDuals) {
 		return 0
 	}
-	s.lbKeep = make([]bool, len(s.sol))
-	s.lbCarriedIn = make([][]uint32, len(s.sol))
+	s.bound.keep, s.bound.carriedIn = make([]bool, len(s.sol)), make([][]uint32, len(s.sol))
 	var buf []uint32
 	carried := 0
 	for vi := range s.sol {
@@ -314,8 +314,8 @@ func (s *solver) carriedTerms(w *WarmState) int {
 			continue
 		}
 		s.lbBuf[vi] = b.Term[p]
-		s.lbKeep[vi] = true
-		s.lbCarriedIn[vi] = b.Inputs[p]
+		s.bound.keep[vi] = true
+		s.bound.carriedIn[vi] = b.Inputs[p]
 		carried++
 	}
 	return carried
@@ -608,13 +608,13 @@ func (s *solver) seedBlocks(load func(vi int) bool) (loaded, warm int) {
 // seedWarmDescent folds the warm state into the freshly initialized descent:
 // the previous duals are re-evaluated on this instance (a valid Lagrangian
 // bound wherever they came from, so the certificate invariant holds — if the
-// warm bound wins, lbDuals is exactly the vector that achieves it and lbWarm
-// records the win for the bound step's scale search), solving only the blocks
-// whose carried term does not apply (carriedTerms), with the objective-row
-// target at that bound over the carried terms' lift; the
-// previous δ may sharpen the initial penalty scale but never below the seeded
-// point's actual violation. Called from initDescent, after the cold defaults
-// are in place.
+// warm bound wins, the bound step's duals are exactly the vector that
+// achieves it and its warm flag records the win for the scale search),
+// solving only the blocks whose carried term does not apply (carriedTerms),
+// with the objective-row target at that bound over the carried terms' lift;
+// the previous δ may sharpen the initial penalty scale but never below the
+// seeded point's actual violation. Called from initDescent, after the cold
+// defaults are in place.
 func (s *solver) seedWarmDescent() {
 	w := s.opts.Warm
 	if w == nil {
@@ -622,22 +622,22 @@ func (s *solver) seedWarmDescent() {
 	}
 	dualsOK := len(w.RowDuals) == s.rows && finiteNonNegative(w.RowDuals)
 	if dualsOK {
-		s.stats.LBTermsReused = int64(s.carriedTerms(w))
-		lr := s.lagrangianBound(w.RowDuals)
-		s.lbKeep = nil
+		b := &s.bound
+		carried := s.carriedTerms(w)
+		s.stats.LBTermsReused = int64(carried)
+		lr, _ := s.lagrangianEval(w.RowDuals, false)
+		b.keep = nil
 		if lr > s.lb {
-			s.lb, s.lbTarget = lr, lr
-			if s.stats.LBTermsReused > 0 {
-				if l := w.Bound.Lift; l > 1 && !math.IsInf(l, 1) {
-					s.lbTarget = lr / l // the carried terms' lift (WarmBound)
-				}
+			s.lb, b.target = lr, lr
+			if carried > 0 && w.Bound.Lift > 1 && !math.IsInf(w.Bound.Lift, 1) {
+				b.target = lr / w.Bound.Lift // the carried terms' lift (WarmBound)
 			}
-			s.lbWarm, s.lbSeeded = true, true
-			copy(s.lbDuals, w.RowDuals)
-			s.snapshotTerms()
+			b.warm, b.seeded = true, true
+			copy(b.duals, w.RowDuals)
+			b.snapshotTerms()
 		}
-		s.lbScale = 1
-		s.retargetB()
+		b.scale = 1
+		b.retarget()
 	}
 	// The δ hint describes where the previous descent's *guided* trajectory
 	// ended; without the dual guidance (stale vector rejected above) a small

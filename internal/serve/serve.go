@@ -71,7 +71,8 @@ type Server struct {
 	live *mip.Instance
 	// auditor certifies every re-solve, keeping the certificate's block
 	// bounds between attempts so an attempt re-derives only those its
-	// inputs moved. Only the resolver goroutine uses it.
+	// inputs moved. New's audit of the initial placement fills it first;
+	// after that only the resolver goroutine uses it.
 	auditor verify.Auditor
 	// lastSwapped is the done event of the most recent swapped-in solve (the
 	// initial one included) and lastGap its duality gap; lastReject explains
@@ -145,10 +146,11 @@ func New(inst *mip.Instance, cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: initial solve: %w", err)
 	}
-	if rep := verify.Audit(inst, res); !rep.Ok() {
+	var auditor verify.Auditor // the server's, handed over before the resolver starts
+	if rep := auditor.Audit(inst, res); !rep.Ok() {
 		return nil, fmt.Errorf("serve: initial placement failed audit: %w", rep.Err())
 	}
-	return NewWithResult(inst, res, cfg)
+	return newServer(inst, res, cfg, auditor)
 }
 
 // NewWithResult starts the server from an already-solved (and
@@ -159,6 +161,11 @@ func New(inst *mip.Instance, cfg Config) (*Server, error) {
 // initial snapshot aliases): delta re-solves patch inst's demand rows in
 // place, so callers must not retain either for reuse or comparison.
 func NewWithResult(inst *mip.Instance, res *epf.Result, cfg Config) (*Server, error) {
+	return newServer(inst, res, cfg, verify.Auditor{})
+}
+
+// newServer starts the server on res, certifying re-solves through auditor.
+func newServer(inst *mip.Instance, res *epf.Result, cfg Config, auditor verify.Auditor) (*Server, error) {
 	snap, err := buildSnapshot(inst, res.Sol, 1, true)
 	if err != nil {
 		return nil, err
@@ -173,6 +180,7 @@ func NewWithResult(inst *mip.Instance, res *epf.Result, cfg Config) (*Server, er
 		state:     stateFromInstance(inst),
 		warm:      res.Warm,
 		live:      inst,
+		auditor:   auditor,
 		lastGap:   res.Gap,
 		resolveCh: make(chan struct{}, 1),
 		cancel:    cancel,

@@ -267,11 +267,12 @@ func TestMetricsSameWithOrWithoutRecorder(t *testing.T) {
 	}
 }
 
-// The server's auditor keeps its certificate between re-solves. The first
-// one starts empty; a re-solve that exported the carried duals unchanged is
-// certified at the same duals as the last, so only the videos patched since
-// are re-derived; one that moved its duals re-derives everything. The done
-// event and /status say which happened and how many block bounds were reused.
+// The server's auditor keeps its certificate between re-solves, starting
+// with New's audit of the initial placement. A re-solve that exported the
+// carried duals unchanged — the first one included — is certified at the same
+// duals as the last, so only the videos patched since are re-derived; one that
+// moved its duals re-derives everything. The done event and /status say which
+// happened and how many block bounds were reused.
 func TestResolveReusesCertificate(t *testing.T) {
 	const videos = 30
 	s := testServer(t, videos, 6, 21)
@@ -291,9 +292,12 @@ func TestResolveReusesCertificate(t *testing.T) {
 		done := s.lastSwapped
 		s.mu.Unlock()
 		want := 0
-		if round > 1 && done.BoundCarried {
+		if done.BoundCarried {
 			want = videos - 1
 			carried++
+		}
+		if round == 1 && done.CertReused == 0 {
+			t.Errorf("the first swap reused no block bound of New's audit (bound carried %v)", done.BoundCarried)
 		}
 		if done.CertReused != want {
 			t.Errorf("round %d: bound carried %v, %d block bounds reused; want %d", round, done.BoundCarried, done.CertReused, want)
