@@ -925,10 +925,6 @@ func inStats(e ast.Expr) bool {
 			e = x.X
 		case *ast.IndexExpr:
 			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
 		default:
 			return false
 		}
@@ -1029,8 +1025,6 @@ func statsSteering(fset *token.FileSet, fn *ast.FuncDecl) []string {
 				call(c)
 			}
 		case *ast.DeferStmt:
-			call(n.Call)
-		case *ast.GoStmt:
 			call(n.Call)
 		}
 		return true
