@@ -16,9 +16,6 @@ import (
 func (s *solver) initBound() {
 	s.lbFn = func(w, lo, hi int) {
 		ws := &s.scratch[w]
-		if ws.used == nil {
-			ws.used = make([]bool, s.n)
-		}
 		q := s.lbQ
 		for vi := lo; vi < hi; vi++ {
 			if vi%64 == 0 && s.ctx.Err() != nil {

@@ -44,9 +44,6 @@ func (s *solver) initRun() {
 	// by the caller, so the schedule never affects numerics.
 	s.chunkFn = func(w, lo, hi int) {
 		ws := &s.scratch[w]
-		if ws.used == nil {
-			ws.used = make([]bool, s.n)
-		}
 		for c := lo; c < hi; c++ {
 			vi := s.chunk[c]
 			s.buildBlockProblem(vi, s.q, &ws.prob)

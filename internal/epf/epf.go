@@ -198,9 +198,9 @@ type intSol struct {
 }
 
 // workerScratch is one pool worker's reusable state: the facility-location
-// solver and problem buffers (allocated once, reused across every chunk,
-// pass and bound evaluation) plus lock-free stat counters. Slot w is only
-// ever touched by the goroutine running worker w's ranges; the pool's
+// solver and problem buffers (sized once by reserve, reused across every
+// chunk, pass and bound evaluation) plus lock-free stat counters. Slot w is
+// only ever touched by the goroutine running worker w's ranges; the pool's
 // completion barrier orders those writes before the sequential merge.
 type workerScratch struct {
 	fs   facloc.Solver
@@ -210,6 +210,16 @@ type workerScratch struct {
 
 	blocks   int64 // descent-loop block solves
 	lbBlocks int64 // bound-evaluation block solves
+}
+
+// reserve sizes the slot for blocks of up to n offices and k demand offices.
+// Every slot is sized for the instance's largest block when the solver is
+// built, so a solve allocates the same whichever worker claims which range.
+func (ws *workerScratch) reserve(n, k int) {
+	ws.fs.Reserve(n, k)
+	ws.prob = facloc.Problem{Open: make([]float64, 0, n), Assign: make([]float64, 0, n*k), Order: make([]int32, 0, n*k)}
+	ws.fsol = facloc.Solution{Open: make([]int, 0, n), Assign: make([]int, 0, k)}
+	ws.used = make([]bool, n)
 }
 
 // Exponent caps. Both clamp arguments to math.Exp well below the overflow
@@ -468,6 +478,13 @@ func newSolver(inst *mip.Instance, opts Options) (*solver, error) {
 	s.ctx = context.Background()
 	s.pool = par.New(o.Workers)
 	s.scratch = make([]workerScratch, s.pool.Workers())
+	maxK := 0
+	for vi := range inst.Demands {
+		maxK = max(maxK, len(inst.Demands[vi].Js))
+	}
+	for w := range s.scratch {
+		s.scratch[w].reserve(s.n, maxK)
+	}
 	s.lbBuf = make([]float64, len(inst.Demands))
 	s.initBound()
 	s.initReduce()

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"vodplace/internal/epf"
+	"vodplace/internal/topology"
 	"vodplace/internal/workload"
 )
 
@@ -294,5 +296,42 @@ func TestSqrtGeo(t *testing.T) {
 	}
 	if got := sqrtGeo(4, 4); got < 3.99 || got > 4.01 {
 		t.Errorf("sqrtGeo(4,4) = %g, want 4", got)
+	}
+}
+
+// Table III prints the EPF solver's allocation beside deterministic columns,
+// so what a solve allocates must not depend on how the pool schedules its
+// workers. Five identical 800-video Tiscali solves at two workers, each on a
+// freshly built instance as Table3Compute builds them, after one that warms
+// the process up, allocate within runtimeSlack of each other: every
+// allocation site of the solver itself repeats to the byte, and the slack is
+// the Go runtime's own bookkeeping, which does not (a goroutine descriptor,
+// 448 B, when no exited one is free to reuse; about 5 KB for a new OS
+// thread). With per-worker scratch grown lazily by whichever worker met the
+// larger block first, the same solves spread by 15 to 190 KB.
+func TestEPFAllocationIsScheduleFree(t *testing.T) {
+	const runtimeSlack = 16 << 10
+	g := topology.Tiscali()
+	var lo, hi float64
+	for run := 0; run < 6; run++ {
+		inst, err := buildScaleInstance(g, 800, 0.2*float64(g.NumNodes()), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, allocMB := measure(func() {
+			if _, err := epf.SolveIntegerContext(context.Background(), inst, epf.Options{Seed: 1, MaxPasses: 1, Workers: 2}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		switch run {
+		case 0: // warm-up
+		case 1:
+			lo, hi = allocMB, allocMB
+		default:
+			lo, hi = min(lo, allocMB), max(hi, allocMB)
+		}
+	}
+	if spread := (hi - lo) * (1 << 20); spread > runtimeSlack {
+		t.Errorf("identical solves allocated %.4f to %.4f MB, a spread of %.0f B over the runtime's %d", lo, hi, spread, runtimeSlack)
 	}
 }

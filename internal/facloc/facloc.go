@@ -189,6 +189,35 @@ type Solver struct {
 	unblocked      []int
 }
 
+// Reserve sizes every scratch buffer for problems of up to n facilities and
+// k demands, so that no later solve or bound on such a problem allocates.
+// Without it the buffers grow to the largest problem seen, which is what a
+// caller that hands problems to several Solvers in an order it does not fix
+// wants to avoid: which Solver grows then depends on who got which problem.
+func (s *Solver) Reserve(n, k int) {
+	s.alt0, s.best1, s.best2 = sized(s.alt0, k), sized(s.best1, k), sized(s.best2, k)
+	s.bestI, s.bestI2 = sized(s.bestI, k), sized(s.bestI2, k)
+	s.colT = sized(s.colT, n*k)
+	s.open, s.gainBuf, s.openScratch = sized(s.open, n), sized(s.gainBuf, n), sized(s.openScratch, n)
+	s.openList = sized(s.openList, n)[:0]
+	s.v, s.wave, s.end = sized(s.v, k), sized(s.wave, k), sized(s.end, k)
+	s.rowOrder, s.slack, s.sorted = sized(s.rowOrder, k), sized(s.slack, n), sized(s.sorted, k*n)
+	s.adjV, s.adjEnd, s.adjSlack = sized(s.adjV, k), sized(s.adjEnd, k), sized(s.adjSlack, n)
+	s.freed = sized(s.freed, n)
+	s.unblocked = sized(s.unblocked, k)[:0]
+	s.growIota(n)
+}
+
+// growIota makes iota hold 0..n−1 at least.
+func (s *Solver) growIota(n int) {
+	if len(s.iota) < n {
+		s.iota = make([]int32, n)
+		for i := range s.iota {
+			s.iota[i] = int32(i)
+		}
+	}
+}
+
 // reserve sizes the scratch for p (n facilities, k demands), clears the open
 // set and loads p's columns into colT.
 func (s *Solver) reserve(p *Problem, n, k int) {
@@ -699,12 +728,7 @@ func (s *Solver) DualAscent(p *Problem) (float64, []float64) {
 	}
 	s.v, s.wave, s.end = sized(s.v, kk), sized(s.wave, kk), sized(s.end, kk)
 	s.rowOrder, s.slack, s.sorted = sized(s.rowOrder, kk), sized(s.slack, n), sized(s.sorted, kk*n)
-	if len(s.iota) < n {
-		s.iota = make([]int32, n)
-		for i := range s.iota {
-			s.iota[i] = int32(i)
-		}
-	}
+	s.growIota(n)
 
 	copy(s.slack, p.Open)
 	for k := 0; k < kk; k++ {
