@@ -89,13 +89,18 @@ bench-pairs:
 # repeat counts) and one untraced run (objective_gb, which a traced run does
 # not print) in PARENT and in this checkout, kept in counts.<side>.<workload>.out
 # here; then a parent | change table of the counts that say the solver did the
-# same work and served the same placement. Exits 1 if any differs, except
-# epf.lb_block_solves — the bound side's work, the one count a change to the
-# bound step is allowed to move.
+# same work and served the same placement: every metric bench/spec.go marks
+# exact, and objective_gb (TestBenchCountsCoverExactMetrics keeps the list
+# whole). Exits 1 if any differs, except epf.lb_block_solves — the bound
+# side's work, the one count a change to the bound step is allowed to move.
 #   make bench-counts PARENT=/root/scratch/parent [WORKLOAD=mixed-wide] [UPDATE_SEED=2]
-COUNTS := epf.passes epf.blocks_optimized epf.line_searches epf.round_resolves \
-	epf.lb_block_solves epf.converged_ratio epf.replay_mismatch \
-	serve.audit_rejected serve.unconverged objective_gb
+COUNTS := workload.requests mip.videos mip.nnz mip.patch_calls \
+	epf.cold_passes epf.passes epf.blocks_optimized epf.lb_block_solves \
+	epf.line_searches epf.round_resolves epf.warm_hit_ratio epf.warm_video_frac \
+	epf.gap_pct epf.converged_ratio epf.replay_mismatch \
+	serve.resolves_started serve.resolves_swapped serve.swap_ratio \
+	serve.audit_rejected serve.unconverged serve.resolve_passes \
+	serve.dirty_fraction serve.route_errors objective_gb
 bench-counts:
 	@[ -f "$(PARENT)/bench/run.sh" ] || { echo "bench-counts: PARENT=<checkout of the parent commit>"; exit 2; }
 	@change=$$PWD; files=; for w in $(or $(WORKLOAD),$(WORKLOADS)); do \

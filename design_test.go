@@ -1031,3 +1031,63 @@ func statsSteering(fset *token.FileSet, fn *ast.FuncDecl) []string {
 	})
 	return sites
 }
+
+// `make bench-counts` is the mechanical "same bits" check, so its COUNTS list
+// must hold every metric the benchmark's spec marks exact (bench/spec.go's
+// metricSpec literals with exact: true): a count left out is a count the
+// check cannot show moved. The spec is parsed, never edited.
+func TestBenchCountsCoverExactMetrics(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), filepath.Join("bench", "spec.go"), nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var exact []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		lit, ok := n.(*ast.CompositeLit)
+		if !ok {
+			return true
+		}
+		var name string
+		isExact := false
+		for _, e := range lit.Elts {
+			kv, ok := e.(*ast.KeyValueExpr)
+			if !ok {
+				continue
+			}
+			switch key, _ := kv.Key.(*ast.Ident); {
+			case key == nil:
+			case key.Name == "name":
+				if b, ok := kv.Value.(*ast.BasicLit); ok {
+					name, _ = strconv.Unquote(b.Value)
+				}
+			case key.Name == "exact":
+				v, ok := kv.Value.(*ast.Ident)
+				isExact = ok && v.Name == "true"
+			}
+		}
+		if isExact && name != "" {
+			exact = append(exact, name)
+		}
+		return true
+	})
+	if len(exact) == 0 {
+		t.Fatal("bench/spec.go marks no metric exact; the parse found nothing to check")
+	}
+	mk, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`(?m)^COUNTS :=((?:.*\\\n)*.*)$`).FindSubmatch(mk)
+	if m == nil {
+		t.Fatal("Makefile has no COUNTS := list")
+	}
+	counts := map[string]bool{}
+	for _, c := range strings.Fields(strings.ReplaceAll(string(m[1]), "\\", " ")) {
+		counts[c] = true
+	}
+	for _, name := range exact {
+		if !counts[name] {
+			t.Errorf("bench/spec.go marks %s exact, but make bench-counts does not compare it (Makefile COUNTS)", name)
+		}
+	}
+}
