@@ -126,8 +126,10 @@ func TestStandingBoundPolishedOnceBeforeIncumbent(t *testing.T) {
 // none), two more per scale search, six per polish round and one certify
 // evaluation per stall (every third bound step) that held an incumbent and did
 // not certify it — at every worker count, and each fixture must have cadence
-// passes the rule skipped.
+// passes the rule skipped. The rounding ledger's polish passes are pinned too.
 func TestCarriedBoundSkipsScaleSearch(t *testing.T) {
+	// Every resume is refused; each attempt's polish passes are pinned.
+	roundPasses := []struct{ Resume, Scratch int }{{2, 2}, {2, 4}, {2, 6}}
 	for i, tc := range standingBound {
 		name, inst, opts, _ := standingBoundPair(t, i)
 		for _, workers := range []int{1, 2, 3, 4} {
@@ -165,6 +167,10 @@ func TestCarriedBoundSkipsScaleSearch(t *testing.T) {
 					name, workers, st.Bound[epf.BoundSearch].Steps, st.Bound[epf.BoundCertify].Evals, st.LBEvals, searched, certify, want, skipped)
 			}
 			checkLedger(t, name, st, 1)
+			if r := st.RoundPasses; r != roundPasses[i] || st.RoundMode() != "rejected" || st.RoundResolves != int64((r.Resume+r.Scratch)*inst.NumVideos()) {
+				t.Errorf("%s workers=%d: %s rounding ran %+v passes, %d block solves; want a rejected one of %+v, a visit of each of %d videos per pass",
+					name, workers, st.RoundMode(), r, st.RoundResolves, roundPasses[i], inst.NumVideos())
+			}
 		}
 	}
 }
@@ -350,7 +356,9 @@ func TestWarmConvergenceSweep(t *testing.T) {
 // is the certified one and the objective is the rounding of the certifying
 // pass's incumbent. The bound ledger's scale searches, certify evaluations,
 // polish rounds and raises, and its total raises, are the counters the
-// commit before the ledger recorded.
+// commit before the ledger recorded. The rounding's polish passes (no resume
+// on a cold solve) are the ones the stop rule leaves, each a visit of every
+// video.
 func TestColdSolveMatchesRecordedParent(t *testing.T) {
 	for _, tc := range []struct {
 		seed                           int64
@@ -359,10 +367,11 @@ func TestColdSolveMatchesRecordedParent(t *testing.T) {
 		polishes, polishRaised, raised int64
 		lb, obj                        float64
 		prefix                         uint64
+		roundPasses                    int
 	}{
-		{1, 76, 31, 19, 3, 5, 7, 4422.429882494837, 4521.347794740112, 0xf0dfd29e8f15e4c0},
-		{2, 80, 32, 19, 3, 5, 11, 4513.013716991614, 4597.110772581575, 0x4bc533b0d5aca038},
-		{3, 49, 22, 11, 5, 9, 17, 5018.695766230619, 5120.274528375847, 0x289e98f573750611},
+		{1, 76, 31, 19, 3, 5, 7, 4422.429882494837, 4521.347794740112, 0xf0dfd29e8f15e4c0, 5},
+		{2, 80, 32, 19, 3, 5, 11, 4513.013716991614, 4597.110772581575, 0x4bc533b0d5aca038, 5},
+		{3, 49, 22, 11, 5, 9, 17, 5018.695766230619, 5120.274528375847, 0x289e98f573750611, 4},
 	} {
 		inst, err := verify.RandomInstance(tc.seed, boundShape)
 		if err != nil {
@@ -387,6 +396,11 @@ func TestColdSolveMatchesRecordedParent(t *testing.T) {
 				tc.seed, st.Bound, tc.searches, tc.certify, 6*tc.polishes, tc.raised)
 		}
 		checkLedger(t, fmt.Sprintf("seed %d", tc.seed), st, 0)
+		if st.RoundPasses.Resume != 0 || st.RoundPasses.Scratch != tc.roundPasses ||
+			st.RoundResolves != int64(tc.roundPasses*boundShape.Videos) {
+			t.Errorf("seed %d: rounding ran %+v passes, %d block solves; recorded %d from scratch, a visit of each of %d videos per pass",
+				tc.seed, st.RoundPasses, st.RoundResolves, tc.roundPasses, boundShape.Videos)
+		}
 		if h := trajectoryHash(infos, len(infos)-1); h != tc.prefix {
 			t.Errorf("seed %d: trajectory up to the certifying pass hashes to %#x; the commit before the tier's to %#x", tc.seed, h, tc.prefix)
 		}

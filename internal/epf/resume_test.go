@@ -82,13 +82,19 @@ func patchedPair(t testing.TB, seed int64, shape verify.InstanceOpts, opts epf.O
 // is 17 → 1.
 //
 // Per fixture the resumed solve takes no more passes than the open-set seed,
-// except on seeds 2 and 4 with a quarter of the catalog patched (5 and 6
-// passes against 4; both recorded in openSetWins). There both solves hold an
-// incumbent from pass 1 on a carried bound that stands throughout, so each
-// stops when its own descent comes within ε of that bound, and the open-set
-// descent gets there first. The per-fixture inequality held on them only
-// while a probe polish on pass 3 raised the stale bound under both solves
-// alike, so that both stopped there; carriedBoundHolds now skips that probe.
+// except on seeds 2, 3 and 4 with a quarter of the catalog patched (5, 8 and
+// 6 passes against 4, 7 and 4; recorded in openSetWins). On seeds 2 and 4
+// both solves hold an incumbent from pass 1 on a carried bound that stands
+// throughout, so each stops when its own descent comes within ε of that
+// bound, and the open-set descent gets there first. The per-fixture
+// inequality held on them only while a probe polish on pass 3 raised the
+// stale bound under both solves alike, so that both stopped there;
+// carriedBoundHolds now skips that probe. On seed 3 the cold solve of the
+// unpatched instance rounds to another point since the polish stops after two
+// passes without gain (objective 5 324.97 → 5 343.60; the skipped passes
+// would have improved it), so the open-set seed starts from other open sets
+// and converges in 7 passes instead of 8; the resumed solve, seeded from the
+// unchanged LP point, still takes 8.
 func TestResumeEconomy(t *testing.T) {
 	const (
 		videos = 120
@@ -98,7 +104,7 @@ func TestResumeEconomy(t *testing.T) {
 		seed    int64
 		patched int
 	}
-	openSetWins := map[fixture][2]int{{2, videos / 4}: {5, 4}, {4, videos / 4}: {6, 4}}
+	openSetWins := map[fixture][2]int{{2, videos / 4}: {5, 4}, {3, videos / 4}: {8, 7}, {4, videos / 4}: {6, 4}}
 	shape := verify.InstanceOpts{Nodes: 8, Videos: videos, Slices: 2}
 	var resumedPasses, openSetPasses int
 	for seed := int64(1); seed <= 8; seed++ {

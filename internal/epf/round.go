@@ -41,9 +41,6 @@ func (s *solver) refreshRoundDuals() {
 func (s *solver) roundSolve(ws *workerScratch, vi int) *intSol {
 	s.refreshDiskDuals(s.q)
 	s.stats.RoundResolves++
-	if ws.used == nil {
-		ws.used = make([]bool, s.n)
-	}
 	s.buildBlockProblem(vi, s.q, &ws.prob)
 	ws.fs.SolveWarmInto(&ws.prob, &ws.fsol, s.roundWarm(vi))
 	toIntSolInto(&ws.fsol, &s.inst.Demands[vi], ws.used, &s.roundSol)
@@ -81,7 +78,7 @@ func (s *solver) round(lp *WarmLP) {
 		s.stats.RoundResumed = 1
 		s.roundRef = s.opts.Warm.RoundRef
 	} else {
-		s.polishFrom(s.thresholdBlock(lp), s.rng, polishPasses)
+		_, s.stats.RoundPasses.Scratch = s.polishFrom(s.thresholdBlock(lp), s.rng, polishPasses)
 		s.roundRef = finiteOrZero(s.scratchBest / s.lb)
 		if carried == 0 {
 			s.stats.RoundRatio = s.roundRef
@@ -107,8 +104,9 @@ func finiteOrZero(x float64) float64 {
 
 // polishFrom is one rounding attempt: every block is seeded by load, or down
 // the warm ladder where load declines the video (seedBlocks), the seeded point
-// is scored before any visit and then polished for the given passes in the
-// visiting order drawn from rng. It returns how many blocks load took.
+// is scored before any visit and then polished for at most the given passes
+// in the visiting order drawn from rng. It returns how many blocks load took
+// and how many passes the polish ran.
 //
 // The integer phase retargets the potential first (retuneScale). The LP phase
 // left B = LB and α tuned so the objective row competes with the capacity
@@ -122,19 +120,18 @@ func finiteOrZero(x float64) float64 {
 // that took no block is not an attempt (a carried placement none of whose
 // videos this instance can use; the LP point always takes every block): the
 // ladder's lower rungs are left for the next seed to overwrite.
-func (s *solver) polishFrom(load func(vi int) bool, rng *rand.Rand, passes int) int {
+func (s *solver) polishFrom(load func(vi int) bool, rng *rand.Rand, passes int) (loaded, ran int) {
 	if s.ctx.Err() != nil {
-		return 0
+		return 0, 0
 	}
-	loaded, _ := s.seedBlocks(load)
+	loaded, _ = s.seedBlocks(load)
 	if loaded == 0 {
-		return 0
+		return 0, 0
 	}
 	s.recomputeState()
 	s.retuneScale()
 	s.considerIntegerIncumbent()
-	s.polishInteger(rng, passes)
-	return loaded
+	return loaded, s.polishInteger(rng, passes)
 }
 
 // thresholdBlock is the from-scratch seed's loader: block vi becomes the
@@ -172,7 +169,7 @@ func (s *solver) resumePlacement() (carried int, resumed bool) {
 		return 0, false
 	}
 	s.resuming = true
-	carried = s.polishFrom(s.placeBlock, rand.New(rand.NewSource(^s.opts.Seed)), resumePasses)
+	carried, s.stats.RoundPasses.Resume = s.polishFrom(s.placeBlock, rand.New(rand.NewSource(^s.opts.Seed)), resumePasses)
 	s.resuming = false
 	s.stats.RoundCarried = carried
 	if carried == 0 {
@@ -191,18 +188,29 @@ func (s *solver) resumePlacement() (carried int, resumed bool) {
 // badly once later videos have landed (e.g. stacked on an office the duals
 // later discover is overfull); this is the integer analogue of a gradient
 // pass and costs about the same per pass. The visiting order of each pass
-// is drawn from rng.
-func (s *solver) polishInteger(rng *rand.Rand, passes int) {
+// is drawn from rng. It returns how many passes it started.
+//
+// The polish ends early when a potential pass changes no block, or when two
+// passes in a row, one under each criterion, leave the attempt's own best
+// score where it was (the seed's score counts as the pass before the first):
+// only the best visited point is kept, so what the later passes cost is
+// spent on a point that has stopped moving. The own best is scratchBest from
+// scratch and, while resuming, roundBest, which then holds R's points alone;
+// never the shared incumbent, so a refused R does not shorten the
+// from-scratch attempt.
+func (s *solver) polishInteger(rng *rand.Rand, passes int) (ran int) {
 	ws := &s.scratch[0]
 	order := s.polishOrder[:0]
 	for vi := range s.sol {
 		order = append(order, vi)
 	}
 	s.polishOrder = order
+	best, dry := s.attemptBest(), 0
 	for pass := 0; pass < passes; pass++ {
 		if s.ctx.Err() != nil {
-			return
+			return ran
 		}
+		ran++
 		// Alternate the acceptance criterion: Lagrangian merit is
 		// objective-aggressive (it will buy cost savings at priced
 		// violations), the restricted potential is feasibility-conservative.
@@ -213,7 +221,7 @@ func (s *solver) polishInteger(rng *rand.Rand, passes int) {
 		changed := 0
 		for lo := 0; lo < len(order); lo += roundChunk {
 			if s.ctx.Err() != nil {
-				return
+				return ran
 			}
 			hi := min(lo+roundChunk, len(order))
 			s.refreshRoundDuals()
@@ -253,7 +261,21 @@ func (s *solver) polishInteger(rng *rand.Rand, passes int) {
 		if changed == 0 && !useMerit {
 			break
 		}
+		if b := s.attemptBest(); b < best {
+			best, dry = b, 0
+		} else if dry++; dry == 2 {
+			break
+		}
 	}
+	return ran
+}
+
+// attemptBest is the best score the running rounding attempt has visited.
+func (s *solver) attemptBest() float64 {
+	if s.resuming {
+		return s.roundBest
+	}
+	return s.scratchBest
 }
 
 // roundWarm returns the facility-location warm start for video vi in the

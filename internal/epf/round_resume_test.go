@@ -63,8 +63,9 @@ var (
 
 // A warm state without an integer placement — hand-assembled, or exported by
 // Solve — rounds from scratch without trying a resume. Objective, open sets,
-// passes and RoundResolves were recorded with roundIdentityCases' (CHANGES.md
-// lists the values they replaced); they must not move.
+// passes and RoundResolves were recorded with roundIdentityCases', the
+// resolves again when the polish's stop rule halved them on the same points
+// (CHANGES.md lists the values they replaced); they must not move.
 func TestWarmWithoutPlacementMatchesRecordedParent(t *testing.T) {
 	for _, tc := range []struct {
 		c        *warmCase
@@ -73,8 +74,8 @@ func TestWarmWithoutPlacementMatchesRecordedParent(t *testing.T) {
 		resolves int64
 		passes   int
 	}{
-		{&smallDelta, 52.997070227179094, 0xf9df5f7ea9139ee5, 1200, 1},
-		{&wideDelta, 95.73281730918316, 0x8ef9ea739c9fc131, 900, 13},
+		{&smallDelta, 52.997070227179094, 0xf9df5f7ea9139ee5, 600, 1},
+		{&wideDelta, 95.73281730918316, 0x8ef9ea739c9fc131, 450, 13},
 	} {
 		o := tc.c.opts
 		o.Warm = withoutPlacement(tc.c.solveCold(t).Warm)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"vodplace/internal/mip"
@@ -195,7 +196,8 @@ func TestResultStatsPopulated(t *testing.T) {
 	if st.RoundTime <= 0 {
 		t.Errorf("RoundTime = %v, want > 0", st.RoundTime)
 	}
-	if st.String() == "" {
-		t.Error("Stats.String() empty")
+	want := fmt.Sprintf("rounding block solves: %d (scratch %d of %d passes)\n", st.RoundResolves, st.RoundPasses.Scratch, polishPasses)
+	if st.RoundPasses.Scratch == 0 || !strings.Contains(st.String(), want) {
+		t.Errorf("Stats.String() lacks %q:\n%s", want, st)
 	}
 }

@@ -70,6 +70,13 @@ type Stats struct {
 	// a polish pass re-prices disk and solves the video's block at the live
 	// duals.
 	RoundResolves int64
+	// RoundPasses counts the polish passes each rounding attempt ran: the
+	// resume of the carried placement (at most resumePasses, 0 when none was
+	// tried) and the from-scratch attempt (at most polishPasses, 0 when the
+	// resume was accepted). An attempt stops short of its cap once a
+	// potential pass changes nothing or two passes in a row leave its best
+	// score where it was.
+	RoundPasses struct{ Resume, Scratch int }
 	// RoundCarried counts the videos whose block the rounding phase loaded
 	// from the integer placement carried by the warm state (WarmState.Assign)
 	// before polishing it; the rest of the catalog was re-seeded from its open
@@ -167,7 +174,11 @@ func (st Stats) String() string {
 		fmt.Fprintf(&b, "resumed videos: %d\n", st.ResumedVideos)
 	}
 	if st.RoundResolves > 0 {
-		fmt.Fprintf(&b, "rounding block solves: %d\n", st.RoundResolves)
+		fmt.Fprintf(&b, "rounding block solves: %d (", st.RoundResolves)
+		if st.RoundCarried > 0 {
+			fmt.Fprintf(&b, "resume %d of %d, ", st.RoundPasses.Resume, resumePasses)
+		}
+		fmt.Fprintf(&b, "scratch %d of %d passes)\n", st.RoundPasses.Scratch, polishPasses)
 	}
 	if st.RoundCarried > 0 {
 		fmt.Fprintf(&b, "rounding %s: %d videos carried, ratio %.4f, reference %.4f\n",
