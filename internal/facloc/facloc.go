@@ -191,9 +191,9 @@ type Solver struct {
 
 // Reserve sizes every scratch buffer for problems of up to n facilities and
 // k demands, so that no later solve or bound on such a problem allocates.
-// Without it the buffers grow to the largest problem seen, which is what a
-// caller that hands problems to several Solvers in an order it does not fix
-// wants to avoid: which Solver grows then depends on who got which problem.
+// Otherwise the buffers grow to the largest problem the Solver has seen; a
+// caller that deals problems to several Solvers in an order it does not fix
+// reserves up front, so that what they allocate does not depend on the deal.
 func (s *Solver) Reserve(n, k int) {
 	s.alt0, s.best1, s.best2 = sized(s.alt0, k), sized(s.best1, k), sized(s.best2, k)
 	s.bestI, s.bestI2 = sized(s.bestI, k), sized(s.bestI2, k)
