@@ -1050,11 +1050,12 @@ func TestBenchCountsCoverExactMetrics(t *testing.T) {
 		var name string
 		isExact := false
 		for _, e := range lit.Elts {
-			kv, ok := e.(*ast.KeyValueExpr)
-			if !ok {
+			kv, _ := e.(*ast.KeyValueExpr)
+			if kv == nil {
 				continue
 			}
-			switch key, _ := kv.Key.(*ast.Ident); {
+			key, _ := kv.Key.(*ast.Ident)
+			switch {
 			case key == nil:
 			case key.Name == "name":
 				if b, ok := kv.Value.(*ast.BasicLit); ok {

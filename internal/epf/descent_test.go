@@ -126,7 +126,7 @@ func TestStandingBoundPolishedOnceBeforeIncumbent(t *testing.T) {
 // none), two more per scale search, six per polish round and one certify
 // evaluation per stall (every third bound step) that held an incumbent and did
 // not certify it — at every worker count, and each fixture must have cadence
-// passes the rule skipped. The rounding ledger's polish passes are pinned too.
+// passes the rule skipped.
 func TestCarriedBoundSkipsScaleSearch(t *testing.T) {
 	// Every resume is refused; each attempt's polish passes are pinned.
 	roundPasses := []struct{ Resume, Scratch int }{{2, 2}, {2, 4}, {2, 6}}

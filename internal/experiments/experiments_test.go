@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -312,7 +313,7 @@ func TestSqrtGeo(t *testing.T) {
 func TestEPFAllocationIsScheduleFree(t *testing.T) {
 	const runtimeSlack = 16 << 10
 	g := topology.Tiscali()
-	var lo, hi float64
+	lo, hi := math.Inf(1), 0.0
 	for run := 0; run < 6; run++ {
 		inst, err := buildScaleInstance(g, 800, 0.2*float64(g.NumNodes()), 1)
 		if err != nil {
@@ -323,11 +324,7 @@ func TestEPFAllocationIsScheduleFree(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		switch run {
-		case 0: // warm-up
-		case 1:
-			lo, hi = allocMB, allocMB
-		default:
+		if run > 0 { // run 0 warms the process up
 			lo, hi = min(lo, allocMB), max(hi, allocMB)
 		}
 	}
