@@ -122,10 +122,10 @@ func (s *solver) initDescent() {
 
 // run executes Algorithm 1's main loop and leaves the solver on the
 // fractional point it ends with — the ε-feasible incumbent when there is one,
-// else the current point — reporting the passes performed and whether the
-// termination criterion was met. ctx is observed at chunk boundaries: on
-// cancellation the loop stops before the next fan-out and the current point
-// is kept as-is.
+// else the current point — reporting the passes performed (0 when the seeded
+// point already certifies) and whether the termination criterion was met.
+// ctx is observed at chunk boundaries: on cancellation the loop stops before
+// the next fan-out and the current point is kept as-is.
 func (s *solver) run(ctx context.Context) (passes int, converged bool) {
 	s.ctx = ctx
 	lpStart := time.Now()
@@ -133,6 +133,42 @@ func (s *solver) run(ctx context.Context) (passes int, converged bool) {
 	o := s.opts
 	s.initDescent()
 
+	if !s.seedCertifies() {
+		passes = s.descend()
+	}
+
+	converged = s.done(o.Epsilon)
+	s.lpDelta = s.delta // the δ the descent ended at, before rounding retunes
+	// Prefer the incumbent; fall back to the current point.
+	if s.haveUB {
+		s.restoreBest()
+		s.recomputeState()
+	}
+	s.stats.LPTime = time.Since(lpStart)
+	s.opts.Recorder.RecordSpan(s.opts.TraceStream, "descent", s.stats.LPTime)
+	return passes, converged
+}
+
+// seedCertifies is pass 0: step 12 and done on the seeded point, before any
+// block is walked. A point that is ε-feasible and already within (1+ε) of
+// the bound initDescent derived becomes the incumbent and the solve ends with
+// no pass run; any other point records nothing, so the descent that follows
+// runs exactly as it would without this test.
+func (s *solver) seedCertifies() bool {
+	dc, _ := s.maxCouplingViol()
+	eps := s.opts.Epsilon
+	if dc > eps || !s.withinGap(s.obj, eps) {
+		return false
+	}
+	s.incumbent(dc)
+	return true
+}
+
+// descend runs the pass loop until the termination criterion holds, the
+// certify tier certifies, the pass budget runs out or ctx is cancelled, and
+// returns the passes performed.
+func (s *solver) descend() int {
+	o := &s.opts
 	pass := 0
 	for pass = 1; pass <= o.MaxPasses; pass++ {
 		if !s.descentPass() {
@@ -145,13 +181,8 @@ func (s *solver) run(ctx context.Context) (passes int, converged bool) {
 			s.recomputeState()
 		}
 
-		// Incumbent update (step 12).
 		dc, _ := s.maxCouplingViol()
-		if dc <= o.Epsilon && s.obj < s.ub {
-			s.ub = s.obj
-			s.snapshotBest()
-			s.haveUB = true
-		}
+		s.incumbent(dc)
 		if s.done(o.Epsilon) {
 			s.endPass(pass)
 			break
@@ -166,18 +197,18 @@ func (s *solver) run(ctx context.Context) (passes int, converged bool) {
 			break
 		}
 	}
-	pass = min(pass, o.MaxPasses)
+	return min(pass, o.MaxPasses)
+}
 
-	converged = s.done(o.Epsilon)
-	s.lpDelta = s.delta // the δ the descent ended at, before rounding retunes
-	// Prefer the incumbent; fall back to the current point.
-	if s.haveUB {
-		s.restoreBest()
-		s.recomputeState()
+// incumbent is the incumbent update (step 12): an ε-feasible point (dc is its
+// largest coupling violation) that beats the incumbent is snapshotted as the
+// new one.
+func (s *solver) incumbent(dc float64) {
+	if dc <= s.opts.Epsilon && s.obj < s.ub {
+		s.ub = s.obj
+		s.snapshotBest()
+		s.haveUB = true
 	}
-	s.stats.LPTime = time.Since(lpStart)
-	s.opts.Recorder.RecordSpan(s.opts.TraceStream, "descent", s.stats.LPTime)
-	return pass, converged
 }
 
 // endPass is the per-pass epilogue: every pass the loop completes, the one
@@ -294,13 +325,17 @@ func (s *solver) finishTrace(res *Result) {
 	rec.Flush() //nolint:errcheck // sink errors surface from the caller's Close
 }
 
-// done reports the Algorithm 1 termination criterion. A tiny absolute slack
-// keeps instances with OPT = 0 (no capacity pressure, β = 0) terminating.
+// done reports the Algorithm 1 termination criterion: an incumbent within
+// (1+ε) of the bound.
 func (s *solver) done(eps float64) bool {
-	if !s.haveUB {
-		return false
-	}
-	return s.ub <= (1+eps)*s.lb+1e-9
+	return s.haveUB && s.withinGap(s.ub, eps)
+}
+
+// withinGap reports whether objective value v is within (1+ε) of the bound.
+// A tiny absolute slack keeps instances with OPT = 0 (no capacity pressure,
+// β = 0) terminating.
+func (s *solver) withinGap(v, eps float64) bool {
+	return v <= (1+eps)*s.lb+1e-9
 }
 
 // buildResult reports the solver's final state, once per solve, from the

@@ -523,6 +523,78 @@ func TestCertifyTierWorkerInvariance(t *testing.T) {
 	}
 }
 
+// A re-solve whose seeded point already certifies ends at pass 0. The
+// 200-video deployment of the command-line tools at seed 2 and ε = 5 % solves
+// cold in 22 passes; a re-solve of the same instance from its Result.Warm
+// starts on the exported incumbent, ε-feasible and within 1+ε of the bound the
+// carried duals re-derive, so it returns converged with no pass run and no
+// block solved, passes the audit, and its rounding resumes the carried
+// placement: the rounded objective and open sets are those the commit before
+// pass 0 reached after one pass. A seed that fails either half of the test
+// records nothing at pass 0 and keeps that commit's passes, objective and
+// trajectory: the cold solve's; the same seed with every office's disk cut by
+// 10 %, more than ε over capacity; and the same seed without the carried
+// duals, ε-feasible but far above the no-network bound it is left with. Each
+// holds bit for bit at Workers 1, 2 and 3.
+func TestSeedCertifiedWorkerInvariance(t *testing.T) {
+	dep := core.Deployment{Videos: 200, VHOs: 20, Slices: 2, RPD: 4, Disk: 2, Link: 1000, Window: 3600, Seed: 2}
+	const obj, openSets = 2166.1000000000013, 0x1fbc51df1417956b
+	inst, err := dep.Instance()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tight, err := dep.Instance()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range tight.DiskGB {
+		tight.DiskGB[i] *= 0.9
+	}
+	var infos []epf.PassInfo
+	opts := epf.Options{Seed: dep.Seed, MaxPasses: 300, Epsilon: 0.05,
+		OnPass: func(p epf.PassInfo) { infos = append(infos, p) }}
+	// uncertified solves inst under warm and checks the recorded passes,
+	// objective and trajectory.
+	uncertified := func(name string, inst *mip.Instance, warm *epf.WarmState, passes int, obj float64, trajectory uint64) *epf.Result {
+		t.Helper()
+		opts.Warm, infos = warm, nil
+		res, err := epf.SolveInteger(inst, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Passes != passes || len(infos) != passes || res.Objective != obj || trajectoryHash(infos, passes-1) != trajectory {
+			t.Fatalf("workers=%d: %s: %d passes, objective %#v; recorded %d passes, %#v and trajectory %#x",
+				opts.Workers, name, res.Passes, res.Objective, passes, obj, trajectory)
+		}
+		return res
+	}
+	for _, workers := range []int{1, 2, 3} {
+		opts.Workers = workers
+		cold := uncertified("cold solve", inst, nil, 22, obj, 0x982c14b0cffcf8d1)
+		uncertified("re-solve over capacity", tight, cold.Warm, 19, 2541.899999999999, 0xb7dcedde7582a7cb)
+		noDuals := *cold.Warm
+		noDuals.RowDuals = nil
+		uncertified("re-solve without duals", inst, &noDuals, 26, obj, 0xca09b566365c2cf9)
+
+		opts.Warm, infos = cold.Warm, nil
+		warm, err := epf.SolveInteger(inst, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warm.Passes != 0 || !warm.Converged || warm.Stats.BlocksOptimized != 0 || len(infos) != 0 {
+			t.Errorf("workers=%d: re-solve of the unchanged instance: %d passes, converged %v, %d blocks optimized, %d OnPass calls; want 0, true, 0, 0",
+				workers, warm.Passes, warm.Converged, warm.Stats.BlocksOptimized, len(infos))
+		}
+		if h := epf.OpenSetHash(warm.Sol); warm.Objective != obj || h != openSets || warm.Stats.RoundResumed != 1 {
+			t.Errorf("workers=%d: rounded objective %#v, open sets %#x, resumed %d; the 1-pass re-solve's %#v, %#x, 1",
+				workers, warm.Objective, h, warm.Stats.RoundResumed, obj, uint64(openSets))
+		}
+		if rep := verify.Audit(inst, warm); !rep.Ok() {
+			t.Errorf("workers=%d: the pass-0 result fails the audit: %v", workers, rep.Err())
+		}
+	}
+}
+
 // Options.OnPass sees every pass, the one that meets the termination
 // criterion included.
 func TestOnPassSeesTheConvergedPass(t *testing.T) {

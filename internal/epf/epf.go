@@ -104,7 +104,8 @@ type Options struct {
 	// instance and the usual certificates hold.
 	Warm *WarmState
 	// OnPass, when non-nil, is invoked after every pass with progress
-	// information (used by the CLI tools for -v output).
+	// information (used by the CLI tools for -v output). A solve whose
+	// seeded point already certifies runs no pass and never calls it.
 	OnPass func(PassInfo)
 	// Recorder, when non-nil, receives per-pass telemetry events and phase
 	// spans (see internal/obs). A nil recorder is the
@@ -175,7 +176,10 @@ type Result struct {
 	RowDuals []float64
 	// Violation summarizes Sol's constraint violations.
 	Violation mip.Violation
-	// Passes is the number of gradient-descent passes performed.
+	// Passes is the number of gradient-descent passes performed: 0 when the
+	// seeded point was already ε-feasible and within (1+ε) of the bound, so
+	// the solve converged at pass 0 (a warm re-solve whose carried point
+	// still certifies).
 	Passes int
 	// Converged reports whether the ε-feasible/ε-optimal criterion was met
 	// in the LP phase.

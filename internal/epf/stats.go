@@ -18,7 +18,8 @@ import (
 type Stats struct {
 	// Workers is the pool size the solve ran with.
 	Workers int
-	// Passes is the number of gradient-descent passes performed.
+	// Passes is the number of gradient-descent passes performed, 0 when the
+	// seeded point already certified (Result.Passes).
 	Passes int
 	// BlocksOptimized counts block subproblem solves in the descent loop
 	// (chunk optimization), across all workers.

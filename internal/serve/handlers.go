@@ -218,6 +218,9 @@ type statusJSON struct {
 	VHOs       int     `json:"vhos"`
 	Links      int     `json:"links"`
 	Slices     int     `json:"slices"`
+	// LastPasses is the last swapped-in solve's descent passes: 0 when the
+	// re-solve's carried point already certified on the patched instance,
+	// so no block was walked.
 	LastPasses int     `json:"last_passes"`
 	LastGapPct float64 `json:"last_gap_pct"`
 	// LastLPMS and LastRoundMS say where the last swapped-in solve spent its
