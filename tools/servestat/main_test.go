@@ -74,6 +74,23 @@ func TestLatencyGolden(t *testing.T) {
 	checkGolden(t, "metrics.golden", b.Bytes())
 }
 
+// TestPassZeroResolve feeds the tool a hand-built trace whose one re-solve
+// ended at pass 0 (its carried point already certified): no epf_pass event,
+// passes 0 on the done event. -check accepts it and the ledger reports it.
+func TestPassZeroResolve(t *testing.T) {
+	events := loadTrace(t, "pass0.trace.jsonl")
+	if bad := violations(events); len(bad) != 0 {
+		t.Errorf("pass-0 trace flagged: %v", bad)
+	}
+	var b bytes.Buffer
+	summarize(events).writeTable(&b)
+	for _, want := range []string{"v2  demand  swapped  passes 0  warm 100%", "verdicts: swapped 1  audit_rejected 0", "swaps 1"} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("summary lacks %q:\n%s", want, b.String())
+		}
+	}
+}
+
 // TestCheckClean proves the healthy fixture passes every invariant.
 func TestCheckClean(t *testing.T) {
 	if bad := violations(loadTrace(t, "serve_ok.trace.jsonl")); len(bad) != 0 {

@@ -215,6 +215,26 @@ func TestGoldenPipelineSummary(t *testing.T) {
 	}
 }
 
+// TestPassZeroStream summarizes servestat's hand-built pass-0 trace: the
+// re-solve's stream carries spans and an epf_done with passes 0 but no
+// epf_pass event. -check accepts it and the table reports the done line.
+func TestPassZeroStream(t *testing.T) {
+	trace, err := os.ReadFile(filepath.Join("..", "servestat", "testdata", "pass0.trace.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := summaryFor(t, trace)
+	if bad := sum.monotoneViolations(); len(bad) > 0 {
+		t.Errorf("pass-0 trace flagged: %v", bad)
+	}
+	var out bytes.Buffer
+	sum.writeTable(&out)
+	want := "== serve.v2 ==\ndone: passes 0  obj 2166.1  lb 1930.1  gap 12.23%  converged true  rounded true\n\n"
+	if out.String() != want {
+		t.Errorf("summary:\n%s\nwant:\n%s", out.String(), want)
+	}
+}
+
 // TestDayStream pins the stream-name parser the trend block relies on.
 func TestDayStream(t *testing.T) {
 	cases := []struct {
