@@ -57,6 +57,20 @@ func measure(fn func()) (time.Duration, float64) {
 	return elapsed, allocMB
 }
 
+// fastest runs fn three times under measure and returns the shortest wall
+// time with that run's allocation: the rule make bench-json times a stanza
+// by. An LP-baseline row divides two times of a few milliseconds, and one
+// run of each side reads as much scheduler noise as code.
+func fastest(fn func()) (time.Duration, float64) {
+	best, alloc := measure(fn)
+	for range 2 {
+		if t, a := measure(fn); t < best {
+			best, alloc = t, a
+		}
+	}
+	return best, alloc
+}
+
 // Table3Row is one library size's aggregate measurements.
 type Table3Row struct {
 	Videos     int
@@ -115,15 +129,16 @@ func Table3Compute(ctx context.Context, cfg Config, epfSizes, lpSizes []int) ([]
 		if err != nil {
 			return nil, err
 		}
-		// EPF on the identical instance, for the speedup column.
-		epfT, _ := measure(func() {
+		// EPF on the identical instance, for the speedup column; each side
+		// is its fastest of three runs.
+		epfT, _ := fastest(func() {
 			res, err := epf.SolveIntegerContext(ctx, inst, c.solver())
 			if err != nil {
 				panic(err)
 			}
 			c.mustAudit(inst, res)
 		})
-		lpT, lpAlloc := measure(func() {
+		lpT, lpAlloc := fastest(func() {
 			lp, _, err := simplex.BuildPlacementLP(inst)
 			if err != nil {
 				panic(err)
